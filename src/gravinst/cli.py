@@ -14,25 +14,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
-from gravinst.errors import GeometryError
+from gravinst import ghawking, hitchin, verify
+from gravinst.errors import GeometryError, ScanError
 from gravinst.sampling import SampleSpec
-from gravinst.singularities import (
-    CenterConfiguration,
-    config_from_json,
-    make_akl_config,
-)
+from gravinst.singularities import CenterConfiguration, config_from_json
 
 _RUN_KEYS = {"schema", "singularity", "checks", "sample", "tolerances", "out", "csv"}
-_SAMPLE_KEYS = {"count", "seed", "r_min", "r_max", "clearance", "chart_margin"}
+_SAMPLE_KEYS = {f.name for f in dataclasses.fields(SampleSpec)}
 SCHEMA_VERSION = "1"
 
 
@@ -58,14 +52,7 @@ class RunConfig:
         out: dict = {"schema": SCHEMA_VERSION, "singularity": self.singularity}
         if self.checks is not None:
             out["checks"] = list(self.checks)
-        out["sample"] = {
-            "count": self.sample.count,
-            "seed": self.sample.seed,
-            "r_min": self.sample.r_min,
-            "r_max": self.sample.r_max,
-            "clearance": self.sample.clearance,
-            "chart_margin": self.sample.chart_margin,
-        }
+        out["sample"] = dataclasses.asdict(self.sample)
         if self.tolerances:
             out["tolerances"] = dict(self.tolerances)
         if self.out:
@@ -189,13 +176,8 @@ def _apply_tolerances(
             new_checks.append(check)
         else:
             new_checks.append(
-                verify.CheckRecord(
-                    name=check.name,
-                    max_residual=check.max_residual,
-                    tolerance=tol,
-                    passed=check.max_residual < tol,
-                    count=check.count,
-                    note=check.note,
+                dataclasses.replace(
+                    check, tolerance=tol, passed=check.max_residual < tol
                 )
             )
     unmatched = set(tolerances) - matched
@@ -207,7 +189,7 @@ def _apply_tolerances(
 
 def _report_document(report: verify.VerificationReport) -> str:
     doc = {"report": report.payload(), "timing": report.timing}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 _CSV_HEADER = (
@@ -217,41 +199,35 @@ _CSV_HEADER = (
 )
 
 
-def _sample_rows(config: CenterConfiguration, mode: str, spec: SampleSpec) -> list:
-    """Deterministic per-sample curvature rows for both constructions."""
-    rows = []
-    constructions = ["gh"] if mode != "ale" else ["gh", "hitchin"]
-    for src in constructions:
-        if src == "gh":
-            pts = [ghawking.chart_point(p) for p in sampling.gh_points(config, spec)]
-            fld = ghawking.metric_field(config, mode=mode)
-        else:
-            pts = [
-                hitchin.chart_point(p) for p in sampling.hitchin_points(config, spec)
-            ]
-            fld = hitchin.metric_field(config)
-        for cp in pts:
-            rows.append(_evaluate_row(src, config, fld, cp))
-    return rows
-
-
-def _evaluate_row(src: str, config, fld, cp: tensorcalc.ChartPoint) -> list:
-    coords = [repr(float(v)) for v in cp.coords]
-    try:
-        g = fld(cp).g
-        step = None
-        if src == "hitchin":
-            step = hitchin.chart_step(config, hitchin.point_from_chart(cp))
-        bundle = tensorcalc.curvature_at(fld, cp, step=step)
-    except GeometryError as exc:
-        return [src, type(exc).__name__] + coords + [""] * 12
-    upper = [repr(float(g[i, j])) for i in range(4) for j in range(i, 4)]
+def _csv_row(source: str, sample: verify.SampleRecord) -> list:
+    """One CSV row from a Ricci-scan sample record: flagged with the
+    error type, blank values, when the sample was unusable."""
+    coords = [repr(float(v)) for v in sample.point.coords]
+    if sample.error:
+        return [source, sample.error] + coords + [""] * 12
+    bundle = sample.curvature
+    upper = [repr(float(bundle.g[i, j])) for i in range(4) for j in range(i, 4)]
     return (
-        [src, "ok"]
+        [source, "ok"]
         + coords
         + upper
         + [repr(float(bundle.riem_norm_sq)), repr(float(bundle.ricci_norm))]
     )
+
+
+def _ricci_samples(config: CenterConfiguration, spec: SampleSpec) -> dict:
+    """Ricci-scan sample records per construction, for a report that did
+    not run the Ricci scans itself."""
+    out = {}
+    for c in verify.CONSTRUCTIONS:
+        if config.mode in c.modes:
+            try:
+                record = verify.ricci_scan(c.name, config, config.mode, spec)
+            except ScanError as exc:
+                out[c.name] = exc.samples
+            else:
+                out[c.name] = record.samples
+    return out
 
 
 def _write_csv(path: str | None, rows: list) -> None:
@@ -270,14 +246,7 @@ def cmd_verify(args) -> int:
     run = load_run_config(args.config)
     _apply_mode(run, args.mode)
     if args.seed is not None:
-        run.sample = SampleSpec(
-            count=run.sample.count,
-            seed=args.seed,
-            r_min=run.sample.r_min,
-            r_max=run.sample.r_max,
-            clearance=run.sample.clearance,
-            chart_margin=run.sample.chart_margin,
-        )
+        run.sample = dataclasses.replace(run.sample, seed=args.seed)
     checks = tuple(args.check) if args.check else run.checks
     if checks is not None:
         bad = set(checks) - set(verify.ALL_CHECKS)
@@ -299,7 +268,11 @@ def cmd_verify(args) -> int:
         sys.stdout.write(document)
     csv_path = args.csv or run.csv
     if csv_path:
-        _write_csv(csv_path, _sample_rows(config, config.mode, run.sample))
+        samples = report.samples
+        if checks and "ricci" not in checks:
+            samples = _ricci_samples(config, run.sample)
+        rows = [_csv_row(src, s) for src, recs in samples.items() for s in recs]
+        _write_csv(csv_path, rows)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         line = (
@@ -312,53 +285,31 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_point(text: str, construction: str) -> tensorcalc.ChartPoint:
-    parts = [p.strip() for p in text.split(",")]
+def _parse_point(text: str, construction: verify.Construction) -> verify.ChartPoint:
     try:
-        vals = [float(p) for p in parts]
+        return construction.from_coords([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad point {text!r}: {exc}") from exc
-    if construction == "gh":
-        if len(vals) == 3:
-            vals = [0.0] + vals  # theta defaults to 0
-        if len(vals) != 4:
-            raise ConfigError("gh points take theta,b,a1,a2 (or b,a1,a2)")
-        return tensorcalc.ChartPoint(tuple(vals), ghawking.CHART_ID)
-    if len(vals) != 4:
-        raise ConfigError("hitchin points take re(z),im(z),re(y),im(y)")
-    return tensorcalc.ChartPoint(tuple(vals), hitchin.CHART_ID)
 
 
 def cmd_sample(args) -> int:
     run = load_run_config(args.config)
     _apply_mode(run, args.mode)
     config = run.build()
-    construction = args.construction
-    if construction == "hitchin" and config.mode != "ale":
-        raise ConfigError("the complex chart applies to ale configurations")
-    rows = []
-    if args.point:
-        if construction == "gh":
-            fld = ghawking.metric_field(config, mode=config.mode)
-        else:
-            fld = hitchin.metric_field(config)
-        for text in args.point:
-            rows.append(_evaluate_row(construction, config, fld, _parse_point(text, construction)))
+    construction = verify.construction(args.construction)
+    if config.mode not in construction.modes:
+        raise ConfigError(
+            f"the {construction.name} construction applies to"
+            f" {'/'.join(construction.modes)} configurations"
+        )
+    points = [_parse_point(text, construction) for text in args.point or ()]
     if args.grid:
         spec = SampleSpec(count=args.grid, seed=args.seed or 0)
-        if construction == "gh":
-            pts = [ghawking.chart_point(p) for p in sampling.gh_points(config, spec)]
-            fld = ghawking.metric_field(config, mode=config.mode)
-        else:
-            pts = [
-                hitchin.chart_point(p) for p in sampling.hitchin_points(config, spec)
-            ]
-            fld = hitchin.metric_field(config)
-        for cp in pts:
-            rows.append(_evaluate_row(construction, config, fld, cp))
-    if not rows:
+        points += construction.points(config, spec)
+    if not points:
         raise ConfigError("nothing to sample: give --point and/or --grid")
-    _write_csv(args.out, rows)
+    samples = verify.ricci_samples(construction, config, points, config.mode)
+    _write_csv(args.out, [_csv_row(construction.name, s) for s in samples])
     return 0
 
 
@@ -391,9 +342,13 @@ def cmd_fit(args) -> int:
     return 0 if ok else 1
 
 
+def _reject_constant(token: str):
+    raise ConfigError(f"report is not strict JSON: {token}")
+
+
 def _validate_report_file(path: str) -> None:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_constant=_reject_constant)
     if not isinstance(doc, dict) or "report" not in doc:
         raise ConfigError('report file must hold a {"report": ...} object')
     body = doc["report"]
@@ -458,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample = sub.add_parser("sample", help="evaluate metric and curvature")
     p_sample.add_argument("--config", required=True)
     p_sample.add_argument(
-        "--construction", choices=("gh", "hitchin"), default="gh"
+        "--construction",
+        choices=[c.name for c in verify.CONSTRUCTIONS],
+        default=verify.GH.name,
     )
     p_sample.add_argument(
         "--point", action="append", help="chart point, comma separated (repeatable)"

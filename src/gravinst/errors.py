@@ -46,4 +46,11 @@ class FitDomainError(GeometryError):
 
 
 class ScanError(GeometryError):
-    """A verification scan could not collect enough usable samples."""
+    """A verification scan could not collect enough usable samples.
+
+    samples holds the scan's per-sample records, when it evaluated any.
+    """
+
+    def __init__(self, message: str, samples: tuple = ()):
+        super().__init__(message)
+        self.samples = samples

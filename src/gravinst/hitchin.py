@@ -42,7 +42,7 @@ from gravinst.errors import (
 )
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.singularities import CenterConfiguration, GroupElement
-from gravinst.tensorcalc import ChartPoint, CurvatureBundle, MetricSample, TwoFormSample
+from gravinst.tensorcalc import ChartPoint, MetricSample, TwoFormSample
 
 CHART_ID = "hitchin-zy"
 EPS_Y_DEFAULT = 1e-8
@@ -411,13 +411,3 @@ def ale_curvature_decay(
         averages.append(float(np.mean(vals)))
     return fit_loglog(radii, averages)
 
-
-def curvature_bundle_at(
-    config: CenterConfiguration,
-    p: HitchinPoint,
-    rel_step: float = tensorcalc.DEFAULT_REL_STEP,
-) -> CurvatureBundle:
-    """Convenience wrapper: curvature of the chart metric at a point."""
-    cp = chart_point(p)
-    step = chart_step(config, p, rel_step)
-    return tensorcalc.curvature_at(metric_field(config), cp, step=step)

@@ -8,6 +8,7 @@ platform; no stateful RNG is involved.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -60,14 +61,19 @@ def _start_index(seed: int) -> int:
 def _candidates(
     config: CenterConfiguration, spec: SampleSpec
 ) -> Iterator[tuple[float, complex, float]]:
-    """Unbounded stream of (b, a, theta) samples clear of centers and of
-    the default-gauge Dirac strings.  Radii are volume-uniform over the
-    annulus, scaled by the configuration extent."""
+    """Stream of (b, a, theta) samples clear of centers and of the
+    default-gauge Dirac strings.  Radii are volume-uniform over the
+    annulus, scaled by the configuration extent.
+
+    At most 10000 * spec.count candidates are drawn, whether accepted
+    here or rejected by the caller; past that the stream raises
+    ScanError, so an unsatisfiable spec ends instead of looping.
+    """
     scale = max(1.0, config.extent())
     lo, hi = spec.r_min * scale, spec.r_max * scale
     clear = spec.clearance * scale
     idx = _start_index(spec.seed)
-    while True:
+    for _ in range(10000 * spec.count):
         u = [halton(idx, b) for b in _BASES]
         idx += 1
         r = (lo**3 + u[0] * (hi**3 - lo**3)) ** (1.0 / 3.0)
@@ -82,20 +88,16 @@ def _candidates(
         if ghawking.string_clearance(config, b, a) < clear:
             continue
         yield b, a, theta
+    raise ScanError(
+        f"sampling rejected too many candidate points ({10000 * spec.count} drawn)"
+    )
 
 
 def base_points(
     config: CenterConfiguration, spec: SampleSpec
 ) -> list[tuple[float, complex, float]]:
     """First spec.count accepted (b, a, theta) samples."""
-    out = []
-    for tries, cand in enumerate(_candidates(config, spec)):
-        out.append(cand)
-        if len(out) >= spec.count:
-            return out
-        if tries > 10000 * spec.count:
-            break
-    raise ScanError("sampling rejected too many candidate points")
+    return list(itertools.islice(_candidates(config, spec), spec.count))
 
 
 def gh_points(config: CenterConfiguration, spec: SampleSpec) -> list[ghawking.GHPoint]:
@@ -112,13 +114,12 @@ def hitchin_points(
     Candidates whose chart coordinates fall inside the chart margin (near
     the branch locus y = 0 or a puncture z = -conj(a_i)) are discarded
     and replaced by later stream entries, keeping the accepted list a
-    deterministic function of the SampleSpec.
+    deterministic function of the SampleSpec.  The stream's budget bounds
+    the discards too.
     """
     scale = max(1.0, config.extent())
     out: list[hitchin.HitchinPoint] = []
-    for tries, (b, a, theta) in enumerate(_candidates(config, spec)):
-        if tries > 10000 * spec.count:
-            raise ScanError("chart lift rejected too many sample points")
+    for b, a, theta in _candidates(config, spec):
         z = -a.conjugate()
         if any(
             abs(z.conjugate() + c.a) < spec.chart_margin * scale
@@ -130,5 +131,5 @@ def hitchin_points(
             continue
         out.append(p)
         if len(out) >= spec.count:
-            return out
-    raise ScanError("chart lift rejected too many sample points")
+            break
+    return out

@@ -8,8 +8,7 @@ configurations are unions of d regular n-gons: polygon i has vertices
 
 with rho = exp(2*pi*i/n), so the center set is invariant under the cyclic
 action a -> rho**(-m) a.  The same data determines the deformed A-type
-equation x*y = prod_i (z**n - c_i**n) whose coefficient pattern is checked
-against the centers.
+equation x*y = prod_i (z**n - c_i**n).
 """
 
 from __future__ import annotations
@@ -93,15 +92,6 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "ell", int(self.ell) % self.signature.n)
 
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        if other.signature != self.signature:
-            raise ValueError("cannot compose elements of different groups")
-        return GroupElement(self.ell + other.ell, self.signature)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.ell == 0
-
 
 @dataclass(frozen=True)
 class CenterConfiguration:
@@ -145,15 +135,6 @@ class CenterConfiguration:
     def points_r3(self) -> np.ndarray:
         """(k, 3) array of centers as points (b, Re a, Im a)."""
         return np.array([c.as_r3() for c in self.centers])
-
-    def diameter(self) -> float:
-        """Largest pairwise distance between centers (0 for k = 1)."""
-        pts = self.points_r3()
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-        return best
 
     def extent(self) -> float:
         """Largest center distance from the origin of R^3."""
@@ -224,96 +205,6 @@ def make_akl_config(
         heights = [0.0] * j_max
     return make_polygon_config(
         signature, radii, heights, mode="akl", akl_j_max=j_max
-    )
-
-
-@dataclass(frozen=True)
-class DeformationPolynomial:
-    """Monic polynomial prod_i (z + conj(a_i)) attached to a configuration;
-    for polygon data this equals prod_i (z**n - c_i**n)."""
-
-    coefficients: tuple[complex, ...]  # highest degree first, leading 1
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in self.coefficients:
-            acc = acc * z + c
-        return acc
-
-
-def defining_polynomial(config: CenterConfiguration) -> DeformationPolynomial:
-    """Coefficients of the defining equation x*y = prod_i (z + conj(a_i))."""
-    coeffs = np.array([1.0 + 0j])
-    for c in config.centers:
-        coeffs = np.convolve(coeffs, np.array([1.0 + 0j, c.a.conjugate()]))
-    return DeformationPolynomial(coefficients=tuple(complex(v) for v in coeffs))
-
-
-def apply_action_hitchin(
-    gel: GroupElement, z: complex, y: complex
-) -> tuple[complex, complex]:
-    """Cyclic action in the (z, y) chart: (z, y) -> (rho^(m*ell) z, rho^(-ell) y)."""
-    n = gel.signature.n
-    m = gel.signature.m
-    zf = cmath.exp(2j * math.pi * m * gel.ell / n)
-    yf = cmath.exp(-2j * math.pi * gel.ell / n)
-    return zf * z, yf * y
-
-
-def apply_action_gh(
-    gel: GroupElement, theta: float, b: float, a: complex
-) -> tuple[float, float, complex]:
-    """Cyclic action on the circle-fibered chart:
-    (theta, b, a) -> (theta + 2*pi*ell/n mod 2*pi, b, rho^(-m*ell) a)."""
-    n = gel.signature.n
-    m = gel.signature.m
-    theta2 = (theta + 2.0 * math.pi * gel.ell / n) % (2.0 * math.pi)
-    a2 = a * cmath.exp(-2j * math.pi * m * gel.ell / n)
-    return theta2, b, a2
-
-
-def symmetry_residual(config: CenterConfiguration) -> float:
-    """Hausdorff-type distance between the center set and its image under
-    the group generator (a -> rho^(-m) a, b fixed).  Zero for exactly
-    symmetric configurations."""
-    n = config.signature.n
-    if n == 1:
-        return 0.0
-    rot = cmath.exp(-2j * math.pi * config.signature.m / n)
-    worst = 0.0
-    for c in config.centers:
-        image = Center(b=c.b, a=rot * c.a)
-        best = min(
-            float(np.linalg.norm(image.as_r3() - other.as_r3()))
-            for other in config.centers
-        )
-        worst = max(worst, best)
-    return worst
-
-
-def canonical_center_order(config: CenterConfiguration) -> list[int]:
-    """Indices of the centers in canonical order: b descending, then
-    arg(a) ascending in [0, 2*pi), then |a| ascending."""
-
-    def key(idx: int):
-        c = config.centers[idx]
-        ang = cmath.phase(c.a) % (2.0 * math.pi) if c.a != 0 else 0.0
-        return (-c.b, ang, abs(c.a))
-
-    return sorted(range(config.k), key=key)
-
-
-def kahler_class(config: CenterConfiguration) -> np.ndarray:
-    """Cohomology-class vector of the metric: entry i is 8*pi*(b_i - b_{i+1})
-    for consecutive centers in canonical order (k - 1 entries)."""
-    order = canonical_center_order(config)
-    bs = [config.centers[i].b for i in order]
-    return np.array(
-        [8.0 * math.pi * (bs[i] - bs[i + 1]) for i in range(len(bs) - 1)]
     )
 
 

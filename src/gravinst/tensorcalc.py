@@ -97,6 +97,7 @@ class CurvatureBundle:
     scalar               = g^{ij} Ric_{ij}
     ricci_norm           = |Ric|_g
     riem_norm_sq         = |Rm|^2_g
+    g                    = the metric at the point
     """
 
     christoffel: np.ndarray
@@ -105,6 +106,7 @@ class CurvatureBundle:
     scalar: float
     ricci_norm: float
     riem_norm_sq: float
+    g: np.ndarray
 
 
 def default_step(point: ChartPoint, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
@@ -200,15 +202,6 @@ def _det3(m: np.ndarray) -> float:
 
 
 _ROWS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-
-def det4(g: np.ndarray) -> float:
-    """Determinant of a 4x4 matrix by cofactor expansion along row 0."""
-    total = 0.0
-    for j in range(4):
-        minor = g[np.ix_(_ROWS[0], _ROWS[j])]
-        total += (-1.0) ** j * g[0, j] * _det3(minor)
-    return float(total)
 
 
 def invert_metric(g: np.ndarray) -> np.ndarray:
@@ -322,6 +315,7 @@ def curvature_at(
         scalar=scalar,
         ricci_norm=ricci_norm,
         riem_norm_sq=riem_norm_sq,
+        g=g0,
     )
 
 

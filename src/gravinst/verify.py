@@ -6,11 +6,16 @@ Kahler form, Nijenhuis tensor, pullback under the cyclic action), and
 reports the worst case against a tolerance.  Cross-validation compares
 the curvature of the two constructions at matched base points, where
 agreement up to a global homothety forces a constant |Rm|^2 ratio.
+
+What differs between the two constructions is held in one table of
+:class:`Construction` records; the scans themselves never branch on the
+chart.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +31,7 @@ from gravinst.singularities import (
     GroupElement,
     make_akl_config,
 )
+from gravinst.tensorcalc import ChartPoint
 
 RICCI_TOL = 5e-5
 DOMEGA_TOL = 1e-6
@@ -36,12 +42,31 @@ SPREAD_TOL = 1e-3
 PERIOD_TOL = 1e-3
 CURVATURE_FLOOR = 1e-10
 
-_CONSTRUCTIONS = ("hitchin", "gh")
+
+def _finite(value: float) -> float | None:
+    """Report value: non-finite floats become null in strict JSON."""
+    return value if math.isfinite(value) else None
+
+
+@dataclass(frozen=True)
+class SampleRecord:
+    """One scan sample: its chart point and residuals, or the type name of
+    the GeometryError that made it unusable.  Ricci samples keep their
+    curvature bundle for the per-sample CSV rows."""
+
+    point: ChartPoint
+    residuals: tuple[float, ...] = ()
+    error: str = ""
+    curvature: tensorcalc.CurvatureBundle | None = None
 
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """One verification check: worst residual against its tolerance."""
+    """One verification check: worst residual against its tolerance.
+
+    skipped counts the unusable samples of a scan by error type; samples
+    holds the scan's per-sample records, which never enter the payload.
+    """
 
     name: str
     max_residual: float
@@ -49,17 +74,21 @@ class CheckRecord:
     passed: bool
     count: int = 0
     note: str = ""
+    skipped: dict = field(default_factory=dict)
+    samples: tuple[SampleRecord, ...] = field(default=(), repr=False, compare=False)
 
     def payload(self) -> dict:
         out = {
             "name": self.name,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
+            "max_residual": _finite(self.max_residual),
+            "tolerance": _finite(self.tolerance),
             "pass": self.passed,
             "count": self.count,
         }
         if self.note:
             out["note"] = self.note
+        if self.skipped:
+            out["skipped"] = dict(self.skipped)
         return out
 
 
@@ -73,7 +102,11 @@ class RatioStats:
     note: str = ""
 
     def payload(self) -> dict:
-        out = {"mean": self.mean, "spread": self.spread, "count": self.count}
+        out = {
+            "mean": _finite(self.mean),
+            "spread": _finite(self.spread),
+            "count": self.count,
+        }
         if self.note:
             out["note"] = self.note
         return out
@@ -88,6 +121,9 @@ class VerificationReport:
     fits: dict = field(default_factory=dict)
     ratio: RatioStats | None = None
     timing: dict = field(default_factory=dict)
+    # Ricci-scan sample records per construction; like timing, never in
+    # the payload
+    samples: dict[str, tuple[SampleRecord, ...]] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -108,42 +144,184 @@ class VerificationReport:
         return out
 
 
-def _require_construction(metric_source: str) -> None:
-    if metric_source not in _CONSTRUCTIONS:
-        raise ValueError(f"metric_source must be one of {_CONSTRUCTIONS}")
+@dataclass(frozen=True)
+class Construction:
+    """Everything a scan needs to know about one chart.
+
+    metric(config, mode, potential_transform=None), kahler(config, mode)
+    and complex_structure(config, mode) return chart fields; step(config,
+    point) gives the finite-difference steps (None for the default);
+    image(generator, point) maps a chart point by the cyclic action, whose
+    differential is jacobian(generator); from_coords builds a chart point
+    from user-given coordinates.  Entries call into their modules at call
+    time, so module attributes stay the one binding of each function.
+    """
+
+    name: str
+    modes: tuple[str, ...]
+    has_potential: bool  # potential_transform (V -> f(V)) applies
+    points: Callable[[CenterConfiguration, SampleSpec], list[ChartPoint]]
+    metric: Callable
+    kahler: Callable
+    complex_structure: Callable
+    step: Callable[[CenterConfiguration, ChartPoint], np.ndarray | None]
+    image: Callable[[GroupElement, ChartPoint], ChartPoint]
+    jacobian: Callable[[GroupElement], np.ndarray]
+    from_coords: Callable[[Sequence[float]], ChartPoint]
 
 
-def _chart_samples(
-    metric_source: str, config: CenterConfiguration, spec: SampleSpec
-) -> list[tensorcalc.ChartPoint]:
-    if metric_source == "hitchin":
-        return [hitchin.chart_point(p) for p in sampling.hitchin_points(config, spec)]
-    return [ghawking.chart_point(p) for p in sampling.gh_points(config, spec)]
+def _gh_image(gel: GroupElement, cp: ChartPoint) -> ChartPoint:
+    """(theta, b, a) -> (theta + 2 pi ell / n, b, rho^(-m ell) a)."""
+    n = gel.signature.n
+    shift = 2.0 * math.pi * gel.ell / n
+    rot = np.exp(-2j * math.pi * gel.signature.m * gel.ell / n)
+    p = ghawking.point_from_chart(cp)
+    q = ghawking.GHPoint(theta=p.theta + shift, b=p.b, a=rot * p.a)
+    return ghawking.chart_point(q)
 
 
-def _step_for(
-    metric_source: str, config: CenterConfiguration, cp: tensorcalc.ChartPoint
-):
-    """Chart-adapted FD steps; the complex chart needs its own rule near
-    the branch locus, the circle-bundle chart is fine with the default."""
-    if metric_source == "hitchin":
-        return hitchin.chart_step(config, hitchin.point_from_chart(cp))
-    return None
+def _gh_coords(vals: Sequence[float]) -> ChartPoint:
+    if len(vals) == 3:
+        vals = [0.0, *vals]  # theta defaults to 0
+    if len(vals) != 4:
+        raise ValueError("gh points take theta,b,a1,a2 (or b,a1,a2)")
+    return ChartPoint(tuple(vals), ghawking.CHART_ID)
 
 
-def _metric_field(
-    metric_source: str,
-    config: CenterConfiguration,
-    mode: str | None,
-    potential_transform: Callable[[float], float] | None = None,
-):
-    if metric_source == "hitchin":
-        if potential_transform is not None:
-            raise ValueError("potential_transform applies to the gh construction")
-        return hitchin.metric_field(config)
-    return ghawking.metric_field(
+def _hitchin_coords(vals: Sequence[float]) -> ChartPoint:
+    if len(vals) != 4:
+        raise ValueError("hitchin points take re(z),im(z),re(y),im(y)")
+    return ChartPoint(tuple(vals), hitchin.CHART_ID)
+
+
+GH = Construction(
+    name="gh",
+    modes=("ale", "alf", "akl"),
+    has_potential=True,
+    points=lambda config, spec: [
+        ghawking.chart_point(p) for p in sampling.gh_points(config, spec)
+    ],
+    metric=lambda config, mode, potential_transform=None: ghawking.metric_field(
         config, mode=mode, potential_transform=potential_transform
+    ),
+    kahler=lambda config, mode: ghawking.kahler_field(config, mode=mode),
+    complex_structure=lambda config, mode: ghawking.complex_structure_field(
+        config, mode=mode
+    ),
+    # the circle-bundle chart is fine with the default steps
+    step=lambda config, cp: None,
+    image=_gh_image,
+    jacobian=lambda gel: ghawking.action_jacobian(gel),
+    from_coords=_gh_coords,
+)
+
+HITCHIN = Construction(
+    name="hitchin",
+    modes=("ale",),
+    has_potential=False,
+    points=lambda config, spec: [
+        hitchin.chart_point(p) for p in sampling.hitchin_points(config, spec)
+    ],
+    metric=lambda config, mode, potential_transform=None: hitchin.metric_field(config),
+    kahler=lambda config, mode: hitchin.kahler_field(config),
+    complex_structure=lambda config, mode: lambda cp: tensorcalc.ComplexStructureSample(
+        J=hitchin.STANDARD_J, point=cp
+    ),
+    # the complex chart needs its own step rule near the branch locus
+    step=lambda config, cp: hitchin.chart_step(config, hitchin.point_from_chart(cp)),
+    image=lambda gel, cp: ChartPoint(
+        tuple(hitchin.action_matrix(gel) @ cp.as_array()), cp.chart_id
+    ),
+    jacobian=lambda gel: hitchin.action_matrix(gel),
+    from_coords=_hitchin_coords,
+)
+
+CONSTRUCTIONS = (GH, HITCHIN)
+
+
+def construction(name: str) -> Construction:
+    """The table entry called name; ValueError for an unknown one."""
+    for c in CONSTRUCTIONS:
+        if c.name == name:
+            return c
+    raise ValueError(
+        f"metric_source must be one of {tuple(c.name for c in CONSTRUCTIONS)}"
     )
+
+
+def _sample(
+    points: Sequence[ChartPoint], evaluate: Callable[[ChartPoint], SampleRecord]
+) -> tuple[SampleRecord, ...]:
+    """evaluate at every point; a GeometryError marks the sample with its
+    type instead of ending the scan."""
+    out = []
+    for cp in points:
+        try:
+            out.append(evaluate(cp))
+        except GeometryError as exc:
+            out.append(SampleRecord(cp, error=type(exc).__name__))
+    return tuple(out)
+
+
+def _skip_counts(samples: Sequence[SampleRecord]) -> dict:
+    return dict(sorted(Counter(s.error for s in samples if s.error).items()))
+
+
+def _scan_records(
+    label: str,
+    source: str,
+    kinds: Sequence[str],
+    tolerances: Sequence[float],
+    samples: tuple[SampleRecord, ...],
+) -> list[CheckRecord]:
+    """One CheckRecord per residual kind: worst residual over the usable
+    samples, their count and the skips by error type.  ScanError (holding
+    the samples) when no sample is usable."""
+    used = [s for s in samples if not s.error]
+    if not used:
+        raise ScanError(f"every {label} sample evaluation failed", samples)
+    skipped = _skip_counts(samples)
+    records = []
+    for i, (kind, tol) in enumerate(zip(kinds, tolerances)):
+        worst = 0.0
+        for s in used:
+            worst = max(worst, s.residuals[i])
+        records.append(
+            CheckRecord(
+                name=f"{kind}-{source}",
+                max_residual=worst,
+                tolerance=tol,
+                passed=worst < tol,
+                count=len(used),
+                skipped=skipped,
+                samples=samples,
+            )
+        )
+    return records
+
+
+def ricci_samples(
+    c: Construction,
+    config: CenterConfiguration,
+    points: Sequence[ChartPoint],
+    mode: str | None = None,
+    potential_transform: Callable[[float], float] | None = None,
+) -> tuple[SampleRecord, ...]:
+    """Curvature at each chart point, with residual |Ric| / max(|Rm|, 1).
+
+    The denominator keeps the residual meaningful in nearly flat regions,
+    where absolute Ricci tends to zero no matter what.
+    """
+    if potential_transform is not None and not c.has_potential:
+        raise ValueError(f"potential_transform does not apply to {c.name} metrics")
+    fld = c.metric(config, mode, potential_transform)
+
+    def evaluate(cp: ChartPoint) -> SampleRecord:
+        bundle = tensorcalc.curvature_at(fld, cp, step=c.step(config, cp))
+        residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
+        return SampleRecord(cp, (residual,), curvature=bundle)
+
+    return _sample(points, evaluate)
 
 
 def ricci_scan(
@@ -154,33 +332,11 @@ def ricci_scan(
     potential_transform: Callable[[float], float] | None = None,
     tolerance: float = RICCI_TOL,
 ) -> CheckRecord:
-    """Worst |Ric| / max(|Rm|, 1) over the sample stream.
-
-    The denominator keeps the residual meaningful in nearly flat regions,
-    where absolute Ricci tends to zero no matter what.
-    """
-    _require_construction(metric_source)
-    spec = spec or SampleSpec()
-    samples = _chart_samples(metric_source, config, spec)
-    fld = _metric_field(metric_source, config, mode, potential_transform)
-    worst = 0.0
-    used = 0
-    for cp in samples:
-        try:
-            bundle = tensorcalc.curvature_at(fld, cp, step=_step_for(metric_source, config, cp))
-        except GeometryError:
-            continue
-        used += 1
-        worst = max(worst, bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0))
-    if used == 0:
-        raise ScanError("every Ricci sample evaluation failed")
-    return CheckRecord(
-        name=f"ricci-{metric_source}",
-        max_residual=worst,
-        tolerance=tolerance,
-        passed=worst < tolerance,
-        count=used,
-    )
+    """Worst |Ric| / max(|Rm|, 1) over the sample stream."""
+    c = construction(metric_source)
+    points = c.points(config, spec or SampleSpec())
+    samples = ricci_samples(c, config, points, mode, potential_transform)
+    return _scan_records("Ricci", c.name, ("ricci",), (tolerance,), samples)[0]
 
 
 def kahler_scan(
@@ -196,58 +352,36 @@ def kahler_scan(
     Nijenhuis tensor of J (both relative to the largest local omega / J
     entry scale), and the algebraic residual omega - J^T g.
     """
-    _require_construction(metric_source)
-    spec = spec or SampleSpec()
-    samples = _chart_samples(metric_source, config, spec)
-    if metric_source == "hitchin":
-        omega_field = hitchin.kahler_field(config)
+    c = construction(metric_source)
+    points = c.points(config, spec or SampleSpec())
+    omega_field = c.kahler(config, mode)
+    j_at = c.complex_structure(config, mode)
+    g_at = c.metric(config, mode)
 
-        def j_at(cp):
-            return tensorcalc.ComplexStructureSample(J=hitchin.STANDARD_J, point=cp)
-
-        def g_at(cp):
-            return hitchin.metric_at(config, hitchin.point_from_chart(cp))
-
-    else:
-        omega_field = ghawking.kahler_field(config, mode=mode)
-        j_at = ghawking.complex_structure_field(config, mode=mode)
-
-        def g_at(cp):
-            return ghawking.metric_at(config, ghawking.point_from_chart(cp), mode=mode)
-
-    worst_dw = 0.0
-    worst_nij = 0.0
-    worst_compat = 0.0
-    used = 0
-    for cp in samples:
-        try:
-            step = _step_for(metric_source, config, cp)
-            w = omega_field(cp).omega
-            dw = tensorcalc.exterior_derivative(omega_field, cp, step=step)
-            nij = tensorcalc.nijenhuis_at(j_at, cp, step=step)
-            g = g_at(cp).g
-            J = j_at(cp).J
-        except GeometryError:
-            continue
-        used += 1
+    def evaluate(cp: ChartPoint) -> SampleRecord:
+        step = c.step(config, cp)
+        w = omega_field(cp).omega
+        dw = tensorcalc.exterior_derivative(omega_field, cp, step=step)
+        nij = tensorcalc.nijenhuis_at(j_at, cp, step=step)
+        g = g_at(cp).g
+        J = j_at(cp).J
         wscale = max(1.0, float(np.max(np.abs(w))))
-        worst_dw = max(worst_dw, float(np.max(np.abs(dw))) / wscale)
-        worst_nij = max(worst_nij, float(np.max(np.abs(nij))))
-        worst_compat = max(worst_compat, float(np.max(np.abs(w - J.T @ g))) / wscale)
-    if used == 0:
-        raise ScanError("every Kahler sample evaluation failed")
-    names = ("kahler-domega", "kahler-nijenhuis", "kahler-compat")
-    residuals = (worst_dw, worst_nij, worst_compat)
-    return [
-        CheckRecord(
-            name=f"{n}-{metric_source}",
-            max_residual=r,
-            tolerance=t,
-            passed=r < t,
-            count=used,
+        return SampleRecord(
+            cp,
+            (
+                float(np.max(np.abs(dw))) / wscale,
+                float(np.max(np.abs(nij))),
+                float(np.max(np.abs(w - J.T @ g))) / wscale,
+            ),
         )
-        for n, r, t in zip(names, residuals, tolerances)
-    ]
+
+    return _scan_records(
+        "Kahler",
+        c.name,
+        ("kahler-domega", "kahler-nijenhuis", "kahler-compat"),
+        tolerances,
+        _sample(points, evaluate),
+    )
 
 
 def invariance_scan(
@@ -261,53 +395,23 @@ def invariance_scan(
     """Sup over samples of the metric pullback residual under the cyclic
     generator.  Symmetric configurations pass; a perturbed configuration
     is expected to fail (that is the negative control)."""
-    _require_construction(metric_source)
-    n = config.signature.n
-    if n < 2:
+    c = construction(metric_source)
+    if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
     gel = generator or GroupElement(ell=1, signature=config.signature)
-    spec = spec or SampleSpec()
-    samples = _chart_samples(metric_source, config, spec)
-    worst = 0.0
-    used = 0
-    if metric_source == "hitchin":
-        M = hitchin.action_matrix(gel)
-        fld = hitchin.metric_field(config)
-        for cp in samples:
-            try:
-                g_here = fld(cp).g
-                image = tensorcalc.ChartPoint(tuple(M @ cp.as_array()), cp.chart_id)
-                g_there = fld(image).g
-            except GeometryError:
-                continue
-            used += 1
-            res = np.max(np.abs(M.T @ g_there @ M - g_here))
-            worst = max(worst, float(res) / max(1.0, float(np.max(np.abs(g_here)))))
-    else:
-        M = ghawking.action_jacobian(gel)
-        shift = 2.0 * math.pi * gel.ell / n
-        rot = np.exp(-2j * math.pi * gel.signature.m * gel.ell / n)
-        fld = ghawking.metric_field(config, mode=mode)
-        for cp in samples:
-            try:
-                g_here = fld(cp).g
-                p = ghawking.point_from_chart(cp)
-                q = ghawking.GHPoint(theta=p.theta + shift, b=p.b, a=rot * p.a)
-                g_there = fld(ghawking.chart_point(q)).g
-            except GeometryError:
-                continue
-            used += 1
-            res = np.max(np.abs(M.T @ g_there @ M - g_here))
-            worst = max(worst, float(res) / max(1.0, float(np.max(np.abs(g_here)))))
-    if used == 0:
-        raise ScanError("every invariance sample evaluation failed")
-    return CheckRecord(
-        name=f"invariance-{metric_source}",
-        max_residual=worst,
-        tolerance=tolerance,
-        passed=worst < tolerance,
-        count=used,
-    )
+    points = c.points(config, spec or SampleSpec())
+    M = c.jacobian(gel)
+    fld = c.metric(config, mode)
+
+    def evaluate(cp: ChartPoint) -> SampleRecord:
+        g_here = fld(cp).g
+        g_there = fld(c.image(gel, cp)).g
+        res = np.max(np.abs(M.T @ g_there @ M - g_here))
+        return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
+
+    return _scan_records(
+        "invariance", c.name, ("invariance",), (tolerance,), _sample(points, evaluate)
+    )[0]
 
 
 def cross_validate(
@@ -338,28 +442,24 @@ def cross_validate(
             note=stats.note,
         )
         return stats, record
-    gh_field = ghawking.metric_field(config, mode="ale")
-    hit_field = hitchin.metric_field(config)
-    ratios = []
-    for b, a, theta in sampling.base_points(config, spec):
-        try:
-            hp = hitchin.base_to_chart(config, b, a, phase=theta)
-            rm_hit = tensorcalc.curvature_at(
-                hit_field,
-                hitchin.chart_point(hp),
-                step=hitchin.chart_step(config, hp),
-            ).riem_norm_sq
-            gp = ghawking.GHPoint(theta=theta, b=b, a=a)
-            rm_gh = tensorcalc.curvature_at(
-                gh_field, ghawking.chart_point(gp)
-            ).riem_norm_sq
-        except GeometryError:
-            continue
+    gh_field = GH.metric(config, "ale")
+    hit_field = HITCHIN.metric(config, "ale")
+
+    def evaluate(cp: ChartPoint) -> SampleRecord:
+        p = ghawking.point_from_chart(cp)
+        hp = hitchin.base_to_chart(config, p.b, p.a, phase=p.theta)
+        rm_hit = tensorcalc.curvature_at(
+            hit_field, hitchin.chart_point(hp), step=hitchin.chart_step(config, hp)
+        ).riem_norm_sq
+        rm_gh = tensorcalc.curvature_at(gh_field, cp).riem_norm_sq
         if rm_gh < floor or rm_hit < floor * floor:
-            continue
-        ratios.append(rm_hit / rm_gh)
+            return SampleRecord(cp, error="below curvature floor")
+        return SampleRecord(cp, (rm_hit / rm_gh,))
+
+    samples = _sample(GH.points(config, spec), evaluate)
+    ratios = [s.residuals[0] for s in samples if not s.error]
     if len(ratios) < 8:
-        raise ScanError("fewer than 8 usable cross-validation samples")
+        raise ScanError("fewer than 8 usable cross-validation samples", samples)
     arr = np.asarray(ratios)
     mean = float(np.mean(arr))
     spread = float((np.max(arr) - np.min(arr)) / abs(mean))
@@ -370,6 +470,8 @@ def cross_validate(
         tolerance=tolerance,
         passed=spread < tolerance,
         count=len(ratios),
+        skipped=_skip_counts(samples),
+        samples=samples,
     )
     return stats, record
 
@@ -634,7 +736,7 @@ def full_report(
     report = VerificationReport(
         config_payload=_config_payload(config), mode=mode, seed=spec.seed
     )
-    constructions = ["gh"] if mode != "ale" else ["gh", "hitchin"]
+    constructions = [c for c in CONSTRUCTIONS if mode in c.modes]
 
     def run(name: str, fn: Callable[[], None]) -> None:
         t0 = time.perf_counter()
@@ -648,38 +750,38 @@ def full_report(
                     tolerance=0.0,
                     passed=False,
                     note=f"{type(exc).__name__}: {exc}",
+                    skipped=_skip_counts(getattr(exc, "samples", ())),
                 )
             )
         report.timing[name] = time.perf_counter() - t0
 
+    def ricci(c: Construction) -> None:
+        transform = potential_transform if c.has_potential else None
+        try:
+            record = ricci_scan(c.name, config, mode, spec, transform)
+        except ScanError as exc:
+            report.samples[c.name] = exc.samples
+            raise
+        report.samples[c.name] = record.samples
+        report.checks.append(record)
+
     if "ricci" in selected:
-        for src in constructions:
-            run(
-                f"ricci-{src}",
-                lambda src=src: report.checks.append(
-                    ricci_scan(
-                        src,
-                        config,
-                        mode,
-                        spec,
-                        potential_transform if src == "gh" else None,
-                    )
-                ),
-            )
+        for c in constructions:
+            run(f"ricci-{c.name}", lambda c=c: ricci(c))
     if "kahler" in selected:
-        for src in constructions:
+        for c in constructions:
             run(
-                f"kahler-{src}",
-                lambda src=src: report.checks.extend(
-                    kahler_scan(src, config, mode, spec)
+                f"kahler-{c.name}",
+                lambda c=c: report.checks.extend(
+                    kahler_scan(c.name, config, mode, spec)
                 ),
             )
     if "invariance" in selected and config.signature.n >= 2:
-        for src in constructions:
+        for c in constructions:
             run(
-                f"invariance-{src}",
-                lambda src=src: report.checks.append(
-                    invariance_scan(src, config, mode=mode, spec=spec)
+                f"invariance-{c.name}",
+                lambda c=c: report.checks.append(
+                    invariance_scan(c.name, config, mode=mode, spec=spec)
                 ),
             )
     if "cross" in selected and mode == "ale":

@@ -1,0 +1,36 @@
+"""The benchmark's timing wrappers still attach to the functions it names.
+
+perfbench/tracer.py replaces module attributes by timing wrappers.  A
+function that is renamed, or bound at import time where it should be
+looked up at call time, would leave its per-layer metrics at zero
+without any error; this test makes that a failure.
+"""
+
+import importlib.util
+import pathlib
+
+from gravinst import verify
+from gravinst.sampling import SampleSpec
+from gravinst.singularities import QuotientSignature, make_polygon_config
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_spans_fill():
+    pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
+    tracer = load_tracer().Tracer()
+    tracer.install_all()
+    try:
+        verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.names[i] for i in tracer.name}
+    for span in ("verify.ricci-gh", "tensorcalc.curvature_at", "ghawking.metric_at"):
+        assert span in recorded

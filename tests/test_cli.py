@@ -2,10 +2,12 @@
 
 import csv
 import json
+import threading
 
 import pytest
 
-from gravinst import cli
+from gravinst import cli, tensorcalc
+from gravinst.errors import DegenerateMetricError
 
 PAIR = {"d": 1, "n": 2, "m": 1, "radii": [[1.0, 0.0]], "heights": [0.0]}
 FLAT = {"d": 1, "n": 1, "m": 0, "radii": [[1.0, 0.0]], "heights": [0.0]}
@@ -315,3 +317,96 @@ def test_validate_round_trip(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"report": {}}))
     assert cli.main(["validate", "--report", str(bad)]) == 2
+
+
+# --- per-sample CSV rows are the Ricci scan's own samples ---
+
+
+def count_curvature_calls(monkeypatch):
+    calls = []
+    original = tensorcalc.curvature_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", counted)
+    return calls
+
+
+def test_verify_csv_reuses_ricci_curvature(tmp_path, monkeypatch):
+    calls = count_curvature_calls(monkeypatch)
+    csv_path = tmp_path / "s.csv"
+    cfg = write_cfg(tmp_path, base_doc(checks=["ricci"], csv=str(csv_path)))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    rows = read_rows(csv_path)[1:]
+    assert len(rows) == 8
+    # one curvature evaluation per Ricci-scan sample, none for the CSV
+    assert len(calls) == len(rows)
+
+
+def test_verify_csv_row_matches_sample_point(tmp_path):
+    csv_path = tmp_path / "s.csv"
+    cfg = write_cfg(tmp_path, base_doc(csv=str(csv_path)))
+    assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    rows = read_rows(csv_path)[1:]
+    for construction in ("gh", "hitchin"):
+        row = next(r for r in rows if r[0] == construction)
+        out = tmp_path / f"{construction}.csv"
+        # --point=... because a coordinate may start with a minus sign
+        point = "--point=" + ",".join(row[2:6])
+        code = cli.main(
+            ["sample", "--config", cfg, "--construction", construction, point,
+             "--out", str(out)]
+        )
+        assert code == 0
+        assert read_rows(out)[1] == row
+
+
+def test_verify_csv_flags_every_failed_ricci_sample(tmp_path, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateMetricError("forced")
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", degenerate)
+    csv_path = tmp_path / "s.csv"
+    out = tmp_path / "r.json"
+    cfg = write_cfg(tmp_path, base_doc(checks=["ricci"], csv=str(csv_path)))
+    assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    rows = read_rows(csv_path)[1:]
+    assert len(rows) == 8
+    assert {r[1] for r in rows} == {"DegenerateMetricError"}
+    assert all(v == "" for r in rows for v in r[6:])
+    checks = json.loads(out.read_text())["report"]["checks"]
+    assert [c["name"] for c in checks] == ["ricci-gh", "ricci-hitchin"]
+    for check in checks:
+        assert check["note"].startswith("ScanError")
+        assert check["skipped"] == {"DegenerateMetricError": 4}
+        assert check["max_residual"] is None
+
+
+def test_verify_unsatisfiable_sample_spec_ends(tmp_path):
+    doc = base_doc(checks=["ricci"], sample={"count": 1, "clearance": 100})
+    out = tmp_path / "r.json"
+    argv = ["verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]
+    codes = []
+    # a daemon thread, so that a sampler that never ends fails the test
+    # instead of hanging the suite
+    worker = threading.Thread(target=lambda: codes.append(cli.main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert not worker.is_alive(), "sampling kept drawing candidates"
+    assert codes == [1]
+    checks = json.loads(out.read_text())["report"]["checks"]
+    assert [c["name"] for c in checks] == ["ricci-gh", "ricci-hitchin"]
+    assert all(c["note"].startswith("ScanError") for c in checks)
+
+
+def test_validate_rejects_non_strict_report(tmp_path):
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "r.json"
+        path.write_text(
+            '{"report": {"config": {}, "mode": "ale", "seed": 0, "pass": false,'
+            ' "checks": [{"name": "x", "max_residual": %s, "tolerance": 0.0,'
+            ' "pass": false}]}}' % token
+        )
+        assert cli.main(["validate", "--report", str(path)]) == 2

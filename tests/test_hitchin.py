@@ -140,7 +140,11 @@ def test_single_center_chart_is_flat():
     cfg = origin_config()
     for z, y in [(1.0 + 0.5j, 2.0 + 1.0j), (3.0j, 0.7 - 0.4j), (-2.0 + 0j, 3.0 + 0j)]:
         p = HitchinPoint(z=z, y=y)
-        bun = hitchin.curvature_bundle_at(cfg, p)
+        bun = tensorcalc.curvature_at(
+            hitchin.metric_field(cfg),
+            hitchin.chart_point(p),
+            step=hitchin.chart_step(cfg, p),
+        )
         assert bun.riem_norm_sq < 1e-10
 
 

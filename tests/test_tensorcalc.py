@@ -19,7 +19,6 @@ from gravinst.tensorcalc import (
     TwoFormSample,
     curvature_at,
     default_step,
-    det4,
     differentiate_field,
     exterior_derivative,
     invert_metric,
@@ -198,10 +197,6 @@ def test_invert_metric_rejects_degenerate():
     sing = np.outer(np.ones(4), np.ones(4)) + np.eye(4) * 1e-17
     with pytest.raises(DegenerateMetricError):
         invert_metric(sing)
-
-
-def test_det4_matches_numpy():
-    assert abs(det4(FROZEN_SPD) - np.linalg.det(FROZEN_SPD)) < 1e-12
 
 
 def test_default_step_uses_pair_scales():

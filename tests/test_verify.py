@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from gravinst import verify
-from gravinst.errors import ScanError
+from gravinst import tensorcalc, verify
+from gravinst.errors import ChartBoundaryError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     QuotientSignature,
@@ -223,3 +223,39 @@ def test_full_report_runs_akl_convergence():
     rep = verify.full_report(cfg, checks=("fits",))
     assert [c.name for c in rep.checks] == ["akl-convergence"]
     assert rep.passed
+
+
+# --- per-sample records and strict payloads ---
+
+
+def test_scan_counts_skipped_samples_by_error_type(monkeypatch):
+    original = tensorcalc.curvature_at
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise ChartBoundaryError("forced")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", first_fails)
+    rec = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
+    assert rec.count == 3
+    assert rec.payload()["skipped"] == {"ChartBoundaryError": 1}
+    assert [s.error for s in rec.samples] == ["ChartBoundaryError", "", "", ""]
+    clean = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
+    assert "skipped" not in clean.payload()
+
+
+def test_flat_cross_validation_payload_is_strict_json():
+    rep = verify.full_report(flat_config(), checks=("cross",))
+    assert rep.ratio is not None and rep.ratio.mean != rep.ratio.mean  # NaN kept
+    payload = json.loads(json.dumps(rep.payload(), allow_nan=False))
+    assert payload["cross_validation"]["mean"] is None
+
+
+def test_errored_check_payload_is_strict_json():
+    rep = verify.full_report(make_akl_config(n=2, m=1, j_max=1), checks=("fits",))
+    assert rep.checks[0].max_residual == float("inf")
+    payload = json.loads(json.dumps(rep.payload(), allow_nan=False))
+    assert payload["checks"][0]["max_residual"] is None
