@@ -34,16 +34,13 @@ from gravinst.singularities import (
     make_polygon_config,
 )
 from gravinst.tensorcalc import (
-    ChartPoint,
-    ComplexStructureSample,
     CurvatureBundle,
-    MetricSample,
-    TwoFormSample,
     curvature_at,
     differentiate_field,
     exterior_derivative,
     nijenhuis_at,
 )
+from gravinst.verify import ChartPoint
 
 __version__ = "0.1.0"
 
@@ -52,7 +49,6 @@ __all__ = [
     "CenterConfiguration",
     "ChartBoundaryError",
     "ChartPoint",
-    "ComplexStructureSample",
     "ConvergenceError",
     "CurvatureBundle",
     "DegenerateMetricError",
@@ -61,14 +57,12 @@ __all__ = [
     "GeometryError",
     "GroupElement",
     "InvalidSignatureError",
-    "MetricSample",
     "NumericOverflowError",
     "PathBlockedError",
     "PoleError",
     "QuotientSignature",
     "ScanError",
     "SingularFiberError",
-    "TwoFormSample",
     "curvature_at",
     "differentiate_field",
     "exterior_derivative",

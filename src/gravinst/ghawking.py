@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from gravinst import tensorcalc
 from gravinst.errors import (
     DiracStringError,
     FitDomainError,
@@ -51,24 +50,7 @@ from gravinst.errors import (
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.quadrature import adaptive_simpson
 from gravinst.singularities import CenterConfiguration, GroupElement
-from gravinst.tensorcalc import ChartPoint, MetricSample, TwoFormSample
-from gravinst.tensorcalc import ComplexStructureSample
-
-CHART_ID = "gh-theta-b-a"
-
-
-@dataclass(frozen=True)
-class GHPoint:
-    """Chart point (theta, b, a) of the circle-fibered coordinates."""
-
-    theta: float
-    b: float
-    a: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "a", complex(self.a))
+from gravinst.tensorcalc import Coords
 
 
 @dataclass(frozen=True)
@@ -80,17 +62,6 @@ class PotentialValue:
 @dataclass(frozen=True)
 class ConnectionValue:
     alpha: np.ndarray  # components on (db, da1, da2); the dtheta slot is 0
-
-
-def chart_point(p: GHPoint) -> ChartPoint:
-    return ChartPoint((p.theta, p.b, p.a.real, p.a.imag), CHART_ID)
-
-
-def point_from_chart(cp: ChartPoint) -> GHPoint:
-    if cp.chart_id != CHART_ID:
-        raise ValueError(f"expected chart {CHART_ID!r}, got {cp.chart_id!r}")
-    c = cp.coords
-    return GHPoint(theta=c[0], b=c[1], a=complex(c[2], c[3]))
 
 
 def _mode_of(config: CenterConfiguration, mode: str | None) -> str:
@@ -164,27 +135,29 @@ def connection_at(
 
 def metric_at(
     config: CenterConfiguration,
-    p: GHPoint,
+    x: Coords,
     mode: str | None = None,
     gauges=None,
     potential_transform: Callable[[float], float] | None = None,
-) -> MetricSample:
-    """Metric sample at a chart point; det g = V^2 identically.
+) -> np.ndarray:
+    """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
+    identically.
 
     potential_transform deliberately replaces V by f(V) while keeping the
     connection of the true V; it exists so verification negative controls
     can break Ricci-flatness in a controlled way.
     """
-    V = potential_at(config, p.b, p.a, mode).V
+    b, a = x[1], complex(x[2], x[3])
+    V = potential_at(config, b, a, mode).V
     if potential_transform is not None:
         V = float(potential_transform(V))
-    alpha = connection_at(config, p.b, p.a, gauges).alpha
+    alpha = connection_at(config, b, a, gauges).alpha
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     g = np.outer(u, u) / V
     g[1, 1] += V
     g[2, 2] += V
     g[3, 3] += V
-    return MetricSample(g=g, point=chart_point(p))
+    return g
 
 
 def _frame_matrices(V: float, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,21 +195,24 @@ _J_FRAME = np.array(
 
 
 def complex_structure_at(
-    config: CenterConfiguration, p: GHPoint, mode: str | None = None, gauges=None
-) -> ComplexStructureSample:
-    """Integrable complex structure in coordinate components."""
-    V = potential_at(config, p.b, p.a, mode).V
-    alpha = connection_at(config, p.b, p.a, gauges).alpha
+    config: CenterConfiguration, x: Coords, mode: str | None = None, gauges=None
+) -> np.ndarray:
+    """Integrable complex structure J (J.J = -I) in coordinate components."""
+    b, a = x[1], complex(x[2], x[3])
+    V = potential_at(config, b, a, mode).V
+    alpha = connection_at(config, b, a, gauges).alpha
     E, Einv = _frame_matrices(V, alpha)
-    return ComplexStructureSample(J=E @ _J_FRAME @ Einv, point=chart_point(p))
+    return E @ _J_FRAME @ Einv
 
 
 def kahler_form_at(
-    config: CenterConfiguration, p: GHPoint, mode: str | None = None, gauges=None
-) -> TwoFormSample:
-    """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .)."""
-    V = potential_at(config, p.b, p.a, mode).V
-    alpha = connection_at(config, p.b, p.a, gauges).alpha
+    config: CenterConfiguration, x: Coords, mode: str | None = None, gauges=None
+) -> np.ndarray:
+    """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
+    as an antisymmetric component matrix."""
+    b, a = x[1], complex(x[2], x[3])
+    V = potential_at(config, b, a, mode).V
+    alpha = connection_at(config, b, a, gauges).alpha
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     eb = np.array([0.0, 1.0, 0.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0, 0.0])
@@ -246,43 +222,7 @@ def kahler_form_at(
         - np.outer(eb, u)
         - V * (np.outer(e2, e3) - np.outer(e3, e2))
     )
-    return TwoFormSample(omega=omega, point=chart_point(p))
-
-
-def metric_field(
-    config: CenterConfiguration,
-    mode: str | None = None,
-    gauges=None,
-    potential_transform: Callable[[float], float] | None = None,
-):
-    def field(cp: ChartPoint) -> MetricSample:
-        return metric_at(
-            config,
-            point_from_chart(cp),
-            mode=mode,
-            gauges=gauges,
-            potential_transform=potential_transform,
-        )
-
-    return field
-
-
-def kahler_field(config: CenterConfiguration, mode: str | None = None, gauges=None):
-    def field(cp: ChartPoint) -> TwoFormSample:
-        return kahler_form_at(config, point_from_chart(cp), mode=mode, gauges=gauges)
-
-    return field
-
-
-def complex_structure_field(
-    config: CenterConfiguration, mode: str | None = None, gauges=None
-):
-    def field(cp: ChartPoint) -> ComplexStructureSample:
-        return complex_structure_at(
-            config, point_from_chart(cp), mode=mode, gauges=gauges
-        )
-
-    return field
+    return omega
 
 
 def action_jacobian(gel: GroupElement) -> np.ndarray:
@@ -387,8 +327,8 @@ def cycle_period(
         acc = 0.0
         for th in thetas:
             w = kahler_form_at(
-                config, GHPoint(theta=float(th), b=b, a=a), mode=mode, gauges=gauges
-            ).omega
+                config, (float(th), b, a.real, a.imag), mode=mode, gauges=gauges
+            )
             acc += float(tangent @ w @ theta_dir)
         return acc / theta_samples
 

@@ -42,9 +42,8 @@ from gravinst.errors import (
 )
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.singularities import CenterConfiguration, GroupElement
-from gravinst.tensorcalc import ChartPoint, MetricSample, TwoFormSample
+from gravinst.tensorcalc import Coords
 
-CHART_ID = "hitchin-zy"
 EPS_Y_DEFAULT = 1e-8
 
 # J0 as a component matrix: J0 @ X rotates (Re z, Im z) and (Re y, Im y)
@@ -60,18 +59,6 @@ STANDARD_J = np.array(
 
 
 @dataclass(frozen=True)
-class HitchinPoint:
-    """Chart point (z, y); the chart requires y != 0."""
-
-    z: complex
-    y: complex
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", complex(self.z))
-        object.__setattr__(self, "y", complex(self.y))
-
-
-@dataclass(frozen=True)
 class ImplicitSolution:
     """Root b of the implicit height equation with its back-substitution
     residual (relative) and the distances Delta_i at the root."""
@@ -79,17 +66,6 @@ class ImplicitSolution:
     b: float
     residual: float
     delta_list: tuple[float, ...]
-
-
-def chart_point(p: HitchinPoint) -> ChartPoint:
-    return ChartPoint((p.z.real, p.z.imag, p.y.real, p.y.imag), CHART_ID)
-
-
-def point_from_chart(cp: ChartPoint) -> HitchinPoint:
-    if cp.chart_id != CHART_ID:
-        raise ValueError(f"expected chart {CHART_ID!r}, got {cp.chart_id!r}")
-    c = cp.coords
-    return HitchinPoint(z=complex(c[0], c[1]), y=complex(c[2], c[3]))
 
 
 def require_smooth_fiber(config: CenterConfiguration) -> None:
@@ -257,43 +233,34 @@ _DZ = np.array([1.0, 1.0j, 0.0, 0.0])
 _DY = np.array([0.0, 0.0, 1.0, 1.0j])
 
 
-def hermitian_form_at(config: CenterConfiguration, p: HitchinPoint) -> np.ndarray:
-    """Complex 4x4 matrix H with H[mu,nu] = h(d_mu, d_nu): the metric is
-    Re H and the Kahler form is -Im H."""
+def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
+    """Complex 4x4 matrix H with H[mu,nu] = h(d_mu, d_nu) at the chart
+    point x = (Re z, Im z, Re y, Im y): the metric is Re H and the Kahler
+    form is -Im H."""
+    z, y = complex(x[0], x[1]), complex(x[2], x[3])
     require_smooth_fiber(config)
-    if abs(p.y) < EPS_Y_DEFAULT:
-        raise ChartBoundaryError(f"|y| = {abs(p.y):.3e} is below the chart floor")
-    sol = solve_b(config, p.z, abs(p.y) ** 2)
-    gam = gamma(config, p.z, sol.b)
-    dlt = delta(config, p.z, sol.b)
-    eta = (2.0 / p.y) * _DY + dlt.conjugate() * _DZ
+    if abs(y) < EPS_Y_DEFAULT:
+        raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
+    sol = solve_b(config, z, abs(y) ** 2)
+    gam = gamma(config, z, sol.b)
+    dlt = delta(config, z, sol.b)
+    eta = (2.0 / y) * _DY + dlt.conjugate() * _DZ
     return gam * np.outer(_DZ, _DZ.conj()) + (1.0 / gam) * np.outer(eta, eta.conj())
 
 
-def metric_at(config: CenterConfiguration, p: HitchinPoint) -> MetricSample:
-    """Real metric sample at a chart point (coords Re z, Im z, Re y, Im y)."""
-    H = hermitian_form_at(config, p)
-    return MetricSample(g=H.real, point=chart_point(p))
+def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
+    """Real metric at the chart point x = (Re z, Im z, Re y, Im y)."""
+    return hermitian_form_at(config, x).real
 
 
-def kahler_form_at(config: CenterConfiguration, p: HitchinPoint) -> TwoFormSample:
+def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix."""
-    H = hermitian_form_at(config, p)
-    return TwoFormSample(omega=-H.imag, point=chart_point(p))
-
-
-def metric_field(config: CenterConfiguration):
-    """Adapter: ChartPoint -> MetricSample, for the tensor calculus ops."""
-
-    def field(cp: ChartPoint) -> MetricSample:
-        return metric_at(config, point_from_chart(cp))
-
-    return field
+    return -hermitian_form_at(config, x).imag
 
 
 def chart_step(
     config: CenterConfiguration,
-    p: HitchinPoint,
+    x: Coords,
     rel_step: float = tensorcalc.DEFAULT_REL_STEP,
 ) -> np.ndarray:
     """Finite-difference steps adapted to the chart geometry.
@@ -303,22 +270,16 @@ def chart_step(
     so steps are capped by both; far from the singular loci they grow
     with the coordinate magnitudes to keep truncation error scale-free.
     """
-    zbar = p.z.conjugate()
+    z, y = complex(x[0], x[1]), complex(x[2], x[3])
+    zbar = z.conjugate()
     d_punct = min(abs(zbar + c.a) for c in config.centers)
     if d_punct <= 0.0:
         raise PoleError("step requested at a puncture")
-    if p.y == 0:
+    if y == 0:
         raise ChartBoundaryError("step requested on the branch locus y = 0")
-    s_z = min(max(1.0, abs(p.z)), 10.0 * d_punct)
-    s_y = abs(p.y)
+    s_z = min(max(1.0, abs(z)), 10.0 * d_punct)
+    s_y = abs(y)
     return rel_step * np.array([s_z, s_z, s_y, s_y])
-
-
-def kahler_field(config: CenterConfiguration):
-    def field(cp: ChartPoint) -> TwoFormSample:
-        return kahler_form_at(config, point_from_chart(cp))
-
-    return field
 
 
 def action_matrix(gel: GroupElement) -> np.ndarray:
@@ -339,9 +300,10 @@ def action_matrix(gel: GroupElement) -> np.ndarray:
 
 def base_to_chart(
     config: CenterConfiguration, b: float, a: complex, phase: float = 0.0
-) -> HitchinPoint:
-    """Chart point over the base point (b, a): z = -conj(a) and
-    |y|^2 = prod_i ((b - b_i) + Delta_i), with a free phase for y."""
+) -> Coords:
+    """Chart coordinates (Re z, Im z, Re y, Im y) over the base point
+    (b, a): z = -conj(a) and |y|^2 = prod_i ((b - b_i) + Delta_i), with a
+    free phase for y."""
     z = -complex(a).conjugate()
     zbar = z.conjugate()
     log_y_sq = 0.0
@@ -350,8 +312,8 @@ def base_to_chart(
         if f <= 0.0:
             raise ChartBoundaryError("base point lies on the y = 0 locus")
         log_y_sq += math.log(f)
-    y_abs = math.exp(0.5 * log_y_sq)
-    return HitchinPoint(z=z, y=y_abs * cmath.exp(1j * phase))
+    y = math.exp(0.5 * log_y_sq) * cmath.exp(1j * phase)
+    return (z.real, z.imag, y.real, y.imag)
 
 
 _DECAY_DIRECTIONS = np.array(
@@ -399,15 +361,16 @@ def ale_curvature_decay(
     directions = np.asarray(directions, dtype=float)
     directions = directions / np.linalg.norm(directions, axis=1)[:, None]
 
-    field = metric_field(config)
+    def field(x: Coords) -> np.ndarray:
+        return metric_at(config, x)
+
     averages = []
     for s in base_radii:
         vals = []
         for d in directions:
-            pt = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            cp = chart_point(pt)
-            step = chart_step(config, pt, rel_step)
-            vals.append(tensorcalc.curvature_at(field, cp, step=step).riem_norm_sq)
+            x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
+            step = chart_step(config, x, rel_step)
+            vals.append(tensorcalc.curvature_at(field, x, step=step).riem_norm_sq)
         averages.append(float(np.mean(vals)))
     return fit_loglog(radii, averages)
 

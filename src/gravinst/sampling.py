@@ -16,6 +16,7 @@ from typing import Iterator
 from gravinst import ghawking, hitchin
 from gravinst.errors import ScanError
 from gravinst.singularities import CenterConfiguration
+from gravinst.tensorcalc import Coords
 
 _BASES = (2, 3, 5, 7)
 
@@ -48,10 +49,27 @@ class SampleSpec:
     chart_margin: float = 1e-3
 
     def __post_init__(self):
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("r_min", "r_max", "clearance", "chart_margin"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite real number")
         if self.count < 1:
             raise ValueError("count must be positive")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
+        # centers lie within scale of the origin and annulus points within
+        # r_max * scale, so no point is farther than (r_max + 1) * scale
+        # from a center
+        if not self.clearance < self.r_max + 1.0:
+            raise ValueError("clearance must be below r_max + 1 to be met at all")
 
 
 def _start_index(seed: int) -> int:
@@ -100,16 +118,15 @@ def base_points(
     return list(itertools.islice(_candidates(config, spec), spec.count))
 
 
-def gh_points(config: CenterConfiguration, spec: SampleSpec) -> list[ghawking.GHPoint]:
-    return [
-        ghawking.GHPoint(theta=t, b=b, a=a) for b, a, t in base_points(config, spec)
-    ]
+def gh_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords]:
+    """Circle-fibered chart coordinates (theta, b, a1, a2) of the base
+    stream."""
+    return [(t, b, a.real, a.imag) for b, a, t in base_points(config, spec)]
 
 
-def hitchin_points(
-    config: CenterConfiguration, spec: SampleSpec
-) -> list[hitchin.HitchinPoint]:
-    """Same base stream, lifted to the complex chart.
+def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords]:
+    """Same base stream, lifted to complex-chart coordinates
+    (Re z, Im z, Re y, Im y).
 
     Candidates whose chart coordinates fall inside the chart margin (near
     the branch locus y = 0 or a puncture z = -conj(a_i)) are discarded
@@ -118,7 +135,7 @@ def hitchin_points(
     the discards too.
     """
     scale = max(1.0, config.extent())
-    out: list[hitchin.HitchinPoint] = []
+    out: list[Coords] = []
     for b, a, theta in _candidates(config, spec):
         z = -a.conjugate()
         if any(
@@ -126,10 +143,10 @@ def hitchin_points(
             for c in config.centers
         ):
             continue
-        p = hitchin.base_to_chart(config, b, a, phase=theta)
-        if abs(p.y) < spec.chart_margin:
+        x = hitchin.base_to_chart(config, b, a, phase=theta)
+        if abs(complex(x[2], x[3])) < spec.chart_margin:
             continue
-        out.append(p)
+        out.append(x)
         if len(out) >= spec.count:
             break
     return out

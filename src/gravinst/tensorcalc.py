@@ -33,58 +33,9 @@ DEFAULT_REL_STEP = 1e-3
 CONDITION_LIMIT = 1e12
 
 MultiIndex = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of a 4-dimensional coordinate chart.
-
-    coords holds the four real coordinates; chart_id names the chart so
-    that samples from different charts cannot be mixed up silently.
-    """
-
-    coords: tuple[float, float, float, float]
-    chart_id: str
-
-    def __post_init__(self):
-        if len(self.coords) != 4:
-            raise ValueError("chart points are four-dimensional")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        if not all(np.isfinite(self.coords)):
-            raise ValueError("chart point coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.coords, dtype=float)
-
-    def shifted(self, axis: int, delta: float) -> "ChartPoint":
-        c = list(self.coords)
-        c[axis] += delta
-        return ChartPoint(tuple(c), self.chart_id)
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Symmetric positive-definite 4x4 metric at a chart point."""
-
-    g: np.ndarray
-    point: ChartPoint
-
-
-@dataclass(frozen=True)
-class TwoFormSample:
-    """Antisymmetric 4x4 component matrix of a 2-form at a chart point."""
-
-    omega: np.ndarray
-    point: ChartPoint
-
-
-@dataclass(frozen=True)
-class ComplexStructureSample:
-    """Endomorphism J (as a matrix acting on coordinate components) with
-    J.J = -I at the sampled point."""
-
-    J: np.ndarray
-    point: ChartPoint
+# the four real coordinates of a chart point; a field maps them to an array
+Coords = tuple[float, float, float, float]
+Field = Callable[[Coords], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -109,7 +60,7 @@ class CurvatureBundle:
     g: np.ndarray
 
 
-def default_step(point: ChartPoint, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
+def default_step(x: Coords, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
     """Default per-axis FD steps: rel_step times the larger of 1 and the
     local coordinate scale.
 
@@ -118,44 +69,68 @@ def default_step(point: ChartPoint, rel_step: float = DEFAULT_REL_STEP) -> np.nd
     of the pair magnitude, so both axes of a pair share the step
     rel_step * max(1, |(x_even, x_odd)|).
     """
-    x = np.abs(point.coords)
-    s01 = max(1.0, math.hypot(x[0], x[1]))
-    s23 = max(1.0, math.hypot(x[2], x[3]))
+    a = np.abs(x)
+    s01 = max(1.0, math.hypot(a[0], a[1]))
+    s23 = max(1.0, math.hypot(a[2], a[3]))
     return rel_step * np.array([s01, s01, s23, s23])
 
 
-def _normalize_steps(point: ChartPoint, step) -> np.ndarray:
+def _normalize_steps(x: Coords, step) -> np.ndarray:
     if step is None:
-        return default_step(point)
+        return default_step(x)
     steps = np.broadcast_to(np.asarray(step, dtype=float), (4,)).copy()
     if np.any(steps <= 0.0) or not np.all(np.isfinite(steps)):
         raise ValueError("steps must be positive and finite")
     return steps
 
 
-def _eval_array(field: Callable[[ChartPoint], np.ndarray], point: ChartPoint) -> np.ndarray:
-    value = np.asarray(field(point), dtype=float)
+def _eval_array(field: Field, x: Coords) -> np.ndarray:
+    value = np.asarray(field(x), dtype=float)
     if not np.all(np.isfinite(value)):
-        raise NumericOverflowError(f"field produced a non-finite value at {point.coords}")
+        raise NumericOverflowError(f"field produced a non-finite value at {x}")
     return value
 
 
-def _central_first(field, point: ChartPoint, axis: int, step: float) -> np.ndarray:
+def _central_first(field: Field, x: Coords, axis: int, step: float) -> np.ndarray:
     """Richardson-extrapolated central first derivative along one axis."""
 
     def diff(h: float) -> np.ndarray:
-        plus = _eval_array(field, point.shifted(axis, h))
-        minus = _eval_array(field, point.shifted(axis, -h))
-        return (plus - minus) / (2.0 * h)
+        plus, minus = list(x), list(x)
+        plus[axis] += h
+        minus[axis] -= h
+        high = _eval_array(field, tuple(plus))
+        low = _eval_array(field, tuple(minus))
+        return (high - low) / (2.0 * h)
 
     coarse = diff(step)
     fine = diff(0.5 * step)
     return (4.0 * fine - coarse) / 3.0
 
 
+def _derivative(
+    field: Field, x: Coords, mi: MultiIndex, steps: np.ndarray
+) -> np.ndarray:
+    """The partial derivative of nonzero order mi, with validated steps."""
+    axis = next(i for i, k in enumerate(mi) if k > 0)
+    rest = list(mi)
+    rest[axis] -= 1
+    rest = tuple(rest)
+    if sum(rest) == 0:
+        inner = field
+    else:
+
+        def inner(q: Coords) -> np.ndarray:
+            return _derivative(field, q, rest, steps)
+
+    value = _central_first(inner, x, axis, float(steps[axis]))
+    if not np.all(np.isfinite(value)):
+        raise NumericOverflowError("derivative evaluation produced a non-finite value")
+    return value
+
+
 def differentiate_field(
-    field: Callable[[ChartPoint], np.ndarray],
-    point: ChartPoint,
+    field: Field,
+    x: Coords,
     multi_index: Sequence[int],
     step: float | Sequence[float] | None = None,
 ) -> np.ndarray:
@@ -167,30 +142,23 @@ def differentiate_field(
     derivative.  A zero multi-index returns the field value itself.
 
     step may be a scalar, a per-axis sequence of four steps, or None for
-    the default of default_step(point).
+    the default of default_step(x).
     """
     mi = tuple(int(k) for k in multi_index)
     if len(mi) != 4 or any(k < 0 or k > 2 for k in mi):
         raise ValueError("multi_index must have four entries, each in 0..2")
-    steps = _normalize_steps(point, step)
-    order = sum(mi)
-    if order == 0:
-        return _eval_array(field, point)
-    axis = next(i for i, k in enumerate(mi) if k > 0)
-    rest = list(mi)
-    rest[axis] -= 1
-    rest = tuple(rest)
-    if sum(rest) == 0:
-        inner = field
-    else:
+    steps = _normalize_steps(x, step)
+    if sum(mi) == 0:
+        return _eval_array(field, x)
+    return _derivative(field, x, mi, steps)
 
-        def inner(q: ChartPoint) -> np.ndarray:
-            return differentiate_field(field, q, rest, steps)
 
-    value = _central_first(inner, point, axis, float(steps[axis]))
-    if not np.all(np.isfinite(value)):
-        raise NumericOverflowError("derivative evaluation produced a non-finite value")
-    return value
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _gradient(field: Field, x: Coords, steps: np.ndarray) -> np.ndarray:
+    """First derivatives along all four axes, stacked on a leading axis."""
+    return np.stack([_derivative(field, x, e, steps) for e in _BASIS])
 
 
 def _det3(m: np.ndarray) -> float:
@@ -239,8 +207,8 @@ def invert_metric(g: np.ndarray) -> np.ndarray:
 
 
 def curvature_at(
-    metric_field: Callable[[ChartPoint], MetricSample],
-    point: ChartPoint,
+    g_field: Field,
+    x: Coords,
     step: float | Sequence[float] | None = None,
 ) -> CurvatureBundle:
     """Full curvature of a metric field at a point, by finite differences.
@@ -250,21 +218,16 @@ def curvature_at(
     Riemann tensor is assembled from those.  All contractions use the
     adjugate inverse of the metric at the center point.
     """
-    steps = _normalize_steps(point, step)
-
-    def g_of(q: ChartPoint) -> np.ndarray:
-        return metric_field(q).g
-
-    g0 = _eval_array(g_of, point)
+    steps = _normalize_steps(x, step)
+    g0 = _eval_array(g_field, x)
     if g0.shape != (4, 4):
         raise ValueError("metric field must produce 4x4 matrices")
     if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
         raise ValueError("metric sample is not symmetric")
     ginv = invert_metric(g0)
 
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
     # dg[i, j, l] = d_i g_{jl}
-    dg = np.stack([differentiate_field(g_of, point, basis[i], steps) for i in range(4)])
+    dg = _gradient(g_field, x, steps)
     # d2g[m, i, j, l] = d_m d_i g_{jl}, symmetric in (m, i)
     d2g = np.empty((4, 4, 4, 4))
     for m in range(4):
@@ -272,7 +235,7 @@ def curvature_at(
             mi = [0, 0, 0, 0]
             mi[m] += 1
             mi[i] += 1
-            val = differentiate_field(g_of, point, tuple(mi), steps)
+            val = _derivative(g_field, x, tuple(mi), steps)
             d2g[m, i] = val
             d2g[i, m] = val
 
@@ -323,8 +286,8 @@ _TRIPLES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
 def exterior_derivative(
-    form_field: Callable[[ChartPoint], TwoFormSample],
-    point: ChartPoint,
+    form_field: Field,
+    x: Coords,
     step: float | Sequence[float] | None = None,
 ) -> np.ndarray:
     """Components of the 3-form d(omega) at a point.
@@ -334,13 +297,7 @@ def exterior_derivative(
 
         (d omega)_{ijk} = d_i omega_{jk} + d_j omega_{ki} + d_k omega_{ij}.
     """
-    steps = _normalize_steps(point, step)
-
-    def w_of(q: ChartPoint) -> np.ndarray:
-        return form_field(q).omega
-
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    dw = np.stack([differentiate_field(w_of, point, basis[i], steps) for i in range(4)])
+    dw = _gradient(form_field, x, _normalize_steps(x, step))
     out = np.empty(4)
     for t, (i, j, k) in enumerate(_TRIPLES):
         out[t] = dw[i, j, k] + dw[j, k, i] + dw[k, i, j]
@@ -348,8 +305,8 @@ def exterior_derivative(
 
 
 def nijenhuis_at(
-    j_field: Callable[[ChartPoint], ComplexStructureSample],
-    point: ChartPoint,
+    j_field: Field,
+    x: Coords,
     step: float | Sequence[float] | None = None,
 ) -> np.ndarray:
     """Nijenhuis tensor N^k_{ij} of an almost-complex structure field.
@@ -359,14 +316,9 @@ def nijenhuis_at(
 
     and vanishes identically exactly when J is integrable.
     """
-    steps = _normalize_steps(point, step)
-
-    def J_of(q: ChartPoint) -> np.ndarray:
-        return j_field(q).J
-
-    J0 = _eval_array(J_of, point)
-    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    dJ = np.stack([differentiate_field(J_of, point, basis[i], steps) for i in range(4)])
+    steps = _normalize_steps(x, step)
+    J0 = _eval_array(j_field, x)
+    dJ = _gradient(j_field, x, steps)
     t1 = np.einsum("mi,mkj->kij", J0, dJ)
     t3 = np.einsum("km,imj->kij", J0, dJ)
     return t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)

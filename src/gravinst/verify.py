@@ -31,7 +31,7 @@ from gravinst.singularities import (
     GroupElement,
     make_akl_config,
 )
-from gravinst.tensorcalc import ChartPoint
+from gravinst.tensorcalc import Coords, Field
 
 RICCI_TOL = 5e-5
 DOMEGA_TOL = 1e-6
@@ -46,6 +46,27 @@ CURVATURE_FLOOR = 1e-10
 def _finite(value: float) -> float | None:
     """Report value: non-finite floats become null in strict JSON."""
     return value if math.isfinite(value) else None
+
+
+@dataclass(frozen=True)
+class ChartPoint:
+    """A point of a 4-dimensional coordinate chart where it crosses a
+    boundary: a scan sample or user input.
+
+    coords holds the four real coordinates; chart_id is the name of the
+    construction whose chart they belong to, so that points of the two
+    charts cannot be mixed up silently.
+    """
+
+    coords: Coords
+    chart_id: str
+
+    def __post_init__(self):
+        if len(self.coords) != 4:
+            raise ValueError("chart points are four-dimensional")
+        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
+        if not all(math.isfinite(c) for c in self.coords):
+            raise ValueError("chart point coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -148,92 +169,95 @@ class VerificationReport:
 class Construction:
     """Everything a scan needs to know about one chart.
 
+    Chart fields are functions of a coordinate 4-tuple returning an array:
     metric(config, mode, potential_transform=None), kahler(config, mode)
-    and complex_structure(config, mode) return chart fields; step(config,
-    point) gives the finite-difference steps (None for the default);
-    image(generator, point) maps a chart point by the cyclic action, whose
-    differential is jacobian(generator); from_coords builds a chart point
-    from user-given coordinates.  Entries call into their modules at call
-    time, so module attributes stay the one binding of each function.
+    and complex_structure(config, mode) build them.  stream(config, spec)
+    gives the coordinates of the sample stream; step(config, x) gives the
+    finite-difference steps (None for the default); image(generator, x)
+    maps coordinates by the cyclic action, whose differential is
+    jacobian(generator); user_coords completes and checks user-given
+    coordinates.  Entries call into their modules at call time, so module
+    attributes stay the one binding of each function.
     """
 
     name: str
     modes: tuple[str, ...]
     has_potential: bool  # potential_transform (V -> f(V)) applies
-    points: Callable[[CenterConfiguration, SampleSpec], list[ChartPoint]]
-    metric: Callable
-    kahler: Callable
-    complex_structure: Callable
-    step: Callable[[CenterConfiguration, ChartPoint], np.ndarray | None]
-    image: Callable[[GroupElement, ChartPoint], ChartPoint]
+    stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
+    metric: Callable[..., Field]
+    kahler: Callable[[CenterConfiguration, str | None], Field]
+    complex_structure: Callable[[CenterConfiguration, str | None], Field]
+    step: Callable[[CenterConfiguration, Coords], np.ndarray | None]
+    image: Callable[[GroupElement, Coords], Coords]
     jacobian: Callable[[GroupElement], np.ndarray]
-    from_coords: Callable[[Sequence[float]], ChartPoint]
+    user_coords: Callable[[Sequence[float]], Sequence[float]]
+
+    def points(self, config: CenterConfiguration, spec: SampleSpec) -> list[ChartPoint]:
+        """The sample stream, tagged with this chart."""
+        return [ChartPoint(x, self.name) for x in self.stream(config, spec)]
+
+    def from_coords(self, vals: Sequence[float]) -> ChartPoint:
+        """A chart point from user-given coordinates."""
+        return ChartPoint(self.user_coords(vals), self.name)
 
 
-def _gh_image(gel: GroupElement, cp: ChartPoint) -> ChartPoint:
+def _gh_image(gel: GroupElement, x: Coords) -> Coords:
     """(theta, b, a) -> (theta + 2 pi ell / n, b, rho^(-m ell) a)."""
     n = gel.signature.n
     shift = 2.0 * math.pi * gel.ell / n
     rot = np.exp(-2j * math.pi * gel.signature.m * gel.ell / n)
-    p = ghawking.point_from_chart(cp)
-    q = ghawking.GHPoint(theta=p.theta + shift, b=p.b, a=rot * p.a)
-    return ghawking.chart_point(q)
+    a = complex(rot * complex(x[2], x[3]))
+    return (x[0] + shift, x[1], a.real, a.imag)
 
 
-def _gh_coords(vals: Sequence[float]) -> ChartPoint:
+def _gh_coords(vals: Sequence[float]) -> Sequence[float]:
     if len(vals) == 3:
         vals = [0.0, *vals]  # theta defaults to 0
     if len(vals) != 4:
         raise ValueError("gh points take theta,b,a1,a2 (or b,a1,a2)")
-    return ChartPoint(tuple(vals), ghawking.CHART_ID)
+    return vals
 
 
-def _hitchin_coords(vals: Sequence[float]) -> ChartPoint:
+def _hitchin_coords(vals: Sequence[float]) -> Sequence[float]:
     if len(vals) != 4:
         raise ValueError("hitchin points take re(z),im(z),re(y),im(y)")
-    return ChartPoint(tuple(vals), hitchin.CHART_ID)
+    return vals
 
 
 GH = Construction(
     name="gh",
     modes=("ale", "alf", "akl"),
     has_potential=True,
-    points=lambda config, spec: [
-        ghawking.chart_point(p) for p in sampling.gh_points(config, spec)
-    ],
-    metric=lambda config, mode, potential_transform=None: ghawking.metric_field(
-        config, mode=mode, potential_transform=potential_transform
+    stream=lambda config, spec: sampling.gh_points(config, spec),
+    metric=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_at(
+        config, x, mode=mode, potential_transform=potential_transform
     ),
-    kahler=lambda config, mode: ghawking.kahler_field(config, mode=mode),
-    complex_structure=lambda config, mode: ghawking.complex_structure_field(
-        config, mode=mode
+    kahler=lambda config, mode: lambda x: ghawking.kahler_form_at(config, x, mode=mode),
+    complex_structure=lambda config, mode: lambda x: ghawking.complex_structure_at(
+        config, x, mode=mode
     ),
     # the circle-bundle chart is fine with the default steps
-    step=lambda config, cp: None,
+    step=lambda config, x: None,
     image=_gh_image,
     jacobian=lambda gel: ghawking.action_jacobian(gel),
-    from_coords=_gh_coords,
+    user_coords=_gh_coords,
 )
 
 HITCHIN = Construction(
     name="hitchin",
     modes=("ale",),
     has_potential=False,
-    points=lambda config, spec: [
-        hitchin.chart_point(p) for p in sampling.hitchin_points(config, spec)
-    ],
-    metric=lambda config, mode, potential_transform=None: hitchin.metric_field(config),
-    kahler=lambda config, mode: hitchin.kahler_field(config),
-    complex_structure=lambda config, mode: lambda cp: tensorcalc.ComplexStructureSample(
-        J=hitchin.STANDARD_J, point=cp
+    stream=lambda config, spec: sampling.hitchin_points(config, spec),
+    metric=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_at(
+        config, x
     ),
+    kahler=lambda config, mode: lambda x: hitchin.kahler_form_at(config, x),
+    complex_structure=lambda config, mode: lambda x: hitchin.STANDARD_J,
     # the complex chart needs its own step rule near the branch locus
-    step=lambda config, cp: hitchin.chart_step(config, hitchin.point_from_chart(cp)),
-    image=lambda gel, cp: ChartPoint(
-        tuple(hitchin.action_matrix(gel) @ cp.as_array()), cp.chart_id
-    ),
+    step=lambda config, x: hitchin.chart_step(config, x),
+    image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
     jacobian=lambda gel: hitchin.action_matrix(gel),
-    from_coords=_hitchin_coords,
+    user_coords=_hitchin_coords,
 )
 
 CONSTRUCTIONS = (GH, HITCHIN)
@@ -314,10 +338,14 @@ def ricci_samples(
     """
     if potential_transform is not None and not c.has_potential:
         raise ValueError(f"potential_transform does not apply to {c.name} metrics")
+    for cp in points:
+        if cp.chart_id != c.name:
+            raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
     fld = c.metric(config, mode, potential_transform)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        bundle = tensorcalc.curvature_at(fld, cp, step=c.step(config, cp))
+        x = cp.coords
+        bundle = tensorcalc.curvature_at(fld, x, step=c.step(config, x))
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
@@ -359,12 +387,13 @@ def kahler_scan(
     g_at = c.metric(config, mode)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        step = c.step(config, cp)
-        w = omega_field(cp).omega
-        dw = tensorcalc.exterior_derivative(omega_field, cp, step=step)
-        nij = tensorcalc.nijenhuis_at(j_at, cp, step=step)
-        g = g_at(cp).g
-        J = j_at(cp).J
+        x = cp.coords
+        step = c.step(config, x)
+        w = omega_field(x)
+        dw = tensorcalc.exterior_derivative(omega_field, x, step=step)
+        nij = tensorcalc.nijenhuis_at(j_at, x, step=step)
+        g = g_at(x)
+        J = j_at(x)
         wscale = max(1.0, float(np.max(np.abs(w))))
         return SampleRecord(
             cp,
@@ -404,8 +433,8 @@ def invariance_scan(
     fld = c.metric(config, mode)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        g_here = fld(cp).g
-        g_there = fld(c.image(gel, cp)).g
+        g_here = fld(cp.coords)
+        g_there = fld(c.image(gel, cp.coords))
         res = np.max(np.abs(M.T @ g_there @ M - g_here))
         return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
 
@@ -446,12 +475,12 @@ def cross_validate(
     hit_field = HITCHIN.metric(config, "ale")
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        p = ghawking.point_from_chart(cp)
-        hp = hitchin.base_to_chart(config, p.b, p.a, phase=p.theta)
+        theta, b, a1, a2 = cp.coords
+        hx = hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
         rm_hit = tensorcalc.curvature_at(
-            hit_field, hitchin.chart_point(hp), step=hitchin.chart_step(config, hp)
+            hit_field, hx, step=hitchin.chart_step(config, hx)
         ).riem_norm_sq
-        rm_gh = tensorcalc.curvature_at(gh_field, cp).riem_norm_sq
+        rm_gh = tensorcalc.curvature_at(gh_field, cp.coords).riem_norm_sq
         if rm_gh < floor or rm_hit < floor * floor:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))

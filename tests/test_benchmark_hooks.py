@@ -29,8 +29,24 @@ def test_tracer_spans_fill():
     tracer.install_all()
     try:
         verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
+        verify.ricci_scan("hitchin", pair, spec=SampleSpec(count=1))
     finally:
         tracer.uninstall()
-    recorded = {tracer.names[i] for i in tracer.name}
-    for span in ("verify.ricci-gh", "tensorcalc.curvature_at", "ghawking.metric_at"):
-        assert span in recorded
+    names = [tracer.names[i] for i in tracer.name]
+    for span in (
+        "verify.ricci-gh",
+        "verify.ricci-hitchin",
+        "tensorcalc.curvature_at",
+        "ghawking.metric_at",
+        "hitchin.metric_at",
+        "hitchin.solve_b",
+    ):
+        assert span in names
+    # every field evaluation of a Ricci scan sits inside a curvature span,
+    # which is what tensorcalc.field_evals_per_curvature counts
+    parents = [
+        names[tracer.parent[i]]
+        for i, name in enumerate(names)
+        if name.endswith(".metric_at")
+    ]
+    assert parents and set(parents) == {"tensorcalc.curvature_at"}

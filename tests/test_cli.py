@@ -254,6 +254,7 @@ def test_sample_argument_errors(tmp_path):
     assert cli.main(["sample", "--config", cfg]) == 2
     assert cli.main(["sample", "--config", cfg, "--point", "1,2"]) == 2
     assert cli.main(["sample", "--config", cfg, "--point", "a,b,c"]) == 2
+    assert cli.main(["sample", "--config", cfg, "--point", "nan,0,1,0"]) == 2
     flat = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)), "f.json")
     code = cli.main(
         [
@@ -384,8 +385,29 @@ def test_verify_csv_flags_every_failed_ricci_sample(tmp_path, monkeypatch):
         assert check["max_residual"] is None
 
 
+def test_verify_rejects_bad_sample_spec(tmp_path):
+    specs = [
+        '{"count": 2.5}',
+        '{"clearance": null}',
+        '{"chart_margin": "x"}',
+        '{"seed": "x"}',
+        '{"r_max": 1e400}',
+    ]
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"c{i}.json"
+        # written by hand: json.dumps has no way to spell 1e400
+        path.write_text(json.dumps(base_doc(sample={})).replace("{}", spec))
+        assert cli.main(["verify", "--config", str(path)]) == 2, spec
+
+
 def test_verify_unsatisfiable_sample_spec_ends(tmp_path):
+    # no annulus point is farther than r_max + 1 from a center: rejected
+    # when the spec is built
     doc = base_doc(checks=["ricci"], sample={"count": 1, "clearance": 100})
+    assert cli.main(["verify", "--config", write_cfg(tmp_path, doc)]) == 2
+    # within that bound but still unmet on the pair (no point with |x| <= 6
+    # lies farther than 6.08 from both centers): the sampling budget ends it
+    doc = base_doc(checks=["ricci"], sample={"count": 1, "clearance": 6.5})
     out = tmp_path / "r.json"
     argv = ["verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]
     codes = []

@@ -13,7 +13,6 @@ from gravinst.errors import (
     PoleError,
     SingularFiberError,
 )
-from gravinst.hitchin import HitchinPoint
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
@@ -126,37 +125,36 @@ def test_solve_b_regression_value():
 def test_metric_symmetric_positive_definite():
     cfg = pair_config()
     for z, y in [(0.4 - 0.3j, 1.5 + 0.7j), (2.0 + 1.0j, 0.3 - 0.1j), (-1.5j, 4.0j)]:
-        g = hitchin.metric_at(cfg, HitchinPoint(z=z, y=y)).g
+        g = hitchin.metric_at(cfg, (z.real, z.imag, y.real, y.imag))
         assert np.max(np.abs(g - g.T)) == 0.0
         assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
 def test_metric_regression_value():
-    g = hitchin.metric_at(pair_config(), HitchinPoint(z=0.4 - 0.3j, y=1.5 + 0.7j)).g
+    g = hitchin.metric_at(pair_config(), (0.4, -0.3, 1.5, 0.7))
     assert abs(g[0, 0] - 1.919332230857747) < 1e-12
 
 
 def test_single_center_chart_is_flat():
     cfg = origin_config()
     for z, y in [(1.0 + 0.5j, 2.0 + 1.0j), (3.0j, 0.7 - 0.4j), (-2.0 + 0j, 3.0 + 0j)]:
-        p = HitchinPoint(z=z, y=y)
+        x = (z.real, z.imag, y.real, y.imag)
         bun = tensorcalc.curvature_at(
-            hitchin.metric_field(cfg),
-            hitchin.chart_point(p),
-            step=hitchin.chart_step(cfg, p),
+            lambda q: hitchin.metric_at(cfg, q), x, step=hitchin.chart_step(cfg, x)
         )
         assert bun.riem_norm_sq < 1e-10
 
 
 def test_kahler_form_closed_and_compatible():
     cfg = pair_config()
-    p = HitchinPoint(z=0.4 - 0.3j, y=1.5 + 0.7j)
-    cp = hitchin.chart_point(p)
-    step = hitchin.chart_step(cfg, p)
-    dw = tensorcalc.exterior_derivative(hitchin.kahler_field(cfg), cp, step=step)
+    x = (0.4, -0.3, 1.5, 0.7)
+    step = hitchin.chart_step(cfg, x)
+    dw = tensorcalc.exterior_derivative(
+        lambda q: hitchin.kahler_form_at(cfg, q), x, step=step
+    )
     assert np.max(np.abs(dw)) < 1e-8
-    w = hitchin.kahler_form_at(cfg, p).omega
-    g = hitchin.metric_at(cfg, p).g
+    w = hitchin.kahler_form_at(cfg, x)
+    g = hitchin.metric_at(cfg, x)
     assert np.max(np.abs(w - hitchin.STANDARD_J.T @ g)) < 1e-12
     assert np.max(np.abs(w + w.T)) < 1e-14
 
@@ -164,14 +162,9 @@ def test_kahler_form_closed_and_compatible():
 def test_action_matrix_is_a_pullback_isometry():
     cfg = pair_config()
     mat = hitchin.action_matrix(GroupElement(1, cfg.signature))
-    p = HitchinPoint(z=0.4 - 0.3j, y=1.5 + 0.7j)
-    image_coords = mat @ np.array(hitchin.chart_point(p).coords)
-    image = HitchinPoint(
-        z=complex(image_coords[0], image_coords[1]),
-        y=complex(image_coords[2], image_coords[3]),
-    )
-    g_here = hitchin.metric_at(cfg, p).g
-    g_image = hitchin.metric_at(cfg, image).g
+    x = (0.4, -0.3, 1.5, 0.7)
+    g_here = hitchin.metric_at(cfg, x)
+    g_image = hitchin.metric_at(cfg, tuple(mat @ np.array(x)))
     assert np.max(np.abs(mat.T @ g_image @ mat - g_here)) < 1e-12
 
 
@@ -187,24 +180,25 @@ def test_action_matrix_matches_complex_action():
 
 def test_chart_step_scales():
     cfg = pair_config()
-    steps = hitchin.chart_step(cfg, HitchinPoint(z=0.0j, y=0.01j), rel_step=0.01)
+    steps = hitchin.chart_step(cfg, (0.0, 0.0, 0.0, 0.01), rel_step=0.01)
     # near the branch locus the y step follows |y|
     assert np.allclose(steps[2:], 0.01 * 0.01)
     # z step capped by 10x the puncture distance (punctures at z = -+1)
     assert steps[0] <= 0.01 * 10.0 * 1.0 + 1e-15
     with pytest.raises(ChartBoundaryError):
-        hitchin.chart_step(cfg, HitchinPoint(z=0.5j, y=0j))
+        hitchin.chart_step(cfg, (0.0, 0.5, 0.0, 0.0))
     with pytest.raises(PoleError):
         # the hand-built pair has exact punctures at z = -+1
-        hitchin.chart_step(coplanar_pair(), HitchinPoint(z=1.0 + 0j, y=1.0 + 0j))
+        hitchin.chart_step(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
 
 
 def test_base_to_chart_round_trip():
     cfg = square4_config()
     b, a = 0.8, 1.7 - 0.9j
-    p = hitchin.base_to_chart(cfg, b, a, phase=0.3)
-    assert abs(p.z - (-complex(a).conjugate())) < 1e-15
-    sol = hitchin.solve_b(cfg, p.z, abs(p.y) ** 2)
+    zr, zi, yr, yi = hitchin.base_to_chart(cfg, b, a, phase=0.3)
+    z = complex(zr, zi)
+    assert abs(z - (-complex(a).conjugate())) < 1e-15
+    sol = hitchin.solve_b(cfg, z, abs(complex(yr, yi)) ** 2)
     assert abs(sol.b - b) < 1e-10
 
 
@@ -214,14 +208,14 @@ def test_smooth_fiber_guard():
         signature=QuotientSignature(2, 1, 0),
     )
     with pytest.raises(SingularFiberError):
-        hitchin.metric_at(stacked, HitchinPoint(z=1.0 + 0j, y=1.0 + 0j))
+        hitchin.metric_at(stacked, (1.0, 0.0, 1.0, 0.0))
 
 
 def test_metric_rejects_branch_locus_and_punctures():
     with pytest.raises(ChartBoundaryError):
-        hitchin.metric_at(pair_config(), HitchinPoint(z=0.5j, y=0j))
+        hitchin.metric_at(pair_config(), (0.0, 0.5, 0.0, 0.0))
     with pytest.raises(PoleError):
-        hitchin.metric_at(coplanar_pair(), HitchinPoint(z=1.0 + 0j, y=1.0 + 0j))
+        hitchin.metric_at(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
 
 
 def test_decay_fit_domain_checks():

@@ -13,10 +13,6 @@ import pytest
 from gravinst import tensorcalc
 from gravinst.errors import DegenerateMetricError, NumericOverflowError
 from gravinst.tensorcalc import (
-    ChartPoint,
-    ComplexStructureSample,
-    MetricSample,
-    TwoFormSample,
     curvature_at,
     default_step,
     differentiate_field,
@@ -29,10 +25,10 @@ A_RAD = 1.3
 B_RAD = 0.9
 
 
-def sphere_product(cp: ChartPoint) -> MetricSample:
+def sphere_product(x) -> np.ndarray:
     # S^2(A_RAD) x S^2(B_RAD) in spherical angles (t1, p1, t2, p2)
-    t1, _, t2, _ = cp.coords
-    g = np.diag(
+    t1, _, t2, _ = x
+    return np.diag(
         [
             A_RAD**2,
             A_RAD**2 * math.sin(t1) ** 2,
@@ -40,15 +36,14 @@ def sphere_product(cp: ChartPoint) -> MetricSample:
             B_RAD**2 * math.sin(t2) ** 2,
         ]
     )
-    return MetricSample(g=g, point=cp)
 
 
-def polar_flat(cp: ChartPoint) -> MetricSample:
-    r = cp.coords[0]
-    return MetricSample(g=np.diag([1.0, r * r, 1.0, 1.0]), point=cp)
+def polar_flat(x) -> np.ndarray:
+    r = x[0]
+    return np.diag([1.0, r * r, 1.0, 1.0])
 
 
-SPHERE_PT = ChartPoint((1.0, 0.7, 0.8, 0.3), "test")
+SPHERE_PT = (1.0, 0.7, 0.8, 0.3)
 
 
 def test_sphere_product_curvature():
@@ -62,7 +57,7 @@ def test_sphere_product_curvature():
 
 def test_sphere_product_ricci_norm_definition():
     bun = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
-    g = sphere_product(SPHERE_PT).g
+    g = sphere_product(SPHERE_PT)
     ginv = invert_metric(g)
     norm_sq = np.einsum("ij,kl,ik,jl->", bun.ricci, bun.ricci, ginv, ginv)
     assert abs(bun.ricci_norm - math.sqrt(norm_sq)) < 1e-12
@@ -71,8 +66,8 @@ def test_sphere_product_ricci_norm_definition():
 def test_homothety_scaling():
     lam = 3.7
 
-    def scaled(cp):
-        return MetricSample(g=lam * sphere_product(cp).g, point=cp)
+    def scaled(x):
+        return lam * sphere_product(x)
 
     base = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
     big = curvature_at(scaled, SPHERE_PT, step=1e-3)
@@ -81,7 +76,7 @@ def test_homothety_scaling():
 
 
 def test_polar_coordinates_are_flat():
-    pt = ChartPoint((1.7, 0.4, -0.2, 0.9), "test")
+    pt = (1.7, 0.4, -0.2, 0.9)
     bun = curvature_at(polar_flat, pt, step=1e-3)
     assert bun.riem_norm_sq < 1e-15
     assert np.max(np.abs(bun.ricci)) < 1e-9
@@ -90,43 +85,43 @@ def test_polar_coordinates_are_flat():
 
 
 def test_richardson_step_halving_agreement():
-    pt = ChartPoint((1.0, 0.7, 0.8, 0.3), "test")
-
-    def g_of(q):
-        return sphere_product(q).g
-
     for mi in [(0, 1, 0, 0), (0, 2, 0, 0), (1, 0, 1, 0)]:
-        d_h = differentiate_field(g_of, pt, mi, step=2e-3)
-        d_h2 = differentiate_field(g_of, pt, mi, step=1e-3)
+        d_h = differentiate_field(sphere_product, SPHERE_PT, mi, step=2e-3)
+        d_h2 = differentiate_field(sphere_product, SPHERE_PT, mi, step=1e-3)
         rel = np.max(np.abs(d_h - d_h2)) / max(1.0, np.max(np.abs(d_h2)))
         assert rel < 1e-8
 
 
 def test_differentiate_field_zero_index_returns_value():
-    pt = ChartPoint((1.0, 0.7, 0.8, 0.3), "test")
-    val = differentiate_field(lambda q: sphere_product(q).g, pt, (0, 0, 0, 0))
-    assert np.array_equal(val, sphere_product(pt).g)
+    val = differentiate_field(sphere_product, SPHERE_PT, (0, 0, 0, 0))
+    assert np.array_equal(val, sphere_product(SPHERE_PT))
 
 
 def test_differentiate_field_rejects_bad_multi_index():
-    pt = ChartPoint((1.0, 0.7, 0.8, 0.3), "test")
     with pytest.raises(ValueError):
-        differentiate_field(lambda q: sphere_product(q).g, pt, (3, 0, 0, 0))
+        differentiate_field(sphere_product, SPHERE_PT, (3, 0, 0, 0))
     with pytest.raises(ValueError):
-        differentiate_field(lambda q: sphere_product(q).g, pt, (1, 0, 0))
+        differentiate_field(sphere_product, SPHERE_PT, (1, 0, 0))
+
+
+def test_bad_steps_are_rejected():
+    for step in (0.0, -1e-3, float("nan"), (1e-3, 1e-3, 1e-3, float("inf"))):
+        with pytest.raises(ValueError):
+            curvature_at(sphere_product, SPHERE_PT, step=step)
+        with pytest.raises(ValueError):
+            differentiate_field(sphere_product, SPHERE_PT, (1, 1, 0, 0), step=step)
 
 
 def test_exterior_derivative_polynomial_form():
-    def wfield(cp):
-        x = cp.coords
+    def wfield(x):
         w = np.zeros((4, 4))
         w[0, 1] = x[2] ** 2
         w[1, 0] = -w[0, 1]
         w[2, 3] = x[0] * x[1]
         w[3, 2] = -w[2, 3]
-        return TwoFormSample(omega=w, point=cp)
+        return w
 
-    pt = ChartPoint((0.3, -1.2, 0.8, 0.5), "test")
+    pt = (0.3, -1.2, 0.8, 0.5)
     dw = exterior_derivative(wfield, pt, step=1e-2)
     # triples (012), (013), (023), (123)
     assert np.max(np.abs(dw - np.array([1.6, 0.0, -1.2, 0.3]))) < 1e-10
@@ -143,26 +138,22 @@ J0 = np.array(
 
 
 def test_nijenhuis_constant_j_vanishes():
-    pt = ChartPoint((0.6, -0.3, 1.1, 0.2), "test")
-    nij = nijenhuis_at(
-        lambda q: ComplexStructureSample(J=J0, point=q), pt, step=1e-3
-    )
+    nij = nijenhuis_at(lambda x: J0, (0.6, -0.3, 1.1, 0.2), step=1e-3)
     assert np.max(np.abs(nij)) == 0.0
 
 
 def test_nijenhuis_detects_non_integrable_structure():
     # conjugating J0 by the position-dependent shear I + x0*E23 keeps
     # J^2 = -I but breaks integrability
-    def jfield(cp):
-        x0 = cp.coords[0]
+    def jfield(x):
+        x0 = x[0]
         s = np.eye(4)
         s[2, 3] = x0
         si = np.eye(4)
         si[2, 3] = -x0
-        return ComplexStructureSample(J=s @ J0 @ si, point=cp)
+        return s @ J0 @ si
 
-    pt = ChartPoint((0.6, -0.3, 1.1, 0.2), "test")
-    nij = nijenhuis_at(jfield, pt, step=1e-3)
+    nij = nijenhuis_at(jfield, (0.6, -0.3, 1.1, 0.2), step=1e-3)
     assert abs(nij[2, 1, 3] - 2 * 0.6) < 1e-10
     assert np.max(np.abs(nij)) == pytest.approx(1.2, abs=1e-10)
 
@@ -200,29 +191,15 @@ def test_invert_metric_rejects_degenerate():
 
 
 def test_default_step_uses_pair_scales():
-    pt = ChartPoint((3.0, 4.0, 0.0, 0.0), "test")
-    steps = default_step(pt, rel_step=1e-3)
+    steps = default_step((3.0, 4.0, 0.0, 0.0), rel_step=1e-3)
     assert np.allclose(steps, [5e-3, 5e-3, 1e-3, 1e-3])
 
 
-def test_chart_point_validation():
-    with pytest.raises(ValueError):
-        ChartPoint((1.0, 2.0, 3.0), "test")
-    with pytest.raises(ValueError):
-        ChartPoint((1.0, 2.0, 3.0, float("nan")), "test")
-
-
 def test_curvature_rejects_wrong_shape():
-    def bad(cp):
-        return MetricSample(g=np.eye(3), point=cp)
-
     with pytest.raises(ValueError):
-        curvature_at(bad, ChartPoint((0.0, 0.0, 0.0, 0.0), "test"))
+        curvature_at(lambda x: np.eye(3), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_non_finite_field_is_an_overflow_error():
-    def blows_up(cp):
-        return MetricSample(g=np.full((4, 4), np.inf), point=cp)
-
     with pytest.raises(NumericOverflowError):
-        curvature_at(blows_up, ChartPoint((0.0, 0.0, 0.0, 0.0), "test"))
+        curvature_at(lambda x: np.full((4, 4), np.inf), (0.0, 0.0, 0.0, 0.0))

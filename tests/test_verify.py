@@ -56,6 +56,22 @@ def test_ricci_scan_rejects_unknown_source():
         verify.ricci_scan("euclid", pair_config())
 
 
+def test_chart_point_validation():
+    with pytest.raises(ValueError):
+        verify.ChartPoint((1.0, 2.0, 3.0), "gh")
+    with pytest.raises(ValueError):
+        verify.ChartPoint((1.0, 2.0, 3.0, float("nan")), "gh")
+
+
+def test_ricci_samples_reject_points_of_the_other_chart():
+    cfg = pair_config()
+    point = verify.HITCHIN.from_coords([0.4, -0.3, 1.5, 0.7])
+    with pytest.raises(ValueError, match="chart"):
+        verify.ricci_samples(verify.GH, cfg, [point])
+    (sample,) = verify.ricci_samples(verify.HITCHIN, cfg, [point])
+    assert sample.error == "" and sample.point == point
+
+
 # --- kahler ---
 
 
