@@ -324,20 +324,19 @@ def cmd_fit(args) -> int:
             if config.mode != "ale":
                 raise ConfigError("curvature decay applies to ale configurations")
             fit = hitchin.ale_curvature_decay(config)
-            lo, hi = -12.5, -11.5
+            target, tol = verify.DECAY_TARGET, verify.DECAY_TOL
         elif name == "volume":
-            if config.mode == "akl":
+            if config.mode not in verify.VOLUME_TARGETS:
                 raise ConfigError("no growth band for truncated configurations")
             fit = ghawking.volume_growth_fit(config, mode=config.mode)
-            target = 4.0 if config.mode == "ale" else 3.0
-            lo, hi = target - 0.1, target + 0.1
+            target, tol = verify.VOLUME_TARGETS[config.mode], verify.VOLUME_TOL
         else:
             raise ConfigError(f"unknown fit {name!r}")
-        inside = lo < fit.slope < hi
+        inside = verify.in_band(fit.slope, target, tol)
         ok = ok and inside
         print(
             f"{'PASS' if inside else 'FAIL'} {name}: slope {fit.slope:.6g}"
-            f" band [{lo:g}, {hi:g}] rms {fit.rms_residual:.3e}"
+            f" band [{target - tol:g}, {target + tol:g}] rms {fit.rms_residual:.3e}"
         )
     return 0 if ok else 1
 

@@ -36,7 +36,6 @@ closed, and the only one with vanishing Nijenhuis tensor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,17 +52,6 @@ from gravinst.singularities import CenterConfiguration, GroupElement
 from gravinst.tensorcalc import Coords
 
 
-@dataclass(frozen=True)
-class PotentialValue:
-    V: float
-    gradV: np.ndarray  # d/d(b, a1, a2)
-
-
-@dataclass(frozen=True)
-class ConnectionValue:
-    alpha: np.ndarray  # components on (db, da1, da2); the dtheta slot is 0
-
-
 def _mode_of(config: CenterConfiguration, mode: str | None) -> str:
     if mode is None:
         return config.mode
@@ -74,20 +62,15 @@ def _mode_of(config: CenterConfiguration, mode: str | None) -> str:
 
 def potential_at(
     config: CenterConfiguration, b: float, a: complex, mode: str | None = None
-) -> PotentialValue:
-    """Harmonic potential and its gradient at the base point (b, a)."""
-    mode = _mode_of(config, mode)
-    x = np.array([b, a.real, a.imag])
-    total = 1.0 if mode == "alf" else 0.0
-    grad = np.zeros(3)
+) -> float:
+    """Harmonic potential V at the base point (b, a)."""
+    total = 1.0 if _mode_of(config, mode) == "alf" else 0.0
     for c in config.centers:
-        dx = x - c.as_r3()
-        dist = float(np.linalg.norm(dx))
+        dist = math.hypot(b - c.b, abs(a - c.a))
         if dist == 0.0:
             raise PoleError("potential evaluated at a center")
         total += 0.5 / dist
-        grad -= 0.5 * (dx / dist) / dist**2
-    return PotentialValue(V=total, gradV=grad)
+    return total
 
 
 def _normalize_gauges(config: CenterConfiguration, gauges) -> list[str]:
@@ -103,8 +86,9 @@ def _normalize_gauges(config: CenterConfiguration, gauges) -> list[str]:
 
 def connection_at(
     config: CenterConfiguration, b: float, a: complex, gauges=None
-) -> ConnectionValue:
-    """Connection 1-form alpha with d alpha = *dV.
+) -> np.ndarray:
+    """Connection 1-form alpha with d alpha = *dV, as its components on
+    (db, da1, da2); the dtheta slot is 0.
 
     Per-center gauge 'down' places the Dirac string on the ray below the
     center (the default), 'up' above it.  On the axis through a center the
@@ -130,7 +114,7 @@ def connection_at(
         coeff = 0.5 * (u / delta + sign)
         alpha[1] += coeff * (-w.imag) / (r * r)
         alpha[2] += coeff * w.real / (r * r)
-    return ConnectionValue(alpha=alpha)
+    return alpha
 
 
 def metric_at(
@@ -148,10 +132,10 @@ def metric_at(
     can break Ricci-flatness in a controlled way.
     """
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode).V
+    V = potential_at(config, b, a, mode)
     if potential_transform is not None:
         V = float(potential_transform(V))
-    alpha = connection_at(config, b, a, gauges).alpha
+    alpha = connection_at(config, b, a, gauges)
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     g = np.outer(u, u) / V
     g[1, 1] += V
@@ -199,8 +183,8 @@ def complex_structure_at(
 ) -> np.ndarray:
     """Integrable complex structure J (J.J = -I) in coordinate components."""
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode).V
-    alpha = connection_at(config, b, a, gauges).alpha
+    V = potential_at(config, b, a, mode)
+    alpha = connection_at(config, b, a, gauges)
     E, Einv = _frame_matrices(V, alpha)
     return E @ _J_FRAME @ Einv
 
@@ -211,8 +195,8 @@ def kahler_form_at(
     """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
     as an antisymmetric component matrix."""
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode).V
-    alpha = connection_at(config, b, a, gauges).alpha
+    V = potential_at(config, b, a, mode)
+    alpha = connection_at(config, b, a, gauges)
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     eb = np.array([0.0, 1.0, 0.0, 0.0])
     e2 = np.array([0.0, 0.0, 1.0, 0.0])
@@ -252,8 +236,7 @@ def string_clearance(config: CenterConfiguration, b: float, a: complex) -> float
 
 
 def center_clearance(config: CenterConfiguration, b: float, a: complex) -> float:
-    x = np.array([b, a.real, a.imag])
-    return float(min(np.linalg.norm(x - c.as_r3()) for c in config.centers))
+    return min(math.hypot(b - c.b, abs(a - c.a)) for c in config.centers)
 
 
 def _segment_gauges(config: CenterConfiguration, i: int, j: int) -> list[str]:
@@ -300,16 +283,16 @@ def cycle_period(
     i: int,
     j: int,
     mode: str | None = None,
-    theta_samples: int = 8,
     rel_tol: float = 1e-9,
 ) -> float:
     """Integral of the Kahler form over the circle-fibered 2-cycle above
     the segment from center i to center j.
 
     The surface is parametrized by (t, theta); the fiber collapses at the
-    endpoints.  Strings of all centers are moved off the segment by a
-    per-center gauge choice, which changes alpha by an exact form and so
-    leaves the period unchanged.
+    endpoints.  omega does not depend on theta, so each quadrature node
+    evaluates it once, at theta = 0.  Strings of all centers are moved off
+    the segment by a per-center gauge choice, which changes alpha by an
+    exact form and so leaves the period unchanged.
     """
     if i == j or not (0 <= i < config.k and 0 <= j < config.k):
         raise ValueError("period needs two distinct center indices")
@@ -317,20 +300,14 @@ def cycle_period(
     ci, cj = config.centers[i], config.centers[j]
     db = cj.b - ci.b
     da = cj.a - ci.a
-    thetas = np.linspace(0.0, 2.0 * math.pi, theta_samples, endpoint=False)
     tangent = np.array([0.0, db, da.real, da.imag])
     theta_dir = np.array([1.0, 0.0, 0.0, 0.0])
 
     def integrand(t: float) -> float:
         b = ci.b + t * db
         a = ci.a + t * da
-        acc = 0.0
-        for th in thetas:
-            w = kahler_form_at(
-                config, (float(th), b, a.real, a.imag), mode=mode, gauges=gauges
-            )
-            acc += float(tangent @ w @ theta_dir)
-        return acc / theta_samples
+        w = kahler_form_at(config, (0.0, b, a.real, a.imag), mode=mode, gauges=gauges)
+        return float(tangent @ w @ theta_dir)
 
     eps = 1e-9
     value = adaptive_simpson(integrand, eps, 1.0 - eps, rel_tol=rel_tol)
@@ -409,7 +386,7 @@ def geodesic_radius(
 
         def sqrt_v(t: float) -> float:
             return math.sqrt(
-                potential_at(config, t * d[0], complex(t * d[1], t * d[2]), mode).V
+                potential_at(config, t * d[0], complex(t * d[1], t * d[2]), mode)
             )
 
         first = min(1.0, 0.25 * R)

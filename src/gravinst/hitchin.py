@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,11 @@ from gravinst.tensorcalc import Coords
 
 EPS_Y_DEFAULT = 1e-8
 
+# solve_b: largest accepted relative back-substitution residual, and the
+# most Newton steps after bisection
+SOLVE_TOL = 1e-13
+SOLVE_MAX_ITER = 200
+
 # J0 as a component matrix: J0 @ X rotates (Re z, Im z) and (Re y, Im y)
 # the way multiplication by i does.
 STANDARD_J = np.array(
@@ -56,16 +60,6 @@ STANDARD_J = np.array(
         [0.0, 0.0, 1.0, 0.0],
     ]
 )
-
-
-@dataclass(frozen=True)
-class ImplicitSolution:
-    """Root b of the implicit height equation with its back-substitution
-    residual (relative) and the distances Delta_i at the root."""
-
-    b: float
-    residual: float
-    delta_list: tuple[float, ...]
 
 
 def require_smooth_fiber(config: CenterConfiguration) -> None:
@@ -100,19 +94,15 @@ def implicit_lhs(config: CenterConfiguration, z: complex, b: float) -> float:
     return acc
 
 
-def solve_b(
-    config: CenterConfiguration,
-    z: complex,
-    y_abs_sq: float,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> ImplicitSolution:
+def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     """Solve prod_i ((b - b_i) + Delta_i(b)) = |y|^2 for b.
 
     Every factor is positive and strictly increasing in b, so the product
     is strictly increasing from 0 to infinity and the root is unique.  The
     root is bracketed and bisected in log space, then polished by Newton
     steps; the log-derivative of the product is exactly gamma = sum 1/Delta_i.
+    ConvergenceError unless the relative residual of the root is at most
+    SOLVE_TOL.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -166,7 +156,7 @@ def solve_b(
         if hi - lo <= 1e-6 * (1.0 + abs(mid)):
             break
     b = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(SOLVE_MAX_ITER):
         gval, gam = g_and_gamma(b)
         if not math.isfinite(gval) or gam <= 0.0:
             b = 0.5 * (lo + hi)
@@ -185,12 +175,11 @@ def solve_b(
         b = nxt
     gval, _ = g_and_gamma(b)
     residual = abs(math.expm1(gval))
-    if residual > tol:
+    if residual > SOLVE_TOL:
         raise ConvergenceError(
             f"implicit height solve stalled at relative residual {residual:.3e}"
         )
-    deltas = tuple(math.hypot(b - bi, r) for bi, r in data)
-    return ImplicitSolution(b=b, residual=residual, delta_list=deltas)
+    return b
 
 
 def gamma(config: CenterConfiguration, z: complex, b: float) -> float:
@@ -241,9 +230,9 @@ def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     require_smooth_fiber(config)
     if abs(y) < EPS_Y_DEFAULT:
         raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
-    sol = solve_b(config, z, abs(y) ** 2)
-    gam = gamma(config, z, sol.b)
-    dlt = delta(config, z, sol.b)
+    b = solve_b(config, z, abs(y) ** 2)
+    gam = gamma(config, z, b)
+    dlt = delta(config, z, b)
     eta = (2.0 / y) * _DY + dlt.conjugate() * _DZ
     return gam * np.outer(_DZ, _DZ.conj()) + (1.0 / gam) * np.outer(eta, eta.conj())
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +40,20 @@ COMPAT_TOL = 1e-10
 INVARIANCE_TOL = 1e-9
 SPREAD_TOL = 1e-3
 PERIOD_TOL = 1e-3
+SOLVER_TOL = 1e-12
 CURVATURE_FLOOR = 1e-10
+# matched base points of the cross-construction ratio
+CROSS_COUNT = 12
+# asymptotic fit bands: target slope and half-width
+DECAY_TARGET = -12.0
+DECAY_TOL = 0.5
+VOLUME_TARGETS = {"ale": 4.0, "alf": 3.0}
+VOLUME_TOL = 0.1
+
+
+def in_band(slope: float, target: float, tol: float) -> bool:
+    """Whether a fitted slope lies inside its pass band target +- tol."""
+    return abs(slope - target) < tol
 
 
 def _finite(value: float) -> float | None:
@@ -358,13 +371,12 @@ def ricci_scan(
     mode: str | None = None,
     spec: SampleSpec | None = None,
     potential_transform: Callable[[float], float] | None = None,
-    tolerance: float = RICCI_TOL,
 ) -> CheckRecord:
     """Worst |Ric| / max(|Rm|, 1) over the sample stream."""
     c = construction(metric_source)
     points = c.points(config, spec or SampleSpec())
     samples = ricci_samples(c, config, points, mode, potential_transform)
-    return _scan_records("Ricci", c.name, ("ricci",), (tolerance,), samples)[0]
+    return _scan_records("Ricci", c.name, ("ricci",), (RICCI_TOL,), samples)[0]
 
 
 def kahler_scan(
@@ -372,7 +384,6 @@ def kahler_scan(
     config: CenterConfiguration,
     mode: str | None = None,
     spec: SampleSpec | None = None,
-    tolerances: tuple[float, float, float] = (DOMEGA_TOL, NIJENHUIS_TOL, COMPAT_TOL),
 ) -> list[CheckRecord]:
     """Closedness, integrability and compatibility of the Kahler triple.
 
@@ -408,7 +419,7 @@ def kahler_scan(
         "Kahler",
         c.name,
         ("kahler-domega", "kahler-nijenhuis", "kahler-compat"),
-        tolerances,
+        (DOMEGA_TOL, NIJENHUIS_TOL, COMPAT_TOL),
         _sample(points, evaluate),
     )
 
@@ -416,10 +427,8 @@ def kahler_scan(
 def invariance_scan(
     metric_source: str,
     config: CenterConfiguration,
-    generator: GroupElement | None = None,
     mode: str | None = None,
     spec: SampleSpec | None = None,
-    tolerance: float = INVARIANCE_TOL,
 ) -> CheckRecord:
     """Sup over samples of the metric pullback residual under the cyclic
     generator.  Symmetric configurations pass; a perturbed configuration
@@ -427,7 +436,7 @@ def invariance_scan(
     c = construction(metric_source)
     if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
-    gel = generator or GroupElement(ell=1, signature=config.signature)
+    gel = GroupElement(ell=1, signature=config.signature)
     points = c.points(config, spec or SampleSpec())
     M = c.jacobian(gel)
     fld = c.metric(config, mode)
@@ -439,15 +448,12 @@ def invariance_scan(
         return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
 
     return _scan_records(
-        "invariance", c.name, ("invariance",), (tolerance,), _sample(points, evaluate)
+        "invariance", c.name, ("invariance",), (INVARIANCE_TOL,), _sample(points, evaluate)
     )[0]
 
 
 def cross_validate(
-    config: CenterConfiguration,
-    spec: SampleSpec | None = None,
-    tolerance: float = SPREAD_TOL,
-    floor: float = CURVATURE_FLOOR,
+    config: CenterConfiguration, spec: SampleSpec | None = None
 ) -> tuple[RatioStats, CheckRecord]:
     """Pointwise |Rm|^2 ratio between the two constructions at matched
     base points.
@@ -457,7 +463,7 @@ def cross_validate(
     recorded, never asserted.  Base points where the curvature sits below
     the noise floor are skipped (flat regions carry no information).
     """
-    spec = spec or SampleSpec(count=12)
+    spec = spec or SampleSpec(count=CROSS_COUNT)
     if config.k < 2:
         stats = RatioStats(
             mean=float("nan"), spread=0.0, count=0, note="flat configuration, skipped"
@@ -465,7 +471,7 @@ def cross_validate(
         record = CheckRecord(
             name="cross-validation",
             max_residual=0.0,
-            tolerance=tolerance,
+            tolerance=SPREAD_TOL,
             passed=True,
             count=0,
             note=stats.note,
@@ -481,7 +487,7 @@ def cross_validate(
             hit_field, hx, step=hitchin.chart_step(config, hx)
         ).riem_norm_sq
         rm_gh = tensorcalc.curvature_at(gh_field, cp.coords).riem_norm_sq
-        if rm_gh < floor or rm_hit < floor * floor:
+        if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))
 
@@ -496,8 +502,8 @@ def cross_validate(
     record = CheckRecord(
         name="cross-validation",
         max_residual=spread,
-        tolerance=tolerance,
-        passed=spread < tolerance,
+        tolerance=SPREAD_TOL,
+        passed=spread < SPREAD_TOL,
         count=len(ratios),
         skipped=_skip_counts(samples),
         samples=samples,
@@ -505,9 +511,7 @@ def cross_validate(
     return stats, record
 
 
-def period_check(
-    config: CenterConfiguration, tolerance: float = PERIOD_TOL
-) -> CheckRecord:
+def period_check(config: CenterConfiguration) -> CheckRecord:
     """Fit cycle_period(i, j) = C (b_j - b_i) over vertically separated
     pairs; record the constant, assert only the proportionality."""
     scale = max(1.0, config.extent())
@@ -554,7 +558,7 @@ def period_check(
         return CheckRecord(
             name="periods",
             max_residual=0.0,
-            tolerance=tolerance,
+            tolerance=PERIOD_TOL,
             passed=True,
             count=1,
             note=f"single pair defines C = {c:.9g}",
@@ -563,8 +567,8 @@ def period_check(
     return CheckRecord(
         name="periods",
         max_residual=residual,
-        tolerance=tolerance,
-        passed=residual < tolerance,
+        tolerance=PERIOD_TOL,
+        passed=residual < PERIOD_TOL,
         count=len(dbs),
         note=f"C = {c:.9g}",
     )
@@ -573,8 +577,9 @@ def period_check(
 def decay_and_volume(
     config: CenterConfiguration, mode: str | None = None
 ) -> tuple[dict, list[CheckRecord]]:
-    """Asymptotic fits with their pass bands: curvature slope -12 +- 0.5
-    and volume slope 4 +- 0.1 for ale, volume slope 3 +- 0.1 for alf."""
+    """Asymptotic fits with their pass bands: curvature slope DECAY_TARGET
+    +- DECAY_TOL for ale, volume slope VOLUME_TARGETS[mode] +- VOLUME_TOL
+    for ale and alf."""
     mode = mode or config.mode
     fits: dict = {}
     records: list[CheckRecord] = []
@@ -584,36 +589,34 @@ def decay_and_volume(
         records.append(
             CheckRecord(
                 name="curvature-decay-slope",
-                max_residual=abs(decay.slope + 12.0),
-                tolerance=0.5,
-                passed=abs(decay.slope + 12.0) < 0.5,
+                max_residual=abs(decay.slope - DECAY_TARGET),
+                tolerance=DECAY_TOL,
+                passed=in_band(decay.slope, DECAY_TARGET, DECAY_TOL),
                 count=decay.point_count,
                 note=f"slope = {decay.slope:.6g}",
             )
         )
-        target = 4.0
-    elif mode == "alf":
-        target = 3.0
-    else:
+    if mode not in VOLUME_TARGETS:
         records.append(
             CheckRecord(
                 name="volume-growth-slope",
                 max_residual=0.0,
-                tolerance=0.1,
+                tolerance=VOLUME_TOL,
                 passed=True,
                 count=0,
                 note="no growth band for truncated infinite configurations",
             )
         )
         return fits, records
+    target = VOLUME_TARGETS[mode]
     vol = ghawking.volume_growth_fit(config, mode=mode)
     fits["volume_growth"] = _fit_payload(vol)
     records.append(
         CheckRecord(
             name="volume-growth-slope",
             max_residual=abs(vol.slope - target),
-            tolerance=0.1,
-            passed=abs(vol.slope - target) < 0.1,
+            tolerance=VOLUME_TOL,
+            passed=in_band(vol.slope, target, VOLUME_TOL),
             count=vol.point_count,
             note=f"slope = {vol.slope:.6g}, target {target:g}",
         )
@@ -631,10 +634,7 @@ def _fit_payload(fit: FitResult) -> dict:
 
 
 def solver_scan(
-    config: CenterConfiguration,
-    count: int = 10000,
-    seed: int = 0,
-    tolerance: float = 1e-12,
+    config: CenterConfiguration, count: int = 10000, seed: int = 0
 ) -> CheckRecord:
     """Back-substitution residual of the implicit height solver over a
     deterministic stream of chart inputs."""
@@ -649,14 +649,13 @@ def solver_scan(
         )
         # log-uniform |y|^2 over several decades
         y_abs_sq = 10.0 ** (-3.0 + 7.0 * u[2]) * scale
-        sol = hitchin.solve_b(config, z, y_abs_sq)
-        lhs = hitchin.implicit_lhs(config, z, sol.b)
+        lhs = hitchin.implicit_lhs(config, z, hitchin.solve_b(config, z, y_abs_sq))
         worst = max(worst, abs(lhs - y_abs_sq) / y_abs_sq)
     return CheckRecord(
         name="implicit-solver",
         max_residual=worst,
-        tolerance=tolerance,
-        passed=worst < tolerance,
+        tolerance=SOLVER_TOL,
+        passed=worst < SOLVER_TOL,
         count=count,
     )
 
@@ -681,7 +680,7 @@ def akl_convergence_check(
     values = []
     for j in j_values:
         cfg = make_akl_config(n=n, m=m, j_max=j)
-        values.append(ghawking.potential_at(cfg, b, a, mode="akl").V)
+        values.append(ghawking.potential_at(cfg, b, a, mode="akl"))
     worst = 0.0
     diffs = []
     for (j0, v0), (j1, v1) in zip(
@@ -816,7 +815,7 @@ def full_report(
     if "cross" in selected and mode == "ale":
 
         def _cross():
-            stats, record = cross_validate(config, SampleSpec(count=12, seed=spec.seed))
+            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT))
             report.ratio = stats
             report.checks.append(record)
 

@@ -227,9 +227,9 @@ def test_criterion_09_implicit_solver():
     # closed forms; agreement at machine precision (the solver works in
     # doubles, so one ulp of slack is the honest target)
     diffs = [
-        abs(hitchin.solve_b(origin, 0j, 1.0).b - 0.5),
-        abs(hitchin.solve_b(origin, 1.0 + 0j, 1.0).b - 0.0),
-        abs(hitchin.solve_b(coplanar, 0j, 1.0).b - 0.0),
+        abs(hitchin.solve_b(origin, 0j, 1.0) - 0.5),
+        abs(hitchin.solve_b(origin, 1.0 + 0j, 1.0) - 0.0),
+        abs(hitchin.solve_b(coplanar, 0j, 1.0) - 0.0),
     ]
     ok = rec.passed and rec.max_residual < 1e-12 and max(diffs) <= 1e-15
     emit(

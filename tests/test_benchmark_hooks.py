@@ -25,11 +25,15 @@ def load_tracer():
 
 def test_tracer_spans_fill():
     pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
+    two_level = make_polygon_config(
+        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
+    )
     tracer = load_tracer().Tracer()
     tracer.install_all()
     try:
         verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
         verify.ricci_scan("hitchin", pair, spec=SampleSpec(count=1))
+        verify.period_check(two_level)
     finally:
         tracer.uninstall()
     names = [tracer.names[i] for i in tracer.name]
@@ -40,8 +44,22 @@ def test_tracer_spans_fill():
         "ghawking.metric_at",
         "hitchin.metric_at",
         "hitchin.solve_b",
+        "verify.periods",
+        "ghawking.cycle_period",
+        "quadrature.adaptive_simpson",
+        "quadrature.integrand",
     ):
         assert span in names
+    # the gh metric reads V through the module attribute, which is what
+    # ghawking.potential_evals and ghawking.center_terms count; spans are
+    # stored in call order, so the gh scan's spans precede the hitchin scan
+    gh_scan, hitchin_scan = names.index("verify.ricci-gh"), names.index("verify.ricci-hitchin")
+    potential_parents = {
+        names[tracer.parent[i]]
+        for i in range(gh_scan, hitchin_scan)
+        if names[i] == "ghawking.potential_at"
+    }
+    assert potential_parents == {"ghawking.metric_at"}
     # every field evaluation of a Ricci scan sits inside a curvature span,
     # which is what tensorcalc.field_evals_per_curvature counts
     parents = [

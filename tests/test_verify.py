@@ -1,6 +1,7 @@
 """Verification layer: scans, negative controls, report assembly."""
 
 import json
+import math
 
 import pytest
 
@@ -131,6 +132,20 @@ def test_cross_validate_flat_is_vacuous():
 def test_cross_validate_needs_enough_samples():
     with pytest.raises(ScanError):
         verify.cross_validate(pair_config(), spec=SampleSpec(count=6))
+
+
+def test_full_report_cross_validation_uses_run_sampling_geometry():
+    # the run's annulus reaches cross-validation; only the count is its own
+    cfg = pair_config()
+    spec = SampleSpec(count=2, r_min=3.0, r_max=4.0)
+    report = verify.full_report(cfg, spec=spec, checks=("cross",))
+    (record,) = report.checks
+    assert record.name == "cross-validation" and record.passed
+    assert len(record.samples) == verify.CROSS_COUNT
+    scale = max(1.0, cfg.extent())
+    for s in record.samples:
+        _, b, a1, a2 = s.point.coords
+        assert 3.0 <= math.hypot(b, a1, a2) / scale <= 4.0
 
 
 # --- periods ---
