@@ -46,7 +46,7 @@ from gravinst.tensorcalc import Coords
 EPS_Y_DEFAULT = 1e-8
 
 # solve_b: largest accepted relative back-substitution residual, and the
-# most Newton steps after bisection
+# most safeguarded Newton steps (bisections and outward steps included)
 SOLVE_TOL = 1e-13
 SOLVE_MAX_ITER = 200
 
@@ -94,15 +94,31 @@ def implicit_lhs(config: CenterConfiguration, z: complex, b: float) -> float:
     return acc
 
 
+def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
+    """Return (sum_i log f_i, gamma) at height b for the center data
+    (b_i, |zbar + a_i|); the sum is -inf once a factor vanishes."""
+    total = 0.0
+    gam = 0.0
+    for bi, r in data:
+        f, delta = _stable_factor(b - bi, r)
+        if f <= 0.0:
+            return -math.inf, math.inf
+        total += math.log(f)
+        gam += 1.0 / delta
+    return total, gam
+
+
 def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     """Solve prod_i ((b - b_i) + Delta_i(b)) = |y|^2 for b.
 
     Every factor is positive and strictly increasing in b, so the product
-    is strictly increasing from 0 to infinity and the root is unique.  The
-    root is bracketed and bisected in log space, then polished by Newton
-    steps; the log-derivative of the product is exactly gamma = sum 1/Delta_i.
-    ConvergenceError unless the relative residual of the root is at most
-    SOLVE_TOL.
+    is strictly increasing from 0 to infinity and the root is unique.
+    Newton steps on g(b) = sum log f_i - log|y|^2, whose derivative is
+    exactly gamma, start at the root of the one-center model (exact for
+    k = 1).  The signs of g tighten a bracket; a step that is not finite
+    or leaves it becomes a bisection, or a doubling step outward while the
+    bracket is open.  ConvergenceError unless the relative residual of
+    the root is at most SOLVE_TOL.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -114,67 +130,38 @@ def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     zbar = z.conjugate()
     data = [(c.b, abs(zbar + c.a)) for c in config.centers]
     target = math.log(y_abs_sq)
-
-    def g_and_gamma(b: float) -> tuple[float, float]:
-        total = 0.0
-        gam = 0.0
-        for bi, r in data:
-            f, delta = _stable_factor(b - bi, r)
-            if f <= 0.0:
-                return -math.inf, math.inf
-            total += math.log(f)
-            gam += 1.0 / delta
-        return total - target, gam
-
-    bs = [bi for bi, _ in data]
-    span = y_abs_sq + 1.0 + sum(abs(v) for v in bs)
-    lo = min(bs) - span
-    hi = max(bs) + span
-    for _ in range(64):
-        if g_and_gamma(lo)[0] < 0.0:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the implicit height from below")
-    span = y_abs_sq + 1.0 + sum(abs(v) for v in bs)
-    for _ in range(64):
-        if g_and_gamma(hi)[0] > 0.0:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise ConvergenceError("failed to bracket the implicit height from above")
-
-    # bisection narrows the bracket, Newton polishes to machine precision
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if g_and_gamma(mid)[0] < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-6 * (1.0 + abs(mid)):
-            break
-    b = 0.5 * (lo + hi)
+    k = len(data)
+    # f_i = r_i exp(asinh((b - b_i) / r_i)); the model has one center at
+    # the mean height with the geometric-mean radius (a puncture, r_i = 0,
+    # counts as radius 1), and the clamp keeps its root finite
+    log_r = sum(math.log(r) for _, r in data if r > 0.0) / k
+    lim = 700.0 - max(0.0, log_r)
+    arg = max(-lim, min(lim, target / k - log_r))
+    b = sum(bi for bi, _ in data) / k + math.exp(log_r) * math.sinh(arg)
+    lo, hi = -math.inf, math.inf
+    width = 0.0
     for _ in range(SOLVE_MAX_ITER):
-        gval, gam = g_and_gamma(b)
-        if not math.isfinite(gval) or gam <= 0.0:
-            b = 0.5 * (lo + hi)
-            gval, gam = g_and_gamma(b)
-        if gval > 0.0:
-            hi = min(hi, b)
-        elif gval < 0.0:
-            lo = max(lo, b)
-        step = gval / gam
-        nxt = b - step
-        if not (lo <= nxt <= hi):
-            nxt = 0.5 * (lo + hi)
+        total, gam = _log_lhs(data, b)
+        gval = total - target
+        nxt = b - gval / gam if math.isfinite(gval) else math.nan
         if abs(nxt - b) <= 1e-16 * (1.0 + abs(b)):
             b = nxt
             break
+        if gval > 0.0:
+            hi = b
+        else:
+            lo = b
+        if not lo < nxt < hi:
+            if math.isfinite(hi - lo):
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break  # the bracket is two adjacent floats
+            else:
+                width = 2.0 * width if width else 1.0 + abs(b)
+                nxt = b - math.copysign(width, gval)
         b = nxt
-    gval, _ = g_and_gamma(b)
-    residual = abs(math.expm1(gval))
+    gval = _log_lhs(data, b)[0] - target
+    residual = abs(math.expm1(gval)) if abs(gval) < 1.0 else math.inf
     if residual > SOLVE_TOL:
         raise ConvergenceError(
             f"implicit height solve stalled at relative residual {residual:.3e}"
@@ -295,12 +282,9 @@ def base_to_chart(
     free phase for y."""
     z = -complex(a).conjugate()
     zbar = z.conjugate()
-    log_y_sq = 0.0
-    for c in config.centers:
-        f, _ = _stable_factor(b - c.b, abs(zbar + c.a))
-        if f <= 0.0:
-            raise ChartBoundaryError("base point lies on the y = 0 locus")
-        log_y_sq += math.log(f)
+    log_y_sq, _ = _log_lhs([(c.b, abs(zbar + c.a)) for c in config.centers], b)
+    if log_y_sq == -math.inf:
+        raise ChartBoundaryError("base point lies on the y = 0 locus")
     y = math.exp(0.5 * log_y_sq) * cmath.exp(1j * phase)
     return (z.real, z.imag, y.real, y.imag)
 
@@ -313,23 +297,17 @@ _DECAY_DIRECTIONS = np.array(
         [-0.48, -0.36, 0.80],
     ]
 )
+# relative finite-difference step of the decay samples
+_DECAY_REL_STEP = 0.003
 
 
-def ale_curvature_decay(
-    config: CenterConfiguration,
-    radii=None,
-    directions=None,
-    rel_step: float = 0.003,
-) -> FitResult:
-    """Fit the decay exponent of |Rm|^2 against the asymptotic radius.
-
-    radii are radii of the locally Euclidean end.  Along a ray the
-    geodesic distance from the origin is sqrt(2k s) + O(1) in the base
-    coordinate s, so curvature is sampled at base points (r^2 / 2k) *
-    direction, averaged over a fixed direction set, and log|Rm|^2 is
-    fitted against log r.  Metric decay O(r^-4) forces |Rm| = O(r^-6),
-    i.e. slope -12.
-    """
+def ale_curvature_samples(
+    config: CenterConfiguration, radii=None
+) -> tuple[np.ndarray, list[list[float]]]:
+    """|Rm|^2 on the locally Euclidean end: the radii, and per radius the
+    values along a fixed direction set.  The geodesic distance along a ray
+    is sqrt(2k s) + O(1) in the base coordinate s, so radius r is sampled
+    at the base points (r^2 / 2k) * direction."""
     if config.mode != "ale":
         raise FitDomainError("curvature decay fit applies to ale configurations")
     scale = max(1.0, config.extent())
@@ -345,21 +323,25 @@ def ale_curvature_decay(
     base_radii = radii**2 / (2.0 * config.k)
     if np.min(base_radii) < 2.0 * scale:
         raise FitDomainError("smallest radius is inside the configuration region")
-    if directions is None:
-        directions = _DECAY_DIRECTIONS
-    directions = np.asarray(directions, dtype=float)
-    directions = directions / np.linalg.norm(directions, axis=1)[:, None]
+    directions = _DECAY_DIRECTIONS / np.linalg.norm(_DECAY_DIRECTIONS, axis=1)[:, None]
 
     def field(x: Coords) -> np.ndarray:
         return metric_at(config, x)
 
-    averages = []
+    values = []
     for s in base_radii:
         vals = []
         for d in directions:
             x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            step = chart_step(config, x, rel_step)
+            step = chart_step(config, x, _DECAY_REL_STEP)
             vals.append(tensorcalc.curvature_at(field, x, step=step).riem_norm_sq)
-        averages.append(float(np.mean(vals)))
-    return fit_loglog(radii, averages)
+        values.append(vals)
+    return radii, values
+
+
+def ale_curvature_decay(config: CenterConfiguration, radii=None) -> FitResult:
+    """Fit log |Rm|^2, averaged over the sample directions, against log r:
+    metric decay O(r^-4) forces |Rm| = O(r^-6), i.e. slope -12."""
+    radii, values = ale_curvature_samples(config, radii)
+    return fit_loglog(radii, [float(np.mean(vals)) for vals in values])
 

@@ -1,15 +1,19 @@
 """Complex-chart metric: implicit solver, metric algebra, decay fit."""
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gravinst import hitchin, tensorcalc
+from gravinst import hitchin, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
     FitDomainError,
+    GeometryError,
     PoleError,
     SingularFiberError,
 )
@@ -78,6 +82,23 @@ def test_solve_b_back_substitution_random():
         assert abs(lhs - y_sq) / y_sq < 1e-12
 
 
+def bisection_root(cfg, z, y_sq):
+    """Independent root finder: plain sign bisection of the product, no
+    Newton, after doubling the bracket [-1, 1] until it holds the root."""
+    lo, hi = -1.0, 1.0
+    while hitchin.implicit_lhs(cfg, z, lo) >= y_sq:
+        lo *= 2.0
+    while hitchin.implicit_lhs(cfg, z, hi) <= y_sq:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hitchin.implicit_lhs(cfg, z, mid) < y_sq:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_solve_b_agrees_with_pure_bisection():
     cfg = square4_config()
     rng = np.random.default_rng(3)
@@ -85,16 +106,7 @@ def test_solve_b_agrees_with_pure_bisection():
         z = complex(*(rng.uniform(-5, 5, 2)))
         y_sq = 10.0 ** rng.uniform(-2, 3)
         b = hitchin.solve_b(cfg, z, y_sq)
-        # independent root finder: plain sign bisection, no Newton
-        lo, hi = -50.0, 50.0
-        assert hitchin.implicit_lhs(cfg, z, lo) < y_sq < hitchin.implicit_lhs(cfg, z, hi)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hitchin.implicit_lhs(cfg, z, mid) < y_sq:
-                lo = mid
-            else:
-                hi = mid
-        b_oracle = 0.5 * (lo + hi)
+        b_oracle = bisection_root(cfg, z, y_sq)
         assert abs(b - b_oracle) < 1e-11 * (1.0 + abs(b_oracle))
 
 
@@ -117,6 +129,131 @@ def test_solve_b_rejects_bad_target():
 def test_solve_b_regression_value():
     b = hitchin.solve_b(pair_config(), 0.4 - 0.3j, abs(1.5 + 0.7j) ** 2)
     assert abs(b - 0.5088549448162701) < 1e-13
+
+
+@contextlib.contextmanager
+def factor_calls():
+    """Count calls of hitchin._stable_factor, one per center per
+    evaluation of the implicit product or its log-sum."""
+    calls = [0]
+    original = hitchin._stable_factor
+
+    def counted(u, r):
+        calls[0] += 1
+        return original(u, r)
+
+    hitchin._stable_factor = counted
+    try:
+        yield calls
+    finally:
+        hitchin._stable_factor = original
+
+
+def test_solve_b_work_on_solver_scan_stream():
+    # the first 2000 inputs of criterion 9's stream; the scan back-
+    # substitutes each root once through implicit_lhs, which is one
+    # evaluation per input that the solver does not make
+    cfg = square4_config()
+    count = 2000
+    with factor_calls() as calls:
+        assert verify.solver_scan(cfg, count=count, seed=1).passed
+    per_solve = calls[0] / (cfg.k * count) - 1.0
+    assert per_solve <= 12.0
+
+
+# deterministic examples, no example database: the suite stays a pure
+# function of the source
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+SIGNATURES = [(1, 1, 0), (2, 1, 0), (1, 2, 1), (2, 2, 1), (1, 3, 2), (2, 3, 2)]
+
+unit = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def configs(draw):
+    d, n, m = draw(st.sampled_from(SIGNATURES))
+    radii = [
+        draw(st.floats(min_value=0.5, max_value=2.0))
+        * cmath.exp(1j * draw(st.floats(min_value=0.0, max_value=2.0 * math.pi)))
+        for _ in range(d)
+    ]
+    heights = draw(st.lists(unit, min_size=d, max_size=d))
+    try:
+        config = make_polygon_config(QuotientSignature(d, n, m), radii, heights)
+        hitchin.require_smooth_fiber(config)
+    except SingularFiberError:
+        assume(False)
+    return config
+
+
+@st.composite
+def chart_inputs(draw):
+    """A polygon config, a z in the solver scan's box and |y|^2 drawn
+    log-uniformly from [1e-12, 1e12]."""
+    config = draw(configs())
+    scale = 8.0 * max(1.0, config.extent())
+    z = complex(scale * draw(unit), scale * draw(unit))
+    return config, z, 10.0 ** draw(st.floats(min_value=-12.0, max_value=12.0))
+
+
+@PROPERTY
+@given(chart_inputs())
+def test_solve_b_property_back_substitution_and_oracle(case):
+    config, z, y_sq = case
+    b = hitchin.solve_b(config, z, y_sq)
+    assert abs(hitchin.implicit_lhs(config, z, b) - y_sq) <= hitchin.SOLVE_TOL * y_sq
+    assert abs(b - bisection_root(config, z, y_sq)) <= 1e-11 * (1.0 + abs(b))
+
+
+@PROPERTY
+@given(chart_inputs(), st.floats(min_value=1e-3, max_value=3.0))
+def test_solve_b_property_strictly_increasing(case, decades):
+    config, z, y_sq = case
+    assert hitchin.solve_b(config, z, y_sq) < hitchin.solve_b(
+        config, z, y_sq * 10.0**decades
+    )
+
+
+EXTREME_CONFIGS = [
+    make_polygon_config(QuotientSignature(2, 3, 2), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]),
+    make_polygon_config(QuotientSignature(2, 2, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0]),
+    make_polygon_config(QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]),
+    make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf"),
+]
+
+
+@st.composite
+def extreme_inputs(draw):
+    """|y|^2 anywhere in [1e-300, 1e300]; one z in twenty sits exactly on a
+    puncture zbar = -a_i, the rest in the solver scan's box."""
+    config = draw(st.sampled_from(EXTREME_CONFIGS))
+    if draw(st.integers(0, 19)) == 0:
+        z = -draw(st.sampled_from(config.centers)).a.conjugate()
+    else:
+        z = complex(8.0 * draw(unit), 8.0 * draw(unit))
+    return config, z, 10.0 ** draw(st.floats(min_value=-300.0, max_value=300.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(extreme_inputs())
+def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
+    # every positive finite |y|^2 ends in a root within SOLVE_TOL or a typed
+    # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations
+    config, z, y_sq = case
+    with factor_calls() as calls:
+        try:
+            b = hitchin.solve_b(config, z, y_sq)
+        except GeometryError:
+            b = None
+    assert calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
+    if b is not None:
+        assert math.isfinite(b)
+        log_lhs = sum(
+            math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
+            for c in config.centers
+        )
+        assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
 
 
 # --- metric algebra ---

@@ -165,6 +165,21 @@ def test_period_check_coplanar():
     assert "coplanar" in rec.note
 
 
+# --- asymptotic fits ---
+
+
+def test_full_report_flat_single_center_passes():
+    # one center: the metric is flat, so the decay check bounds |Rm|^2 by
+    # the curvature floor instead of fitting a slope to finite-difference
+    # noise
+    rep = verify.full_report(flat_config(), spec=SampleSpec(seed=42))
+    assert rep.passed, [c.payload() for c in rep.checks if not c.passed]
+    decay = next(c for c in rep.checks if c.name.startswith("curvature-decay"))
+    assert decay.name == "curvature-decay-flat" and decay.count == 24
+    assert decay.max_residual < verify.CURVATURE_FLOOR
+    assert "curvature_decay" not in rep.fits
+
+
 # --- solver ---
 
 
