@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
-from gravinst import ghawking, hitchin, verify
+from gravinst import verify
 from gravinst.errors import GeometryError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import CenterConfiguration, config_from_json
@@ -318,26 +318,20 @@ def cmd_fit(args) -> int:
     _apply_mode(run, args.mode)
     config = run.build()
     wanted = args.fit or (["decay", "volume"] if config.mode == "ale" else ["volume"])
+    if "decay" in wanted and config.mode != "ale":
+        raise ConfigError("curvature decay applies to ale configurations")
+    if "volume" in wanted and config.mode not in verify.VOLUME_TARGETS:
+        raise ConfigError("no growth band for truncated configurations")
     ok = True
     for name in wanted:
-        if name == "decay":
-            if config.mode != "ale":
-                raise ConfigError("curvature decay applies to ale configurations")
-            fit = hitchin.ale_curvature_decay(config)
-            target, tol = verify.DECAY_TARGET, verify.DECAY_TOL
-        elif name == "volume":
-            if config.mode not in verify.VOLUME_TARGETS:
-                raise ConfigError("no growth band for truncated configurations")
-            fit = ghawking.volume_growth_fit(config, mode=config.mode)
-            target, tol = verify.VOLUME_TARGETS[config.mode], verify.VOLUME_TOL
-        else:
-            raise ConfigError(f"unknown fit {name!r}")
-        inside = verify.in_band(fit.slope, target, tol)
-        ok = ok and inside
-        print(
-            f"{'PASS' if inside else 'FAIL'} {name}: slope {fit.slope:.6g}"
-            f" band [{target - tol:g}, {target + tol:g}] rms {fit.rms_residual:.3e}"
-        )
+        _, records = verify.decay_and_volume(config, config.mode, (name,))
+        for check in records:
+            ok = ok and check.passed
+            print(
+                f"{'PASS' if check.passed else 'FAIL'} {name}: {check.name}"
+                f" residual {check.max_residual:.3e} tolerance {check.tolerance:g}"
+                f" ({check.note})"
+            )
     return 0 if ok else 1
 
 

@@ -22,6 +22,11 @@ and the real metric is g = Re h on the real coordinates
 is twice the flat metric of the underlying C^2 (flat either way).  The
 Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
+
+metric_jet evaluates the same metric as a second-order jet
+(tensorcalc.Jet), which gives curvature its exact first and second
+derivatives from one evaluation; the finite-difference stencil, with the
+steps of chart_step, stays as the independent reference.
 """
 
 from __future__ import annotations
@@ -229,6 +234,74 @@ def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     return hermitian_form_at(config, x).real
 
 
+# Re(dz dzbar) on the real coordinates
+_DZ_BLOCK = np.diag([1.0, 1.0, 0.0, 0.0])
+
+
+def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
+    """The real metric at the chart point x as a second-order jet in
+    (Re z, Im z, Re y, Im y): its value with exact first and second
+    derivatives.
+
+    b is solved in floats by solve_b, then refined by two Newton steps
+    b <- b - (sum_i log f_i - log|y|^2) / gamma in jet arithmetic.  At
+    the root a step leaves the value in place, and by the implicit
+    function theorem the first step makes the gradient of b exact and the
+    second its Hessian.  gamma, delta and eta follow in jet arithmetic,
+    with the cancellation-free branches of _stable_factor and delta chosen
+    on the float value.  Everything is real: with zbar + a_i = w_i,
+
+        conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2,
+
+    and g = Re h = gamma Re(dz dzbar) + (Re eta Re eta^T + Im eta Im eta^T) / gamma.
+    """
+    z, y = complex(x[0], x[1]), complex(x[2], x[3])
+    require_smooth_fiber(config)
+    if abs(y) < EPS_Y_DEFAULT:
+        raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
+    if np.min(np.abs(z.conjugate() + a_i)) == 0.0:
+        raise PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
+    x0, x1, x2, x3 = tensorcalc.Jet.seed(x)
+    w_re = x0 + a_i.real
+    w_im = a_i.imag - x1
+    r_sq = w_re * w_re + w_im * w_im
+
+    def factors(b: tensorcalc.Jet) -> tuple[tensorcalc.Jet, tensorcalc.Jet]:
+        """(Delta_i, f_i) per center at height b."""
+        u = b - b_i
+        dlt = (u * u + r_sq).sqrt()
+        above = u.val >= 0.0
+        outer = dlt + u * np.where(above, 1.0, -1.0)  # Delta_i + |u|
+        return dlt, tensorcalc.Jet.where(above, outer, r_sq / outer)
+
+    y_sq = x2 * x2 + x3 * x3
+    log_y_sq = y_sq.log()
+    b = tensorcalc.Jet.constant(solve_b(config, z, abs(y) ** 2))
+    for _ in range(2):
+        dlt, f = factors(b)
+        b = b - (f.log().sum() - log_y_sq) / dlt.inv().sum()
+    dlt, f = factors(b)
+    gam = dlt.inv().sum()
+    coef = -(dlt * f).inv()
+    p, q = (coef * w_re).sum(), (coef * w_im).sum()  # conj(delta) = p + i q
+    s, t = 2.0 * x2 / y_sq, -2.0 * x3 / y_sq  # 2/y = s + i t
+    # eta = conj(delta) dz + (2/y) dy on the real coordinates
+    re = tensorcalc.Jet.stack([p, -q, s, -t])
+    im = tensorcalc.Jet.stack([q, p, t, s])
+    return (re[:, None] * re[None, :] + im[:, None] * im[None, :]) / gam + gam * _DZ_BLOCK
+
+
+def metric_derivatives(
+    config: CenterConfiguration, x: Coords
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact metric derivatives at x for tensorcalc.curvature_at:
+    dg[i, j, l] = d_i g_{jl} and d2g[m, i, j, l] = d_m d_i g_{jl}."""
+    jet = metric_jet(config, x)
+    return jet.grad.transpose(2, 0, 1), jet.hess.transpose(2, 3, 0, 1)
+
+
 def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix."""
     return -hermitian_form_at(config, x).imag
@@ -297,8 +370,6 @@ _DECAY_DIRECTIONS = np.array(
         [-0.48, -0.36, 0.80],
     ]
 )
-# relative finite-difference step of the decay samples
-_DECAY_REL_STEP = 0.003
 
 
 def ale_curvature_samples(
@@ -328,13 +399,16 @@ def ale_curvature_samples(
     def field(x: Coords) -> np.ndarray:
         return metric_at(config, x)
 
+    def derivatives(x: Coords) -> tuple[np.ndarray, np.ndarray]:
+        return metric_derivatives(config, x)
+
     values = []
     for s in base_radii:
         vals = []
         for d in directions:
             x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            step = chart_step(config, x, _DECAY_REL_STEP)
-            vals.append(tensorcalc.curvature_at(field, x, step=step).riem_norm_sq)
+            bundle = tensorcalc.curvature_at(field, x, derivatives=derivatives)
+            vals.append(bundle.riem_norm_sq)
         values.append(vals)
     return radii, values
 

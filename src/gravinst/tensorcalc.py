@@ -1,7 +1,10 @@
-"""Finite-difference tensor calculus on four-dimensional coordinate charts.
+"""Tensor calculus on four-dimensional coordinate charts.
 
 Everything downstream (curvature scans, Kahler identities, Nijenhuis
-integrability) reduces to derivatives of chart-valued fields.  Derivatives
+integrability) reduces to derivatives of chart-valued fields.  Two sources
+of derivatives feed the same algebra.  A chart that can evaluate its
+metric in :class:`Jet` arithmetic supplies exact first and second
+derivatives.  Otherwise, and as the independent reference, derivatives
 are central differences with one level of Richardson extrapolation, so a
 first derivative at step h combines the stencils at h and h/2 and is
 accurate to O(h^4).  Second derivatives nest two first-derivative stencils
@@ -206,26 +209,135 @@ def invert_metric(g: np.ndarray) -> np.ndarray:
     return inv_a * np.outer(d, d)
 
 
-def curvature_at(
-    g_field: Field,
-    x: Coords,
-    step: float | Sequence[float] | None = None,
-) -> CurvatureBundle:
-    """Full curvature of a metric field at a point, by finite differences.
+class Jet:
+    """Second-order jet in the four chart coordinates: a value together
+    with its exact gradient and Hessian, carried through the arithmetic
+    (the hyper-dual numbers of Fike & Alonso, AIAA 2011-886, taken over
+    all four coordinates at once).
 
-    The metric is evaluated on a local stencil; first and second
-    derivatives feed the Christoffel symbols and their derivatives, and the
-    Riemann tensor is assembled from those.  All contractions use the
-    adjugate inverse of the metric at the center point.
+    val has any shape S; grad has shape S + (4,) and hess S + (4, 4), so
+    leading axes broadcast like numpy arrays and one jet can hold, say,
+    the per-center terms of a sum.  Plain numbers and arrays act as
+    constants.
     """
-    steps = _normalize_steps(x, step)
-    g0 = _eval_array(g_field, x)
-    if g0.shape != (4, 4):
-        raise ValueError("metric field must produce 4x4 matrices")
-    if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
-        raise ValueError("metric sample is not symmetric")
-    ginv = invert_metric(g0)
 
+    __slots__ = ("val", "grad", "hess")
+    # ndarray (op) Jet defers to the Jet's reflected operator
+    __array_ufunc__ = None
+
+    def __init__(self, val, grad, hess):
+        self.val = np.asarray(val, dtype=float)
+        self.grad = np.asarray(grad, dtype=float)
+        self.hess = np.asarray(hess, dtype=float)
+
+    @classmethod
+    def seed(cls, x: Coords) -> tuple[Jet, Jet, Jet, Jet]:
+        """The four coordinates as jets at the point x."""
+        eye = np.eye(4)
+        return tuple(cls(x[i], eye[i], np.zeros((4, 4))) for i in range(4))
+
+    @classmethod
+    def constant(cls, value) -> Jet:
+        value = np.asarray(value, dtype=float)
+        return cls(value, np.zeros(value.shape + (4,)), np.zeros(value.shape + (4, 4)))
+
+    @classmethod
+    def stack(cls, jets: Sequence[Jet]) -> Jet:
+        """Jets of equal shape stacked on a new leading axis."""
+        return cls(
+            np.stack([j.val for j in jets]),
+            np.stack([j.grad for j in jets]),
+            np.stack([j.hess for j in jets]),
+        )
+
+    @staticmethod
+    def where(cond, a: Jet, b: Jet) -> Jet:
+        """Elementwise choice by a boolean array over the value shape."""
+        cond = np.asarray(cond)
+        return Jet(
+            np.where(cond, a.val, b.val),
+            np.where(cond[..., None], a.grad, b.grad),
+            np.where(cond[..., None, None], a.hess, b.hess),
+        )
+
+    def __getitem__(self, index) -> Jet:
+        """Index the value axes; the derivative axes come along."""
+        return Jet(self.val[index], self.grad[index], self.hess[index])
+
+    def sum(self, axis: int = 0) -> Jet:
+        """Sum over a leading value axis."""
+        return Jet(self.val.sum(axis), self.grad.sum(axis), self.hess.sum(axis))
+
+    def _chain(self, f, f1, f2) -> Jet:
+        """phi(self) from phi, phi' and phi'' at the value."""
+        f1 = np.asarray(f1)[..., None]
+        f2 = np.asarray(f2)[..., None, None]
+        g = self.grad
+        # f2 * (g g^T), not (f2 g) g^T, keeps the Hessian exactly symmetric
+        return Jet(f, f1 * g, f1[..., None] * self.hess + f2 * (g[..., :, None] * g[..., None, :]))
+
+    def __add__(self, other) -> Jet:
+        if isinstance(other, Jet):
+            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+        other = np.asarray(other, dtype=float)
+        val = self.val + other
+        return Jet(
+            val,
+            np.broadcast_to(self.grad, val.shape + (4,)),
+            np.broadcast_to(self.hess, val.shape + (4, 4)),
+        )
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Jet:
+        return Jet(-self.val, -self.grad, -self.hess)
+
+    def __sub__(self, other) -> Jet:
+        return self + (-other)
+
+    def __rsub__(self, other) -> Jet:
+        return (-self) + other
+
+    def __mul__(self, other) -> Jet:
+        if not isinstance(other, Jet):
+            c = np.asarray(other, dtype=float)
+            return Jet(self.val * c, self.grad * c[..., None], self.hess * c[..., None, None])
+        a, b = self, other
+        av, bv = a.val[..., None], b.val[..., None]
+        cross = a.grad[..., :, None] * b.grad[..., None, :]
+        return Jet(
+            a.val * b.val,
+            a.grad * bv + av * b.grad,
+            a.hess * bv[..., None] + av[..., None] * b.hess + (cross + np.swapaxes(cross, -1, -2)),
+        )
+
+    __rmul__ = __mul__
+
+    def inv(self) -> Jet:
+        r = 1.0 / self.val
+        return self._chain(r, -r * r, 2.0 * r * r * r)
+
+    def __truediv__(self, other) -> Jet:
+        if isinstance(other, Jet):
+            return self * other.inv()
+        return self * (1.0 / np.asarray(other, dtype=float))
+
+    def __rtruediv__(self, other) -> Jet:
+        return self.inv() * other
+
+    def sqrt(self) -> Jet:
+        s = np.sqrt(self.val)
+        return self._chain(s, 0.5 / s, -0.25 / (s * self.val))
+
+    def log(self) -> Jet:
+        r = 1.0 / self.val
+        return self._chain(np.log(self.val), r, -r * r)
+
+
+def _stencil_derivatives(
+    g_field: Field, x: Coords, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and second metric derivatives from the nested FD stencil."""
     # dg[i, j, l] = d_i g_{jl}
     dg = _gradient(g_field, x, steps)
     # d2g[m, i, j, l] = d_m d_i g_{jl}, symmetric in (m, i)
@@ -238,6 +350,46 @@ def curvature_at(
             val = _derivative(g_field, x, tuple(mi), steps)
             d2g[m, i] = val
             d2g[i, m] = val
+    return dg, d2g
+
+
+# supplies (dg, d2g) with dg[i, j, l] = d_i g_{jl}, d2g[m, i, j, l] = d_m d_i g_{jl}
+Derivatives = Callable[[Coords], tuple[np.ndarray, np.ndarray]]
+
+
+def curvature_at(
+    g_field: Field,
+    x: Coords,
+    step: float | Sequence[float] | None = None,
+    derivatives: Derivatives | None = None,
+) -> CurvatureBundle:
+    """Full curvature of a metric field at a point.
+
+    The metric itself comes from g_field.  Its first and second
+    derivatives come from derivatives(x) when that is given (exact jets;
+    step is then unused), and otherwise from finite differences on a
+    local stencil.  Either way they feed the Christoffel symbols and their
+    derivatives, and the Riemann tensor is assembled from those.  All
+    contractions use the adjugate inverse of the metric at the point.
+    """
+    if derivatives is None:
+        steps = _normalize_steps(x, step)
+
+        def derivatives(q: Coords) -> tuple[np.ndarray, np.ndarray]:
+            return _stencil_derivatives(g_field, q, steps)
+
+    g0 = _eval_array(g_field, x)
+    if g0.shape != (4, 4):
+        raise ValueError("metric field must produce 4x4 matrices")
+    if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
+        raise ValueError("metric sample is not symmetric")
+    ginv = invert_metric(g0)
+
+    dg, d2g = (np.asarray(a, dtype=float) for a in derivatives(x))
+    if dg.shape != (4, 4, 4) or d2g.shape != (4, 4, 4, 4):
+        raise ValueError("metric derivatives must have shapes (4,4,4) and (4,4,4,4)")
+    if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(d2g))):
+        raise NumericOverflowError(f"metric derivatives are not finite at {x}")
 
     # T[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
@@ -262,11 +414,11 @@ def curvature_at(
         np.sqrt(max(0.0, np.einsum("ik,jl,ij,kl->", ginv, ginv, ricci, ricci)))
     )
     riem_low = np.einsum("lm,mijk->lijk", g0, riem)
-    riem_norm_sq = float(
-        np.einsum(
-            "lijk,abcd,la,ib,jc,kd->", riem_low, riem_low, ginv, ginv, ginv, ginv
-        )
-    )
+    # raise one index per contraction; after four the index order is back
+    up = riem_low
+    for _ in range(4):
+        up = np.tensordot(up, ginv, axes=([0], [0]))
+    riem_norm_sq = float(np.sum(up * riem_low))
     if not (
         np.all(np.isfinite(riem)) and np.isfinite(ricci_norm) and np.isfinite(riem_norm_sq)
     ):

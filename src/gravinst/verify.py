@@ -184,9 +184,14 @@ class Construction:
 
     Chart fields are functions of a coordinate 4-tuple returning an array:
     metric(config, mode, potential_transform=None), kahler(config, mode)
-    and complex_structure(config, mode) build them.  stream(config, spec)
-    gives the coordinates of the sample stream; step(config, x) gives the
-    finite-difference steps (None for the default); image(generator, x)
+    and complex_structure(config, mode) build them.  derivatives(config),
+    where the chart has it, gives exact metric derivatives (dg, d2g) at a
+    point for tensorcalc.curvature_at; without it curvature falls back to
+    finite differences.  constant_j says that the chart's complex structure
+    has constant components, so its Nijenhuis tensor vanishes identically.
+    stream(config, spec) gives the coordinates of the sample stream;
+    step(config, x) gives the finite-difference steps (None for the
+    default); image(generator, x)
     maps coordinates by the cyclic action, whose differential is
     jacobian(generator); user_coords completes and checks user-given
     coordinates.  Entries call into their modules at call time, so module
@@ -200,6 +205,8 @@ class Construction:
     metric: Callable[..., Field]
     kahler: Callable[[CenterConfiguration, str | None], Field]
     complex_structure: Callable[[CenterConfiguration, str | None], Field]
+    derivatives: Callable[[CenterConfiguration], tensorcalc.Derivatives] | None
+    constant_j: bool
     step: Callable[[CenterConfiguration, Coords], np.ndarray | None]
     image: Callable[[GroupElement, Coords], Coords]
     jacobian: Callable[[GroupElement], np.ndarray]
@@ -249,6 +256,8 @@ GH = Construction(
     complex_structure=lambda config, mode: lambda x: ghawking.complex_structure_at(
         config, x, mode=mode
     ),
+    derivatives=None,
+    constant_j=False,
     # the circle-bundle chart is fine with the default steps
     step=lambda config, x: None,
     image=_gh_image,
@@ -266,6 +275,8 @@ HITCHIN = Construction(
     ),
     kahler=lambda config, mode: lambda x: hitchin.kahler_form_at(config, x),
     complex_structure=lambda config, mode: lambda x: hitchin.STANDARD_J,
+    derivatives=lambda config: lambda x: hitchin.metric_derivatives(config, x),
+    constant_j=True,
     # the complex chart needs its own step rule near the branch locus
     step=lambda config, x: hitchin.chart_step(config, x),
     image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
@@ -355,10 +366,13 @@ def ricci_samples(
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
     fld = c.metric(config, mode, potential_transform)
+    derivatives = c.derivatives(config) if c.derivatives else None
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
-        bundle = tensorcalc.curvature_at(fld, x, step=c.step(config, x))
+        bundle = tensorcalc.curvature_at(
+            fld, x, step=c.step(config, x), derivatives=derivatives
+        )
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
@@ -389,7 +403,9 @@ def kahler_scan(
 
     Returns three records: the exterior derivative of omega, the
     Nijenhuis tensor of J (both relative to the largest local omega / J
-    entry scale), and the algebraic residual omega - J^T g.
+    entry scale), and the algebraic residual omega - J^T g.  Where J has
+    constant components the Nijenhuis tensor is 0 by construction; it is
+    recorded as such, with a note, and not differentiated.
     """
     c = construction(metric_source)
     points = c.points(config, spec or SampleSpec())
@@ -402,7 +418,7 @@ def kahler_scan(
         step = c.step(config, x)
         w = omega_field(x)
         dw = tensorcalc.exterior_derivative(omega_field, x, step=step)
-        nij = tensorcalc.nijenhuis_at(j_at, x, step=step)
+        nij = 0.0 if c.constant_j else tensorcalc.nijenhuis_at(j_at, x, step=step)
         g = g_at(x)
         J = j_at(x)
         wscale = max(1.0, float(np.max(np.abs(w))))
@@ -415,13 +431,16 @@ def kahler_scan(
             ),
         )
 
-    return _scan_records(
+    records = _scan_records(
         "Kahler",
         c.name,
         ("kahler-domega", "kahler-nijenhuis", "kahler-compat"),
         (DOMEGA_TOL, NIJENHUIS_TOL, COMPAT_TOL),
         _sample(points, evaluate),
     )
+    if c.constant_j:
+        records[1] = replace(records[1], note="J0 is constant in this chart")
+    return records
 
 
 def invariance_scan(
@@ -479,12 +498,13 @@ def cross_validate(
         return stats, record
     gh_field = GH.metric(config, "ale")
     hit_field = HITCHIN.metric(config, "ale")
+    hit_derivatives = HITCHIN.derivatives(config)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         theta, b, a1, a2 = cp.coords
         hx = hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
         rm_hit = tensorcalc.curvature_at(
-            hit_field, hx, step=hitchin.chart_step(config, hx)
+            hit_field, hx, derivatives=hit_derivatives
         ).riem_norm_sq
         rm_gh = tensorcalc.curvature_at(gh_field, cp.coords).riem_norm_sq
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
@@ -575,16 +595,19 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
 
 
 def decay_and_volume(
-    config: CenterConfiguration, mode: str | None = None
+    config: CenterConfiguration,
+    mode: str | None = None,
+    which: Sequence[str] = ("decay", "volume"),
 ) -> tuple[dict, list[CheckRecord]]:
     """Asymptotic fits with their pass bands: curvature slope DECAY_TARGET
     +- DECAY_TOL for ale (a flat end, |Rm|^2 below CURVATURE_FLOOR, for a
     single center), volume slope VOLUME_TARGETS[mode] +- VOLUME_TOL for
-    ale and alf."""
+    ale and alf.  which selects the "decay" and "volume" parts."""
     mode = mode or config.mode
     fits: dict = {}
     records: list[CheckRecord] = []
-    if mode == "ale" and config.k == 1:
+    decay = "decay" in which and mode == "ale"
+    if decay and config.k == 1:
         # one center: the metric is flat, and a slope would fit the noise
         _, values = hitchin.ale_curvature_samples(config)
         worst = max(max(vals) for vals in values)
@@ -598,19 +621,21 @@ def decay_and_volume(
                 note="single center: |Rm|^2 on the ALE end below the curvature floor",
             )
         )
-    elif mode == "ale":
-        decay = hitchin.ale_curvature_decay(config)
-        fits["curvature_decay"] = _fit_payload(decay)
+    elif decay:
+        fit = hitchin.ale_curvature_decay(config)
+        fits["curvature_decay"] = _fit_payload(fit)
         records.append(
             CheckRecord(
                 name="curvature-decay-slope",
-                max_residual=abs(decay.slope - DECAY_TARGET),
+                max_residual=abs(fit.slope - DECAY_TARGET),
                 tolerance=DECAY_TOL,
-                passed=in_band(decay.slope, DECAY_TARGET, DECAY_TOL),
-                count=decay.point_count,
-                note=f"slope = {decay.slope:.6g}",
+                passed=in_band(fit.slope, DECAY_TARGET, DECAY_TOL),
+                count=fit.point_count,
+                note=f"slope = {fit.slope:.6g}",
             )
         )
+    if "volume" not in which:
+        return fits, records
     if mode not in VOLUME_TARGETS:
         records.append(
             CheckRecord(

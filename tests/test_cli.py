@@ -283,6 +283,15 @@ def test_fit_pair_default_bands(tmp_path, capsys):
     assert "PASS decay" in out and "PASS volume" in out
 
 
+def test_fit_single_center_reports_a_flat_end(tmp_path, capsys):
+    # the fit command runs the report's fits, so one center gets the
+    # flatness check instead of a slope fitted to noise
+    cfg = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)))
+    assert cli.main(["fit", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "PASS decay: curvature-decay-flat" in out and "PASS volume" in out
+
+
 def test_fit_rejects_decay_outside_ale(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)))
     assert cli.main(["fit", "--config", cfg, "--mode", "alf", "--fit", "decay"]) == 2

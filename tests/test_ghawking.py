@@ -6,13 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from gravinst import ghawking, tensorcalc
+from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import (
     DiracStringError,
     FitDomainError,
     PathBlockedError,
     PoleError,
 )
+from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
@@ -29,6 +30,12 @@ def pair_config():
 def taubnut_config():
     return make_polygon_config(
         QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf"
+    )
+
+
+def hexagon_config():
+    return make_polygon_config(
+        QuotientSignature(2, 3, 2), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]
     )
 
 
@@ -273,3 +280,59 @@ def test_volume_growth_fit_domain():
     with pytest.raises(FitDomainError):
         ghawking.volume_growth_fit(cfg, radii=[10.0, 20.0, 40.0, 80.0])
 
+
+
+# --- closed-form curvature ---
+
+
+def closed_form_riem_norm_sq(config, b, a):
+    """|Rm|^2 of the circle-fibered metric from V alone,
+
+        |Rm|^2 = 4 |DDV|^2 / V^4 - 24 DV.DDV.DV / V^5 + 24 |DV|^4 / V^6,
+
+    with flat derivatives on R^3 = (b, Re a, Im a); it holds because V is
+    harmonic, and it sees neither the connection nor its Dirac strings."""
+    p = np.array([b, a.real, a.imag])
+    V = 1.0 if config.mode == "alf" else 0.0
+    dV = np.zeros(3)
+    ddV = np.zeros((3, 3))
+    for c in config.centers:
+        d = p - np.array([c.b, c.a.real, c.a.imag])
+        r = np.linalg.norm(d)
+        V += 0.5 / r
+        dV -= 0.5 * d / r**3
+        ddV += 0.5 * (3.0 * np.outer(d, d) / r**5 - np.eye(3) / r**3)
+    assert abs(V - ghawking.potential_at(config, b, a)) <= 1e-14 * V
+    return (
+        4.0 * np.sum(ddV * ddV) / V**4
+        - 24.0 * (dV @ ddV @ dV) / V**5
+        + 24.0 * (dV @ dV) ** 2 / V**6
+    )
+
+
+@pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
+def test_finite_difference_curvature_matches_closed_form(build):
+    cfg = build()
+    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
+        fd = tensorcalc.curvature_at(lambda q: ghawking.metric_at(cfg, q), x)
+        exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
+        assert abs(fd.riem_norm_sq / exact - 1.0) < 1e-4
+
+
+def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
+    # every distinct base point of the hexagon's cross-validation streams at
+    # seeds 0-399; the complex-chart metric is 2x the circle-fibered one
+    cfg = hexagon_config()
+    points = {
+        cp.coords
+        for seed in range(400)
+        for cp in verify.GH.points(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed))
+    }
+    assert len(points) > 400
+    derivatives = verify.HITCHIN.derivatives(cfg)
+    for theta, b, a1, a2 in points:
+        hx = hitchin.base_to_chart(cfg, b, complex(a1, a2), phase=theta)
+        rm = tensorcalc.curvature_at(
+            lambda q: hitchin.metric_at(cfg, q), hx, derivatives=derivatives
+        ).riem_norm_sq
+        assert abs(rm / closed_form_riem_norm_sq(cfg, b, complex(a1, a2)) - 0.25) < 1e-4

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravinst import hitchin, tensorcalc, verify
+from gravinst import hitchin, sampling, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
     FitDomainError,
@@ -17,6 +17,7 @@ from gravinst.errors import (
     PoleError,
     SingularFiberError,
 )
+from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
@@ -46,6 +47,12 @@ def coplanar_pair():
     return CenterConfiguration(
         centers=(Center(0.0, 1.0 + 0j), Center(0.0, -1.0 + 0j)),
         signature=QuotientSignature(2, 1, 0),
+    )
+
+
+def hexagon_config():
+    return make_polygon_config(
+        QuotientSignature(2, 3, 2), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]
     )
 
 
@@ -352,6 +359,85 @@ def test_metric_rejects_branch_locus_and_punctures():
         hitchin.metric_at(pair_config(), (0.0, 0.5, 0.0, 0.0))
     with pytest.raises(PoleError):
         hitchin.metric_at(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
+
+
+# --- exact jets ---
+
+
+def jet_curvature(cfg, x):
+    return tensorcalc.curvature_at(
+        lambda q: hitchin.metric_at(cfg, q),
+        x,
+        derivatives=lambda q: hitchin.metric_derivatives(cfg, q),
+    )
+
+
+def fd_curvature(cfg, x):
+    return tensorcalc.curvature_at(
+        lambda q: hitchin.metric_at(cfg, q), x, step=hitchin.chart_step(cfg, x)
+    )
+
+
+def test_metric_jet_value_is_the_metric():
+    for cfg in (pair_config(), hexagon_config(), square4_config()):
+        for x in sampling.hitchin_points(cfg, SampleSpec(count=10, seed=3)):
+            g = hitchin.metric_at(cfg, x)
+            jet = hitchin.metric_jet(cfg, x)
+            assert np.max(np.abs(jet.val - g)) <= 1e-14 * np.max(np.abs(g))
+
+
+def test_jet_curvature_agrees_with_finite_differences():
+    # the Ricci-scan points of the benchmark's hexagon report at seed 7;
+    # the stencil is the independent reference, good to about 1e-3 here
+    cfg = hexagon_config()
+    for x in sampling.hitchin_points(cfg, SampleSpec(count=30, seed=7)):
+        exact, fd = jet_curvature(cfg, x), fd_curvature(cfg, x)
+        assert abs(exact.riem_norm_sq / fd.riem_norm_sq - 1.0) < 5e-3
+        assert exact.ricci_norm <= fd.ricci_norm
+
+
+def test_ricci_scan_makes_one_metric_evaluation_per_curvature(monkeypatch):
+    # counted through the module attributes the scan calls; the stencil
+    # made 177 metric evaluations, each with its own solve_b, per curvature
+    calls = {"metric_at": 0, "solve_b": 0}
+    inside = [False]
+
+    def counting(name):
+        original = getattr(hitchin, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += inside[0]
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(hitchin, name, counted)
+
+    for name in calls:
+        counting(name)
+    curvature_at = tensorcalc.curvature_at
+
+    def traced(*args, **kwargs):
+        inside[0] = True
+        try:
+            return curvature_at(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", traced)
+    record = verify.ricci_scan("hitchin", hexagon_config(), spec=SampleSpec(count=3, seed=7))
+    assert record.count == 3
+    assert calls["metric_at"] <= 3
+    assert calls["solve_b"] <= 6
+
+
+def test_metric_jet_rejects_branch_locus_and_punctures():
+    with pytest.raises(ChartBoundaryError):
+        hitchin.metric_jet(pair_config(), (0.0, 0.5, 0.0, 0.0))
+    with pytest.raises(PoleError):
+        hitchin.metric_jet(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
+    with pytest.raises(ChartBoundaryError):
+        jet_curvature(pair_config(), (0.0, 0.5, 0.0, 0.0))
+    with pytest.raises(PoleError):
+        jet_curvature(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
 
 
 def test_decay_fit_domain_checks():

@@ -13,6 +13,7 @@ import pytest
 from gravinst import tensorcalc
 from gravinst.errors import DegenerateMetricError, NumericOverflowError
 from gravinst.tensorcalc import (
+    Jet,
     curvature_at,
     default_step,
     differentiate_field,
@@ -203,3 +204,93 @@ def test_curvature_rejects_wrong_shape():
 def test_non_finite_field_is_an_overflow_error():
     with pytest.raises(NumericOverflowError):
         curvature_at(lambda x: np.full((4, 4), np.inf), (0.0, 0.0, 0.0, 0.0))
+
+
+# --- exact jets ---
+
+
+def composite(x0, x1, x2, x3):
+    """Exercises every jet operation; works on jets and on floats."""
+    terms = [x0 * x0 + x1, 2.0 - x3 / 3.0, 1.5 + x2 * x0]
+    if isinstance(x0, Jet):
+        stacked = Jet.stack(terms)
+        picked = Jet.where(stacked.val > 1.2, stacked, 1.0 / stacked)
+        total = picked.sum()
+        root, logged = stacked[0].sqrt(), stacked[1].log()
+    else:
+        picked = [t if t > 1.2 else 1.0 / t for t in terms]
+        total = sum(picked)
+        root, logged = math.sqrt(terms[0]), math.log(terms[1])
+    return total * root - logged / (x2 - 5.0) + (1.0 - x1) * x3
+
+
+def test_jet_matches_finite_differences_of_the_same_expression():
+    pt = (0.7, 0.4, 1.1, -0.6)
+    jet = composite(*Jet.seed(pt))
+    assert abs(jet.val - composite(*pt)) < 1e-15
+
+    def field(x):
+        return np.array(composite(*x))
+
+    for i in range(4):
+        e = [0, 0, 0, 0]
+        e[i] = 1
+        assert abs(jet.grad[i] - differentiate_field(field, pt, e, step=1e-3)) < 1e-9
+        for j in range(4):
+            mi = list(e)
+            mi[j] += 1
+            fd = differentiate_field(field, pt, mi, step=1e-3)
+            assert abs(jet.hess[i, j] - fd) < 1e-7
+    assert np.array_equal(jet.hess, jet.hess.T)
+
+
+def stereographic_sphere_jet(x):
+    """Unit round S^4 in stereographic coordinates, g = 4 / (1 + |x|^2)^2."""
+    c = Jet.seed(x)
+    s = 1.0 + c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
+    return 4.0 / (s * s) * np.eye(4)
+
+
+def test_curvature_from_supplied_derivatives():
+    # constant curvature 1 in dimension 4: Ric = 3 g, R = 12, |Rm|^2 = 24
+    pt = (0.3, -0.5, 0.8, 0.1)
+
+    def g_field(x):
+        return stereographic_sphere_jet(x).val
+
+    def derivatives(x):
+        jet = stereographic_sphere_jet(x)
+        return jet.grad.transpose(2, 0, 1), jet.hess.transpose(2, 3, 0, 1)
+
+    exact = curvature_at(g_field, pt, derivatives=derivatives)
+    assert abs(exact.scalar - 12.0) < 1e-12
+    assert abs(exact.riem_norm_sq - 24.0) < 1e-12
+    assert np.max(np.abs(exact.ricci - 3.0 * g_field(pt))) < 1e-12
+    fd = curvature_at(g_field, pt, step=1e-3)
+    assert abs(fd.riem_norm_sq - 24.0) < 1e-7
+    assert np.max(np.abs(fd.riemann - exact.riemann)) < 1e-7
+
+
+def test_supplied_derivatives_are_validated():
+    pt = (0.0, 0.0, 0.0, 0.0)
+
+    def bad_shape(x):
+        return np.zeros((4, 4, 4)), np.zeros((4, 4, 4))
+
+    def not_finite(x):
+        d2g = np.zeros((4, 4, 4, 4))
+        d2g[1, 2, 0, 0] = np.nan
+        return np.zeros((4, 4, 4)), d2g
+
+    with pytest.raises(ValueError):
+        curvature_at(lambda x: np.eye(4), pt, derivatives=bad_shape)
+    with pytest.raises(NumericOverflowError):
+        curvature_at(lambda x: np.eye(4), pt, derivatives=not_finite)
+
+
+def test_riemann_norm_is_the_full_contraction():
+    bun = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
+    ginv = invert_metric(bun.g)
+    low = np.einsum("lm,mijk->lijk", bun.g, bun.riemann)
+    full = np.einsum("lijk,abcd,la,ib,jc,kd->", low, low, ginv, ginv, ginv, ginv)
+    assert abs(bun.riem_norm_sq - full) <= 1e-14 * full

@@ -29,6 +29,12 @@ def flat_config():
     return make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0])
 
 
+def hexagon_config():
+    return make_polygon_config(
+        QuotientSignature(2, 3, 2), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]
+    )
+
+
 # --- ricci ---
 
 
@@ -87,6 +93,18 @@ def test_kahler_scan_three_records():
     assert all(r.count == 4 for r in recs)
 
 
+def test_kahler_scan_records_constant_j_as_an_identity(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the constant chart J0 needs no differentiation")
+
+    monkeypatch.setattr(tensorcalc, "nijenhuis_at", never)
+    recs = verify.kahler_scan("hitchin", pair_config(), spec=SampleSpec(count=4))
+    nij = recs[1]
+    assert nij.name == "kahler-nijenhuis-hitchin"
+    assert nij.passed and nij.max_residual == 0.0 and nij.count == 4
+    assert nij.payload()["note"] == "J0 is constant in this chart"
+
+
 # --- invariance ---
 
 
@@ -121,6 +139,23 @@ def test_cross_validate_pair():
     # both routes build the same metric up to the fixed homothety 1/4
     assert abs(stats.mean - 0.25) < 1e-6
     assert stats.spread < 1e-3
+
+
+@pytest.mark.parametrize("seed", [15, 42, 258, 393])
+def test_cross_validate_hexagon_regression_seeds(seed):
+    # the first seed of each block that failed with finite-difference
+    # complex-chart curvature, whose noise near |y| = 0.03 was the size of
+    # SPREAD_TOL
+    stats, rec = verify.cross_validate(
+        hexagon_config(), SampleSpec(count=verify.CROSS_COUNT, seed=seed)
+    )
+    assert rec.passed and stats.count == verify.CROSS_COUNT
+    assert stats.spread < 0.5 * verify.SPREAD_TOL
+
+
+def test_full_report_hexagon_seed_42_passes():
+    report = verify.full_report(hexagon_config(), spec=SampleSpec(count=100, seed=42))
+    assert report.passed, [c.name for c in report.checks if not c.passed]
 
 
 def test_cross_validate_flat_is_vacuous():
