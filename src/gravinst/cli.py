@@ -248,10 +248,6 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         run.sample = dataclasses.replace(run.sample, seed=args.seed)
     checks = tuple(args.check) if args.check else run.checks
-    if checks is not None:
-        bad = set(checks) - set(verify.ALL_CHECKS)
-        if bad:
-            raise ConfigError(f"unknown checks: {sorted(bad)}")
     config = run.build()
     if args.perturb:
         config = verify.perturb_config(config, eps=args.perturb)
@@ -392,7 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification checks")
     p_verify.add_argument("--config", required=True, help="run configuration JSON")
     p_verify.add_argument(
-        "--check", action="append", help="run only this check (repeatable)"
+        "--check",
+        action="append",
+        choices=verify.ALL_CHECKS,
+        help="run only this check (repeatable)",
     )
     p_verify.add_argument("--seed", type=int, help="sampling seed override")
     p_verify.add_argument("--out", help="report JSON path (default stdout)")

@@ -42,7 +42,6 @@ import numpy as np
 
 from gravinst.errors import (
     DiracStringError,
-    FitDomainError,
     PathBlockedError,
     PoleError,
 )
@@ -278,13 +277,7 @@ def _segment_gauges(config: CenterConfiguration, i: int, j: int) -> list[str]:
     return gauges
 
 
-def cycle_period(
-    config: CenterConfiguration,
-    i: int,
-    j: int,
-    mode: str | None = None,
-    rel_tol: float = 1e-9,
-) -> float:
+def cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
     """Integral of the Kahler form over the circle-fibered 2-cycle above
     the segment from center i to center j.
 
@@ -306,22 +299,12 @@ def cycle_period(
     def integrand(t: float) -> float:
         b = ci.b + t * db
         a = ci.a + t * da
-        w = kahler_form_at(config, (0.0, b, a.real, a.imag), mode=mode, gauges=gauges)
+        w = kahler_form_at(config, (0.0, b, a.real, a.imag), gauges=gauges)
         return float(tangent @ w @ theta_dir)
 
     eps = 1e-9
-    value = adaptive_simpson(integrand, eps, 1.0 - eps, rel_tol=rel_tol)
+    value = adaptive_simpson(integrand, eps, 1.0 - eps)
     return 2.0 * math.pi * value
-
-
-def _split_radii(config: CenterConfiguration, R: float) -> list[float]:
-    cuts = sorted({float(np.linalg.norm(c.as_r3())) for c in config.centers})
-    out = [0.0]
-    for r in cuts:
-        if 1e-12 < r < R * (1.0 - 1e-12):
-            out.append(r)
-    out.append(R)
-    return out
 
 
 def coordinate_ball_volume(
@@ -332,24 +315,19 @@ def coordinate_ball_volume(
 
     The angular average of each 1/|x - x_i| over the sphere of radius r is
     1/max(r, |x_i|) (mean-value property of harmonic functions), so the
-    volume reduces to a radial integral, done piecewise by adaptive
-    quadrature between the kink radii.
+    volume is 8 pi^2 int_0^R r^2 (c + 1/2 sum_i 1/max(r, s_i)) dr with
+    s_i = |x_i| and c the ALF constant, and each term integrates exactly:
+    int_0^R r^2 / max(r, s) dr is R^3 / (3 s) for s > R and
+    R^2 / 2 - s^2 / 6 for s <= R (the two agree at s = R).
     """
-    mode = _mode_of(config, mode)
-    norms = [float(np.linalg.norm(c.as_r3())) for c in config.centers]
-    constant = 1.0 if mode == "alf" else 0.0
-
-    def radial(r: float) -> float:
-        if r == 0.0:
-            return 0.0  # r^2 / max(r, s) vanishes as r -> 0 for any s >= 0
-        mean = constant + 0.5 * sum(1.0 / max(r, s) for s in norms)
-        return r * r * mean
-
-    total = 0.0
-    cuts = _split_radii(config, R)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        total += adaptive_simpson(radial, lo, hi, rel_tol=1e-10)
-    return 2.0 * math.pi * 4.0 * math.pi * total
+    if not R >= 0.0:
+        raise ValueError("ball radius must be non-negative")
+    constant = 1.0 if _mode_of(config, mode) == "alf" else 0.0
+    total = constant * R**3 / 3.0
+    for c in config.centers:
+        s = float(np.linalg.norm(c.as_r3()))
+        total += 0.5 * (R**3 / (3.0 * s) if s > R else 0.5 * R * R - s * s / 6.0)
+    return 8.0 * math.pi**2 * total
 
 
 _RAY_DIRECTIONS = np.array(
@@ -362,34 +340,30 @@ _RAY_DIRECTIONS = np.array(
         [-0.41, -0.38, -0.83],
     ]
 )
+_RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1)[:, None]
 
 
-def geodesic_radius(
-    config: CenterConfiguration,
-    R: float,
-    mode: str | None = None,
-    directions: np.ndarray | None = None,
-) -> float:
-    """Radial geodesic length int_0^R sqrt(V) dr, averaged over a fixed
-    set of rays from the origin.
+def geodesic_radii(
+    config: CenterConfiguration, radii, mode: str | None = None
+) -> np.ndarray:
+    """Radial geodesic lengths int_0^R sqrt(V) dr for each coordinate
+    radius R of the increasing sequence radii, averaged over a fixed set
+    of rays from the origin.
 
-    The first piece of each ray integrates in the substituted variable
-    u = sqrt(t), which absorbs the inverse-square-root behavior of sqrt(V)
-    when a center sits at the ray origin.
+    Each ray is integrated once: its first piece in the substituted
+    variable u = sqrt(t), which absorbs the inverse-square-root behavior
+    of sqrt(V) when a center sits at the ray origin, then one segment
+    between consecutive radii at a time, summed as it goes.
     """
-    if directions is None:
-        directions = _RAY_DIRECTIONS
-    directions = np.asarray(directions, dtype=float)
-    directions = directions / np.linalg.norm(directions, axis=1)[:, None]
-    lengths = []
-    for d in directions:
+    radii = [float(R) for R in radii]
+    first = min(1.0, 0.25 * radii[0])
+    lengths = np.empty((len(_RAY_DIRECTIONS), len(radii)))
+    for row, d in zip(lengths, _RAY_DIRECTIONS):
 
         def sqrt_v(t: float) -> float:
             return math.sqrt(
                 potential_at(config, t * d[0], complex(t * d[1], t * d[2]), mode)
             )
-
-        first = min(1.0, 0.25 * R)
 
         def substituted(u: float) -> float:
             # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
@@ -397,17 +371,16 @@ def geodesic_radius(
             uu = max(u, 1e-75)
             return 2.0 * uu * sqrt_v(uu * uu)
 
-        acc = adaptive_simpson(substituted, 0.0, math.sqrt(first), rel_tol=1e-9)
-        acc += adaptive_simpson(sqrt_v, first, R, rel_tol=1e-9)
-        lengths.append(acc)
-    return float(np.mean(lengths))
+        acc = adaptive_simpson(substituted, 0.0, math.sqrt(first))
+        lo = first
+        for j, R in enumerate(radii):
+            acc += adaptive_simpson(sqrt_v, lo, R)
+            row[j] = acc
+            lo = R
+    return lengths.mean(axis=0)
 
 
-def volume_growth_fit(
-    config: CenterConfiguration,
-    mode: str | None = None,
-    radii=None,
-) -> FitResult:
+def volume_growth_fit(config: CenterConfiguration, mode: str | None = None) -> FitResult:
     """Fit log(volume) against log(geodesic radius) over coordinate radii.
 
     Euclidean-type growth gives slope 4 (ale), one collapsed circle
@@ -415,18 +388,11 @@ def volume_growth_fit(
     """
     mode = _mode_of(config, mode)
     scale = max(1.0, config.extent())
-    # defaults chosen far outside the configuration so the offset between
+    # chosen far outside the configuration so the offset between
     # coordinate and geodesic radius no longer bends the log-log line
-    if radii is None:
-        if mode == "alf":
-            radii = np.geomspace(100.0, 1100.0, 6) * scale
-        else:
-            radii = np.geomspace(1000.0, 110000.0, 6) * scale
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 4:
-        raise FitDomainError("need at least 4 radii")
-    if np.min(radii) <= 0.0 or np.max(radii) / np.min(radii) < 10.0 - 1e-9:
-        raise FitDomainError("coordinate radii must be positive, spanning a decade")
+    if mode == "alf":
+        radii = np.geomspace(100.0, 1100.0, 6) * scale
+    else:
+        radii = np.geomspace(1000.0, 110000.0, 6) * scale
     vols = [coordinate_ball_volume(config, R, mode) for R in radii]
-    rhos = [geodesic_radius(config, R, mode) for R in radii]
-    return fit_loglog(rhos, vols)
+    return fit_loglog(geodesic_radii(config, radii, mode), vols)

@@ -174,42 +174,6 @@ def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     return b
 
 
-def gamma(config: CenterConfiguration, z: complex, b: float) -> float:
-    """gamma = sum_i 1/Delta_i; positive away from the centers."""
-    zbar = z.conjugate()
-    total = 0.0
-    for c in config.centers:
-        delta = math.hypot(b - c.b, abs(zbar + c.a))
-        if delta == 0.0:
-            raise PoleError("gamma evaluated at a center")
-        total += 1.0 / delta
-    return total
-
-
-def delta(config: CenterConfiguration, z: complex, b: float) -> complex:
-    """delta = sum_i ((b - b_i) - Delta_i) / (Delta_i (zbar + a_i)).
-
-    The numerator is computed in the cancellation-free form
-    (b - b_i) - Delta_i = -r_i^2 / ((b - b_i) + Delta_i) when b > b_i.
-    Points with zbar + a_i = 0 are excluded from the chart (pole error).
-    """
-    zbar = z.conjugate()
-    total = 0j
-    for c in config.centers:
-        w = zbar + c.a
-        r = abs(w)
-        if r == 0.0:
-            raise PoleError("delta evaluated on the plane-position locus zbar + a_i = 0")
-        u = b - c.b
-        dlt = math.hypot(u, r)
-        if u > 0.0:
-            num = -(r * r) / (u + dlt)
-        else:
-            num = u - dlt
-        total += num / (dlt * w)
-    return total
-
-
 _DZ = np.array([1.0, 1.0j, 0.0, 0.0])
 _DY = np.array([0.0, 0.0, 1.0, 1.0j])
 
@@ -223,9 +187,19 @@ def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     if abs(y) < EPS_Y_DEFAULT:
         raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
     b = solve_b(config, z, abs(y) ** 2)
-    gam = gamma(config, z, b)
-    dlt = delta(config, z, b)
-    eta = (2.0 / y) * _DY + dlt.conjugate() * _DZ
+    # with w_i = zbar + a_i: gamma = sum_i 1/Delta_i and
+    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in metric_jet
+    zbar = z.conjugate()
+    gam = 0.0
+    dlt_conj = 0j
+    for c in config.centers:
+        w = zbar + c.a
+        if w == 0:
+            raise PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
+        f, dlt = _stable_factor(b - c.b, abs(w))
+        gam += 1.0 / dlt
+        dlt_conj -= w / (dlt * f)
+    eta = (2.0 / y) * _DY + dlt_conj * _DZ
     return gam * np.outer(_DZ, _DZ.conj()) + (1.0 / gam) * np.outer(eta, eta.conj())
 
 
@@ -248,8 +222,8 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     the root a step leaves the value in place, and by the implicit
     function theorem the first step makes the gradient of b exact and the
     second its Hessian.  gamma, delta and eta follow in jet arithmetic,
-    with the cancellation-free branches of _stable_factor and delta chosen
-    on the float value.  Everything is real: with zbar + a_i = w_i,
+    with the cancellation-free branch of _stable_factor chosen on the
+    float value.  Everything is real: with zbar + a_i = w_i,
 
         conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2,
 
@@ -373,7 +347,7 @@ _DECAY_DIRECTIONS = np.array(
 
 
 def ale_curvature_samples(
-    config: CenterConfiguration, radii=None
+    config: CenterConfiguration,
 ) -> tuple[np.ndarray, list[list[float]]]:
     """|Rm|^2 on the locally Euclidean end: the radii, and per radius the
     values along a fixed direction set.  The geodesic distance along a ray
@@ -382,15 +356,7 @@ def ale_curvature_samples(
     if config.mode != "ale":
         raise FitDomainError("curvature decay fit applies to ale configurations")
     scale = max(1.0, config.extent())
-    if radii is None:
-        radii = np.geomspace(10.0, 100.0, 6) * math.sqrt(scale)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 4:
-        raise FitDomainError("need at least 4 radii")
-    if np.min(radii) <= 0.0:
-        raise FitDomainError("radii must be positive")
-    if np.max(radii) / np.min(radii) < 10.0 - 1e-9:
-        raise FitDomainError("radii must span at least one decade")
+    radii = np.geomspace(10.0, 100.0, 6) * math.sqrt(scale)
     base_radii = radii**2 / (2.0 * config.k)
     if np.min(base_radii) < 2.0 * scale:
         raise FitDomainError("smallest radius is inside the configuration region")
@@ -413,9 +379,9 @@ def ale_curvature_samples(
     return radii, values
 
 
-def ale_curvature_decay(config: CenterConfiguration, radii=None) -> FitResult:
+def ale_curvature_decay(config: CenterConfiguration) -> FitResult:
     """Fit log |Rm|^2, averaged over the sample directions, against log r:
     metric decay O(r^-4) forces |Rm| = O(r^-6), i.e. slope -12."""
-    radii, values = ale_curvature_samples(config, radii)
+    radii, values = ale_curvature_samples(config)
     return fit_loglog(radii, [float(np.mean(vals)) for vals in values])
 

@@ -10,24 +10,23 @@ from typing import Callable
 
 from gravinst.errors import ConvergenceError
 
+# relative accuracy of every integral, the floor of its scale, and the
+# deepest bisection
+REL_TOL = 1e-9
+ABS_TOL = 1e-13
+MAX_DEPTH = 40
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-8,
-    abs_tol: float = 1e-13,
-    max_depth: int = 40,
-) -> float:
-    """Integrate f over [a, b] to the requested relative accuracy."""
+
+def adaptive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f over [a, b] to relative accuracy REL_TOL."""
     if not (b > a):
         if b == a:
             return 0.0
         raise ValueError("integration bounds must satisfy a <= b")
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    scale = max(abs(whole), abs_tol)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, rel_tol * scale, max_depth)
+    scale = max(abs(whole), ABS_TOL)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, REL_TOL * scale, MAX_DEPTH)
 
 
 def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):

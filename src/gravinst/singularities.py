@@ -191,20 +191,16 @@ def make_polygon_config(
     )
 
 
-def make_akl_config(
-    n: int, m: int, j_max: int, heights: Sequence[float] | None = None
-) -> CenterConfiguration:
+def make_akl_config(n: int, m: int, j_max: int) -> CenterConfiguration:
     """Truncated infinite-topology configuration: polygons j = 1..j_max
-    inscribed in circles of radius j**2 about the vertical axis, height 0
-    by default."""
+    inscribed in circles of radius j**2 about the vertical axis, at
+    height 0."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     signature = QuotientSignature(d=j_max, n=n, m=m)
     radii = [float(j) ** 2 for j in range(1, j_max + 1)]
-    if heights is None:
-        heights = [0.0] * j_max
     return make_polygon_config(
-        signature, radii, heights, mode="akl", akl_j_max=j_max
+        signature, radii, [0.0] * j_max, mode="akl", akl_j_max=j_max
     )
 
 

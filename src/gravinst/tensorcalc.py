@@ -18,8 +18,7 @@ Christoffel symbols,
                 + Gamma^l_{jm} Gamma^m_{ik} - Gamma^l_{km} Gamma^m_{ij},
 
 Ricci by the trace R^k_{ikj}, and norms by contraction with the inverse
-metric.  The 4x4 inverse is an explicit adjugate/cofactor formula: the
-dimension is fixed, and the closed form keeps evaluation deterministic.
+metric.
 """
 
 from __future__ import annotations
@@ -164,25 +163,15 @@ def _gradient(field: Field, x: Coords, steps: np.ndarray) -> np.ndarray:
     return np.stack([_derivative(field, x, e, steps) for e in _BASIS])
 
 
-def _det3(m: np.ndarray) -> float:
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-_ROWS = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-
-
 def invert_metric(g: np.ndarray) -> np.ndarray:
-    """Inverse of a 4x4 metric by the adjugate/cofactor formula.
+    """Inverse of a 4x4 metric.
 
     The matrix is first equilibrated by its diagonal so that honest but
     highly anisotropic charts (coordinate blocks of very different
     proper scale) do not trip the degeneracy guard; the condition
     estimate on the equilibrated matrix measures genuine near-collapse.
-    Raises DegenerateMetricError past CONDITION_LIMIT.
+    Raises DegenerateMetricError for a singular matrix or past
+    CONDITION_LIMIT.
     """
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4):
@@ -192,15 +181,10 @@ def invert_metric(g: np.ndarray) -> np.ndarray:
         raise DegenerateMetricError("metric diagonal is not positive")
     d = 1.0 / np.sqrt(diag)
     a = g * np.outer(d, d)
-    cof = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            minor = a[np.ix_(_ROWS[i], _ROWS[j])]
-            cof[i, j] = (-1.0) ** (i + j) * _det3(minor)
-    det = float(np.dot(a[0], cof[0]))
-    if det == 0.0 or not np.isfinite(det):
-        raise DegenerateMetricError("metric determinant vanished")
-    inv_a = cof.T / det
+    try:
+        inv_a = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        raise DegenerateMetricError("metric is singular") from None
     cond = float(
         np.max(np.sum(np.abs(a), axis=1)) * np.max(np.sum(np.abs(inv_a), axis=1))
     )
@@ -370,7 +354,7 @@ def curvature_at(
     step is then unused), and otherwise from finite differences on a
     local stencil.  Either way they feed the Christoffel symbols and their
     derivatives, and the Riemann tensor is assembled from those.  All
-    contractions use the adjugate inverse of the metric at the point.
+    contractions use the inverse of the metric at the point.
     """
     if derivatives is None:
         steps = _normalize_steps(x, step)

@@ -370,9 +370,7 @@ def ricci_samples(
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
-        bundle = tensorcalc.curvature_at(
-            fld, x, step=c.step(config, x), derivatives=derivatives
-        )
+        bundle = tensorcalc.curvature_at(fld, x, derivatives=derivatives)
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
@@ -704,23 +702,22 @@ def akl_convergence_check(
     n: int = 2,
     m: int = 1,
     j_values: Sequence[int] = tuple(range(10, 26)),
-    point: tuple[float, complex] = (0.5, 0j),
 ) -> CheckRecord:
     """Cauchy behavior of the truncated infinite-family potential.
 
-    V_J at a fixed test point increases with the truncation level J; each
-    increment is a polygon of n new centers at distance >= (J+1)^2, so
-    the tail is dominated by the comparison series sum n/(2 j^2).  The
-    test point sits on the vertical axis, where the dominance is strict.
+    V_J at the test point (b, a) = (0.5, 0) increases with the truncation
+    level J; each increment is a polygon of n new centers at distance
+    >= (J+1)^2, so the tail is dominated by the comparison series
+    sum n/(2 j^2).  The test point sits on the vertical axis, where the
+    dominance is strict.
     """
     j_values = sorted(set(int(j) for j in j_values))
     if len(j_values) < 3 or j_values[0] < 1:
         raise ValueError("need at least three positive truncation levels")
-    b, a = float(point[0]), complex(point[1])
     values = []
     for j in j_values:
         cfg = make_akl_config(n=n, m=m, j_max=j)
-        values.append(ghawking.potential_at(cfg, b, a, mode="akl"))
+        values.append(ghawking.potential_at(cfg, 0.5, 0j, mode="akl"))
     worst = 0.0
     diffs = []
     for (j0, v0), (j1, v1) in zip(

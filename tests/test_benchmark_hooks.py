@@ -9,7 +9,7 @@ without any error; this test makes that a failure.
 import importlib.util
 import pathlib
 
-from gravinst import verify
+from gravinst import ghawking, verify
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
 
@@ -28,12 +28,15 @@ def test_tracer_spans_fill():
     two_level = make_polygon_config(
         QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
     )
+    taubnut = make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf")
     tracer = load_tracer().Tracer()
     tracer.install_all()
     try:
         verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
         verify.ricci_scan("hitchin", pair, spec=SampleSpec(count=1))
         verify.period_check(two_level)
+        fit_start = len(tracer.name)
+        ghawking.volume_growth_fit(taubnut, mode="alf")
     finally:
         tracer.uninstall()
     names = [tracer.names[i] for i in tracer.name]
@@ -68,3 +71,11 @@ def test_tracer_spans_fill():
         if name.endswith(".metric_at")
     ]
     assert parents and set(parents) == {"tensorcalc.curvature_at"}
+    # the volume fit integrates through ghawking's quadrature binding
+    fit_names = set(names[fit_start:])
+    for span in (
+        "ghawking.volume_growth_fit",
+        "quadrature.adaptive_simpson",
+        "quadrature.integrand",
+    ):
+        assert span in fit_names

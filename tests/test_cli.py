@@ -125,6 +125,14 @@ def test_verify_check_flag_overrides_config(tmp_path):
     assert [c["name"] for c in rep["checks"]] == ["periods"]
 
 
+def test_verify_unknown_check_flag_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", cfg, "--check", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_verify_tolerance_override(tmp_path):
     cfg = write_cfg(tmp_path, base_doc(tolerances={"kahler-compat": 1e-30}))
     out = tmp_path / "r.json"

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
+from gravinst import ghawking, hitchin, quadrature, sampling, tensorcalc, verify
 from gravinst.errors import (
     DiracStringError,
-    FitDomainError,
     PathBlockedError,
     PoleError,
 )
@@ -263,7 +262,7 @@ def test_flat_volume_closed_forms():
     R = 7.0
     vol = ghawking.coordinate_ball_volume(cfg, R)
     assert abs(vol - 2.0 * math.pi**2 * R**2) / vol < 1e-9
-    rho = ghawking.geodesic_radius(cfg, R)
+    rho = ghawking.geodesic_radii(cfg, [R])[0]
     assert abs(rho - math.sqrt(2.0 * R)) < 1e-8
 
 
@@ -273,12 +272,77 @@ def test_flat_growth_slope_is_four():
     assert fit.rms_residual < 1e-9
 
 
-def test_volume_growth_fit_domain():
-    cfg = pair_config()
-    with pytest.raises(FitDomainError):
-        ghawking.volume_growth_fit(cfg, radii=[10.0, 20.0, 40.0])
-    with pytest.raises(FitDomainError):
-        ghawking.volume_growth_fit(cfg, radii=[10.0, 20.0, 40.0, 80.0])
+def two_level_config():
+    return make_polygon_config(
+        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
+    )
+
+
+def quadrature_ball_volume(config, R):
+    """8 pi^2 int_0^R r^2 (c + 1/2 sum_i 1/max(r, |x_i|)) dr by adaptive
+    Simpson, split at the center norms where the integrand has kinks."""
+    norms = [float(np.linalg.norm(c.as_r3())) for c in config.centers]
+    constant = 1.0 if config.mode == "alf" else 0.0
+
+    def radial(r):
+        if r == 0.0:
+            return 0.0
+        return r * r * (constant + 0.5 * sum(1.0 / max(r, s) for s in norms))
+
+    cuts = [0.0] + sorted(s for s in set(norms) if 0.0 < s < R) + [R]
+    total = sum(quadrature.adaptive_simpson(radial, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    return 8.0 * math.pi**2 * total
+
+
+@pytest.mark.parametrize(
+    "build", [pair_config, hexagon_config, two_level_config, taubnut_config]
+)
+def test_ball_volume_closed_form_matches_quadrature(build):
+    cfg = build()
+    norms = sorted(float(np.linalg.norm(c.as_r3())) for c in cfg.centers)
+    # below, between and above the center norms
+    radii = [0.5 * norms[0], 0.5 * (norms[0] + norms[-1]), 2.0 * norms[-1], 50.0]
+    for R in radii:
+        exact = ghawking.coordinate_ball_volume(cfg, R)
+        assert abs(exact - quadrature_ball_volume(cfg, R)) <= 1e-10 * exact
+
+
+def test_geodesic_radii_match_per_radius_integrals():
+    cfg = hexagon_config()
+    radii = np.geomspace(1000.0, 110000.0, 6) * max(1.0, cfg.extent())
+    combined = ghawking.geodesic_radii(cfg, radii)
+    for R, rho in zip(radii, combined):
+        lengths = []
+        for d in ghawking._RAY_DIRECTIONS:
+
+            def sqrt_v(t, d=d):
+                b, a = t * d[0], complex(t * d[1], t * d[2])
+                return math.sqrt(ghawking.potential_at(cfg, b, a))
+
+            def substituted(u, sqrt_v=sqrt_v):
+                return 2.0 * u * sqrt_v(u * u)
+
+            lengths.append(
+                quadrature.adaptive_simpson(substituted, 0.0, 1.0)
+                + quadrature.adaptive_simpson(sqrt_v, 1.0, R)
+            )
+        assert abs(rho - np.mean(lengths)) <= 1e-8 * rho
+
+
+def test_volume_growth_fit_potential_work(monkeypatch):
+    # each ray is integrated once over all radii: about 9300 potential
+    # evaluations for the hexagon, where one integral per radius took 42812
+    calls = [0]
+    original = ghawking.potential_at
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ghawking, "potential_at", counted)
+    fit = ghawking.volume_growth_fit(hexagon_config(), mode="ale")
+    assert abs(fit.slope - 4.0) < 0.1
+    assert 0 < calls[0] <= 12000
 
 
 

@@ -441,22 +441,19 @@ def test_metric_jet_rejects_branch_locus_and_punctures():
 
 
 def test_decay_fit_domain_checks():
-    cfg = pair_config()
+    # 27 centers on the unit circle: the smallest radius, 10, sits at base
+    # radius 100 / 54 < 2 (the scale is 1), inside the configuration region
+    crowded = make_polygon_config(QuotientSignature(1, 27, 1), [1.0 + 0j], [0.0])
     with pytest.raises(FitDomainError):
-        hitchin.ale_curvature_decay(cfg, radii=[10.0, 20.0, 40.0])  # too few
-    with pytest.raises(FitDomainError):
-        hitchin.ale_curvature_decay(cfg, radii=[10.0, 20.0, 40.0, 80.0])  # < decade
-    with pytest.raises(FitDomainError):
-        # smallest radius sits inside the configuration region
-        hitchin.ale_curvature_decay(cfg, radii=[0.5, 1.0, 2.0, 5.0])
+        hitchin.ale_curvature_decay(crowded)
     alf = make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf")
     with pytest.raises(FitDomainError):
         hitchin.ale_curvature_decay(alf)
 
 
-def test_gamma_positive_and_delta_finite():
+def test_hermitian_form_finite_with_positive_definite_real_part():
     cfg = pair_config()
-    g = hitchin.gamma(cfg, 0.4 - 0.3j, 0.2)
-    assert g > 0.0
-    d = hitchin.delta(cfg, 0.4 - 0.3j, 0.2)
-    assert cmath.isfinite(d)
+    h = hitchin.hermitian_form_at(cfg, (0.4, -0.3, 0.7, 0.2))
+    assert np.all(np.isfinite(h))
+    assert np.max(np.abs(h - h.conj().T)) < 1e-14 * np.max(np.abs(h))
+    assert np.min(np.linalg.eigvalsh(h.real)) > 0.0
