@@ -48,19 +48,6 @@ class RunConfig:
     def build(self) -> CenterConfiguration:
         return config_from_json(self.singularity)
 
-    def to_json(self) -> dict:
-        out: dict = {"schema": SCHEMA_VERSION, "singularity": self.singularity}
-        if self.checks is not None:
-            out["checks"] = list(self.checks)
-        out["sample"] = dataclasses.asdict(self.sample)
-        if self.tolerances:
-            out["tolerances"] = dict(self.tolerances)
-        if self.out:
-            out["out"] = self.out
-        if self.csv:
-            out["csv"] = self.csv
-        return out
-
 
 def parse_run_config(data: dict) -> RunConfig:
     """Strict-schema parse of the run configuration object."""
@@ -103,10 +90,10 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError(f"bad sample spec: {exc}") from exc
     tolerances = data.get("tolerances", {})
     if not isinstance(tolerances, dict) or not all(
-        isinstance(k, str) and isinstance(v, (int, float)) and v > 0
+        isinstance(k, str) and type(v) in (int, float) and 0 < v < float("inf")
         for k, v in tolerances.items()
     ):
-        raise ConfigError('"tolerances" must map check names to positive numbers')
+        raise ConfigError('"tolerances" must map check names to positive finite numbers')
     out = data.get("out")
     csv_path = data.get("csv")
     for name, val in (("out", out), ("csv", csv_path)):

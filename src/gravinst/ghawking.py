@@ -285,7 +285,9 @@ def cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
     endpoints.  omega does not depend on theta, so each quadrature node
     evaluates it once, at theta = 0.  Strings of all centers are moved off
     the segment by a per-center gauge choice, which changes alpha by an
-    exact form and so leaves the period unchanged.
+    exact form and so leaves the period unchanged.  In fact omega's theta
+    column is (0, -1, 0, 0) whatever V and alpha are, so the integrand
+    tangent . omega . d_theta is -(b_j - b_i) at every node, gauges or not.
     """
     if i == j or not (0 <= i < config.k and 0 <= j < config.k):
         raise ValueError("period needs two distinct center indices")

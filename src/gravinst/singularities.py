@@ -225,7 +225,7 @@ def config_from_json(data: dict) -> CenterConfiguration:
         if set(mode) != {"akl"}:
             raise ValueError('mode object must be {"akl": J}')
         j_max = mode["akl"]
-        if not isinstance(j_max, int) or j_max < 1:
+        if type(j_max) is not int or j_max < 1:
             raise ValueError("akl truncation level must be a positive integer")
         for key in ("d", "radii", "heights"):
             if key in data:
@@ -249,14 +249,14 @@ def config_from_json(data: dict) -> CenterConfiguration:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(v, (int, float)) for v in entry)
+            or not all(type(v) in (int, float) for v in entry)
         ):
             raise ValueError("each radius must be a [re, im] pair of numbers")
         radii.append(complex(entry[0], entry[1]))
     heights_raw = data.get("heights", [0.0] * d)
     if not isinstance(heights_raw, list) or len(heights_raw) != d:
         raise ValueError("heights must be a list of d reals")
-    if not all(isinstance(v, (int, float)) for v in heights_raw):
+    if not all(type(v) in (int, float) for v in heights_raw):
         raise ValueError("heights entries must be numbers")
     return make_polygon_config(signature, radii, [float(h) for h in heights_raw], mode=mode)
 

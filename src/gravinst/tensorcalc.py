@@ -7,8 +7,10 @@ metric in :class:`Jet` arithmetic supplies exact first and second
 derivatives.  Otherwise, and as the independent reference, derivatives
 are central differences with one level of Richardson extrapolation, so a
 first derivative at step h combines the stencils at h and h/2 and is
-accurate to O(h^4).  Second derivatives nest two first-derivative stencils
-rather than using a dedicated kernel; mixed partials commute to rounding.
+accurate to O(h^4).  One stencil table serves every derivative: its
+weights nest that kernel once per order, the field is evaluated once at
+each distinct point, and mixed partials share one weight row, so they
+are exactly symmetric.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -23,6 +25,7 @@ metric.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,7 +37,8 @@ from gravinst.errors import DegenerateMetricError, NumericOverflowError
 DEFAULT_REL_STEP = 1e-3
 CONDITION_LIMIT = 1e12
 
-MultiIndex = tuple[int, int, int, int]
+# a partial derivative by its axes, one per order; () is the value itself
+Axes = tuple[int, ...]
 # the four real coordinates of a chart point; a field maps them to an array
 Coords = tuple[float, float, float, float]
 Field = Callable[[Coords], np.ndarray]
@@ -88,46 +92,59 @@ def _normalize_steps(x: Coords, step) -> np.ndarray:
 
 def _eval_array(field: Field, x: Coords) -> np.ndarray:
     value = np.asarray(field(x), dtype=float)
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise NumericOverflowError(f"field produced a non-finite value at {x}")
     return value
 
 
-def _central_first(field: Field, x: Coords, axis: int, step: float) -> np.ndarray:
-    """Richardson-extrapolated central first derivative along one axis."""
-
-    def diff(h: float) -> np.ndarray:
-        plus, minus = list(x), list(x)
-        plus[axis] += h
-        minus[axis] -= h
-        high = _eval_array(field, tuple(plus))
-        low = _eval_array(field, tuple(minus))
-        return (high - low) / (2.0 * h)
-
-    coarse = diff(step)
-    fine = diff(0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
+# The 1-D Richardson kernel (4 D(h/2) - D(h)) / 3 with
+# D(h) = (f(x+h) - f(x-h)) / 2h, as (offset, weight) in units of the step h.
+_KERNEL = ((-1.0, 1.0 / 6.0), (-0.5, -4.0 / 3.0), (0.5, 4.0 / 3.0), (1.0, -1.0 / 6.0))
+_FIRST = ((0,), (1,), (2,), (3,))
 
 
-def _derivative(
-    field: Field, x: Coords, mi: MultiIndex, steps: np.ndarray
-) -> np.ndarray:
-    """The partial derivative of nonzero order mi, with validated steps."""
-    axis = next(i for i, k in enumerate(mi) if k > 0)
-    rest = list(mi)
-    rest[axis] -= 1
-    rest = tuple(rest)
-    if sum(rest) == 0:
-        inner = field
-    else:
+@functools.cache
+def _stencil_table(partials: tuple[Axes, ...]):
+    """The distinct offsets, in units of the per-axis step, of the stencil
+    of some partial derivatives, their orders per axis, and their rows:
+    the first offset's index and the other offsets' indices and weights.
+    The weights nest the kernel once per axis, coinciding offsets merged;
+    the value () is the row {x: 1}."""
+    points: dict = {}  # offset -> index, in order of first use
+    rows = []
+    for axes in partials:
+        row = {(0.0, 0.0, 0.0, 0.0): 1.0}
+        for axis in axes:
+            nested: dict = {}
+            for off, w in row.items():
+                for d, k in _KERNEL:
+                    o = off[:axis] + (off[axis] + d,) + off[axis + 1 :]
+                    nested[o] = nested.get(o, 0.0) + w * k
+            row = nested
+        idx = np.array([points.setdefault(o, len(points)) for o in row])
+        rows.append((idx[0], idx[1:], np.array(list(row.values()))[1:, None]))
+    orders = np.array([[axes.count(a) for a in range(4)] for axes in partials])
+    return np.array(list(points)), orders, rows
 
-        def inner(q: Coords) -> np.ndarray:
-            return _derivative(field, q, rest, steps)
 
-    value = _central_first(inner, x, axis, float(steps[axis]))
-    if not np.all(np.isfinite(value)):
+def _stencil(field: Field, x: Coords, steps: np.ndarray, partials: tuple[Axes, ...]) -> np.ndarray:
+    """The partial derivatives of a field at x, stacked on a leading axis,
+    with validated steps.  The field is called once at each distinct
+    stencil point, which adds its offset to x only where it is nonzero."""
+    offsets, orders, rows = _stencil_table(partials)
+    points = np.where(offsets != 0.0, np.add(x, offsets * steps), x)
+    values = np.stack([_eval_array(field, tuple(p)) for p in points.tolist()])
+    flat = values.reshape(len(points), -1)
+    # a derivative's weights sum to zero, so it sums the weighted differences
+    # from its first point, exactly zero where the field is constant on the
+    # row; the value is x's own array, signed zeros and all
+    out = np.empty((len(rows), flat.shape[1]))
+    for r, (first, rest, w) in enumerate(rows):
+        out[r] = (w * (flat[rest] - flat[first])).sum(axis=0) if len(rest) else flat[first]
+    out /= np.prod(steps**orders, axis=1)[:, None]
+    if not np.isfinite(out).all():
         raise NumericOverflowError("derivative evaluation produced a non-finite value")
-    return value
+    return out.reshape((len(rows),) + values.shape[1:])
 
 
 def differentiate_field(
@@ -139,9 +156,7 @@ def differentiate_field(
     """Partial derivative of an array-valued field at a point.
 
     multi_index gives the derivative order per coordinate (each entry 0..2).
-    Higher orders are taken by nesting first-derivative stencils: the
-    outermost axis differentiates the field whose value is the remaining
-    derivative.  A zero multi-index returns the field value itself.
+    A zero multi-index returns the field value itself.
 
     step may be a scalar, a per-axis sequence of four steps, or None for
     the default of default_step(x).
@@ -149,18 +164,8 @@ def differentiate_field(
     mi = tuple(int(k) for k in multi_index)
     if len(mi) != 4 or any(k < 0 or k > 2 for k in mi):
         raise ValueError("multi_index must have four entries, each in 0..2")
-    steps = _normalize_steps(x, step)
-    if sum(mi) == 0:
-        return _eval_array(field, x)
-    return _derivative(field, x, mi, steps)
-
-
-_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-
-
-def _gradient(field: Field, x: Coords, steps: np.ndarray) -> np.ndarray:
-    """First derivatives along all four axes, stacked on a leading axis."""
-    return np.stack([_derivative(field, x, e, steps) for e in _BASIS])
+    axes = tuple(a for a in range(4) for _ in range(mi[a]))
+    return _stencil(field, x, _normalize_steps(x, step), (axes,))[0]
 
 
 def invert_metric(g: np.ndarray) -> np.ndarray:
@@ -318,23 +323,8 @@ class Jet:
         return self._chain(np.log(self.val), r, -r * r)
 
 
-def _stencil_derivatives(
-    g_field: Field, x: Coords, steps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First and second metric derivatives from the nested FD stencil."""
-    # dg[i, j, l] = d_i g_{jl}
-    dg = _gradient(g_field, x, steps)
-    # d2g[m, i, j, l] = d_m d_i g_{jl}, symmetric in (m, i)
-    d2g = np.empty((4, 4, 4, 4))
-    for m in range(4):
-        for i in range(m, 4):
-            mi = [0, 0, 0, 0]
-            mi[m] += 1
-            mi[i] += 1
-            val = _derivative(g_field, x, tuple(mi), steps)
-            d2g[m, i] = val
-            d2g[i, m] = val
-    return dg, d2g
+# the metric's value, gradient and Hessian d_m d_i (m <= i, as np.triu_indices)
+_CURVATURE = ((),) + _FIRST + tuple((m, i) for m in range(4) for i in range(m, 4))
 
 
 # supplies (dg, d2g) with dg[i, j, l] = d_i g_{jl}, d2g[m, i, j, l] = d_m d_i g_{jl}
@@ -357,19 +347,20 @@ def curvature_at(
     contractions use the inverse of the metric at the point.
     """
     if derivatives is None:
-        steps = _normalize_steps(x, step)
-
-        def derivatives(q: Coords) -> tuple[np.ndarray, np.ndarray]:
-            return _stencil_derivatives(g_field, q, steps)
-
-    g0 = _eval_array(g_field, x)
+        rows = _stencil(g_field, x, _normalize_steps(x, step), _CURVATURE)
+        g0, dg, d2g = rows[0], rows[1:5], np.empty((4, 4, 4, 4))
+        m, i = np.triu_indices(4)
+        d2g[m, i] = d2g[i, m] = rows[5:]  # d_m d_i and d_i d_m share one row
+    else:
+        g0 = _eval_array(g_field, x)
     if g0.shape != (4, 4):
         raise ValueError("metric field must produce 4x4 matrices")
     if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
         raise ValueError("metric sample is not symmetric")
     ginv = invert_metric(g0)
 
-    dg, d2g = (np.asarray(a, dtype=float) for a in derivatives(x))
+    if derivatives is not None:
+        dg, d2g = (np.asarray(a, dtype=float) for a in derivatives(x))
     if dg.shape != (4, 4, 4) or d2g.shape != (4, 4, 4, 4):
         raise ValueError("metric derivatives must have shapes (4,4,4) and (4,4,4,4)")
     if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(d2g))):
@@ -433,7 +424,7 @@ def exterior_derivative(
 
         (d omega)_{ijk} = d_i omega_{jk} + d_j omega_{ki} + d_k omega_{ij}.
     """
-    dw = _gradient(form_field, x, _normalize_steps(x, step))
+    dw = _stencil(form_field, x, _normalize_steps(x, step), _FIRST)
     out = np.empty(4)
     for t, (i, j, k) in enumerate(_TRIPLES):
         out[t] = dw[i, j, k] + dw[j, k, i] + dw[k, i, j]
@@ -452,9 +443,8 @@ def nijenhuis_at(
 
     and vanishes identically exactly when J is integrable.
     """
-    steps = _normalize_steps(x, step)
-    J0 = _eval_array(j_field, x)
-    dJ = _gradient(j_field, x, steps)
+    rows = _stencil(j_field, x, _normalize_steps(x, step), ((),) + _FIRST)
+    J0, dJ = rows[0], rows[1:]
     t1 = np.einsum("mi,mkj->kij", J0, dJ)
     t3 = np.einsum("km,imj->kij", J0, dJ)
     return t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)

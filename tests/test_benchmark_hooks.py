@@ -35,6 +35,8 @@ def test_tracer_spans_fill():
         verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
         verify.ricci_scan("hitchin", pair, spec=SampleSpec(count=1))
         verify.period_check(two_level)
+        kahler_start = len(tracer.name)
+        verify.kahler_scan("gh", pair, spec=SampleSpec(count=1))
         fit_start = len(tracer.name)
         ghawking.volume_growth_fit(taubnut, mode="alf")
     finally:
@@ -67,10 +69,15 @@ def test_tracer_spans_fill():
     # which is what tensorcalc.field_evals_per_curvature counts
     parents = [
         names[tracer.parent[i]]
-        for i, name in enumerate(names)
+        for i, name in enumerate(names[:kahler_start])
         if name.endswith(".metric_at")
     ]
     assert parents and set(parents) == {"tensorcalc.curvature_at"}
+    # the Kahler scan differentiates through the public functions, which is
+    # what tensorcalc.exterior_derivative_s and nijenhuis_s time
+    kahler_names = set(names[kahler_start:fit_start])
+    for span in ("tensorcalc.exterior_derivative", "tensorcalc.nijenhuis_at"):
+        assert span in kahler_names
     # the volume fit integrates through ghawking's quadrature binding
     fit_names = set(names[fit_start:])
     for span in (

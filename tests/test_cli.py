@@ -8,6 +8,7 @@ import pytest
 
 from gravinst import cli, tensorcalc
 from gravinst.errors import DegenerateMetricError
+from gravinst.sampling import SampleSpec
 
 PAIR = {"d": 1, "n": 2, "m": 1, "radii": [[1.0, 0.0]], "heights": [0.0]}
 FLAT = {"d": 1, "n": 1, "m": 0, "radii": [[1.0, 0.0]], "heights": [0.0]}
@@ -38,12 +39,11 @@ def read_rows(path):
 # --- run configuration parsing ---
 
 
-def test_parse_run_config_round_trip():
+def test_parse_run_config_fields():
     run = cli.parse_run_config(base_doc())
-    again = cli.parse_run_config(run.to_json())
-    assert again.singularity == run.singularity
-    assert again.checks == run.checks == ("kahler",)
-    assert again.sample == run.sample
+    assert run.singularity == PAIR
+    assert run.checks == ("kahler",)
+    assert run.sample == SampleSpec(count=4, seed=0)
     cfg = run.build()
     assert cfg.k == 2 and cfg.mode == "ale"
 
@@ -63,6 +63,16 @@ def test_parse_run_config_rejections():
     for doc in bad:
         with pytest.raises(cli.ConfigError):
             cli.parse_run_config(doc)
+
+
+@pytest.mark.parametrize("value", ["true", "1e400"], ids=["bool", "overflow"])
+def test_verify_rejects_tolerance_that_is_not_a_finite_number(tmp_path, value):
+    path = tmp_path / "run.json"
+    # written by hand: json.dumps has no way to spell 1e400
+    path.write_text(json.dumps(base_doc(tolerances={"ricci": "x"})).replace('"x"', value))
+    with pytest.raises(cli.ConfigError):
+        cli.load_run_config(str(path))
+    assert cli.main(["verify", "--config", str(path)]) == 2
 
 
 def test_singularity_file_indirection(tmp_path):

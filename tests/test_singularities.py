@@ -202,6 +202,25 @@ def test_config_from_json_defaults_and_strictness():
         config_from_json({"d": 1, "n": 4, "m": 2, "radii": [[1.0, 0.0]]})
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("radii", [[True, 0.0]]),
+        ("radii", [[1.0, False]]),
+        ("heights", [True]),
+        ("mode", {"akl": True}),
+    ],
+    ids=["radius-re", "radius-im", "height", "akl-level"],
+)
+def test_config_from_json_rejects_booleans_as_numbers(key, value):
+    doc = {"d": 1, "n": 2, "m": 1, "radii": [[1.0, 0.0]]}
+    if key == "mode":
+        doc = {"n": 2, "m": 1}
+    doc[key] = value
+    with pytest.raises(ValueError):
+        config_from_json(doc)
+
+
 def test_config_from_json_modes():
     alf = config_from_json(
         {"d": 1, "n": 1, "m": 0, "radii": [[1.0, 0.0]], "mode": "alf"}

@@ -5,12 +5,13 @@ known curvature; they pin down every index convention in curvature_at
 before the instanton metrics are trusted to it.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from gravinst import tensorcalc
+from gravinst import ghawking, sampling, tensorcalc, verify
 from gravinst.errors import DegenerateMetricError, NumericOverflowError
 from gravinst.tensorcalc import (
     Jet,
@@ -21,6 +22,8 @@ from gravinst.tensorcalc import (
     invert_metric,
     nijenhuis_at,
 )
+from gravinst.sampling import SampleSpec
+from gravinst.singularities import QuotientSignature, make_polygon_config
 
 A_RAD = 1.3
 B_RAD = 0.9
@@ -294,3 +297,74 @@ def test_riemann_norm_is_the_full_contraction():
     low = np.einsum("lm,mijk->lijk", bun.g, bun.riemann)
     full = np.einsum("lijk,abcd,la,ib,jc,kd->", low, low, ginv, ginv, ginv, ginv)
     assert abs(bun.riem_norm_sq - full) <= 1e-14 * full
+
+
+# --- the stencil table ---
+
+
+def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
+    # the value, four first derivatives and the ten second derivatives of
+    # the circle-fibered metric share 129 distinct stencil points, x among them
+    pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
+    x = sampling.gh_points(pair, SampleSpec(count=1, seed=0))[0]
+    g_field = verify.GH.metric(pair, "ale")
+    g = g_field(x)
+    # the metric has signed zeros here, so the byte comparison below sees them
+    assert np.any((g == 0.0) & np.signbit(g))
+    calls = []
+    metric_at = ghawking.metric_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return metric_at(*args, **kwargs)
+
+    monkeypatch.setattr(ghawking, "metric_at", counted)
+    bundle = curvature_at(g_field, x)
+    assert len(calls) == 129
+    assert len(set(calls)) == 129 and tuple(x) in calls
+    assert bundle.g.tobytes() == g.tobytes()
+
+
+# a degree-4 polynomial in the four coordinates, {exponents: coefficient}
+POLY = {
+    (4, 0, 0, 0): 0.3,
+    (1, 1, 1, 1): -1.2,
+    (2, 2, 0, 0): 0.7,
+    (0, 1, 3, 0): 0.5,
+    (0, 0, 2, 1): -0.9,
+    (1, 0, 0, 2): 1.1,
+    (0, 3, 0, 0): 0.25,
+    (0, 0, 0, 1): 2.0,
+    (0, 0, 0, 0): -0.4,
+}
+
+
+def poly_value(terms, x):
+    return sum(c * math.prod(xi**e for xi, e in zip(x, exps)) for exps, c in terms.items())
+
+
+def poly_derivative(terms, mi):
+    out = {}
+    for exps, c in terms.items():
+        if all(e >= k for e, k in zip(exps, mi)):
+            rest = tuple(e - k for e, k in zip(exps, mi))
+            factor = math.prod(math.perm(e, k) for e, k in zip(exps, mi))
+            out[rest] = out.get(rest, 0.0) + c * factor
+    return out
+
+
+def test_differentiate_field_is_exact_on_a_quartic():
+    # Richardson extrapolation cancels the h^2 error and the h^4 error needs
+    # a fifth derivative, so every weight row of the table is exact here
+    def field(x):
+        return np.array([poly_value(POLY, x), 2.0 * poly_value(POLY, x) - x[2] ** 3])
+
+    pt = (0.3, -0.7, 0.5, 1.1)
+    multi_indices = [mi for mi in itertools.product(range(3), repeat=4) if sum(mi) <= 2]
+    multi_indices.append((2, 2, 0, 0))
+    assert len(multi_indices) == 16
+    for mi in multi_indices:
+        exact = poly_value(poly_derivative(POLY, mi), pt)
+        cubic = -poly_value(poly_derivative({(0, 0, 3, 0): 1.0}, mi), pt)
+        fd = differentiate_field(field, pt, mi, step=0.1)
+        assert np.max(np.abs(fd - [exact, 2.0 * exact + cubic])) < 1e-8, mi
