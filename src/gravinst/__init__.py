@@ -36,7 +36,6 @@ from gravinst.singularities import (
 from gravinst.tensorcalc import (
     CurvatureBundle,
     curvature_at,
-    differentiate_field,
     exterior_derivative,
     nijenhuis_at,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ScanError",
     "SingularFiberError",
     "curvature_at",
-    "differentiate_field",
     "exterior_derivative",
     "make_akl_config",
     "make_polygon_config",

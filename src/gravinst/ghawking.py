@@ -20,17 +20,27 @@ the opposite gauge, with +1, moves the string above.  det g = V^2 exactly.
 
 The compatible integrable complex structure maps the orthonormal frame
 
-    e0 = V^(1/2) d/dtheta,   e1 = V^(-1/2)(d/db  - alpha_b  d/dtheta),
+    e0 = V^(1/2) d/dtheta,   e1 = V^(-1/2) d/db,
     e2 = V^(-1/2)(d/da1 - alpha_1 d/dtheta),
     e3 = V^(-1/2)(d/da2 - alpha_2 d/dtheta)
 
-by J e0 = e1 and J e3 = e2.  The in-plane orientation (e3 -> e2, not
-e2 -> e3) is forced: with d alpha = +*dV it is the choice that makes the
-associated 2-form
+by J e0 = e1 and J e3 = e2, which in coordinate components is
+
+    J = [[0,   -V,  alpha_2,   -alpha_1 ],
+         [1/V,  0,  alpha_1/V,  alpha_2/V],
+         [0,    0,  0,          1       ],
+         [0,    0, -1,          0       ]].
+
+The in-plane orientation (e3 -> e2, not e2 -> e3) is forced: with
+d alpha = +*dV it is the choice that makes the associated 2-form
 
     omega = (dtheta + alpha) ^ db - V da1 ^ da2
 
 closed, and the only one with vanishing Nijenhuis tensor.
+
+metric_jet and kahler_jets evaluate V and alpha as second-order
+jets (tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
+tensor exact derivatives from one evaluation.
 """
 
 from __future__ import annotations
@@ -48,7 +58,7 @@ from gravinst.errors import (
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.quadrature import adaptive_simpson
 from gravinst.singularities import CenterConfiguration, GroupElement
-from gravinst.tensorcalc import Coords
+from gravinst.tensorcalc import Coords, Jet
 
 
 def _mode_of(config: CenterConfiguration, mode: str | None) -> str:
@@ -128,7 +138,9 @@ def metric_at(
 
     potential_transform deliberately replaces V by f(V) while keeping the
     connection of the true V; it exists so verification negative controls
-    can break Ricci-flatness in a controlled way.
+    can break Ricci-flatness in a controlled way.  metric_jet applies the
+    same f to the V jet, so f must be arithmetic on V (+, -, *, /) that
+    also accepts a tensorcalc.Jet.
     """
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a, mode)
@@ -143,38 +155,27 @@ def metric_at(
     return g
 
 
-def _frame_matrices(V: float, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns of E are the orthonormal frame vectors in coordinate
-    components; rows of Einv are the dual coframe."""
-    s = math.sqrt(V)
-    E = np.array(
-        [
-            [s, -alpha[0] / s, -alpha[1] / s, -alpha[2] / s],
-            [0.0, 1.0 / s, 0.0, 0.0],
-            [0.0, 0.0, 1.0 / s, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / s],
-        ]
+def _j_rows(V, a1, a2) -> tuple:
+    """The rows of J from V and the in-plane connection components; the
+    same arithmetic serves floats and jets."""
+    r = 1.0 / V
+    return (
+        (0.0, -V, a2, -a1),
+        (r, 0.0, a1 * r, a2 * r),
+        (0.0, 0.0, 0.0, 1.0),
+        (0.0, 0.0, -1.0, 0.0),
     )
-    Einv = np.array(
-        [
-            [1.0 / s, alpha[0] / s, alpha[1] / s, alpha[2] / s],
-            [0.0, s, 0.0, 0.0],
-            [0.0, 0.0, s, 0.0],
-            [0.0, 0.0, 0.0, s],
-        ]
-    )
-    return E, Einv
 
 
-# frame action of J: e0 -> e1, e1 -> -e0, e3 -> e2, e2 -> -e3
-_J_FRAME = np.array(
-    [
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ]
-)
+def _omega_rows(V, a1, a2) -> tuple:
+    """The rows of omega = (dtheta + alpha) ^ db - V da1 ^ da2, for floats
+    and jets alike."""
+    return (
+        (0.0, 1.0, 0.0, 0.0),
+        (-1.0, 0.0, -a1, -a2),
+        (0.0, a1, 0.0, -V),
+        (0.0, a2, V, 0.0),
+    )
 
 
 def complex_structure_at(
@@ -184,8 +185,7 @@ def complex_structure_at(
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a, mode)
     alpha = connection_at(config, b, a, gauges)
-    E, Einv = _frame_matrices(V, alpha)
-    return E @ _J_FRAME @ Einv
+    return np.array(_j_rows(V, alpha[1], alpha[2]))
 
 
 def kahler_form_at(
@@ -196,16 +196,78 @@ def kahler_form_at(
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a, mode)
     alpha = connection_at(config, b, a, gauges)
-    u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
-    eb = np.array([0.0, 1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 0.0, 1.0])
-    omega = (
-        np.outer(u, eb)
-        - np.outer(eb, u)
-        - V * (np.outer(e2, e3) - np.outer(e3, e2))
-    )
-    return omega
+    return np.array(_omega_rows(V, alpha[1], alpha[2]))
+
+
+def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
+    """(Delta_i, f_i) per center as jets, from u_i = b - b_i and
+    r_i^2: Delta_i = sqrt(u_i^2 + r_i^2) and f_i = Delta_i + u_i, taken as
+    r_i^2 / (Delta_i - u_i) where u_i < 0 so that it never cancels.  f_i
+    vanishes exactly on the axis below a center."""
+    dlt = (u * u + r_sq).sqrt()
+    above = u.val >= 0.0
+    outer = dlt + u * np.where(above, 1.0, -1.0)  # Delta_i + |u_i|
+    return dlt, Jet.where(above, outer, r_sq / outer)
+
+
+def _potential_jets(
+    config: CenterConfiguration, x: Coords, mode: str | None
+) -> tuple[Jet, Jet, Jet]:
+    """V, alpha_1 and alpha_2 at the chart point x as jets, in the default
+    'down' gauge, each a sum over a per-center axis.  With w_i = a - a_i,
+    the coefficient 1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
+    -1/2 / (Delta_i f_i), so
+
+        alpha_1 = 1/2 sum_i Im w_i / (Delta_i f_i),
+        alpha_2 = -1/2 sum_i Re w_i / (Delta_i f_i).
+
+    PoleError at a center and DiracStringError on a string, as metric_at.
+    """
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
+    _, b, a1, a2 = Jet.seed(x)
+    u = b - b_i
+    w_re, w_im = a1 - a_i.real, a2 - a_i.imag
+    r_sq = w_re * w_re + w_im * w_im
+    if np.any((u.val == 0.0) & (r_sq.val == 0.0)):
+        raise PoleError("potential evaluated at a center")
+    dlt, f = center_factors(u, r_sq)
+    if np.any(f.val == 0.0):
+        raise DiracStringError("evaluation on the down Dirac string of a center")
+    V = 0.5 * dlt.inv().sum() + (1.0 if _mode_of(config, mode) == "alf" else 0.0)
+    coef = 0.5 * (dlt * f).inv()
+    return V, (coef * w_im).sum(), -(coef * w_re).sum()
+
+
+def _jet_matrix(rows: tuple) -> Jet:
+    return Jet.stack([Jet.stack(row) for row in rows])
+
+
+def metric_jet(
+    config: CenterConfiguration,
+    x: Coords,
+    mode: str | None = None,
+    potential_transform: Callable | None = None,
+) -> Jet:
+    """The metric at x as a second-order jet in (theta, b, a1, a2): the
+    value of metric_at in the default gauge, potential_transform included,
+    with exact first and second derivatives.  g = u u^T / V + V diag(0, 1,
+    1, 1) with u = (1, 0, alpha_1, alpha_2)."""
+    V, a1, a2 = _potential_jets(config, x, mode)
+    if potential_transform is not None:
+        V = potential_transform(V)
+    u = Jet.stack([1.0, 0.0, a1, a2])
+    return u[:, None] * u[None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
+
+
+def kahler_jets(
+    config: CenterConfiguration, x: Coords, mode: str | None = None
+) -> tuple[Jet, Jet]:
+    """omega and J at x as jets, the values of kahler_form_at and
+    complex_structure_at in the default gauge, both from one set of V and
+    alpha jets."""
+    V, a1, a2 = _potential_jets(config, x, mode)
+    return _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
 
 def action_jacobian(gel: GroupElement) -> np.ndarray:

@@ -25,8 +25,7 @@ standard chart complex structure J0.
 
 metric_jet evaluates the same metric as a second-order jet
 (tensorcalc.Jet), which gives curvature its exact first and second
-derivatives from one evaluation; the finite-difference stencil, with the
-steps of chart_step, stays as the independent reference.
+derivatives, and d(omega) its first, from one evaluation.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import math
 
 import numpy as np
 
-from gravinst import tensorcalc
+from gravinst import ghawking, tensorcalc
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
@@ -222,8 +221,8 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     the root a step leaves the value in place, and by the implicit
     function theorem the first step makes the gradient of b exact and the
     second its Hessian.  gamma, delta and eta follow in jet arithmetic,
-    with the cancellation-free branch of _stable_factor chosen on the
-    float value.  Everything is real: with zbar + a_i = w_i,
+    with the cancellation-free branch of ghawking.center_factors chosen
+    on the float value.  Everything is real: with zbar + a_i = w_i,
 
         conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2,
 
@@ -241,22 +240,13 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     w_re = x0 + a_i.real
     w_im = a_i.imag - x1
     r_sq = w_re * w_re + w_im * w_im
-
-    def factors(b: tensorcalc.Jet) -> tuple[tensorcalc.Jet, tensorcalc.Jet]:
-        """(Delta_i, f_i) per center at height b."""
-        u = b - b_i
-        dlt = (u * u + r_sq).sqrt()
-        above = u.val >= 0.0
-        outer = dlt + u * np.where(above, 1.0, -1.0)  # Delta_i + |u|
-        return dlt, tensorcalc.Jet.where(above, outer, r_sq / outer)
-
     y_sq = x2 * x2 + x3 * x3
     log_y_sq = y_sq.log()
     b = tensorcalc.Jet.constant(solve_b(config, z, abs(y) ** 2))
     for _ in range(2):
-        dlt, f = factors(b)
+        dlt, f = ghawking.center_factors(b - b_i, r_sq)
         b = b - (f.log().sum() - log_y_sq) / dlt.inv().sum()
-    dlt, f = factors(b)
+    dlt, f = ghawking.center_factors(b - b_i, r_sq)
     gam = dlt.inv().sum()
     coef = -(dlt * f).inv()
     p, q = (coef * w_re).sum(), (coef * w_im).sum()  # conj(delta) = p + i q
@@ -267,42 +257,16 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     return (re[:, None] * re[None, :] + im[:, None] * im[None, :]) / gam + gam * _DZ_BLOCK
 
 
-def metric_derivatives(
-    config: CenterConfiguration, x: Coords
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact metric derivatives at x for tensorcalc.curvature_at:
-    dg[i, j, l] = d_i g_{jl} and d2g[m, i, j, l] = d_m d_i g_{jl}."""
-    jet = metric_jet(config, x)
-    return jet.grad.transpose(2, 0, 1), jet.hess.transpose(2, 3, 0, 1)
+def kahler_form_derivative(config: CenterConfiguration, x: Coords) -> np.ndarray:
+    """d_i omega_{jl} = J0^k_j d_i g_{kl} at x from one metric_jet, for
+    tensorcalc.exterior_derivative."""
+    dg, _ = metric_jet(config, x).partials()
+    return np.einsum("kj,ikl->ijl", STANDARD_J, dg)
 
 
 def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix."""
     return -hermitian_form_at(config, x).imag
-
-
-def chart_step(
-    config: CenterConfiguration,
-    x: Coords,
-    rel_step: float = tensorcalc.DEFAULT_REL_STEP,
-) -> np.ndarray:
-    """Finite-difference steps adapted to the chart geometry.
-
-    The metric varies on the scale of the distance to the nearest
-    puncture in z and on the scale of |y| itself near the branch locus,
-    so steps are capped by both; far from the singular loci they grow
-    with the coordinate magnitudes to keep truncation error scale-free.
-    """
-    z, y = complex(x[0], x[1]), complex(x[2], x[3])
-    zbar = z.conjugate()
-    d_punct = min(abs(zbar + c.a) for c in config.centers)
-    if d_punct <= 0.0:
-        raise PoleError("step requested at a puncture")
-    if y == 0:
-        raise ChartBoundaryError("step requested on the branch locus y = 0")
-    s_z = min(max(1.0, abs(z)), 10.0 * d_punct)
-    s_y = abs(y)
-    return rel_step * np.array([s_z, s_z, s_y, s_y])
 
 
 def action_matrix(gel: GroupElement) -> np.ndarray:
@@ -366,14 +330,14 @@ def ale_curvature_samples(
         return metric_at(config, x)
 
     def derivatives(x: Coords) -> tuple[np.ndarray, np.ndarray]:
-        return metric_derivatives(config, x)
+        return metric_jet(config, x).partials()
 
     values = []
     for s in base_radii:
         vals = []
         for d in directions:
             x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            bundle = tensorcalc.curvature_at(field, x, derivatives=derivatives)
+            bundle = tensorcalc.curvature_at(field, x, derivatives)
             vals.append(bundle.riem_norm_sq)
         values.append(vals)
     return radii, values

@@ -184,18 +184,18 @@ class Construction:
 
     Chart fields are functions of a coordinate 4-tuple returning an array:
     metric(config, mode, potential_transform=None), kahler(config, mode)
-    and complex_structure(config, mode) build them.  derivatives(config),
-    where the chart has it, gives exact metric derivatives (dg, d2g) at a
-    point for tensorcalc.curvature_at; without it curvature falls back to
-    finite differences.  constant_j says that the chart's complex structure
-    has constant components, so its Nijenhuis tensor vanishes identically.
+    and complex_structure(config, mode) build them.  Their derivatives are
+    exact jets: derivatives(config, mode, potential_transform=None) gives
+    the metric's (dg, d2g) at a point for tensorcalc.curvature_at, and
+    kahler_derivatives(config, mode) gives (d omega, dJ) at a point for
+    tensorcalc.exterior_derivative and nijenhuis_at, dJ None where
+    constant_j says that the chart's complex structure has constant
+    components, so its Nijenhuis tensor vanishes identically.
     stream(config, spec) gives the coordinates of the sample stream;
-    step(config, x) gives the finite-difference steps (None for the
-    default); image(generator, x)
-    maps coordinates by the cyclic action, whose differential is
-    jacobian(generator); user_coords completes and checks user-given
-    coordinates.  Entries call into their modules at call time, so module
-    attributes stay the one binding of each function.
+    image(generator, x) maps coordinates by the cyclic action, whose
+    differential is jacobian(generator); user_coords completes and checks
+    user-given coordinates.  Entries call into their modules at call
+    time, so module attributes stay the one binding of each function.
     """
 
     name: str
@@ -205,9 +205,12 @@ class Construction:
     metric: Callable[..., Field]
     kahler: Callable[[CenterConfiguration, str | None], Field]
     complex_structure: Callable[[CenterConfiguration, str | None], Field]
-    derivatives: Callable[[CenterConfiguration], tensorcalc.Derivatives] | None
+    derivatives: Callable[..., tensorcalc.Derivatives]
+    kahler_derivatives: Callable[
+        [CenterConfiguration, str | None],
+        Callable[[Coords], tuple[np.ndarray, np.ndarray | None]],
+    ]
     constant_j: bool
-    step: Callable[[CenterConfiguration, Coords], np.ndarray | None]
     image: Callable[[GroupElement, Coords], Coords]
     jacobian: Callable[[GroupElement], np.ndarray]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
@@ -256,10 +259,13 @@ GH = Construction(
     complex_structure=lambda config, mode: lambda x: ghawking.complex_structure_at(
         config, x, mode=mode
     ),
-    derivatives=None,
+    derivatives=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_jet(
+        config, x, mode, potential_transform
+    ).partials(),
+    kahler_derivatives=lambda config, mode: lambda x: tuple(
+        jet.partials()[0] for jet in ghawking.kahler_jets(config, x, mode)
+    ),
     constant_j=False,
-    # the circle-bundle chart is fine with the default steps
-    step=lambda config, x: None,
     image=_gh_image,
     jacobian=lambda gel: ghawking.action_jacobian(gel),
     user_coords=_gh_coords,
@@ -275,10 +281,14 @@ HITCHIN = Construction(
     ),
     kahler=lambda config, mode: lambda x: hitchin.kahler_form_at(config, x),
     complex_structure=lambda config, mode: lambda x: hitchin.STANDARD_J,
-    derivatives=lambda config: lambda x: hitchin.metric_derivatives(config, x),
+    derivatives=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_jet(
+        config, x
+    ).partials(),
+    kahler_derivatives=lambda config, mode: lambda x: (
+        hitchin.kahler_form_derivative(config, x),
+        None,
+    ),
     constant_j=True,
-    # the complex chart needs its own step rule near the branch locus
-    step=lambda config, x: hitchin.chart_step(config, x),
     image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
     jacobian=lambda gel: hitchin.action_matrix(gel),
     user_coords=_hitchin_coords,
@@ -366,11 +376,11 @@ def ricci_samples(
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
     fld = c.metric(config, mode, potential_transform)
-    derivatives = c.derivatives(config) if c.derivatives else None
+    derivatives = c.derivatives(config, mode, potential_transform)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
-        bundle = tensorcalc.curvature_at(fld, x, derivatives=derivatives)
+        bundle = tensorcalc.curvature_at(fld, x, derivatives)
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
@@ -410,15 +420,16 @@ def kahler_scan(
     omega_field = c.kahler(config, mode)
     j_at = c.complex_structure(config, mode)
     g_at = c.metric(config, mode)
+    derivatives = c.kahler_derivatives(config, mode)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
-        step = c.step(config, x)
         w = omega_field(x)
-        dw = tensorcalc.exterior_derivative(omega_field, x, step=step)
-        nij = 0.0 if c.constant_j else tensorcalc.nijenhuis_at(j_at, x, step=step)
-        g = g_at(x)
         J = j_at(x)
+        d_omega, dJ = derivatives(x)
+        dw = tensorcalc.exterior_derivative(d_omega)
+        nij = 0.0 if c.constant_j else tensorcalc.nijenhuis_at(J, dJ)
+        g = g_at(x)
         wscale = max(1.0, float(np.max(np.abs(w))))
         return SampleRecord(
             cp,
@@ -494,17 +505,14 @@ def cross_validate(
             note=stats.note,
         )
         return stats, record
-    gh_field = GH.metric(config, "ale")
-    hit_field = HITCHIN.metric(config, "ale")
-    hit_derivatives = HITCHIN.derivatives(config)
+    gh_field, gh_derivatives = GH.metric(config, "ale"), GH.derivatives(config, "ale")
+    hit_field, hit_derivatives = HITCHIN.metric(config, "ale"), HITCHIN.derivatives(config, "ale")
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         theta, b, a1, a2 = cp.coords
         hx = hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
-        rm_hit = tensorcalc.curvature_at(
-            hit_field, hx, derivatives=hit_derivatives
-        ).riem_norm_sq
-        rm_gh = tensorcalc.curvature_at(gh_field, cp.coords).riem_norm_sq
+        rm_hit = tensorcalc.curvature_at(hit_field, hx, hit_derivatives).riem_norm_sq
+        rm_gh = tensorcalc.curvature_at(gh_field, cp.coords, gh_derivatives).riem_norm_sq
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))
@@ -530,28 +538,26 @@ def cross_validate(
 
 
 def period_check(config: CenterConfiguration) -> CheckRecord:
-    """Fit cycle_period(i, j) = C (b_j - b_i) over vertically separated
-    pairs; record the constant, assert only the proportionality."""
+    """Fit cycle_period(i, j) = C (b_j - b_i) over the vertically separated
+    pairs i < j; record the constant, assert only the proportionality."""
     scale = max(1.0, config.extent())
     tol_b = 1e-9 * scale
-    pairs = []
-    for i in range(config.k):
-        for j in range(config.k):
-            if i == j:
-                continue
-            if abs(config.centers[j].b - config.centers[i].b) > tol_b:
-                pairs.append((i, j))
-    if not pairs:
+    pairs = [(i, j) for i in range(config.k) for j in range(i + 1, config.k)]
+    vertical = [
+        (i, j)
+        for i, j in pairs
+        if abs(config.centers[j].b - config.centers[i].b) > tol_b
+    ]
+    if not vertical:
         # coplanar configuration: every period must vanish outright
         worst = 0.0
         used = 0
-        for i in range(config.k):
-            for j in range(i + 1, config.k):
-                try:
-                    worst = max(worst, abs(ghawking.cycle_period(config, i, j)))
-                    used += 1
-                except PathBlockedError:
-                    continue
+        for i, j in pairs:
+            try:
+                worst = max(worst, abs(ghawking.cycle_period(config, i, j)))
+                used += 1
+            except PathBlockedError:
+                continue
         return CheckRecord(
             name="periods",
             max_residual=worst,
@@ -562,7 +568,7 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
         )
     dbs = []
     periods = []
-    for i, j in pairs:
+    for i, j in vertical:
         try:
             p = ghawking.cycle_period(config, i, j)
         except PathBlockedError:

@@ -1,0 +1,172 @@
+"""Finite-difference reference derivatives for the tests.
+
+The program takes every derivative from exact jets (tensorcalc.Jet); the
+tests compare those jets with this independent reference.  Derivatives
+are central differences with one level of Richardson extrapolation, so a
+first derivative at step h combines the stencils at h and h/2 and is
+accurate to O(h^4).  One stencil table serves every derivative: its
+weights nest that kernel once per order, the field is evaluated once at
+each distinct point, and mixed partials share one weight row, so they
+are exactly symmetric.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import Sequence
+
+import numpy as np
+
+from gravinst.errors import ChartBoundaryError, NumericOverflowError, PoleError
+from gravinst.singularities import CenterConfiguration
+from gravinst.tensorcalc import Coords, Derivatives, Field
+
+DEFAULT_REL_STEP = 1e-3
+
+# a partial derivative by its axes, one per order; () is the value itself
+Axes = tuple[int, ...]
+
+# The 1-D Richardson kernel (4 D(h/2) - D(h)) / 3 with
+# D(h) = (f(x+h) - f(x-h)) / 2h, as (offset, weight) in units of the step h.
+_KERNEL = ((-1.0, 1.0 / 6.0), (-0.5, -4.0 / 3.0), (0.5, 4.0 / 3.0), (1.0, -1.0 / 6.0))
+_FIRST = ((0,), (1,), (2,), (3,))
+# d_m d_i for m <= i, in the order of np.triu_indices
+_SECOND = tuple((m, i) for m in range(4) for i in range(m, 4))
+
+
+def default_step(x: Coords, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
+    """Default per-axis steps: rel_step times the larger of 1 and the
+    local coordinate scale.
+
+    The four chart coordinates come in two pairs (two complex coordinates,
+    or a fiber/height pair and a plane pair), and fields vary on the scale
+    of the pair magnitude, so both axes of a pair share the step
+    rel_step * max(1, |(x_even, x_odd)|).
+    """
+    a = np.abs(x)
+    s01 = max(1.0, math.hypot(a[0], a[1]))
+    s23 = max(1.0, math.hypot(a[2], a[3]))
+    return rel_step * np.array([s01, s01, s23, s23])
+
+
+def chart_step(
+    config: CenterConfiguration, x: Coords, rel_step: float = DEFAULT_REL_STEP
+) -> np.ndarray:
+    """Steps adapted to the complex chart (Re z, Im z, Re y, Im y).
+
+    The metric varies on the scale of the distance to the nearest
+    puncture in z and on the scale of |y| itself near the branch locus,
+    so steps are capped by both; far from the singular loci they grow
+    with the coordinate magnitudes to keep truncation error scale-free.
+    """
+    z, y = complex(x[0], x[1]), complex(x[2], x[3])
+    zbar = z.conjugate()
+    d_punct = min(abs(zbar + c.a) for c in config.centers)
+    if d_punct <= 0.0:
+        raise PoleError("step requested at a puncture")
+    if y == 0:
+        raise ChartBoundaryError("step requested on the branch locus y = 0")
+    s_z = min(max(1.0, abs(z)), 10.0 * d_punct)
+    s_y = abs(y)
+    return rel_step * np.array([s_z, s_z, s_y, s_y])
+
+
+def _normalize_steps(x: Coords, step) -> np.ndarray:
+    if step is None:
+        return default_step(x)
+    steps = np.broadcast_to(np.asarray(step, dtype=float), (4,)).copy()
+    if np.any(steps <= 0.0) or not np.all(np.isfinite(steps)):
+        raise ValueError("steps must be positive and finite")
+    return steps
+
+
+def _eval_array(field: Field, x: Coords) -> np.ndarray:
+    value = np.asarray(field(x), dtype=float)
+    if not np.isfinite(value).all():
+        raise NumericOverflowError(f"field produced a non-finite value at {x}")
+    return value
+
+
+@functools.cache
+def _stencil_table(partials: tuple[Axes, ...]):
+    """The distinct offsets, in units of the per-axis step, of the stencil
+    of some partial derivatives, their orders per axis, and their rows:
+    the first offset's index and the other offsets' indices and weights.
+    The weights nest the kernel once per axis, coinciding offsets merged;
+    the value () is the row {x: 1}."""
+    points: dict = {}  # offset -> index, in order of first use
+    rows = []
+    for axes in partials:
+        row = {(0.0, 0.0, 0.0, 0.0): 1.0}
+        for axis in axes:
+            nested: dict = {}
+            for off, w in row.items():
+                for d, k in _KERNEL:
+                    o = off[:axis] + (off[axis] + d,) + off[axis + 1 :]
+                    nested[o] = nested.get(o, 0.0) + w * k
+            row = nested
+        idx = np.array([points.setdefault(o, len(points)) for o in row])
+        rows.append((idx[0], idx[1:], np.array(list(row.values()))[1:, None]))
+    orders = np.array([[axes.count(a) for a in range(4)] for axes in partials])
+    return np.array(list(points)), orders, rows
+
+
+def _stencil(field: Field, x: Coords, steps: np.ndarray, partials: tuple[Axes, ...]) -> np.ndarray:
+    """The partial derivatives of a field at x, stacked on a leading axis,
+    with validated steps.  The field is called once at each distinct
+    stencil point, which adds its offset to x only where it is nonzero."""
+    offsets, orders, rows = _stencil_table(partials)
+    points = np.where(offsets != 0.0, np.add(x, offsets * steps), x)
+    values = np.stack([_eval_array(field, tuple(p)) for p in points.tolist()])
+    flat = values.reshape(len(points), -1)
+    # a derivative's weights sum to zero, so it sums the weighted differences
+    # from its first point, exactly zero where the field is constant on the
+    # row; the value is x's own array, signed zeros and all
+    out = np.empty((len(rows), flat.shape[1]))
+    for r, (first, rest, w) in enumerate(rows):
+        out[r] = (w * (flat[rest] - flat[first])).sum(axis=0) if len(rest) else flat[first]
+    out /= np.prod(steps**orders, axis=1)[:, None]
+    if not np.isfinite(out).all():
+        raise NumericOverflowError("derivative evaluation produced a non-finite value")
+    return out.reshape((len(rows),) + values.shape[1:])
+
+
+def differentiate_field(
+    field: Field,
+    x: Coords,
+    multi_index: Sequence[int],
+    step: float | Sequence[float] | None = None,
+) -> np.ndarray:
+    """Partial derivative of an array-valued field at a point.
+
+    multi_index gives the derivative order per coordinate (each entry 0..2).
+    A zero multi-index returns the field value itself.
+
+    step may be a scalar, a per-axis sequence of four steps, or None for
+    the default of default_step(x).
+    """
+    mi = tuple(int(k) for k in multi_index)
+    if len(mi) != 4 or any(k < 0 or k > 2 for k in mi):
+        raise ValueError("multi_index must have four entries, each in 0..2")
+    axes = tuple(a for a in range(4) for _ in range(mi[a]))
+    return _stencil(field, x, _normalize_steps(x, step), (axes,))[0]
+
+
+def fd_derivatives(field: Field, step=None) -> Derivatives:
+    """A derivatives callable for tensorcalc.curvature_at: x -> (first,
+    second) with first[i] = d_i field and second[m, i] = d_m d_i field,
+    from one stencil of 129 distinct points.
+
+    step is None for default_step(x), or a scalar, or four per-axis steps
+    (e.g. chart_step at the point).
+    """
+
+    def derivatives(x: Coords) -> tuple[np.ndarray, np.ndarray]:
+        rows = _stencil(field, x, _normalize_steps(x, step), _FIRST + _SECOND)
+        second = np.empty((4, 4) + rows.shape[1:])
+        m, i = np.triu_indices(4)
+        second[m, i] = second[i, m] = rows[4:]  # d_m d_i and d_i d_m share one row
+        return rows[:4], second
+
+    return derivatives

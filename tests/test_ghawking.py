@@ -20,6 +20,7 @@ from gravinst.singularities import (
     QuotientSignature,
     make_polygon_config,
 )
+from fd_reference import fd_derivatives
 
 
 def pair_config():
@@ -181,12 +182,20 @@ def test_kahler_form_squares_to_twice_volume():
 
 
 def test_curvature_scalars_are_gauge_independent():
+    # the jets work in the down gauge; the up gauge goes through the
+    # finite-difference reference
     cfg = pair_config()
     x = (0.0, 0.5, 1.1, 0.4)
     down = tensorcalc.curvature_at(
-        lambda q: ghawking.metric_at(cfg, q, gauges="down"), x
+        lambda q: ghawking.metric_at(cfg, q, gauges="down"),
+        x,
+        verify.GH.derivatives(cfg, "ale"),
     )
-    up = tensorcalc.curvature_at(lambda q: ghawking.metric_at(cfg, q, gauges="up"), x)
+
+    def up_field(q):
+        return ghawking.metric_at(cfg, q, gauges="up")
+
+    up = tensorcalc.curvature_at(up_field, x, fd_derivatives(up_field))
     rel = abs(down.riem_norm_sq - up.riem_norm_sq) / down.riem_norm_sq
     assert rel < 1e-8
 
@@ -377,10 +386,90 @@ def closed_form_riem_norm_sq(config, b, a):
 @pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
+    field = verify.GH.metric(cfg, cfg.mode)
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        fd = tensorcalc.curvature_at(lambda q: ghawking.metric_at(cfg, q), x)
+        fd = tensorcalc.curvature_at(field, x, fd_derivatives(field))
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(fd.riem_norm_sq / exact - 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
+def test_jet_curvature_matches_closed_form(build):
+    # against max(|Rm|^2, 1), the Ricci residual's scale: on the pair far
+    # below the centers, where |Rm|^2 is 6.5e-4 and alpha is O(1), the
+    # chart's own conditioning leaves 2.5e-9 relative error
+    cfg = build()
+    field, derivatives = verify.GH.metric(cfg, cfg.mode), verify.GH.derivatives(cfg, cfg.mode)
+    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
+        jet = tensorcalc.curvature_at(field, x, derivatives)
+        exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
+        assert abs(jet.riem_norm_sq - exact) <= 1e-10 * max(exact, 1.0)
+
+
+@pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
+def test_jet_values_are_the_float_fields(build):
+    cfg = build()
+    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
+        omega, J = ghawking.kahler_jets(cfg, x)
+        for jet, value in (
+            (ghawking.metric_jet(cfg, x), ghawking.metric_at(cfg, x)),
+            (omega, ghawking.kahler_form_at(cfg, x)),
+            (J, ghawking.complex_structure_at(cfg, x)),
+        ):
+            assert np.max(np.abs(jet.val - value)) <= 1e-14 * np.max(np.abs(value))
+
+
+def test_kahler_jets_agree_with_finite_differences():
+    cfg = hexagon_config()
+    for x in sampling.gh_points(cfg, SampleSpec(count=10, seed=7)):
+        for jet, field in zip(
+            ghawking.kahler_jets(cfg, x),
+            (
+                lambda q: ghawking.kahler_form_at(cfg, q),
+                lambda q: ghawking.complex_structure_at(cfg, q),
+            ),
+        ):
+            fd = fd_derivatives(field)(x)[0]
+            assert np.max(np.abs(jet.partials()[0] - fd)) <= 1e-10 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_jets_raise_typed_errors_on_the_axis():
+    cfg = pair_config()
+    c = cfg.centers[0]
+    field, derivatives = verify.GH.metric(cfg, "ale"), verify.GH.derivatives(cfg, "ale")
+
+    def on_axis(db):
+        return (0.3, c.b + db, c.a.real, c.a.imag)
+
+    with np.errstate(all="raise"):
+        for evaluate in (
+            lambda x: tensorcalc.curvature_at(field, x, derivatives),
+            lambda x: ghawking.metric_jet(cfg, x),
+            lambda x: ghawking.kahler_jets(cfg, x),
+        ):
+            with pytest.raises(PoleError):
+                evaluate(on_axis(0.0))
+            with pytest.raises(DiracStringError):
+                evaluate(on_axis(-0.5))
+        # the down gauge is smooth through the axis above the center
+        bundle = tensorcalc.curvature_at(field, on_axis(0.5), derivatives)
+    exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
+    assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
+
+
+def test_curvature_makes_one_metric_evaluation(monkeypatch):
+    cfg = pair_config()
+    point = verify.GH.points(cfg, SampleSpec(count=1, seed=0))[0]
+    calls = []
+    metric_at = ghawking.metric_at
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return metric_at(*args, **kwargs)
+
+    monkeypatch.setattr(ghawking, "metric_at", counted)
+    (sample,) = verify.ricci_samples(verify.GH, cfg, [point])
+    assert sample.error == "" and calls == [point.coords]
 
 
 def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
@@ -393,10 +482,10 @@ def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
         for cp in verify.GH.points(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed))
     }
     assert len(points) > 400
-    derivatives = verify.HITCHIN.derivatives(cfg)
+    derivatives = verify.HITCHIN.derivatives(cfg, "ale")
     for theta, b, a1, a2 in points:
         hx = hitchin.base_to_chart(cfg, b, complex(a1, a2), phase=theta)
         rm = tensorcalc.curvature_at(
-            lambda q: hitchin.metric_at(cfg, q), hx, derivatives=derivatives
+            lambda q: hitchin.metric_at(cfg, q), hx, derivatives
         ).riem_norm_sq
         assert abs(rm / closed_form_riem_norm_sq(cfg, b, complex(a1, a2)) - 0.25) < 1e-4

@@ -25,6 +25,7 @@ from gravinst.singularities import (
     QuotientSignature,
     make_polygon_config,
 )
+from fd_reference import chart_step, fd_derivatives
 
 
 def pair_config():
@@ -283,20 +284,18 @@ def test_single_center_chart_is_flat():
     cfg = origin_config()
     for z, y in [(1.0 + 0.5j, 2.0 + 1.0j), (3.0j, 0.7 - 0.4j), (-2.0 + 0j, 3.0 + 0j)]:
         x = (z.real, z.imag, y.real, y.imag)
-        bun = tensorcalc.curvature_at(
-            lambda q: hitchin.metric_at(cfg, q), x, step=hitchin.chart_step(cfg, x)
-        )
-        assert bun.riem_norm_sq < 1e-10
+        assert jet_curvature(cfg, x).riem_norm_sq < 1e-10
+        assert fd_curvature(cfg, x).riem_norm_sq < 1e-10
 
 
 def test_kahler_form_closed_and_compatible():
     cfg = pair_config()
     x = (0.4, -0.3, 1.5, 0.7)
-    step = hitchin.chart_step(cfg, x)
-    dw = tensorcalc.exterior_derivative(
-        lambda q: hitchin.kahler_form_at(cfg, q), x, step=step
-    )
-    assert np.max(np.abs(dw)) < 1e-8
+    dw = tensorcalc.exterior_derivative(hitchin.kahler_form_derivative(cfg, x))
+    assert np.max(np.abs(dw)) < 1e-14
+    fd = fd_derivatives(lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x))(x)[0]
+    assert np.max(np.abs(tensorcalc.exterior_derivative(fd))) < 1e-8
+    assert np.max(np.abs(hitchin.kahler_form_derivative(cfg, x) - fd)) < 1e-8
     w = hitchin.kahler_form_at(cfg, x)
     g = hitchin.metric_at(cfg, x)
     assert np.max(np.abs(w - hitchin.STANDARD_J.T @ g)) < 1e-12
@@ -324,16 +323,16 @@ def test_action_matrix_matches_complex_action():
 
 def test_chart_step_scales():
     cfg = pair_config()
-    steps = hitchin.chart_step(cfg, (0.0, 0.0, 0.0, 0.01), rel_step=0.01)
+    steps = chart_step(cfg, (0.0, 0.0, 0.0, 0.01), rel_step=0.01)
     # near the branch locus the y step follows |y|
     assert np.allclose(steps[2:], 0.01 * 0.01)
     # z step capped by 10x the puncture distance (punctures at z = -+1)
     assert steps[0] <= 0.01 * 10.0 * 1.0 + 1e-15
     with pytest.raises(ChartBoundaryError):
-        hitchin.chart_step(cfg, (0.0, 0.5, 0.0, 0.0))
+        chart_step(cfg, (0.0, 0.5, 0.0, 0.0))
     with pytest.raises(PoleError):
         # the hand-built pair has exact punctures at z = -+1
-        hitchin.chart_step(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
+        chart_step(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
 
 
 def test_base_to_chart_round_trip():
@@ -366,24 +365,24 @@ def test_metric_rejects_branch_locus_and_punctures():
 
 def jet_curvature(cfg, x):
     return tensorcalc.curvature_at(
-        lambda q: hitchin.metric_at(cfg, q),
-        x,
-        derivatives=lambda q: hitchin.metric_derivatives(cfg, q),
+        lambda q: hitchin.metric_at(cfg, q), x, verify.HITCHIN.derivatives(cfg, "ale")
     )
 
 
 def fd_curvature(cfg, x):
-    return tensorcalc.curvature_at(
-        lambda q: hitchin.metric_at(cfg, q), x, step=hitchin.chart_step(cfg, x)
-    )
+    field = verify.HITCHIN.metric(cfg, "ale")
+    return tensorcalc.curvature_at(field, x, fd_derivatives(field, chart_step(cfg, x)))
 
 
 def test_metric_jet_value_is_the_metric():
+    # and J0^T g from the jet is the Kahler form, whose derivative it gives
     for cfg in (pair_config(), hexagon_config(), square4_config()):
         for x in sampling.hitchin_points(cfg, SampleSpec(count=10, seed=3)):
             g = hitchin.metric_at(cfg, x)
             jet = hitchin.metric_jet(cfg, x)
             assert np.max(np.abs(jet.val - g)) <= 1e-14 * np.max(np.abs(g))
+            w = hitchin.kahler_form_at(cfg, x)
+            assert np.max(np.abs(hitchin.STANDARD_J.T @ jet.val - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 def test_jet_curvature_agrees_with_finite_differences():

@@ -1,8 +1,9 @@
-"""Finite-difference engine tests against closed-form geometry.
+"""Tensor calculus and its derivative sources against closed-form geometry.
 
 The product of two round spheres and flat space in polar coordinates have
 known curvature; they pin down every index convention in curvature_at
-before the instanton metrics are trusted to it.
+before the instanton metrics are trusted to it.  Their derivatives come
+from the finite-difference reference, which is itself checked here.
 """
 
 import itertools
@@ -16,14 +17,13 @@ from gravinst.errors import DegenerateMetricError, NumericOverflowError
 from gravinst.tensorcalc import (
     Jet,
     curvature_at,
-    default_step,
-    differentiate_field,
     exterior_derivative,
     invert_metric,
     nijenhuis_at,
 )
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
+from fd_reference import default_step, differentiate_field, fd_derivatives
 
 A_RAD = 1.3
 B_RAD = 0.9
@@ -50,8 +50,12 @@ def polar_flat(x) -> np.ndarray:
 SPHERE_PT = (1.0, 0.7, 0.8, 0.3)
 
 
+def fd_curvature(field, x, step=1e-3):
+    return curvature_at(field, x, fd_derivatives(field, step))
+
+
 def test_sphere_product_curvature():
-    bun = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
+    bun = fd_curvature(sphere_product, SPHERE_PT)
     assert abs(bun.scalar - (2.0 / A_RAD**2 + 2.0 / B_RAD**2)) < 1e-8
     assert abs(bun.riem_norm_sq - (4.0 / A_RAD**4 + 4.0 / B_RAD**4)) < 1e-7
     # Einstein blockwise: Ric = (1/rad^2) g on each factor
@@ -60,7 +64,7 @@ def test_sphere_product_curvature():
 
 
 def test_sphere_product_ricci_norm_definition():
-    bun = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
+    bun = fd_curvature(sphere_product, SPHERE_PT)
     g = sphere_product(SPHERE_PT)
     ginv = invert_metric(g)
     norm_sq = np.einsum("ij,kl,ik,jl->", bun.ricci, bun.ricci, ginv, ginv)
@@ -73,15 +77,15 @@ def test_homothety_scaling():
     def scaled(x):
         return lam * sphere_product(x)
 
-    base = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
-    big = curvature_at(scaled, SPHERE_PT, step=1e-3)
+    base = fd_curvature(sphere_product, SPHERE_PT)
+    big = fd_curvature(scaled, SPHERE_PT)
     target = base.riem_norm_sq / lam**2
     assert abs(big.riem_norm_sq - target) / target < 1e-8
 
 
 def test_polar_coordinates_are_flat():
     pt = (1.7, 0.4, -0.2, 0.9)
-    bun = curvature_at(polar_flat, pt, step=1e-3)
+    bun = fd_curvature(polar_flat, pt)
     assert bun.riem_norm_sq < 1e-15
     assert np.max(np.abs(bun.ricci)) < 1e-9
     # Gamma^r_{theta theta} = -r despite zero curvature
@@ -111,7 +115,7 @@ def test_differentiate_field_rejects_bad_multi_index():
 def test_bad_steps_are_rejected():
     for step in (0.0, -1e-3, float("nan"), (1e-3, 1e-3, 1e-3, float("inf"))):
         with pytest.raises(ValueError):
-            curvature_at(sphere_product, SPHERE_PT, step=step)
+            fd_curvature(sphere_product, SPHERE_PT, step)
         with pytest.raises(ValueError):
             differentiate_field(sphere_product, SPHERE_PT, (1, 1, 0, 0), step=step)
 
@@ -126,7 +130,7 @@ def test_exterior_derivative_polynomial_form():
         return w
 
     pt = (0.3, -1.2, 0.8, 0.5)
-    dw = exterior_derivative(wfield, pt, step=1e-2)
+    dw = exterior_derivative(fd_derivatives(wfield, 1e-2)(pt)[0])
     # triples (012), (013), (023), (123)
     assert np.max(np.abs(dw - np.array([1.6, 0.0, -1.2, 0.3]))) < 1e-10
 
@@ -142,7 +146,8 @@ J0 = np.array(
 
 
 def test_nijenhuis_constant_j_vanishes():
-    nij = nijenhuis_at(lambda x: J0, (0.6, -0.3, 1.1, 0.2), step=1e-3)
+    pt = (0.6, -0.3, 1.1, 0.2)
+    nij = nijenhuis_at(J0, fd_derivatives(lambda x: J0, 1e-3)(pt)[0])
     assert np.max(np.abs(nij)) == 0.0
 
 
@@ -157,7 +162,8 @@ def test_nijenhuis_detects_non_integrable_structure():
         si[2, 3] = -x0
         return s @ J0 @ si
 
-    nij = nijenhuis_at(jfield, (0.6, -0.3, 1.1, 0.2), step=1e-3)
+    pt = (0.6, -0.3, 1.1, 0.2)
+    nij = nijenhuis_at(jfield(pt), fd_derivatives(jfield, 1e-3)(pt)[0])
     assert abs(nij[2, 1, 3] - 2 * 0.6) < 1e-10
     assert np.max(np.abs(nij)) == pytest.approx(1.2, abs=1e-10)
 
@@ -199,14 +205,18 @@ def test_default_step_uses_pair_scales():
     assert np.allclose(steps, [5e-3, 5e-3, 1e-3, 1e-3])
 
 
+def never_called(x):
+    raise AssertionError("the metric value is checked before its derivatives")
+
+
 def test_curvature_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        curvature_at(lambda x: np.eye(3), (0.0, 0.0, 0.0, 0.0))
+        curvature_at(lambda x: np.eye(3), (0.0, 0.0, 0.0, 0.0), never_called)
 
 
 def test_non_finite_field_is_an_overflow_error():
     with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: np.full((4, 4), np.inf), (0.0, 0.0, 0.0, 0.0))
+        curvature_at(lambda x: np.full((4, 4), np.inf), (0.0, 0.0, 0.0, 0.0), never_called)
 
 
 # --- exact jets ---
@@ -262,14 +272,13 @@ def test_curvature_from_supplied_derivatives():
         return stereographic_sphere_jet(x).val
 
     def derivatives(x):
-        jet = stereographic_sphere_jet(x)
-        return jet.grad.transpose(2, 0, 1), jet.hess.transpose(2, 3, 0, 1)
+        return stereographic_sphere_jet(x).partials()
 
-    exact = curvature_at(g_field, pt, derivatives=derivatives)
+    exact = curvature_at(g_field, pt, derivatives)
     assert abs(exact.scalar - 12.0) < 1e-12
     assert abs(exact.riem_norm_sq - 24.0) < 1e-12
     assert np.max(np.abs(exact.ricci - 3.0 * g_field(pt))) < 1e-12
-    fd = curvature_at(g_field, pt, step=1e-3)
+    fd = fd_curvature(g_field, pt)
     assert abs(fd.riem_norm_sq - 24.0) < 1e-7
     assert np.max(np.abs(fd.riemann - exact.riemann)) < 1e-7
 
@@ -286,25 +295,25 @@ def test_supplied_derivatives_are_validated():
         return np.zeros((4, 4, 4)), d2g
 
     with pytest.raises(ValueError):
-        curvature_at(lambda x: np.eye(4), pt, derivatives=bad_shape)
+        curvature_at(lambda x: np.eye(4), pt, bad_shape)
     with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: np.eye(4), pt, derivatives=not_finite)
+        curvature_at(lambda x: np.eye(4), pt, not_finite)
 
 
 def test_riemann_norm_is_the_full_contraction():
-    bun = curvature_at(sphere_product, SPHERE_PT, step=1e-3)
+    bun = fd_curvature(sphere_product, SPHERE_PT)
     ginv = invert_metric(bun.g)
     low = np.einsum("lm,mijk->lijk", bun.g, bun.riemann)
     full = np.einsum("lijk,abcd,la,ib,jc,kd->", low, low, ginv, ginv, ginv, ginv)
     assert abs(bun.riem_norm_sq - full) <= 1e-14 * full
 
 
-# --- the stencil table ---
+# --- the finite-difference reference ---
 
 
 def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
-    # the value, four first derivatives and the ten second derivatives of
-    # the circle-fibered metric share 129 distinct stencil points, x among them
+    # the four first derivatives and the ten second derivatives of the
+    # circle-fibered metric share 129 distinct stencil points, x among them
     pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
     x = sampling.gh_points(pair, SampleSpec(count=1, seed=0))[0]
     g_field = verify.GH.metric(pair, "ale")
@@ -319,9 +328,10 @@ def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
         return metric_at(*args, **kwargs)
 
     monkeypatch.setattr(ghawking, "metric_at", counted)
-    bundle = curvature_at(g_field, x)
+    fd_derivatives(g_field)(x)
     assert len(calls) == 129
     assert len(set(calls)) == 129 and tuple(x) in calls
+    bundle = curvature_at(g_field, x, fd_derivatives(g_field))
     assert bundle.g.tobytes() == g.tobytes()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,10 @@ def two_level_config():
 
 def flat_config():
     return make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0])
+
+
+def pair_generic_config():
+    return make_polygon_config(QuotientSignature(1, 2, 1), [1.1 + 0.3j], [0.0])
 
 
 def hexagon_config():
@@ -153,6 +158,22 @@ def test_cross_validate_hexagon_regression_seeds(seed):
     assert stats.spread < 0.5 * verify.SPREAD_TOL
 
 
+@pytest.mark.parametrize("build", [pair_generic_config, hexagon_config])
+def test_cross_validate_negative_control(build, monkeypatch):
+    # the circle-fibered side on a configuration with one center moved by
+    # 0.01: the two curvatures no longer differ by one homothety
+    gh = verify.GH
+
+    def perturbed(make):
+        return lambda config, *args: make(verify.perturb_config(config), *args)
+
+    perturbed_gh = replace(gh, metric=perturbed(gh.metric), derivatives=perturbed(gh.derivatives))
+    monkeypatch.setattr(verify, "GH", perturbed_gh)
+    stats, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
+    assert stats.count == verify.CROSS_COUNT
+    assert not rec.passed and stats.spread > 5.0 * verify.SPREAD_TOL
+
+
 def test_full_report_hexagon_seed_42_passes():
     report = verify.full_report(hexagon_config(), spec=SampleSpec(count=100, seed=42))
     assert report.passed, [c.name for c in report.checks if not c.passed]
@@ -187,9 +208,10 @@ def test_full_report_cross_validation_uses_run_sampling_geometry():
 
 
 def test_period_check_two_level():
+    # the four vertically separated pairs, each integrated once
     rec = verify.period_check(two_level_config())
     assert rec.passed
-    assert rec.count == 8
+    assert rec.count == 4
     assert rec.max_residual < 1e-3
     assert rec.note.startswith("C = ")
 
