@@ -18,7 +18,7 @@ class PoleError(GeometryError):
 
 
 class DiracStringError(GeometryError):
-    """Connection form evaluated on a Dirac string of the chosen gauge."""
+    """Connection form evaluated on a Dirac string, the ray below a center."""
 
 
 class ChartBoundaryError(GeometryError):

@@ -11,12 +11,12 @@ and the metric on the circle bundle over the complement of the centers is
     g = V^{-1} (dtheta + alpha)^2 + V (db^2 + da1^2 + da2^2),
 
 where the connection 1-form alpha satisfies d alpha = *dV (orientation
-db ^ da1 ^ da2) and is realized in the gauge
+db ^ da1 ^ da2) and is realized in the one gauge
 
     alpha = sum_i 1/2 ((b - b_i)/Delta_i - 1) dphi_i,
 
-singular only on the downward ray below each center (its Dirac string);
-the opposite gauge, with +1, moves the string above.  det g = V^2 exactly.
+singular only on the downward ray below each center (its Dirac string),
+where evaluation raises.  det g = V^2 exactly.
 
 The compatible integrable complex structure maps the orthonormal frame
 
@@ -82,45 +82,26 @@ def potential_at(
     return total
 
 
-def _normalize_gauges(config: CenterConfiguration, gauges) -> list[str]:
-    if gauges is None:
-        return ["down"] * config.k
-    if isinstance(gauges, str):
-        gauges = [gauges] * config.k
-    gauges = list(gauges)
-    if len(gauges) != config.k or any(g not in ("down", "up") for g in gauges):
-        raise ValueError("gauges must be 'down'/'up', one per center")
-    return gauges
-
-
-def connection_at(
-    config: CenterConfiguration, b: float, a: complex, gauges=None
-) -> np.ndarray:
+def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarray:
     """Connection 1-form alpha with d alpha = *dV, as its components on
     (db, da1, da2); the dtheta slot is 0.
 
-    Per-center gauge 'down' places the Dirac string on the ray below the
-    center (the default), 'up' above it.  On the axis through a center the
-    regular-side value 0 is used; evaluation on a string raises.
+    Each center's Dirac string is the ray below it.  On the axis above a
+    center the regular-side value 0 is used; evaluation on a string raises.
     """
-    gauges = _normalize_gauges(config, gauges)
     alpha = np.zeros(3)
-    for c, gauge in zip(config.centers, gauges):
+    for c in config.centers:
         w = a - c.a
         u = b - c.b
         r = abs(w)
         delta = math.hypot(u, r)
         if delta == 0.0:
             raise PoleError("connection evaluated at a center")
-        sign = -1.0 if gauge == "down" else 1.0
         if r == 0.0:
-            on_regular_side = u > 0.0 if gauge == "down" else u < 0.0
-            if on_regular_side:
+            if u > 0.0:
                 continue  # the term extends by zero through the axis
-            raise DiracStringError(
-                f"evaluation on the {gauge} Dirac string of a center"
-            )
-        coeff = 0.5 * (u / delta + sign)
+            raise DiracStringError("evaluation on the Dirac string of a center")
+        coeff = 0.5 * (u / delta - 1.0)
         alpha[1] += coeff * (-w.imag) / (r * r)
         alpha[2] += coeff * w.real / (r * r)
     return alpha
@@ -130,7 +111,6 @@ def metric_at(
     config: CenterConfiguration,
     x: Coords,
     mode: str | None = None,
-    gauges=None,
     potential_transform: Callable[[float], float] | None = None,
 ) -> np.ndarray:
     """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
@@ -146,7 +126,7 @@ def metric_at(
     V = potential_at(config, b, a, mode)
     if potential_transform is not None:
         V = float(potential_transform(V))
-    alpha = connection_at(config, b, a, gauges)
+    alpha = connection_at(config, b, a)
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     g = np.outer(u, u) / V
     g[1, 1] += V
@@ -179,23 +159,23 @@ def _omega_rows(V, a1, a2) -> tuple:
 
 
 def complex_structure_at(
-    config: CenterConfiguration, x: Coords, mode: str | None = None, gauges=None
+    config: CenterConfiguration, x: Coords, mode: str | None = None
 ) -> np.ndarray:
     """Integrable complex structure J (J.J = -I) in coordinate components."""
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a, mode)
-    alpha = connection_at(config, b, a, gauges)
+    alpha = connection_at(config, b, a)
     return np.array(_j_rows(V, alpha[1], alpha[2]))
 
 
 def kahler_form_at(
-    config: CenterConfiguration, x: Coords, mode: str | None = None, gauges=None
+    config: CenterConfiguration, x: Coords, mode: str | None = None
 ) -> np.ndarray:
     """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
     as an antisymmetric component matrix."""
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a, mode)
-    alpha = connection_at(config, b, a, gauges)
+    alpha = connection_at(config, b, a)
     return np.array(_omega_rows(V, alpha[1], alpha[2]))
 
 
@@ -213,9 +193,9 @@ def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
 def _potential_jets(
     config: CenterConfiguration, x: Coords, mode: str | None
 ) -> tuple[Jet, Jet, Jet]:
-    """V, alpha_1 and alpha_2 at the chart point x as jets, in the default
-    'down' gauge, each a sum over a per-center axis.  With w_i = a - a_i,
-    the coefficient 1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
+    """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
+    over a per-center axis.  With w_i = a - a_i, the coefficient
+    1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
     -1/2 / (Delta_i f_i), so
 
         alpha_1 = 1/2 sum_i Im w_i / (Delta_i f_i),
@@ -250,9 +230,9 @@ def metric_jet(
     potential_transform: Callable | None = None,
 ) -> Jet:
     """The metric at x as a second-order jet in (theta, b, a1, a2): the
-    value of metric_at in the default gauge, potential_transform included,
-    with exact first and second derivatives.  g = u u^T / V + V diag(0, 1,
-    1, 1) with u = (1, 0, alpha_1, alpha_2)."""
+    value of metric_at, potential_transform included, with exact first
+    and second derivatives.  g = u u^T / V + V diag(0, 1, 1, 1) with
+    u = (1, 0, alpha_1, alpha_2)."""
     V, a1, a2 = _potential_jets(config, x, mode)
     if potential_transform is not None:
         V = potential_transform(V)
@@ -264,8 +244,7 @@ def kahler_jets(
     config: CenterConfiguration, x: Coords, mode: str | None = None
 ) -> tuple[Jet, Jet]:
     """omega and J at x as jets, the values of kahler_form_at and
-    complex_structure_at in the default gauge, both from one set of V and
-    alpha jets."""
+    complex_structure_at, both from one set of V and alpha jets."""
     V, a1, a2 = _potential_jets(config, x, mode)
     return _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
@@ -284,8 +263,8 @@ def action_jacobian(gel: GroupElement) -> np.ndarray:
 
 
 def string_clearance(config: CenterConfiguration, b: float, a: complex) -> float:
-    """Distance from the base point to the nearest default-gauge Dirac
-    string (the downward rays below the centers)."""
+    """Distance from the base point to the nearest Dirac string (the
+    downward rays below the centers)."""
     best = math.inf
     for c in config.centers:
         horiz = abs(a - c.a)
@@ -300,75 +279,38 @@ def center_clearance(config: CenterConfiguration, b: float, a: complex) -> float
     return min(math.hypot(b - c.b, abs(a - c.a)) for c in config.centers)
 
 
-def _segment_gauges(config: CenterConfiguration, i: int, j: int) -> list[str]:
-    """Choose a per-center gauge whose strings avoid the open segment from
-    center i to center j; raise PathBlockedError if a third center (or an
-    unavoidable string) blocks it."""
+def _check_segment_clear(config: CenterConfiguration, i: int, j: int) -> None:
+    """Raise PathBlockedError if a third center lies on the segment from
+    center i to center j, to within 1e-9 of the configuration scale."""
     ci, cj = config.centers[i], config.centers[j]
-    wa = cj.a - ci.a
-    scale = max(1.0, config.extent())
-    tol = 1e-9 * scale
-    b_lo, b_hi = min(ci.b, cj.b), max(ci.b, cj.b)
-    gauges = ["down"] * config.k
+    db, da = cj.b - ci.b, cj.a - ci.a
+    tol = 1e-9 * max(1.0, config.extent())
     for idx, c in enumerate(config.centers):
-        if abs(wa) <= tol:
-            # vertical segment along the line a = a_i
-            if abs(c.a - ci.a) > tol:
-                continue
-            if idx not in (i, j) and b_lo + tol < c.b < b_hi - tol:
-                raise PathBlockedError("segment passes through a third center")
-            if c.b >= b_hi - tol:
-                gauges[idx] = "up"
-            # c.b <= b_lo: default 'down' string stays below the segment
-            continue
-        # projection of a_idx on the a-track of the segment
-        t = (
-            (c.a.real - ci.a.real) * wa.real + (c.a.imag - ci.a.imag) * wa.imag
-        ) / abs(wa) ** 2
-        t = min(1.0, max(0.0, t))
-        a_near = ci.a + t * wa
-        if abs(a_near - c.a) > tol:
-            continue
-        b_at = ci.b + t * (cj.b - ci.b)
         if idx in (i, j):
             continue  # endpoint cone points, not obstructions
-        if abs(b_at - c.b) <= tol:
+        ub, ua = c.b - ci.b, c.a - ci.a
+        # the point of the segment nearest to the center, in R^3
+        t = (ub * db + (ua * da.conjugate()).real) / (db * db + abs(da) ** 2)
+        t = min(1.0, max(0.0, t))
+        if math.hypot(ub - t * db, abs(ua - t * da)) <= tol:
             raise PathBlockedError("segment passes through a third center")
-        if b_at < c.b:
-            gauges[idx] = "up"
-    return gauges
 
 
 def cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
     """Integral of the Kahler form over the circle-fibered 2-cycle above
-    the segment from center i to center j.
+    the segment from center i to center j, in closed form.
 
     The surface is parametrized by (t, theta); the fiber collapses at the
-    endpoints.  omega does not depend on theta, so each quadrature node
-    evaluates it once, at theta = 0.  Strings of all centers are moved off
-    the segment by a per-center gauge choice, which changes alpha by an
-    exact form and so leaves the period unchanged.  In fact omega's theta
-    column is (0, -1, 0, 0) whatever V and alpha are, so the integrand
-    tangent . omega . d_theta is -(b_j - b_i) at every node, gauges or not.
+    endpoints.  omega's theta column is (0, -1, 0, 0) whatever V and alpha
+    are, so the integrand tangent . omega . d_theta is -(b_j - b_i) at
+    every point and the period is -2 pi (b_j - b_i): the heights are the
+    Kahler class.  The 2-cycle exists only if no third center lies on the
+    segment; otherwise PathBlockedError.
     """
     if i == j or not (0 <= i < config.k and 0 <= j < config.k):
         raise ValueError("period needs two distinct center indices")
-    gauges = _segment_gauges(config, i, j)
-    ci, cj = config.centers[i], config.centers[j]
-    db = cj.b - ci.b
-    da = cj.a - ci.a
-    tangent = np.array([0.0, db, da.real, da.imag])
-    theta_dir = np.array([1.0, 0.0, 0.0, 0.0])
-
-    def integrand(t: float) -> float:
-        b = ci.b + t * db
-        a = ci.a + t * da
-        w = kahler_form_at(config, (0.0, b, a.real, a.imag), gauges=gauges)
-        return float(tangent @ w @ theta_dir)
-
-    eps = 1e-9
-    value = adaptive_simpson(integrand, eps, 1.0 - eps)
-    return 2.0 * math.pi * value
+    _check_segment_clear(config, i, j)
+    return -2.0 * math.pi * (config.centers[j].b - config.centers[i].b)
 
 
 def coordinate_ball_volume(

@@ -79,9 +79,9 @@ def _start_index(seed: int) -> int:
 def _candidates(
     config: CenterConfiguration, spec: SampleSpec
 ) -> Iterator[tuple[float, complex, float]]:
-    """Stream of (b, a, theta) samples clear of centers and of the
-    default-gauge Dirac strings.  Radii are volume-uniform over the
-    annulus, scaled by the configuration extent.
+    """Stream of (b, a, theta) samples clear of centers and of the Dirac
+    strings.  Radii are volume-uniform over the annulus, scaled by the
+    configuration extent.
 
     At most 10000 * spec.count candidates are drawn, whether accepted
     here or rejected by the caller; past that the stream raises

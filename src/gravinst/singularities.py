@@ -119,7 +119,10 @@ class CenterConfiguration:
             raise ValueError(
                 f"expected {self.signature.k} centers, got {len(self.centers)}"
             )
-        pts = np.array([c.as_r3() for c in self.centers])
+        pts = self.points_r3()
+        # extent() is read per segment and per sample stream; the
+        # configuration is frozen, so its value is fixed here
+        object.__setattr__(self, "_extent", float(np.max(np.linalg.norm(pts, axis=1))))
         scale = max(1.0, float(np.max(np.abs(pts))))
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -138,8 +141,7 @@ class CenterConfiguration:
 
     def extent(self) -> float:
         """Largest center distance from the origin of R^3."""
-        pts = self.points_r3()
-        return float(np.max(np.linalg.norm(pts, axis=1)))
+        return self._extent
 
 
 def _principal_branch(c: complex, n: int) -> complex:

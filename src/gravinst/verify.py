@@ -183,14 +183,14 @@ class Construction:
     """Everything a scan needs to know about one chart.
 
     Chart fields are functions of a coordinate 4-tuple returning an array:
-    metric(config, mode, potential_transform=None), kahler(config, mode)
-    and complex_structure(config, mode) build them.  Their derivatives are
-    exact jets: derivatives(config, mode, potential_transform=None) gives
-    the metric's (dg, d2g) at a point for tensorcalc.curvature_at, and
-    kahler_derivatives(config, mode) gives (d omega, dJ) at a point for
-    tensorcalc.exterior_derivative and nijenhuis_at, dJ None where
-    constant_j says that the chart's complex structure has constant
-    components, so its Nijenhuis tensor vanishes identically.
+    metric(config, mode, potential_transform=None) builds the metric.
+    Derivatives are exact jets: derivatives(config, mode,
+    potential_transform=None) gives the metric's (dg, d2g) at a point for
+    tensorcalc.curvature_at, and kahler_derivatives(config, mode) gives
+    (omega, d omega, J, dJ) at a point, values and derivatives from one
+    evaluation, for tensorcalc.exterior_derivative and nijenhuis_at; dJ
+    is None where constant_j says that the chart's complex structure has
+    constant components, so its Nijenhuis tensor vanishes identically.
     stream(config, spec) gives the coordinates of the sample stream;
     image(generator, x) maps coordinates by the cyclic action, whose
     differential is jacobian(generator); user_coords completes and checks
@@ -203,12 +203,10 @@ class Construction:
     has_potential: bool  # potential_transform (V -> f(V)) applies
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
     metric: Callable[..., Field]
-    kahler: Callable[[CenterConfiguration, str | None], Field]
-    complex_structure: Callable[[CenterConfiguration, str | None], Field]
     derivatives: Callable[..., tensorcalc.Derivatives]
     kahler_derivatives: Callable[
         [CenterConfiguration, str | None],
-        Callable[[Coords], tuple[np.ndarray, np.ndarray | None]],
+        Callable[[Coords], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]],
     ]
     constant_j: bool
     image: Callable[[GroupElement, Coords], Coords]
@@ -255,15 +253,13 @@ GH = Construction(
     metric=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_at(
         config, x, mode=mode, potential_transform=potential_transform
     ),
-    kahler=lambda config, mode: lambda x: ghawking.kahler_form_at(config, x, mode=mode),
-    complex_structure=lambda config, mode: lambda x: ghawking.complex_structure_at(
-        config, x, mode=mode
-    ),
     derivatives=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_jet(
         config, x, mode, potential_transform
     ).partials(),
     kahler_derivatives=lambda config, mode: lambda x: tuple(
-        jet.partials()[0] for jet in ghawking.kahler_jets(config, x, mode)
+        part
+        for jet in ghawking.kahler_jets(config, x, mode)
+        for part in (jet.val, jet.partials()[0])
     ),
     constant_j=False,
     image=_gh_image,
@@ -279,13 +275,13 @@ HITCHIN = Construction(
     metric=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_at(
         config, x
     ),
-    kahler=lambda config, mode: lambda x: hitchin.kahler_form_at(config, x),
-    complex_structure=lambda config, mode: lambda x: hitchin.STANDARD_J,
     derivatives=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_jet(
         config, x
     ).partials(),
     kahler_derivatives=lambda config, mode: lambda x: (
+        hitchin.kahler_form_at(config, x),
         hitchin.kahler_form_derivative(config, x),
+        hitchin.STANDARD_J,
         None,
     ),
     constant_j=True,
@@ -417,16 +413,12 @@ def kahler_scan(
     """
     c = construction(metric_source)
     points = c.points(config, spec or SampleSpec())
-    omega_field = c.kahler(config, mode)
-    j_at = c.complex_structure(config, mode)
     g_at = c.metric(config, mode)
-    derivatives = c.kahler_derivatives(config, mode)
+    kahler_at = c.kahler_derivatives(config, mode)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
-        w = omega_field(x)
-        J = j_at(x)
-        d_omega, dJ = derivatives(x)
+        w, d_omega, J, dJ = kahler_at(x)
         dw = tensorcalc.exterior_derivative(d_omega)
         nij = 0.0 if c.constant_j else tensorcalc.nijenhuis_at(J, dJ)
         g = g_at(x)
@@ -539,7 +531,9 @@ def cross_validate(
 
 def period_check(config: CenterConfiguration) -> CheckRecord:
     """Fit cycle_period(i, j) = C (b_j - b_i) over the vertically separated
-    pairs i < j; record the constant, assert only the proportionality."""
+    pairs i < j; record the constant, assert only the proportionality.
+    cycle_period is the closed form -2 pi (b_j - b_i), so C = -2 pi is an
+    identity, and the note says so."""
     scale = max(1.0, config.extent())
     tol_b = 1e-9 * scale
     pairs = [(i, j) for i in range(config.k) for j in range(i + 1, config.k)]
@@ -594,7 +588,7 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
         tolerance=PERIOD_TOL,
         passed=residual < PERIOD_TOL,
         count=len(dbs),
-        note=f"C = {c:.9g}",
+        note=f"C = {c:.9g}, the closed form -2 pi (b_j - b_i)",
     )
 
 

@@ -39,6 +39,12 @@ def hexagon_config():
     )
 
 
+def two_level_config():
+    return make_polygon_config(
+        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
+    )
+
+
 def origin_config():
     return CenterConfiguration(
         centers=(Center(0.0, 0j),), signature=QuotientSignature(1, 1, 0)
@@ -136,16 +142,11 @@ def test_connection_curl_matches_grad_v():
 
 def test_connection_gauge_and_strings():
     cfg = pair_config()
-    # directly below the a=+1 center: on its 'down' string
+    # directly below the a=+1 center: on its Dirac string
     with pytest.raises(DiracStringError):
         ghawking.connection_at(cfg, -0.5, cfg.centers[0].a)
-    # same point is regular in the 'up' gauge
-    val = ghawking.connection_at(cfg, -0.5, cfg.centers[0].a, gauges="up")
-    assert np.all(np.isfinite(val))
     with pytest.raises(PoleError):
         ghawking.connection_at(cfg, 0.0, cfg.centers[0].a)
-    with pytest.raises(ValueError):
-        ghawking.connection_at(cfg, 0.5, 3.0 + 0j, gauges=["down"])
 
 
 # --- metric algebra ---
@@ -179,25 +180,6 @@ def test_kahler_form_squares_to_twice_volume():
     vol = math.sqrt(np.linalg.det(g))
     # chart order (theta, b, a1, a2) is negatively oriented for J
     assert abs(wedge / vol + 2.0) < 1e-10
-
-
-def test_curvature_scalars_are_gauge_independent():
-    # the jets work in the down gauge; the up gauge goes through the
-    # finite-difference reference
-    cfg = pair_config()
-    x = (0.0, 0.5, 1.1, 0.4)
-    down = tensorcalc.curvature_at(
-        lambda q: ghawking.metric_at(cfg, q, gauges="down"),
-        x,
-        verify.GH.derivatives(cfg, "ale"),
-    )
-
-    def up_field(q):
-        return ghawking.metric_at(cfg, q, gauges="up")
-
-    up = tensorcalc.curvature_at(up_field, x, fd_derivatives(up_field))
-    rel = abs(down.riem_norm_sq - up.riem_norm_sq) / down.riem_norm_sq
-    assert rel < 1e-8
 
 
 def test_potential_transform_breaks_det_identity():
@@ -234,9 +216,8 @@ def test_clearances():
 def test_cycle_period_tower():
     tower = tower_config()
     per = ghawking.cycle_period(tower, 0, 1)
-    # integrand is exactly -db; the 1e-9 endpoint clip gives a 2e-9
-    # relative offset from -2 pi per unit height
-    assert abs(per / 2.0 + 2.0 * math.pi) < 5e-8
+    # the closed form -2 pi (b_j - b_i), heights -1 and 1
+    assert per == -4.0 * math.pi
     assert ghawking.cycle_period(tower, 1, 0) + per == 0.0
 
 
@@ -251,9 +232,48 @@ def test_cycle_period_blocked_segment():
     )
     with pytest.raises(PathBlockedError):
         ghawking.cycle_period(three, 0, 2)
-    # adjacent pairs stay integrable
-    per = ghawking.cycle_period(three, 0, 1)
-    assert abs(per + 2.0 * math.pi) < 5e-8
+    # adjacent pairs stay unblocked
+    assert ghawking.cycle_period(three, 0, 1) == -2.0 * math.pi
+    # a tilted line: the middle center blocks the outer pair, and a center
+    # on the line's extension past an endpoint does not block
+    tilted = CenterConfiguration(
+        centers=(Center(-1.0, -1 - 1j), Center(0.5, 0.5 + 0.5j), Center(1.0, 1 + 1j)),
+        signature=QuotientSignature(3, 1, 0),
+    )
+    with pytest.raises(PathBlockedError):
+        ghawking.cycle_period(tilted, 0, 2)
+    assert ghawking.cycle_period(tilted, 0, 1) == -3.0 * math.pi
+
+
+def quadrature_period(config, i, j):
+    """The period as the integral the closed form replaces: 2 pi times the
+    integral of tangent . omega . d_theta along the segment from center i
+    to center j by adaptive Simpson, cut 1e-9 short of the cone points at
+    both ends, with omega in the one gauge of kahler_form_at."""
+    ci, cj = config.centers[i], config.centers[j]
+    db, da = cj.b - ci.b, cj.a - ci.a
+    tangent = np.array([0.0, db, da.real, da.imag])
+
+    def integrand(t):
+        a = ci.a + t * da
+        w = ghawking.kahler_form_at(config, (0.0, ci.b + t * db, a.real, a.imag))
+        return float(tangent @ w[:, 0])
+
+    eps = 1e-9
+    return 2.0 * math.pi * quadrature.adaptive_simpson(integrand, eps, 1.0 - eps)
+
+
+@pytest.mark.parametrize("build", [two_level_config, hexagon_config])
+def test_cycle_period_matches_quadrature(build):
+    # no pair of either config is blocked, and neither has a vertical
+    # segment, so no segment runs along a Dirac string; the 5e-8
+    # allowance is the 1e-9 endpoint cut
+    config = build()
+    for i in range(config.k):
+        for j in range(i + 1, config.k):
+            closed = ghawking.cycle_period(config, i, j)
+            reference = quadrature_period(config, i, j)
+            assert abs(closed - reference) <= 5e-8 * abs(closed)
 
 
 def test_cycle_period_index_validation():
@@ -279,12 +299,6 @@ def test_flat_growth_slope_is_four():
     fit = ghawking.volume_growth_fit(origin_config(), mode="ale")
     assert abs(fit.slope - 4.0) < 1e-6
     assert fit.rms_residual < 1e-9
-
-
-def two_level_config():
-    return make_polygon_config(
-        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
-    )
 
 
 def quadrature_ball_volume(config, R):

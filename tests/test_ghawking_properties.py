@@ -1,7 +1,8 @@
 """Property tests of the circle-fibered scalar kernels on random polygon
 configurations: the plain-float potential and clearance against numpy
 norms, d alpha = *dV by central differences, and the theta independence
-of the Kahler form that cycle_period relies on."""
+and constant theta column of the Kahler form that give cycle_period its
+closed form."""
 
 import math
 
@@ -54,7 +55,7 @@ def configs(draw):
 @st.composite
 def configs_and_points(draw):
     """A config and a base point (b, a) at least 0.25 * scale from every
-    center and every default-gauge Dirac string."""
+    center and every Dirac string."""
     config = draw(configs())
     scale = max(1.0, config.extent())
     b, a1, a2 = (3.0 * scale * draw(unit) for _ in range(3))
@@ -120,6 +121,8 @@ def test_connection_curl_is_grad_potential(case):
 def test_kahler_form_does_not_depend_on_theta(case, thetas):
     config, b, a = case
     w0 = ghawking.kahler_form_at(config, (0.0, b, a.real, a.imag))
+    # the period integrand tangent . omega . d_theta is then -(b_j - b_i)
+    assert np.array_equal(w0[:, 0], [0.0, -1.0, 0.0, 0.0])
     for theta in thetas:
         w = ghawking.kahler_form_at(config, (theta, b, a.real, a.imag))
         assert np.array_equal(w, w0)

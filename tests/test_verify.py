@@ -40,6 +40,12 @@ def hexagon_config():
     )
 
 
+def square_config():
+    return make_polygon_config(
+        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0]
+    )
+
+
 # --- ricci ---
 
 
@@ -208,12 +214,26 @@ def test_full_report_cross_validation_uses_run_sampling_geometry():
 
 
 def test_period_check_two_level():
-    # the four vertically separated pairs, each integrated once
+    # the four vertically separated pairs, each the closed form
     rec = verify.period_check(two_level_config())
     assert rec.passed
     assert rec.count == 4
     assert rec.max_residual < 1e-3
-    assert rec.note.startswith("C = ")
+    assert rec.note == "C = -6.28318531, the closed form -2 pi (b_j - b_i)"
+
+
+@pytest.mark.parametrize(
+    "build, count",
+    [(hexagon_config, 9), (square_config, 3), (lambda: make_akl_config(2, 1, 12), 23)],
+    ids=["hexagon", "square", "akl-12"],
+)
+def test_period_check_counts(build, count):
+    # vertically separated pairs, or every unblocked pair when the centers
+    # are coplanar: square and akl J=12 are collinear, so only adjacent
+    # centers pair up and every other segment is blocked by a third center
+    rec = verify.period_check(build())
+    assert rec.passed
+    assert rec.count == count
 
 
 def test_period_check_coplanar():
