@@ -207,9 +207,9 @@ def _ricci_samples(config: CenterConfiguration, spec: SampleSpec) -> dict:
     not run the Ricci scans itself."""
     out = {}
     for c in verify.CONSTRUCTIONS:
-        if config.mode in c.modes:
+        if c.applies(config):
             try:
-                record = verify.ricci_scan(c.name, config, config.mode, spec)
+                record = verify.ricci_scan(c.name, config, spec)
             except ScanError as exc:
                 out[c.name] = exc.samples
             else:
@@ -238,9 +238,7 @@ def cmd_verify(args) -> int:
     config = run.build()
     if args.perturb:
         config = verify.perturb_config(config, eps=args.perturb)
-    report = verify.full_report(
-        config, mode=config.mode, spec=run.sample, checks=checks
-    )
+    report = verify.full_report(config, spec=run.sample, checks=checks)
     report = _apply_tolerances(report, run.tolerances)
     document = _report_document(report)
     out_path = args.out or run.out
@@ -279,19 +277,14 @@ def cmd_sample(args) -> int:
     run = load_run_config(args.config)
     _apply_mode(run, args.mode)
     config = run.build()
-    construction = verify.construction(args.construction)
-    if config.mode not in construction.modes:
-        raise ConfigError(
-            f"the {construction.name} construction applies to"
-            f" {'/'.join(construction.modes)} configurations"
-        )
+    construction = verify.construction(args.construction).require(config)
     points = [_parse_point(text, construction) for text in args.point or ()]
     if args.grid:
         spec = SampleSpec(count=args.grid, seed=args.seed or 0)
         points += construction.points(config, spec)
     if not points:
         raise ConfigError("nothing to sample: give --point and/or --grid")
-    samples = verify.ricci_samples(construction, config, points, config.mode)
+    samples = verify.ricci_samples(construction, config, points)
     _write_csv(args.out, [_csv_row(construction.name, s) for s in samples])
     return 0
 
@@ -300,14 +293,9 @@ def cmd_fit(args) -> int:
     run = load_run_config(args.config)
     _apply_mode(run, args.mode)
     config = run.build()
-    wanted = args.fit or (["decay", "volume"] if config.mode == "ale" else ["volume"])
-    if "decay" in wanted and config.mode != "ale":
-        raise ConfigError("curvature decay applies to ale configurations")
-    if "volume" in wanted and config.mode not in verify.VOLUME_TARGETS:
-        raise ConfigError("no growth band for truncated configurations")
     ok = True
-    for name in wanted:
-        _, records = verify.decay_and_volume(config, config.mode, (name,))
+    for name in args.fit or verify.fit_parts(config):
+        _, records = verify.decay_and_volume(config, (name,))
         for check in records:
             ok = ok and check.passed
             print(

@@ -61,19 +61,14 @@ from gravinst.singularities import CenterConfiguration, GroupElement
 from gravinst.tensorcalc import Coords, Jet
 
 
-def _mode_of(config: CenterConfiguration, mode: str | None) -> str:
-    if mode is None:
-        return config.mode
-    if mode not in ("ale", "alf", "akl"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return mode
+def _alf_constant(config: CenterConfiguration) -> float:
+    """The constant term of V: 1 for an ALF configuration, 0 otherwise."""
+    return 1.0 if config.mode == "alf" else 0.0
 
 
-def potential_at(
-    config: CenterConfiguration, b: float, a: complex, mode: str | None = None
-) -> float:
+def potential_at(config: CenterConfiguration, b: float, a: complex) -> float:
     """Harmonic potential V at the base point (b, a)."""
-    total = 1.0 if _mode_of(config, mode) == "alf" else 0.0
+    total = _alf_constant(config)
     for c in config.centers:
         dist = math.hypot(b - c.b, abs(a - c.a))
         if dist == 0.0:
@@ -110,7 +105,6 @@ def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarr
 def metric_at(
     config: CenterConfiguration,
     x: Coords,
-    mode: str | None = None,
     potential_transform: Callable[[float], float] | None = None,
 ) -> np.ndarray:
     """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
@@ -123,7 +117,7 @@ def metric_at(
     also accepts a tensorcalc.Jet.
     """
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode)
+    V = potential_at(config, b, a)
     if potential_transform is not None:
         V = float(potential_transform(V))
     alpha = connection_at(config, b, a)
@@ -158,23 +152,19 @@ def _omega_rows(V, a1, a2) -> tuple:
     )
 
 
-def complex_structure_at(
-    config: CenterConfiguration, x: Coords, mode: str | None = None
-) -> np.ndarray:
+def complex_structure_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Integrable complex structure J (J.J = -I) in coordinate components."""
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode)
+    V = potential_at(config, b, a)
     alpha = connection_at(config, b, a)
     return np.array(_j_rows(V, alpha[1], alpha[2]))
 
 
-def kahler_form_at(
-    config: CenterConfiguration, x: Coords, mode: str | None = None
-) -> np.ndarray:
+def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
     as an antisymmetric component matrix."""
     b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a, mode)
+    V = potential_at(config, b, a)
     alpha = connection_at(config, b, a)
     return np.array(_omega_rows(V, alpha[1], alpha[2]))
 
@@ -190,9 +180,7 @@ def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
     return dlt, Jet.where(above, outer, r_sq / outer)
 
 
-def _potential_jets(
-    config: CenterConfiguration, x: Coords, mode: str | None
-) -> tuple[Jet, Jet, Jet]:
+def _potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
     """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
     over a per-center axis.  With w_i = a - a_i, the coefficient
     1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
@@ -214,7 +202,7 @@ def _potential_jets(
     dlt, f = center_factors(u, r_sq)
     if np.any(f.val == 0.0):
         raise DiracStringError("evaluation on the down Dirac string of a center")
-    V = 0.5 * dlt.inv().sum() + (1.0 if _mode_of(config, mode) == "alf" else 0.0)
+    V = 0.5 * dlt.inv().sum() + _alf_constant(config)
     coef = 0.5 * (dlt * f).inv()
     return V, (coef * w_im).sum(), -(coef * w_re).sum()
 
@@ -226,26 +214,23 @@ def _jet_matrix(rows: tuple) -> Jet:
 def metric_jet(
     config: CenterConfiguration,
     x: Coords,
-    mode: str | None = None,
     potential_transform: Callable | None = None,
 ) -> Jet:
     """The metric at x as a second-order jet in (theta, b, a1, a2): the
     value of metric_at, potential_transform included, with exact first
     and second derivatives.  g = u u^T / V + V diag(0, 1, 1, 1) with
     u = (1, 0, alpha_1, alpha_2)."""
-    V, a1, a2 = _potential_jets(config, x, mode)
+    V, a1, a2 = _potential_jets(config, x)
     if potential_transform is not None:
         V = potential_transform(V)
     u = Jet.stack([1.0, 0.0, a1, a2])
     return u[:, None] * u[None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
 
-def kahler_jets(
-    config: CenterConfiguration, x: Coords, mode: str | None = None
-) -> tuple[Jet, Jet]:
+def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet]:
     """omega and J at x as jets, the values of kahler_form_at and
     complex_structure_at, both from one set of V and alpha jets."""
-    V, a1, a2 = _potential_jets(config, x, mode)
+    V, a1, a2 = _potential_jets(config, x)
     return _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
 
@@ -313,9 +298,7 @@ def cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
     return -2.0 * math.pi * (config.centers[j].b - config.centers[i].b)
 
 
-def coordinate_ball_volume(
-    config: CenterConfiguration, R: float, mode: str | None = None
-) -> float:
+def coordinate_ball_volume(config: CenterConfiguration, R: float) -> float:
     """Riemannian volume of the theta-bundle over the coordinate ball
     |x| <= R, i.e. 2 pi int_{B_R} V d^3x (the volume density is exactly V).
 
@@ -328,8 +311,7 @@ def coordinate_ball_volume(
     """
     if not R >= 0.0:
         raise ValueError("ball radius must be non-negative")
-    constant = 1.0 if _mode_of(config, mode) == "alf" else 0.0
-    total = constant * R**3 / 3.0
+    total = _alf_constant(config) * R**3 / 3.0
     for c in config.centers:
         s = float(np.linalg.norm(c.as_r3()))
         total += 0.5 * (R**3 / (3.0 * s) if s > R else 0.5 * R * R - s * s / 6.0)
@@ -349,9 +331,7 @@ _RAY_DIRECTIONS = np.array(
 _RAY_DIRECTIONS /= np.linalg.norm(_RAY_DIRECTIONS, axis=1)[:, None]
 
 
-def geodesic_radii(
-    config: CenterConfiguration, radii, mode: str | None = None
-) -> np.ndarray:
+def geodesic_radii(config: CenterConfiguration, radii) -> np.ndarray:
     """Radial geodesic lengths int_0^R sqrt(V) dr for each coordinate
     radius R of the increasing sequence radii, averaged over a fixed set
     of rays from the origin.
@@ -367,9 +347,7 @@ def geodesic_radii(
     for row, d in zip(lengths, _RAY_DIRECTIONS):
 
         def sqrt_v(t: float) -> float:
-            return math.sqrt(
-                potential_at(config, t * d[0], complex(t * d[1], t * d[2]), mode)
-            )
+            return math.sqrt(potential_at(config, t * d[0], complex(t * d[1], t * d[2])))
 
         def substituted(u: float) -> float:
             # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
@@ -390,15 +368,17 @@ def volume_growth_fit(config: CenterConfiguration, mode: str | None = None) -> F
     """Fit log(volume) against log(geodesic radius) over coordinate radii.
 
     Euclidean-type growth gives slope 4 (ale), one collapsed circle
-    direction gives slope 3 (alf).
+    direction gives slope 3 (alf).  mode, if given, must be config.mode
+    (ValueError otherwise); the configuration alone decides the metric.
     """
-    mode = _mode_of(config, mode)
+    if mode not in (None, config.mode):
+        raise ValueError(f"mode {mode!r} is not the configured mode {config.mode!r}")
     scale = max(1.0, config.extent())
     # chosen far outside the configuration so the offset between
     # coordinate and geodesic radius no longer bends the log-log line
-    if mode == "alf":
+    if config.mode == "alf":
         radii = np.geomspace(100.0, 1100.0, 6) * scale
     else:
         radii = np.geomspace(1000.0, 110000.0, 6) * scale
-    vols = [coordinate_ball_volume(config, R, mode) for R in radii]
-    return fit_loglog(geodesic_radii(config, radii, mode), vols)
+    vols = [coordinate_ball_volume(config, R) for R in radii]
+    return fit_loglog(geodesic_radii(config, radii), vols)

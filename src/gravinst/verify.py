@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from gravinst import ghawking, hitchin, sampling, tensorcalc
-from gravinst.errors import GeometryError, PathBlockedError, ScanError
+from gravinst.errors import FitDomainError, GeometryError, PathBlockedError, ScanError
 from gravinst.fitting import FitResult, fit_proportional
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
@@ -149,7 +149,6 @@ class RatioStats:
 @dataclass
 class VerificationReport:
     config_payload: dict
-    mode: str
     seed: int
     checks: list[CheckRecord] = field(default_factory=list)
     fits: dict = field(default_factory=dict)
@@ -167,7 +166,7 @@ class VerificationReport:
         """Deterministic report body; timing deliberately excluded."""
         out = {
             "config": self.config_payload,
-            "mode": self.mode,
+            "mode": self.config_payload["mode"],
             "seed": self.seed,
             "checks": [c.payload() for c in self.checks],
             "fits": self.fits,
@@ -182,15 +181,17 @@ class VerificationReport:
 class Construction:
     """Everything a scan needs to know about one chart.
 
-    Chart fields are functions of a coordinate 4-tuple returning an array:
-    metric(config, mode, potential_transform=None) builds the metric.
-    Derivatives are exact jets: derivatives(config, mode,
+    The configuration alone fixes the metric: an entry serves the modes
+    in modes, and applies(config) is the one rule for whether it carries
+    config's metric.  Chart fields are functions of a coordinate 4-tuple
+    returning an array: metric(config, potential_transform=None) builds
+    the metric.  Derivatives are exact jets: derivatives(config,
     potential_transform=None) gives the metric's (dg, d2g) at a point for
-    tensorcalc.curvature_at, and kahler_derivatives(config, mode) gives
-    (omega, d omega, J, dJ) at a point, values and derivatives from one
-    evaluation, for tensorcalc.exterior_derivative and nijenhuis_at; dJ
-    is None where constant_j says that the chart's complex structure has
-    constant components, so its Nijenhuis tensor vanishes identically.
+    tensorcalc.curvature_at, and kahler_derivatives(config) gives
+    (g, omega, d omega, J, dJ) at a point, one evaluation of the chart per
+    point, for tensorcalc.exterior_derivative and nijenhuis_at; dJ is None
+    where the chart's complex structure has constant components, so its
+    Nijenhuis tensor vanishes identically.
     stream(config, spec) gives the coordinates of the sample stream;
     image(generator, x) maps coordinates by the cyclic action, whose
     differential is jacobian(generator); user_coords completes and checks
@@ -205,13 +206,25 @@ class Construction:
     metric: Callable[..., Field]
     derivatives: Callable[..., tensorcalc.Derivatives]
     kahler_derivatives: Callable[
-        [CenterConfiguration, str | None],
-        Callable[[Coords], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]],
+        [CenterConfiguration],
+        Callable[[Coords], tuple[np.ndarray, ...]],
     ]
-    constant_j: bool
     image: Callable[[GroupElement, Coords], Coords]
     jacobian: Callable[[GroupElement], np.ndarray]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
+
+    def applies(self, config: CenterConfiguration) -> bool:
+        """Whether this chart carries config's metric."""
+        return config.mode in self.modes
+
+    def require(self, config: CenterConfiguration) -> Construction:
+        """This entry, or ValueError when it does not apply to config."""
+        if not self.applies(config):
+            raise ValueError(
+                f"the {self.name} construction applies to"
+                f" {'/'.join(self.modes)} configurations, not {config.mode}"
+            )
+        return self
 
     def points(self, config: CenterConfiguration, spec: SampleSpec) -> list[ChartPoint]:
         """The sample stream, tagged with this chart."""
@@ -245,23 +258,39 @@ def _hitchin_coords(vals: Sequence[float]) -> Sequence[float]:
     return vals
 
 
+def _gh_kahler(config: CenterConfiguration) -> Callable[[Coords], tuple]:
+    def at(x: Coords) -> tuple:
+        omega, J = ghawking.kahler_jets(config, x)
+        g = ghawking.metric_at(config, x)
+        return g, omega.val, omega.partials()[0], J.val, J.partials()[0]
+
+    return at
+
+
+def _hitchin_kahler(config: CenterConfiguration) -> Callable[[Coords], tuple]:
+    """g and omega are the real part and minus the imaginary part of one
+    Hermitian form; J is the constant J0."""
+
+    def at(x: Coords) -> tuple:
+        h = hitchin.hermitian_form_at(config, x)
+        d_omega = hitchin.kahler_form_derivative(config, x)
+        return h.real, -h.imag, d_omega, hitchin.STANDARD_J, None
+
+    return at
+
+
 GH = Construction(
     name="gh",
     modes=("ale", "alf", "akl"),
     has_potential=True,
     stream=lambda config, spec: sampling.gh_points(config, spec),
-    metric=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_at(
-        config, x, mode=mode, potential_transform=potential_transform
+    metric=lambda config, potential_transform=None: lambda x: ghawking.metric_at(
+        config, x, potential_transform
     ),
-    derivatives=lambda config, mode, potential_transform=None: lambda x: ghawking.metric_jet(
-        config, x, mode, potential_transform
+    derivatives=lambda config, potential_transform=None: lambda x: ghawking.metric_jet(
+        config, x, potential_transform
     ).partials(),
-    kahler_derivatives=lambda config, mode: lambda x: tuple(
-        part
-        for jet in ghawking.kahler_jets(config, x, mode)
-        for part in (jet.val, jet.partials()[0])
-    ),
-    constant_j=False,
+    kahler_derivatives=_gh_kahler,
     image=_gh_image,
     jacobian=lambda gel: ghawking.action_jacobian(gel),
     user_coords=_gh_coords,
@@ -272,19 +301,11 @@ HITCHIN = Construction(
     modes=("ale",),
     has_potential=False,
     stream=lambda config, spec: sampling.hitchin_points(config, spec),
-    metric=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_at(
-        config, x
-    ),
-    derivatives=lambda config, mode, potential_transform=None: lambda x: hitchin.metric_jet(
+    metric=lambda config, potential_transform=None: lambda x: hitchin.metric_at(config, x),
+    derivatives=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(
         config, x
     ).partials(),
-    kahler_derivatives=lambda config, mode: lambda x: (
-        hitchin.kahler_form_at(config, x),
-        hitchin.kahler_form_derivative(config, x),
-        hitchin.STANDARD_J,
-        None,
-    ),
-    constant_j=True,
+    kahler_derivatives=_hitchin_kahler,
     image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
     jacobian=lambda gel: hitchin.action_matrix(gel),
     user_coords=_hitchin_coords,
@@ -358,7 +379,6 @@ def ricci_samples(
     c: Construction,
     config: CenterConfiguration,
     points: Sequence[ChartPoint],
-    mode: str | None = None,
     potential_transform: Callable[[float], float] | None = None,
 ) -> tuple[SampleRecord, ...]:
     """Curvature at each chart point, with residual |Ric| / max(|Rm|, 1).
@@ -366,13 +386,14 @@ def ricci_samples(
     The denominator keeps the residual meaningful in nearly flat regions,
     where absolute Ricci tends to zero no matter what.
     """
+    c.require(config)
     if potential_transform is not None and not c.has_potential:
         raise ValueError(f"potential_transform does not apply to {c.name} metrics")
     for cp in points:
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
-    fld = c.metric(config, mode, potential_transform)
-    derivatives = c.derivatives(config, mode, potential_transform)
+    fld = c.metric(config, potential_transform)
+    derivatives = c.derivatives(config, potential_transform)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         x = cp.coords
@@ -386,42 +407,38 @@ def ricci_samples(
 def ricci_scan(
     metric_source: str,
     config: CenterConfiguration,
-    mode: str | None = None,
     spec: SampleSpec | None = None,
     potential_transform: Callable[[float], float] | None = None,
 ) -> CheckRecord:
     """Worst |Ric| / max(|Rm|, 1) over the sample stream."""
-    c = construction(metric_source)
+    c = construction(metric_source).require(config)
     points = c.points(config, spec or SampleSpec())
-    samples = ricci_samples(c, config, points, mode, potential_transform)
+    samples = ricci_samples(c, config, points, potential_transform)
     return _scan_records("Ricci", c.name, ("ricci",), (RICCI_TOL,), samples)[0]
 
 
 def kahler_scan(
-    metric_source: str,
-    config: CenterConfiguration,
-    mode: str | None = None,
-    spec: SampleSpec | None = None,
+    metric_source: str, config: CenterConfiguration, spec: SampleSpec | None = None
 ) -> list[CheckRecord]:
     """Closedness, integrability and compatibility of the Kahler triple.
 
     Returns three records: the exterior derivative of omega, the
     Nijenhuis tensor of J (both relative to the largest local omega / J
     entry scale), and the algebraic residual omega - J^T g.  Where J has
-    constant components the Nijenhuis tensor is 0 by construction; it is
-    recorded as such, with a note, and not differentiated.
+    constant components (the chart gives no dJ) the Nijenhuis tensor is 0
+    by construction; it is recorded as such, with a note, and not
+    differentiated.
     """
-    c = construction(metric_source)
+    c = construction(metric_source).require(config)
     points = c.points(config, spec or SampleSpec())
-    g_at = c.metric(config, mode)
-    kahler_at = c.kahler_derivatives(config, mode)
+    kahler_at = c.kahler_derivatives(config)
+    constant_j = []
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        x = cp.coords
-        w, d_omega, J, dJ = kahler_at(x)
+        g, w, d_omega, J, dJ = kahler_at(cp.coords)
+        constant_j.append(dJ is None)
         dw = tensorcalc.exterior_derivative(d_omega)
-        nij = 0.0 if c.constant_j else tensorcalc.nijenhuis_at(J, dJ)
-        g = g_at(x)
+        nij = 0.0 if dJ is None else tensorcalc.nijenhuis_at(J, dJ)
         wscale = max(1.0, float(np.max(np.abs(w))))
         return SampleRecord(
             cp,
@@ -439,27 +456,24 @@ def kahler_scan(
         (DOMEGA_TOL, NIJENHUIS_TOL, COMPAT_TOL),
         _sample(points, evaluate),
     )
-    if c.constant_j:
+    if all(constant_j):
         records[1] = replace(records[1], note="J0 is constant in this chart")
     return records
 
 
 def invariance_scan(
-    metric_source: str,
-    config: CenterConfiguration,
-    mode: str | None = None,
-    spec: SampleSpec | None = None,
+    metric_source: str, config: CenterConfiguration, spec: SampleSpec | None = None
 ) -> CheckRecord:
     """Sup over samples of the metric pullback residual under the cyclic
     generator.  Symmetric configurations pass; a perturbed configuration
     is expected to fail (that is the negative control)."""
-    c = construction(metric_source)
+    c = construction(metric_source).require(config)
     if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
     gel = GroupElement(ell=1, signature=config.signature)
     points = c.points(config, spec or SampleSpec())
     M = c.jacobian(gel)
-    fld = c.metric(config, mode)
+    fld = c.metric(config)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         g_here = fld(cp.coords)
@@ -482,7 +496,10 @@ def cross_validate(
     the constant c^-2 everywhere; the spread is asserted, the constant is
     recorded, never asserted.  Base points where the curvature sits below
     the noise floor are skipped (flat regions carry no information).
+    ValueError unless both constructions apply to config.
     """
+    for c in (GH, HITCHIN):
+        c.require(config)
     spec = spec or SampleSpec(count=CROSS_COUNT)
     if config.k < 2:
         stats = RatioStats(
@@ -497,8 +514,8 @@ def cross_validate(
             note=stats.note,
         )
         return stats, record
-    gh_field, gh_derivatives = GH.metric(config, "ale"), GH.derivatives(config, "ale")
-    hit_field, hit_derivatives = HITCHIN.metric(config, "ale"), HITCHIN.derivatives(config, "ale")
+    gh_field, gh_derivatives = GH.metric(config), GH.derivatives(config)
+    hit_field, hit_derivatives = HITCHIN.metric(config), HITCHIN.derivatives(config)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         theta, b, a1, a2 = cp.coords
@@ -592,19 +609,37 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     )
 
 
+def fit_parts(config: CenterConfiguration) -> tuple[str, ...]:
+    """The asymptotic fits that apply to config: "decay" where the complex
+    chart carries its ALE end, "volume" where VOLUME_TARGETS has a band.
+    FitDomainError when none does."""
+    parts = ("decay",) if HITCHIN.applies(config) else ()
+    if config.mode in VOLUME_TARGETS:
+        parts += ("volume",)
+    if not parts:
+        raise FitDomainError(f"no asymptotic fit applies to {config.mode} configurations")
+    return parts
+
+
 def decay_and_volume(
-    config: CenterConfiguration,
-    mode: str | None = None,
-    which: Sequence[str] = ("decay", "volume"),
+    config: CenterConfiguration, which: Sequence[str] | None = None
 ) -> tuple[dict, list[CheckRecord]]:
     """Asymptotic fits with their pass bands: curvature slope DECAY_TARGET
     +- DECAY_TOL for ale (a flat end, |Rm|^2 below CURVATURE_FLOOR, for a
-    single center), volume slope VOLUME_TARGETS[mode] +- VOLUME_TOL for
-    ale and alf.  which selects the "decay" and "volume" parts."""
-    mode = mode or config.mode
+    single center), volume slope VOLUME_TARGETS[config.mode] +- VOLUME_TOL
+    for ale and alf.  which selects the "decay" and "volume" parts, by
+    default every part of fit_parts(config); a part that does not apply
+    raises FitDomainError."""
+    parts = fit_parts(config)
+    which = parts if which is None else which
+    for part in which:
+        if part not in parts:
+            raise FitDomainError(
+                f"the {part} fit does not apply to {config.mode} configurations"
+            )
     fits: dict = {}
     records: list[CheckRecord] = []
-    decay = "decay" in which and mode == "ale"
+    decay = "decay" in which
     if decay and config.k == 1:
         # one center: the metric is flat, and a slope would fit the noise
         _, values = hitchin.ale_curvature_samples(config)
@@ -634,20 +669,8 @@ def decay_and_volume(
         )
     if "volume" not in which:
         return fits, records
-    if mode not in VOLUME_TARGETS:
-        records.append(
-            CheckRecord(
-                name="volume-growth-slope",
-                max_residual=0.0,
-                tolerance=VOLUME_TOL,
-                passed=True,
-                count=0,
-                note="no growth band for truncated infinite configurations",
-            )
-        )
-        return fits, records
-    target = VOLUME_TARGETS[mode]
-    vol = ghawking.volume_growth_fit(config, mode=mode)
+    target = VOLUME_TARGETS[config.mode]
+    vol = ghawking.volume_growth_fit(config)
     fits["volume_growth"] = _fit_payload(vol)
     records.append(
         CheckRecord(
@@ -717,7 +740,7 @@ def akl_convergence_check(
     values = []
     for j in j_values:
         cfg = make_akl_config(n=n, m=m, j_max=j)
-        values.append(ghawking.potential_at(cfg, 0.5, 0j, mode="akl"))
+        values.append(ghawking.potential_at(cfg, 0.5, 0j))
     worst = 0.0
     diffs = []
     for (j0, v0), (j1, v1) in zip(
@@ -787,21 +810,21 @@ def full_report(
     """Run the applicable checks and aggregate a deterministic report.
 
     Scan errors are recorded per check instead of aborting the report.
-    The payload is a pure function of (config, mode, seed); wall-clock
-    timing lives in a separate field the payload never includes.
+    The payload is a pure function of (config, seed); wall-clock timing
+    lives in a separate field the payload never includes.  mode, if
+    given, must be config.mode (ValueError otherwise).
     """
     import time
 
-    mode = mode or config.mode
+    if mode not in (None, config.mode):
+        raise ValueError(f"mode {mode!r} is not the configured mode {config.mode!r}")
     spec = spec or SampleSpec()
     selected = tuple(checks) if checks else ALL_CHECKS
     unknown = set(selected) - set(ALL_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    report = VerificationReport(
-        config_payload=_config_payload(config), mode=mode, seed=spec.seed
-    )
-    constructions = [c for c in CONSTRUCTIONS if mode in c.modes]
+    report = VerificationReport(config_payload=_config_payload(config), seed=spec.seed)
+    constructions = [c for c in CONSTRUCTIONS if c.applies(config)]
 
     def run(name: str, fn: Callable[[], None]) -> None:
         t0 = time.perf_counter()
@@ -823,7 +846,7 @@ def full_report(
     def ricci(c: Construction) -> None:
         transform = potential_transform if c.has_potential else None
         try:
-            record = ricci_scan(c.name, config, mode, spec, transform)
+            record = ricci_scan(c.name, config, spec, transform)
         except ScanError as exc:
             report.samples[c.name] = exc.samples
             raise
@@ -838,7 +861,7 @@ def full_report(
             run(
                 f"kahler-{c.name}",
                 lambda c=c: report.checks.extend(
-                    kahler_scan(c.name, config, mode, spec)
+                    kahler_scan(c.name, config, spec)
                 ),
             )
     if "invariance" in selected and config.signature.n >= 2:
@@ -846,10 +869,10 @@ def full_report(
             run(
                 f"invariance-{c.name}",
                 lambda c=c: report.checks.append(
-                    invariance_scan(c.name, config, mode=mode, spec=spec)
+                    invariance_scan(c.name, config, spec)
                 ),
             )
-    if "cross" in selected and mode == "ale":
+    if "cross" in selected and all(c.applies(config) for c in (GH, HITCHIN)):
 
         def _cross():
             stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT))
@@ -859,15 +882,15 @@ def full_report(
         run("cross-validation", _cross)
     if "periods" in selected:
         run("periods", lambda: report.checks.append(period_check(config)))
-    if "fits" in selected and mode in ("ale", "alf"):
+    if "fits" in selected and config.mode != "akl":
 
         def _fits():
-            fits, records = decay_and_volume(config, mode)
+            fits, records = decay_and_volume(config)
             report.fits.update(fits)
             report.checks.extend(records)
 
         run("fits", _fits)
-    if "fits" in selected and mode == "akl":
+    elif "fits" in selected:
         j_hi = config.akl_j_max or 1
         run(
             "akl-convergence",
@@ -879,7 +902,7 @@ def full_report(
                 )
             ),
         )
-    if "solver" in selected and mode == "ale":
+    if "solver" in selected and HITCHIN.applies(config):
         run(
             "implicit-solver",
             lambda: report.checks.append(

@@ -75,14 +75,14 @@ def test_criterion_01_flat_anchors():
     results = {}
     t0 = time.perf_counter()
     worst = 0.0
-    derivatives = verify.GH.derivatives(cfg, "ale")
+    derivatives = verify.GH.derivatives(cfg)
     for x in sampling.gh_points(cfg, spec):
         bun = tensorcalc.curvature_at(lambda q: ghawking.metric_at(cfg, q), x, derivatives)
         worst = max(worst, bun.riem_norm_sq)
     results["gh"] = (worst, time.perf_counter() - t0)
     t0 = time.perf_counter()
     worst = 0.0
-    derivatives = verify.HITCHIN.derivatives(cfg, "ale")
+    derivatives = verify.HITCHIN.derivatives(cfg)
     for x in sampling.hitchin_points(cfg, spec):
         bun = tensorcalc.curvature_at(lambda q: hitchin.metric_at(cfg, q), x, derivatives)
         worst = max(worst, bun.riem_norm_sq)
@@ -106,7 +106,7 @@ def test_criterion_02_ricci_flatness():
         cfg = build()
         t0 = time.perf_counter()
         for src in ["gh", "hitchin"] if mode == "ale" else ["gh"]:
-            rec = verify.ricci_scan(src, cfg, mode, spec)
+            rec = verify.ricci_scan(src, cfg, spec)
             worst = max(worst, rec.max_residual)
             ok = ok and rec.max_residual < 5e-5 and rec.count == 100
         dt = time.perf_counter() - t0
@@ -127,7 +127,7 @@ def test_criterion_03_kahler_triple():
     for name, build, mode in RICCI_CASES:
         cfg = build()
         for src in ["gh", "hitchin"] if mode == "ale" else ["gh"]:
-            for rec in verify.kahler_scan(src, cfg, mode, spec):
+            for rec in verify.kahler_scan(src, cfg, spec):
                 key = rec.name.rsplit("-", 1)[0]
                 worst[key] = max(worst[key], rec.max_residual)
     ok = (
@@ -152,9 +152,9 @@ def test_criterion_04_cyclic_invariance():
         cfg = build()
         pert = verify.perturb_config(cfg, eps=0.01)
         for src in ("gh", "hitchin"):
-            rec = verify.invariance_scan(src, cfg, mode="ale", spec=spec)
+            rec = verify.invariance_scan(src, cfg, spec=spec)
             worst_sym = max(worst_sym, rec.max_residual)
-            rec = verify.invariance_scan(src, pert, mode="ale", spec=spec)
+            rec = verify.invariance_scan(src, pert, spec=spec)
             worst_pert = min(worst_pert, rec.max_residual)
     ok = worst_sym < 1e-9 and worst_pert > 1e-3
     emit(

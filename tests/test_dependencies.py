@@ -1,0 +1,29 @@
+"""The package imports only the standard library, numpy and itself."""
+
+import ast
+import pathlib
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gravinst"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gravinst"}
+
+
+def imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_package_is_numpy_only():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    foreign = {
+        (path.name, name)
+        for path in files
+        for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in ALLOWED
+    }
+    assert not foreign, sorted(foreign)

@@ -2,6 +2,7 @@
 periods."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -99,7 +100,7 @@ def test_potential_is_harmonic():
 
 def test_potential_alf_constant():
     cfg = taubnut_config()
-    ale = ghawking.potential_at(cfg, 0.5, 2.0 + 0j, mode="ale")
+    ale = ghawking.potential_at(replace(cfg, mode="ale"), 0.5, 2.0 + 0j)
     alf = ghawking.potential_at(cfg, 0.5, 2.0 + 0j)
     assert abs(alf - ale - 1.0) < 1e-15
 
@@ -153,9 +154,9 @@ def test_connection_gauge_and_strings():
 
 
 def test_metric_determinant_is_v_squared():
-    for cfg, mode in [(pair_config(), "ale"), (taubnut_config(), "alf")]:
-        g = ghawking.metric_at(cfg, (0.9, 0.35, 0.8, -0.6), mode=mode)
-        V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j, mode=mode)
+    for cfg in [pair_config(), taubnut_config()]:
+        g = ghawking.metric_at(cfg, (0.9, 0.35, 0.8, -0.6))
+        V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
         assert abs(np.linalg.det(g) - V * V) < 1e-12 * V * V
         assert abs(g[0, 0] - 1.0 / V) < 1e-14
 
@@ -400,7 +401,7 @@ def closed_form_riem_norm_sq(config, b, a):
 @pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
-    field = verify.GH.metric(cfg, cfg.mode)
+    field = verify.GH.metric(cfg)
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
         fd = tensorcalc.curvature_at(field, x, fd_derivatives(field))
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
@@ -413,7 +414,7 @@ def test_jet_curvature_matches_closed_form(build):
     # below the centers, where |Rm|^2 is 6.5e-4 and alpha is O(1), the
     # chart's own conditioning leaves 2.5e-9 relative error
     cfg = build()
-    field, derivatives = verify.GH.metric(cfg, cfg.mode), verify.GH.derivatives(cfg, cfg.mode)
+    field, derivatives = verify.GH.metric(cfg), verify.GH.derivatives(cfg)
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
         jet = tensorcalc.curvature_at(field, x, derivatives)
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
@@ -450,7 +451,7 @@ def test_kahler_jets_agree_with_finite_differences():
 def test_jets_raise_typed_errors_on_the_axis():
     cfg = pair_config()
     c = cfg.centers[0]
-    field, derivatives = verify.GH.metric(cfg, "ale"), verify.GH.derivatives(cfg, "ale")
+    field, derivatives = verify.GH.metric(cfg), verify.GH.derivatives(cfg)
 
     def on_axis(db):
         return (0.3, c.b + db, c.a.real, c.a.imag)
@@ -496,7 +497,7 @@ def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
         for cp in verify.GH.points(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed))
     }
     assert len(points) > 400
-    derivatives = verify.HITCHIN.derivatives(cfg, "ale")
+    derivatives = verify.HITCHIN.derivatives(cfg)
     for theta, b, a1, a2 in points:
         hx = hitchin.base_to_chart(cfg, b, complex(a1, a2), phase=theta)
         rm = tensorcalc.curvature_at(

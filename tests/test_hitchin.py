@@ -365,12 +365,12 @@ def test_metric_rejects_branch_locus_and_punctures():
 
 def jet_curvature(cfg, x):
     return tensorcalc.curvature_at(
-        lambda q: hitchin.metric_at(cfg, q), x, verify.HITCHIN.derivatives(cfg, "ale")
+        lambda q: hitchin.metric_at(cfg, q), x, verify.HITCHIN.derivatives(cfg)
     )
 
 
 def fd_curvature(cfg, x):
-    field = verify.HITCHIN.metric(cfg, "ale")
+    field = verify.HITCHIN.metric(cfg)
     return tensorcalc.curvature_at(field, x, fd_derivatives(field, chart_step(cfg, x)))
 
 

@@ -316,7 +316,7 @@ def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
     # circle-fibered metric share 129 distinct stencil points, x among them
     pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
     x = sampling.gh_points(pair, SampleSpec(count=1, seed=0))[0]
-    g_field = verify.GH.metric(pair, "ale")
+    g_field = verify.GH.metric(pair)
     g = g_field(x)
     # the metric has signed zeros here, so the byte comparison below sees them
     assert np.any((g == 0.0) & np.signbit(g))

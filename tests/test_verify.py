@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from gravinst import tensorcalc, verify
-from gravinst.errors import ChartBoundaryError, ScanError
+from gravinst import ghawking, hitchin, tensorcalc, verify
+from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     QuotientSignature,
@@ -44,6 +44,47 @@ def square_config():
     return make_polygon_config(
         QuotientSignature(2, 2, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0]
     )
+
+
+def taubnut_config():
+    return make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf")
+
+
+# --- which construction applies ---
+
+
+def test_scans_reject_a_construction_that_does_not_apply():
+    # the complex chart carries ALE metrics only; its scans on an ALF or a
+    # truncated configuration would report on another metric
+    akl = make_akl_config(n=2, m=1, j_max=3)
+    for scan, config in (
+        (verify.ricci_scan, taubnut_config()),
+        (verify.kahler_scan, akl),
+        (verify.invariance_scan, akl),
+    ):
+        with pytest.raises(ValueError, match="applies to ale"):
+            scan("hitchin", config, spec=SampleSpec(count=2))
+    point = verify.HITCHIN.from_coords([0.4, -0.3, 1.5, 0.7])
+    with pytest.raises(ValueError, match="applies to ale"):
+        verify.ricci_samples(verify.HITCHIN, taubnut_config(), [point])
+    with pytest.raises(ValueError, match="applies to ale"):
+        verify.cross_validate(akl)
+
+
+def test_a_mode_other_than_the_configured_one_is_rejected():
+    with pytest.raises(ValueError, match="configured mode"):
+        verify.full_report(hexagon_config(), mode="alf")
+    with pytest.raises(ValueError, match="configured mode"):
+        ghawking.volume_growth_fit(taubnut_config(), mode="ale")
+
+
+def test_fits_that_do_not_apply_raise():
+    with pytest.raises(FitDomainError):
+        verify.decay_and_volume(make_akl_config(n=2, m=1, j_max=3))
+    with pytest.raises(FitDomainError):
+        verify.decay_and_volume(taubnut_config(), ("decay",))
+    assert verify.fit_parts(taubnut_config()) == ("volume",)
+    assert verify.fit_parts(pair_config()) == ("decay", "volume")
 
 
 # --- ricci ---
@@ -114,6 +155,21 @@ def test_kahler_scan_records_constant_j_as_an_identity(monkeypatch):
     assert nij.name == "kahler-nijenhuis-hitchin"
     assert nij.passed and nij.max_residual == 0.0 and nij.count == 4
     assert nij.payload()["note"] == "J0 is constant in this chart"
+
+
+def test_complex_chart_kahler_sample_solves_twice(monkeypatch):
+    # one Hermitian form gives g and omega, one metric jet gives d omega
+    solve_b = hitchin.solve_b
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_b(*args)
+
+    monkeypatch.setattr(hitchin, "solve_b", counted)
+    recs = verify.kahler_scan("hitchin", hexagon_config(), spec=SampleSpec(count=10, seed=7))
+    assert recs[0].count == 10 and not recs[0].skipped
+    assert len(calls) == 2 * 10
 
 
 # --- invariance ---
