@@ -132,9 +132,6 @@ def _apply_mode(run: RunConfig, mode_arg: str | None) -> None:
             j_max = int(mode_arg.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError("akl mode takes an integer level, e.g. akl:12") from exc
-        for key in ("d", "radii", "heights"):
-            if key in run.singularity:
-                raise ConfigError(f"akl mode generates its polygons; remove {key!r}")
         run.singularity["mode"] = {"akl": j_max}
         return
     raise ConfigError(f"unknown mode {mode_arg!r}")

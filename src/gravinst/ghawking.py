@@ -102,24 +102,11 @@ def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarr
     return alpha
 
 
-def metric_at(
-    config: CenterConfiguration,
-    x: Coords,
-    potential_transform: Callable[[float], float] | None = None,
-) -> np.ndarray:
+def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
-    identically.
-
-    potential_transform deliberately replaces V by f(V) while keeping the
-    connection of the true V; it exists so verification negative controls
-    can break Ricci-flatness in a controlled way.  metric_jet applies the
-    same f to the V jet, so f must be arithmetic on V (+, -, *, /) that
-    also accepts a tensorcalc.Jet.
-    """
+    identically."""
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a)
-    if potential_transform is not None:
-        V = float(potential_transform(V))
     alpha = connection_at(config, b, a)
     u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
     g = np.outer(u, u) / V
@@ -217,9 +204,14 @@ def metric_jet(
     potential_transform: Callable | None = None,
 ) -> Jet:
     """The metric at x as a second-order jet in (theta, b, a1, a2): the
-    value of metric_at, potential_transform included, with exact first
-    and second derivatives.  g = u u^T / V + V diag(0, 1, 1, 1) with
-    u = (1, 0, alpha_1, alpha_2)."""
+    value of metric_at with exact first and second derivatives.
+    g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2).
+
+    potential_transform deliberately replaces V by f(V) while keeping the
+    connection of the true V; it exists so verification negative controls
+    can break Ricci-flatness in a controlled way.  f acts on the V jet, so
+    it must be arithmetic on V (+, -, *, /) that accepts a tensorcalc.Jet.
+    """
     V, a1, a2 = _potential_jets(config, x)
     if potential_transform is not None:
         V = potential_transform(V)

@@ -24,8 +24,9 @@ Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
 
 metric_jet evaluates the same metric as a second-order jet
-(tensorcalc.Jet), which gives curvature its exact first and second
-derivatives, and d(omega) its first, from one evaluation.
+(tensorcalc.Jet): one evaluation, with one solve for b, gives curvature
+the metric with its exact first and second derivatives, and d(omega) its
+first.
 """
 
 from __future__ import annotations
@@ -326,18 +327,15 @@ def ale_curvature_samples(
         raise FitDomainError("smallest radius is inside the configuration region")
     directions = _DECAY_DIRECTIONS / np.linalg.norm(_DECAY_DIRECTIONS, axis=1)[:, None]
 
-    def field(x: Coords) -> np.ndarray:
-        return metric_at(config, x)
-
-    def derivatives(x: Coords) -> tuple[np.ndarray, np.ndarray]:
-        return metric_jet(config, x).partials()
+    def metric(x: Coords) -> tensorcalc.Jet:
+        return metric_jet(config, x)
 
     values = []
     for s in base_radii:
         vals = []
         for d in directions:
             x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            bundle = tensorcalc.curvature_at(field, x, derivatives)
+            bundle = tensorcalc.curvature_at(metric, x)
             vals.append(bundle.riem_norm_sq)
         values.append(vals)
     return radii, values

@@ -4,9 +4,10 @@ Everything downstream (curvature scans, Kahler identities, Nijenhuis
 integrability) reduces to derivatives of chart-valued fields.  They
 have one source: each chart evaluates its fields in :class:`Jet`
 arithmetic, which carries exact first and second derivatives along with
-the value.  The functions here take those derivatives as arrays and
-never differentiate numerically; the finite-difference stencil that
-checks the jets lives with the tests.
+the value.  curvature_at takes the metric's jet, one evaluation per
+point; exterior_derivative and nijenhuis_at take derivatives as arrays.
+Nothing here differentiates numerically; the finite-difference stencil
+that checks the jets lives with the tests.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -146,8 +147,8 @@ class Jet:
 
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
         """The derivatives with their axes in front: first[i] = d_i of the
-        value and second[m, i] = d_m d_i, in the layout curvature_at,
-        exterior_derivative and nijenhuis_at take."""
+        value and second[m, i] = d_m d_i, in the layout curvature_at uses
+        and exterior_derivative and nijenhuis_at take."""
         n = self.val.ndim
         return np.moveaxis(self.grad, n, 0), np.moveaxis(self.hess, (n, n + 1), (0, 1))
 
@@ -221,34 +222,25 @@ class Jet:
         return self._chain(np.log(self.val), r, -r * r)
 
 
-# supplies (dg, d2g) with dg[i, j, l] = d_i g_{jl}, d2g[m, i, j, l] = d_m d_i g_{jl}
-Derivatives = Callable[[Coords], tuple[np.ndarray, np.ndarray]]
+def curvature_at(metric: Callable[[Coords], Jet], x: Coords) -> CurvatureBundle:
+    """Full curvature of a metric at a point.
 
-
-def curvature_at(g_field: Field, x: Coords, derivatives: Derivatives) -> CurvatureBundle:
-    """Full curvature of a metric field at a point.
-
-    The metric itself comes from g_field, evaluated first so that the
-    field's own errors (a pole, a string, the chart boundary) come before
-    anything else; its first and second derivatives come from
-    derivatives(x).  They feed the Christoffel symbols and their
-    derivatives, and the Riemann tensor is assembled from those.  All
-    contractions use the inverse of the metric at the point.
+    metric(x) is the metric's jet at x, evaluated once, so the chart's
+    own errors (a pole, a string, the chart boundary) come from that call.
+    Its value is the metric g; its first and second derivatives feed the
+    Christoffel symbols and their derivatives, and the Riemann tensor is
+    assembled from those.  All contractions use the inverse of g.
     """
-    g0 = np.asarray(g_field(x), dtype=float)
-    if not np.isfinite(g0).all():
-        raise NumericOverflowError(f"metric field produced a non-finite value at {x}")
-    if g0.shape != (4, 4):
-        raise ValueError("metric field must produce 4x4 matrices")
+    jet = metric(x)
+    g0 = jet.val
+    dg, d2g = jet.partials()
+    if g0.shape != (4, 4) or dg.shape != (4, 4, 4) or d2g.shape != (4, 4, 4, 4):
+        raise ValueError("metric jet must have a 4x4 value with its derivatives")
+    if not (np.isfinite(g0).all() and np.isfinite(dg).all() and np.isfinite(d2g).all()):
+        raise NumericOverflowError(f"metric jet is not finite at {x}")
     if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
-        raise ValueError("metric sample is not symmetric")
+        raise ValueError("metric is not symmetric")
     ginv = invert_metric(g0)
-
-    dg, d2g = (np.asarray(a, dtype=float) for a in derivatives(x))
-    if dg.shape != (4, 4, 4) or d2g.shape != (4, 4, 4, 4):
-        raise ValueError("metric derivatives must have shapes (4,4,4) and (4,4,4,4)")
-    if not (np.all(np.isfinite(dg)) and np.all(np.isfinite(d2g))):
-        raise NumericOverflowError(f"metric derivatives are not finite at {x}")
 
     # T[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
     T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)

@@ -183,11 +183,11 @@ class Construction:
 
     The configuration alone fixes the metric: an entry serves the modes
     in modes, and applies(config) is the one rule for whether it carries
-    config's metric.  Chart fields are functions of a coordinate 4-tuple
-    returning an array: metric(config, potential_transform=None) builds
-    the metric.  Derivatives are exact jets: derivatives(config,
-    potential_transform=None) gives the metric's (dg, d2g) at a point for
-    tensorcalc.curvature_at, and kahler_derivatives(config) gives
+    config's metric.  Chart fields are functions of a coordinate 4-tuple:
+    metric(config) gives the metric as a float array, the cheap field the
+    invariance scan compares, and jet(config, potential_transform=None)
+    gives it as an exact jet, the one evaluation per point that
+    tensorcalc.curvature_at takes.  kahler_derivatives(config) gives
     (g, omega, d omega, J, dJ) at a point, one evaluation of the chart per
     point, for tensorcalc.exterior_derivative and nijenhuis_at; dJ is None
     where the chart's complex structure has constant components, so its
@@ -203,8 +203,8 @@ class Construction:
     modes: tuple[str, ...]
     has_potential: bool  # potential_transform (V -> f(V)) applies
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
-    metric: Callable[..., Field]
-    derivatives: Callable[..., tensorcalc.Derivatives]
+    metric: Callable[[CenterConfiguration], Field]
+    jet: Callable[..., Callable[[Coords], tensorcalc.Jet]]
     kahler_derivatives: Callable[
         [CenterConfiguration],
         Callable[[Coords], tuple[np.ndarray, ...]],
@@ -284,12 +284,10 @@ GH = Construction(
     modes=("ale", "alf", "akl"),
     has_potential=True,
     stream=lambda config, spec: sampling.gh_points(config, spec),
-    metric=lambda config, potential_transform=None: lambda x: ghawking.metric_at(
+    metric=lambda config: lambda x: ghawking.metric_at(config, x),
+    jet=lambda config, potential_transform=None: lambda x: ghawking.metric_jet(
         config, x, potential_transform
     ),
-    derivatives=lambda config, potential_transform=None: lambda x: ghawking.metric_jet(
-        config, x, potential_transform
-    ).partials(),
     kahler_derivatives=_gh_kahler,
     image=_gh_image,
     jacobian=lambda gel: ghawking.action_jacobian(gel),
@@ -301,10 +299,8 @@ HITCHIN = Construction(
     modes=("ale",),
     has_potential=False,
     stream=lambda config, spec: sampling.hitchin_points(config, spec),
-    metric=lambda config, potential_transform=None: lambda x: hitchin.metric_at(config, x),
-    derivatives=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(
-        config, x
-    ).partials(),
+    metric=lambda config: lambda x: hitchin.metric_at(config, x),
+    jet=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(config, x),
     kahler_derivatives=_hitchin_kahler,
     image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
     jacobian=lambda gel: hitchin.action_matrix(gel),
@@ -392,12 +388,10 @@ def ricci_samples(
     for cp in points:
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
-    fld = c.metric(config, potential_transform)
-    derivatives = c.derivatives(config, potential_transform)
+    metric = c.jet(config, potential_transform)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        x = cp.coords
-        bundle = tensorcalc.curvature_at(fld, x, derivatives)
+        bundle = tensorcalc.curvature_at(metric, cp.coords)
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
@@ -514,14 +508,13 @@ def cross_validate(
             note=stats.note,
         )
         return stats, record
-    gh_field, gh_derivatives = GH.metric(config), GH.derivatives(config)
-    hit_field, hit_derivatives = HITCHIN.metric(config), HITCHIN.derivatives(config)
+    gh_metric, hit_metric = GH.jet(config), HITCHIN.jet(config)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         theta, b, a1, a2 = cp.coords
         hx = hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
-        rm_hit = tensorcalc.curvature_at(hit_field, hx, hit_derivatives).riem_norm_sq
-        rm_gh = tensorcalc.curvature_at(gh_field, cp.coords, gh_derivatives).riem_norm_sq
+        rm_hit = tensorcalc.curvature_at(hit_metric, hx).riem_norm_sq
+        rm_gh = tensorcalc.curvature_at(gh_metric, cp.coords).riem_norm_sq
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))

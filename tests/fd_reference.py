@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from gravinst.errors import ChartBoundaryError, NumericOverflowError, PoleError
 from gravinst.singularities import CenterConfiguration
-from gravinst.tensorcalc import Coords, Derivatives, Field
+from gravinst.tensorcalc import Coords, Field, Jet
 
 DEFAULT_REL_STEP = 1e-3
 
@@ -153,20 +153,21 @@ def differentiate_field(
     return _stencil(field, x, _normalize_steps(x, step), (axes,))[0]
 
 
-def fd_derivatives(field: Field, step=None) -> Derivatives:
-    """A derivatives callable for tensorcalc.curvature_at: x -> (first,
-    second) with first[i] = d_i field and second[m, i] = d_m d_i field,
-    from one stencil of 129 distinct points.
+def fd_derivatives(field: Field, step=None) -> Callable[[Coords], Jet]:
+    """The field as a jet for tensorcalc.curvature_at: x -> the Jet of
+    field(x) with its finite-difference gradient and Hessian, from one
+    stencil of 129 distinct points, x among them.
 
     step is None for default_step(x), or a scalar, or four per-axis steps
     (e.g. chart_step at the point).
     """
 
-    def derivatives(x: Coords) -> tuple[np.ndarray, np.ndarray]:
-        rows = _stencil(field, x, _normalize_steps(x, step), _FIRST + _SECOND)
+    def jet(x: Coords) -> Jet:
+        rows = _stencil(field, x, _normalize_steps(x, step), ((),) + _FIRST + _SECOND)
+        n = rows.ndim - 1
         second = np.empty((4, 4) + rows.shape[1:])
         m, i = np.triu_indices(4)
-        second[m, i] = second[i, m] = rows[4:]  # d_m d_i and d_i d_m share one row
-        return rows[:4], second
+        second[m, i] = second[i, m] = rows[5:]  # d_m d_i and d_i d_m share one row
+        return Jet(rows[0], np.moveaxis(rows[1:5], 0, n), np.moveaxis(second, (0, 1), (n, n + 1)))
 
-    return derivatives
+    return jet

@@ -29,11 +29,15 @@ def test_tracer_spans_fill():
         QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
     )
     taubnut = make_polygon_config(QuotientSignature(1, 1, 0), [1.0 + 0j], [0.0], mode="alf")
-    tracer = load_tracer().Tracer()
+    perfbench_tracer = load_tracer()
+    tracer = perfbench_tracer.Tracer()
     tracer.install_all()
     try:
         verify.ricci_scan("gh", pair, spec=SampleSpec(count=2))
         verify.ricci_scan("hitchin", pair, spec=SampleSpec(count=1))
+        invariance_start = len(tracer.name)
+        verify.invariance_scan("gh", pair, spec=SampleSpec(count=1))
+        verify.invariance_scan("hitchin", pair, spec=SampleSpec(count=1))
         verify.period_check(two_level)
         kahler_start = len(tracer.name)
         verify.kahler_scan("gh", pair, spec=SampleSpec(count=1))
@@ -45,8 +49,11 @@ def test_tracer_spans_fill():
     for span in (
         "verify.ricci-gh",
         "verify.ricci-hitchin",
+        "verify.invariance-gh",
+        "verify.invariance-hitchin",
         "tensorcalc.curvature_at",
         "ghawking.metric_at",
+        "ghawking.potential_at",
         "hitchin.metric_at",
         "hitchin.solve_b",
         "verify.periods",
@@ -55,24 +62,38 @@ def test_tracer_spans_fill():
         "quadrature.integrand",
     ):
         assert span in names
-    # the gh metric reads V through the module attribute, which is what
-    # ghawking.potential_evals and ghawking.center_terms count; spans are
-    # stored in call order, so the gh scan's spans precede the hitchin scan
-    gh_scan, hitchin_scan = names.index("verify.ricci-gh"), names.index("verify.ricci-hitchin")
+
+    def ancestors(i):
+        while tracer.parent[i] >= 0:
+            i = tracer.parent[i]
+            yield names[i]
+
+    # the float metrics are the invariance scan's fields, and the gh metric
+    # reads V through the module attribute, which is what
+    # ghawking.potential_evals and ghawking.center_terms count
+    invariance = range(invariance_start, kahler_start)
+    metric_parents = {
+        (names[i], names[tracer.parent[i]]) for i in invariance if names[i].endswith(".metric_at")
+    }
+    assert metric_parents == {
+        ("ghawking.metric_at", "verify.invariance-gh"),
+        ("hitchin.metric_at", "verify.invariance-hitchin"),
+    }
     potential_parents = {
-        names[tracer.parent[i]]
-        for i in range(gh_scan, hitchin_scan)
-        if names[i] == "ghawking.potential_at"
+        names[tracer.parent[i]] for i in invariance if names[i] == "ghawking.potential_at"
     }
     assert potential_parents == {"ghawking.metric_at"}
-    # every field evaluation of a Ricci scan sits inside a curvature span,
-    # which is what tensorcalc.field_evals_per_curvature counts
-    parents = [
-        names[tracer.parent[i]]
-        for i, name in enumerate(names[:kahler_start])
-        if name.endswith(".metric_at")
+    # curvature takes the metric jet alone: no float metric evaluation sits
+    # inside a curvature span, so tensorcalc.field_evals_per_curvature reads
+    # 0, while the jet's own solve for b does
+    in_curvature = [
+        names[i] for i in range(len(names)) if "tensorcalc.curvature_at" in ancestors(i)
     ]
-    assert parents and set(parents) == {"tensorcalc.curvature_at"}
+    assert "hitchin.solve_b" in in_curvature
+    assert not [name for name in in_curvature if name.endswith(".metric_at")]
+    metrics = perfbench_tracer.layer_metrics(tracer, 1)
+    assert metrics["tensorcalc.curvature_calls"] == 3
+    assert metrics["tensorcalc.field_evals_per_curvature"] == 0.0
     # the Kahler scan differentiates through the public functions, which is
     # what tensorcalc.exterior_derivative_s and nijenhuis_s time
     kahler_names = set(names[kahler_start:fit_start])

@@ -186,7 +186,7 @@ def test_kahler_form_squares_to_twice_volume():
 def test_potential_transform_breaks_det_identity():
     cfg = pair_config()
     x = (0.9, 0.35, 0.8, -0.6)
-    g = ghawking.metric_at(cfg, x, potential_transform=lambda v: v * v)
+    g = ghawking.metric_jet(cfg, x, potential_transform=lambda v: v * v).val
     V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
     assert abs(np.linalg.det(g) - V * V) > 1e-3
 
@@ -401,9 +401,9 @@ def closed_form_riem_norm_sq(config, b, a):
 @pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
-    field = verify.GH.metric(cfg)
+    fd_jet = fd_derivatives(verify.GH.metric(cfg))
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        fd = tensorcalc.curvature_at(field, x, fd_derivatives(field))
+        fd = tensorcalc.curvature_at(fd_jet, x)
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(fd.riem_norm_sq / exact - 1.0) < 1e-4
 
@@ -414,9 +414,9 @@ def test_jet_curvature_matches_closed_form(build):
     # below the centers, where |Rm|^2 is 6.5e-4 and alpha is O(1), the
     # chart's own conditioning leaves 2.5e-9 relative error
     cfg = build()
-    field, derivatives = verify.GH.metric(cfg), verify.GH.derivatives(cfg)
+    metric = verify.GH.jet(cfg)
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        jet = tensorcalc.curvature_at(field, x, derivatives)
+        jet = tensorcalc.curvature_at(metric, x)
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(jet.riem_norm_sq - exact) <= 1e-10 * max(exact, 1.0)
 
@@ -444,21 +444,21 @@ def test_kahler_jets_agree_with_finite_differences():
                 lambda q: ghawking.complex_structure_at(cfg, q),
             ),
         ):
-            fd = fd_derivatives(field)(x)[0]
+            fd = fd_derivatives(field)(x).partials()[0]
             assert np.max(np.abs(jet.partials()[0] - fd)) <= 1e-10 * max(1.0, np.max(np.abs(fd)))
 
 
 def test_jets_raise_typed_errors_on_the_axis():
     cfg = pair_config()
     c = cfg.centers[0]
-    field, derivatives = verify.GH.metric(cfg), verify.GH.derivatives(cfg)
+    metric = verify.GH.jet(cfg)
 
     def on_axis(db):
         return (0.3, c.b + db, c.a.real, c.a.imag)
 
     with np.errstate(all="raise"):
         for evaluate in (
-            lambda x: tensorcalc.curvature_at(field, x, derivatives),
+            lambda x: tensorcalc.curvature_at(metric, x),
             lambda x: ghawking.metric_jet(cfg, x),
             lambda x: ghawking.kahler_jets(cfg, x),
         ):
@@ -467,7 +467,7 @@ def test_jets_raise_typed_errors_on_the_axis():
             with pytest.raises(DiracStringError):
                 evaluate(on_axis(-0.5))
         # the down gauge is smooth through the axis above the center
-        bundle = tensorcalc.curvature_at(field, on_axis(0.5), derivatives)
+        bundle = tensorcalc.curvature_at(metric, on_axis(0.5))
     exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
     assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
 
@@ -475,16 +475,22 @@ def test_jets_raise_typed_errors_on_the_axis():
 def test_curvature_makes_one_metric_evaluation(monkeypatch):
     cfg = pair_config()
     point = verify.GH.points(cfg, SampleSpec(count=1, seed=0))[0]
-    calls = []
-    metric_at = ghawking.metric_at
+    calls = {"metric_at": [], "metric_jet": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return metric_at(*args, **kwargs)
+    def counting(name):
+        original = getattr(ghawking, name)
 
-    monkeypatch.setattr(ghawking, "metric_at", counted)
+        def counted(*args, **kwargs):
+            calls[name].append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ghawking, name, counted)
+
+    for name in calls:
+        counting(name)
     (sample,) = verify.ricci_samples(verify.GH, cfg, [point])
-    assert sample.error == "" and calls == [point.coords]
+    assert sample.error == ""
+    assert calls == {"metric_at": [], "metric_jet": [point.coords]}
 
 
 def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
@@ -497,10 +503,8 @@ def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
         for cp in verify.GH.points(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed))
     }
     assert len(points) > 400
-    derivatives = verify.HITCHIN.derivatives(cfg)
+    metric = verify.HITCHIN.jet(cfg)
     for theta, b, a1, a2 in points:
         hx = hitchin.base_to_chart(cfg, b, complex(a1, a2), phase=theta)
-        rm = tensorcalc.curvature_at(
-            lambda q: hitchin.metric_at(cfg, q), hx, derivatives
-        ).riem_norm_sq
+        rm = tensorcalc.curvature_at(metric, hx).riem_norm_sq
         assert abs(rm / closed_form_riem_norm_sq(cfg, b, complex(a1, a2)) - 0.25) < 1e-4

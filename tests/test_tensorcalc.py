@@ -51,7 +51,7 @@ SPHERE_PT = (1.0, 0.7, 0.8, 0.3)
 
 
 def fd_curvature(field, x, step=1e-3):
-    return curvature_at(field, x, fd_derivatives(field, step))
+    return curvature_at(fd_derivatives(field, step), x)
 
 
 def test_sphere_product_curvature():
@@ -130,7 +130,7 @@ def test_exterior_derivative_polynomial_form():
         return w
 
     pt = (0.3, -1.2, 0.8, 0.5)
-    dw = exterior_derivative(fd_derivatives(wfield, 1e-2)(pt)[0])
+    dw = exterior_derivative(fd_derivatives(wfield, 1e-2)(pt).partials()[0])
     # triples (012), (013), (023), (123)
     assert np.max(np.abs(dw - np.array([1.6, 0.0, -1.2, 0.3]))) < 1e-10
 
@@ -147,7 +147,7 @@ J0 = np.array(
 
 def test_nijenhuis_constant_j_vanishes():
     pt = (0.6, -0.3, 1.1, 0.2)
-    nij = nijenhuis_at(J0, fd_derivatives(lambda x: J0, 1e-3)(pt)[0])
+    nij = nijenhuis_at(J0, fd_derivatives(lambda x: J0, 1e-3)(pt).partials()[0])
     assert np.max(np.abs(nij)) == 0.0
 
 
@@ -163,7 +163,7 @@ def test_nijenhuis_detects_non_integrable_structure():
         return s @ J0 @ si
 
     pt = (0.6, -0.3, 1.1, 0.2)
-    nij = nijenhuis_at(jfield(pt), fd_derivatives(jfield, 1e-3)(pt)[0])
+    nij = nijenhuis_at(jfield(pt), fd_derivatives(jfield, 1e-3)(pt).partials()[0])
     assert abs(nij[2, 1, 3] - 2 * 0.6) < 1e-10
     assert np.max(np.abs(nij)) == pytest.approx(1.2, abs=1e-10)
 
@@ -205,18 +205,25 @@ def test_default_step_uses_pair_scales():
     assert np.allclose(steps, [5e-3, 5e-3, 1e-3, 1e-3])
 
 
-def never_called(x):
-    raise AssertionError("the metric value is checked before its derivatives")
+def constant_jet(value):
+    return lambda x: Jet.constant(value)
 
 
 def test_curvature_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        curvature_at(lambda x: np.eye(3), (0.0, 0.0, 0.0, 0.0), never_called)
+        curvature_at(constant_jet(np.eye(3)), (0.0, 0.0, 0.0, 0.0))
 
 
 def test_non_finite_field_is_an_overflow_error():
     with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: np.full((4, 4), np.inf), (0.0, 0.0, 0.0, 0.0), never_called)
+        curvature_at(constant_jet(np.full((4, 4), np.inf)), (0.0, 0.0, 0.0, 0.0))
+
+
+def test_curvature_rejects_asymmetric_metric():
+    g = np.eye(4)
+    g[0, 1] = 1e-3
+    with pytest.raises(ValueError):
+        curvature_at(constant_jet(g), (0.0, 0.0, 0.0, 0.0))
 
 
 # --- exact jets ---
@@ -267,37 +274,28 @@ def stereographic_sphere_jet(x):
 def test_curvature_from_supplied_derivatives():
     # constant curvature 1 in dimension 4: Ric = 3 g, R = 12, |Rm|^2 = 24
     pt = (0.3, -0.5, 0.8, 0.1)
-
-    def g_field(x):
-        return stereographic_sphere_jet(x).val
-
-    def derivatives(x):
-        return stereographic_sphere_jet(x).partials()
-
-    exact = curvature_at(g_field, pt, derivatives)
+    exact = curvature_at(stereographic_sphere_jet, pt)
     assert abs(exact.scalar - 12.0) < 1e-12
     assert abs(exact.riem_norm_sq - 24.0) < 1e-12
-    assert np.max(np.abs(exact.ricci - 3.0 * g_field(pt))) < 1e-12
-    fd = fd_curvature(g_field, pt)
+    assert np.max(np.abs(exact.ricci - 3.0 * stereographic_sphere_jet(pt).val)) < 1e-12
+    fd = fd_curvature(lambda x: stereographic_sphere_jet(x).val, pt)
     assert abs(fd.riem_norm_sq - 24.0) < 1e-7
     assert np.max(np.abs(fd.riemann - exact.riemann)) < 1e-7
 
 
 def test_supplied_derivatives_are_validated():
     pt = (0.0, 0.0, 0.0, 0.0)
-
-    def bad_shape(x):
-        return np.zeros((4, 4, 4)), np.zeros((4, 4, 4))
-
-    def not_finite(x):
-        d2g = np.zeros((4, 4, 4, 4))
-        d2g[1, 2, 0, 0] = np.nan
-        return np.zeros((4, 4, 4)), d2g
-
+    bad_shape = Jet(np.eye(4), np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
+    not_finite = Jet.constant(np.eye(4))
+    not_finite.hess[0, 0, 1, 2] = np.nan
+    infinite_gradient = Jet.constant(np.eye(4))
+    infinite_gradient.grad[2, 2, 3] = np.inf
     with pytest.raises(ValueError):
-        curvature_at(lambda x: np.eye(4), pt, bad_shape)
+        curvature_at(lambda x: bad_shape, pt)
     with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: np.eye(4), pt, not_finite)
+        curvature_at(lambda x: not_finite, pt)
+    with pytest.raises(NumericOverflowError):
+        curvature_at(lambda x: infinite_gradient, pt)
 
 
 def test_riemann_norm_is_the_full_contraction():
@@ -328,10 +326,9 @@ def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
         return metric_at(*args, **kwargs)
 
     monkeypatch.setattr(ghawking, "metric_at", counted)
-    fd_derivatives(g_field)(x)
+    bundle = curvature_at(fd_derivatives(g_field), x)
     assert len(calls) == 129
     assert len(set(calls)) == 129 and tuple(x) in calls
-    bundle = curvature_at(g_field, x, fd_derivatives(g_field))
     assert bundle.g.tobytes() == g.tobytes()
 
 

@@ -229,7 +229,7 @@ def test_cross_validate_negative_control(build, monkeypatch):
     def perturbed(make):
         return lambda config, *args: make(verify.perturb_config(config), *args)
 
-    perturbed_gh = replace(gh, metric=perturbed(gh.metric), derivatives=perturbed(gh.derivatives))
+    perturbed_gh = replace(gh, jet=perturbed(gh.jet))
     monkeypatch.setattr(verify, "GH", perturbed_gh)
     stats, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
     assert stats.count == verify.CROSS_COUNT
