@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 
 from gravinst import verify
-from gravinst.errors import GeometryError, ScanError
+from gravinst.errors import GeometryError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import CenterConfiguration, config_from_json
 
@@ -199,21 +199,6 @@ def _csv_row(source: str, sample: verify.SampleRecord) -> list:
     )
 
 
-def _ricci_samples(config: CenterConfiguration, spec: SampleSpec) -> dict:
-    """Ricci-scan sample records per construction, for a report that did
-    not run the Ricci scans itself."""
-    out = {}
-    for c in verify.CONSTRUCTIONS:
-        if c.applies(config):
-            try:
-                record = verify.ricci_scan(c.name, config, spec)
-            except ScanError as exc:
-                out[c.name] = exc.samples
-            else:
-                out[c.name] = record.samples
-    return out
-
-
 def _write_csv(path: str | None, rows: list) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -248,7 +233,8 @@ def cmd_verify(args) -> int:
     if csv_path:
         samples = report.samples
         if checks and "ricci" not in checks:
-            samples = _ricci_samples(config, run.sample)
+            ricci = verify.full_report(config, spec=run.sample, checks=("ricci",))
+            samples = ricci.samples
         rows = [_csv_row(src, s) for src, recs in samples.items() for s in recs]
         _write_csv(csv_path, rows)
     for check in report.checks:

@@ -46,7 +46,7 @@ tensor exact derivatives from one evaluation.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,18 +102,24 @@ def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarr
     return alpha
 
 
+def _metric_values(V: float, a1: float, a2: float) -> np.ndarray:
+    """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
+    as a float array."""
+    u = np.array([1.0, 0.0, a1, a2])
+    g = np.outer(u, u) / V
+    g[1, 1] += V
+    g[2, 2] += V
+    g[3, 3] += V
+    return g
+
+
 def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
     identically."""
     b, a = x[1], complex(x[2], x[3])
     V = potential_at(config, b, a)
     alpha = connection_at(config, b, a)
-    u = np.array([1.0, alpha[0], alpha[1], alpha[2]])
-    g = np.outer(u, u) / V
-    g[1, 1] += V
-    g[2, 2] += V
-    g[3, 3] += V
-    return g
+    return _metric_values(V, alpha[1], alpha[2])
 
 
 def _j_rows(V, a1, a2) -> tuple:
@@ -219,24 +225,37 @@ def metric_jet(
     return u[:, None] * u[None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
 
-def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet]:
-    """omega and J at x as jets, the values of kahler_form_at and
-    complex_structure_at, both from one set of V and alpha jets."""
+def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[np.ndarray, Jet, Jet]:
+    """(g, omega, J) at x from one set of V and alpha jets: g as a float
+    array from their values, omega and J as jets, the values of
+    kahler_form_at and complex_structure_at."""
     V, a1, a2 = _potential_jets(config, x)
-    return _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
+    g = _metric_values(float(V.val), float(a1.val), float(a2.val))
+    return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
 
-def action_jacobian(gel: GroupElement) -> np.ndarray:
-    """Differential of the cyclic action on (theta, b, a1, a2): the theta
-    shift is a translation, the plane rotates by -2 pi m ell / n."""
-    ang = -2.0 * math.pi * gel.signature.m * gel.ell / gel.signature.n
+def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic action (theta, b, a) -> (theta + 2 pi ell / n, b,
+    rho^(-m ell) a) as the affine map x -> M x + shift of (theta, b, a1,
+    a2): M rotates the plane by -2 pi m ell / n, the shift translates theta."""
+    n = gel.signature.n
+    ang = -2.0 * math.pi * gel.signature.m * gel.ell / n
     c, s = math.cos(ang), math.sin(ang)
     out = np.eye(4)
     out[2, 2] = c
     out[2, 3] = -s
     out[3, 2] = s
     out[3, 3] = c
-    return out
+    return out, np.array([2.0 * math.pi * gel.ell / n, 0.0, 0.0, 0.0])
+
+
+def user_coords(vals: Sequence[float]) -> Sequence[float]:
+    """User-given chart coordinates, checked: theta defaults to 0."""
+    if len(vals) == 3:
+        vals = [0.0, *vals]
+    if len(vals) != 4:
+        raise ValueError("gh points take theta,b,a1,a2 (or b,a1,a2)")
+    return vals
 
 
 def string_clearance(config: CenterConfiguration, b: float, a: complex) -> float:

@@ -23,16 +23,18 @@ is twice the flat metric of the underlying C^2 (flat either way).  The
 Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
 
-metric_jet evaluates the same metric as a second-order jet
-(tensorcalc.Jet): one evaluation, with one solve for b, gives curvature
-the metric with its exact first and second derivatives, and d(omega) its
-first.
+metric_jet and kahler_jets evaluate gamma and eta as second-order jets
+(tensorcalc.Jet), one solve for b per point.  metric_jet gives curvature
+g with its exact first and second derivatives; kahler_jets gives the
+Kahler scan g's value and omega's jet, built separately from the same
+eta, with J the constant J0.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -188,7 +190,7 @@ def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
         raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
     b = solve_b(config, z, abs(y) ** 2)
     # with w_i = zbar + a_i: gamma = sum_i 1/Delta_i and
-    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in metric_jet
+    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in _eta_jets
     zbar = z.conjugate()
     gam = 0.0
     dlt_conj = 0j
@@ -208,14 +210,21 @@ def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     return hermitian_form_at(config, x).real
 
 
-# Re(dz dzbar) on the real coordinates
+# Re(dz dzbar) and -Im(dz dzbar) on the real coordinates
 _DZ_BLOCK = np.diag([1.0, 1.0, 0.0, 0.0])
+_DZ_AREA = np.array(
+    [
+        [0.0, 1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ]
+)
 
 
-def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
-    """The real metric at the chart point x as a second-order jet in
-    (Re z, Im z, Re y, Im y): its value with exact first and second
-    derivatives.
+def _eta_jets(config: CenterConfiguration, x: Coords) -> tuple:
+    """gamma and the real and imaginary parts of eta on the real
+    coordinates at the chart point x, as jets in (Re z, Im z, Re y, Im y).
 
     b is solved in floats by solve_b, then refined by two Newton steps
     b <- b - (sum_i log f_i - log|y|^2) / gamma in jet arithmetic.  At
@@ -225,9 +234,7 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     with the cancellation-free branch of ghawking.center_factors chosen
     on the float value.  Everything is real: with zbar + a_i = w_i,
 
-        conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2,
-
-    and g = Re h = gamma Re(dz dzbar) + (Re eta Re eta^T + Im eta Im eta^T) / gamma.
+        conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2.
     """
     z, y = complex(x[0], x[1]), complex(x[2], x[3])
     require_smooth_fiber(config)
@@ -255,14 +262,36 @@ def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
     # eta = conj(delta) dz + (2/y) dy on the real coordinates
     re = tensorcalc.Jet.stack([p, -q, s, -t])
     im = tensorcalc.Jet.stack([q, p, t, s])
+    return gam, re, im
+
+
+def _metric(gam, re, im):
+    """g = Re h = gamma Re(dz dzbar) + (Re eta Re eta^T + Im eta Im eta^T) / gamma,
+    for floats and jets alike."""
     return (re[:, None] * re[None, :] + im[:, None] * im[None, :]) / gam + gam * _DZ_BLOCK
 
 
-def kahler_form_derivative(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """d_i omega_{jl} = J0^k_j d_i g_{kl} at x from one metric_jet, for
-    tensorcalc.exterior_derivative."""
-    dg, _ = metric_jet(config, x).partials()
-    return np.einsum("kj,ikl->ijl", STANDARD_J, dg)
+def _kahler_form(gam, re, im):
+    """omega = -Im h = -gamma Im(dz dzbar) + (Re eta Im eta^T - Im eta Re eta^T) / gamma."""
+    return (re[:, None] * im[None, :] - im[:, None] * re[None, :]) / gam + gam * _DZ_AREA
+
+
+def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
+    """The real metric at the chart point x as a second-order jet in
+    (Re z, Im z, Re y, Im y): its value with exact first and second
+    derivatives, from one solve for b."""
+    return _metric(*_eta_jets(config, x))
+
+
+def kahler_jets(
+    config: CenterConfiguration, x: Coords
+) -> tuple[np.ndarray, tensorcalc.Jet, np.ndarray]:
+    """(g, omega, J) at the chart point x from one solve for b: g as a
+    float array, omega = -Im h as a jet, and J the constant STANDARD_J.
+    g and omega are assembled separately from the same eta, so
+    omega = J0^T g is a check, not an identity of the code."""
+    gam, re, im = _eta_jets(config, x)
+    return _metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J
 
 
 def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
@@ -270,9 +299,10 @@ def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     return -hermitian_form_at(config, x).imag
 
 
-def action_matrix(gel: GroupElement) -> np.ndarray:
-    """Real 4x4 matrix of the cyclic action (z, y) -> (rho^(m ell) z,
-    rho^(-ell) y) on the chart coordinates."""
+def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic action (z, y) -> (rho^(m ell) z, rho^(-ell) y) as the
+    affine map x -> M x + shift of the chart coordinates: M rotates both
+    complex coordinates, and the shift is 0."""
     n = gel.signature.n
     ang_z = 2.0 * math.pi * gel.signature.m * gel.ell / n
     ang_y = -2.0 * math.pi * gel.ell / n
@@ -283,7 +313,14 @@ def action_matrix(gel: GroupElement) -> np.ndarray:
         out[offset, offset + 1] = -s
         out[offset + 1, offset] = s
         out[offset + 1, offset + 1] = c
-    return out
+    return out, np.zeros(4)
+
+
+def user_coords(vals: Sequence[float]) -> Sequence[float]:
+    """User-given chart coordinates, checked: four of them."""
+    if len(vals) != 4:
+        raise ValueError("hitchin points take re(z),im(z),re(y),im(y)")
+    return vals
 
 
 def base_to_chart(

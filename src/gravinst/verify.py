@@ -187,14 +187,14 @@ class Construction:
     metric(config) gives the metric as a float array, the cheap field the
     invariance scan compares, and jet(config, potential_transform=None)
     gives it as an exact jet, the one evaluation per point that
-    tensorcalc.curvature_at takes.  kahler_derivatives(config) gives
-    (g, omega, d omega, J, dJ) at a point, one evaluation of the chart per
-    point, for tensorcalc.exterior_derivative and nijenhuis_at; dJ is None
-    where the chart's complex structure has constant components, so its
-    Nijenhuis tensor vanishes identically.
+    tensorcalc.curvature_at takes.  kahler(config) gives the module's
+    kahler_jets, (g, omega, J) at a point from one evaluation of the
+    chart: g as a float array, omega as a jet, J as a jet or, where the
+    chart's complex structure has constant components (so its Nijenhuis
+    tensor vanishes identically), a constant array.
     stream(config, spec) gives the coordinates of the sample stream;
-    image(generator, x) maps coordinates by the cyclic action, whose
-    differential is jacobian(generator); user_coords completes and checks
+    action(generator) gives the cyclic action as the affine map
+    x -> M x + shift, as (M, shift); user_coords completes and checks
     user-given coordinates.  Entries call into their modules at call
     time, so module attributes stay the one binding of each function.
     """
@@ -205,12 +205,8 @@ class Construction:
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
     metric: Callable[[CenterConfiguration], Field]
     jet: Callable[..., Callable[[Coords], tensorcalc.Jet]]
-    kahler_derivatives: Callable[
-        [CenterConfiguration],
-        Callable[[Coords], tuple[np.ndarray, ...]],
-    ]
-    image: Callable[[GroupElement, Coords], Coords]
-    jacobian: Callable[[GroupElement], np.ndarray]
+    kahler: Callable[[CenterConfiguration], Callable[[Coords], tuple]]
+    action: Callable[[GroupElement], tuple[np.ndarray, np.ndarray]]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
 
     def applies(self, config: CenterConfiguration) -> bool:
@@ -235,50 +231,6 @@ class Construction:
         return ChartPoint(self.user_coords(vals), self.name)
 
 
-def _gh_image(gel: GroupElement, x: Coords) -> Coords:
-    """(theta, b, a) -> (theta + 2 pi ell / n, b, rho^(-m ell) a)."""
-    n = gel.signature.n
-    shift = 2.0 * math.pi * gel.ell / n
-    rot = np.exp(-2j * math.pi * gel.signature.m * gel.ell / n)
-    a = complex(rot * complex(x[2], x[3]))
-    return (x[0] + shift, x[1], a.real, a.imag)
-
-
-def _gh_coords(vals: Sequence[float]) -> Sequence[float]:
-    if len(vals) == 3:
-        vals = [0.0, *vals]  # theta defaults to 0
-    if len(vals) != 4:
-        raise ValueError("gh points take theta,b,a1,a2 (or b,a1,a2)")
-    return vals
-
-
-def _hitchin_coords(vals: Sequence[float]) -> Sequence[float]:
-    if len(vals) != 4:
-        raise ValueError("hitchin points take re(z),im(z),re(y),im(y)")
-    return vals
-
-
-def _gh_kahler(config: CenterConfiguration) -> Callable[[Coords], tuple]:
-    def at(x: Coords) -> tuple:
-        omega, J = ghawking.kahler_jets(config, x)
-        g = ghawking.metric_at(config, x)
-        return g, omega.val, omega.partials()[0], J.val, J.partials()[0]
-
-    return at
-
-
-def _hitchin_kahler(config: CenterConfiguration) -> Callable[[Coords], tuple]:
-    """g and omega are the real part and minus the imaginary part of one
-    Hermitian form; J is the constant J0."""
-
-    def at(x: Coords) -> tuple:
-        h = hitchin.hermitian_form_at(config, x)
-        d_omega = hitchin.kahler_form_derivative(config, x)
-        return h.real, -h.imag, d_omega, hitchin.STANDARD_J, None
-
-    return at
-
-
 GH = Construction(
     name="gh",
     modes=("ale", "alf", "akl"),
@@ -288,10 +240,9 @@ GH = Construction(
     jet=lambda config, potential_transform=None: lambda x: ghawking.metric_jet(
         config, x, potential_transform
     ),
-    kahler_derivatives=_gh_kahler,
-    image=_gh_image,
-    jacobian=lambda gel: ghawking.action_jacobian(gel),
-    user_coords=_gh_coords,
+    kahler=lambda config: lambda x: ghawking.kahler_jets(config, x),
+    action=lambda gel: ghawking.action(gel),
+    user_coords=lambda vals: ghawking.user_coords(vals),
 )
 
 HITCHIN = Construction(
@@ -301,10 +252,9 @@ HITCHIN = Construction(
     stream=lambda config, spec: sampling.hitchin_points(config, spec),
     metric=lambda config: lambda x: hitchin.metric_at(config, x),
     jet=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(config, x),
-    kahler_derivatives=_hitchin_kahler,
-    image=lambda gel, x: tuple((hitchin.action_matrix(gel) @ np.array(x)).tolist()),
-    jacobian=lambda gel: hitchin.action_matrix(gel),
-    user_coords=_hitchin_coords,
+    kahler=lambda config: lambda x: hitchin.kahler_jets(config, x),
+    action=lambda gel: hitchin.action(gel),
+    user_coords=lambda vals: hitchin.user_coords(vals),
 )
 
 CONSTRUCTIONS = (GH, HITCHIN)
@@ -419,20 +369,24 @@ def kahler_scan(
     Returns three records: the exterior derivative of omega, the
     Nijenhuis tensor of J (both relative to the largest local omega / J
     entry scale), and the algebraic residual omega - J^T g.  Where J has
-    constant components (the chart gives no dJ) the Nijenhuis tensor is 0
-    by construction; it is recorded as such, with a note, and not
-    differentiated.
+    constant components (the chart gives a plain array, not a jet) the
+    Nijenhuis tensor is 0 by construction; it is recorded as such, with a
+    note, and not differentiated.
     """
     c = construction(metric_source).require(config)
     points = c.points(config, spec or SampleSpec())
-    kahler_at = c.kahler_derivatives(config)
+    kahler_at = c.kahler(config)
     constant_j = []
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
-        g, w, d_omega, J, dJ = kahler_at(cp.coords)
-        constant_j.append(dJ is None)
-        dw = tensorcalc.exterior_derivative(d_omega)
-        nij = 0.0 if dJ is None else tensorcalc.nijenhuis_at(J, dJ)
+        g, omega, J = kahler_at(cp.coords)
+        constant_j.append(not isinstance(J, tensorcalc.Jet))
+        nij = 0.0
+        if not constant_j[-1]:
+            nij = tensorcalc.nijenhuis_at(J.val, J.partials()[0])
+            J = J.val
+        w = omega.val
+        dw = tensorcalc.exterior_derivative(omega.partials()[0])
         wscale = max(1.0, float(np.max(np.abs(w))))
         return SampleRecord(
             cp,
@@ -466,12 +420,12 @@ def invariance_scan(
         raise ValueError("the cyclic action is trivial for n = 1")
     gel = GroupElement(ell=1, signature=config.signature)
     points = c.points(config, spec or SampleSpec())
-    M = c.jacobian(gel)
+    M, shift = c.action(gel)
     fld = c.metric(config)
 
     def evaluate(cp: ChartPoint) -> SampleRecord:
         g_here = fld(cp.coords)
-        g_there = fld(c.image(gel, cp.coords))
+        g_there = fld(tuple((M @ np.array(cp.coords) + shift).tolist()))
         res = np.max(np.abs(M.T @ g_there @ M - g_here))
         return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
 

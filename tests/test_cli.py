@@ -373,6 +373,21 @@ def test_verify_csv_reuses_ricci_curvature(tmp_path, monkeypatch):
     assert len(calls) == len(rows)
 
 
+def test_verify_csv_without_ricci_check_writes_the_ricci_rows(tmp_path):
+    # a run that skips the Ricci scans runs them for the CSV alone, with
+    # the same samples as a run that selects them
+    cfg = write_cfg(tmp_path, base_doc())
+    rows = {}
+    for check in ("kahler", "ricci"):
+        csv_path = tmp_path / f"{check}.csv"
+        argv = ["verify", "--config", cfg, "--check", check, "--seed", "5",
+                "--out", str(tmp_path / f"{check}.json"), "--csv", str(csv_path)]
+        assert cli.main(argv) == 0
+        rows[check] = read_rows(csv_path)
+    assert len(rows["ricci"]) == 1 + 8
+    assert rows["kahler"] == rows["ricci"]
+
+
 def test_verify_csv_row_matches_sample_point(tmp_path):
     csv_path = tmp_path / "s.csv"
     cfg = write_cfg(tmp_path, base_doc(csv=str(csv_path)))

@@ -291,21 +291,29 @@ def test_single_center_chart_is_flat():
 def test_kahler_form_closed_and_compatible():
     cfg = pair_config()
     x = (0.4, -0.3, 1.5, 0.7)
-    dw = tensorcalc.exterior_derivative(hitchin.kahler_form_derivative(cfg, x))
-    assert np.max(np.abs(dw)) < 1e-14
-    omega = fd_derivatives(lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x))
-    fd = omega(x).partials()[0]
-    assert np.max(np.abs(tensorcalc.exterior_derivative(fd))) < 1e-8
-    assert np.max(np.abs(hitchin.kahler_form_derivative(cfg, x) - fd)) < 1e-8
+    g, omega, J = hitchin.kahler_jets(cfg, x)
     w = hitchin.kahler_form_at(cfg, x)
-    g = hitchin.metric_at(cfg, x)
-    assert np.max(np.abs(w - hitchin.STANDARD_J.T @ g)) < 1e-12
-    assert np.max(np.abs(w + w.T)) < 1e-14
+    assert np.max(np.abs(omega.val - w)) <= 1e-14 * np.max(np.abs(w))
+    assert np.max(np.abs(g - hitchin.metric_at(cfg, x))) <= 1e-14 * np.max(np.abs(g))
+    assert J is hitchin.STANDARD_J
+    d_omega = omega.partials()[0]
+    assert np.max(np.abs(tensorcalc.exterior_derivative(d_omega))) < 1e-14
+    fd_omega = fd_derivatives(lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x))
+    fd = fd_omega(x).partials()[0]
+    assert np.max(np.abs(tensorcalc.exterior_derivative(fd))) < 1e-8
+    assert np.max(np.abs(d_omega - fd)) < 1e-8
+    # omega's own jet against the metric jet: d_i omega_jl = J0^k_j d_i g_kl
+    dg = hitchin.metric_jet(cfg, x).partials()[0]
+    via_g = np.einsum("kj,ikl->ijl", hitchin.STANDARD_J, dg)
+    assert np.max(np.abs(d_omega - via_g)) <= 1e-15 * np.max(np.abs(dg))
+    assert np.max(np.abs(omega.val - hitchin.STANDARD_J.T @ g)) < 1e-12
+    assert np.max(np.abs(omega.val + omega.val.T)) < 1e-14
 
 
 def test_action_matrix_is_a_pullback_isometry():
     cfg = pair_config()
-    mat = hitchin.action_matrix(GroupElement(1, cfg.signature))
+    mat, shift = hitchin.action(GroupElement(1, cfg.signature))
+    assert not shift.any()
     x = (0.4, -0.3, 1.5, 0.7)
     g_here = hitchin.metric_at(cfg, x)
     g_image = hitchin.metric_at(cfg, tuple(mat @ np.array(x)))
@@ -314,7 +322,7 @@ def test_action_matrix_is_a_pullback_isometry():
 
 def test_action_matrix_matches_complex_action():
     sig = QuotientSignature(1, 4, 1)
-    mat = hitchin.action_matrix(GroupElement(1, sig))
+    mat, _ = hitchin.action(GroupElement(1, sig))
     z, y = 0.7 - 0.2j, 1.1 + 0.4j
     got = mat @ np.array([z.real, z.imag, y.real, y.imag])
     zf = z * cmath.exp(2j * math.pi / 4)

@@ -93,21 +93,37 @@ def test_group_element_arithmetic():
 def test_gh_action_quarter_turn():
     sig = QuotientSignature(1, 4, 1)
     gel = GroupElement(1, sig)
+    M, shift = verify.GH.action(gel)
     # the plane rotates by rho^(-m): a = 1 goes to -i
-    v = ghawking.action_jacobian(gel) @ np.array([0.0, 0.0, 1.0, 0.0])
+    v = M @ np.array([0.0, 0.0, 1.0, 0.0])
     assert np.max(np.abs(v - [0.0, 0.0, 0.0, -1.0])) < 1e-15
     # the fiber coordinate shifts by 2 pi / n
-    theta, b, a1, a2 = verify.GH.image(gel, (0.0, 0.0, 1.0, 0.0))
+    theta, b, a1, a2 = M @ np.array([0.0, 0.0, 1.0, 0.0]) + shift
     assert abs(theta - math.pi / 2) < 1e-15
     assert b == 0.0
     assert abs(complex(a1, a2) - (-1j)) < 1e-15
+
+
+@pytest.mark.parametrize("construction", [verify.GH, verify.HITCHIN])
+@pytest.mark.parametrize("d,n,m", [(1, 4, 1), (2, 3, 2), (1, 5, 2)])
+def test_action_generator_has_order_n(construction, d, n, m):
+    # n steps of the generator's affine map return every point, theta
+    # taken mod 2 pi (the fiber circle)
+    M, shift = construction.action(GroupElement(1, QuotientSignature(d, n, m)))
+    x0 = np.array([0.3, -0.7, 1.1, 0.4])
+    x = x0
+    for _ in range(n):
+        x = M @ x + shift
+    dx = x - x0
+    dx[0] = math.remainder(dx[0], 2.0 * math.pi)
+    assert np.max(np.abs(dx)) < 1e-14
 
 
 def test_gh_action_orbit_size():
     sig = QuotientSignature(1, 4, 1)
     pts = set()
     for ell in range(4):
-        jac = ghawking.action_jacobian(GroupElement(ell, sig))
+        jac, _ = ghawking.action(GroupElement(ell, sig))
         _, b, a1, a2 = jac @ np.array([0.2, 0.5, 1.0, 0.3])
         pts.add((round(b, 12), round(a1, 12), round(a2, 12)))
     assert len(pts) == 4
@@ -115,7 +131,7 @@ def test_gh_action_orbit_size():
 
 def test_hitchin_action_weights():
     sig = QuotientSignature(1, 4, 1)
-    zr, zi, yr, yi = hitchin.action_matrix(GroupElement(1, sig)) @ np.array(
+    zr, zi, yr, yi = hitchin.action(GroupElement(1, sig))[0] @ np.array(
         [1.0, 0.0, 1.0, 0.0]
     )
     assert abs(complex(zr, zi) - 1j) < 1e-15  # z picks up rho^m

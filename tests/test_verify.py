@@ -135,14 +135,15 @@ def test_ricci_samples_reject_points_of_the_other_chart():
 
 
 def test_kahler_scan_three_records():
-    recs = verify.kahler_scan("gh", pair_config(), spec=SampleSpec(count=4))
-    assert [r.name for r in recs] == [
-        "kahler-domega-gh",
-        "kahler-nijenhuis-gh",
-        "kahler-compat-gh",
-    ]
-    assert all(r.passed for r in recs)
-    assert all(r.count == 4 for r in recs)
+    for src in ("gh", "hitchin"):
+        recs = verify.kahler_scan(src, pair_config(), spec=SampleSpec(count=4))
+        assert [r.name for r in recs] == [
+            f"kahler-domega-{src}",
+            f"kahler-nijenhuis-{src}",
+            f"kahler-compat-{src}",
+        ]
+        assert all(r.passed for r in recs)
+        assert all(r.count == 4 for r in recs)
 
 
 def test_kahler_scan_records_constant_j_as_an_identity(monkeypatch):
@@ -157,8 +158,8 @@ def test_kahler_scan_records_constant_j_as_an_identity(monkeypatch):
     assert nij.payload()["note"] == "J0 is constant in this chart"
 
 
-def test_complex_chart_kahler_sample_solves_twice(monkeypatch):
-    # one Hermitian form gives g and omega, one metric jet gives d omega
+def test_complex_chart_kahler_sample_solves_once(monkeypatch):
+    # one jet of eta gives g, omega and d omega
     solve_b = hitchin.solve_b
     calls = []
 
@@ -169,7 +170,7 @@ def test_complex_chart_kahler_sample_solves_twice(monkeypatch):
     monkeypatch.setattr(hitchin, "solve_b", counted)
     recs = verify.kahler_scan("hitchin", hexagon_config(), spec=SampleSpec(count=10, seed=7))
     assert recs[0].count == 10 and not recs[0].skipped
-    assert len(calls) == 2 * 10
+    assert len(calls) == 10
 
 
 # --- invariance ---
