@@ -91,14 +91,31 @@ def _stable_factor(u: float, r: float) -> tuple[float, float]:
     return (r * r) / (delta - u), delta
 
 
-def implicit_lhs(config: CenterConfiguration, z: complex, b: float) -> float:
-    """Product prod_i ((b - b_i) + Delta_i) at height b."""
-    zbar = z.conjugate()
-    acc = 1.0
-    for c in config.centers:
-        f, _ = _stable_factor(b - c.b, abs(zbar + c.a))
-        acc *= f
-    return acc
+def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_stable_factor elementwise over arrays; every lane evaluation of
+    the product or its log-sum goes through here."""
+    delta = np.hypot(u, r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
+
+
+def _lane_data(
+    config: CenterConfiguration, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Center heights b_i and the radii |zbar + a_i| of each lane, the
+    centers on the last axis."""
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
+    return b_i, np.abs(np.conj(z)[..., None] + a_i)
+
+
+def implicit_lhs(
+    config: CenterConfiguration, z: complex | np.ndarray, b: float | np.ndarray
+) -> np.ndarray:
+    """Product prod_i ((b - b_i) + Delta_i) at height b, elementwise over
+    numpy arrays z and b (scalars give a numpy float)."""
+    b_i, r = _lane_data(config, np.asarray(z))
+    return _stable_factors(np.asarray(b)[..., None] - b_i, r)[0].prod(axis=-1)
 
 
 def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
@@ -115,7 +132,21 @@ def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
     return total, gam
 
 
-def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
+def _lane_log_lhs(
+    b_i: np.ndarray, r: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_log_lhs of each lane: b has one height per row of r."""
+    f, delta = _stable_factors(b[:, None] - b_i, r)
+    hit = (f <= 0.0).any(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = np.where(hit, -np.inf, np.log(f).sum(axis=1))
+        gam = np.where(hit, np.inf, (1.0 / delta).sum(axis=1))
+    return total, gam
+
+
+def solve_b(
+    config: CenterConfiguration, z: complex | np.ndarray, y_abs_sq: float | np.ndarray
+) -> float | np.ndarray:
     """Solve prod_i ((b - b_i) + Delta_i(b)) = |y|^2 for b.
 
     Every factor is positive and strictly increasing in b, so the product
@@ -127,11 +158,19 @@ def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     bracket is open.  ConvergenceError unless the relative residual of
     the root is at most SOLVE_TOL.
 
+    Scalar z and |y|^2 run this loop in floats and return a float.  If
+    either is a numpy array, the same loop runs over lanes (_solve_b_lanes)
+    and returns an array of roots of the broadcast shape; it raises
+    ValueError or ConvergenceError when any lane would.  A one-lane numpy
+    loop costs about ten float loops, so single points stay on floats.
+
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
       one center at the origin, z=1, |y|^2=1  ->  b = 0   (b + sqrt(b^2+1) = 1)
       centers (b,a) = (0,+1), (0,-1), z=0, |y|^2=1  ->  b = 0
     """
+    if isinstance(z, np.ndarray) or isinstance(y_abs_sq, np.ndarray):
+        return _solve_b_lanes(config, z, y_abs_sq)
     if not (y_abs_sq > 0.0) or not math.isfinite(y_abs_sq):
         raise ValueError("y_abs_sq must be positive and finite")
     zbar = z.conjugate()
@@ -174,6 +213,73 @@ def solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
             f"implicit height solve stalled at relative residual {residual:.3e}"
         )
     return b
+
+
+def _solve_b_lanes(
+    config: CenterConfiguration, z: complex | np.ndarray, y_abs_sq: float | np.ndarray
+) -> np.ndarray:
+    """solve_b's loop over lanes: each lane takes the steps the float loop
+    takes, with numpy's elementary functions; finished lanes drop out."""
+    z, y_sq = np.broadcast_arrays(
+        np.asarray(z, dtype=complex), np.asarray(y_abs_sq, dtype=float)
+    )
+    if not np.all((y_sq > 0.0) & (y_sq < math.inf)):
+        raise ValueError("y_abs_sq must be positive and finite")
+    b_i, r = _lane_data(config, z.ravel())
+    target = np.log(y_sq.ravel())
+    k = len(b_i)
+    with np.errstate(divide="ignore"):
+        log_r = np.where(r > 0.0, np.log(r), 0.0).sum(axis=1) / k
+    lim = 700.0 - np.maximum(0.0, log_r)
+    arg = np.clip(target / k - log_r, -lim, lim)
+    b = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
+    out = np.empty_like(b)
+    # the live lanes' state; a lane leaves it once it stops
+    ids = np.arange(b.size)
+    lo, hi = np.full_like(b, -math.inf), np.full_like(b, math.inf)
+    width = np.zeros_like(b)
+    lr, lt = r, target
+    for _ in range(SOLVE_MAX_ITER):
+        if not ids.size:
+            break
+        total, gam = _lane_log_lhs(b_i, lr, b)
+        gval = total - lt
+        with np.errstate(all="ignore"):
+            newton = np.where(np.isfinite(gval), b - gval / gam, math.nan)
+            done = np.abs(newton - b) <= 1e-16 * (1.0 + np.abs(b))
+            up = gval > 0.0
+            hi = np.where(up, b, hi)
+            lo = np.where(up, lo, b)
+            outside = ~((lo < newton) & (newton < hi))
+            closed = outside & np.isfinite(hi - lo)
+            mid = 0.5 * (lo + hi)
+            # the bracket is two adjacent floats
+            stuck = closed & ~((lo < mid) & (mid < hi))
+            opened = outside & ~closed
+            grown = np.where(width != 0.0, 2.0 * width, 1.0 + np.abs(b))
+            width = np.where(opened, grown, width)
+            outward = b - np.copysign(width, gval)
+            step = np.where(closed, mid, np.where(opened, outward, newton))
+        b = np.where(done, newton, np.where(stuck, b, step))
+        stop = done | stuck
+        if stop.any():
+            out[ids[stop]] = b[stop]
+            keep = ~stop
+            ids, b, lo, hi, width, lr, lt = (
+                v[keep] for v in (ids, b, lo, hi, width, lr, lt)
+            )
+    out[ids] = b
+    gval = _lane_log_lhs(b_i, r, out)[0] - target
+    with np.errstate(all="ignore"):
+        residual = np.where(np.abs(gval) < 1.0, np.abs(np.expm1(gval)), math.inf)
+    failed = np.flatnonzero(residual > SOLVE_TOL)
+    if failed.size:
+        lane = failed[0]
+        raise ConvergenceError(
+            f"implicit height solve stalled at relative residual "
+            f"{residual[lane]:.3e} (lane {lane} of {out.size})"
+        )
+    return out.reshape(y_sq.shape)
 
 
 _DZ = np.array([1.0, 1.0j, 0.0, 0.0])

@@ -13,26 +13,44 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from gravinst import ghawking, hitchin
 from gravinst.errors import ScanError
 from gravinst.singularities import CenterConfiguration
 from gravinst.tensorcalc import Coords
 
 _BASES = (2, 3, 5, 7)
+# candidates drawn per Halton block: a stream's first block holds
+# spec.count rows, and each next block twice as many up to this size
+_HALTON_BLOCK = 1024
 
 
-def halton(index: int, base: int) -> float:
-    """Halton radical-inverse of a positive integer in the given base."""
-    if index <= 0:
+def halton(index: np.ndarray, base: int) -> np.ndarray:
+    """Halton radical inverse in the given base of each positive integer
+    of the index array.  Digit by digit, f /= base; r += f * digit, so
+    every value has the bits of the scalar recurrence."""
+    i = np.array(index, dtype=np.int64)
+    if i.min() <= 0:
         raise ValueError("Halton index must be positive")
+    out = np.zeros(i.shape)
     f = 1.0
-    r = 0.0
-    i = index
-    while i > 0:
+    rest = int(i.max())
+    while rest:
         f /= base
-        r += f * (i % base)
-        i //= base
-    return r
+        i, digit = np.divmod(i, base)
+        out += f * digit
+        rest //= base
+    return out
+
+
+def require_count_and_seed(count: int, seed: int) -> None:
+    """ValueError unless count and seed are integers and count is positive."""
+    for name, value in (("count", count), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer")
+    if count < 1:
+        raise ValueError("count must be positive")
 
 
 @dataclass(frozen=True)
@@ -49,10 +67,7 @@ class SampleSpec:
     chart_margin: float = 1e-3
 
     def __post_init__(self):
-        for name in ("count", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
+        require_count_and_seed(self.count, self.seed)
         for name in ("r_min", "r_max", "clearance", "chart_margin"):
             value = getattr(self, name)
             if (
@@ -61,8 +76,6 @@ class SampleSpec:
                 or not math.isfinite(value)
             ):
                 raise ValueError(f"{name} must be a finite real number")
-        if self.count < 1:
-            raise ValueError("count must be positive")
         if not (0.0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         # centers lie within scale of the origin and annulus points within
@@ -90,22 +103,26 @@ def _candidates(
     scale = max(1.0, config.extent())
     lo, hi = spec.r_min * scale, spec.r_max * scale
     clear = spec.clearance * scale
-    idx = _start_index(spec.seed)
-    for _ in range(10000 * spec.count):
-        u = [halton(idx, b) for b in _BASES]
-        idx += 1
-        r = (lo**3 + u[0] * (hi**3 - lo**3)) ** (1.0 / 3.0)
-        cos_t = 2.0 * u[1] - 1.0
-        sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
-        phi = 2.0 * math.pi * u[2]
-        b = r * cos_t
-        a = complex(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi))
-        theta = 2.0 * math.pi * u[3]
-        if ghawking.center_clearance(config, b, a) < clear:
-            continue
-        if ghawking.string_clearance(config, b, a) < clear:
-            continue
-        yield b, a, theta
+    first = _start_index(spec.seed)
+    end = first + 10000 * spec.count
+    block = min(spec.count, _HALTON_BLOCK)
+    while first < end:
+        idx = np.arange(first, min(first + block, end))
+        first += idx.size
+        block = min(2 * block, _HALTON_BLOCK)
+        for u in np.stack([halton(idx, b) for b in _BASES], axis=1).tolist():
+            r = (lo**3 + u[0] * (hi**3 - lo**3)) ** (1.0 / 3.0)
+            cos_t = 2.0 * u[1] - 1.0
+            sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
+            phi = 2.0 * math.pi * u[2]
+            b = r * cos_t
+            a = complex(r * sin_t * math.cos(phi), r * sin_t * math.sin(phi))
+            theta = 2.0 * math.pi * u[3]
+            if ghawking.center_clearance(config, b, a) < clear:
+                continue
+            if ghawking.string_clearance(config, b, a) < clear:
+                continue
+            yield b, a, theta
     raise ScanError(
         f"sampling rejected too many candidate points ({10000 * spec.count} drawn)"
     )

@@ -41,6 +41,9 @@ INVARIANCE_TOL = 1e-9
 SPREAD_TOL = 1e-3
 PERIOD_TOL = 1e-3
 SOLVER_TOL = 1e-12
+# inputs per solve_b call of the solver scan, so its memory does not grow
+# with the input count
+SOLVER_BLOCK = 1024
 CURVATURE_FLOOR = 1e-10
 # matched base points of the cross-construction ratio
 CROSS_COUNT = 12
@@ -645,20 +648,21 @@ def solver_scan(
     config: CenterConfiguration, count: int = 10000, seed: int = 0
 ) -> CheckRecord:
     """Back-substitution residual of the implicit height solver over a
-    deterministic stream of chart inputs."""
+    deterministic stream of chart inputs, drawn, solved and substituted
+    back SOLVER_BLOCK lanes at a time."""
+    sampling.require_count_and_seed(count, seed)
     worst = 0.0
-    idx = 1 + (int(seed) % (2**31))
+    start = 1 + seed % (2**31)
     scale = max(1.0, config.extent())
-    for _ in range(count):
+    for first in range(start, start + count, SOLVER_BLOCK):
+        idx = np.arange(first, min(first + SOLVER_BLOCK, start + count))
         u = [sampling.halton(idx, b) for b in (2, 3, 5)]
-        idx += 1
-        z = complex(
-            (2.0 * u[0] - 1.0) * 8.0 * scale, (2.0 * u[1] - 1.0) * 8.0 * scale
-        )
-        # log-uniform |y|^2 over several decades
-        y_abs_sq = 10.0 ** (-3.0 + 7.0 * u[2]) * scale
+        z = (2.0 * u[0] - 1.0) * 8.0 * scale + 1j * ((2.0 * u[1] - 1.0) * 8.0 * scale)
+        # log-uniform |y|^2 over several decades, with Python's pow (numpy's
+        # may differ in the last bit)
+        y_abs_sq = np.array([10.0**e for e in (-3.0 + 7.0 * u[2]).tolist()]) * scale
         lhs = hitchin.implicit_lhs(config, z, hitchin.solve_b(config, z, y_abs_sq))
-        worst = max(worst, abs(lhs - y_abs_sq) / y_abs_sq)
+        worst = max(worst, float(np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
     return CheckRecord(
         name="implicit-solver",
         max_residual=worst,

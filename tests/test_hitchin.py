@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gravinst import hitchin, sampling, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
+    ConvergenceError,
     FitDomainError,
     GeometryError,
     PoleError,
@@ -141,32 +142,98 @@ def test_solve_b_regression_value():
 
 @contextlib.contextmanager
 def factor_calls():
-    """Count calls of hitchin._stable_factor, one per center per
-    evaluation of the implicit product or its log-sum."""
+    """Count center factors, one per center per evaluation of the implicit
+    product or its log-sum: each call of hitchin._stable_factor (floats)
+    and each element (lane x center) of hitchin._stable_factors (lanes)."""
     calls = [0]
-    original = hitchin._stable_factor
+    scalar, lanes = hitchin._stable_factor, hitchin._stable_factors
 
     def counted(u, r):
         calls[0] += 1
-        return original(u, r)
+        return scalar(u, r)
 
-    hitchin._stable_factor = counted
+    def counted_lanes(u, r):
+        calls[0] += np.broadcast(u, r).size
+        return lanes(u, r)
+
+    hitchin._stable_factor, hitchin._stable_factors = counted, counted_lanes
     try:
         yield calls
     finally:
-        hitchin._stable_factor = original
+        hitchin._stable_factor, hitchin._stable_factors = scalar, lanes
 
 
 def test_solve_b_work_on_solver_scan_stream():
-    # the first 2000 inputs of criterion 9's stream; the scan back-
-    # substitutes each root once through implicit_lhs, which is one
-    # evaluation per input that the solver does not make
+    # the first 2000 inputs of criterion 9's stream, solved on lanes; the
+    # scan back-substitutes each root once through implicit_lhs, which is
+    # one evaluation per input that the solver does not make
     cfg = square4_config()
     count = 2000
     with factor_calls() as calls:
         assert verify.solver_scan(cfg, count=count, seed=1).passed
     per_solve = calls[0] / (cfg.k * count) - 1.0
-    assert per_solve <= 12.0
+    assert 1.0 <= per_solve <= 12.0
+
+
+def solver_scan_inputs(cfg, count, seed):
+    """The solver scan's first count (z, |y|^2) inputs, drawn test-side."""
+    scale = max(1.0, cfg.extent())
+    idx = np.arange(1 + seed, 1 + seed + count)
+    u0, u1, u2 = (sampling.halton(idx, b).tolist() for b in (2, 3, 5))
+    z = [complex((2.0 * p - 1.0) * 8.0 * scale, (2.0 * q - 1.0) * 8.0 * scale) for p, q in zip(u0, u1)]
+    return np.array(z), np.array([10.0 ** (-3.0 + 7.0 * v) * scale for v in u2])
+
+
+def test_solve_b_lanes_agree_with_float_loop_on_solver_scan_stream():
+    # criterion 9's 10^4 inputs in one batch against one float solve each
+    cfg = square4_config()
+    z, y_sq = solver_scan_inputs(cfg, 10000, seed=1)
+    b = hitchin.solve_b(cfg, z, y_sq)
+    assert b.shape == (10000,)
+    for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
+        bs = hitchin.solve_b(cfg, zi, yi)
+        assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
+
+
+def test_solve_b_lanes_keep_the_input_shape():
+    cfg = pair_config()
+    z = np.array([[0.4 - 0.3j], [0.1 + 0.2j]])
+    y_sq = np.array([abs(1.5 + 0.7j) ** 2, 2.0, 0.5])
+    b = hitchin.solve_b(cfg, z, y_sq)
+    assert b.shape == (2, 3)
+    assert abs(b[0, 0] - 0.5088549448162701) < 1e-13
+    for i in range(2):
+        for j in range(3):
+            lhs = hitchin.implicit_lhs(cfg, z[i, 0], float(b[i, j]))
+            assert abs(lhs - y_sq[j]) <= hitchin.SOLVE_TOL * y_sq[j]
+    lhs = hitchin.implicit_lhs(cfg, z, b)
+    assert lhs.shape == (2, 3)
+    assert np.all(np.abs(lhs - y_sq) <= hitchin.SOLVE_TOL * y_sq)
+
+
+def test_solve_b_failing_lane_raises_like_the_lane_alone():
+    # a height-0 puncture with a tiny target: no float root within
+    # SOLVE_TOL in reach (see the extreme-input property test)
+    cfg = square4_config()
+    z_bad, y_bad = -cfg.centers[0].a.conjugate(), 1e-50
+    with pytest.raises(ConvergenceError):
+        hitchin.solve_b(cfg, z_bad, y_bad)
+    with pytest.raises(ConvergenceError):
+        hitchin.solve_b(cfg, np.array([z_bad]), np.array([y_bad]))
+    z, y_sq = solver_scan_inputs(cfg, 9, seed=1)
+    z[4], y_sq[4] = z_bad, y_bad
+    with pytest.raises(ConvergenceError, match="lane 4 of 9"):
+        hitchin.solve_b(cfg, z, y_sq)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_solve_b_lanes_reject_bad_target_anywhere(bad):
+    z, y_sq = solver_scan_inputs(pair_config(), 5, seed=1)
+    y_sq[3] = bad
+    with pytest.raises(ValueError):
+        hitchin.solve_b(pair_config(), z, y_sq)
+    with pytest.raises(ValueError):
+        hitchin.solve_b(pair_config(), 0.5j, np.array([bad]))
 
 
 # deterministic examples, no example database: the suite stays a pure
@@ -215,6 +282,16 @@ def test_solve_b_property_back_substitution_and_oracle(case):
 
 
 @PROPERTY
+@given(chart_inputs())
+def test_solve_b_property_one_lane_matches_float_loop(case):
+    config, z, y_sq = case
+    b = hitchin.solve_b(config, z, y_sq)
+    lane = hitchin.solve_b(config, np.array([z]), np.array([y_sq]))
+    assert lane.shape == (1,)
+    assert abs(lane[0] - b) <= 1e-14 * (1.0 + abs(b))
+
+
+@PROPERTY
 @given(chart_inputs(), st.floats(min_value=1e-3, max_value=3.0))
 def test_solve_b_property_strictly_increasing(case, decades):
     config, z, y_sq = case
@@ -247,21 +324,24 @@ def extreme_inputs(draw):
 @given(extreme_inputs())
 def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
     # every positive finite |y|^2 ends in a root within SOLVE_TOL or a typed
-    # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations
+    # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations, in the
+    # float loop and as a one-element lane batch
     config, z, y_sq = case
-    with factor_calls() as calls:
-        try:
-            b = hitchin.solve_b(config, z, y_sq)
-        except GeometryError:
-            b = None
-    assert calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
-    if b is not None:
-        assert math.isfinite(b)
-        log_lhs = sum(
-            math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
-            for c in config.centers
-        )
-        assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
+    for inputs in ((z, y_sq), (np.array([z]), np.array([y_sq]))):
+        with factor_calls() as calls:
+            try:
+                b = hitchin.solve_b(config, *inputs)
+            except GeometryError:
+                b = None
+        assert 1 <= calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
+        if b is not None:
+            b = float(np.asarray(b).item())
+            assert math.isfinite(b)
+            log_lhs = sum(
+                math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
+                for c in config.centers
+            )
+            assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
 
 
 # --- metric algebra ---

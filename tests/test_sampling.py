@@ -1,0 +1,86 @@
+"""Sample streams: Halton radical inverses, pinned points, the draw budget."""
+
+import numpy as np
+import pytest
+
+from gravinst import ghawking, sampling
+from gravinst.errors import ScanError
+from gravinst.sampling import SampleSpec
+from gravinst.singularities import QuotientSignature, make_polygon_config
+
+
+def hexagon_config():
+    return make_polygon_config(
+        QuotientSignature(2, 3, 2), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]
+    )
+
+
+def radical_inverse(index, base):
+    """Pure-Python reference: the scalar digit recurrence."""
+    f, r = 1.0, 0.0
+    while index > 0:
+        f /= base
+        r += f * (index % base)
+        index //= base
+    return r
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7])
+def test_halton_matches_scalar_radical_inverse_bit_for_bit(base):
+    rng = np.random.default_rng(base)
+    indices = np.concatenate(
+        [
+            np.arange(1, 2049),
+            np.arange(2**31 - 1024, 2**31 + 1024),
+            rng.integers(1, 2**31 + 10**6, 2000),
+        ]
+    )
+    values = sampling.halton(indices, base)
+    assert values.shape == indices.shape
+    for i, v in zip(indices.tolist(), values.tolist()):
+        assert v == radical_inverse(i, base)
+
+
+def test_halton_rejects_non_positive_index():
+    with pytest.raises(ValueError):
+        sampling.halton(np.array([3, 0, 5]), 2)
+
+
+def test_hexagon_streams_are_pinned():
+    # the first three points at SampleSpec(count=3, seed=42), taken from
+    # the per-candidate scalar Halton code the block draw replaced
+    cfg, spec = hexagon_config(), SampleSpec(count=3, seed=42)
+    assert sampling.gh_points(cfg, spec) == [
+        (1.6669675304762166, 1.8894664518725193, -1.2128634399717522, -8.718280845195284),
+        (2.564565431501872, 5.155081592584775, 2.545976600444295, -1.2373582560701983),
+        (3.4621633325275267, -7.069928684707151, 2.366692137048613, 4.179709296205072),
+    ]
+    assert sampling.hitchin_points(cfg, spec) == [
+        (1.2128634399717522, -8.718280845195284, -110.56881126963592, 1146.161394530822),
+        (-2.545976600444295, -1.2373582560701983, -964.3188520316079, 627.7020120055573),
+        (-2.366692137048613, 4.179709296205072, -2.605179281022562, -0.8649791157798523),
+    ]
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_stream_raises_after_exactly_its_draw_budget(monkeypatch, count):
+    # every candidate rejected: the stream draws 10000 * count of them,
+    # each through one clearance test and one Halton row, then ends
+    tested = [0]
+    drawn = [0]
+    halton = sampling.halton
+
+    def reject(config, b, a):
+        tested[0] += 1
+        return -1.0
+
+    def counted_halton(index, base):
+        drawn[0] += np.size(index)
+        return halton(index, base)
+
+    monkeypatch.setattr(ghawking, "center_clearance", reject)
+    monkeypatch.setattr(sampling, "halton", counted_halton)
+    with pytest.raises(ScanError, match=f"{10000 * count} drawn"):
+        sampling.gh_points(hexagon_config(), SampleSpec(count=count, seed=5))
+    assert tested[0] == 10000 * count
+    assert drawn[0] == len(sampling._BASES) * 10000 * count

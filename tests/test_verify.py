@@ -323,6 +323,41 @@ def test_solver_scan_quick():
     assert rec.max_residual < 1e-12
 
 
+def test_solver_scan_blocks_do_not_change_the_record(monkeypatch):
+    # lanes are independent, so the block size moves no residual bit;
+    # count 2500 spans three blocks of SOLVER_BLOCK = 1024
+    calls = [0]
+    solve_b = hitchin.solve_b
+
+    def counted(*args):
+        calls[0] += 1
+        return solve_b(*args)
+
+    monkeypatch.setattr(hitchin, "solve_b", counted)
+    rec = verify.solver_scan(pair_config(), count=2500, seed=3)
+    assert calls[0] == 3
+    monkeypatch.setattr(verify, "SOLVER_BLOCK", 7)
+    assert verify.solver_scan(pair_config(), count=2500, seed=3) == rec
+    assert calls[0] == 3 + 358
+    assert rec.passed and rec.count == 2500
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"count": -5},
+        {"count": 0},
+        {"count": 2.5},
+        {"count": True},
+        {"count": 10, "seed": 1.5},
+        {"count": 10, "seed": "1"},
+    ],
+)
+def test_solver_scan_rejects_bad_count_or_seed(kwargs):
+    with pytest.raises(ValueError):
+        verify.solver_scan(pair_config(), **kwargs)
+
+
 # --- truncation convergence ---
 
 
