@@ -66,8 +66,24 @@ def _alf_constant(config: CenterConfiguration) -> float:
     return 1.0 if config.mode == "alf" else 0.0
 
 
-def potential_at(config: CenterConfiguration, b: float, a: complex) -> float:
-    """Harmonic potential V at the base point (b, a)."""
+def potential_at(
+    config: CenterConfiguration, b: float | np.ndarray, a: complex | np.ndarray
+) -> float | np.ndarray:
+    """Harmonic potential V at the base point (b, a).
+
+    Scalar b and a run a float loop over the centers and return a float.
+    If either is a numpy array, V is evaluated elementwise over the
+    broadcast shape, the centers on a last axis; a one-point numpy call
+    costs about ten float loops, so single points stay on floats.
+    PoleError at a center either way.
+    """
+    if isinstance(b, np.ndarray) or isinstance(a, np.ndarray):
+        b_i = np.array([c.b for c in config.centers])
+        a_i = np.array([c.a for c in config.centers])
+        dist = np.hypot(np.asarray(b)[..., None] - b_i, np.abs(np.asarray(a)[..., None] - a_i))
+        if np.any(dist == 0.0):
+            raise PoleError("potential evaluated at a center")
+        return _alf_constant(config) + (0.5 / dist).sum(axis=-1)
     total = _alf_constant(config)
     for c in config.centers:
         dist = math.hypot(b - c.b, abs(a - c.a))
@@ -347,32 +363,35 @@ def geodesic_radii(config: CenterConfiguration, radii) -> np.ndarray:
     radius R of the increasing sequence radii, averaged over a fixed set
     of rays from the origin.
 
-    Each ray is integrated once: its first piece in the substituted
-    variable u = sqrt(t), which absorbs the inverse-square-root behavior
-    of sqrt(V) when a center sits at the ray origin, then one segment
-    between consecutive radii at a time, summed as it goes.
+    Each ray is split once: a first piece in the substituted variable
+    u = sqrt(t), which absorbs the inverse-square-root behavior of
+    sqrt(V) when a center sits at the ray origin, then one segment
+    between consecutive radii at a time.  The first pieces of all rays
+    are one lane quadrature and all segments another, so each depth level
+    evaluates V once for every ray; each ray's pieces are summed in order.
     """
-    radii = [float(R) for R in radii]
+    radii = np.asarray(radii, dtype=float)
+    rays = len(_RAY_DIRECTIONS)
     first = min(1.0, 0.25 * radii[0])
-    lengths = np.empty((len(_RAY_DIRECTIONS), len(radii)))
-    for row, d in zip(lengths, _RAY_DIRECTIONS):
 
-        def sqrt_v(t: float) -> float:
-            return math.sqrt(potential_at(config, t * d[0], complex(t * d[1], t * d[2])))
+    def sqrt_v(t: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        d = _RAY_DIRECTIONS[ray]
+        return np.sqrt(potential_at(config, t * d[:, 0], t * d[:, 1] + 1j * (t * d[:, 2])))
 
-        def substituted(u: float) -> float:
-            # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
-            # limit when a center sits at the ray origin (V ~ q/(2t))
-            uu = max(u, 1e-75)
-            return 2.0 * uu * sqrt_v(uu * uu)
+    def substituted(u: np.ndarray, ray: np.ndarray) -> np.ndarray:
+        # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
+        # limit when a center sits at the ray origin (V ~ q/(2t))
+        uu = np.maximum(u, 1e-75)
+        return 2.0 * uu * sqrt_v(uu * uu, ray)
 
-        acc = adaptive_simpson(substituted, 0.0, math.sqrt(first))
-        lo = first
-        for j, R in enumerate(radii):
-            acc += adaptive_simpson(sqrt_v, lo, R)
-            row[j] = acc
-            lo = R
-    return lengths.mean(axis=0)
+    def segment(t: np.ndarray, lane: np.ndarray) -> np.ndarray:
+        return sqrt_v(t, lane // len(radii))
+
+    heads = adaptive_simpson(substituted, np.zeros(rays), np.full(rays, math.sqrt(first)))
+    starts = np.concatenate([[first], radii[:-1]])
+    pieces = adaptive_simpson(segment, np.tile(starts, rays), np.tile(radii, rays))
+    pieces = np.column_stack([heads, pieces.reshape(rays, len(radii))])
+    return np.cumsum(pieces, axis=1)[:, 1:].mean(axis=0)
 
 
 def volume_growth_fit(config: CenterConfiguration, mode: str | None = None) -> FitResult:

@@ -155,8 +155,10 @@ def solve_b(
     exactly gamma, start at the root of the one-center model (exact for
     k = 1).  The signs of g tighten a bracket; a step that is not finite
     or leaves it becomes a bisection, or a doubling step outward while the
-    bracket is open.  ConvergenceError unless the relative residual of
-    the root is at most SOLVE_TOL.
+    bracket is open.  The root returned is the last iterate evaluated,
+    and ConvergenceError unless the relative residual of that evaluation
+    is at most SOLVE_TOL; an iterate left after SOLVE_MAX_ITER steps is
+    evaluated once more.
 
     Scalar z and |y|^2 run this loop in floats and return a float.  If
     either is a numpy array, the same loop runs over lanes (_solve_b_lanes)
@@ -191,7 +193,6 @@ def solve_b(
         gval = total - target
         nxt = b - gval / gam if math.isfinite(gval) else math.nan
         if abs(nxt - b) <= 1e-16 * (1.0 + abs(b)):
-            b = nxt
             break
         if gval > 0.0:
             hi = b
@@ -206,7 +207,9 @@ def solve_b(
                 width = 2.0 * width if width else 1.0 + abs(b)
                 nxt = b - math.copysign(width, gval)
         b = nxt
-    gval = _log_lhs(data, b)[0] - target
+    else:
+        # the steps ran out: evaluate the last iterate once more
+        gval = _log_lhs(data, b)[0] - target
     residual = abs(math.expm1(gval)) if abs(gval) < 1.0 else math.inf
     if residual > SOLVE_TOL:
         raise ConvergenceError(
@@ -233,7 +236,8 @@ def _solve_b_lanes(
     lim = 700.0 - np.maximum(0.0, log_r)
     arg = np.clip(target / k - log_r, -lim, lim)
     b = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
-    out = np.empty_like(b)
+    # each lane's root and the log-sum residual evaluated at it
+    out, out_g = np.empty_like(b), np.empty_like(b)
     # the live lanes' state; a lane leaves it once it stops
     ids = np.arange(b.size)
     lo, hi = np.full_like(b, -math.inf), np.full_like(b, math.inf)
@@ -260,18 +264,19 @@ def _solve_b_lanes(
             width = np.where(opened, grown, width)
             outward = b - np.copysign(width, gval)
             step = np.where(closed, mid, np.where(opened, outward, newton))
-        b = np.where(done, newton, np.where(stuck, b, step))
         stop = done | stuck
         if stop.any():
-            out[ids[stop]] = b[stop]
+            out[ids[stop]], out_g[ids[stop]] = b[stop], gval[stop]
             keep = ~stop
-            ids, b, lo, hi, width, lr, lt = (
-                v[keep] for v in (ids, b, lo, hi, width, lr, lt)
+            ids, b, step, lo, hi, width, lr, lt = (
+                v[keep] for v in (ids, b, step, lo, hi, width, lr, lt)
             )
-    out[ids] = b
-    gval = _lane_log_lhs(b_i, r, out)[0] - target
+        b = step
+    if ids.size:
+        # lanes still live after the last step are evaluated once more
+        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, lr, b)[0] - lt
     with np.errstate(all="ignore"):
-        residual = np.where(np.abs(gval) < 1.0, np.abs(np.expm1(gval)), math.inf)
+        residual = np.where(np.abs(out_g) < 1.0, np.abs(np.expm1(out_g)), math.inf)
     failed = np.flatnonzero(residual > SOLVE_TOL)
     if failed.size:
         lane = failed[0]

@@ -8,6 +8,9 @@ accurate to O(h^4).  One stencil table serves every derivative: its
 weights nest that kernel once per order, the field is evaluated once at
 each distinct point, and mixed partials share one weight row, so they
 are exactly symmetric.
+
+The module also keeps the recursive adaptive Simpson rule, the reference
+for the program's breadth-first lane quadrature (gravinst.quadrature).
 """
 
 from __future__ import annotations
@@ -18,7 +21,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gravinst.errors import ChartBoundaryError, NumericOverflowError, PoleError
+from gravinst.errors import (
+    ChartBoundaryError,
+    ConvergenceError,
+    NumericOverflowError,
+    PoleError,
+)
+from gravinst.quadrature import ABS_TOL, MAX_DEPTH, REL_TOL
 from gravinst.singularities import CenterConfiguration
 from gravinst.tensorcalc import Coords, Field, Jet
 
@@ -171,3 +180,36 @@ def fd_derivatives(field: Field, step=None) -> Callable[[Coords], Jet]:
         return Jet(rows[0], np.moveaxis(rows[1:5], 0, n), np.moveaxis(second, (0, 1), (n, n + 1)))
 
     return jet
+
+
+def recursive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate the float function f over [a, b] to relative accuracy
+    REL_TOL by depth-first recursive bisection, with the acceptance test,
+    tolerances and depth limit of gravinst.quadrature.adaptive_simpson."""
+    if not (b > a):
+        if b == a:
+            return 0.0
+        raise ValueError("integration bounds must satisfy a <= b")
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    scale = max(abs(whole), ABS_TOL)
+    return _simpson_rec(f, a, b, fa, fm, fb, whole, REL_TOL * scale, MAX_DEPTH)
+
+
+def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol or (b - a) < 1e-14 * (abs(a) + abs(b) + 1.0):
+        return left + right + err / 15.0
+    if depth <= 0:
+        raise ConvergenceError("adaptive quadrature exceeded maximum recursion depth")
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise ConvergenceError("quadrature integrand produced a non-finite value")
+    return _simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_rec(
+        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+    )

@@ -9,7 +9,7 @@ without any error; this test makes that a failure.
 import importlib.util
 import pathlib
 
-from gravinst import ghawking, verify
+from gravinst import ghawking, quadrature, verify
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
 
@@ -107,3 +107,10 @@ def test_tracer_spans_fill():
         "quadrature.integrand",
     ):
         assert span in fit_names
+    # one integrand span per depth level, not one per node: per call, one
+    # for the first nodes of every lane and at most MAX_DEPTH + 1 levels
+    # (one span per node would average about 60 per call on this fit)
+    fit_spans = names[fit_start:]
+    quadratures = fit_spans.count("quadrature.adaptive_simpson")
+    integrands = fit_spans.count("quadrature.integrand")
+    assert 0 < integrands <= (quadrature.MAX_DEPTH + 2) * quadratures

@@ -19,9 +19,10 @@ from gravinst.singularities import (
     CenterConfiguration,
     GroupElement,
     QuotientSignature,
+    make_akl_config,
     make_polygon_config,
 )
-from fd_reference import fd_derivatives
+from fd_reference import fd_derivatives, recursive_simpson
 
 
 def pair_config():
@@ -43,6 +44,12 @@ def hexagon_config():
 def two_level_config():
     return make_polygon_config(
         QuotientSignature(2, 2, 1), [1.0 + 0j, 1.3 + 0.2j], [0.0, 1.0]
+    )
+
+
+def square_config():
+    return make_polygon_config(
+        QuotientSignature(2, 2, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0]
     )
 
 
@@ -249,7 +256,7 @@ def test_cycle_period_blocked_segment():
 def quadrature_period(config, i, j):
     """The period as the integral the closed form replaces: 2 pi times the
     integral of tangent . omega . d_theta along the segment from center i
-    to center j by adaptive Simpson, cut 1e-9 short of the cone points at
+    to center j by the recursive reference Simpson rule, cut 1e-9 short of the cone points at
     both ends, with omega in the one gauge of kahler_form_at."""
     ci, cj = config.centers[i], config.centers[j]
     db, da = cj.b - ci.b, cj.a - ci.a
@@ -261,7 +268,7 @@ def quadrature_period(config, i, j):
         return float(tangent @ w[:, 0])
 
     eps = 1e-9
-    return 2.0 * math.pi * quadrature.adaptive_simpson(integrand, eps, 1.0 - eps)
+    return 2.0 * math.pi * recursive_simpson(integrand, eps, 1.0 - eps)
 
 
 @pytest.mark.parametrize("build", [two_level_config, hexagon_config])
@@ -303,8 +310,9 @@ def test_flat_growth_slope_is_four():
 
 
 def quadrature_ball_volume(config, R):
-    """8 pi^2 int_0^R r^2 (c + 1/2 sum_i 1/max(r, |x_i|)) dr by adaptive
-    Simpson, split at the center norms where the integrand has kinks."""
+    """8 pi^2 int_0^R r^2 (c + 1/2 sum_i 1/max(r, |x_i|)) dr by the
+    recursive reference Simpson rule, split at the center norms where the
+    integrand has kinks."""
     norms = [float(np.linalg.norm(c.as_r3())) for c in config.centers]
     constant = 1.0 if config.mode == "alf" else 0.0
 
@@ -314,7 +322,7 @@ def quadrature_ball_volume(config, R):
         return r * r * (constant + 0.5 * sum(1.0 / max(r, s) for s in norms))
 
     cuts = [0.0] + sorted(s for s in set(norms) if 0.0 < s < R) + [R]
-    total = sum(quadrature.adaptive_simpson(radial, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    total = sum(recursive_simpson(radial, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     return 8.0 * math.pi**2 * total
 
 
@@ -347,27 +355,117 @@ def test_geodesic_radii_match_per_radius_integrals():
                 return 2.0 * u * sqrt_v(u * u)
 
             lengths.append(
-                quadrature.adaptive_simpson(substituted, 0.0, 1.0)
-                + quadrature.adaptive_simpson(sqrt_v, 1.0, R)
+                recursive_simpson(substituted, 0.0, 1.0)
+                + recursive_simpson(sqrt_v, 1.0, R)
             )
         assert abs(rho - np.mean(lengths)) <= 1e-8 * rho
 
 
 def test_volume_growth_fit_potential_work(monkeypatch):
-    # each ray is integrated once over all radii: about 9300 potential
-    # evaluations for the hexagon, where one integral per radius took 42812
-    calls = [0]
+    # each ray is integrated once over all radii: 9270 potential nodes for
+    # the hexagon, where one integral per radius took 42812; the nodes of
+    # one depth level go through one call, two quadratures of at most
+    # MAX_DEPTH + 2 levels each
+    calls, nodes = [0], [0]
     original = ghawking.potential_at
 
-    def counted(*args, **kwargs):
+    def counted(config, b, a):
         calls[0] += 1
-        return original(*args, **kwargs)
+        nodes[0] += np.size(b)
+        return original(config, b, a)
 
     monkeypatch.setattr(ghawking, "potential_at", counted)
     fit = ghawking.volume_growth_fit(hexagon_config(), mode="ale")
     assert abs(fit.slope - 4.0) < 0.1
-    assert 0 < calls[0] <= 12000
+    assert 0 < nodes[0] <= 12000
+    assert 0 < calls[0] <= 2 * (quadrature.MAX_DEPTH + 2)
 
+
+def recursive_geodesic_radii(config, radii, nodes):
+    """geodesic_radii as one depth-first recursive Simpson integral per
+    ray piece, with the float potential_at at every node; nodes[0] counts
+    the potential evaluations."""
+    radii = [float(R) for R in radii]
+    first = min(1.0, 0.25 * radii[0])
+    lengths = np.empty((len(ghawking._RAY_DIRECTIONS), len(radii)))
+    for row, d in zip(lengths, ghawking._RAY_DIRECTIONS):
+
+        def sqrt_v(t, d=d):
+            nodes[0] += 1
+            return math.sqrt(ghawking.potential_at(config, t * d[0], complex(t * d[1], t * d[2])))
+
+        def substituted(u, sqrt_v=sqrt_v):
+            uu = max(u, 1e-75)
+            return 2.0 * uu * sqrt_v(uu * uu)
+
+        acc = recursive_simpson(substituted, 0.0, math.sqrt(first))
+        lo = first
+        for j, R in enumerate(radii):
+            acc += recursive_simpson(sqrt_v, lo, R)
+            row[j] = acc
+            lo = R
+    return lengths.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "build", [hexagon_config, square_config, two_level_config, taubnut_config]
+)
+def test_geodesic_radii_match_recursive_reference_on_fit_radii(build, monkeypatch):
+    # the lane quadrature accepts the subintervals the recursion accepts:
+    # the same potential nodes (9270 on the hexagon, 8486 on the square,
+    # 2510 on Taub-NUT) and the same radii up to the array potential's
+    # round-off
+    cfg = build()
+    seen, nodes = [], [0]
+    radii_of, potential = ghawking.geodesic_radii, ghawking.potential_at
+
+    def recorded(config, radii):
+        seen.append(np.array(radii, dtype=float))
+        return radii_of(config, radii)
+
+    def counted(config, b, a):
+        nodes[0] += np.size(b)
+        return potential(config, b, a)
+
+    monkeypatch.setattr(ghawking, "geodesic_radii", recorded)
+    monkeypatch.setattr(ghawking, "potential_at", counted)
+    ghawking.volume_growth_fit(cfg)
+    monkeypatch.undo()
+    (radii,) = seen
+    reference_nodes = [0]
+    reference = recursive_geodesic_radii(cfg, radii, reference_nodes)
+    assert nodes[0] == reference_nodes[0]
+    got = ghawking.geodesic_radii(cfg, radii)
+    assert np.all(np.abs(got - reference) <= 1e-14 * reference)
+
+
+@pytest.mark.parametrize(
+    "build", [hexagon_config, taubnut_config, lambda: make_akl_config(n=2, m=1, j_max=12)]
+)
+def test_array_potential_matches_float_loop(build):
+    cfg = build()
+    rng = np.random.default_rng(3)
+    t = np.exp(rng.uniform(-4.0, 10.0, 2000))
+    d = ghawking._RAY_DIRECTIONS[rng.integers(0, 6, t.size)]
+    b, a = t * d[:, 0], t * d[:, 1] + 1j * (t * d[:, 2])
+    V = ghawking.potential_at(cfg, b, a)
+    assert V.shape == t.shape
+    floats = [ghawking.potential_at(cfg, bb, aa) for bb, aa in zip(b.tolist(), a.tolist())]
+    assert np.all(np.abs(V - floats) <= 4.0 * np.finfo(float).eps * np.array(floats))
+    # arrays broadcast against scalars, and a grid of b against a column of a
+    column = ghawking.potential_at(cfg, b, np.full(t.size, 0.3 - 0.1j))
+    assert np.array_equal(ghawking.potential_at(cfg, b, 0.3 - 0.1j), column)
+    assert ghawking.potential_at(cfg, b[:5], a[:3, None]).shape == (3, 5)
+
+
+def test_array_potential_raises_pole_error_at_a_center():
+    cfg = hexagon_config()
+    c = cfg.centers[2]
+    b = np.array([0.3, c.b, -0.2])
+    with pytest.raises(PoleError):
+        ghawking.potential_at(cfg, b, np.array([0.1 + 0j, c.a, 2.0 + 0j]))
+    with pytest.raises(PoleError):
+        ghawking.potential_at(cfg, np.array([c.b]), c.a)
 
 
 # --- closed-form curvature ---

@@ -172,7 +172,42 @@ def test_solve_b_work_on_solver_scan_stream():
     with factor_calls() as calls:
         assert verify.solver_scan(cfg, count=count, seed=1).passed
     per_solve = calls[0] / (cfg.k * count) - 1.0
-    assert 1.0 <= per_solve <= 12.0
+    assert 1.0 <= per_solve <= 4.2
+
+
+def test_solve_b_makes_no_evaluation_after_convergence():
+    # one center off the axis: the model start is the root, so Newton
+    # stops after one log-sum evaluation and its residual is the check
+    cfg = origin_config()
+    z = [0.3 + 0.2j, 2.0 + 0j, 1.0 + 0j, 0.1j]
+    y_sq = [1.7, 0.4, 1.0, 1e5]
+    for zi, yi in zip(z, y_sq):
+        with factor_calls() as calls:
+            hitchin.solve_b(cfg, zi, yi)
+        assert calls[0] == 1
+    with factor_calls() as calls:
+        hitchin.solve_b(cfg, np.array(z), np.array(y_sq))
+    assert calls[0] == len(z)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5])
+def test_solve_b_checks_the_root_it_returns_at_the_iteration_cap(cap, monkeypatch):
+    # a lane that stops on the cap is evaluated once more: whatever it
+    # returns passes an independent back-substitution, in floats and lanes
+    monkeypatch.setattr(hitchin, "SOLVE_MAX_ITER", cap)
+    cfg = square4_config()
+    z, y_sq = solver_scan_inputs(cfg, 40, seed=1)
+    returned = 0
+    for zi, yi in zip(z.tolist(), y_sq.tolist()):
+        for inputs in ((zi, yi), (np.array([zi]), np.array([yi]))):
+            try:
+                b = float(np.asarray(hitchin.solve_b(cfg, *inputs)).item())
+            except ConvergenceError:
+                continue
+            returned += 1
+            lhs = float(hitchin.implicit_lhs(cfg, zi, b))
+            assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
+    assert returned > 0
 
 
 def solver_scan_inputs(cfg, count, seed):
