@@ -71,26 +71,17 @@ def potential_at(
 ) -> float | np.ndarray:
     """Harmonic potential V at the base point (b, a).
 
-    Scalar b and a run a float loop over the centers and return a float.
-    If either is a numpy array, V is evaluated elementwise over the
-    broadcast shape, the centers on a last axis; a one-point numpy call
-    costs about ten float loops, so single points stay on floats.
-    PoleError at a center either way.
+    b and a are scalars or numpy arrays; V is evaluated elementwise over
+    their broadcast shape, the centers on a last axis, and comes back as
+    a float for scalar b and a.  PoleError at a center.
     """
-    if isinstance(b, np.ndarray) or isinstance(a, np.ndarray):
-        b_i = np.array([c.b for c in config.centers])
-        a_i = np.array([c.a for c in config.centers])
-        dist = np.hypot(np.asarray(b)[..., None] - b_i, np.abs(np.asarray(a)[..., None] - a_i))
-        if np.any(dist == 0.0):
-            raise PoleError("potential evaluated at a center")
-        return _alf_constant(config) + (0.5 / dist).sum(axis=-1)
-    total = _alf_constant(config)
-    for c in config.centers:
-        dist = math.hypot(b - c.b, abs(a - c.a))
-        if dist == 0.0:
-            raise PoleError("potential evaluated at a center")
-        total += 0.5 / dist
-    return total
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
+    dist = np.hypot(np.asarray(b)[..., None] - b_i, np.abs(np.asarray(a)[..., None] - a_i))
+    if np.any(dist == 0.0):
+        raise PoleError("potential evaluated at a center")
+    V = _alf_constant(config) + (0.5 / dist).sum(axis=-1)
+    return V if V.ndim else float(V)
 
 
 def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarray:

@@ -383,7 +383,7 @@ def test_volume_growth_fit_potential_work(monkeypatch):
 
 def recursive_geodesic_radii(config, radii, nodes):
     """geodesic_radii as one depth-first recursive Simpson integral per
-    ray piece, with the float potential_at at every node; nodes[0] counts
+    ray piece, with a one-point potential_at at every node; nodes[0] counts
     the potential evaluations."""
     radii = [float(R) for R in radii]
     first = min(1.0, 0.25 * radii[0])
@@ -439,6 +439,14 @@ def test_geodesic_radii_match_recursive_reference_on_fit_radii(build, monkeypatc
     assert np.all(np.abs(got - reference) <= 1e-14 * reference)
 
 
+def float_loop_potential(config, b, a):
+    """V at one point as a float sum over the centers, in their order."""
+    total = 1.0 if config.mode == "alf" else 0.0
+    for c in config.centers:
+        total += 0.5 / math.hypot(b - c.b, abs(a - c.a))
+    return total
+
+
 @pytest.mark.parametrize(
     "build", [hexagon_config, taubnut_config, lambda: make_akl_config(n=2, m=1, j_max=12)]
 )
@@ -450,8 +458,13 @@ def test_array_potential_matches_float_loop(build):
     b, a = t * d[:, 0], t * d[:, 1] + 1j * (t * d[:, 2])
     V = ghawking.potential_at(cfg, b, a)
     assert V.shape == t.shape
-    floats = [ghawking.potential_at(cfg, bb, aa) for bb, aa in zip(b.tolist(), a.tolist())]
-    assert np.all(np.abs(V - floats) <= 4.0 * np.finfo(float).eps * np.array(floats))
+    floats = np.array([float_loop_potential(cfg, bb, aa) for bb, aa in zip(b.tolist(), a.tolist())])
+    assert np.all(np.abs(V - floats) <= 4.0 * np.finfo(float).eps * floats)
+    # one point at a time, as metric_at calls it, a float within the same margin
+    for bb, aa, ref in zip(b.tolist()[:50], a.tolist()[:50], floats[:50]):
+        one = ghawking.potential_at(cfg, bb, aa)
+        assert type(one) is float
+        assert abs(one - ref) <= 4.0 * np.finfo(float).eps * ref
     # arrays broadcast against scalars, and a grid of b against a column of a
     column = ghawking.potential_at(cfg, b, np.full(t.size, 0.3 - 0.1j))
     assert np.array_equal(ghawking.potential_at(cfg, b, 0.3 - 0.1j), column)
