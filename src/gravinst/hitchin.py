@@ -24,10 +24,11 @@ Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
 
 metric_jet and kahler_jets evaluate gamma and eta as second-order jets
-(tensorcalc.Jet), one solve for b per point.  metric_jet gives curvature
-g with its exact first and second derivatives; kahler_jets gives the
-Kahler scan g's value and omega's jet, built separately from the same
-eta, with J the constant J0.
+(tensorcalc.Jet) over a block of points, one lane solve for b per block,
+each lane with its own typed error (see tensorcalc).  metric_jet gives
+curvature g with its exact first and second derivatives; kahler_jets
+gives the Kahler scan g's value and omega's jet, built separately from
+the same eta, with J the constant J0.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
     FitDomainError,
+    GeometryError,
     PoleError,
     SingularFiberError,
 )
@@ -163,8 +165,10 @@ def solve_b(
     Scalar z and |y|^2 run this loop in floats and return a float.  If
     either is a numpy array, the same loop runs over lanes (_solve_b_lanes)
     and returns an array of roots of the broadcast shape; it raises
-    ValueError or ConvergenceError when any lane would.  A one-lane numpy
-    loop costs about ten float loops, so single points stay on floats.
+    ValueError or ConvergenceError when any lane would, the latter with
+    every lane's root and residual.  A one-lane numpy loop costs about ten
+    float loops, so the float metric at one point solves in floats; the
+    jets solve their whole block in one lane call.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -282,7 +286,9 @@ def _solve_b_lanes(
         lane = failed[0]
         raise ConvergenceError(
             f"implicit height solve stalled at relative residual "
-            f"{residual[lane]:.3e} (lane {lane} of {out.size})"
+            f"{residual[lane]:.3e} (lane {lane} of {out.size})",
+            roots=out.reshape(y_sq.shape),
+            residuals=residual.reshape(y_sq.shape),
         )
     return out.reshape(y_sq.shape)
 
@@ -333,76 +339,120 @@ _DZ_AREA = np.array(
 )
 
 
-def _eta_jets(config: CenterConfiguration, x: Coords) -> tuple:
-    """gamma and the real and imaginary parts of eta on the real
-    coordinates at the chart point x, as jets in (Re z, Im z, Re y, Im y).
+def _block(x) -> np.ndarray:
+    """x, one chart point or a block of them, as an (N, 4) array."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise ValueError("chart points take re(z),im(z),re(y),im(y)")
+    return x.reshape(-1, 4)
 
-    b is solved in floats by solve_b, then refined by two Newton steps
-    b <- b - (sum_i log f_i - log|y|^2) / gamma in jet arithmetic.  At
-    the root a step leaves the value in place, and by the implicit
-    function theorem the first step makes the gradient of b exact and the
-    second its Hessian.  gamma, delta and eta follow in jet arithmetic,
-    with the cancellation-free branch of ghawking.center_factors chosen
-    on the float value.  Everything is real: with zbar + a_i = w_i,
+
+def _eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """gamma and the real and imaginary parts of eta on the real
+    coordinates at each point of the block x, as jets in (Re z, Im z,
+    Re y, Im y) over a leading lane axis, with the per-lane errors: the
+    chart floor, then a pole, then a stalled solve for b.  The jets hold
+    the good lanes (None when there is none).
+
+    b is solved over the lanes by one solve_b call, then refined by two
+    Newton steps b <- b - (sum_i log f_i - log|y|^2) / gamma in jet
+    arithmetic.  At the root a step leaves the value in place, and by the
+    implicit function theorem the first step makes the gradient of b
+    exact and the second its Hessian.  gamma, delta and eta follow in jet
+    arithmetic, with the cancellation-free branch of
+    ghawking.center_factors chosen on the float value.  Everything is
+    real: with zbar + a_i = w_i,
 
         conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2.
     """
-    z, y = complex(x[0], x[1]), complex(x[2], x[3])
     require_smooth_fiber(config)
-    if abs(y) < EPS_Y_DEFAULT:
-        raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
     b_i = np.array([c.b for c in config.centers])
     a_i = np.array([c.a for c in config.centers])
-    if np.min(np.abs(z.conjugate() + a_i)) == 0.0:
-        raise PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
-    x0, x1, x2, x3 = tensorcalc.Jet.seed(x)
-    w_re = x0 + a_i.real
-    w_im = a_i.imag - x1
+    z = x[:, 0] + 1j * x[:, 1]
+    y_abs = np.hypot(x[:, 2], x[:, 3])
+    errors: list = [None] * len(x)
+    floor = y_abs < EPS_Y_DEFAULT
+    for n in np.flatnonzero(floor):
+        errors[n] = ChartBoundaryError(f"|y| = {y_abs[n]:.3e} is below the chart floor")
+    pole = ~floor & (np.min(np.abs(np.conj(z)[:, None] + a_i), axis=1) == 0.0)
+    for n in np.flatnonzero(pole):
+        errors[n] = PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
+    lanes = np.flatnonzero(~(floor | pole))
+    if not lanes.size:
+        return None, errors
+    try:
+        root = solve_b(config, z[lanes], y_abs[lanes] ** 2)
+    except ConvergenceError as exc:
+        root = exc.roots
+        stalled = exc.residuals > SOLVE_TOL
+        for n, res in zip(lanes[stalled], exc.residuals[stalled]):
+            errors[n] = ConvergenceError(
+                f"implicit height solve stalled at relative residual {res:.3e}"
+            )
+        lanes, root = lanes[~stalled], root[~stalled]
+        if not lanes.size:
+            return None, errors
+    x0, x1, x2, x3 = tensorcalc.Jet.seed(x[lanes])
+    w_re = x0[..., None] + a_i.real
+    w_im = a_i.imag - x1[..., None]
     r_sq = w_re * w_re + w_im * w_im
     y_sq = x2 * x2 + x3 * x3
     log_y_sq = y_sq.log()
-    b = tensorcalc.Jet.constant(solve_b(config, z, abs(y) ** 2))
+    b = tensorcalc.Jet.constant(root)
     for _ in range(2):
-        dlt, f = ghawking.center_factors(b - b_i, r_sq)
-        b = b - (f.log().sum() - log_y_sq) / dlt.inv().sum()
-    dlt, f = ghawking.center_factors(b - b_i, r_sq)
-    gam = dlt.inv().sum()
+        dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
+        b = b - (f.log().sum(-1) - log_y_sq) / dlt.inv().sum(-1)
+    dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
+    gam = dlt.inv().sum(-1)
     coef = -(dlt * f).inv()
-    p, q = (coef * w_re).sum(), (coef * w_im).sum()  # conj(delta) = p + i q
+    p, q = (coef * w_re).sum(-1), (coef * w_im).sum(-1)  # conj(delta) = p + i q
     s, t = 2.0 * x2 / y_sq, -2.0 * x3 / y_sq  # 2/y = s + i t
     # eta = conj(delta) dz + (2/y) dy on the real coordinates
-    re = tensorcalc.Jet.stack([p, -q, s, -t])
-    im = tensorcalc.Jet.stack([q, p, t, s])
-    return gam, re, im
+    re = tensorcalc.Jet.stack([p, -q, s, -t], axis=-1)
+    im = tensorcalc.Jet.stack([q, p, t, s], axis=-1)
+    return (gam, re, im), errors
 
 
 def _metric(gam, re, im):
     """g = Re h = gamma Re(dz dzbar) + (Re eta Re eta^T + Im eta Im eta^T) / gamma,
-    for floats and jets alike."""
-    return (re[:, None] * re[None, :] + im[:, None] * im[None, :]) / gam + gam * _DZ_BLOCK
+    for arrays and jets alike, over any leading lane axes."""
+    gam = gam[..., None, None]
+    outer = re[..., :, None] * re[..., None, :] + im[..., :, None] * im[..., None, :]
+    return outer / gam + gam * _DZ_BLOCK
 
 
 def _kahler_form(gam, re, im):
     """omega = -Im h = -gamma Im(dz dzbar) + (Re eta Im eta^T - Im eta Re eta^T) / gamma."""
-    return (re[:, None] * im[None, :] - im[:, None] * re[None, :]) / gam + gam * _DZ_AREA
+    gam = gam[..., None, None]
+    outer = re[..., :, None] * im[..., None, :] - im[..., :, None] * re[..., None, :]
+    return outer / gam + gam * _DZ_AREA
 
 
-def metric_jet(config: CenterConfiguration, x: Coords) -> tensorcalc.Jet:
-    """The real metric at the chart point x as a second-order jet in
-    (Re z, Im z, Re y, Im y): its value with exact first and second
-    derivatives, from one solve for b."""
-    return _metric(*_eta_jets(config, x))
+def metric_jet(config: CenterConfiguration, x):
+    """The real metric as a second-order jet in (Re z, Im z, Re y, Im y):
+    its value with exact first and second derivatives, at the chart point
+    x or, as a field on a block (see tensorcalc), at each point of the
+    block x of shape (N, 4), from one solve for b over the block."""
+    eta, errors = _eta_jets(config, _block(x))
+    return tensorcalc.point_or_block(np.ndim(x) == 1, eta and _metric(*eta), errors)
 
 
-def kahler_jets(
-    config: CenterConfiguration, x: Coords
-) -> tuple[np.ndarray, tensorcalc.Jet, np.ndarray]:
-    """(g, omega, J) at the chart point x from one solve for b: g as a
-    float array, omega = -Im h as a jet, and J the constant STANDARD_J.
-    g and omega are assembled separately from the same eta, so
-    omega = J0^T g is a check, not an identity of the code."""
-    gam, re, im = _eta_jets(config, x)
-    return _metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J
+def kahler_jets(config: CenterConfiguration, x):
+    """(g, omega, J) at the chart point x, or as a field at each point of
+    the block x of shape (N, 4), from one solve for b: g as a float array,
+    omega = -Im h as a jet, and J the constant STANDARD_J.  g and omega are
+    assembled separately from the same eta, so omega = J0^T g is a check,
+    not an identity of the code."""
+    eta, errors = _eta_jets(config, _block(x))
+    fields = None
+    if eta:
+        gam, re, im = eta
+        fields = (_metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J)
+    if np.ndim(x) > 1:
+        return fields, errors
+    if errors[0] is not None:
+        raise errors[0]
+    return fields[0][0], fields[1][0], STANDARD_J
 
 
 def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
@@ -474,19 +524,18 @@ def ale_curvature_samples(
     if np.min(base_radii) < 2.0 * scale:
         raise FitDomainError("smallest radius is inside the configuration region")
     directions = _DECAY_DIRECTIONS / np.linalg.norm(_DECAY_DIRECTIONS, axis=1)[:, None]
-
-    def metric(x: Coords) -> tensorcalc.Jet:
-        return metric_jet(config, x)
-
-    values = []
-    for s in base_radii:
-        vals = []
-        for d in directions:
-            x = base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-            bundle = tensorcalc.curvature_at(metric, x)
-            vals.append(bundle.riem_norm_sq)
-        values.append(vals)
-    return radii, values
+    points = [
+        base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
+        for s in base_radii
+        for d in directions
+    ]
+    # six radii by four directions: one block of 24 lanes
+    bundles = tensorcalc.curvature_at(lambda x: metric_jet(config, x), np.array(points))
+    for bundle in bundles:
+        if isinstance(bundle, GeometryError):
+            raise bundle
+    rm = np.array([bundle.riem_norm_sq for bundle in bundles])
+    return radii, rm.reshape(len(base_radii), len(directions)).tolist()
 
 
 def ale_curvature_decay(config: CenterConfiguration) -> FitResult:

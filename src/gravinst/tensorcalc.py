@@ -4,10 +4,19 @@ Everything downstream (curvature scans, Kahler identities, Nijenhuis
 integrability) reduces to derivatives of chart-valued fields.  They
 have one source: each chart evaluates its fields in :class:`Jet`
 arithmetic, which carries exact first and second derivatives along with
-the value.  curvature_at takes the metric's jet, one evaluation per
-point; exterior_derivative and nijenhuis_at take derivatives as arrays.
-Nothing here differentiates numerically; the finite-difference stencil
-that checks the jets lives with the tests.
+the value.  Nothing here differentiates numerically; the
+finite-difference stencil that checks the jets lives with the tests.
+
+Fields work on blocks of points.  A block is an (N, 4) array of chart
+points, one lane per row; a field evaluated on it returns its value over
+a leading lane axis, paired with one entry per lane: None, or the
+GeometryError that lane raises.  The value holds only the lanes whose
+entry is None, in order (it is None when no lane is), so a failing lane
+never ends its block.  Given a single point instead, a field returns the
+value itself and raises the point's error.  curvature_at takes the
+metric's jet, one evaluation per block, and assembles every lane at
+once; exterior_derivative and nijenhuis_at take derivative arrays with
+any leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -27,11 +36,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gravinst.errors import DegenerateMetricError, NumericOverflowError
+from gravinst.errors import DegenerateMetricError, GeometryError, NumericOverflowError
 
 CONDITION_LIMIT = 1e12
 
-# the four real coordinates of a chart point; a field maps them to an array
+# the four real coordinates of a chart point; a float field maps them to an array
 Coords = tuple[float, float, float, float]
 Field = Callable[[Coords], np.ndarray]
 
@@ -58,34 +67,55 @@ class CurvatureBundle:
     g: np.ndarray
 
 
-def invert_metric(g: np.ndarray) -> np.ndarray:
-    """Inverse of a 4x4 metric.
+def invert_metric(g: np.ndarray):
+    """Inverse of a 4x4 metric, or of each metric of a block (N, 4, 4).
 
-    The matrix is first equilibrated by its diagonal so that honest but
+    Each matrix is first equilibrated by its diagonal so that honest but
     highly anisotropic charts (coordinate blocks of very different
     proper scale) do not trip the degeneracy guard; the condition
     estimate on the equilibrated matrix measures genuine near-collapse.
-    Raises DegenerateMetricError for a singular matrix or past
-    CONDITION_LIMIT.
+    A lane whose diagonal is not positive, whose matrix is singular or
+    whose condition passes CONDITION_LIMIT gets DegenerateMetricError.
+    One metric gives its inverse and raises that error; a block gives
+    (inverses, errors) as a field does (see the module docstring).
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
-        raise ValueError("metric must be a 4x4 matrix")
-    diag = np.diag(g)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        raise DegenerateMetricError("metric diagonal is not positive")
-    d = 1.0 / np.sqrt(diag)
-    a = g * np.outer(d, d)
-    try:
-        inv_a = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise DegenerateMetricError("metric is singular") from None
-    cond = float(
-        np.max(np.sum(np.abs(a), axis=1)) * np.max(np.sum(np.abs(inv_a), axis=1))
+    if g.ndim not in (2, 3) or g.shape[-2:] != (4, 4):
+        raise ValueError("metric must be a 4x4 matrix or a block of them")
+    lanes = g.reshape(-1, 4, 4)
+    diag = np.diagonal(lanes, axis1=1, axis2=2)
+    errors: list = [None] * len(lanes)
+    ok = np.all((diag > 0.0) & np.isfinite(diag), axis=1)
+    for n in np.flatnonzero(~ok):
+        errors[n] = DegenerateMetricError("metric diagonal is not positive")
+    d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
+    scale = d[:, :, None] * d[:, None, :]
+    a = lanes * scale
+    # np.linalg.inv rejects a whole stack for one singular matrix; an
+    # exactly singular lane has a zero pivot, so a zero determinant, and
+    # the identity stands in for it in the stacked inversion
+    singular = ok & (np.linalg.det(a) == 0.0)
+    for n in np.flatnonzero(singular):
+        errors[n] = DegenerateMetricError("metric is singular")
+    ok &= ~singular
+    inv_a = np.linalg.inv(np.where(ok[:, None, None], a, np.eye(4)))
+    cond = np.max(np.sum(np.abs(a), axis=2), axis=1) * np.max(
+        np.sum(np.abs(inv_a), axis=2), axis=1
     )
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise DegenerateMetricError(f"metric condition number {cond:.3e} exceeds limit")
-    return inv_a * np.outer(d, d)
+    for n in np.flatnonzero(ok & ~(cond <= CONDITION_LIMIT)):
+        errors[n] = DegenerateMetricError(
+            f"metric condition number {cond[n]:.3e} exceeds limit"
+        )
+    good = np.array([e is None for e in errors], dtype=bool)
+    return point_or_block(g.ndim == 2, (inv_a * scale)[good], errors)
+
+
+def _value_axis(axis: int, ndim: int) -> int:
+    """axis as a non-negative index among ndim value axes; ValueError when
+    it is out of range."""
+    if not -ndim <= axis < ndim:
+        raise ValueError(f"axis {axis} is out of range for {ndim} value axes")
+    return axis % ndim
 
 
 class Jet:
@@ -96,8 +126,10 @@ class Jet:
 
     val has any shape S; grad has shape S + (4,) and hess S + (4, 4), so
     leading axes broadcast like numpy arrays and one jet can hold, say,
-    the per-center terms of a sum.  Plain numbers and arrays act as
-    constants.
+    the lanes of a block and the per-center terms of a sum.  Indexing,
+    sums and stacking act on the value axes; an Ellipsis, a new axis or a
+    negative axis counts among the value axes only.  Plain numbers and
+    arrays act as constants.
     """
 
     __slots__ = ("val", "grad", "hess")
@@ -110,10 +142,13 @@ class Jet:
         self.hess = np.asarray(hess, dtype=float)
 
     @classmethod
-    def seed(cls, x: Coords) -> tuple[Jet, Jet, Jet, Jet]:
-        """The four coordinates as jets at the point x."""
+    def seed(cls, x) -> tuple[Jet, Jet, Jet, Jet]:
+        """The four coordinates as jets at the point x, or at each point
+        of a block x of shape (..., 4)."""
+        x = np.asarray(x, dtype=float)
         eye = np.eye(4)
-        return tuple(cls(x[i], eye[i], np.zeros((4, 4))) for i in range(4))
+        hess = np.broadcast_to(0.0, x.shape[:-1] + (4, 4))
+        return tuple(cls(x[..., i], np.broadcast_to(eye[i], x.shape), hess) for i in range(4))
 
     @classmethod
     def constant(cls, value) -> Jet:
@@ -121,14 +156,15 @@ class Jet:
         return cls(value, np.zeros(value.shape + (4,)), np.zeros(value.shape + (4, 4)))
 
     @classmethod
-    def stack(cls, jets: Sequence) -> Jet:
-        """Jets of equal shape stacked on a new leading axis; plain
-        numbers among them are constants."""
+    def stack(cls, jets: Sequence, axis: int = 0) -> Jet:
+        """Jets of equal shape stacked on a new value axis, by default the
+        leading one; plain numbers among them are constants."""
         jets = [j if isinstance(j, Jet) else cls.constant(j) for j in jets]
+        axis = _value_axis(axis, jets[0].val.ndim + 1)
         return cls(
-            np.stack([j.val for j in jets]),
-            np.stack([j.grad for j in jets]),
-            np.stack([j.hess for j in jets]),
+            np.stack([j.val for j in jets], axis),
+            np.stack([j.grad for j in jets], axis),
+            np.stack([j.hess for j in jets], axis),
         )
 
     @staticmethod
@@ -143,17 +179,25 @@ class Jet:
 
     def __getitem__(self, index) -> Jet:
         """Index the value axes; the derivative axes come along."""
-        return Jet(self.val[index], self.grad[index], self.hess[index])
+        # whole slices behind the index keep an Ellipsis off the derivative axes
+        index = index if isinstance(index, tuple) else (index,)
+        whole = slice(None)
+        return Jet(self.val[index], self.grad[index + (whole,)], self.hess[index + (whole, whole)])
 
     def partials(self) -> tuple[np.ndarray, np.ndarray]:
-        """The derivatives with their axes in front: first[i] = d_i of the
-        value and second[m, i] = d_m d_i, in the layout curvature_at uses
-        and exterior_derivative and nijenhuis_at take."""
+        """The derivatives with their axes in front of the last two value
+        axes, the components of a matrix-valued field, and behind any lane
+        axes (in front of everything for a value of fewer than two axes):
+        first[..., i, :, :] = d_i of the value and second[..., m, i, :, :]
+        = d_m d_i, the layout curvature_at uses and exterior_derivative and
+        nijenhuis_at take."""
         n = self.val.ndim
-        return np.moveaxis(self.grad, n, 0), np.moveaxis(self.hess, (n, n + 1), (0, 1))
+        at = max(n - 2, 0)
+        return np.moveaxis(self.grad, n, at), np.moveaxis(self.hess, (n, n + 1), (at, at + 1))
 
     def sum(self, axis: int = 0) -> Jet:
-        """Sum over a leading value axis."""
+        """Sum over one value axis."""
+        axis = _value_axis(axis, self.val.ndim)
         return Jet(self.val.sum(axis), self.grad.sum(axis), self.hess.sum(axis))
 
     def _chain(self, f, f1, f2) -> Jet:
@@ -222,94 +266,197 @@ class Jet:
         return self._chain(np.log(self.val), r, -r * r)
 
 
-def curvature_at(metric: Callable[[Coords], Jet], x: Coords) -> CurvatureBundle:
-    """Full curvature of a metric at a point.
+def point_or_block(point: bool, value, errors: list):
+    """What a field returns (see the module docstring) from its value over
+    the good lanes of a block and the per-lane errors: for a single point,
+    the one lane's value, or its error raised."""
+    if point:
+        if errors[0] is not None:
+            raise errors[0]
+        return value[0]
+    return (value if any(e is None for e in errors) else None), errors
 
-    metric(x) is the metric's jet at x, evaluated once, so the chart's
-    own errors (a pole, a string, the chart boundary) come from that call.
-    Its value is the metric g; its first and second derivatives feed the
-    Christoffel symbols and their derivatives, and the Riemann tensor is
-    assembled from those.  All contractions use the inverse of g.
+
+def lane_results(errors: Sequence, values: Sequence) -> list:
+    """Per lane, its error, or else the next of values, the results of the
+    good lanes in order."""
+    good = iter(values)
+    return [e if e is not None else next(good) for e in errors]
+
+
+def each(fn: Callable, items: Sequence) -> list:
+    """fn of each item, or the GeometryError it raised."""
+    out = []
+    for item in items:
+        try:
+            out.append(fn(item))
+        except GeometryError as exc:
+            out.append(exc)
+    return out
+
+
+def _stack(values: list):
+    """Per-point field values (arrays, jets or tuples of them) stacked on a
+    leading lane axis."""
+    first = values[0]
+    if isinstance(first, tuple):
+        return tuple(_stack(list(parts)) for parts in zip(*values))
+    if isinstance(first, Jet):
+        return Jet.stack(values)
+    return np.stack(values)
+
+
+def pointwise(fn: Callable[[Coords], object]) -> Callable:
+    """The field of a chart that evaluates one point at a time: fn at a
+    single point, and on a block fn at each point (a tuple of floats),
+    the good lanes' values stacked."""
+
+    def field(x):
+        if np.ndim(x) == 1:
+            return fn(x)
+        results = each(fn, [tuple(p) for p in np.asarray(x, dtype=float).tolist()])
+        errors = [r if isinstance(r, GeometryError) else None for r in results]
+        good = [r for r, e in zip(results, errors) if e is None]
+        return (_stack(good) if good else None), errors
+
+    return field
+
+
+def curvature_at(metric: Callable, x):
+    """Full curvature of a metric at a point, or at each point of a block
+    x of shape (N, 4).
+
+    metric(x) is the metric's jet field (see the module docstring),
+    evaluated once, so the chart's own errors (the chart boundary, a pole,
+    a string, a stalled solve) come from that call.  Its value is the
+    metric g; its first and second derivatives feed the Christoffel
+    symbols and their derivatives, and the Riemann tensor is assembled
+    from those over every lane at once.  All contractions use the inverse
+    of g.  After the chart's errors a lane gets NumericOverflowError for a
+    jet that is not finite, then DegenerateMetricError from
+    invert_metric, then NumericOverflowError for a non-finite assembly.
+    A point gives its CurvatureBundle and raises its error; a block gives
+    one entry per lane, the bundle or the error.  A jet of the wrong shape
+    or an asymmetric metric is a ValueError for the whole block.
     """
-    jet = metric(x)
-    g0 = jet.val
-    dg, d2g = jet.partials()
-    if g0.shape != (4, 4) or dg.shape != (4, 4, 4) or d2g.shape != (4, 4, 4, 4):
-        raise ValueError("metric jet must have a 4x4 value with its derivatives")
-    if not (np.isfinite(g0).all() and np.isfinite(dg).all() and np.isfinite(d2g).all()):
-        raise NumericOverflowError(f"metric jet is not finite at {x}")
-    if np.max(np.abs(g0 - g0.T)) > 1e-12 * max(1.0, float(np.max(np.abs(g0)))):
-        raise ValueError("metric is not symmetric")
-    ginv = invert_metric(g0)
+    if np.ndim(x) == 1:
+        (out,) = _curvature_lanes(metric(x)[None])
+        if isinstance(out, GeometryError):
+            raise out
+        return out
+    jet, errors = metric(x)
+    return lane_results(errors, _curvature_lanes(jet) if jet is not None else ())
 
-    # T[i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
-    T = dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, T)
+
+def _curvature_lanes(jet: Jet) -> list:
+    """curvature_at over the lanes of a metric jet of value shape (N, 4, 4):
+    per lane, its CurvatureBundle or GeometryError."""
+    g0 = jet.val
+    if (
+        g0.ndim != 3
+        or g0.shape[1:] != (4, 4)
+        or jet.grad.shape != g0.shape + (4,)
+        or jet.hess.shape != g0.shape + (4, 4)
+    ):
+        raise ValueError("metric jet must have a 4x4 value with its derivatives")
+    n = len(g0)
+    finite = np.isfinite(np.concatenate(
+        [a.reshape(n, -1) for a in (g0, jet.grad, jet.hess)], axis=1
+    )).all(axis=1)
+    errors: list = [None if f else NumericOverflowError("metric jet is not finite") for f in finite]
+    g_fin = g0[finite]
+    if np.any(
+        np.max(np.abs(g_fin - np.swapaxes(g_fin, 1, 2)), axis=(1, 2), initial=0.0)
+        > 1e-12 * np.maximum(1.0, np.max(np.abs(g_fin), axis=(1, 2), initial=0.0))
+    ):
+        raise ValueError("metric is not symmetric")
+    ginv, inv_errors = invert_metric(g_fin)
+    for lane, err in zip(np.flatnonzero(finite), inv_errors):
+        errors[lane] = err
+    good = np.array([e is None for e in errors], dtype=bool)
+    if not good.any():
+        return errors
+    g = g0[good]
+    dg, d2g = jet[good].partials()
+
+    # T[n, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+    T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, T)
 
     # derivative of the inverse metric: d_m g^{-1} = -g^{-1} (d_m g) g^{-1}
-    dginv = -np.einsum("ab,mbc,cd->mad", ginv, dg, ginv)
-    dT = d2g + d2g.transpose(0, 2, 1, 3) - d2g.transpose(0, 2, 3, 1)
+    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
+    dT = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
     dgamma = 0.5 * (
-        np.einsum("mkl,ijl->mkij", dginv, T) + np.einsum("kl,mijl->mkij", ginv, dT)
+        np.einsum("nmkl,nijl->nmkij", dginv, T) + np.einsum("nkl,nmijl->nmkij", ginv, dT)
     )
 
     riem = (
-        dgamma.transpose(1, 2, 0, 3)
-        - dgamma.transpose(1, 2, 3, 0)
-        + np.einsum("ljm,mik->lijk", gamma, gamma)
-        - np.einsum("lkm,mij->lijk", gamma, gamma)
+        dgamma.transpose(0, 2, 3, 1, 4)
+        - dgamma.transpose(0, 2, 3, 4, 1)
+        + np.einsum("nljm,nmik->nlijk", gamma, gamma)
+        - np.einsum("nlkm,nmij->nlijk", gamma, gamma)
     )
-    ricci = np.einsum("kikj->ij", riem)
-    scalar = float(np.einsum("ij,ij->", ginv, ricci))
-    ricci_norm = float(
-        np.sqrt(max(0.0, np.einsum("ik,jl,ij,kl->", ginv, ginv, ricci, ricci)))
+    ricci = np.einsum("nkikj->nij", riem)
+    scalar = np.einsum("nij,nij->n", ginv, ricci)
+    ricci_norm = np.sqrt(
+        np.maximum(0.0, np.einsum("nik,njl,nij,nkl->n", ginv, ginv, ricci, ricci))
     )
-    riem_low = np.einsum("lm,mijk->lijk", g0, riem)
+    riem_low = np.einsum("nlm,nmijk->nlijk", g, riem)
     # raise one index per contraction; after four the index order is back
     up = riem_low
     for _ in range(4):
-        up = np.tensordot(up, ginv, axes=([0], [0]))
-    riem_norm_sq = float(np.sum(up * riem_low))
-    if not (
-        np.all(np.isfinite(riem)) and np.isfinite(ricci_norm) and np.isfinite(riem_norm_sq)
-    ):
-        raise NumericOverflowError("curvature assembly produced non-finite values")
-    return CurvatureBundle(
-        christoffel=gamma,
-        riemann=riem,
-        ricci=ricci,
-        scalar=scalar,
-        ricci_norm=ricci_norm,
-        riem_norm_sq=riem_norm_sq,
-        g=g0,
+        up = np.einsum("naijk,nab->nijkb", up, ginv)
+    riem_norm_sq = np.sum((up * riem_low).reshape(len(g), -1), axis=1)
+    sane = (
+        np.isfinite(riem.reshape(len(g), -1)).all(axis=1)
+        & np.isfinite(ricci_norm)
+        & np.isfinite(riem_norm_sq)
     )
+    bundles = [
+        CurvatureBundle(
+            christoffel=gamma[i],
+            riemann=riem[i],
+            ricci=ricci[i],
+            scalar=float(scalar[i]),
+            ricci_norm=float(ricci_norm[i]),
+            riem_norm_sq=float(riem_norm_sq[i]),
+            g=g[i],
+        )
+        if sane[i]
+        else NumericOverflowError("curvature assembly produced non-finite values")
+        for i in range(len(g))
+    ]
+    return lane_results(errors, bundles)
 
 
-_TRIPLES = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+_TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
 
 
 def exterior_derivative(dw: np.ndarray) -> np.ndarray:
     """Components of the 3-form d(omega) from the first derivatives
-    dw[i, j, k] = d_i omega_{jk} of a 2-form at a point.
+    dw[..., i, j, k] = d_i omega_{jk} of a 2-form at a point, or at each
+    lane of leading axes.
 
-    Returns the four independent components (d omega)_{ijk} for the index
-    triples (0,1,2), (0,1,3), (0,2,3), (1,2,3), where
+    Returns on a last axis the four independent components
+    (d omega)_{ijk} for the index triples (0,1,2), (0,1,3), (0,2,3),
+    (1,2,3), where
 
         (d omega)_{ijk} = d_i omega_{jk} + d_j omega_{ki} + d_k omega_{ij}.
     """
-    return np.array([dw[i, j, k] + dw[j, k, i] + dw[k, i, j] for i, j, k in _TRIPLES])
+    i, j, k = _TRIPLES
+    return dw[..., i, j, k] + dw[..., j, k, i] + dw[..., k, i, j]
 
 
 def nijenhuis_at(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
     """Nijenhuis tensor N^k_{ij} of an almost-complex structure from its
-    components J[k, j] = J^k_j at a point and their first derivatives
-    dJ[m, k, j] = d_m J^k_j.
+    components J[..., k, j] = J^k_j at a point, or at each lane of leading
+    axes, and their first derivatives dJ[..., m, k, j] = d_m J^k_j.
 
     N^k_{ij} = J^m_i d_m J^k_j - J^m_j d_m J^k_i
                - J^k_m d_i J^m_j + J^k_m d_j J^m_i
 
     and vanishes identically exactly when J is integrable.
     """
-    t1 = np.einsum("mi,mkj->kij", J, dJ)
-    t3 = np.einsum("km,imj->kij", J, dJ)
-    return t1 - t1.transpose(0, 2, 1) - t3 + t3.transpose(0, 2, 1)
+    t1 = np.einsum("...mi,...mkj->...kij", J, dJ)
+    t3 = np.einsum("...km,...imj->...kij", J, dJ)
+    return t1 - np.swapaxes(t1, -1, -2) - t3 + np.swapaxes(t3, -1, -2)

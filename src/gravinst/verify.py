@@ -44,6 +44,8 @@ SOLVER_TOL = 1e-12
 # inputs per solve_b call of the solver scan, so its memory does not grow
 # with the input count
 SOLVER_BLOCK = 1024
+# chart points per field evaluation of a sample scan, for the same reason
+SAMPLE_BLOCK = 64
 CURVATURE_FLOOR = 1e-10
 # matched base points of the cross-construction ratio
 CROSS_COUNT = 12
@@ -186,15 +188,19 @@ class Construction:
 
     The configuration alone fixes the metric: an entry serves the modes
     in modes, and applies(config) is the one rule for whether it carries
-    config's metric.  Chart fields are functions of a coordinate 4-tuple:
-    metric(config) gives the metric as a float array, the cheap field the
-    invariance scan compares, and jet(config, potential_transform=None)
-    gives it as an exact jet, the one evaluation per point that
-    tensorcalc.curvature_at takes.  kahler(config) gives the module's
-    kahler_jets, (g, omega, J) at a point from one evaluation of the
-    chart: g as a float array, omega as a jet, J as a jet or, where the
-    chart's complex structure has constant components (so its Nijenhuis
-    tensor vanishes identically), a constant array.
+    config's metric.  metric(config) gives the metric as a float array at
+    a coordinate 4-tuple, the cheap field the invariance scan compares.
+    The other two are fields in tensorcalc's sense, evaluated once per
+    block of points (an (N, 4) array) with a typed error per lane, or at a
+    single point: jet(config, potential_transform=None) gives the metric
+    as an exact jet, the evaluation tensorcalc.curvature_at takes, and
+    kahler(config) gives the module's kahler_jets, (g, omega, J) from one
+    evaluation of the chart: g as a float array, omega as a jet, J as a
+    jet or, where the chart's complex structure has constant components
+    (so its Nijenhuis tensor vanishes identically), a constant array.
+    The complex chart evaluates a block at once; the circle-fibered chart
+    evaluates its points one at a time and stacks them
+    (tensorcalc.pointwise).
     stream(config, spec) gives the coordinates of the sample stream;
     action(generator) gives the cyclic action as the affine map
     x -> M x + shift, as (M, shift); user_coords completes and checks
@@ -240,10 +246,10 @@ GH = Construction(
     has_potential=True,
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
-    jet=lambda config, potential_transform=None: lambda x: ghawking.metric_jet(
-        config, x, potential_transform
+    jet=lambda config, potential_transform=None: tensorcalc.pointwise(
+        lambda x: ghawking.metric_jet(config, x, potential_transform)
     ),
-    kahler=lambda config: lambda x: ghawking.kahler_jets(config, x),
+    kahler=lambda config: tensorcalc.pointwise(lambda x: ghawking.kahler_jets(config, x)),
     action=lambda gel: ghawking.action(gel),
     user_coords=lambda vals: ghawking.user_coords(vals),
 )
@@ -274,17 +280,29 @@ def construction(name: str) -> Construction:
 
 
 def _sample(
-    points: Sequence[ChartPoint], evaluate: Callable[[ChartPoint], SampleRecord]
+    points: Sequence[ChartPoint], evaluate: Callable[[Sequence[ChartPoint]], list]
 ) -> tuple[SampleRecord, ...]:
-    """evaluate at every point; a GeometryError marks the sample with its
-    type instead of ending the scan."""
+    """evaluate on blocks of at most SAMPLE_BLOCK points: per point of its
+    block it gives a SampleRecord or the GeometryError that made the point
+    unusable, which marks the sample with its type instead of ending the
+    scan.  A GeometryError raised for the block marks each of its points."""
     out = []
-    for cp in points:
+    for start in range(0, len(points), SAMPLE_BLOCK):
+        block = points[start : start + SAMPLE_BLOCK]
         try:
-            out.append(evaluate(cp))
+            results = evaluate(block)
         except GeometryError as exc:
-            out.append(SampleRecord(cp, error=type(exc).__name__))
+            results = [exc] * len(block)
+        out.extend(
+            SampleRecord(cp, error=type(r).__name__) if isinstance(r, GeometryError) else r
+            for cp, r in zip(block, results)
+        )
     return tuple(out)
+
+
+def _coords(block: Sequence[ChartPoint]) -> np.ndarray:
+    """The block's chart coordinates as an (N, 4) array."""
+    return np.array([cp.coords for cp in block])
 
 
 def _skip_counts(samples: Sequence[SampleRecord]) -> dict:
@@ -343,10 +361,15 @@ def ricci_samples(
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
     metric = c.jet(config, potential_transform)
 
-    def evaluate(cp: ChartPoint) -> SampleRecord:
-        bundle = tensorcalc.curvature_at(metric, cp.coords)
+    def record(cp: ChartPoint, bundle: tensorcalc.CurvatureBundle) -> SampleRecord:
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
+
+    def evaluate(block: Sequence[ChartPoint]) -> list:
+        bundles = tensorcalc.curvature_at(metric, _coords(block))
+        return [
+            b if isinstance(b, GeometryError) else record(cp, b) for cp, b in zip(block, bundles)
+        ]
 
     return _sample(points, evaluate)
 
@@ -381,24 +404,26 @@ def kahler_scan(
     kahler_at = c.kahler(config)
     constant_j = []
 
-    def evaluate(cp: ChartPoint) -> SampleRecord:
-        g, omega, J = kahler_at(cp.coords)
+    def residuals(g: np.ndarray, omega: tensorcalc.Jet, J) -> np.ndarray:
+        """The three residuals of each lane, one row per lane."""
         constant_j.append(not isinstance(J, tensorcalc.Jet))
-        nij = 0.0
+        nij = np.zeros(len(g))
         if not constant_j[-1]:
-            nij = tensorcalc.nijenhuis_at(J.val, J.partials()[0])
+            nij = np.max(np.abs(tensorcalc.nijenhuis_at(J.val, J.partials()[0])), axis=(1, 2, 3))
             J = J.val
         w = omega.val
         dw = tensorcalc.exterior_derivative(omega.partials()[0])
-        wscale = max(1.0, float(np.max(np.abs(w))))
-        return SampleRecord(
-            cp,
-            (
-                float(np.max(np.abs(dw))) / wscale,
-                float(np.max(np.abs(nij))),
-                float(np.max(np.abs(w - J.T @ g))) / wscale,
-            ),
-        )
+        wscale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
+        compat = np.max(np.abs(w - np.swapaxes(J, -1, -2) @ g), axis=(1, 2))
+        return np.column_stack([np.max(np.abs(dw), axis=1) / wscale, nij, compat / wscale])
+
+    def evaluate(block: Sequence[ChartPoint]) -> list:
+        fields, errors = kahler_at(_coords(block))
+        rows = tensorcalc.lane_results(errors, residuals(*fields) if fields else ())
+        return [
+            r if isinstance(r, GeometryError) else SampleRecord(cp, tuple(r.tolist()))
+            for cp, r in zip(block, rows)
+        ]
 
     records = _scan_records(
         "Kahler",
@@ -432,9 +457,8 @@ def invariance_scan(
         res = np.max(np.abs(M.T @ g_there @ M - g_here))
         return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
 
-    return _scan_records(
-        "invariance", c.name, ("invariance",), (INVARIANCE_TOL,), _sample(points, evaluate)
-    )[0]
+    samples = _sample(points, lambda block: tensorcalc.each(evaluate, block))
+    return _scan_records("invariance", c.name, ("invariance",), (INVARIANCE_TOL,), samples)[0]
 
 
 def cross_validate(
@@ -467,14 +491,27 @@ def cross_validate(
         return stats, record
     gh_metric, hit_metric = GH.jet(config), HITCHIN.jet(config)
 
-    def evaluate(cp: ChartPoint) -> SampleRecord:
+    def lift(cp: ChartPoint) -> Coords:
         theta, b, a1, a2 = cp.coords
-        hx = hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
-        rm_hit = tensorcalc.curvature_at(hit_metric, hx).riem_norm_sq
-        rm_gh = tensorcalc.curvature_at(gh_metric, cp.coords).riem_norm_sq
+        return hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
+
+    def ratio(cp: ChartPoint, hit, gh) -> SampleRecord | GeometryError:
+        # the complex chart's error first, as in the order of evaluation
+        for bundle in (hit, gh):
+            if isinstance(bundle, GeometryError):
+                return bundle
+        rm_hit, rm_gh = hit.riem_norm_sq, gh.riem_norm_sq
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))
+
+    def evaluate(block: Sequence[ChartPoint]) -> list:
+        lifted = tensorcalc.each(lift, block)
+        errors = [h if isinstance(h, GeometryError) else None for h in lifted]
+        hx = np.array([h for h, e in zip(lifted, errors) if e is None]).reshape(-1, 4)
+        hit = tensorcalc.lane_results(errors, tensorcalc.curvature_at(hit_metric, hx))
+        gh = tensorcalc.curvature_at(gh_metric, _coords(block))
+        return [ratio(cp, h, g) for cp, h, g in zip(block, hit, gh)]
 
     samples = _sample(GH.points(config, spec), evaluate)
     ratios = [s.residuals[0] for s in samples if not s.error]

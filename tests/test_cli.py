@@ -369,8 +369,9 @@ def test_verify_csv_reuses_ricci_curvature(tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
     rows = read_rows(csv_path)[1:]
     assert len(rows) == 8
-    # one curvature evaluation per Ricci-scan sample, none for the CSV
-    assert len(calls) == len(rows)
+    # one curvature evaluation per block of Ricci-scan samples (one block
+    # of 4 per construction), none for the CSV
+    assert [len(x) for x in calls] == [4, 4]
 
 
 def test_verify_csv_without_ricci_check_writes_the_ricci_rows(tmp_path):

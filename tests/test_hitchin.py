@@ -520,16 +520,17 @@ def test_jet_curvature_agrees_with_finite_differences():
 def test_ricci_scan_makes_one_metric_evaluation_per_curvature(monkeypatch):
     # counted through the module attributes the scan calls; the stencil
     # made 177 metric evaluations, each with its own solve_b, per curvature,
-    # and a float metric beside the jet made two solves; the jet alone
-    # solves once
-    calls = {"metric_at": 0, "solve_b": 0}
+    # and a float metric beside the jet made two solves; the jet of a
+    # block solves once, over its lanes
+    calls = {"metric_at": [], "solve_b": []}
     inside = [False]
 
     def counting(name):
         original = getattr(hitchin, name)
 
         def counted(*args, **kwargs):
-            calls[name] += inside[0]
+            if inside[0]:
+                calls[name].append(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(hitchin, name, counted)
@@ -548,8 +549,10 @@ def test_ricci_scan_makes_one_metric_evaluation_per_curvature(monkeypatch):
     monkeypatch.setattr(tensorcalc, "curvature_at", traced)
     record = verify.ricci_scan("hitchin", hexagon_config(), spec=SampleSpec(count=3, seed=7))
     assert record.count == 3
-    assert calls["metric_at"] == 0
-    assert calls["solve_b"] == 3
+    assert calls["metric_at"] == []
+    # one solve_b call of 3 lanes, no float solve
+    (z,) = calls["solve_b"]
+    assert isinstance(z, np.ndarray) and z.shape == (3,)
 
 
 def test_metric_jet_rejects_branch_locus_and_punctures():

@@ -200,6 +200,24 @@ def test_invert_metric_rejects_degenerate():
         invert_metric(sing)
 
 
+def test_invert_metric_block_keeps_each_lane():
+    # a singular lane fails alone (a stacked np.linalg.inv would reject
+    # the whole block), and every good lane is its single-metric inverse
+    block = np.stack(
+        [FROZEN_SPD, np.ones((4, 4)), np.diag([1.0, 1.0, 1.0, -1.0]), 2.0 * FROZEN_SPD]
+    )
+    inv, errors = invert_metric(block)
+    assert [type(e).__name__ if e else None for e in errors] == [
+        None,
+        "DegenerateMetricError",
+        "DegenerateMetricError",
+        None,
+    ]
+    assert np.array_equal(inv, np.stack([invert_metric(block[0]), invert_metric(block[3])]))
+    # no good lane: no value
+    assert invert_metric(block[1:3])[0] is None
+
+
 def test_default_step_uses_pair_scales():
     steps = default_step((3.0, 4.0, 0.0, 0.0), rel_step=1e-3)
     assert np.allclose(steps, [5e-3, 5e-3, 1e-3, 1e-3])
@@ -262,6 +280,44 @@ def test_jet_matches_finite_differences_of_the_same_expression():
             fd = differentiate_field(field, pt, mi, step=1e-3)
             assert abs(jet.hess[i, j] - fd) < 1e-7
     assert np.array_equal(jet.hess, jet.hess.T)
+
+
+def test_jet_sums_index_and_stacks_value_axes():
+    # negative axes, an Ellipsis and new axes count among the value axes,
+    # never the derivative axes behind them
+    pt = (0.7, 0.4, 1.1, -0.6)
+    c = Jet.seed(pt)
+    terms = [c[0] * c[1], c[2] * c[2] + c[3], c[0] / c[3]]
+    vec = Jet.stack(terms)
+    total = vec.sum(axis=-1)
+    assert total.grad.shape == (4,) and total.hess.shape == (4, 4)
+    explicit = vec.sum(axis=0)
+    for part in ("val", "grad", "hess"):
+        assert np.array_equal(getattr(total, part), getattr(explicit, part))
+    # lanes: a block of points, the terms on a last value axis
+    block = np.array([pt, (0.2, -0.3, 0.5, 0.9), (1.5, 0.1, -0.4, 2.0)])
+    b = Jet.seed(block)
+    lanes = Jet.stack([b[0] * b[1], b[2] * b[2] + b[3], b[0] / b[3]], axis=-1)
+    assert lanes.val.shape == (3, 3) and lanes.grad.shape == (3, 3, 4)
+    summed = lanes.sum(axis=-1)
+    leading = Jet.stack([lanes[:, k] for k in range(3)]).sum(axis=0)
+    assert summed.grad.shape == (3, 4) and summed.hess.shape == (3, 4, 4)
+    for part in ("val", "grad", "hess"):
+        assert np.array_equal(getattr(summed, part), getattr(leading, part))
+        # the first lane is the point's own jet
+        assert np.allclose(getattr(summed[0], part), getattr(total, part), rtol=1e-15, atol=0.0)
+    new = lanes[..., None]
+    assert new.val.shape == (3, 3, 1) and new.grad.shape == (3, 3, 1, 4)
+    assert new.hess.shape == (3, 3, 1, 4, 4)
+    assert np.array_equal(new.grad[..., 0, :], lanes.grad)
+    assert np.array_equal(lanes[..., 1].hess, lanes.hess[:, 1])
+    for bad in (
+        lambda: lanes.sum(axis=2),
+        lambda: lanes.sum(axis=-3),
+        lambda: Jet.stack(terms, axis=2),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def stereographic_sphere_jet(x):

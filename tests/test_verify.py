@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gravinst import ghawking, hitchin, tensorcalc, verify
@@ -170,7 +171,8 @@ def test_complex_chart_kahler_sample_solves_once(monkeypatch):
     monkeypatch.setattr(hitchin, "solve_b", counted)
     recs = verify.kahler_scan("hitchin", hexagon_config(), spec=SampleSpec(count=10, seed=7))
     assert recs[0].count == 10 and not recs[0].skipped
-    assert len(calls) == 10
+    # one solve over the 10 lanes of the block
+    assert [len(z) for _, z, _ in calls] == [10]
 
 
 # --- invariance ---
@@ -447,19 +449,136 @@ def test_scan_counts_skipped_samples_by_error_type(monkeypatch):
     original = tensorcalc.curvature_at
     calls = []
 
-    def first_fails(*args, **kwargs):
-        calls.append(1)
+    def first_fails(metric, x):
+        # one call for the block of 4; the first call's first lane fails
+        calls.append(len(x))
+        out = original(metric, x)
         if len(calls) == 1:
-            raise ChartBoundaryError("forced")
-        return original(*args, **kwargs)
+            out[0] = ChartBoundaryError("forced")
+        return out
 
     monkeypatch.setattr(tensorcalc, "curvature_at", first_fails)
     rec = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
+    assert calls == [4]
     assert rec.count == 3
     assert rec.payload()["skipped"] == {"ChartBoundaryError": 1}
     assert [s.error for s in rec.samples] == ["ChartBoundaryError", "", "", ""]
     clean = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
     assert "skipped" not in clean.payload()
+
+
+def assert_same_bundles(got, want):
+    # the per-lane contractions may round differently across block sizes
+    for a, b in zip(got, want):
+        assert a.point == b.point and a.error == b.error
+        if a.curvature is None:
+            assert b.curvature is None
+            continue
+        scale = 1e-10 * max(b.curvature.riem_norm_sq, 1.0)
+        assert abs(a.curvature.riem_norm_sq - b.curvature.riem_norm_sq) <= scale
+        assert abs(a.curvature.ricci_norm - b.curvature.ricci_norm) <= scale
+        assert abs(a.curvature.scalar - b.curvature.scalar) <= scale
+        for part in ("christoffel", "riemann", "ricci", "g"):
+            x, y = getattr(a.curvature, part), getattr(b.curvature, part)
+            assert np.max(np.abs(x - y)) <= 1e-10 * max(np.max(np.abs(y)), 1.0)
+
+
+def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
+    # good points among lanes at the chart floor, at a pole, with a stalled
+    # solve for b, with a jet that is not finite and with a singular
+    # metric: no lane ends its block, and each gets what it gets alone
+    cfg = hexagon_config()
+    stream = [cp.coords for cp in verify.HITCHIN.points(cfg, SampleSpec(count=6, seed=7))]
+    nan_at, singular_at = stream[4], stream[5]
+    a = cfg.centers[0].a
+    odd = {
+        # at a pole too: the chart floor comes first
+        "ChartBoundaryError": (-a.real, a.imag, 1e-9, 0.0),
+        "PoleError": (-a.real, a.imag, 1.0, 0.0),
+        "ConvergenceError": (-3.0, -3.0, 1e96, 0.0),
+        "NumericOverflowError": nan_at,
+        "DegenerateMetricError": singular_at,
+    }
+    coords = [stream[0], odd["ChartBoundaryError"], stream[1], odd["PoleError"],
+              odd["ConvergenceError"], stream[2], nan_at, singular_at, stream[3]]
+    points = [verify.ChartPoint(x, "hitchin") for x in coords]
+
+    def poisoned_jet(config, potential_transform=None):
+        field = verify.HITCHIN.jet(config)
+
+        def jet(x):
+            value, errors = field(x)
+            if value is None:
+                return value, errors
+            good = [tuple(p) for p, e in zip(x.tolist(), errors) if e is None]
+            val, hess = value.val.copy(), value.hess.copy()
+            for lane, p in enumerate(good):
+                if p == nan_at:
+                    hess[lane, 0, 1, 2, 3] = np.nan
+                if p == singular_at:
+                    val[lane] = np.ones((4, 4))
+            return tensorcalc.Jet(val, value.grad, hess), errors
+
+        return jet
+
+    chart = replace(verify.HITCHIN, jet=poisoned_jet)
+    calls = []
+    curvature_at = tensorcalc.curvature_at
+
+    def counted(metric, x):
+        calls.append(len(x))
+        return curvature_at(metric, x)
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", counted)
+    block = verify.ricci_samples(chart, cfg, points)
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 1)
+    single = verify.ricci_samples(chart, cfg, points)
+    assert calls == [len(points)] + [1] * len(points)
+    expected = ["", "ChartBoundaryError", "", "PoleError", "ConvergenceError", "",
+                "NumericOverflowError", "DegenerateMetricError", ""]
+    assert [s.error for s in block] == [s.error for s in single] == expected
+    records = [
+        verify._scan_records("Ricci", "hitchin", ("ricci",), (verify.RICCI_TOL,), samples)[0]
+        for samples in (block, single)
+    ]
+    assert records[0].skipped == records[1].skipped == {name: 1 for name in odd}
+    assert records[0].count == records[1].count == 4
+    assert_same_bundles(block, single)
+
+
+@pytest.mark.parametrize("source", ["gh", "hitchin"])
+def test_scan_past_one_block_matches_single_lane_blocks(source, monkeypatch):
+    # count = SAMPLE_BLOCK + 3 spans two blocks; no field evaluation sees
+    # more points than one block holds, whatever the count
+    lanes = []
+    curvature_at, exterior_derivative = tensorcalc.curvature_at, tensorcalc.exterior_derivative
+
+    def counted(metric, x):
+        lanes.append(len(x))
+        return curvature_at(metric, x)
+
+    def counted_d(dw):
+        lanes.append(len(dw))
+        return exterior_derivative(dw)
+
+    monkeypatch.setattr(tensorcalc, "curvature_at", counted)
+    monkeypatch.setattr(tensorcalc, "exterior_derivative", counted_d)
+    spec = SampleSpec(count=verify.SAMPLE_BLOCK + 3, seed=7)
+    scans = []
+    for block_size in (verify.SAMPLE_BLOCK, 1):
+        monkeypatch.setattr(verify, "SAMPLE_BLOCK", block_size)
+        ricci = verify.ricci_scan(source, pair_config(), spec)
+        scans.append((ricci, verify.kahler_scan(source, pair_config(), spec)))
+    blocked, single = scans
+    assert lanes[:4] == [spec.count - 3, 3, spec.count - 3, 3]
+    assert lanes[4:] == [1] * (2 * spec.count)
+    assert_same_bundles(blocked[0].samples, single[0].samples)
+    for a, b in zip([blocked[0], *blocked[1]], [single[0], *single[1]]):
+        assert (a.name, a.passed, a.count, a.skipped) == (b.name, b.passed, b.count, b.skipped)
+        assert abs(a.max_residual - b.max_residual) <= 1e-10 * max(b.max_residual, 1e-6)
+    for a, b in zip(blocked[1][0].samples, single[1][0].samples):
+        assert a.point == b.point and a.error == b.error
+        assert np.allclose(a.residuals, b.residuals, rtol=1e-8, atol=1e-14)
 
 
 def test_flat_cross_validation_payload_is_strict_json():
