@@ -72,15 +72,17 @@ def potential_at(
     """Harmonic potential V at the base point (b, a).
 
     b and a are scalars or numpy arrays; V is evaluated elementwise over
-    their broadcast shape, the centers on a last axis, and comes back as
-    a float for scalar b and a.  PoleError at a center.
+    their broadcast shape, the centers on a leading axis, and comes back
+    as a float for scalar b and a.  PoleError at a center.
     """
-    b_i = np.array([c.b for c in config.centers])
-    a_i = np.array([c.a for c in config.centers])
-    dist = np.hypot(np.asarray(b)[..., None] - b_i, np.abs(np.asarray(a)[..., None] - a_i))
+    b, a = np.asarray(b), np.asarray(a)
+    axes = (-1,) + (1,) * max(b.ndim, a.ndim)
+    b_i = np.array([c.b for c in config.centers]).reshape(axes)
+    a_i = np.array([c.a for c in config.centers]).reshape(axes)
+    dist = np.hypot(b - b_i, np.abs(a - a_i))
     if np.any(dist == 0.0):
         raise PoleError("potential evaluated at a center")
-    V = _alf_constant(config) + (0.5 / dist).sum(axis=-1)
+    V = _alf_constant(config) + (0.5 / dist).sum(axis=0)
     return V if V.ndim else float(V)
 
 

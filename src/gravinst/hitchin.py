@@ -95,20 +95,24 @@ def _stable_factor(u: float, r: float) -> tuple[float, float]:
 
 def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_stable_factor elementwise over arrays; every lane evaluation of
-    the product or its log-sum goes through here."""
+    the product or its log-sum goes through here, under the caller's
+    np.errstate (a vanishing factor divides by zero)."""
     delta = np.hypot(u, r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
+    return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
 
 
 def _lane_data(
     config: CenterConfiguration, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Center heights b_i and the radii |zbar + a_i| of each lane, the
-    centers on the last axis."""
-    b_i = np.array([c.b for c in config.centers])
-    a_i = np.array([c.a for c in config.centers])
-    return b_i, np.abs(np.conj(z)[..., None] + a_i)
+    centers on a leading axis: b_i has shape (k, 1, ...) with z.ndim ones,
+    r shape (k,) + z.shape.  numpy reduces over a leading axis several
+    times faster than over a short trailing one, and in the order of the
+    float loop."""
+    axes = (-1,) + (1,) * z.ndim
+    b_i = np.array([c.b for c in config.centers]).reshape(axes)
+    a_i = np.array([c.a for c in config.centers]).reshape(axes)
+    return b_i, np.abs(np.conj(z) + a_i)
 
 
 def implicit_lhs(
@@ -116,8 +120,11 @@ def implicit_lhs(
 ) -> np.ndarray:
     """Product prod_i ((b - b_i) + Delta_i) at height b, elementwise over
     numpy arrays z and b (scalars give a numpy float)."""
-    b_i, r = _lane_data(config, np.asarray(z))
-    return _stable_factors(np.asarray(b)[..., None] - b_i, r)[0].prod(axis=-1)
+    z, b = np.asarray(z), np.asarray(b)
+    nd = max(z.ndim, b.ndim)
+    b_i, r = _lane_data(config, z.reshape((1,) * (nd - z.ndim) + z.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _stable_factors(b - b_i, r)[0].prod(axis=0)
 
 
 def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
@@ -137,12 +144,14 @@ def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
 def _lane_log_lhs(
     b_i: np.ndarray, r: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_log_lhs of each lane: b has one height per row of r."""
-    f, delta = _stable_factors(b[:, None] - b_i, r)
-    hit = (f <= 0.0).any(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = np.where(hit, -np.inf, np.log(f).sum(axis=1))
-        gam = np.where(hit, np.inf, (1.0 / delta).sum(axis=1))
+    """_log_lhs of each lane, under the caller's np.errstate: b has one
+    height per column of r."""
+    f, delta = _stable_factors(b - b_i, r)
+    hit = (f <= 0.0).any(axis=0)
+    total = np.log(f).sum(axis=0)
+    gam = (1.0 / delta).sum(axis=0)
+    if hit.any():
+        total[hit], gam[hit] = -np.inf, np.inf
     return total, gam
 
 
@@ -166,9 +175,9 @@ def solve_b(
     either is a numpy array, the same loop runs over lanes (_solve_b_lanes)
     and returns an array of roots of the broadcast shape; it raises
     ValueError or ConvergenceError when any lane would, the latter with
-    every lane's root and residual.  A one-lane numpy loop costs about ten
-    float loops, so the float metric at one point solves in floats; the
-    jets solve their whole block in one lane call.
+    every lane's root and residual.  A one-lane numpy loop costs about a
+    dozen float loops, so the float metric at one point solves in floats;
+    the jets solve their whole block in one lane call.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -226,60 +235,14 @@ def _solve_b_lanes(
     config: CenterConfiguration, z: complex | np.ndarray, y_abs_sq: float | np.ndarray
 ) -> np.ndarray:
     """solve_b's loop over lanes: each lane takes the steps the float loop
-    takes, with numpy's elementary functions; finished lanes drop out."""
+    takes, with numpy's elementary functions (_newton_lanes)."""
     z, y_sq = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(y_abs_sq, dtype=float)
     )
     if not np.all((y_sq > 0.0) & (y_sq < math.inf)):
         raise ValueError("y_abs_sq must be positive and finite")
-    b_i, r = _lane_data(config, z.ravel())
-    target = np.log(y_sq.ravel())
-    k = len(b_i)
-    with np.errstate(divide="ignore"):
-        log_r = np.where(r > 0.0, np.log(r), 0.0).sum(axis=1) / k
-    lim = 700.0 - np.maximum(0.0, log_r)
-    arg = np.clip(target / k - log_r, -lim, lim)
-    b = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
-    # each lane's root and the log-sum residual evaluated at it
-    out, out_g = np.empty_like(b), np.empty_like(b)
-    # the live lanes' state; a lane leaves it once it stops
-    ids = np.arange(b.size)
-    lo, hi = np.full_like(b, -math.inf), np.full_like(b, math.inf)
-    width = np.zeros_like(b)
-    lr, lt = r, target
-    for _ in range(SOLVE_MAX_ITER):
-        if not ids.size:
-            break
-        total, gam = _lane_log_lhs(b_i, lr, b)
-        gval = total - lt
-        with np.errstate(all="ignore"):
-            newton = np.where(np.isfinite(gval), b - gval / gam, math.nan)
-            done = np.abs(newton - b) <= 1e-16 * (1.0 + np.abs(b))
-            up = gval > 0.0
-            hi = np.where(up, b, hi)
-            lo = np.where(up, lo, b)
-            outside = ~((lo < newton) & (newton < hi))
-            closed = outside & np.isfinite(hi - lo)
-            mid = 0.5 * (lo + hi)
-            # the bracket is two adjacent floats
-            stuck = closed & ~((lo < mid) & (mid < hi))
-            opened = outside & ~closed
-            grown = np.where(width != 0.0, 2.0 * width, 1.0 + np.abs(b))
-            width = np.where(opened, grown, width)
-            outward = b - np.copysign(width, gval)
-            step = np.where(closed, mid, np.where(opened, outward, newton))
-        stop = done | stuck
-        if stop.any():
-            out[ids[stop]], out_g[ids[stop]] = b[stop], gval[stop]
-            keep = ~stop
-            ids, b, step, lo, hi, width, lr, lt = (
-                v[keep] for v in (ids, b, step, lo, hi, width, lr, lt)
-            )
-        b = step
-    if ids.size:
-        # lanes still live after the last step are evaluated once more
-        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, lr, b)[0] - lt
     with np.errstate(all="ignore"):
+        out, out_g = _newton_lanes(config, z.ravel(), np.log(y_sq.ravel()))
         residual = np.where(np.abs(out_g) < 1.0, np.abs(np.expm1(out_g)), math.inf)
     failed = np.flatnonzero(residual > SOLVE_TOL)
     if failed.size:
@@ -291,6 +254,64 @@ def _solve_b_lanes(
             residuals=residual.reshape(y_sq.shape),
         )
     return out.reshape(y_sq.shape)
+
+
+def _newton_lanes(
+    config: CenterConfiguration, z: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lane loop of _solve_b_lanes, under its np.errstate: each lane's
+    root and the log-sum residual evaluated at it.  Finished lanes drop
+    out, and only the lanes whose Newton step leaves the bracket work out
+    a bisection or an outward step."""
+    b_i, r = _lane_data(config, z)
+    k = len(b_i)
+    log_r = np.where(r > 0.0, np.log(r), 0.0).sum(axis=0) / k
+    lim = 700.0 - np.maximum(0.0, log_r)
+    arg = np.clip(target / k - log_r, -lim, lim)
+    b = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
+    out, out_g = np.empty_like(b), np.empty_like(b)
+    # the live lanes' state; a lane leaves it once it stops
+    ids = np.arange(b.size)
+    lo, hi = np.full_like(b, -math.inf), np.full_like(b, math.inf)
+    width = np.zeros_like(b)
+    lr, lt = r, target
+    for _ in range(SOLVE_MAX_ITER):
+        if not ids.size:
+            break
+        total, gam = _lane_log_lhs(b_i, lr, b)
+        gval = total - lt
+        # a non-finite gval gives a non-finite step, which leaves the
+        # bracket as the float loop's nan does
+        step = b - gval / gam
+        stop = np.abs(step - b) <= 1e-16 * (1.0 + np.abs(b))
+        up = gval > 0.0
+        hi = np.where(up, b, hi)
+        lo = np.where(up, lo, b)
+        jump = np.flatnonzero(~((lo < step) & (step < hi)))
+        if jump.size:
+            # bisect a closed bracket; step outward by a doubled width
+            # while it is open
+            jlo, jhi, jb = lo[jump], hi[jump], b[jump]
+            closed = np.isfinite(jhi - jlo)
+            mid = 0.5 * (jlo + jhi)
+            # a closed bracket stays closed and never reads its width again
+            jw = width[jump]
+            width[jump] = jw = np.where(jw != 0.0, 2.0 * jw, 1.0 + np.abs(jb))
+            step[jump] = np.where(closed, mid, jb - np.copysign(jw, gval[jump]))
+            # the bracket is two adjacent floats
+            stop[jump] |= closed & ~((jlo < mid) & (mid < jhi))
+        if stop.any():
+            out[ids[stop]], out_g[ids[stop]] = b[stop], gval[stop]
+            keep = ~stop
+            ids, b, step, lo, hi, width, lt = (
+                v[keep] for v in (ids, b, step, lo, hi, width, lt)
+            )
+            lr = lr[:, keep]
+        b = step
+    if ids.size:
+        # lanes still live after the last step are evaluated once more
+        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, lr, b)[0] - lt
+    return out, out_g
 
 
 _DZ = np.array([1.0, 1.0j, 0.0, 0.0])

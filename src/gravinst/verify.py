@@ -42,8 +42,9 @@ SPREAD_TOL = 1e-3
 PERIOD_TOL = 1e-3
 SOLVER_TOL = 1e-12
 # inputs per solve_b call of the solver scan, so its memory does not grow
-# with the input count
-SOLVER_BLOCK = 1024
+# with the input count (a traced peak of about 1 MB, against 4 MB for
+# one 10^4-lane call)
+SOLVER_BLOCK = 2048
 # chart points per field evaluation of a sample scan, for the same reason
 SAMPLE_BLOCK = 64
 CURVATURE_FLOOR = 1e-10

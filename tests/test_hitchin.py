@@ -230,6 +230,22 @@ def test_solve_b_lanes_agree_with_float_loop_on_solver_scan_stream():
         assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
 
 
+@pytest.mark.parametrize(
+    "radii, heights",
+    [([1.0 + 0j, 1.6 + 0j], [0.0, 0.0]), ([1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7])],
+)
+def test_solve_b_lanes_agree_with_float_loop_with_eight_centers(radii, heights):
+    # from 8 terms on numpy sums a trailing axis pairwise; the lanes keep
+    # their centers on a leading axis, which sums in the float loop's order
+    cfg = make_polygon_config(QuotientSignature(2, 4, 1), radii, heights)
+    assert cfg.k == 8
+    z, y_sq = solver_scan_inputs(cfg, 3000, seed=1)
+    b = hitchin.solve_b(cfg, z, y_sq)
+    for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
+        bs = hitchin.solve_b(cfg, zi, yi)
+        assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
+
+
 def test_solve_b_lanes_keep_the_input_shape():
     cfg = pair_config()
     z = np.array([[0.4 - 0.3j], [0.1 + 0.2j]])

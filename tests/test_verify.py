@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -327,7 +328,7 @@ def test_solver_scan_quick():
 
 def test_solver_scan_blocks_do_not_change_the_record(monkeypatch):
     # lanes are independent, so the block size moves no residual bit;
-    # count 2500 spans three blocks of SOLVER_BLOCK = 1024
+    # the scan makes one solve_b call per block of SOLVER_BLOCK inputs
     calls = [0]
     solve_b = hitchin.solve_b
 
@@ -337,11 +338,27 @@ def test_solver_scan_blocks_do_not_change_the_record(monkeypatch):
 
     monkeypatch.setattr(hitchin, "solve_b", counted)
     rec = verify.solver_scan(pair_config(), count=2500, seed=3)
-    assert calls[0] == 3
+    blocks = math.ceil(2500 / verify.SOLVER_BLOCK)
+    assert calls[0] == blocks
     monkeypatch.setattr(verify, "SOLVER_BLOCK", 7)
     assert verify.solver_scan(pair_config(), count=2500, seed=3) == rec
-    assert calls[0] == 3 + 358
+    assert calls[0] == blocks + math.ceil(2500 / 7)
     assert rec.passed and rec.count == 2500
+
+
+def test_solver_scan_memory_does_not_grow_with_the_count():
+    # the scan holds one block of SOLVER_BLOCK lanes at a time, so four
+    # blocks peak where one does
+    def peak(count):
+        tracemalloc.start()
+        try:
+            verify.solver_scan(square_config(), count=count, seed=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(verify.SOLVER_BLOCK)
+    assert peak(4 * verify.SOLVER_BLOCK) <= 1.1 * one
 
 
 @pytest.mark.parametrize(
