@@ -40,7 +40,10 @@ closed, and the only one with vanishing Nijenhuis tensor.
 
 metric_jet and kahler_jets evaluate V and alpha as second-order
 jets (tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
-tensor exact derivatives from one evaluation.
+tensor exact derivatives from one evaluation.  That evaluation, the
+chart's state at a point, is potential_jets; metric_of and kahler_of
+assemble the metric jet and (g, omega, J) from it, so one state serves
+both.
 """
 
 from __future__ import annotations
@@ -182,7 +185,7 @@ def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
     return dlt, Jet.where(above, outer, r_sq / outer)
 
 
-def _potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
+def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
     """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
     over a per-center axis.  With w_i = a - a_i, the coefficient
     1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
@@ -213,34 +216,49 @@ def _jet_matrix(rows: tuple) -> Jet:
     return Jet.stack([Jet.stack(row) for row in rows])
 
 
-def metric_jet(
-    config: CenterConfiguration,
-    x: Coords,
-    potential_transform: Callable | None = None,
+def metric_of(
+    jets: tuple[Jet, Jet, Jet], potential_transform: Callable | None = None
 ) -> Jet:
-    """The metric at x as a second-order jet in (theta, b, a1, a2): the
-    value of metric_at with exact first and second derivatives.
-    g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2).
+    """The metric jet assembled from the (V, alpha_1, alpha_2) jets of
+    potential_jets: g = u u^T / V + V diag(0, 1, 1, 1) with
+    u = (1, 0, alpha_1, alpha_2).
 
     potential_transform deliberately replaces V by f(V) while keeping the
     connection of the true V; it exists so verification negative controls
     can break Ricci-flatness in a controlled way.  f acts on the V jet, so
     it must be arithmetic on V (+, -, *, /) that accepts a tensorcalc.Jet.
     """
-    V, a1, a2 = _potential_jets(config, x)
+    V, a1, a2 = jets
     if potential_transform is not None:
         V = potential_transform(V)
     u = Jet.stack([1.0, 0.0, a1, a2])
     return u[:, None] * u[None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
 
-def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[np.ndarray, Jet, Jet]:
-    """(g, omega, J) at x from one set of V and alpha jets: g as a float
-    array from their values, omega and J as jets, the values of
-    kahler_form_at and complex_structure_at."""
-    V, a1, a2 = _potential_jets(config, x)
+def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
+    """(g, omega, J) assembled from the (V, alpha_1, alpha_2) jets of
+    potential_jets: g as a float array from their values, omega and J as
+    jets, the values of kahler_form_at and complex_structure_at."""
+    V, a1, a2 = jets
     g = _metric_values(float(V.val), float(a1.val), float(a2.val))
     return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
+
+
+def metric_jet(
+    config: CenterConfiguration,
+    x: Coords,
+    potential_transform: Callable | None = None,
+) -> Jet:
+    """The metric at x as a second-order jet in (theta, b, a1, a2): the
+    value of metric_at with exact first and second derivatives (metric_of
+    of potential_jets, which see for potential_transform)."""
+    return metric_of(potential_jets(config, x), potential_transform)
+
+
+def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[np.ndarray, Jet, Jet]:
+    """(g, omega, J) at x from one set of V and alpha jets (kahler_of of
+    potential_jets)."""
+    return kahler_of(potential_jets(config, x))
 
 
 def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:

@@ -25,10 +25,11 @@ standard chart complex structure J0.
 
 metric_jet and kahler_jets evaluate gamma and eta as second-order jets
 (tensorcalc.Jet) over a block of points, one lane solve for b per block,
-each lane with its own typed error (see tensorcalc).  metric_jet gives
-curvature g with its exact first and second derivatives; kahler_jets
-gives the Kahler scan g's value and omega's jet, built separately from
-the same eta, with J the constant J0.
+each lane with its own typed error (see tensorcalc).  That evaluation,
+the chart's state on a block, is eta_jets; metric_of assembles from it
+curvature's g with its exact first and second derivatives, and
+kahler_of the Kahler scan's g value and omega jet, built separately
+from the same eta, with J the constant J0.
 """
 
 from __future__ import annotations
@@ -147,12 +148,10 @@ def _lane_log_lhs(
     """_log_lhs of each lane, under the caller's np.errstate: b has one
     height per column of r."""
     f, delta = _stable_factors(b - b_i, r)
-    hit = (f <= 0.0).any(axis=0)
-    total = np.log(f).sum(axis=0)
-    gam = (1.0 / delta).sum(axis=0)
-    if hit.any():
-        total[hit], gam[hit] = -np.inf, np.inf
-    return total, gam
+    # a vanishing factor (a puncture, r_i = 0, below its center) makes the
+    # sum -inf; gamma stays finite where _log_lhs gives inf, but either way
+    # the Newton step is not finite and leaves the bracket
+    return np.log(f).sum(axis=0), (1.0 / delta).sum(axis=0)
 
 
 def solve_b(
@@ -328,7 +327,7 @@ def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
         raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
     b = solve_b(config, z, abs(y) ** 2)
     # with w_i = zbar + a_i: gamma = sum_i 1/Delta_i and
-    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in _eta_jets
+    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in eta_jets
     zbar = z.conjugate()
     gam = 0.0
     dlt_conj = 0j
@@ -368,7 +367,7 @@ def _block(x) -> np.ndarray:
     return x.reshape(-1, 4)
 
 
-def _eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
+def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """gamma and the real and imaginary parts of eta on the real
     coordinates at each point of the block x, as jets in (Re z, Im z,
     Re y, Im y) over a leading lane axis, with the per-lane errors: the
@@ -449,26 +448,37 @@ def _kahler_form(gam, re, im):
     return outer / gam + gam * _DZ_AREA
 
 
+def metric_of(eta: tuple) -> tensorcalc.Jet:
+    """The metric jet of the good lanes, assembled from the (gamma, Re eta,
+    Im eta) jets of eta_jets."""
+    return _metric(*eta)
+
+
+def kahler_of(eta: tuple) -> tuple:
+    """(g, omega, J) of the good lanes, assembled from the (gamma, Re eta,
+    Im eta) jets of eta_jets: g as a float array, omega = -Im h as a jet,
+    and J the constant STANDARD_J.  g and omega are assembled separately
+    from the same eta, so omega = J0^T g is a check, not an identity of
+    the code."""
+    gam, re, im = eta
+    return _metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J
+
+
 def metric_jet(config: CenterConfiguration, x):
     """The real metric as a second-order jet in (Re z, Im z, Re y, Im y):
     its value with exact first and second derivatives, at the chart point
     x or, as a field on a block (see tensorcalc), at each point of the
     block x of shape (N, 4), from one solve for b over the block."""
-    eta, errors = _eta_jets(config, _block(x))
-    return tensorcalc.point_or_block(np.ndim(x) == 1, eta and _metric(*eta), errors)
+    eta, errors = eta_jets(config, _block(x))
+    return tensorcalc.point_or_block(np.ndim(x) == 1, eta and metric_of(eta), errors)
 
 
 def kahler_jets(config: CenterConfiguration, x):
     """(g, omega, J) at the chart point x, or as a field at each point of
-    the block x of shape (N, 4), from one solve for b: g as a float array,
-    omega = -Im h as a jet, and J the constant STANDARD_J.  g and omega are
-    assembled separately from the same eta, so omega = J0^T g is a check,
-    not an identity of the code."""
-    eta, errors = _eta_jets(config, _block(x))
-    fields = None
-    if eta:
-        gam, re, im = eta
-        fields = (_metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J)
+    the block x of shape (N, 4), from one solve for b (kahler_of of
+    eta_jets)."""
+    eta, errors = eta_jets(config, _block(x))
+    fields = eta and kahler_of(eta)
     if np.ndim(x) > 1:
         return fields, errors
     if errors[0] is not None:

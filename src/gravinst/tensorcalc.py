@@ -295,29 +295,42 @@ def each(fn: Callable, items: Sequence) -> list:
     return out
 
 
-def _stack(values: list):
+def stack_lanes(values: list):
     """Per-point field values (arrays, jets or tuples of them) stacked on a
     leading lane axis."""
     first = values[0]
     if isinstance(first, tuple):
-        return tuple(_stack(list(parts)) for parts in zip(*values))
+        return tuple(stack_lanes(list(parts)) for parts in zip(*values))
     if isinstance(first, Jet):
         return Jet.stack(values)
     return np.stack(values)
 
 
+def each_lane(fn: Callable[[Coords], object]) -> Callable:
+    """The block field of a chart that evaluates one point at a time, its
+    values kept per point: on a block, fn at each point (a tuple of
+    floats), the good lanes' values as a list (None when no lane is good)."""
+
+    def field(x):
+        results = each(fn, [tuple(p) for p in np.asarray(x, dtype=float).tolist()])
+        errors = [r if isinstance(r, GeometryError) else None for r in results]
+        good = [r for r, e in zip(results, errors) if e is None]
+        return (good or None), errors
+
+    return field
+
+
 def pointwise(fn: Callable[[Coords], object]) -> Callable:
     """The field of a chart that evaluates one point at a time: fn at a
-    single point, and on a block fn at each point (a tuple of floats),
-    the good lanes' values stacked."""
+    single point, and on a block fn at each point (each_lane), the good
+    lanes' values stacked."""
+    lanes = each_lane(fn)
 
     def field(x):
         if np.ndim(x) == 1:
             return fn(x)
-        results = each(fn, [tuple(p) for p in np.asarray(x, dtype=float).tolist()])
-        errors = [r if isinstance(r, GeometryError) else None for r in results]
-        good = [r for r, e in zip(results, errors) if e is None]
-        return (_stack(good) if good else None), errors
+        good, errors = lanes(x)
+        return (stack_lanes(good) if good else None), errors
 
     return field
 

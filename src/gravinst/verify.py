@@ -10,6 +10,16 @@ agreement up to a global homothety forces a constant |Rm|^2 ratio.
 What differs between the two constructions is held in one table of
 :class:`Construction` records; the scans themselves never branch on the
 chart.
+
+A report evaluates each chart once per sample point.  full_report gives
+each applicable chart one :class:`ChartEvaluation`: the chart's sample
+stream, drawn once, and the chart's state (the field jets of one
+evaluation) at each SAMPLE_BLOCK block of it, evaluated once.  The
+Ricci scan assembles its metric jet and the Kahler scan its (g, omega,
+J) from that state, and the invariance scan takes the same stream.
+Cross-validation takes its curvature from the report's Ricci samples
+wherever a matched point is one of them, and evaluates only the rest.
+Called alone, each scan makes its own evaluation.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -191,17 +201,24 @@ class Construction:
     in modes, and applies(config) is the one rule for whether it carries
     config's metric.  metric(config) gives the metric as a float array at
     a coordinate 4-tuple, the cheap field the invariance scan compares.
-    The other two are fields in tensorcalc's sense, evaluated once per
-    block of points (an (N, 4) array) with a typed error per lane, or at a
-    single point: jet(config, potential_transform=None) gives the metric
-    as an exact jet, the evaluation tensorcalc.curvature_at takes, and
-    kahler(config) gives the module's kahler_jets, (g, omega, J) from one
-    evaluation of the chart: g as a float array, omega as a jet, J as a
-    jet or, where the chart's complex structure has constant components
-    (so its Nijenhuis tensor vanishes identically), a constant array.
-    The complex chart evaluates a block at once; the circle-fibered chart
-    evaluates its points one at a time and stacks them
-    (tensorcalc.pointwise).
+
+    The scans' fields are split into the chart's state and what is
+    assembled from it.  state(config) is a field in tensorcalc's sense,
+    evaluated once per block of points (an (N, 4) array) with a typed
+    error per lane: the chart's jets of one evaluation over the good
+    lanes.  From that value jet_of(value, potential_transform=None) gives
+    the metric as an exact jet over the good lanes, the evaluation
+    tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
+    J): g as a float array, omega as a jet, J as a jet or, where the
+    chart's complex structure has constant components (so its Nijenhuis
+    tensor vanishes identically), a constant array.  The complex chart
+    evaluates and assembles a block at once; the circle-fibered chart
+    keeps its state per point and assembles each point before stacking
+    them (tensorcalc.each_lane, tensorcalc.stack_lanes).
+    jet(config, potential_transform=None) is the metric jet as a field
+    of its own, state and assembly in one call, at a block or a single
+    point.
+
     stream(config, spec) gives the coordinates of the sample stream;
     action(generator) gives the cyclic action as the affine map
     x -> M x + shift, as (M, shift); user_coords completes and checks
@@ -214,8 +231,10 @@ class Construction:
     has_potential: bool  # potential_transform (V -> f(V)) applies
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
     metric: Callable[[CenterConfiguration], Field]
+    state: Callable[[CenterConfiguration], Callable]
+    jet_of: Callable[..., tensorcalc.Jet]
+    kahler_of: Callable[[object], tuple]
     jet: Callable[..., Callable[[Coords], tensorcalc.Jet]]
-    kahler: Callable[[CenterConfiguration], Callable[[Coords], tuple]]
     action: Callable[[GroupElement], tuple[np.ndarray, np.ndarray]]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
 
@@ -247,10 +266,14 @@ GH = Construction(
     has_potential=True,
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
+    state=lambda config: tensorcalc.each_lane(lambda x: ghawking.potential_jets(config, x)),
+    jet_of=lambda jets, potential_transform=None: tensorcalc.stack_lanes(
+        [ghawking.metric_of(j, potential_transform) for j in jets]
+    ),
+    kahler_of=lambda jets: tensorcalc.stack_lanes([ghawking.kahler_of(j) for j in jets]),
     jet=lambda config, potential_transform=None: tensorcalc.pointwise(
         lambda x: ghawking.metric_jet(config, x, potential_transform)
     ),
-    kahler=lambda config: tensorcalc.pointwise(lambda x: ghawking.kahler_jets(config, x)),
     action=lambda gel: ghawking.action(gel),
     user_coords=lambda vals: ghawking.user_coords(vals),
 )
@@ -261,8 +284,10 @@ HITCHIN = Construction(
     has_potential=False,
     stream=lambda config, spec: sampling.hitchin_points(config, spec),
     metric=lambda config: lambda x: hitchin.metric_at(config, x),
+    state=lambda config: lambda x: hitchin.eta_jets(config, x),
+    jet_of=lambda eta, potential_transform=None: hitchin.metric_of(eta),
+    kahler_of=lambda eta: hitchin.kahler_of(eta),
     jet=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(config, x),
-    kahler=lambda config: lambda x: hitchin.kahler_jets(config, x),
     action=lambda gel: hitchin.action(gel),
     user_coords=lambda vals: hitchin.user_coords(vals),
 )
@@ -278,6 +303,64 @@ def construction(name: str) -> Construction:
     raise ValueError(
         f"metric_source must be one of {tuple(c.name for c in CONSTRUCTIONS)}"
     )
+
+
+class ChartEvaluation:
+    """One chart's share of one report: its sample stream, drawn when a
+    scan first asks for it, and the chart's state (Construction.state) on
+    each block, evaluated when a scan first needs that block and looked
+    up by the block's exact coordinates after that.  A GeometryError that
+    ends either (an unsatisfiable SampleSpec ends the draw) is kept and
+    raised again to every scan that asks."""
+
+    def __init__(self, chart: Construction, config: CenterConfiguration, spec: SampleSpec):
+        self.chart = chart.require(config)
+        self.config = config
+        self.spec = spec
+        # the stream under None, each block's state under its coordinates'
+        # bytes: a value or the GeometryError its evaluation raised
+        self._done: dict = {}
+
+    def _once(self, key, evaluate: Callable):
+        """evaluate() on the first call for key, its result after that."""
+        if key not in self._done:
+            try:
+                self._done[key] = evaluate()
+            except GeometryError as exc:
+                self._done[key] = exc
+        if isinstance(self._done[key], GeometryError):
+            raise self._done[key]
+        return self._done[key]
+
+    def points(self) -> list[ChartPoint]:
+        """The chart's sample stream."""
+        return self._once(None, lambda: self.chart.points(self.config, self.spec))
+
+    def field(self, assemble: Callable) -> Callable:
+        """The block field assemble(state) over the good lanes of each
+        block, paired with the lanes' errors (see tensorcalc)."""
+
+        def at(x: np.ndarray):
+            value, errors = self._once(x.tobytes(), lambda: self.chart.state(self.config)(x))
+            return (assemble(value) if value is not None else None), errors
+
+        return at
+
+
+def _evaluation(
+    metric_source: str,
+    config: CenterConfiguration,
+    spec: SampleSpec | None,
+    evaluation: ChartEvaluation | None,
+) -> ChartEvaluation:
+    """The report's evaluation of the chart called metric_source, or a new
+    one on spec for a scan called alone."""
+    c = construction(metric_source).require(config)
+    if evaluation is None:
+        return ChartEvaluation(c, config, spec or SampleSpec())
+    if evaluation.chart.name != c.name or evaluation.config is not config:
+        raise ValueError(f"the evaluation is not the {c.name} chart's on this configuration")
+    return evaluation
 
 
 def _sample(
@@ -348,11 +431,14 @@ def ricci_samples(
     config: CenterConfiguration,
     points: Sequence[ChartPoint],
     potential_transform: Callable[[float], float] | None = None,
+    evaluation: ChartEvaluation | None = None,
 ) -> tuple[SampleRecord, ...]:
     """Curvature at each chart point, with residual |Ric| / max(|Rm|, 1).
 
     The denominator keeps the residual meaningful in nearly flat regions,
-    where absolute Ricci tends to zero no matter what.
+    where absolute Ricci tends to zero no matter what.  The metric jets
+    come from c's own jet field, or are assembled from the state of
+    evaluation, a ChartEvaluation of c on config.
     """
     c.require(config)
     if potential_transform is not None and not c.has_potential:
@@ -360,7 +446,10 @@ def ricci_samples(
     for cp in points:
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
-    metric = c.jet(config, potential_transform)
+    if evaluation is None:
+        metric = c.jet(config, potential_transform)
+    else:
+        metric = evaluation.field(lambda state: c.jet_of(state, potential_transform))
 
     def record(cp: ChartPoint, bundle: tensorcalc.CurvatureBundle) -> SampleRecord:
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
@@ -380,16 +469,21 @@ def ricci_scan(
     config: CenterConfiguration,
     spec: SampleSpec | None = None,
     potential_transform: Callable[[float], float] | None = None,
+    evaluation: ChartEvaluation | None = None,
 ) -> CheckRecord:
-    """Worst |Ric| / max(|Rm|, 1) over the sample stream."""
-    c = construction(metric_source).require(config)
-    points = c.points(config, spec or SampleSpec())
-    samples = ricci_samples(c, config, points, potential_transform)
-    return _scan_records("Ricci", c.name, ("ricci",), (RICCI_TOL,), samples)[0]
+    """Worst |Ric| / max(|Rm|, 1) over the sample stream: the stream of
+    spec, or of evaluation, the report's ChartEvaluation of this chart,
+    whose state the metric jets are assembled from."""
+    ev = _evaluation(metric_source, config, spec, evaluation)
+    samples = ricci_samples(ev.chart, config, ev.points(), potential_transform, ev)
+    return _scan_records("Ricci", ev.chart.name, ("ricci",), (RICCI_TOL,), samples)[0]
 
 
 def kahler_scan(
-    metric_source: str, config: CenterConfiguration, spec: SampleSpec | None = None
+    metric_source: str,
+    config: CenterConfiguration,
+    spec: SampleSpec | None = None,
+    evaluation: ChartEvaluation | None = None,
 ) -> list[CheckRecord]:
     """Closedness, integrability and compatibility of the Kahler triple.
 
@@ -398,11 +492,14 @@ def kahler_scan(
     entry scale), and the algebraic residual omega - J^T g.  Where J has
     constant components (the chart gives a plain array, not a jet) the
     Nijenhuis tensor is 0 by construction; it is recorded as such, with a
-    note, and not differentiated.
+    note, and not differentiated.  The samples are those of ricci_scan:
+    the stream of spec or of evaluation, and (g, omega, J) assembled from
+    the same state.
     """
-    c = construction(metric_source).require(config)
-    points = c.points(config, spec or SampleSpec())
-    kahler_at = c.kahler(config)
+    ev = _evaluation(metric_source, config, spec, evaluation)
+    c = ev.chart
+    points = ev.points()
+    kahler_at = ev.field(c.kahler_of)
     constant_j = []
 
     def residuals(g: np.ndarray, omega: tensorcalc.Jet, J) -> np.ndarray:
@@ -439,16 +536,22 @@ def kahler_scan(
 
 
 def invariance_scan(
-    metric_source: str, config: CenterConfiguration, spec: SampleSpec | None = None
+    metric_source: str,
+    config: CenterConfiguration,
+    spec: SampleSpec | None = None,
+    evaluation: ChartEvaluation | None = None,
 ) -> CheckRecord:
     """Sup over samples of the metric pullback residual under the cyclic
     generator.  Symmetric configurations pass; a perturbed configuration
-    is expected to fail (that is the negative control)."""
-    c = construction(metric_source).require(config)
+    is expected to fail (that is the negative control).  The samples are
+    the stream of spec or of evaluation; the float metric is evaluated at
+    each sample and its image."""
+    ev = _evaluation(metric_source, config, spec, evaluation)
+    c = ev.chart
     if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
     gel = GroupElement(ell=1, signature=config.signature)
-    points = c.points(config, spec or SampleSpec())
+    points = ev.points()
     M, shift = c.action(gel)
     fld = c.metric(config)
 
@@ -463,7 +566,9 @@ def invariance_scan(
 
 
 def cross_validate(
-    config: CenterConfiguration, spec: SampleSpec | None = None
+    config: CenterConfiguration,
+    spec: SampleSpec | None = None,
+    known: Mapping[str, Sequence[SampleRecord]] | None = None,
 ) -> tuple[RatioStats, CheckRecord]:
     """Pointwise |Rm|^2 ratio between the two constructions at matched
     base points.
@@ -472,7 +577,10 @@ def cross_validate(
     the constant c^-2 everywhere; the spread is asserted, the constant is
     recorded, never asserted.  Base points where the curvature sits below
     the noise floor are skipped (flat regions carry no information).
-    ValueError unless both constructions apply to config.
+    known maps a chart's name to Ricci samples of its true metric (a
+    report's samples); a matched point with the exact coordinates of one
+    of them takes its curvature bundle, and only the other points are
+    evaluated.  ValueError unless both constructions apply to config.
     """
     for c in (GH, HITCHIN):
         c.require(config)
@@ -490,11 +598,27 @@ def cross_validate(
             note=stats.note,
         )
         return stats, record
-    gh_metric, hit_metric = GH.jet(config), HITCHIN.jet(config)
+    found = {
+        (name, s.point.coords): s.curvature
+        for name, samples in (known or {}).items()
+        for s in samples
+        if s.curvature is not None
+    }
 
     def lift(cp: ChartPoint) -> Coords:
         theta, b, a1, a2 = cp.coords
         return hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
+
+    def curvatures(c: Construction, coords: list) -> list:
+        """Per entry of coords, its GeometryError as given, or the bundle
+        found in known, or else evaluated: every such lane in one call."""
+        out = [x if isinstance(x, GeometryError) else found.get((c.name, x)) for x in coords]
+        missing = [n for n, bundle in enumerate(out) if bundle is None]
+        if missing:
+            fresh = tensorcalc.curvature_at(c.jet(config), np.array([coords[n] for n in missing]))
+            for n, bundle in zip(missing, fresh):
+                out[n] = bundle
+        return out
 
     def ratio(cp: ChartPoint, hit, gh) -> SampleRecord | GeometryError:
         # the complex chart's error first, as in the order of evaluation
@@ -507,11 +631,8 @@ def cross_validate(
         return SampleRecord(cp, (rm_hit / rm_gh,))
 
     def evaluate(block: Sequence[ChartPoint]) -> list:
-        lifted = tensorcalc.each(lift, block)
-        errors = [h if isinstance(h, GeometryError) else None for h in lifted]
-        hx = np.array([h for h, e in zip(lifted, errors) if e is None]).reshape(-1, 4)
-        hit = tensorcalc.lane_results(errors, tensorcalc.curvature_at(hit_metric, hx))
-        gh = tensorcalc.curvature_at(gh_metric, _coords(block))
+        hit = curvatures(HITCHIN, tensorcalc.each(lift, block))
+        gh = curvatures(GH, [cp.coords for cp in block])
         return [ratio(cp, h, g) for cp, h, g in zip(block, hit, gh)]
 
     samples = _sample(GH.points(config, spec), evaluate)
@@ -801,7 +922,10 @@ def full_report(
     Scan errors are recorded per check instead of aborting the report.
     The payload is a pure function of (config, seed); wall-clock timing
     lives in a separate field the payload never includes.  mode, if
-    given, must be config.mode (ValueError otherwise).
+    given, must be config.mode (ValueError otherwise).  The scans share
+    one ChartEvaluation per chart (see the module docstring);
+    cross-validation does not reuse the circle-fibered Ricci samples of a
+    potential_transform run, whose metric is not the true one.
     """
     import time
 
@@ -814,6 +938,7 @@ def full_report(
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     report = VerificationReport(config_payload=_config_payload(config), seed=spec.seed)
     constructions = [c for c in CONSTRUCTIONS if c.applies(config)]
+    evaluations = {c.name: ChartEvaluation(c, config, spec) for c in constructions}
 
     def run(name: str, fn: Callable[[], None]) -> None:
         t0 = time.perf_counter()
@@ -835,7 +960,7 @@ def full_report(
     def ricci(c: Construction) -> None:
         transform = potential_transform if c.has_potential else None
         try:
-            record = ricci_scan(c.name, config, spec, transform)
+            record = ricci_scan(c.name, config, spec, transform, evaluations[c.name])
         except ScanError as exc:
             report.samples[c.name] = exc.samples
             raise
@@ -850,7 +975,7 @@ def full_report(
             run(
                 f"kahler-{c.name}",
                 lambda c=c: report.checks.extend(
-                    kahler_scan(c.name, config, spec)
+                    kahler_scan(c.name, config, spec, evaluations[c.name])
                 ),
             )
     if "invariance" in selected and config.signature.n >= 2:
@@ -858,13 +983,18 @@ def full_report(
             run(
                 f"invariance-{c.name}",
                 lambda c=c: report.checks.append(
-                    invariance_scan(c.name, config, spec)
+                    invariance_scan(c.name, config, spec, evaluations[c.name])
                 ),
             )
     if "cross" in selected and all(c.applies(config) for c in (GH, HITCHIN)):
 
         def _cross():
-            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT))
+            known = {
+                name: samples
+                for name, samples in report.samples.items()
+                if potential_transform is None or not construction(name).has_potential
+            }
+            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT), known)
             report.ratio = stats
             report.checks.append(record)
 

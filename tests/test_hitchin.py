@@ -277,6 +277,41 @@ def test_solve_b_failing_lane_raises_like_the_lane_alone():
         hitchin.solve_b(cfg, z, y_sq)
 
 
+@pytest.mark.parametrize("build", [hexagon_config, square4_config])
+def test_solve_b_lanes_match_the_float_loop_at_punctures(build, monkeypatch):
+    # z on each puncture (r_i = 0), targets over 66 decades: below the
+    # center's height its factor vanishes, the log-sum is -inf, and the
+    # lane's step must leave the bracket as the float loop's does; many of
+    # these solves stall, and the same ones in both loops
+    cfg = build()
+    z = np.repeat([-c.a.conjugate() for c in cfg.centers], 100)
+    y_sq = np.tile(np.geomspace(1e-60, 1e6, 100), cfg.k)
+    vanished = []
+    lane_log_lhs = hitchin._lane_log_lhs
+
+    def counted(b_i, r, b):
+        total, gam = lane_log_lhs(b_i, r, b)
+        vanished.append(int(np.isneginf(total).sum()))
+        return total, gam
+
+    monkeypatch.setattr(hitchin, "_lane_log_lhs", counted)
+    with pytest.raises(ConvergenceError) as info:
+        hitchin.solve_b(cfg, z, y_sq)
+    assert sum(vanished) > len(z)
+    stalled = info.value.residuals > hitchin.SOLVE_TOL
+    for root, lane_stalled, zi, yi in zip(
+        info.value.roots.tolist(), stalled.tolist(), z.tolist(), y_sq.tolist()
+    ):
+        try:
+            b = hitchin.solve_b(cfg, zi, yi)
+        except ConvergenceError:
+            assert lane_stalled
+            continue
+        assert not lane_stalled
+        assert abs(root - b) <= 1e-15 * (1.0 + abs(b))
+    assert 0 < stalled.sum() < len(z)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_solve_b_lanes_reject_bad_target_anywhere(bad):
     z, y_sq = solver_scan_inputs(pair_config(), 5, seed=1)

@@ -1,14 +1,16 @@
 """Verification layer: scans, negative controls, report assembly."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gravinst import ghawking, hitchin, tensorcalc, verify
+from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
@@ -457,6 +459,113 @@ def test_full_report_runs_akl_convergence():
     rep = verify.full_report(cfg, checks=("fits",))
     assert [c.name for c in rep.checks] == ["akl-convergence"]
     assert rep.passed
+
+
+# --- one evaluation per sample point per report ---
+
+
+def assert_identical_samples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.point, a.residuals, a.error) == (b.point, b.residuals, b.error)
+        assert (a.curvature is None) == (b.curvature is None)
+        if a.curvature is not None:
+            for part in dataclasses.fields(a.curvature):
+                x, y = getattr(a.curvature, part.name), getattr(b.curvature, part.name)
+                assert np.array_equal(x, y), part.name
+
+
+def bent(V):
+    # breaks Ricci-flatness of the circle-fibered metric, not its samples
+    return V + 0.1 * V * V
+
+
+@pytest.mark.parametrize(
+    "count, transform", [(4, None), (30, None), (30, bent)], ids=["4", "30", "30-transformed"]
+)
+def test_full_report_agrees_with_the_standalone_scans(count, transform):
+    # the report shares one stream and one state evaluation per chart
+    # between its scans, and cross-validation reuses the Ricci samples'
+    # curvature; every record must be the standalone scan's, and a
+    # transformed run's cross-validation the untransformed one's
+    cfg = hexagon_config()
+    spec = SampleSpec(count=count, seed=7)
+    report = verify.full_report(cfg, spec=spec, potential_transform=transform)
+    by_name = {c.name: c for c in report.checks}
+    for c in verify.CONSTRUCTIONS:
+        ricci = verify.ricci_scan(c.name, cfg, spec, transform if c.has_potential else None)
+        assert by_name[ricci.name] == ricci
+        assert_identical_samples(report.samples[c.name], ricci.samples)
+        for record in verify.kahler_scan(c.name, cfg, spec):
+            assert by_name[record.name] == record
+            assert_identical_samples(by_name[record.name].samples, record.samples)
+        record = verify.invariance_scan(c.name, cfg, spec)
+        assert by_name[record.name] == record
+    stats, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
+    assert report.ratio == stats and by_name["cross-validation"] == record
+    assert_identical_samples(by_name["cross-validation"].samples, record.samples)
+    if transform is not None:
+        assert not by_name["ricci-gh"].passed
+
+
+def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
+    # the hexagon at count 30, seed 7: each chart's state at each of its 30
+    # stream points once (the complex chart's second call is the decay
+    # fit's block of 24), each chart's stream drawn once, and
+    # cross-validation's 12 matched points all found among the Ricci
+    # samples, so it draws its own stream and evaluates no curvature
+    counts = Counter()
+
+    def count(module, name, lanes=lambda args: 1):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            counts[f"{name} lanes"] += lanes(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(ghawking, "potential_jets")
+    count(hitchin, "eta_jets", lambda args: len(args[1]))
+    count(sampling, "gh_points")
+    count(sampling, "hitchin_points")
+    count(tensorcalc, "curvature_at")
+    report = verify.full_report(hexagon_config(), spec=SampleSpec(count=30, seed=7))
+    assert report.passed
+    assert counts["potential_jets"] == 30
+    assert (counts["eta_jets"], counts["eta_jets lanes"]) == (2, 30 + 24)
+    assert counts["gh_points"] == 2 and counts["hitchin_points"] == 1
+    assert counts["curvature_at"] == 3
+
+
+def test_full_report_on_an_unsatisfiable_spec_draws_each_stream_once(monkeypatch):
+    # no annulus point is clear of both centers: every sample scan ends in
+    # one ScanError record, after one draw per chart and cross-validation's
+    # own draw, each to the end of its budget
+    draws = []
+    candidates = sampling._candidates
+
+    def counted(config, spec):
+        draws.append(spec.count)
+        return candidates(config, spec)
+
+    monkeypatch.setattr(sampling, "_candidates", counted)
+    spec = SampleSpec(count=2, seed=3, clearance=6.99)
+    report = verify.full_report(pair_config(), spec=spec)
+    assert sorted(draws) == [2, 2, verify.CROSS_COUNT]
+    scans = [
+        f"{kind}-{c}" for kind in ("ricci", "kahler", "invariance") for c in ("gh", "hitchin")
+    ] + ["cross-validation"]
+    notes = {c.name: c.note for c in report.checks if c.name in scans}
+    assert sorted(notes) == sorted(scans)
+    for name, note in notes.items():
+        drawn = 10000 * (verify.CROSS_COUNT if name == "cross-validation" else spec.count)
+        assert note == (
+            f"ScanError: sampling rejected too many candidate points ({drawn} drawn)"
+        )
+    assert report.samples == {"gh": (), "hitchin": ()}
+    assert [c.passed for c in report.checks if c.name not in scans] == [True] * 4
 
 
 # --- per-sample records and strict payloads ---
