@@ -1,0 +1,92 @@
+"""Reference report payloads, pinned byte for byte by
+tests/test_reference_reports.py.
+
+The reference holds the deterministic payload of full_report on the seven
+configurations of tests/test_acceptance.py at SampleSpec(seed=42), of
+``gravinst verify --out --csv`` on the truncated family akl J=12 (report
+and CSV), and of one potential_transform run, the negative control of the
+Ricci scan.  Regenerate it after a change that is meant to move a residual:
+
+    PYTHONPATH=src python tests/make_reference_reports.py
+
+and name every record that moved (the test prints them) in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
+
+import test_acceptance as acceptance  # noqa: E402
+
+from gravinst import cli, verify  # noqa: E402
+from gravinst.sampling import SampleSpec  # noqa: E402
+
+REFERENCE = pathlib.Path(__file__).resolve().parent / "reference_reports.json"
+SEED = 42
+CONFIGS = (
+    ("pair-unit", acceptance.pair_unit),
+    ("pair-generic", acceptance.pair_generic),
+    ("hexagon", acceptance.hexagon),
+    ("taubnut", acceptance.taubnut),
+    ("flat", acceptance.flat),
+    ("square4", acceptance.square4),
+    ("two-level", acceptance.two_level),
+)
+AKL_RUN = {
+    "schema": "1",
+    "singularity": {"n": 2, "m": 1, "mode": {"akl": 12}},
+    "sample": {"count": 50, "seed": SEED},
+}
+
+
+def bent(V):
+    """The Ricci scan's negative control: V -> V + V^2 / 10 keeps the
+    connection of the true V, so the metric is no longer Ricci-flat."""
+    return V + 0.1 * V * V
+
+
+def akl_cli() -> dict:
+    """The report and the per-sample CSV rows of the CLI's verify."""
+    with tempfile.TemporaryDirectory() as work:
+        paths = {k: os.path.join(work, k) for k in ("config.json", "report.json", "samples.csv")}
+        with open(paths["config.json"], "w", encoding="utf-8") as fh:
+            json.dump(AKL_RUN, fh)
+        argv = ["verify", "--config", paths["config.json"], "--out", paths["report.json"]]
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv + ["--csv", paths["samples.csv"]])
+        with open(paths["report.json"], encoding="utf-8") as fh:
+            report = json.load(fh)["report"]
+        with open(paths["samples.csv"], encoding="utf-8") as fh:
+            rows = fh.read().splitlines()
+    return {"report": report, "csv": rows}
+
+
+def reports() -> dict:
+    """Every reference payload under its case name."""
+    spec = SampleSpec(seed=SEED)
+    out = {
+        name: {"report": verify.full_report(build(), spec=spec).payload()}
+        for name, build in CONFIGS
+    }
+    out["akl-cli"] = akl_cli()
+    transformed = verify.full_report(acceptance.hexagon(), spec=spec, potential_transform=bent)
+    out["hexagon-bent"] = {"report": transformed.payload()}
+    return out
+
+
+def render(cases: dict) -> str:
+    """The reference file's text: strict JSON, one key order."""
+    return json.dumps(cases, sort_keys=True, indent=1, allow_nan=False) + "\n"
+
+
+if __name__ == "__main__":
+    REFERENCE.write_text(render(reports()), encoding="utf-8")
+    print(f"wrote {REFERENCE}")

@@ -1,0 +1,67 @@
+"""The reference report payloads hold byte for byte.
+
+tests/reference_reports.json pins the payloads that
+tests/make_reference_reports.py builds.  A change that moves a residual,
+a pass/fail, a count or a skip fails here, and the failure lists each
+moved record with its old and new values, the measure of how far a
+change moved the reports.  Regenerate the file with that script when a
+move is intended.
+"""
+
+import json
+
+from make_reference_reports import REFERENCE, render, reports
+
+
+def _records(report: dict) -> dict:
+    """A report's records by name: its checks, its fits and the
+    cross-construction ratio."""
+    out = {c["name"]: c for c in report.get("checks", [])}
+    for name, fit in report.get("fits", {}).items():
+        out[f"fit {name}"] = fit
+    if "cross_validation" in report:
+        out["cross_validation"] = report["cross_validation"]
+    return out
+
+
+def _summary(record: dict | None) -> str:
+    if record is None:
+        return "absent"
+    if "max_residual" not in record:
+        return json.dumps(record, sort_keys=True)
+    return (
+        f"residual {record['max_residual']!r} pass {record['pass']}"
+        f" count {record['count']} skipped {record.get('skipped', {})}"
+    )
+
+
+def moved_records(old: dict, new: dict) -> list[str]:
+    """One line per record that differs between two sets of cases."""
+    lines = []
+    for case in sorted(set(old) | set(new)):
+        was, now = old.get(case, {}), new.get(case, {})
+        before, after = _records(was.get("report", {})), _records(now.get("report", {}))
+        for name in sorted(set(before) | set(after)):
+            if before.get(name) != after.get(name):
+                lines.append(
+                    f"{case} / {name}: {_summary(before.get(name))}"
+                    f" -> {_summary(after.get(name))}"
+                )
+        rest = ("config", "mode", "seed", "pass")
+        for key in rest:
+            if was.get("report", {}).get(key) != now.get("report", {}).get(key):
+                lines.append(f"{case} / {key}: moved")
+        rows = list(zip(was.get("csv", []), now.get("csv", [])))
+        changed = sum(a != b for a, b in rows)
+        if changed or len(was.get("csv", [])) != len(now.get("csv", [])):
+            lines.append(f"{case} / csv: {changed} of {len(rows)} rows moved")
+    return lines
+
+
+def test_reports_match_the_reference_bytes():
+    expected = REFERENCE.read_text(encoding="utf-8")
+    cases = reports()
+    actual = render(cases)
+    if actual != expected:
+        moves = moved_records(json.loads(expected), cases) or ["key order or layout moved"]
+        raise AssertionError("reference reports moved:\n" + "\n".join(moves))
