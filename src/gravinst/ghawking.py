@@ -38,12 +38,15 @@ d alpha = +*dV it is the choice that makes the associated 2-form
 
 closed, and the only one with vanishing Nijenhuis tensor.
 
-metric_jet and kahler_jets evaluate V and alpha as second-order
-jets (tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
-tensor exact derivatives from one evaluation.  That evaluation, the
-chart's state at a point, is potential_jets; metric_of and kahler_of
-assemble the metric jet and (g, omega, J) from it, so one state serves
-both.
+metric_at is the metric's values as a field on a block of points
+(see tensorcalc): V through potential_at and alpha over numpy lanes, the
+centers on a leading axis, each lane with its own PoleError or
+DiracStringError.  metric_jet and kahler_jets evaluate V and alpha as
+second-order jets (tensorcalc.Jet), which gives curvature, d(omega) and
+the Nijenhuis tensor exact derivatives from one evaluation.  That
+evaluation, the chart's state at a point, is potential_jets; metric_of
+and kahler_of assemble the metric jet and (g, omega, J) from it, so one
+state serves both.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from gravinst import tensorcalc
 from gravinst.errors import (
     DiracStringError,
     PathBlockedError,
@@ -69,6 +73,13 @@ def _alf_constant(config: CenterConfiguration) -> float:
     return 1.0 if config.mode == "alf" else 0.0
 
 
+def _center_axis(config: CenterConfiguration, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centers' b_i and a_i on a leading axis, then ndim axes of one."""
+    axes = (-1,) + (1,) * ndim
+    b_i = np.array([c.b for c in config.centers]).reshape(axes)
+    return b_i, np.array([c.a for c in config.centers]).reshape(axes)
+
+
 def potential_at(
     config: CenterConfiguration, b: float | np.ndarray, a: complex | np.ndarray
 ) -> float | np.ndarray:
@@ -79,9 +90,7 @@ def potential_at(
     as a float for scalar b and a.  PoleError at a center.
     """
     b, a = np.asarray(b), np.asarray(a)
-    axes = (-1,) + (1,) * max(b.ndim, a.ndim)
-    b_i = np.array([c.b for c in config.centers]).reshape(axes)
-    a_i = np.array([c.a for c in config.centers]).reshape(axes)
+    b_i, a_i = _center_axis(config, max(b.ndim, a.ndim))
     dist = np.hypot(b - b_i, np.abs(a - a_i))
     if np.any(dist == 0.0):
         raise PoleError("potential evaluated at a center")
@@ -89,49 +98,77 @@ def potential_at(
     return V if V.ndim else float(V)
 
 
+def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """V, alpha_1 and alpha_2 over the good lanes of the block x (None
+    when there is none), with the per-lane errors: PoleError at a center,
+    then DiracStringError on a string, as the jets give them.  V is read
+    through potential_at, on the good lanes only.
+
+    With u_i = b - b_i, w_i = a - a_i and Delta_i = |x - x_i|, alpha_1 and
+    alpha_2 sum 1/2 (u_i / Delta_i - 1) / |w_i|^2 times -Im w_i and Re w_i
+    over the centers; on the axis above a center its term is 0, the
+    regular-side value."""
+    b, a = x[:, 1], x[:, 2] + 1j * x[:, 3]
+    b_i, a_i = _center_axis(config, 1)
+    u, w = b - b_i, a - a_i
+    r = np.abs(w)
+    delta = np.hypot(u, r)
+    pole = np.any(delta == 0.0, axis=0)
+    string = ~pole & np.any((r == 0.0) & (u <= 0.0), axis=0)
+    errors = [
+        PoleError("metric evaluated at a center") if p
+        else DiracStringError("evaluation on the Dirac string of a center") if s
+        else None
+        for p, s in zip(pole.tolist(), string.tolist())
+    ]
+    good = ~(pole | string)
+    if not good.any():
+        return None, errors
+    u, w, r, delta = (v[:, good] for v in (u, w, r, delta))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = 0.5 * (u / delta - 1.0)
+        a1 = np.where(r > 0.0, coeff * -w.imag / (r * r), 0.0).sum(axis=0)
+        a2 = np.where(r > 0.0, coeff * w.real / (r * r), 0.0).sum(axis=0)
+    return (potential_at(config, b[good], a[good]), a1, a2), errors
+
+
+def _point_values(config: CenterConfiguration, x: Coords) -> tuple[float, float, float]:
+    """(V, alpha_1, alpha_2) at one chart point: a block of one."""
+    values, errors = _potential_lanes(config, tensorcalc.as_block(x)[:1])
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(float(v[0]) for v in values)
+
+
 def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarray:
     """Connection 1-form alpha with d alpha = *dV, as its components on
     (db, da1, da2); the dtheta slot is 0.
 
     Each center's Dirac string is the ray below it.  On the axis above a
-    center the regular-side value 0 is used; evaluation on a string raises.
+    center the regular-side value 0 is used; evaluation at a center raises
+    PoleError, on a string DiracStringError.
     """
-    alpha = np.zeros(3)
-    for c in config.centers:
-        w = a - c.a
-        u = b - c.b
-        r = abs(w)
-        delta = math.hypot(u, r)
-        if delta == 0.0:
-            raise PoleError("connection evaluated at a center")
-        if r == 0.0:
-            if u > 0.0:
-                continue  # the term extends by zero through the axis
-            raise DiracStringError("evaluation on the Dirac string of a center")
-        coeff = 0.5 * (u / delta - 1.0)
-        alpha[1] += coeff * (-w.imag) / (r * r)
-        alpha[2] += coeff * w.real / (r * r)
-    return alpha
+    _, a1, a2 = _point_values(config, (0.0, b, a.real, a.imag))
+    return np.array([0.0, a1, a2])
 
 
-def _metric_values(V: float, a1: float, a2: float) -> np.ndarray:
+def _metric_values(V, a1, a2) -> np.ndarray:
     """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
-    as a float array."""
-    u = np.array([1.0, 0.0, a1, a2])
-    g = np.outer(u, u) / V
-    g[1, 1] += V
-    g[2, 2] += V
-    g[3, 3] += V
+    as a float array over any leading lane axes of V, a1 and a2."""
+    V = np.asarray(V)
+    u = np.zeros(V.shape + (4,))
+    u[..., 0], u[..., 2], u[..., 3] = 1.0, a1, a2
+    g = u[..., :, None] * u[..., None, :] / V[..., None, None]
+    for i in (1, 2, 3):
+        g[..., i, i] += V
     return g
 
 
-def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Metric at the chart point x = (theta, b, a1, a2); det g = V^2
-    identically."""
-    b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a)
-    alpha = connection_at(config, b, a)
-    return _metric_values(V, alpha[1], alpha[2])
+def metric_at(config: CenterConfiguration, x):
+    """Metric at the chart point x = (theta, b, a1, a2), or as a field on
+    a block x of shape (N, 4) (see tensorcalc); det g = V^2 identically."""
+    values, errors = _potential_lanes(config, tensorcalc.as_block(x))
+    return tensorcalc.point_or_block(np.ndim(x) == 1, values and _metric_values(*values), errors)
 
 
 def _j_rows(V, a1, a2) -> tuple:
@@ -159,19 +196,13 @@ def _omega_rows(V, a1, a2) -> tuple:
 
 def complex_structure_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Integrable complex structure J (J.J = -I) in coordinate components."""
-    b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a)
-    alpha = connection_at(config, b, a)
-    return np.array(_j_rows(V, alpha[1], alpha[2]))
+    return np.array(_j_rows(*_point_values(config, x)))
 
 
 def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
     """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
     as an antisymmetric component matrix."""
-    b, a = x[1], complex(x[2], x[3])
-    V = potential_at(config, b, a)
-    alpha = connection_at(config, b, a)
-    return np.array(_omega_rows(V, alpha[1], alpha[2]))
+    return np.array(_omega_rows(*_point_values(config, x)))
 
 
 def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
@@ -374,35 +405,29 @@ def geodesic_radii(config: CenterConfiguration, radii) -> np.ndarray:
     radius R of the increasing sequence radii, averaged over a fixed set
     of rays from the origin.
 
-    Each ray is split once: a first piece in the substituted variable
-    u = sqrt(t), which absorbs the inverse-square-root behavior of
-    sqrt(V) when a center sits at the ray origin, then one segment
-    between consecutive radii at a time.  The first pieces of all rays
-    are one lane quadrature and all segments another, so each depth level
-    evaluates V once for every ray; each ray's pieces are summed in order.
+    Each ray is cut at the radii after a head piece up to min(1, R_0 / 4),
+    and every piece is integrated in u = sqrt(t): 2u sqrt(V(u^2)) absorbs
+    the inverse-square-root behavior of sqrt(V) when a center sits at the
+    ray origin, and tends to a constant (ale, V ~ k / (2t)) or to 2u (alf),
+    which Simpson's rule integrates exactly.  The pieces of all rays are
+    the lanes of one quadrature, so each depth level evaluates V once;
+    each ray's pieces are summed in order.
     """
     radii = np.asarray(radii, dtype=float)
     rays = len(_RAY_DIRECTIONS)
-    first = min(1.0, 0.25 * radii[0])
+    ends = np.sqrt(np.concatenate([[min(1.0, 0.25 * radii[0])], radii]))
+    pieces = len(ends)
 
-    def sqrt_v(t: np.ndarray, ray: np.ndarray) -> np.ndarray:
-        d = _RAY_DIRECTIONS[ray]
-        return np.sqrt(potential_at(config, t * d[:, 0], t * d[:, 1] + 1j * (t * d[:, 2])))
-
-    def substituted(u: np.ndarray, ray: np.ndarray) -> np.ndarray:
+    def substituted(u: np.ndarray, lane: np.ndarray) -> np.ndarray:
         # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
         # limit when a center sits at the ray origin (V ~ q/(2t))
         uu = np.maximum(u, 1e-75)
-        return 2.0 * uu * sqrt_v(uu * uu, ray)
+        t, d = uu * uu, _RAY_DIRECTIONS[lane // pieces]
+        return 2.0 * uu * np.sqrt(potential_at(config, t * d[:, 0], t * (d[:, 1] + 1j * d[:, 2])))
 
-    def segment(t: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        return sqrt_v(t, lane // len(radii))
-
-    heads = adaptive_simpson(substituted, np.zeros(rays), np.full(rays, math.sqrt(first)))
-    starts = np.concatenate([[first], radii[:-1]])
-    pieces = adaptive_simpson(segment, np.tile(starts, rays), np.tile(radii, rays))
-    pieces = np.column_stack([heads, pieces.reshape(rays, len(radii))])
-    return np.cumsum(pieces, axis=1)[:, 1:].mean(axis=0)
+    starts = np.concatenate([[0.0], ends[:-1]])
+    lengths = adaptive_simpson(substituted, np.tile(starts, rays), np.tile(ends, rays))
+    return np.cumsum(lengths.reshape(rays, pieces), axis=1)[:, 1:].mean(axis=0)
 
 
 def volume_growth_fit(config: CenterConfiguration, mode: str | None = None) -> FitResult:

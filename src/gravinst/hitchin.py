@@ -23,20 +23,21 @@ is twice the flat metric of the underlying C^2 (flat either way).  The
 Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
 
-metric_jet and kahler_jets evaluate gamma and eta as second-order jets
-(tensorcalc.Jet) over a block of points, one lane solve for b per block,
-each lane with its own typed error (see tensorcalc).  That evaluation,
-the chart's state on a block, is eta_jets; metric_of assembles from it
-curvature's g with its exact first and second derivatives, and
-kahler_of the Kahler scan's g value and omega jet, built separately
-from the same eta, with J the constant J0.
+hermitian_form_at, metric_at and kahler_form_at give h, g and omega as
+fields on a block of points (see tensorcalc), and metric_jet and
+kahler_jets gamma and eta as second-order jets (tensorcalc.Jet); each
+solves for b over its block in one lane call, each lane with its own
+typed error.  The jets' evaluation, the chart's state on a block, is
+eta_jets; metric_of assembles from it curvature's g with its exact
+first and second derivatives, and kahler_of the Kahler scan's g value
+and omega jet, built separately from the same eta, with J0 as J.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def _lane_data(
     centers on a leading axis: b_i has shape (k, 1, ...) with z.ndim ones,
     r shape (k,) + z.shape.  numpy reduces over a leading axis several
     times faster than over a short trailing one, and in the order of the
-    float loop."""
+    centers."""
     axes = (-1,) + (1,) * z.ndim
     b_i = np.array([c.b for c in config.centers]).reshape(axes)
     a_i = np.array([c.a for c in config.centers]).reshape(axes)
@@ -170,71 +171,17 @@ def solve_b(
     is at most SOLVE_TOL; an iterate left after SOLVE_MAX_ITER steps is
     evaluated once more.
 
-    Scalar z and |y|^2 run this loop in floats and return a float.  If
-    either is a numpy array, the same loop runs over lanes (_solve_b_lanes)
-    and returns an array of roots of the broadcast shape; it raises
-    ValueError or ConvergenceError when any lane would, the latter with
-    every lane's root and residual.  A one-lane numpy loop costs about a
-    dozen float loops, so the float metric at one point solves in floats;
-    the jets solve their whole block in one lane call.
+    The loop runs over numpy lanes, one per input of the broadcast shape
+    of z and |y|^2 (a float for scalars), and raises ValueError or
+    ConvergenceError when any lane would, the latter with every lane's
+    root and residual.  The fields solve each block in one call.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
       one center at the origin, z=1, |y|^2=1  ->  b = 0   (b + sqrt(b^2+1) = 1)
       centers (b,a) = (0,+1), (0,-1), z=0, |y|^2=1  ->  b = 0
     """
-    if isinstance(z, np.ndarray) or isinstance(y_abs_sq, np.ndarray):
-        return _solve_b_lanes(config, z, y_abs_sq)
-    if not (y_abs_sq > 0.0) or not math.isfinite(y_abs_sq):
-        raise ValueError("y_abs_sq must be positive and finite")
-    zbar = z.conjugate()
-    data = [(c.b, abs(zbar + c.a)) for c in config.centers]
-    target = math.log(y_abs_sq)
-    k = len(data)
-    # f_i = r_i exp(asinh((b - b_i) / r_i)); the model has one center at
-    # the mean height with the geometric-mean radius (a puncture, r_i = 0,
-    # counts as radius 1), and the clamp keeps its root finite
-    log_r = sum(math.log(r) for _, r in data if r > 0.0) / k
-    lim = 700.0 - max(0.0, log_r)
-    arg = max(-lim, min(lim, target / k - log_r))
-    b = sum(bi for bi, _ in data) / k + math.exp(log_r) * math.sinh(arg)
-    lo, hi = -math.inf, math.inf
-    width = 0.0
-    for _ in range(SOLVE_MAX_ITER):
-        total, gam = _log_lhs(data, b)
-        gval = total - target
-        nxt = b - gval / gam if math.isfinite(gval) else math.nan
-        if abs(nxt - b) <= 1e-16 * (1.0 + abs(b)):
-            break
-        if gval > 0.0:
-            hi = b
-        else:
-            lo = b
-        if not lo < nxt < hi:
-            if math.isfinite(hi - lo):
-                nxt = 0.5 * (lo + hi)
-                if not lo < nxt < hi:
-                    break  # the bracket is two adjacent floats
-            else:
-                width = 2.0 * width if width else 1.0 + abs(b)
-                nxt = b - math.copysign(width, gval)
-        b = nxt
-    else:
-        # the steps ran out: evaluate the last iterate once more
-        gval = _log_lhs(data, b)[0] - target
-    residual = abs(math.expm1(gval)) if abs(gval) < 1.0 else math.inf
-    if residual > SOLVE_TOL:
-        raise ConvergenceError(
-            f"implicit height solve stalled at relative residual {residual:.3e}"
-        )
-    return b
-
-
-def _solve_b_lanes(
-    config: CenterConfiguration, z: complex | np.ndarray, y_abs_sq: float | np.ndarray
-) -> np.ndarray:
-    """solve_b's loop over lanes: each lane takes the steps the float loop
-    takes, with numpy's elementary functions (_newton_lanes)."""
+    arrays = isinstance(z, np.ndarray) or isinstance(y_abs_sq, np.ndarray)
     z, y_sq = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(y_abs_sq, dtype=float)
     )
@@ -252,13 +199,13 @@ def _solve_b_lanes(
             roots=out.reshape(y_sq.shape),
             residuals=residual.reshape(y_sq.shape),
         )
-    return out.reshape(y_sq.shape)
+    return out.reshape(y_sq.shape) if arrays else float(out[0])
 
 
 def _newton_lanes(
     config: CenterConfiguration, z: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The lane loop of _solve_b_lanes, under its np.errstate: each lane's
+    """The lane loop of solve_b, under its np.errstate: each lane's
     root and the log-sum residual evaluated at it.  Finished lanes drop
     out, and only the lanes whose Newton step leaves the bracket work out
     a bisection or an outward step."""
@@ -280,7 +227,7 @@ def _newton_lanes(
         total, gam = _lane_log_lhs(b_i, lr, b)
         gval = total - lt
         # a non-finite gval gives a non-finite step, which leaves the
-        # bracket as the float loop's nan does
+        # bracket
         step = b - gval / gam
         stop = np.abs(step - b) <= 1e-16 * (1.0 + np.abs(b))
         up = gval > 0.0
@@ -313,40 +260,6 @@ def _newton_lanes(
     return out, out_g
 
 
-_DZ = np.array([1.0, 1.0j, 0.0, 0.0])
-_DY = np.array([0.0, 0.0, 1.0, 1.0j])
-
-
-def hermitian_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Complex 4x4 matrix H with H[mu,nu] = h(d_mu, d_nu) at the chart
-    point x = (Re z, Im z, Re y, Im y): the metric is Re H and the Kahler
-    form is -Im H."""
-    z, y = complex(x[0], x[1]), complex(x[2], x[3])
-    require_smooth_fiber(config)
-    if abs(y) < EPS_Y_DEFAULT:
-        raise ChartBoundaryError(f"|y| = {abs(y):.3e} is below the chart floor")
-    b = solve_b(config, z, abs(y) ** 2)
-    # with w_i = zbar + a_i: gamma = sum_i 1/Delta_i and
-    # conj(delta) = -sum_i w_i / (Delta_i f_i), as in eta_jets
-    zbar = z.conjugate()
-    gam = 0.0
-    dlt_conj = 0j
-    for c in config.centers:
-        w = zbar + c.a
-        if w == 0:
-            raise PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
-        f, dlt = _stable_factor(b - c.b, abs(w))
-        gam += 1.0 / dlt
-        dlt_conj -= w / (dlt * f)
-    eta = (2.0 / y) * _DY + dlt_conj * _DZ
-    return gam * np.outer(_DZ, _DZ.conj()) + (1.0 / gam) * np.outer(eta, eta.conj())
-
-
-def metric_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Real metric at the chart point x = (Re z, Im z, Re y, Im y)."""
-    return hermitian_form_at(config, x).real
-
-
 # Re(dz dzbar) and -Im(dz dzbar) on the real coordinates
 _DZ_BLOCK = np.diag([1.0, 1.0, 0.0, 0.0])
 _DZ_AREA = np.array(
@@ -359,12 +272,82 @@ _DZ_AREA = np.array(
 )
 
 
-def _block(x) -> np.ndarray:
-    """x, one chart point or a block of them, as an (N, 4) array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 4:
-        raise ValueError("chart points take re(z),im(z),re(y),im(y)")
-    return x.reshape(-1, 4)
+def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """The lanes of the block x the chart takes and their roots b, with the
+    per-lane errors: the chart floor, then a pole, then a stalled solve for
+    b.  require_smooth_fiber runs once, and b is solved over the lanes by
+    one solve_b call."""
+    require_smooth_fiber(config)
+    a_i = np.array([c.a for c in config.centers])
+    z = x[:, 0] + 1j * x[:, 1]
+    y_abs = np.hypot(x[:, 2], x[:, 3])
+    floor = y_abs < EPS_Y_DEFAULT
+    pole = ~floor & (np.min(np.abs(np.conj(z)[:, None] + a_i), axis=1) == 0.0)
+    errors: list = [
+        ChartBoundaryError(f"|y| = {v:.3e} is below the chart floor") if f
+        else PoleError("metric evaluated on the plane-position locus zbar + a_i = 0") if p
+        else None
+        for v, f, p in zip(y_abs.tolist(), floor.tolist(), pole.tolist())
+    ]
+    lanes = np.flatnonzero(~(floor | pole))
+    if not lanes.size:
+        return lanes, None, errors
+    try:
+        root = solve_b(config, z[lanes], y_abs[lanes] ** 2)
+    except ConvergenceError as exc:
+        root = exc.roots
+        stalled = exc.residuals > SOLVE_TOL
+        for n, res in zip(lanes[stalled], exc.residuals[stalled]):
+            errors[n] = ConvergenceError(
+                f"implicit height solve stalled at relative residual {res:.3e}"
+            )
+        lanes, root = lanes[~stalled], root[~stalled]
+    return lanes, root, errors
+
+
+_DZ = np.array([1.0, 1.0j, 0.0, 0.0])
+_DY = np.array([0.0, 0.0, 1.0, 1.0j])
+_DZ_DZBAR = np.outer(_DZ, _DZ.conj())
+
+
+def _hermitian_field(config: CenterConfiguration, x, part: Callable):
+    """part(H) of the Hermitian form, H[mu, nu] = h(d_mu, d_nu), as a field
+    (see tensorcalc): at the chart point x, or over the good lanes of the
+    block x of shape (N, 4), with the per-lane errors of _solved_lanes.
+    With w_i = zbar + a_i, gamma = sum_i 1/Delta_i and conj(delta) =
+    -sum_i w_i / (Delta_i f_i), as in eta_jets."""
+    block = tensorcalc.as_block(x)
+    lanes, root, errors = _solved_lanes(config, block)
+    h = None
+    if lanes.size:
+        z = block[lanes, 0] + 1j * block[lanes, 1]
+        y = block[lanes, 2] + 1j * block[lanes, 3]
+        w = np.conj(z) + np.array([c.a for c in config.centers])[:, None]
+        b_i, r = _lane_data(config, z)
+        f, dlt = _stable_factors(root - b_i, r)
+        gam = (1.0 / dlt).sum(axis=0)[:, None, None]
+        eta = (2.0 / y)[:, None] * _DY - (w / (dlt * f)).sum(axis=0)[:, None] * _DZ
+        h = part(gam * _DZ_DZBAR + (1.0 / gam) * (eta[:, :, None] * eta.conj()[:, None, :]))
+    return tensorcalc.point_or_block(np.ndim(x) == 1, h, errors)
+
+
+def hermitian_form_at(config: CenterConfiguration, x):
+    """Complex 4x4 matrix H with H[mu,nu] = h(d_mu, d_nu) at the chart
+    point x = (Re z, Im z, Re y, Im y), or as a field on a block of them:
+    the metric is Re H and the Kahler form is -Im H."""
+    return _hermitian_field(config, x, lambda h: h)
+
+
+def metric_at(config: CenterConfiguration, x):
+    """Real metric at the chart point x = (Re z, Im z, Re y, Im y), or as a
+    field on a block of them."""
+    return _hermitian_field(config, x, lambda h: h.real)
+
+
+def kahler_form_at(config: CenterConfiguration, x):
+    """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix,
+    at a chart point or as a field on a block of them."""
+    return _hermitian_field(config, x, lambda h: -h.imag)
 
 
 def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
@@ -385,33 +368,11 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
 
         conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2.
     """
-    require_smooth_fiber(config)
-    b_i = np.array([c.b for c in config.centers])
-    a_i = np.array([c.a for c in config.centers])
-    z = x[:, 0] + 1j * x[:, 1]
-    y_abs = np.hypot(x[:, 2], x[:, 3])
-    errors: list = [None] * len(x)
-    floor = y_abs < EPS_Y_DEFAULT
-    for n in np.flatnonzero(floor):
-        errors[n] = ChartBoundaryError(f"|y| = {y_abs[n]:.3e} is below the chart floor")
-    pole = ~floor & (np.min(np.abs(np.conj(z)[:, None] + a_i), axis=1) == 0.0)
-    for n in np.flatnonzero(pole):
-        errors[n] = PoleError("metric evaluated on the plane-position locus zbar + a_i = 0")
-    lanes = np.flatnonzero(~(floor | pole))
+    lanes, root, errors = _solved_lanes(config, x)
     if not lanes.size:
         return None, errors
-    try:
-        root = solve_b(config, z[lanes], y_abs[lanes] ** 2)
-    except ConvergenceError as exc:
-        root = exc.roots
-        stalled = exc.residuals > SOLVE_TOL
-        for n, res in zip(lanes[stalled], exc.residuals[stalled]):
-            errors[n] = ConvergenceError(
-                f"implicit height solve stalled at relative residual {res:.3e}"
-            )
-        lanes, root = lanes[~stalled], root[~stalled]
-        if not lanes.size:
-            return None, errors
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
     x0, x1, x2, x3 = tensorcalc.Jet.seed(x[lanes])
     w_re = x0[..., None] + a_i.real
     w_im = a_i.imag - x1[..., None]
@@ -469,7 +430,7 @@ def metric_jet(config: CenterConfiguration, x):
     its value with exact first and second derivatives, at the chart point
     x or, as a field on a block (see tensorcalc), at each point of the
     block x of shape (N, 4), from one solve for b over the block."""
-    eta, errors = eta_jets(config, _block(x))
+    eta, errors = eta_jets(config, tensorcalc.as_block(x))
     return tensorcalc.point_or_block(np.ndim(x) == 1, eta and metric_of(eta), errors)
 
 
@@ -477,18 +438,13 @@ def kahler_jets(config: CenterConfiguration, x):
     """(g, omega, J) at the chart point x, or as a field at each point of
     the block x of shape (N, 4), from one solve for b (kahler_of of
     eta_jets)."""
-    eta, errors = eta_jets(config, _block(x))
+    eta, errors = eta_jets(config, tensorcalc.as_block(x))
     fields = eta and kahler_of(eta)
     if np.ndim(x) > 1:
         return fields, errors
     if errors[0] is not None:
         raise errors[0]
     return fields[0][0], fields[1][0], STANDARD_J
-
-
-def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix."""
-    return -hermitian_form_at(config, x).imag
 
 
 def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:

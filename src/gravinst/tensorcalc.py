@@ -40,7 +40,7 @@ from gravinst.errors import DegenerateMetricError, GeometryError, NumericOverflo
 
 CONDITION_LIMIT = 1e12
 
-# the four real coordinates of a chart point; a float field maps them to an array
+# the four real coordinates of a chart point; a field maps them to an array
 Coords = tuple[float, float, float, float]
 Field = Callable[[Coords], np.ndarray]
 
@@ -264,6 +264,14 @@ class Jet:
     def log(self) -> Jet:
         r = 1.0 / self.val
         return self._chain(np.log(self.val), r, -r * r)
+
+
+def as_block(x) -> np.ndarray:
+    """x, one chart point or a block of them, as an (N, 4) array."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 4:
+        raise ValueError("chart points have four coordinates")
+    return x.reshape(-1, 4)
 
 
 def point_or_block(point: bool, value, errors: list):

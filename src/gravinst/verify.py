@@ -199,8 +199,8 @@ class Construction:
 
     The configuration alone fixes the metric: an entry serves the modes
     in modes, and applies(config) is the one rule for whether it carries
-    config's metric.  metric(config) gives the metric as a float array at
-    a coordinate 4-tuple, the cheap field the invariance scan compares.
+    config's metric.  metric(config) gives the metric's values as a field
+    (see tensorcalc), the cheap field the invariance scan compares.
 
     The scans' fields are split into the chart's state and what is
     assembled from it.  state(config) is a field in tensorcalc's sense,
@@ -544,24 +544,34 @@ def invariance_scan(
     """Sup over samples of the metric pullback residual under the cyclic
     generator.  Symmetric configurations pass; a perturbed configuration
     is expected to fail (that is the negative control).  The samples are
-    the stream of spec or of evaluation; the float metric is evaluated at
-    each sample and its image."""
+    the stream of spec or of evaluation.  Each block of samples makes one
+    call of the chart's metric field, on its points stacked over their
+    images; a sample's error is its point's, or else its image's."""
     ev = _evaluation(metric_source, config, spec, evaluation)
     c = ev.chart
     if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
     gel = GroupElement(ell=1, signature=config.signature)
-    points = ev.points()
     M, shift = c.action(gel)
-    fld = c.metric(config)
+    metric = c.metric(config)
 
-    def evaluate(cp: ChartPoint) -> SampleRecord:
-        g_here = fld(cp.coords)
-        g_there = fld(tuple((M @ np.array(cp.coords) + shift).tolist()))
-        res = np.max(np.abs(M.T @ g_there @ M - g_here))
-        return SampleRecord(cp, (float(res) / max(1.0, float(np.max(np.abs(g_here)))),))
+    def evaluate(block: Sequence[ChartPoint]) -> list:
+        x = _coords(block)
+        n = len(x)
+        g, errors = metric(np.concatenate([x, x @ M.T + shift]))
+        lanes = np.zeros((2 * n, 4, 4))
+        if g is not None:
+            lanes[[e is None for e in errors]] = g
+        here, there = lanes[:n], lanes[n:]
+        res = np.max(np.abs(M.T @ there @ M - here), axis=(1, 2))
+        res /= np.maximum(1.0, np.max(np.abs(here), axis=(1, 2)))
+        # an error, never falsy, stands in for its sample
+        return [
+            errors[i] or errors[n + i] or SampleRecord(cp, (float(res[i]),))
+            for i, cp in enumerate(block)
+        ]
 
-    samples = _sample(points, lambda block: tensorcalc.each(evaluate, block))
+    samples = _sample(ev.points(), evaluate)
     return _scan_records("invariance", c.name, ("invariance",), (INVARIANCE_TOL,), samples)[0]
 
 

@@ -9,8 +9,10 @@ weights nest that kernel once per order, the field is evaluated once at
 each distinct point, and mixed partials share one weight row, so they
 are exactly symmetric.
 
-The module also keeps the recursive adaptive Simpson rule, the reference
-for the program's breadth-first lane quadrature (gravinst.quadrature).
+The module also keeps two loops the program runs over numpy lanes, as
+their references: the recursive adaptive Simpson rule, for the
+breadth-first lane quadrature (gravinst.quadrature), and the float
+Newton loop of the implicit height, for hitchin.solve_b.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from gravinst import hitchin
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
@@ -121,13 +124,37 @@ def _stencil_table(partials: tuple[Axes, ...]):
     return np.array(list(points)), orders, rows
 
 
-def _stencil(field: Field, x: Coords, steps: np.ndarray, partials: tuple[Axes, ...]) -> np.ndarray:
+def _eval_block(field: Callable, points: np.ndarray) -> np.ndarray:
+    """A block field (see gravinst.tensorcalc) on the block points; the
+    first lane's error is raised."""
+    values, errors = field(points)
+    for err in errors:
+        if err is not None:
+            raise err
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise NumericOverflowError("field produced a non-finite value on the stencil")
+    return values
+
+
+def _stencil(
+    field: Field,
+    x: Coords,
+    steps: np.ndarray,
+    partials: tuple[Axes, ...],
+    blocks: bool = False,
+) -> np.ndarray:
     """The partial derivatives of a field at x, stacked on a leading axis,
-    with validated steps.  The field is called once at each distinct
-    stencil point, which adds its offset to x only where it is nonzero."""
+    with validated steps.  The field is evaluated once at each distinct
+    stencil point, which adds its offset to x only where it is nonzero:
+    one call per point, or, for a block field (blocks), one call on the
+    block of them."""
     offsets, orders, rows = _stencil_table(partials)
     points = np.where(offsets != 0.0, np.add(x, offsets * steps), x)
-    values = np.stack([_eval_array(field, tuple(p)) for p in points.tolist()])
+    if blocks:
+        values = _eval_block(field, points)
+    else:
+        values = np.stack([_eval_array(field, tuple(p)) for p in points.tolist()])
     flat = values.reshape(len(points), -1)
     # a derivative's weights sum to zero, so it sums the weighted differences
     # from its first point, exactly zero where the field is constant on the
@@ -162,17 +189,18 @@ def differentiate_field(
     return _stencil(field, x, _normalize_steps(x, step), (axes,))[0]
 
 
-def fd_derivatives(field: Field, step=None) -> Callable[[Coords], Jet]:
+def fd_derivatives(field: Field, step=None, blocks: bool = False) -> Callable[[Coords], Jet]:
     """The field as a jet for tensorcalc.curvature_at: x -> the Jet of
     field(x) with its finite-difference gradient and Hessian, from one
     stencil of 129 distinct points, x among them.
 
     step is None for default_step(x), or a scalar, or four per-axis steps
-    (e.g. chart_step at the point).
+    (e.g. chart_step at the point).  blocks says that field is a block
+    field (a chart's metric_at), evaluated once on the whole stencil.
     """
 
     def jet(x: Coords) -> Jet:
-        rows = _stencil(field, x, _normalize_steps(x, step), ((),) + _FIRST + _SECOND)
+        rows = _stencil(field, x, _normalize_steps(x, step), ((),) + _FIRST + _SECOND, blocks)
         n = rows.ndim - 1
         second = np.empty((4, 4) + rows.shape[1:])
         m, i = np.triu_indices(4)
@@ -213,3 +241,53 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     return _simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_rec(
         f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
     )
+
+
+def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
+    """hitchin.solve_b's safeguarded Newton loop in Python floats, at one
+    input: the same start, bracket, steps, stopping rule and residual
+    check, with math's elementary functions (hitchin._log_lhs), and
+    hitchin's SOLVE_TOL and SOLVE_MAX_ITER read at call time."""
+    if not (y_abs_sq > 0.0) or not math.isfinite(y_abs_sq):
+        raise ValueError("y_abs_sq must be positive and finite")
+    zbar = z.conjugate()
+    data = [(c.b, abs(zbar + c.a)) for c in config.centers]
+    target = math.log(y_abs_sq)
+    k = len(data)
+    # f_i = r_i exp(asinh((b - b_i) / r_i)); the model has one center at
+    # the mean height with the geometric-mean radius (a puncture, r_i = 0,
+    # counts as radius 1), and the clamp keeps its root finite
+    log_r = sum(math.log(r) for _, r in data if r > 0.0) / k
+    lim = 700.0 - max(0.0, log_r)
+    arg = max(-lim, min(lim, target / k - log_r))
+    b = sum(bi for bi, _ in data) / k + math.exp(log_r) * math.sinh(arg)
+    lo, hi = -math.inf, math.inf
+    width = 0.0
+    for _ in range(hitchin.SOLVE_MAX_ITER):
+        total, gam = hitchin._log_lhs(data, b)
+        gval = total - target
+        nxt = b - gval / gam if math.isfinite(gval) else math.nan
+        if abs(nxt - b) <= 1e-16 * (1.0 + abs(b)):
+            break
+        if gval > 0.0:
+            hi = b
+        else:
+            lo = b
+        if not lo < nxt < hi:
+            if math.isfinite(hi - lo):
+                nxt = 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break  # the bracket is two adjacent floats
+            else:
+                width = 2.0 * width if width else 1.0 + abs(b)
+                nxt = b - math.copysign(width, gval)
+        b = nxt
+    else:
+        # the steps ran out: evaluate the last iterate once more
+        gval = hitchin._log_lhs(data, b)[0] - target
+    residual = abs(math.expm1(gval)) if abs(gval) < 1.0 else math.inf
+    if residual > hitchin.SOLVE_TOL:
+        raise ConvergenceError(
+            f"implicit height solve stalled at relative residual {residual:.3e}"
+        )
+    return b

@@ -2,10 +2,12 @@
 periods."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gravinst import ghawking, hitchin, quadrature, sampling, tensorcalc, verify
 from gravinst.errors import (
@@ -339,33 +341,39 @@ def test_ball_volume_closed_form_matches_quadrature(build):
         assert abs(exact - quadrature_ball_volume(cfg, R)) <= 1e-10 * exact
 
 
-def test_geodesic_radii_match_per_radius_integrals():
-    cfg = hexagon_config()
-    radii = np.geomspace(1000.0, 110000.0, 6) * max(1.0, cfg.extent())
-    combined = ghawking.geodesic_radii(cfg, radii)
-    for R, rho in zip(radii, combined):
-        lengths = []
-        for d in ghawking._RAY_DIRECTIONS:
+@pytest.mark.parametrize("build", [hexagon_config, square_config, taubnut_config])
+def test_geodesic_radii_match_scipy_quad(build):
+    # an independent quadrature: QUADPACK on sqrt(V) in t itself, one
+    # integral per segment between consecutive fit radii, each to 1e-13
+    cfg = build()
+    scale = max(1.0, cfg.extent())
+    if cfg.mode == "alf":
+        radii = np.geomspace(100.0, 1100.0, 6) * scale
+    else:
+        radii = np.geomspace(1000.0, 110000.0, 6) * scale
+    lengths = []
+    for d in ghawking._RAY_DIRECTIONS:
 
-            def sqrt_v(t, d=d):
-                b, a = t * d[0], complex(t * d[1], t * d[2])
-                return math.sqrt(ghawking.potential_at(cfg, b, a))
+        def sqrt_v(t, d=d):
+            return math.sqrt(ghawking.potential_at(cfg, t * d[0], complex(t * d[1], t * d[2])))
 
-            def substituted(u, sqrt_v=sqrt_v):
-                return 2.0 * u * sqrt_v(u * u)
-
-            lengths.append(
-                recursive_simpson(substituted, 0.0, 1.0)
-                + recursive_simpson(sqrt_v, 1.0, R)
-            )
-        assert abs(rho - np.mean(lengths)) <= 1e-8 * rho
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            pieces = [
+                integrate.quad(sqrt_v, lo, hi, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+                for lo, hi in zip(np.concatenate([[0.0], radii[:-1]]), radii)
+            ]
+        lengths.append(np.cumsum(pieces))
+    reference = np.mean(lengths, axis=0)
+    got = ghawking.geodesic_radii(cfg, radii)
+    assert np.all(np.abs(got - reference) <= 1e-10 * reference)
 
 
 def test_volume_growth_fit_potential_work(monkeypatch):
-    # each ray is integrated once over all radii: 9270 potential nodes for
-    # the hexagon, where one integral per radius took 42812; the nodes of
-    # one depth level go through one call, two quadratures of at most
-    # MAX_DEPTH + 2 levels each
+    # each ray is integrated once over all radii, every piece in u = sqrt(t):
+    # 3130 potential nodes for the hexagon, where t-space segments took 9270
+    # and one integral per radius 42812; the nodes of one depth level go
+    # through one call, one quadrature of at most MAX_DEPTH + 2 levels
     calls, nodes = [0], [0]
     original = ghawking.potential_at
 
@@ -377,33 +385,30 @@ def test_volume_growth_fit_potential_work(monkeypatch):
     monkeypatch.setattr(ghawking, "potential_at", counted)
     fit = ghawking.volume_growth_fit(hexagon_config(), mode="ale")
     assert abs(fit.slope - 4.0) < 0.1
-    assert 0 < nodes[0] <= 12000
-    assert 0 < calls[0] <= 2 * (quadrature.MAX_DEPTH + 2)
+    assert 0 < nodes[0] <= 3500
+    assert 0 < calls[0] <= quadrature.MAX_DEPTH + 2
 
 
 def recursive_geodesic_radii(config, radii, nodes):
     """geodesic_radii as one depth-first recursive Simpson integral per
-    ray piece, with a one-point potential_at at every node; nodes[0] counts
-    the potential evaluations."""
-    radii = [float(R) for R in radii]
-    first = min(1.0, 0.25 * radii[0])
+    ray piece in u = sqrt(t), with a one-point potential_at at every node;
+    nodes[0] counts the potential evaluations."""
+    ends = [math.sqrt(min(1.0, 0.25 * float(radii[0])))] + [math.sqrt(float(R)) for R in radii]
     lengths = np.empty((len(ghawking._RAY_DIRECTIONS), len(radii)))
     for row, d in zip(lengths, ghawking._RAY_DIRECTIONS):
 
-        def sqrt_v(t, d=d):
+        def substituted(u, d=d):
             nodes[0] += 1
-            return math.sqrt(ghawking.potential_at(config, t * d[0], complex(t * d[1], t * d[2])))
-
-        def substituted(u, sqrt_v=sqrt_v):
             uu = max(u, 1e-75)
-            return 2.0 * uu * sqrt_v(uu * uu)
+            t = uu * uu
+            return 2.0 * uu * math.sqrt(
+                ghawking.potential_at(config, t * d[0], complex(t * d[1], t * d[2]))
+            )
 
-        acc = recursive_simpson(substituted, 0.0, math.sqrt(first))
-        lo = first
-        for j, R in enumerate(radii):
-            acc += recursive_simpson(sqrt_v, lo, R)
+        acc = recursive_simpson(substituted, 0.0, ends[0])
+        for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            acc += recursive_simpson(substituted, lo, hi)
             row[j] = acc
-            lo = R
     return lengths.mean(axis=0)
 
 
@@ -412,8 +417,8 @@ def recursive_geodesic_radii(config, radii, nodes):
 )
 def test_geodesic_radii_match_recursive_reference_on_fit_radii(build, monkeypatch):
     # the lane quadrature accepts the subintervals the recursion accepts:
-    # the same potential nodes (9270 on the hexagon, 8486 on the square,
-    # 2510 on Taub-NUT) and the same radii up to the array potential's
+    # the same potential nodes (3130 on the hexagon, 2218 on the square,
+    # 1510 on Taub-NUT) and the same radii up to the array potential's
     # round-off
     cfg = build()
     seen, nodes = [], [0]
@@ -512,7 +517,7 @@ def closed_form_riem_norm_sq(config, b, a):
 @pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
-    fd_jet = fd_derivatives(verify.GH.metric(cfg))
+    fd_jet = fd_derivatives(verify.GH.metric(cfg), blocks=True)
     for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
         fd = tensorcalc.curvature_at(fd_jet, x)
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))

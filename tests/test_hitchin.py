@@ -26,7 +26,7 @@ from gravinst.singularities import (
     QuotientSignature,
     make_polygon_config,
 )
-from fd_reference import chart_step, fd_derivatives
+from fd_reference import chart_step, fd_derivatives, float_solve_b
 
 
 def pair_config():
@@ -78,10 +78,10 @@ def test_solve_b_closed_forms():
 def test_solve_b_back_substitution_random():
     cfg = square4_config()
     rng = np.random.default_rng(12)
-    for _ in range(200):
-        z = complex(*(rng.uniform(-6, 6, 2)))
-        y_sq = 10.0 ** rng.uniform(-3, 4)
-        b = hitchin.solve_b(cfg, z, y_sq)
+    inputs = [(complex(*(rng.uniform(-6, 6, 2))), 10.0 ** rng.uniform(-3, 4)) for _ in range(200)]
+    z, y = (np.array(v) for v in zip(*inputs))
+    roots = hitchin.solve_b(cfg, z, y)
+    for (z, y_sq), b in zip(inputs, roots.tolist()):
         lhs = math.exp(
             sum(
                 math.log((b - c.b) + math.hypot(b - c.b, abs(z.conjugate() + c.a)))
@@ -193,21 +193,26 @@ def test_solve_b_makes_no_evaluation_after_convergence():
 @pytest.mark.parametrize("cap", [1, 2, 3, 5])
 def test_solve_b_checks_the_root_it_returns_at_the_iteration_cap(cap, monkeypatch):
     # a lane that stops on the cap is evaluated once more: whatever it
-    # returns passes an independent back-substitution, in floats and lanes
+    # returns passes an independent back-substitution, and each lane stops
+    # where the float reference loop does
     monkeypatch.setattr(hitchin, "SOLVE_MAX_ITER", cap)
     cfg = square4_config()
     z, y_sq = solver_scan_inputs(cfg, 40, seed=1)
-    returned = 0
-    for zi, yi in zip(z.tolist(), y_sq.tolist()):
-        for inputs in ((zi, yi), (np.array([zi]), np.array([yi]))):
-            try:
-                b = float(np.asarray(hitchin.solve_b(cfg, *inputs)).item())
-            except ConvergenceError:
-                continue
-            returned += 1
-            lhs = float(hitchin.implicit_lhs(cfg, zi, b))
-            assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
-    assert returned > 0
+    try:
+        roots = hitchin.solve_b(cfg, z, y_sq)
+        returned = np.ones(len(z), dtype=bool)
+    except ConvergenceError as exc:
+        roots, returned = exc.roots, exc.residuals <= hitchin.SOLVE_TOL
+    assert returned.any()
+    for b, ok, zi, yi in zip(roots.tolist(), returned.tolist(), z.tolist(), y_sq.tolist()):
+        try:
+            float_b = float_solve_b(cfg, zi, yi)
+        except ConvergenceError:
+            assert not ok
+            continue
+        assert ok and abs(b - float_b) <= 1e-14 * (1.0 + abs(float_b))
+        lhs = float(hitchin.implicit_lhs(cfg, zi, b))
+        assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
 
 
 def solver_scan_inputs(cfg, count, seed):
@@ -226,7 +231,7 @@ def test_solve_b_lanes_agree_with_float_loop_on_solver_scan_stream():
     b = hitchin.solve_b(cfg, z, y_sq)
     assert b.shape == (10000,)
     for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
-        bs = hitchin.solve_b(cfg, zi, yi)
+        bs = float_solve_b(cfg, zi, yi)
         assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
 
 
@@ -236,13 +241,14 @@ def test_solve_b_lanes_agree_with_float_loop_on_solver_scan_stream():
 )
 def test_solve_b_lanes_agree_with_float_loop_with_eight_centers(radii, heights):
     # from 8 terms on numpy sums a trailing axis pairwise; the lanes keep
-    # their centers on a leading axis, which sums in the float loop's order
+    # their centers on a leading axis, which sums in the reference loop's
+    # order
     cfg = make_polygon_config(QuotientSignature(2, 4, 1), radii, heights)
     assert cfg.k == 8
     z, y_sq = solver_scan_inputs(cfg, 3000, seed=1)
     b = hitchin.solve_b(cfg, z, y_sq)
     for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
-        bs = hitchin.solve_b(cfg, zi, yi)
+        bs = float_solve_b(cfg, zi, yi)
         assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
 
 
@@ -281,7 +287,7 @@ def test_solve_b_failing_lane_raises_like_the_lane_alone():
 def test_solve_b_lanes_match_the_float_loop_at_punctures(build, monkeypatch):
     # z on each puncture (r_i = 0), targets over 66 decades: below the
     # center's height its factor vanishes, the log-sum is -inf, and the
-    # lane's step must leave the bracket as the float loop's does; many of
+    # lane's step must leave the bracket as the reference loop's does; many of
     # these solves stall, and the same ones in both loops
     cfg = build()
     z = np.repeat([-c.a.conjugate() for c in cfg.centers], 100)
@@ -303,7 +309,7 @@ def test_solve_b_lanes_match_the_float_loop_at_punctures(build, monkeypatch):
         info.value.roots.tolist(), stalled.tolist(), z.tolist(), y_sq.tolist()
     ):
         try:
-            b = hitchin.solve_b(cfg, zi, yi)
+            b = float_solve_b(cfg, zi, yi)
         except ConvergenceError:
             assert lane_stalled
             continue
@@ -371,10 +377,12 @@ def test_solve_b_property_back_substitution_and_oracle(case):
 @given(chart_inputs())
 def test_solve_b_property_one_lane_matches_float_loop(case):
     config, z, y_sq = case
-    b = hitchin.solve_b(config, z, y_sq)
+    b = float_solve_b(config, z, y_sq)
     lane = hitchin.solve_b(config, np.array([z]), np.array([y_sq]))
     assert lane.shape == (1,)
     assert abs(lane[0] - b) <= 1e-14 * (1.0 + abs(b))
+    one = hitchin.solve_b(config, z, y_sq)
+    assert isinstance(one, float) and one == lane[0]
 
 
 @PROPERTY
@@ -410,24 +418,21 @@ def extreme_inputs(draw):
 @given(extreme_inputs())
 def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
     # every positive finite |y|^2 ends in a root within SOLVE_TOL or a typed
-    # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations, in the
-    # float loop and as a one-element lane batch
+    # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations
     config, z, y_sq = case
-    for inputs in ((z, y_sq), (np.array([z]), np.array([y_sq]))):
-        with factor_calls() as calls:
-            try:
-                b = hitchin.solve_b(config, *inputs)
-            except GeometryError:
-                b = None
-        assert 1 <= calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
-        if b is not None:
-            b = float(np.asarray(b).item())
-            assert math.isfinite(b)
-            log_lhs = sum(
-                math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
-                for c in config.centers
-            )
-            assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
+    with factor_calls() as calls:
+        try:
+            b = hitchin.solve_b(config, z, y_sq)
+        except GeometryError:
+            b = None
+    assert 1 <= calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
+    if b is not None:
+        assert math.isfinite(b)
+        log_lhs = sum(
+            math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
+            for c in config.centers
+        )
+        assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
 
 
 # --- metric algebra ---
@@ -464,7 +469,9 @@ def test_kahler_form_closed_and_compatible():
     assert J is hitchin.STANDARD_J
     d_omega = omega.partials()[0]
     assert np.max(np.abs(tensorcalc.exterior_derivative(d_omega))) < 1e-14
-    fd_omega = fd_derivatives(lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x))
+    fd_omega = fd_derivatives(
+        lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x), blocks=True
+    )
     fd = fd_omega(x).partials()[0]
     assert np.max(np.abs(tensorcalc.exterior_derivative(fd))) < 1e-8
     assert np.max(np.abs(d_omega - fd)) < 1e-8
@@ -544,18 +551,18 @@ def jet_curvature(cfg, x):
 
 def fd_curvature(cfg, x):
     field = verify.HITCHIN.metric(cfg)
-    return tensorcalc.curvature_at(fd_derivatives(field, chart_step(cfg, x)), x)
+    return tensorcalc.curvature_at(fd_derivatives(field, chart_step(cfg, x), blocks=True), x)
 
 
 def test_metric_jet_value_is_the_metric():
     # and J0^T g from the jet is the Kahler form, whose derivative it gives
     for cfg in (pair_config(), hexagon_config(), square4_config()):
-        for x in sampling.hitchin_points(cfg, SampleSpec(count=10, seed=3)):
-            g = hitchin.metric_at(cfg, x)
-            jet = hitchin.metric_jet(cfg, x)
-            assert np.max(np.abs(jet.val - g)) <= 1e-14 * np.max(np.abs(g))
-            w = hitchin.kahler_form_at(cfg, x)
-            assert np.max(np.abs(hitchin.STANDARD_J.T @ jet.val - w)) <= 1e-14 * np.max(np.abs(w))
+        x = np.array(sampling.hitchin_points(cfg, SampleSpec(count=10, seed=3)))
+        fields = (hitchin.metric_at, hitchin.metric_jet, hitchin.kahler_form_at)
+        (g, _), (jet, _), (w, _) = (field(cfg, x) for field in fields)
+        for got, value in ((jet.val, g), (hitchin.STANDARD_J.T @ jet.val, w)):
+            scale = np.max(np.abs(value), axis=(1, 2))
+            assert np.all(np.max(np.abs(got - value), axis=(1, 2)) <= 1e-14 * scale)
 
 
 def test_jet_curvature_agrees_with_finite_differences():

@@ -14,6 +14,8 @@ from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
+    Center,
+    CenterConfiguration,
     QuotientSignature,
     make_akl_config,
     make_polygon_config,
@@ -518,10 +520,11 @@ def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
 
     def count(module, name, lanes=lambda args: 1):
         original = getattr(module, name)
+        key = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
 
         def counted(*args, **kwargs):
-            counts[name] += 1
-            counts[f"{name} lanes"] += lanes(args)
+            counts[key] += 1
+            counts[f"{key} lanes"] += lanes(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -531,12 +534,26 @@ def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
     count(sampling, "gh_points")
     count(sampling, "hitchin_points")
     count(tensorcalc, "curvature_at")
+    # the invariance scans: one metric call per chart, on the block of 30
+    # points stacked over their 30 images
+    count(ghawking, "metric_at", lambda args: len(args[1]))
+    count(hitchin, "metric_at", lambda args: len(args[1]))
+    count(hitchin, "solve_b", lambda args: np.size(args[1]))
+    # the volume fit: one lane quadrature over every piece of every ray
+    count(ghawking, "adaptive_simpson")
     report = verify.full_report(hexagon_config(), spec=SampleSpec(count=30, seed=7))
     assert report.passed
-    assert counts["potential_jets"] == 30
-    assert (counts["eta_jets"], counts["eta_jets lanes"]) == (2, 30 + 24)
-    assert counts["gh_points"] == 2 and counts["hitchin_points"] == 1
-    assert counts["curvature_at"] == 3
+    assert counts["ghawking.potential_jets"] == 30
+    assert (counts["hitchin.eta_jets"], counts["hitchin.eta_jets lanes"]) == (2, 30 + 24)
+    assert counts["sampling.gh_points"] == 2 and counts["sampling.hitchin_points"] == 1
+    assert counts["tensorcalc.curvature_at"] == 3
+    for chart in ("ghawking", "hitchin"):
+        assert (counts[f"{chart}.metric_at"], counts[f"{chart}.metric_at lanes"]) == (1, 60)
+    # one solve per state block, decay block, invariance block and solver
+    # scan block (of 2000 inputs)
+    lanes = 30 + 24 + 60 + 2000
+    assert (counts["hitchin.solve_b"], counts["hitchin.solve_b lanes"]) == (4, lanes)
+    assert counts["ghawking.adaptive_simpson"] == 1
 
 
 def test_full_report_on_an_unsatisfiable_spec_draws_each_stream_once(monkeypatch):
@@ -591,6 +608,94 @@ def test_scan_counts_skipped_samples_by_error_type(monkeypatch):
     assert [s.error for s in rec.samples] == ["ChartBoundaryError", "", "", ""]
     clean = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
     assert "skipped" not in clean.payload()
+
+
+def tower_config():
+    """Three centers, two of them on one vertical axis: the lower center's
+    pole lies on the upper center's Dirac string."""
+    return CenterConfiguration(
+        centers=(Center(-1.0, 0.5 + 0j), Center(1.0, 0.5 + 0j), Center(0.3, -1.0 + 0.2j)),
+        signature=QuotientSignature(3, 1, 0),
+    )
+
+
+def assert_block_matches_jet(field, jet_field, x, expected):
+    """field on the block x against the jet field's values, lane by lane:
+    the same error type in the same lane, values within 1e-13 of the
+    lane's scale; and each lane alone, as a point and as a block of one,
+    exactly the block's lane."""
+    values, errors = field(x)
+    jet, jet_errors = jet_field(x)
+    assert [type(e).__name__ if e else "" for e in errors] == expected
+    assert [type(e).__name__ if e else "" for e in jet_errors] == expected
+    scale = np.max(np.abs(jet.val), axis=(1, 2))
+    assert np.all(np.max(np.abs(values - jet.val), axis=(1, 2)) <= 1e-13 * scale)
+    good = iter(values)
+    for point, err in zip(x, errors):
+        one, one_errors = field(point[None])
+        if err is None:
+            lane = next(good)
+            assert one_errors == [None] and np.array_equal(one[0], lane)
+            assert np.array_equal(field(point), lane)
+        else:
+            assert one is None and type(one_errors[0]) is type(err)
+            with pytest.raises(type(err)):
+                field(point)
+
+
+def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
+    cfg = tower_config()
+    stream = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=3, seed=7))]
+    low, high, side = cfg.centers
+    x = np.array(
+        [
+            stream[0],
+            (0.3, high.b, high.a.real, high.a.imag),  # a pole
+            (0.1, side.b - 0.5, side.a.real, side.a.imag),  # a Dirac string
+            stream[1],
+            (0.2, low.b, low.a.real, low.a.imag),  # a pole on the upper string
+            (0.4, high.b + 0.5, high.a.real, high.a.imag),  # above both: regular
+            stream[2],
+        ]
+    )
+    expected = ["", "PoleError", "DiracStringError", "", "PoleError", "", ""]
+    metric = lambda x: ghawking.metric_at(cfg, x)  # noqa: E731
+    assert_block_matches_jet(metric, verify.GH.jet(cfg), x, expected)
+
+
+def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
+    cfg = hexagon_config()
+    stream = [cp.coords for cp in verify.HITCHIN.points(cfg, SampleSpec(count=3, seed=7))]
+    a = cfg.centers[0].a
+    x = np.array(
+        [
+            stream[0],
+            (-a.real, a.imag, 1.0, 0.0),  # a pole
+            (0.5, 0.2, 1e-9, 0.0),  # the chart floor
+            stream[1],
+            (-a.real, a.imag, 1e-9, 0.0),  # the floor at a pole: the floor first
+            (-3.0, -3.0, 1e96, 0.0),  # a stalled solve for b
+            stream[2],
+        ]
+    )
+    expected = ["", "PoleError", "ChartBoundaryError", "", "ChartBoundaryError",
+                "ConvergenceError", ""]
+    for field, jets in (
+        (hitchin.metric_at, hitchin.metric_jet),
+        (hitchin.kahler_form_at, _omega_field),
+    ):
+        assert_block_matches_jet(
+            lambda x, field=field: field(cfg, x), lambda x, jets=jets: jets(cfg, x), x, expected
+        )
+    h, _ = hitchin.hermitian_form_at(cfg, x)
+    g, _ = hitchin.metric_at(cfg, x)
+    assert np.array_equal(h.real, g)
+
+
+def _omega_field(cfg, x):
+    """The Kahler form's jet over the good lanes of the block x."""
+    fields, errors = hitchin.kahler_jets(cfg, x)
+    return fields and fields[1], errors
 
 
 def assert_same_bundles(got, want):
