@@ -38,15 +38,14 @@ d alpha = +*dV it is the choice that makes the associated 2-form
 
 closed, and the only one with vanishing Nijenhuis tensor.
 
-metric_at is the metric's values as a field on a block of points
-(see tensorcalc): V through potential_at and alpha over numpy lanes, the
+Fields take blocks of points (see tensorcalc).  metric_at gives the
+metric's values: V through potential_at and alpha over numpy lanes, the
 centers on a leading axis, each lane with its own PoleError or
-DiracStringError.  metric_jet and kahler_jets evaluate V and alpha as
-second-order jets (tensorcalc.Jet), which gives curvature, d(omega) and
-the Nijenhuis tensor exact derivatives from one evaluation.  That
-evaluation, the chart's state at a point, is potential_jets; metric_of
-and kahler_of assemble the metric jet and (g, omega, J) from it, so one
-state serves both.
+DiracStringError.  The chart's state at a point is potential_jets, V and
+alpha as second-order jets (tensorcalc.Jet), which gives curvature,
+d(omega) and the Nijenhuis tensor exact derivatives from one
+evaluation; metric_of and kahler_of assemble the metric jet and
+(g, omega, J) from it, so one state serves both.
 """
 
 from __future__ import annotations
@@ -132,26 +131,6 @@ def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     return (potential_at(config, b[good], a[good]), a1, a2), errors
 
 
-def _point_values(config: CenterConfiguration, x: Coords) -> tuple[float, float, float]:
-    """(V, alpha_1, alpha_2) at one chart point: a block of one."""
-    values, errors = _potential_lanes(config, tensorcalc.as_block(x)[:1])
-    if errors[0] is not None:
-        raise errors[0]
-    return tuple(float(v[0]) for v in values)
-
-
-def connection_at(config: CenterConfiguration, b: float, a: complex) -> np.ndarray:
-    """Connection 1-form alpha with d alpha = *dV, as its components on
-    (db, da1, da2); the dtheta slot is 0.
-
-    Each center's Dirac string is the ray below it.  On the axis above a
-    center the regular-side value 0 is used; evaluation at a center raises
-    PoleError, on a string DiracStringError.
-    """
-    _, a1, a2 = _point_values(config, (0.0, b, a.real, a.imag))
-    return np.array([0.0, a1, a2])
-
-
 def _metric_values(V, a1, a2) -> np.ndarray:
     """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
     as a float array over any leading lane axes of V, a1 and a2."""
@@ -165,15 +144,14 @@ def _metric_values(V, a1, a2) -> np.ndarray:
 
 
 def metric_at(config: CenterConfiguration, x):
-    """Metric at the chart point x = (theta, b, a1, a2), or as a field on
-    a block x of shape (N, 4) (see tensorcalc); det g = V^2 identically."""
+    """Metric at each chart point (theta, b, a1, a2) of the block x, as a
+    field (see tensorcalc); det g = V^2 identically."""
     values, errors = _potential_lanes(config, tensorcalc.as_block(x))
-    return tensorcalc.point_or_block(np.ndim(x) == 1, values and _metric_values(*values), errors)
+    return (values and _metric_values(*values)), errors
 
 
 def _j_rows(V, a1, a2) -> tuple:
-    """The rows of J from V and the in-plane connection components; the
-    same arithmetic serves floats and jets."""
+    """The rows of J from the V and in-plane connection jets."""
     r = 1.0 / V
     return (
         (0.0, -V, a2, -a1),
@@ -184,25 +162,14 @@ def _j_rows(V, a1, a2) -> tuple:
 
 
 def _omega_rows(V, a1, a2) -> tuple:
-    """The rows of omega = (dtheta + alpha) ^ db - V da1 ^ da2, for floats
-    and jets alike."""
+    """The rows of omega = (dtheta + alpha) ^ db - V da1 ^ da2 from the V
+    and connection jets."""
     return (
         (0.0, 1.0, 0.0, 0.0),
         (-1.0, 0.0, -a1, -a2),
         (0.0, a1, 0.0, -V),
         (0.0, a2, V, 0.0),
     )
-
-
-def complex_structure_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Integrable complex structure J (J.J = -I) in coordinate components."""
-    return np.array(_j_rows(*_point_values(config, x)))
-
-
-def kahler_form_at(config: CenterConfiguration, x: Coords) -> np.ndarray:
-    """Kahler form omega = (dtheta + alpha) ^ db - V da1 ^ da2 = g(J ., .),
-    as an antisymmetric component matrix."""
-    return np.array(_omega_rows(*_point_values(config, x)))
 
 
 def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
@@ -219,7 +186,7 @@ def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
 def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
     """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
     over a per-center axis.  With w_i = a - a_i, the coefficient
-    1/2 (u_i / Delta_i - 1) / r_i^2 of connection_at is
+    1/2 (u_i / Delta_i - 1) / r_i^2 of alpha (see _potential_lanes) is
     -1/2 / (Delta_i f_i), so
 
         alpha_1 = 1/2 sum_i Im w_i / (Delta_i f_i),
@@ -269,27 +236,10 @@ def metric_of(
 def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
     """(g, omega, J) assembled from the (V, alpha_1, alpha_2) jets of
     potential_jets: g as a float array from their values, omega and J as
-    jets, the values of kahler_form_at and complex_structure_at."""
+    jets."""
     V, a1, a2 = jets
     g = _metric_values(float(V.val), float(a1.val), float(a2.val))
     return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
-
-
-def metric_jet(
-    config: CenterConfiguration,
-    x: Coords,
-    potential_transform: Callable | None = None,
-) -> Jet:
-    """The metric at x as a second-order jet in (theta, b, a1, a2): the
-    value of metric_at with exact first and second derivatives (metric_of
-    of potential_jets, which see for potential_transform)."""
-    return metric_of(potential_jets(config, x), potential_transform)
-
-
-def kahler_jets(config: CenterConfiguration, x: Coords) -> tuple[np.ndarray, Jet, Jet]:
-    """(g, omega, J) at x from one set of V and alpha jets (kahler_of of
-    potential_jets)."""
-    return kahler_of(potential_jets(config, x))
 
 
 def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:

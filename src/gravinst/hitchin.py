@@ -23,12 +23,11 @@ is twice the flat metric of the underlying C^2 (flat either way).  The
 Kahler form is omega = -Im h, which satisfies omega = g(J0 ., .) for the
 standard chart complex structure J0.
 
-hermitian_form_at, metric_at and kahler_form_at give h, g and omega as
-fields on a block of points (see tensorcalc), and metric_jet and
-kahler_jets gamma and eta as second-order jets (tensorcalc.Jet); each
-solves for b over its block in one lane call, each lane with its own
-typed error.  The jets' evaluation, the chart's state on a block, is
-eta_jets; metric_of assembles from it curvature's g with its exact
+Fields take blocks of points (see tensorcalc), and each solves for b
+over its block in one lane call, each lane with its own typed error.
+metric_at gives g, and metric_jet g as a second-order jet
+(tensorcalc.Jet).  The jets' evaluation, the chart's state on a block,
+is eta_jets; metric_of assembles from it curvature's g with its exact
 first and second derivatives, and kahler_of the Kahler scan's g value
 and omega jet, built separately from the same eta, with J0 as J.
 """
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -310,52 +309,32 @@ _DY = np.array([0.0, 0.0, 1.0, 1.0j])
 _DZ_DZBAR = np.outer(_DZ, _DZ.conj())
 
 
-def _hermitian_field(config: CenterConfiguration, x, part: Callable):
-    """part(H) of the Hermitian form, H[mu, nu] = h(d_mu, d_nu), as a field
-    (see tensorcalc): at the chart point x, or over the good lanes of the
-    block x of shape (N, 4), with the per-lane errors of _solved_lanes.
-    With w_i = zbar + a_i, gamma = sum_i 1/Delta_i and conj(delta) =
-    -sum_i w_i / (Delta_i f_i), as in eta_jets."""
-    block = tensorcalc.as_block(x)
-    lanes, root, errors = _solved_lanes(config, block)
-    h = None
-    if lanes.size:
-        z = block[lanes, 0] + 1j * block[lanes, 1]
-        y = block[lanes, 2] + 1j * block[lanes, 3]
-        w = np.conj(z) + np.array([c.a for c in config.centers])[:, None]
-        b_i, r = _lane_data(config, z)
-        f, dlt = _stable_factors(root - b_i, r)
-        gam = (1.0 / dlt).sum(axis=0)[:, None, None]
-        eta = (2.0 / y)[:, None] * _DY - (w / (dlt * f)).sum(axis=0)[:, None] * _DZ
-        h = part(gam * _DZ_DZBAR + (1.0 / gam) * (eta[:, :, None] * eta.conj()[:, None, :]))
-    return tensorcalc.point_or_block(np.ndim(x) == 1, h, errors)
-
-
-def hermitian_form_at(config: CenterConfiguration, x):
-    """Complex 4x4 matrix H with H[mu,nu] = h(d_mu, d_nu) at the chart
-    point x = (Re z, Im z, Re y, Im y), or as a field on a block of them:
-    the metric is Re H and the Kahler form is -Im H."""
-    return _hermitian_field(config, x, lambda h: h)
-
-
 def metric_at(config: CenterConfiguration, x):
-    """Real metric at the chart point x = (Re z, Im z, Re y, Im y), or as a
-    field on a block of them."""
-    return _hermitian_field(config, x, lambda h: h.real)
-
-
-def kahler_form_at(config: CenterConfiguration, x):
-    """Kahler form omega = g(J0 ., .) as an antisymmetric component matrix,
-    at a chart point or as a field on a block of them."""
-    return _hermitian_field(config, x, lambda h: -h.imag)
+    """Real metric g = Re h at each chart point (Re z, Im z, Re y, Im y) of
+    the block x, as a field (see tensorcalc), with the per-lane errors of
+    _solved_lanes.  With w_i = zbar + a_i, gamma = sum_i 1/Delta_i and
+    conj(delta) = -sum_i w_i / (Delta_i f_i), as in eta_jets."""
+    x = tensorcalc.as_block(x)
+    lanes, root, errors = _solved_lanes(config, x)
+    if not lanes.size:
+        return None, errors
+    z = x[lanes, 0] + 1j * x[lanes, 1]
+    y = x[lanes, 2] + 1j * x[lanes, 3]
+    w = np.conj(z) + np.array([c.a for c in config.centers])[:, None]
+    b_i, r = _lane_data(config, z)
+    f, dlt = _stable_factors(root - b_i, r)
+    gam = (1.0 / dlt).sum(axis=0)[:, None, None]
+    eta = (2.0 / y)[:, None] * _DY - (w / (dlt * f)).sum(axis=0)[:, None] * _DZ
+    h = gam * _DZ_DZBAR + (1.0 / gam) * (eta[:, :, None] * eta.conj()[:, None, :])
+    return h.real, errors
 
 
 def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """gamma and the real and imaginary parts of eta on the real
-    coordinates at each point of the block x, as jets in (Re z, Im z,
-    Re y, Im y) over a leading lane axis, with the per-lane errors: the
-    chart floor, then a pole, then a stalled solve for b.  The jets hold
-    the good lanes (None when there is none).
+    coordinates at each point of the block x, as a field of jets in
+    (Re z, Im z, Re y, Im y) over a leading lane axis, with the per-lane
+    errors: the chart floor, then a pole, then a stalled solve for b.  The
+    jets hold the good lanes (None when there is none).
 
     b is solved over the lanes by one solve_b call, then refined by two
     Newton steps b <- b - (sum_i log f_i - log|y|^2) / gamma in jet
@@ -368,6 +347,7 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
 
         conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2.
     """
+    x = tensorcalc.as_block(x)
     lanes, root, errors = _solved_lanes(config, x)
     if not lanes.size:
         return None, errors
@@ -426,25 +406,12 @@ def kahler_of(eta: tuple) -> tuple:
 
 
 def metric_jet(config: CenterConfiguration, x):
-    """The real metric as a second-order jet in (Re z, Im z, Re y, Im y):
-    its value with exact first and second derivatives, at the chart point
-    x or, as a field on a block (see tensorcalc), at each point of the
-    block x of shape (N, 4), from one solve for b over the block."""
-    eta, errors = eta_jets(config, tensorcalc.as_block(x))
-    return tensorcalc.point_or_block(np.ndim(x) == 1, eta and metric_of(eta), errors)
-
-
-def kahler_jets(config: CenterConfiguration, x):
-    """(g, omega, J) at the chart point x, or as a field at each point of
-    the block x of shape (N, 4), from one solve for b (kahler_of of
-    eta_jets)."""
-    eta, errors = eta_jets(config, tensorcalc.as_block(x))
-    fields = eta and kahler_of(eta)
-    if np.ndim(x) > 1:
-        return fields, errors
-    if errors[0] is not None:
-        raise errors[0]
-    return fields[0][0], fields[1][0], STANDARD_J
+    """The real metric as a second-order jet in (Re z, Im z, Re y, Im y),
+    as a field (see tensorcalc): its value with exact first and second
+    derivatives at each point of the block x, from one solve for b over
+    the block (metric_of of eta_jets)."""
+    eta, errors = eta_jets(config, x)
+    return (eta and metric_of(eta)), errors
 
 
 def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:

@@ -7,16 +7,15 @@ arithmetic, which carries exact first and second derivatives along with
 the value.  Nothing here differentiates numerically; the
 finite-difference stencil that checks the jets lives with the tests.
 
-Fields work on blocks of points.  A block is an (N, 4) array of chart
-points, one lane per row; a field evaluated on it returns its value over
-a leading lane axis, paired with one entry per lane: None, or the
-GeometryError that lane raises.  The value holds only the lanes whose
-entry is None, in order (it is None when no lane is), so a failing lane
-never ends its block.  Given a single point instead, a field returns the
-value itself and raises the point's error.  curvature_at takes the
-metric's jet, one evaluation per block, and assembles every lane at
-once; exterior_derivative and nijenhuis_at take derivative arrays with
-any leading lane axes.
+Fields work on blocks of points, and only on blocks.  A block is an
+(N, 4) array of chart points, one lane per row; a field evaluated on it
+returns its value over a leading lane axis, paired with one entry per
+lane: None, or the GeometryError that lane raises.  The value holds only
+the lanes whose entry is None, in order (it is None when no lane is), so
+a failing lane never ends its block.  Anything but an (N, 4) array is a
+ValueError.  curvature_at takes the metric's jet, one evaluation per
+block, and assembles every lane at once; exterior_derivative and
+nijenhuis_at take derivative arrays with any leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -40,9 +39,10 @@ from gravinst.errors import DegenerateMetricError, GeometryError, NumericOverflo
 
 CONDITION_LIMIT = 1e12
 
-# the four real coordinates of a chart point; a field maps them to an array
+# the four real coordinates of a chart point
 Coords = tuple[float, float, float, float]
-Field = Callable[[Coords], np.ndarray]
+# a field: an (N, 4) block of points -> (value over the good lanes, errors)
+Field = Callable[[np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class CurvatureBundle:
 
 
 def invert_metric(g: np.ndarray):
-    """Inverse of a 4x4 metric, or of each metric of a block (N, 4, 4).
+    """Inverse of each metric of a block (N, 4, 4).
 
     Each matrix is first equilibrated by its diagonal so that honest but
     highly anisotropic charts (coordinate blocks of very different
@@ -76,13 +76,11 @@ def invert_metric(g: np.ndarray):
     estimate on the equilibrated matrix measures genuine near-collapse.
     A lane whose diagonal is not positive, whose matrix is singular or
     whose condition passes CONDITION_LIMIT gets DegenerateMetricError.
-    One metric gives its inverse and raises that error; a block gives
-    (inverses, errors) as a field does (see the module docstring).
+    Gives (inverses, errors) as a field does (see the module docstring).
     """
-    g = np.asarray(g, dtype=float)
-    if g.ndim not in (2, 3) or g.shape[-2:] != (4, 4):
-        raise ValueError("metric must be a 4x4 matrix or a block of them")
-    lanes = g.reshape(-1, 4, 4)
+    lanes = np.asarray(g, dtype=float)
+    if lanes.ndim != 3 or lanes.shape[1:] != (4, 4):
+        raise ValueError("metrics come in a block of 4x4 matrices")
     diag = np.diagonal(lanes, axis1=1, axis2=2)
     errors: list = [None] * len(lanes)
     ok = np.all((diag > 0.0) & np.isfinite(diag), axis=1)
@@ -107,7 +105,7 @@ def invert_metric(g: np.ndarray):
             f"metric condition number {cond[n]:.3e} exceeds limit"
         )
     good = np.array([e is None for e in errors], dtype=bool)
-    return point_or_block(g.ndim == 2, (inv_a * scale)[good], errors)
+    return ((inv_a * scale)[good] if good.any() else None), errors
 
 
 def _value_axis(axis: int, ndim: int) -> int:
@@ -267,22 +265,12 @@ class Jet:
 
 
 def as_block(x) -> np.ndarray:
-    """x, one chart point or a block of them, as an (N, 4) array."""
+    """x, a block of chart points, as an (N, 4) float array; ValueError for
+    anything else."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != 4:
-        raise ValueError("chart points have four coordinates")
-    return x.reshape(-1, 4)
-
-
-def point_or_block(point: bool, value, errors: list):
-    """What a field returns (see the module docstring) from its value over
-    the good lanes of a block and the per-lane errors: for a single point,
-    the one lane's value, or its error raised."""
-    if point:
-        if errors[0] is not None:
-            raise errors[0]
-        return value[0]
-    return (value if any(e is None for e in errors) else None), errors
+    if x.ndim != 2 or x.shape[1] != 4:
+        raise ValueError("a field takes a block of chart points, an (N, 4) array")
+    return x
 
 
 def lane_results(errors: Sequence, values: Sequence) -> list:
@@ -320,7 +308,7 @@ def each_lane(fn: Callable[[Coords], object]) -> Callable:
     floats), the good lanes' values as a list (None when no lane is good)."""
 
     def field(x):
-        results = each(fn, [tuple(p) for p in np.asarray(x, dtype=float).tolist()])
+        results = each(fn, [tuple(p) for p in as_block(x).tolist()])
         errors = [r if isinstance(r, GeometryError) else None for r in results]
         good = [r for r, e in zip(results, errors) if e is None]
         return (good or None), errors
@@ -328,24 +316,9 @@ def each_lane(fn: Callable[[Coords], object]) -> Callable:
     return field
 
 
-def pointwise(fn: Callable[[Coords], object]) -> Callable:
-    """The field of a chart that evaluates one point at a time: fn at a
-    single point, and on a block fn at each point (each_lane), the good
-    lanes' values stacked."""
-    lanes = each_lane(fn)
-
-    def field(x):
-        if np.ndim(x) == 1:
-            return fn(x)
-        good, errors = lanes(x)
-        return (stack_lanes(good) if good else None), errors
-
-    return field
-
-
-def curvature_at(metric: Callable, x):
-    """Full curvature of a metric at a point, or at each point of a block
-    x of shape (N, 4).
+def curvature_at(metric: Field, x) -> list:
+    """Full curvature of a metric at each point of a block x of shape
+    (N, 4).
 
     metric(x) is the metric's jet field (see the module docstring),
     evaluated once, so the chart's own errors (the chart boundary, a pole,
@@ -356,16 +329,11 @@ def curvature_at(metric: Callable, x):
     of g.  After the chart's errors a lane gets NumericOverflowError for a
     jet that is not finite, then DegenerateMetricError from
     invert_metric, then NumericOverflowError for a non-finite assembly.
-    A point gives its CurvatureBundle and raises its error; a block gives
-    one entry per lane, the bundle or the error.  A jet of the wrong shape
-    or an asymmetric metric is a ValueError for the whole block.
+    Gives one entry per lane, the CurvatureBundle or the error.  A jet of
+    the wrong shape or an asymmetric metric is a ValueError for the whole
+    block.
     """
-    if np.ndim(x) == 1:
-        (out,) = _curvature_lanes(metric(x)[None])
-        if isinstance(out, GeometryError):
-            raise out
-        return out
-    jet, errors = metric(x)
+    jet, errors = metric(as_block(x))
     return lane_results(errors, _curvature_lanes(jet) if jet is not None else ())
 
 

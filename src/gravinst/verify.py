@@ -193,31 +193,41 @@ class VerificationReport:
         return out
 
 
+def assembled(field: Field, assemble: Callable) -> Field:
+    """The field assemble(value) of a field's value over the good lanes of
+    each block, with the field's per-lane errors."""
+
+    def at(x):
+        value, errors = field(x)
+        return (assemble(value) if value is not None else None), errors
+
+    return at
+
+
 @dataclass(frozen=True)
 class Construction:
     """Everything a scan needs to know about one chart.
 
     The configuration alone fixes the metric: an entry serves the modes
     in modes, and applies(config) is the one rule for whether it carries
-    config's metric.  metric(config) gives the metric's values as a field
-    (see tensorcalc), the cheap field the invariance scan compares.
+    config's metric.  Every field takes a block of points, an (N, 4)
+    array, and gives its value over the good lanes with a typed error per
+    lane (see tensorcalc).  metric(config) gives the metric's values, the
+    cheap field the invariance scan compares.
 
     The scans' fields are split into the chart's state and what is
-    assembled from it.  state(config) is a field in tensorcalc's sense,
-    evaluated once per block of points (an (N, 4) array) with a typed
-    error per lane: the chart's jets of one evaluation over the good
-    lanes.  From that value jet_of(value, potential_transform=None) gives
-    the metric as an exact jet over the good lanes, the evaluation
-    tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
-    J): g as a float array, omega as a jet, J as a jet or, where the
-    chart's complex structure has constant components (so its Nijenhuis
-    tensor vanishes identically), a constant array.  The complex chart
+    assembled from it.  state(config), evaluated once per block, gives
+    the chart's jets of one evaluation.  From that value
+    jet_of(value, potential_transform=None) gives the metric as an exact
+    jet over the good lanes, the evaluation tensorcalc.curvature_at
+    takes, and kahler_of(value) gives (g, omega, J): g as a float array,
+    omega as a jet, J as a jet or, where the chart's complex structure
+    has constant components (so its Nijenhuis tensor vanishes
+    identically), a constant array.  The complex chart
     evaluates and assembles a block at once; the circle-fibered chart
     keeps its state per point and assembles each point before stacking
     them (tensorcalc.each_lane, tensorcalc.stack_lanes).
-    jet(config, potential_transform=None) is the metric jet as a field
-    of its own, state and assembly in one call, at a block or a single
-    point.
+    jet(config, potential_transform) is jet_of of the state as one field.
 
     stream(config, spec) gives the coordinates of the sample stream;
     action(generator) gives the cyclic action as the affine map
@@ -231,10 +241,9 @@ class Construction:
     has_potential: bool  # potential_transform (V -> f(V)) applies
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
     metric: Callable[[CenterConfiguration], Field]
-    state: Callable[[CenterConfiguration], Callable]
+    state: Callable[[CenterConfiguration], Field]
     jet_of: Callable[..., tensorcalc.Jet]
     kahler_of: Callable[[object], tuple]
-    jet: Callable[..., Callable[[Coords], tensorcalc.Jet]]
     action: Callable[[GroupElement], tuple[np.ndarray, np.ndarray]]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
 
@@ -250,6 +259,10 @@ class Construction:
                 f" {'/'.join(self.modes)} configurations, not {config.mode}"
             )
         return self
+
+    def jet(self, config: CenterConfiguration, potential_transform=None) -> Field:
+        """The metric jet as a field: jet_of of the state on each block."""
+        return assembled(self.state(config), lambda s: self.jet_of(s, potential_transform))
 
     def points(self, config: CenterConfiguration, spec: SampleSpec) -> list[ChartPoint]:
         """The sample stream, tagged with this chart."""
@@ -271,9 +284,6 @@ GH = Construction(
         [ghawking.metric_of(j, potential_transform) for j in jets]
     ),
     kahler_of=lambda jets: tensorcalc.stack_lanes([ghawking.kahler_of(j) for j in jets]),
-    jet=lambda config, potential_transform=None: tensorcalc.pointwise(
-        lambda x: ghawking.metric_jet(config, x, potential_transform)
-    ),
     action=lambda gel: ghawking.action(gel),
     user_coords=lambda vals: ghawking.user_coords(vals),
 )
@@ -287,7 +297,6 @@ HITCHIN = Construction(
     state=lambda config: lambda x: hitchin.eta_jets(config, x),
     jet_of=lambda eta, potential_transform=None: hitchin.metric_of(eta),
     kahler_of=lambda eta: hitchin.kahler_of(eta),
-    jet=lambda config, potential_transform=None: lambda x: hitchin.metric_jet(config, x),
     action=lambda gel: hitchin.action(gel),
     user_coords=lambda vals: hitchin.user_coords(vals),
 )
@@ -336,15 +345,11 @@ class ChartEvaluation:
         """The chart's sample stream."""
         return self._once(None, lambda: self.chart.points(self.config, self.spec))
 
-    def field(self, assemble: Callable) -> Callable:
-        """The block field assemble(state) over the good lanes of each
-        block, paired with the lanes' errors (see tensorcalc)."""
-
-        def at(x: np.ndarray):
-            value, errors = self._once(x.tobytes(), lambda: self.chart.state(self.config)(x))
-            return (assemble(value) if value is not None else None), errors
-
-        return at
+    def field(self, assemble: Callable) -> Field:
+        """The field assemble(state) over the good lanes of each block, the
+        state evaluated once per block."""
+        state = self.chart.state(self.config)
+        return assembled(lambda x: self._once(x.tobytes(), lambda: state(x)), assemble)
 
 
 def _evaluation(
@@ -437,8 +442,8 @@ def ricci_samples(
 
     The denominator keeps the residual meaningful in nearly flat regions,
     where absolute Ricci tends to zero no matter what.  The metric jets
-    come from c's own jet field, or are assembled from the state of
-    evaluation, a ChartEvaluation of c on config.
+    come from c.jet, or are assembled from the state of evaluation, a
+    ChartEvaluation of c on config.
     """
     c.require(config)
     if potential_transform is not None and not c.has_potential:

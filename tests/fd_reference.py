@@ -9,6 +9,13 @@ weights nest that kernel once per order, the field is evaluated once at
 each distinct point, and mixed partials share one weight row, so they
 are exactly symmetric.
 
+Every field of the program takes a block of points (see
+gravinst.tensorcalc); at_point evaluates one at a single point, as a
+block of one.  fd_derivatives differentiates either such a field or a
+plain function of one point, and gives a field.  gh_kahler_forms is the
+circle-fibered Kahler form and complex structure as a field, from their
+closed forms, the reference for the chart's jets.
+
 The module also keeps two loops the program runs over numpy lanes, as
 their references: the recursive adaptive Simpson rule, for the
 breadth-first lane quadrature (gravinst.quadrature), and the float
@@ -23,18 +30,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gravinst import hitchin
+from gravinst import ghawking, hitchin, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
+    GeometryError,
     NumericOverflowError,
     PoleError,
 )
 from gravinst.quadrature import ABS_TOL, MAX_DEPTH, REL_TOL
 from gravinst.singularities import CenterConfiguration
-from gravinst.tensorcalc import Coords, Field, Jet
+from gravinst.tensorcalc import Coords, Jet
 
 DEFAULT_REL_STEP = 1e-3
+
+# a plain function of one point, x -> array
+PointField = Callable[[Coords], np.ndarray]
 
 # a partial derivative by its axes, one per order; () is the value itself
 Axes = tuple[int, ...]
@@ -45,6 +56,61 @@ _KERNEL = ((-1.0, 1.0 / 6.0), (-0.5, -4.0 / 3.0), (0.5, 4.0 / 3.0), (1.0, -1.0 /
 _FIRST = ((0,), (1,), (2,), (3,))
 # d_m d_i for m <= i, in the order of np.triu_indices
 _SECOND = tuple((m, i) for m in range(4) for i in range(m, 4))
+
+
+def at_point(field: Callable, x: Coords):
+    """field on the block of the one point x: lane 0's value, or lane 0's
+    error raised.  field is a field, giving (value over the good lanes,
+    per-lane errors), or gives one result per lane, as
+    tensorcalc.curvature_at does."""
+    out = field(np.asarray(x, dtype=float)[None])
+    if isinstance(out, list):
+        (lane,) = out
+        if isinstance(lane, GeometryError):
+            raise lane
+        return lane
+    value, (error,) = out
+    if error is not None:
+        raise error
+    return value[0]
+
+
+def shifted_points(b: float, a: complex, h: float) -> np.ndarray:
+    """The circle-fibered chart points at theta = 0 over the base point
+    (b, a) moved by +h along b, a1 and a2, then by -h along them: a block
+    of six for central differences."""
+    base = np.array([b, a.real, a.imag]) + np.concatenate([h * np.eye(3), -h * np.eye(3)])
+    return np.column_stack([np.zeros(6), base])
+
+
+def gh_connection(config: CenterConfiguration, x: np.ndarray) -> np.ndarray:
+    """(alpha_1, alpha_2) of the circle-fibered chart at each point of the
+    block x, read off one ghawking.metric_at call: g_0j / g_00 = alpha_j.
+    The first failing lane's error is raised."""
+    g = _eval_block(lambda block: ghawking.metric_at(config, block), x)
+    return g[:, 0, 2:] / g[:, 0, 0, None]
+
+
+def gh_kahler_forms(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """omega and J of the circle-fibered chart, stacked on axis 1, at each
+    point of the block x, as a field: the closed forms of
+    gravinst.ghawking's docstring,
+
+        omega = (dtheta + alpha) ^ db - V da1 ^ da2,
+        J = [[0, -V, alpha_2, -alpha_1], [1/V, 0, alpha_1/V, alpha_2/V],
+             [0, 0, 0, 1], [0, 0, -1, 0]],
+
+    with V and alpha read off ghawking.metric_at: g_00 = 1/V and
+    g_0j = alpha_j / V."""
+    g, errors = ghawking.metric_at(config, x)
+    if g is None:
+        return None, errors
+    V = 1.0 / g[:, 0, 0]
+    a1, a2 = g[:, 0, 2] * V, g[:, 0, 3] * V
+    o, e = np.zeros_like(V), np.ones_like(V)
+    omega = [[o, e, o, o], [-e, o, -a1, -a2], [o, a1, o, -V], [o, a2, V, o]]
+    J = [[o, -V, a2, -a1], [e / V, o, a1 / V, a2 / V], [o, o, o, e], [o, o, -e, o]]
+    return np.moveaxis(np.array([omega, J]), -1, 0), errors
 
 
 def default_step(x: Coords, rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
@@ -93,7 +159,7 @@ def _normalize_steps(x: Coords, step) -> np.ndarray:
     return steps
 
 
-def _eval_array(field: Field, x: Coords) -> np.ndarray:
+def _eval_array(field: PointField, x: Coords) -> np.ndarray:
     value = np.asarray(field(x), dtype=float)
     if not np.isfinite(value).all():
         raise NumericOverflowError(f"field produced a non-finite value at {x}")
@@ -125,8 +191,8 @@ def _stencil_table(partials: tuple[Axes, ...]):
 
 
 def _eval_block(field: Callable, points: np.ndarray) -> np.ndarray:
-    """A block field (see gravinst.tensorcalc) on the block points; the
-    first lane's error is raised."""
+    """A field (see gravinst.tensorcalc) on the block points; the first
+    failing lane's error is raised."""
     values, errors = field(points)
     for err in errors:
         if err is not None:
@@ -138,7 +204,7 @@ def _eval_block(field: Callable, points: np.ndarray) -> np.ndarray:
 
 
 def _stencil(
-    field: Field,
+    field: Callable,
     x: Coords,
     steps: np.ndarray,
     partials: tuple[Axes, ...],
@@ -147,8 +213,8 @@ def _stencil(
     """The partial derivatives of a field at x, stacked on a leading axis,
     with validated steps.  The field is evaluated once at each distinct
     stencil point, which adds its offset to x only where it is nonzero:
-    one call per point, or, for a block field (blocks), one call on the
-    block of them."""
+    one call per point, or, for a field (blocks), one call on the block
+    of them."""
     offsets, orders, rows = _stencil_table(partials)
     points = np.where(offsets != 0.0, np.add(x, offsets * steps), x)
     if blocks:
@@ -169,7 +235,7 @@ def _stencil(
 
 
 def differentiate_field(
-    field: Field,
+    field: PointField,
     x: Coords,
     multi_index: Sequence[int],
     step: float | Sequence[float] | None = None,
@@ -189,25 +255,30 @@ def differentiate_field(
     return _stencil(field, x, _normalize_steps(x, step), (axes,))[0]
 
 
-def fd_derivatives(field: Field, step=None, blocks: bool = False) -> Callable[[Coords], Jet]:
-    """The field as a jet for tensorcalc.curvature_at: x -> the Jet of
-    field(x) with its finite-difference gradient and Hessian, from one
-    stencil of 129 distinct points, x among them.
+def fd_derivatives(field: Callable, step=None, blocks: bool = False) -> Callable:
+    """The field as a jet field for tensorcalc.curvature_at: on a block,
+    at each lane the Jet of field there with its finite-difference
+    gradient and Hessian, from one stencil of 129 distinct points, the
+    lane among them; the jets of the good lanes stacked, and each lane's
+    GeometryError.
 
-    step is None for default_step(x), or a scalar, or four per-axis steps
-    (e.g. chart_step at the point).  blocks says that field is a block
-    field (a chart's metric_at), evaluated once on the whole stencil.
+    step is None for default_step at the lane, a scalar, four per-axis
+    steps, or a function of the lane giving them (e.g. chart_step).
+    blocks says that field is a field (a chart's metric_at), evaluated
+    once on each lane's stencil; otherwise it is a plain function of one
+    point, evaluated at each stencil point.
     """
 
     def jet(x: Coords) -> Jet:
-        rows = _stencil(field, x, _normalize_steps(x, step), ((),) + _FIRST + _SECOND, blocks)
+        steps = _normalize_steps(x, step(x) if callable(step) else step)
+        rows = _stencil(field, x, steps, ((),) + _FIRST + _SECOND, blocks)
         n = rows.ndim - 1
         second = np.empty((4, 4) + rows.shape[1:])
         m, i = np.triu_indices(4)
         second[m, i] = second[i, m] = rows[5:]  # d_m d_i and d_i d_m share one row
         return Jet(rows[0], np.moveaxis(rows[1:5], 0, n), np.moveaxis(second, (0, 1), (n, n + 1)))
 
-    return jet
+    return verify.assembled(tensorcalc.each_lane(jet), tensorcalc.stack_lanes)
 
 
 def recursive_simpson(f: Callable[[float], float], a: float, b: float) -> float:

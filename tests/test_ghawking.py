@@ -24,7 +24,14 @@ from gravinst.singularities import (
     make_akl_config,
     make_polygon_config,
 )
-from fd_reference import fd_derivatives, recursive_simpson
+from fd_reference import (
+    at_point,
+    fd_derivatives,
+    gh_connection,
+    gh_kahler_forms,
+    recursive_simpson,
+    shifted_points,
+)
 
 
 def pair_config():
@@ -127,36 +134,27 @@ def test_potential_pole():
 def test_connection_curl_matches_grad_v():
     # d alpha = *dV componentwise, via finite differences of alpha
     cfg = pair_config()
-    b, a = 0.4, 0.9 - 0.5j
     h = 1e-6
-
-    def alpha(bb, aa):
-        return ghawking.connection_at(cfg, bb, aa)
-
-    def V(bb, aa):
-        return ghawking.potential_at(cfg, bb, aa)
-
-    # curl in coordinates (b, a1, a2)
-    da2_da1 = (alpha(b, a + h)[2] - alpha(b, a - h)[2]) / (2 * h)
-    da1_da2 = (alpha(b, a + 1j * h)[1] - alpha(b, a - 1j * h)[1]) / (2 * h)
-    da2_db = (alpha(b + h, a)[2] - alpha(b - h, a)[2]) / (2 * h)
-    da1_db = (alpha(b + h, a)[1] - alpha(b - h, a)[1]) / (2 * h)
-    grad = np.array(
-        [V(b + h, a) - V(b - h, a), V(b, a + h) - V(b, a - h), V(b, a + 1j * h) - V(b, a - 1j * h)]
-    ) / (2 * h)
+    x = shifted_points(0.4, 0.9 - 0.5j, h)
+    V = ghawking.potential_at(cfg, x[:, 1], x[:, 2] + 1j * x[:, 3])
+    alpha = gh_connection(cfg, x)
+    grad = (V[:3] - V[3:]) / (2 * h)
+    # d alpha_1 and d alpha_2 along (b, a1, a2)
+    da1, da2 = ((alpha[:3, j] - alpha[3:, j]) / (2 * h) for j in (0, 1))
     # alpha_b = 0, so curl alpha = grad V reduces to these three lines
-    assert abs((da2_da1 - da1_da2) - grad[0]) < 1e-7
-    assert abs(-da2_db - grad[1]) < 1e-7
-    assert abs(da1_db - grad[2]) < 1e-7
+    assert abs((da2[1] - da1[2]) - grad[0]) < 1e-7
+    assert abs(-da2[0] - grad[1]) < 1e-7
+    assert abs(da1[0] - grad[2]) < 1e-7
 
 
 def test_connection_gauge_and_strings():
     cfg = pair_config()
-    # directly below the a=+1 center: on its Dirac string
+    a = cfg.centers[0].a
+    # directly below the a=+1 center: on its Dirac string; then at it
     with pytest.raises(DiracStringError):
-        ghawking.connection_at(cfg, -0.5, cfg.centers[0].a)
+        gh_connection(cfg, np.array([(0.0, -0.5, a.real, a.imag)]))
     with pytest.raises(PoleError):
-        ghawking.connection_at(cfg, 0.0, cfg.centers[0].a)
+        gh_connection(cfg, np.array([(0.0, 0.0, a.real, a.imag)]))
 
 
 # --- metric algebra ---
@@ -164,28 +162,32 @@ def test_connection_gauge_and_strings():
 
 def test_metric_determinant_is_v_squared():
     for cfg in [pair_config(), taubnut_config()]:
-        g = ghawking.metric_at(cfg, (0.9, 0.35, 0.8, -0.6))
+        g = at_point(verify.GH.metric(cfg), (0.9, 0.35, 0.8, -0.6))
         V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
         assert abs(np.linalg.det(g) - V * V) < 1e-12 * V * V
         assert abs(g[0, 0] - 1.0 / V) < 1e-14
 
 
+def kahler_values(config, x):
+    """(g, omega, J) at the point x, the values the Kahler scan takes from
+    the chart's jets."""
+    g, omega, J = ghawking.kahler_of(ghawking.potential_jets(config, x))
+    return g, omega.val, J.val
+
+
 def test_complex_structure_identities():
     cfg = pair_config()
     x = (0.9, 0.35, 0.8, -0.6)
-    J = ghawking.complex_structure_at(cfg, x)
-    g = ghawking.metric_at(cfg, x)
+    g, w, J = kahler_values(cfg, x)
     assert np.max(np.abs(J @ J + np.eye(4))) < 1e-13
     assert np.max(np.abs(J.T @ g @ J - g)) < 1e-13
-    w = ghawking.kahler_form_at(cfg, x)
     assert np.max(np.abs(w - J.T @ g)) < 1e-13
 
 
 def test_kahler_form_squares_to_twice_volume():
     cfg = pair_config()
     x = (0.2, 0.7, -0.4, 1.1)
-    w = ghawking.kahler_form_at(cfg, x)
-    g = ghawking.metric_at(cfg, x)
+    g, w, _ = kahler_values(cfg, x)
     wedge = 2.0 * (w[0, 1] * w[2, 3] - w[0, 2] * w[1, 3] + w[0, 3] * w[1, 2])
     vol = math.sqrt(np.linalg.det(g))
     # chart order (theta, b, a1, a2) is negatively oriented for J
@@ -195,7 +197,7 @@ def test_kahler_form_squares_to_twice_volume():
 def test_potential_transform_breaks_det_identity():
     cfg = pair_config()
     x = (0.9, 0.35, 0.8, -0.6)
-    g = ghawking.metric_jet(cfg, x, potential_transform=lambda v: v * v).val
+    g = ghawking.metric_of(ghawking.potential_jets(cfg, x), lambda v: v * v).val
     V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
     assert abs(np.linalg.det(g) - V * V) > 1e-3
 
@@ -259,14 +261,14 @@ def quadrature_period(config, i, j):
     """The period as the integral the closed form replaces: 2 pi times the
     integral of tangent . omega . d_theta along the segment from center i
     to center j by the recursive reference Simpson rule, cut 1e-9 short of the cone points at
-    both ends, with omega in the one gauge of kahler_form_at."""
+    both ends, with omega the value of the chart's jets."""
     ci, cj = config.centers[i], config.centers[j]
     db, da = cj.b - ci.b, cj.a - ci.a
     tangent = np.array([0.0, db, da.real, da.imag])
 
     def integrand(t):
         a = ci.a + t * da
-        w = ghawking.kahler_form_at(config, (0.0, ci.b + t * db, a.real, a.imag))
+        _, w, _ = kahler_values(config, (0.0, ci.b + t * db, a.real, a.imag))
         return float(tangent @ w[:, 0])
 
     eps = 1e-9
@@ -465,7 +467,7 @@ def test_array_potential_matches_float_loop(build):
     assert V.shape == t.shape
     floats = np.array([float_loop_potential(cfg, bb, aa) for bb, aa in zip(b.tolist(), a.tolist())])
     assert np.all(np.abs(V - floats) <= 4.0 * np.finfo(float).eps * floats)
-    # one point at a time, as metric_at calls it, a float within the same margin
+    # one point at a time, a float within the same margin
     for bb, aa, ref in zip(b.tolist()[:50], a.tolist()[:50], floats[:50]):
         one = ghawking.potential_at(cfg, bb, aa)
         assert type(one) is float
@@ -518,8 +520,8 @@ def closed_form_riem_norm_sq(config, b, a):
 def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
     fd_jet = fd_derivatives(verify.GH.metric(cfg), blocks=True)
-    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        fd = tensorcalc.curvature_at(fd_jet, x)
+    points = sampling.gh_points(cfg, SampleSpec(count=20, seed=7))
+    for x, fd in zip(points, tensorcalc.curvature_at(fd_jet, points)):
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(fd.riem_norm_sq / exact - 1.0) < 1e-4
 
@@ -530,62 +532,73 @@ def test_jet_curvature_matches_closed_form(build):
     # below the centers, where |Rm|^2 is 6.5e-4 and alpha is O(1), the
     # chart's own conditioning leaves 2.5e-9 relative error
     cfg = build()
-    metric = verify.GH.jet(cfg)
-    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        jet = tensorcalc.curvature_at(metric, x)
+    points = sampling.gh_points(cfg, SampleSpec(count=20, seed=7))
+    for x, jet in zip(points, tensorcalc.curvature_at(verify.GH.jet(cfg), points)):
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(jet.riem_norm_sq - exact) <= 1e-10 * max(exact, 1.0)
 
 
 @pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
+def kahler_jets(config, x):
+    """(g, omega, J) over the block x, as the Kahler scan assembles them
+    from the chart's state; every lane must be good."""
+    (g, omega, J), errors = verify.assembled(verify.GH.state(config), verify.GH.kahler_of)(x)
+    assert errors == [None] * len(x)
+    return g, omega, J
+
+
+@pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def test_jet_values_are_the_float_fields(build):
+    # the metric against metric_at, omega and J against their closed forms
     cfg = build()
-    for x in sampling.gh_points(cfg, SampleSpec(count=20, seed=7)):
-        g, omega, J = ghawking.kahler_jets(cfg, x)
-        for got, value in (
-            (ghawking.metric_jet(cfg, x).val, ghawking.metric_at(cfg, x)),
-            (g, ghawking.metric_at(cfg, x)),
-            (omega.val, ghawking.kahler_form_at(cfg, x)),
-            (J.val, ghawking.complex_structure_at(cfg, x)),
-        ):
-            assert np.max(np.abs(got - value)) <= 1e-14 * np.max(np.abs(value))
+    x = np.array(sampling.gh_points(cfg, SampleSpec(count=20, seed=7)))
+    g, omega, J = kahler_jets(cfg, x)
+    metric, _ = ghawking.metric_at(cfg, x)
+    forms, _ = gh_kahler_forms(cfg, x)
+    jet, _ = verify.GH.jet(cfg)(x)
+    for got, value in (
+        (jet.val, metric),
+        (g, metric),
+        (omega.val, forms[:, 0]),
+        (J.val, forms[:, 1]),
+    ):
+        scale = np.max(np.abs(value), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - value), axis=(1, 2)) <= 1e-14 * scale)
 
 
 def test_kahler_jets_agree_with_finite_differences():
+    # one stencil block per point, against the closed forms of omega and J
     cfg = hexagon_config()
-    for x in sampling.gh_points(cfg, SampleSpec(count=10, seed=7)):
-        _, omega, J = ghawking.kahler_jets(cfg, x)
-        for jet, field in zip(
-            (omega, J),
-            (
-                lambda q: ghawking.kahler_form_at(cfg, q),
-                lambda q: ghawking.complex_structure_at(cfg, q),
-            ),
-        ):
-            fd = fd_derivatives(field)(x).partials()[0]
-            assert np.max(np.abs(jet.partials()[0] - fd)) <= 1e-10 * max(1.0, np.max(np.abs(fd)))
+    x = np.array(sampling.gh_points(cfg, SampleSpec(count=10, seed=7)))
+    _, omega, J = kahler_jets(cfg, x)
+    fd_forms = fd_derivatives(lambda q: gh_kahler_forms(cfg, q), blocks=True)
+    fd, errors = fd_forms(x)
+    assert errors == [None] * len(x)
+    d_fd = fd.partials()[0]  # d_i at axis 2, behind the lane and the form
+    for k, jet in enumerate((omega, J)):
+        d_jet, d_ref = jet.partials()[0], d_fd[:, k]
+        scale = np.maximum(1.0, np.max(np.abs(d_ref), axis=(1, 2, 3)))
+        assert np.all(np.max(np.abs(d_jet - d_ref), axis=(1, 2, 3)) <= 1e-10 * scale)
 
 
 def test_jets_raise_typed_errors_on_the_axis():
+    # at the center, on its string below it, and on the axis above it
     cfg = pair_config()
     c = cfg.centers[0]
-    metric = verify.GH.jet(cfg)
-
-    def on_axis(db):
-        return (0.3, c.b + db, c.a.real, c.a.imag)
-
+    x = np.array([(0.3, c.b + db, c.a.real, c.a.imag) for db in (0.0, -0.5, 0.5)])
+    expected = [PoleError, DiracStringError, type(None)]
     with np.errstate(all="raise"):
-        for evaluate in (
-            lambda x: tensorcalc.curvature_at(metric, x),
-            lambda x: ghawking.metric_jet(cfg, x),
-            lambda x: ghawking.kahler_jets(cfg, x),
+        for field in (
+            verify.GH.state(cfg),
+            verify.GH.jet(cfg),
+            verify.assembled(verify.GH.state(cfg), verify.GH.kahler_of),
         ):
-            with pytest.raises(PoleError):
-                evaluate(on_axis(0.0))
-            with pytest.raises(DiracStringError):
-                evaluate(on_axis(-0.5))
-        # the down gauge is smooth through the axis above the center
-        bundle = tensorcalc.curvature_at(metric, on_axis(0.5))
+            _, errors = field(x)
+            assert [type(e) for e in errors] == expected
+        bundles = tensorcalc.curvature_at(verify.GH.jet(cfg), x)
+    assert [type(b) for b in bundles[:2]] == expected[:2]
+    # the down gauge is smooth through the axis above the center
+    bundle = bundles[2]
     exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
     assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
 
@@ -593,7 +606,7 @@ def test_jets_raise_typed_errors_on_the_axis():
 def test_curvature_makes_one_metric_evaluation(monkeypatch):
     cfg = pair_config()
     point = verify.GH.points(cfg, SampleSpec(count=1, seed=0))[0]
-    calls = {"metric_at": [], "metric_jet": []}
+    calls = {"metric_at": [], "potential_jets": []}
 
     def counting(name):
         original = getattr(ghawking, name)
@@ -608,7 +621,7 @@ def test_curvature_makes_one_metric_evaluation(monkeypatch):
         counting(name)
     (sample,) = verify.ricci_samples(verify.GH, cfg, [point])
     assert sample.error == ""
-    assert calls == {"metric_at": [], "metric_jet": [point.coords]}
+    assert calls == {"metric_at": [], "potential_jets": [point.coords]}
 
 
 def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gravinst import ghawking
 from gravinst.errors import SingularFiberError
 from gravinst.singularities import QuotientSignature, make_polygon_config
+from fd_reference import gh_connection, shifted_points
 
 SIGNATURES = [
     (1, 1, 0),
@@ -94,25 +95,14 @@ def test_center_clearance_matches_numpy_norms(case):
 def test_connection_curl_is_grad_potential(case):
     config, b, a = case
     h = 1e-6
-
-    def V(bb, aa):
-        return ghawking.potential_at(config, bb, aa)
-
-    def alpha(bb, aa):
-        return ghawking.connection_at(config, bb, aa)
-
-    grad = np.array(
-        [V(b + h, a) - V(b - h, a), V(b, a + h) - V(b, a - h), V(b, a + 1j * h) - V(b, a - 1j * h)]
-    ) / (2 * h)
+    x = shifted_points(b, a, h)
+    V = ghawking.potential_at(config, x[:, 1], x[:, 2] + 1j * x[:, 3])
+    grad = (V[:3] - V[3:]) / (2 * h)
+    # d alpha_1 and d alpha_2 along (b, a1, a2)
+    alpha = gh_connection(config, x)
+    da1, da2 = ((alpha[:3, j] - alpha[3:, j]) / (2 * h) for j in (0, 1))
     # alpha_b = 0, so curl alpha = grad V reduces to these three lines
-    curl = np.array(
-        [
-            (alpha(b, a + h)[2] - alpha(b, a - h)[2])
-            - (alpha(b, a + 1j * h)[1] - alpha(b, a - 1j * h)[1]),
-            -(alpha(b + h, a)[2] - alpha(b - h, a)[2]),
-            alpha(b + h, a)[1] - alpha(b - h, a)[1],
-        ]
-    ) / (2 * h)
+    curl = np.array([da2[1] - da1[2], -da2[0], da1[0]])
     assert np.max(np.abs(curl - grad)) < 1e-7
 
 
@@ -120,9 +110,15 @@ def test_connection_curl_is_grad_potential(case):
 @given(configs_and_points(), st.lists(st.floats(0.0, 2.0 * math.pi), min_size=3, max_size=3))
 def test_kahler_form_does_not_depend_on_theta(case, thetas):
     config, b, a = case
-    w0 = ghawking.kahler_form_at(config, (0.0, b, a.real, a.imag))
+    # the Kahler scan's omega is kahler_of of the chart's state, so a state
+    # that does not depend on theta gives an omega that does not either
+    state0, *states = (
+        ghawking.potential_jets(config, (theta, b, a.real, a.imag)) for theta in [0.0, *thetas]
+    )
+    for state in states:
+        for jet, jet0 in zip(state, state0):
+            for part in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(jet, part), getattr(jet0, part))
     # the period integrand tangent . omega . d_theta is then -(b_j - b_i)
+    w0 = ghawking.kahler_of(state0)[1].val
     assert np.array_equal(w0[:, 0], [0.0, -1.0, 0.0, 0.0])
-    for theta in thetas:
-        w = ghawking.kahler_form_at(config, (theta, b, a.real, a.imag))
-        assert np.array_equal(w, w0)

@@ -26,7 +26,7 @@ from gravinst.singularities import (
     QuotientSignature,
     make_polygon_config,
 )
-from fd_reference import chart_step, fd_derivatives, float_solve_b
+from fd_reference import at_point, chart_step, fd_derivatives, float_solve_b
 
 
 def pair_config():
@@ -438,45 +438,62 @@ def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
 # --- metric algebra ---
 
 
+def chart_points(pairs):
+    """The complex chart's block of points (Re z, Im z, Re y, Im y) at the
+    (z, y) pairs."""
+    return np.array([(z.real, z.imag, y.real, y.imag) for z, y in pairs])
+
+
+def metric(cfg):
+    return verify.HITCHIN.metric(cfg)
+
+
+def omega_field(cfg):
+    """The Kahler form's values as a field: omega = -Im h, assembled from
+    the chart's state as the Kahler scan assembles it."""
+    return verify.assembled(verify.HITCHIN.state(cfg), lambda eta: hitchin.kahler_of(eta)[1].val)
+
+
 def test_metric_symmetric_positive_definite():
     cfg = pair_config()
-    for z, y in [(0.4 - 0.3j, 1.5 + 0.7j), (2.0 + 1.0j, 0.3 - 0.1j), (-1.5j, 4.0j)]:
-        g = hitchin.metric_at(cfg, (z.real, z.imag, y.real, y.imag))
+    x = chart_points([(0.4 - 0.3j, 1.5 + 0.7j), (2.0 + 1.0j, 0.3 - 0.1j), (-1.5j, 4.0j)])
+    block, errors = hitchin.metric_at(cfg, x)
+    assert errors == [None] * 3
+    for g in block:
         assert np.max(np.abs(g - g.T)) == 0.0
         assert np.min(np.linalg.eigvalsh(g)) > 0.0
 
 
 def test_metric_regression_value():
-    g = hitchin.metric_at(pair_config(), (0.4, -0.3, 1.5, 0.7))
+    g = at_point(metric(pair_config()), (0.4, -0.3, 1.5, 0.7))
     assert abs(g[0, 0] - 1.919332230857747) < 1e-12
 
 
 def test_single_center_chart_is_flat():
     cfg = origin_config()
-    for z, y in [(1.0 + 0.5j, 2.0 + 1.0j), (3.0j, 0.7 - 0.4j), (-2.0 + 0j, 3.0 + 0j)]:
-        x = (z.real, z.imag, y.real, y.imag)
-        assert jet_curvature(cfg, x).riem_norm_sq < 1e-10
-        assert fd_curvature(cfg, x).riem_norm_sq < 1e-10
+    x = chart_points([(1.0 + 0.5j, 2.0 + 1.0j), (3.0j, 0.7 - 0.4j), (-2.0 + 0j, 3.0 + 0j)])
+    for jet, fd in zip(jet_curvatures(cfg, x), fd_curvatures(cfg, x)):
+        assert jet.riem_norm_sq < 1e-10
+        assert fd.riem_norm_sq < 1e-10
 
 
 def test_kahler_form_closed_and_compatible():
     cfg = pair_config()
     x = (0.4, -0.3, 1.5, 0.7)
-    g, omega, J = hitchin.kahler_jets(cfg, x)
-    w = hitchin.kahler_form_at(cfg, x)
-    assert np.max(np.abs(omega.val - w)) <= 1e-14 * np.max(np.abs(w))
-    assert np.max(np.abs(g - hitchin.metric_at(cfg, x))) <= 1e-14 * np.max(np.abs(g))
+    kahler = verify.assembled(verify.HITCHIN.state(cfg), verify.HITCHIN.kahler_of)
+    ((g,), omega, J), errors = kahler(np.array([x]))
+    assert errors == [None]
+    omega = omega[0]
+    assert np.max(np.abs(g - at_point(metric(cfg), x))) <= 1e-14 * np.max(np.abs(g))
     assert J is hitchin.STANDARD_J
     d_omega = omega.partials()[0]
     assert np.max(np.abs(tensorcalc.exterior_derivative(d_omega))) < 1e-14
-    fd_omega = fd_derivatives(
-        lambda q: hitchin.kahler_form_at(cfg, q), chart_step(cfg, x), blocks=True
-    )
-    fd = fd_omega(x).partials()[0]
+    fd_omega = fd_derivatives(omega_field(cfg), chart_step(cfg, x), blocks=True)
+    fd = at_point(fd_omega, x).partials()[0]
     assert np.max(np.abs(tensorcalc.exterior_derivative(fd))) < 1e-8
     assert np.max(np.abs(d_omega - fd)) < 1e-8
     # omega's own jet against the metric jet: d_i omega_jl = J0^k_j d_i g_kl
-    dg = hitchin.metric_jet(cfg, x).partials()[0]
+    dg = at_point(verify.HITCHIN.jet(cfg), x).partials()[0]
     via_g = np.einsum("kj,ikl->ijl", hitchin.STANDARD_J, dg)
     assert np.max(np.abs(d_omega - via_g)) <= 1e-15 * np.max(np.abs(dg))
     assert np.max(np.abs(omega.val - hitchin.STANDARD_J.T @ g)) < 1e-12
@@ -487,9 +504,9 @@ def test_action_matrix_is_a_pullback_isometry():
     cfg = pair_config()
     mat, shift = hitchin.action(GroupElement(1, cfg.signature))
     assert not shift.any()
-    x = (0.4, -0.3, 1.5, 0.7)
-    g_here = hitchin.metric_at(cfg, x)
-    g_image = hitchin.metric_at(cfg, tuple(mat @ np.array(x)))
+    x = np.array([0.4, -0.3, 1.5, 0.7])
+    (g_here, g_image), errors = hitchin.metric_at(cfg, np.array([x, mat @ x]))
+    assert errors == [None, None]
     assert np.max(np.abs(mat.T @ g_image @ mat - g_here)) < 1e-12
 
 
@@ -531,35 +548,38 @@ def test_smooth_fiber_guard():
         centers=(Center(-1.0, 0j), Center(1.0, 0j)),
         signature=QuotientSignature(2, 1, 0),
     )
+    # the whole block: the fiber, not a lane, is singular
     with pytest.raises(SingularFiberError):
-        hitchin.metric_at(stacked, (1.0, 0.0, 1.0, 0.0))
+        hitchin.metric_at(stacked, chart_points([(1.0, 1.0)]))
 
 
 def test_metric_rejects_branch_locus_and_punctures():
     with pytest.raises(ChartBoundaryError):
-        hitchin.metric_at(pair_config(), (0.0, 0.5, 0.0, 0.0))
+        at_point(metric(pair_config()), (0.0, 0.5, 0.0, 0.0))
     with pytest.raises(PoleError):
-        hitchin.metric_at(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
+        at_point(metric(coplanar_pair()), (1.0, 0.0, 1.0, 0.0))
 
 
 # --- exact jets ---
 
 
-def jet_curvature(cfg, x):
+def jet_curvatures(cfg, x):
     return tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), x)
 
 
-def fd_curvature(cfg, x):
-    field = verify.HITCHIN.metric(cfg)
-    return tensorcalc.curvature_at(fd_derivatives(field, chart_step(cfg, x), blocks=True), x)
+def fd_curvatures(cfg, x):
+    """Curvature from the finite-difference stencil of metric_at, with
+    chart_step at each point."""
+    fd = fd_derivatives(metric(cfg), lambda p: chart_step(cfg, p), blocks=True)
+    return tensorcalc.curvature_at(fd, x)
 
 
 def test_metric_jet_value_is_the_metric():
     # and J0^T g from the jet is the Kahler form, whose derivative it gives
     for cfg in (pair_config(), hexagon_config(), square4_config()):
         x = np.array(sampling.hitchin_points(cfg, SampleSpec(count=10, seed=3)))
-        fields = (hitchin.metric_at, hitchin.metric_jet, hitchin.kahler_form_at)
-        (g, _), (jet, _), (w, _) = (field(cfg, x) for field in fields)
+        fields = (metric(cfg), verify.HITCHIN.jet(cfg), omega_field(cfg))
+        (g, _), (jet, _), (w, _) = (field(x) for field in fields)
         for got, value in ((jet.val, g), (hitchin.STANDARD_J.T @ jet.val, w)):
             scale = np.max(np.abs(value), axis=(1, 2))
             assert np.all(np.max(np.abs(got - value), axis=(1, 2)) <= 1e-14 * scale)
@@ -569,8 +589,8 @@ def test_jet_curvature_agrees_with_finite_differences():
     # the Ricci-scan points of the benchmark's hexagon report at seed 7;
     # the stencil is the independent reference, good to about 1e-3 here
     cfg = hexagon_config()
-    for x in sampling.hitchin_points(cfg, SampleSpec(count=30, seed=7)):
-        exact, fd = jet_curvature(cfg, x), fd_curvature(cfg, x)
+    x = np.array(sampling.hitchin_points(cfg, SampleSpec(count=30, seed=7)))
+    for exact, fd in zip(jet_curvatures(cfg, x), fd_curvatures(cfg, x)):
         assert abs(exact.riem_norm_sq / fd.riem_norm_sq - 1.0) < 5e-3
         assert exact.ricci_norm <= fd.ricci_norm
 
@@ -614,14 +634,14 @@ def test_ricci_scan_makes_one_metric_evaluation_per_curvature(monkeypatch):
 
 
 def test_metric_jet_rejects_branch_locus_and_punctures():
-    with pytest.raises(ChartBoundaryError):
-        hitchin.metric_jet(pair_config(), (0.0, 0.5, 0.0, 0.0))
-    with pytest.raises(PoleError):
-        hitchin.metric_jet(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
-    with pytest.raises(ChartBoundaryError):
-        jet_curvature(pair_config(), (0.0, 0.5, 0.0, 0.0))
-    with pytest.raises(PoleError):
-        jet_curvature(coplanar_pair(), (1.0, 0.0, 1.0, 0.0))
+    for cfg, x, error in (
+        (pair_config(), (0.0, 0.5, 0.0, 0.0), ChartBoundaryError),
+        (coplanar_pair(), (1.0, 0.0, 1.0, 0.0), PoleError),
+    ):
+        with pytest.raises(error):
+            at_point(lambda b: hitchin.metric_jet(cfg, b), x)
+        with pytest.raises(error):
+            at_point(lambda b: jet_curvatures(cfg, b), x)
 
 
 def test_decay_fit_domain_checks():
@@ -636,8 +656,10 @@ def test_decay_fit_domain_checks():
 
 
 def test_hermitian_form_finite_with_positive_definite_real_part():
+    # h = g - i omega, from metric_at and the Kahler form's values
     cfg = pair_config()
-    h = hitchin.hermitian_form_at(cfg, (0.4, -0.3, 0.7, 0.2))
+    x = (0.4, -0.3, 0.7, 0.2)
+    h = at_point(metric(cfg), x) - 1j * at_point(omega_field(cfg), x)
     assert np.all(np.isfinite(h))
     assert np.max(np.abs(h - h.conj().T)) < 1e-14 * np.max(np.abs(h))
     assert np.min(np.linalg.eigvalsh(h.real)) > 0.0

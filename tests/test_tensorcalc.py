@@ -23,7 +23,7 @@ from gravinst.tensorcalc import (
 )
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
-from fd_reference import default_step, differentiate_field, fd_derivatives
+from fd_reference import at_point, default_step, differentiate_field, fd_derivatives
 
 A_RAD = 1.3
 B_RAD = 0.9
@@ -51,7 +51,7 @@ SPHERE_PT = (1.0, 0.7, 0.8, 0.3)
 
 
 def fd_curvature(field, x, step=1e-3):
-    return curvature_at(fd_derivatives(field, step), x)
+    return at_point(lambda block: curvature_at(fd_derivatives(field, step), block), x)
 
 
 def test_sphere_product_curvature():
@@ -66,7 +66,7 @@ def test_sphere_product_curvature():
 def test_sphere_product_ricci_norm_definition():
     bun = fd_curvature(sphere_product, SPHERE_PT)
     g = sphere_product(SPHERE_PT)
-    ginv = invert_metric(g)
+    (ginv,), _ = invert_metric(g[None])
     norm_sq = np.einsum("ij,kl,ik,jl->", bun.ricci, bun.ricci, ginv, ginv)
     assert abs(bun.ricci_norm - math.sqrt(norm_sq)) < 1e-12
 
@@ -130,7 +130,7 @@ def test_exterior_derivative_polynomial_form():
         return w
 
     pt = (0.3, -1.2, 0.8, 0.5)
-    dw = exterior_derivative(fd_derivatives(wfield, 1e-2)(pt).partials()[0])
+    dw = exterior_derivative(at_point(fd_derivatives(wfield, 1e-2), pt).partials()[0])
     # triples (012), (013), (023), (123)
     assert np.max(np.abs(dw - np.array([1.6, 0.0, -1.2, 0.3]))) < 1e-10
 
@@ -147,7 +147,7 @@ J0 = np.array(
 
 def test_nijenhuis_constant_j_vanishes():
     pt = (0.6, -0.3, 1.1, 0.2)
-    nij = nijenhuis_at(J0, fd_derivatives(lambda x: J0, 1e-3)(pt).partials()[0])
+    nij = nijenhuis_at(J0, at_point(fd_derivatives(lambda x: J0, 1e-3), pt).partials()[0])
     assert np.max(np.abs(nij)) == 0.0
 
 
@@ -163,7 +163,7 @@ def test_nijenhuis_detects_non_integrable_structure():
         return s @ J0 @ si
 
     pt = (0.6, -0.3, 1.1, 0.2)
-    nij = nijenhuis_at(jfield(pt), fd_derivatives(jfield, 1e-3)(pt).partials()[0])
+    nij = nijenhuis_at(jfield(pt), at_point(fd_derivatives(jfield, 1e-3), pt).partials()[0])
     assert abs(nij[2, 1, 3] - 2 * 0.6) < 1e-10
     assert np.max(np.abs(nij)) == pytest.approx(1.2, abs=1e-10)
 
@@ -179,25 +179,24 @@ FROZEN_SPD = np.array(
 
 
 def test_invert_metric_inverse_property():
-    inv = invert_metric(FROZEN_SPD)
+    (inv,), _ = invert_metric(FROZEN_SPD[None])
     assert np.max(np.abs(FROZEN_SPD @ inv - np.eye(4))) < 1e-12
 
 
 def test_invert_metric_handles_badly_scaled_blocks():
     g = np.diag([2e-5, 2e-5, 3e9, 3e9])
     g[0, 1] = g[1, 0] = 1e-5
-    inv = invert_metric(g)
+    (inv,), _ = invert_metric(g[None])
     assert np.max(np.abs(g @ inv - np.eye(4))) < 1e-10
 
 
 def test_invert_metric_rejects_degenerate():
     g = FROZEN_SPD.copy()
     g[3, 3] = 0.0
-    with pytest.raises(DegenerateMetricError):
-        invert_metric(g)
     sing = np.outer(np.ones(4), np.ones(4)) + np.eye(4) * 1e-17
-    with pytest.raises(DegenerateMetricError):
-        invert_metric(sing)
+    for bad in (g, sing):
+        inv, (err,) = invert_metric(bad[None])
+        assert inv is None and isinstance(err, DegenerateMetricError)
 
 
 def test_invert_metric_block_keeps_each_lane():
@@ -213,7 +212,7 @@ def test_invert_metric_block_keeps_each_lane():
         "DegenerateMetricError",
         None,
     ]
-    assert np.array_equal(inv, np.stack([invert_metric(block[0]), invert_metric(block[3])]))
+    assert np.array_equal(inv, np.concatenate([invert_metric(block[[n]])[0] for n in (0, 3)]))
     # no good lane: no value
     assert invert_metric(block[1:3])[0] is None
 
@@ -224,24 +223,28 @@ def test_default_step_uses_pair_scales():
 
 
 def constant_jet(value):
-    return lambda x: Jet.constant(value)
+    """The field of the constant matrix value, every lane good."""
+    return lambda x: (Jet.constant(np.stack([value] * len(x))), [None] * len(x))
+
+
+ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 
 def test_curvature_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        curvature_at(constant_jet(np.eye(3)), (0.0, 0.0, 0.0, 0.0))
+        curvature_at(constant_jet(np.eye(3)), [ORIGIN])
 
 
 def test_non_finite_field_is_an_overflow_error():
-    with pytest.raises(NumericOverflowError):
-        curvature_at(constant_jet(np.full((4, 4), np.inf)), (0.0, 0.0, 0.0, 0.0))
+    (err,) = curvature_at(constant_jet(np.full((4, 4), np.inf)), [ORIGIN])
+    assert isinstance(err, NumericOverflowError)
 
 
 def test_curvature_rejects_asymmetric_metric():
     g = np.eye(4)
     g[0, 1] = 1e-3
     with pytest.raises(ValueError):
-        curvature_at(constant_jet(g), (0.0, 0.0, 0.0, 0.0))
+        curvature_at(constant_jet(g), [ORIGIN])
 
 
 # --- exact jets ---
@@ -321,42 +324,42 @@ def test_jet_sums_index_and_stacks_value_axes():
 
 
 def stereographic_sphere_jet(x):
-    """Unit round S^4 in stereographic coordinates, g = 4 / (1 + |x|^2)^2."""
+    """Unit round S^4 in stereographic coordinates, g = 4 / (1 + |x|^2)^2,
+    as a jet field on the block x."""
     c = Jet.seed(x)
     s = 1.0 + c[0] * c[0] + c[1] * c[1] + c[2] * c[2] + c[3] * c[3]
-    return 4.0 / (s * s) * np.eye(4)
+    return (4.0 / (s * s))[:, None, None] * np.eye(4), [None] * len(x)
 
 
 def test_curvature_from_supplied_derivatives():
     # constant curvature 1 in dimension 4: Ric = 3 g, R = 12, |Rm|^2 = 24
     pt = (0.3, -0.5, 0.8, 0.1)
-    exact = curvature_at(stereographic_sphere_jet, pt)
+    exact = at_point(lambda x: curvature_at(stereographic_sphere_jet, x), pt)
+    g = at_point(stereographic_sphere_jet, pt).val
     assert abs(exact.scalar - 12.0) < 1e-12
     assert abs(exact.riem_norm_sq - 24.0) < 1e-12
-    assert np.max(np.abs(exact.ricci - 3.0 * stereographic_sphere_jet(pt).val)) < 1e-12
-    fd = fd_curvature(lambda x: stereographic_sphere_jet(x).val, pt)
+    assert np.max(np.abs(exact.ricci - 3.0 * g)) < 1e-12
+    fd = fd_curvature(lambda x: at_point(stereographic_sphere_jet, x).val, pt)
     assert abs(fd.riem_norm_sq - 24.0) < 1e-7
     assert np.max(np.abs(fd.riemann - exact.riemann)) < 1e-7
 
 
 def test_supplied_derivatives_are_validated():
-    pt = (0.0, 0.0, 0.0, 0.0)
-    bad_shape = Jet(np.eye(4), np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
-    not_finite = Jet.constant(np.eye(4))
-    not_finite.hess[0, 0, 1, 2] = np.nan
-    infinite_gradient = Jet.constant(np.eye(4))
-    infinite_gradient.grad[2, 2, 3] = np.inf
+    bad_shape = Jet(np.eye(4)[None], np.zeros((1, 4, 4, 4)), np.zeros((1, 4, 4, 4)))
+    not_finite = Jet.constant(np.eye(4)[None])
+    not_finite.hess[0, 0, 0, 1, 2] = np.nan
+    infinite_gradient = Jet.constant(np.eye(4)[None])
+    infinite_gradient.grad[0, 2, 2, 3] = np.inf
     with pytest.raises(ValueError):
-        curvature_at(lambda x: bad_shape, pt)
-    with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: not_finite, pt)
-    with pytest.raises(NumericOverflowError):
-        curvature_at(lambda x: infinite_gradient, pt)
+        curvature_at(lambda x: (bad_shape, [None]), [ORIGIN])
+    for jet in (not_finite, infinite_gradient):
+        (err,) = curvature_at(lambda x, jet=jet: (jet, [None]), [ORIGIN])
+        assert isinstance(err, NumericOverflowError)
 
 
 def test_riemann_norm_is_the_full_contraction():
     bun = fd_curvature(sphere_product, SPHERE_PT)
-    ginv = invert_metric(bun.g)
+    (ginv,), _ = invert_metric(bun.g[None])
     low = np.einsum("lm,mijk->lijk", bun.g, bun.riemann)
     full = np.einsum("lijk,abcd,la,ib,jc,kd->", low, low, ginv, ginv, ginv, ginv)
     assert abs(bun.riem_norm_sq - full) <= 1e-14 * full
@@ -367,11 +370,12 @@ def test_riemann_norm_is_the_full_contraction():
 
 def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
     # the four first derivatives and the ten second derivatives of the
-    # circle-fibered metric share 129 distinct stencil points, x among them
+    # circle-fibered metric share 129 distinct stencil points, x among
+    # them, evaluated in one call on the block of them
     pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
     x = sampling.gh_points(pair, SampleSpec(count=1, seed=0))[0]
     g_field = verify.GH.metric(pair)
-    g = g_field(x)
+    g = at_point(g_field, x)
     # the metric has signed zeros here, so the byte comparison below sees them
     assert np.any((g == 0.0) & np.signbit(g))
     calls = []
@@ -382,9 +386,11 @@ def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
         return metric_at(*args, **kwargs)
 
     monkeypatch.setattr(ghawking, "metric_at", counted)
-    bundle = curvature_at(fd_derivatives(g_field), x)
-    assert len(calls) == 129
-    assert len(set(calls)) == 129 and tuple(x) in calls
+    bundle = at_point(lambda b: curvature_at(fd_derivatives(g_field, blocks=True), b), x)
+    (block,) = calls
+    assert block.shape == (129, 4)
+    points = {tuple(p) for p in block.tolist()}
+    assert len(points) == 129 and tuple(x) in points
     assert bundle.g.tobytes() == g.tobytes()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
-from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
+from gravinst.errors import ChartBoundaryError, FitDomainError, GeometryError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
@@ -237,7 +237,7 @@ def test_cross_validate_negative_control(build, monkeypatch):
     def perturbed(make):
         return lambda config, *args: make(verify.perturb_config(config), *args)
 
-    perturbed_gh = replace(gh, jet=perturbed(gh.jet))
+    perturbed_gh = replace(gh, state=perturbed(gh.state))
     monkeypatch.setattr(verify, "GH", perturbed_gh)
     stats, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
     assert stats.count == verify.CROSS_COUNT
@@ -622,8 +622,8 @@ def tower_config():
 def assert_block_matches_jet(field, jet_field, x, expected):
     """field on the block x against the jet field's values, lane by lane:
     the same error type in the same lane, values within 1e-13 of the
-    lane's scale; and each lane alone, as a point and as a block of one,
-    exactly the block's lane."""
+    lane's scale; and each lane alone, as a block of one, exactly the
+    block's lane."""
     values, errors = field(x)
     jet, jet_errors = jet_field(x)
     assert [type(e).__name__ if e else "" for e in errors] == expected
@@ -634,13 +634,9 @@ def assert_block_matches_jet(field, jet_field, x, expected):
     for point, err in zip(x, errors):
         one, one_errors = field(point[None])
         if err is None:
-            lane = next(good)
-            assert one_errors == [None] and np.array_equal(one[0], lane)
-            assert np.array_equal(field(point), lane)
+            assert one_errors == [None] and np.array_equal(one[0], next(good))
         else:
             assert one is None and type(one_errors[0]) is type(err)
-            with pytest.raises(type(err)):
-                field(point)
 
 
 def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
@@ -680,22 +676,65 @@ def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
     )
     expected = ["", "PoleError", "ChartBoundaryError", "", "ChartBoundaryError",
                 "ConvergenceError", ""]
-    for field, jets in (
-        (hitchin.metric_at, hitchin.metric_jet),
-        (hitchin.kahler_form_at, _omega_field),
-    ):
-        assert_block_matches_jet(
-            lambda x, field=field: field(cfg, x), lambda x, jets=jets: jets(cfg, x), x, expected
-        )
-    h, _ = hitchin.hermitian_form_at(cfg, x)
-    g, _ = hitchin.metric_at(cfg, x)
-    assert np.array_equal(h.real, g)
+    metric = lambda x: hitchin.metric_at(cfg, x)  # noqa: E731
+    assert_block_matches_jet(metric, verify.HITCHIN.jet(cfg), x, expected)
+    # the Kahler scan's assembly of the same state keeps every lane's error
+    _, errors = verify.assembled(verify.HITCHIN.state(cfg), verify.HITCHIN.kahler_of)(x)
+    assert [type(e).__name__ if e else "" for e in errors] == expected
 
 
-def _omega_field(cfg, x):
-    """The Kahler form's jet over the good lanes of the block x."""
-    fields, errors = hitchin.kahler_jets(cfg, x)
-    return fields and fields[1], errors
+def test_fields_take_blocks_only():
+    # a single point, or a block that is not (N, 4), is a ValueError and
+    # never a silent block of one; the same point as a block of one is good
+    cfg = hexagon_config()
+    gh_point = np.array(verify.GH.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
+    hit_point = np.array(verify.HITCHIN.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
+
+    def never(x):
+        raise AssertionError("the metric must not be evaluated")
+
+    calls = [
+        lambda: tensorcalc.curvature_at(never, gh_point),
+        lambda: tensorcalc.curvature_at(never, gh_point[None, :3]),
+        lambda: tensorcalc.invert_metric(np.eye(4)),
+        lambda: ghawking.metric_at(cfg, gh_point),
+        lambda: hitchin.metric_at(cfg, hit_point),
+        lambda: hitchin.metric_jet(cfg, hit_point),
+        lambda: hitchin.metric_jet(cfg, hit_point[None, None]),
+    ]
+    for chart, point in ((verify.GH, gh_point), (verify.HITCHIN, hit_point)):
+        calls += [
+            lambda chart=chart, point=point: chart.state(cfg)(point),
+            lambda chart=chart, point=point: chart.jet(cfg)(point),
+            lambda chart=chart, point=point: tensorcalc.curvature_at(chart.jet(cfg), point),
+        ]
+        (bundle,) = tensorcalc.curvature_at(chart.jet(cfg), point[None])
+        assert isinstance(bundle, tensorcalc.CurvatureBundle)
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("chart", [verify.GH, verify.HITCHIN], ids=lambda c: c.name)
+def test_construction_jet_and_chart_evaluation_give_identical_bundles(chart):
+    # cross-validation takes the first, the Ricci scan the second; a pole
+    # lane among the stream's points gets the same error on both
+    cfg = hexagon_config()
+    evaluation = verify.ChartEvaluation(chart, cfg, SampleSpec(count=20, seed=7))
+    c = cfg.centers[0]
+    if chart is verify.GH:
+        pole = (0.3, c.b, c.a.real, c.a.imag)
+    else:
+        pole = (-c.a.real, c.a.imag, 1.0, 0.0)
+    x = np.array([pole] + [cp.coords for cp in evaluation.points()])
+    direct = tensorcalc.curvature_at(chart.jet(cfg), x)
+    shared = tensorcalc.curvature_at(evaluation.field(chart.jet_of), x)
+    assert type(direct[0]).__name__ == type(shared[0]).__name__ == "PoleError"
+    for a, b in zip(direct[1:], shared[1:]):
+        assert not isinstance(a, GeometryError)
+        for part in dataclasses.fields(tensorcalc.CurvatureBundle):
+            got, want = getattr(a, part.name), getattr(b, part.name)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), part.name
 
 
 def assert_same_bundles(got, want):
@@ -734,25 +773,30 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
               odd["ConvergenceError"], stream[2], nan_at, singular_at, stream[3]]
     points = [verify.ChartPoint(x, "hitchin") for x in coords]
 
-    def poisoned_jet(config, potential_transform=None):
-        field = verify.HITCHIN.jet(config)
+    # the state keeps its block's good points for the assembly to poison
+    good = []
 
-        def jet(x):
+    def watched_state(config):
+        field = verify.HITCHIN.state(config)
+
+        def state(x):
             value, errors = field(x)
-            if value is None:
-                return value, errors
-            good = [tuple(p) for p, e in zip(x.tolist(), errors) if e is None]
-            val, hess = value.val.copy(), value.hess.copy()
-            for lane, p in enumerate(good):
-                if p == nan_at:
-                    hess[lane, 0, 1, 2, 3] = np.nan
-                if p == singular_at:
-                    val[lane] = np.ones((4, 4))
-            return tensorcalc.Jet(val, value.grad, hess), errors
+            good[:] = [tuple(p) for p, e in zip(x.tolist(), errors) if e is None]
+            return value, errors
 
-        return jet
+        return state
 
-    chart = replace(verify.HITCHIN, jet=poisoned_jet)
+    def poisoned_jet_of(eta, potential_transform=None):
+        value = verify.HITCHIN.jet_of(eta)
+        val, hess = value.val.copy(), value.hess.copy()
+        for lane, p in enumerate(good):
+            if p == nan_at:
+                hess[lane, 0, 1, 2, 3] = np.nan
+            if p == singular_at:
+                val[lane] = np.ones((4, 4))
+        return tensorcalc.Jet(val, value.grad, hess)
+
+    chart = replace(verify.HITCHIN, state=watched_state, jet_of=poisoned_jet_of)
     calls = []
     curvature_at = tensorcalc.curvature_at
 
