@@ -26,17 +26,7 @@ class ChartBoundaryError(GeometryError):
 
 
 class ConvergenceError(GeometryError):
-    """An iterative solver failed to reach its tolerance.
-
-    A solve over lanes (hitchin.solve_b on arrays) gives every lane's
-    outcome: roots, the root each lane returned, and residuals, the
-    relative residual checked at it; None otherwise.
-    """
-
-    def __init__(self, message: str, roots=None, residuals=None):
-        super().__init__(message)
-        self.roots = roots
-        self.residuals = residuals
+    """An iterative solver failed to reach its tolerance."""
 
 
 class SingularFiberError(GeometryError):

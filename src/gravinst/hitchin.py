@@ -25,6 +25,9 @@ standard chart complex structure J0.
 
 Fields take blocks of points (see tensorcalc), and each solves for b
 over its block in one lane call, each lane with its own typed error.
+solve_b returns what a field does, the roots of the converged lanes and
+each lane's error, and base_to_chart is the field that lifts a block of
+circle-fibered base points (theta, b, a1, a2) to this chart.
 metric_at gives g, and metric_jet g as a second-order jet
 (tensorcalc.Jet).  The jets' evaluation, the chart's state on a block,
 is eta_jets; metric_of assembles from it curvature's g with its exact
@@ -34,7 +37,6 @@ and omega jet, built separately from the same eta, with J0 as J.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Sequence
 
@@ -45,13 +47,11 @@ from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
     FitDomainError,
-    GeometryError,
     PoleError,
     SingularFiberError,
 )
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.singularities import CenterConfiguration, GroupElement
-from gravinst.tensorcalc import Coords
 
 EPS_Y_DEFAULT = 1e-8
 
@@ -85,19 +85,11 @@ def require_smooth_fiber(config: CenterConfiguration) -> None:
                 )
 
 
-def _stable_factor(u: float, r: float) -> tuple[float, float]:
-    """Return (f, Delta) with f = u + sqrt(u^2 + r^2), avoiding the
-    cancellation that the direct formula suffers for u < 0."""
-    delta = math.hypot(u, r)
-    if u >= 0.0:
-        return u + delta, delta
-    return (r * r) / (delta - u), delta
-
-
 def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_stable_factor elementwise over arrays; every lane evaluation of
-    the product or its log-sum goes through here, under the caller's
-    np.errstate (a vanishing factor divides by zero)."""
+    """(f, Delta) with f = u + sqrt(u^2 + r^2) elementwise, avoiding the
+    cancellation that the direct formula suffers for u < 0; every lane
+    evaluation of the product or its log-sum goes through here, under the
+    caller's np.errstate (a vanishing factor divides by zero)."""
     delta = np.hypot(u, r)
     return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
 
@@ -128,36 +120,22 @@ def implicit_lhs(
         return _stable_factors(b - b_i, r)[0].prod(axis=0)
 
 
-def _log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
-    """Return (sum_i log f_i, gamma) at height b for the center data
-    (b_i, |zbar + a_i|); the sum is -inf once a factor vanishes."""
-    total = 0.0
-    gam = 0.0
-    for bi, r in data:
-        f, delta = _stable_factor(b - bi, r)
-        if f <= 0.0:
-            return -math.inf, math.inf
-        total += math.log(f)
-        gam += 1.0 / delta
-    return total, gam
-
-
 def _lane_log_lhs(
     b_i: np.ndarray, r: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_log_lhs of each lane, under the caller's np.errstate: b has one
-    height per column of r."""
+    """(sum_i log f_i, gamma) of each lane at height b, under the caller's
+    np.errstate: b has one height per column of the center data (b_i, r),
+    r_i = |zbar + a_i|."""
     f, delta = _stable_factors(b - b_i, r)
     # a vanishing factor (a puncture, r_i = 0, below its center) makes the
-    # sum -inf; gamma stays finite where _log_lhs gives inf, but either way
-    # the Newton step is not finite and leaves the bracket
+    # sum -inf, so the Newton step is not finite and leaves the bracket
     return np.log(f).sum(axis=0), (1.0 / delta).sum(axis=0)
 
 
 def solve_b(
     config: CenterConfiguration, z: complex | np.ndarray, y_abs_sq: float | np.ndarray
-) -> float | np.ndarray:
-    """Solve prod_i ((b - b_i) + Delta_i(b)) = |y|^2 for b.
+) -> tuple:
+    """Solve prod_i ((b - b_i) + Delta_i(b)) = |y|^2 for b on each lane.
 
     Every factor is positive and strictly increasing in b, so the product
     is strictly increasing from 0 to infinity and the root is unique.
@@ -165,40 +143,41 @@ def solve_b(
     exactly gamma, start at the root of the one-center model (exact for
     k = 1).  The signs of g tighten a bracket; a step that is not finite
     or leaves it becomes a bisection, or a doubling step outward while the
-    bracket is open.  The root returned is the last iterate evaluated,
-    and ConvergenceError unless the relative residual of that evaluation
-    is at most SOLVE_TOL; an iterate left after SOLVE_MAX_ITER steps is
+    bracket is open.  The root of a lane is the last iterate evaluated,
+    and it converged when the relative residual of that evaluation is at
+    most SOLVE_TOL; an iterate left after SOLVE_MAX_ITER steps is
     evaluated once more.
 
-    The loop runs over numpy lanes, one per input of the broadcast shape
-    of z and |y|^2 (a float for scalars), and raises ValueError or
-    ConvergenceError when any lane would, the latter with every lane's
-    root and residual.  The fields solve each block in one call.
+    The loop runs over numpy lanes: z and |y|^2 broadcast to one 1-D
+    shape (N,), one lane per input.  Anything else, or a |y|^2 that is not
+    positive and finite, is a ValueError.  Gives (roots, errors) as a
+    field does (see tensorcalc): the roots of the converged lanes in
+    order (None when none is), and per lane None or the ConvergenceError
+    of a stalled solve.  The fields solve each block in one call.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
       one center at the origin, z=1, |y|^2=1  ->  b = 0   (b + sqrt(b^2+1) = 1)
       centers (b,a) = (0,+1), (0,-1), z=0, |y|^2=1  ->  b = 0
     """
-    arrays = isinstance(z, np.ndarray) or isinstance(y_abs_sq, np.ndarray)
     z, y_sq = np.broadcast_arrays(
         np.asarray(z, dtype=complex), np.asarray(y_abs_sq, dtype=float)
     )
+    if z.ndim != 1:
+        raise ValueError("solve_b takes 1-D lanes of z and |y|^2")
     if not np.all((y_sq > 0.0) & (y_sq < math.inf)):
         raise ValueError("y_abs_sq must be positive and finite")
     with np.errstate(all="ignore"):
-        out, out_g = _newton_lanes(config, z.ravel(), np.log(y_sq.ravel()))
+        out, out_g = _newton_lanes(config, z, np.log(y_sq))
         residual = np.where(np.abs(out_g) < 1.0, np.abs(np.expm1(out_g)), math.inf)
-    failed = np.flatnonzero(residual > SOLVE_TOL)
-    if failed.size:
-        lane = failed[0]
-        raise ConvergenceError(
-            f"implicit height solve stalled at relative residual "
-            f"{residual[lane]:.3e} (lane {lane} of {out.size})",
-            roots=out.reshape(y_sq.shape),
-            residuals=residual.reshape(y_sq.shape),
+    stalled = residual > SOLVE_TOL
+    errors: list = [None] * out.size
+    for lane in np.flatnonzero(stalled):
+        errors[lane] = ConvergenceError(
+            f"implicit height solve stalled at relative residual {residual[lane]:.3e}"
         )
-    return out.reshape(y_sq.shape) if arrays else float(out[0])
+    roots = out[~stalled] if stalled.any() else out
+    return (roots if roots.size else None), errors
 
 
 def _newton_lanes(
@@ -291,16 +270,10 @@ def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     lanes = np.flatnonzero(~(floor | pole))
     if not lanes.size:
         return lanes, None, errors
-    try:
-        root = solve_b(config, z[lanes], y_abs[lanes] ** 2)
-    except ConvergenceError as exc:
-        root = exc.roots
-        stalled = exc.residuals > SOLVE_TOL
-        for n, res in zip(lanes[stalled], exc.residuals[stalled]):
-            errors[n] = ConvergenceError(
-                f"implicit height solve stalled at relative residual {res:.3e}"
-            )
-        lanes, root = lanes[~stalled], root[~stalled]
+    root, stalled = solve_b(config, z[lanes], y_abs[lanes] ** 2)
+    if any(stalled):
+        errors = tensorcalc.lane_results(errors, stalled)
+        lanes = lanes[[e is None for e in stalled]]
     return lanes, root, errors
 
 
@@ -438,19 +411,27 @@ def user_coords(vals: Sequence[float]) -> Sequence[float]:
     return vals
 
 
-def base_to_chart(
-    config: CenterConfiguration, b: float, a: complex, phase: float = 0.0
-) -> Coords:
-    """Chart coordinates (Re z, Im z, Re y, Im y) over the base point
-    (b, a): z = -conj(a) and |y|^2 = prod_i ((b - b_i) + Delta_i), with a
-    free phase for y."""
-    z = -complex(a).conjugate()
-    zbar = z.conjugate()
-    log_y_sq, _ = _log_lhs([(c.b, abs(zbar + c.a)) for c in config.centers], b)
-    if log_y_sq == -math.inf:
-        raise ChartBoundaryError("base point lies on the y = 0 locus")
-    y = math.exp(0.5 * log_y_sq) * cmath.exp(1j * phase)
-    return (z.real, z.imag, y.real, y.imag)
+def base_to_chart(config: CenterConfiguration, x) -> tuple:
+    """Complex-chart coordinates (Re z, Im z, Re y, Im y) over each point
+    (theta, b, a1, a2) of a block x of circle-fibered chart points, as a
+    field (see tensorcalc): z = -conj(a) and |y|^2 = prod_i ((b - b_i) +
+    Delta_i), with theta the phase of y.  A lane whose product vanishes
+    (a base point on the y = 0 locus) gets ChartBoundaryError."""
+    x = tensorcalc.as_block(x)
+    z_re, z_im = -x[:, 2], x[:, 3]
+    b_i, r = _lane_data(config, z_re + 1j * z_im)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_y_sq = _lane_log_lhs(b_i, r, x[:, 1])[0]
+    on_locus = log_y_sq == -math.inf
+    errors: list = [
+        ChartBoundaryError("base point lies on the y = 0 locus") if v else None
+        for v in on_locus.tolist()
+    ]
+    if on_locus.all():
+        return None, errors
+    y_abs, theta = np.exp(0.5 * log_y_sq), x[:, 0]
+    lifted = np.column_stack([z_re, z_im, y_abs * np.cos(theta), y_abs * np.sin(theta)])
+    return lifted[~on_locus], errors
 
 
 _DECAY_DIRECTIONS = np.array(
@@ -478,16 +459,14 @@ def ale_curvature_samples(
     if np.min(base_radii) < 2.0 * scale:
         raise FitDomainError("smallest radius is inside the configuration region")
     directions = _DECAY_DIRECTIONS / np.linalg.norm(_DECAY_DIRECTIONS, axis=1)[:, None]
-    points = [
-        base_to_chart(config, s * d[0], complex(s * d[1], s * d[2]))
-        for s in base_radii
-        for d in directions
-    ]
-    # six radii by four directions: one block of 24 lanes
-    bundles = tensorcalc.curvature_at(lambda x: metric_jet(config, x), np.array(points))
-    for bundle in bundles:
-        if isinstance(bundle, GeometryError):
-            raise bundle
+    # six radii by four directions, at theta = 0: one block of 24 lanes
+    base = (base_radii[:, None, None] * directions).reshape(-1, 3)
+    points = tensorcalc.every_lane(
+        base_to_chart(config, np.column_stack([np.zeros(len(base)), base]))
+    )
+    bundles = tensorcalc.every_lane(
+        tensorcalc.curvature_at(lambda x: metric_jet(config, x), points)
+    )
     rm = np.array([bundle.riem_norm_sq for bundle in bundles])
     return radii, rm.reshape(len(base_radii), len(directions)).tolist()
 

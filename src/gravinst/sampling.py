@@ -149,21 +149,24 @@ def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords
     the branch locus y = 0 or a puncture z = -conj(a_i)) are discarded
     and replaced by later stream entries, keeping the accepted list a
     deterministic function of the SampleSpec.  The stream's budget bounds
-    the discards too.
+    the discards too.  The candidates are lifted in blocks
+    (hitchin.base_to_chart) of as many as are still missing, so the draw
+    never runs past the last one accepted.
     """
     scale = max(1.0, config.extent())
+    candidates = (
+        (theta, b, a.real, a.imag)
+        for b, a, theta in _candidates(config, spec)
+        if all(abs(c.a - a) >= spec.chart_margin * scale for c in config.centers)
+    )
     out: list[Coords] = []
-    for b, a, theta in _candidates(config, spec):
-        z = -a.conjugate()
-        if any(
-            abs(z.conjugate() + c.a) < spec.chart_margin * scale
-            for c in config.centers
-        ):
-            continue
-        x = hitchin.base_to_chart(config, b, a, phase=theta)
-        if abs(complex(x[2], x[3])) < spec.chart_margin:
-            continue
-        out.append(x)
-        if len(out) >= spec.count:
-            break
+    while len(out) < spec.count:
+        block = list(itertools.islice(candidates, spec.count - len(out)))
+        # a lane on the y = 0 locus has no lift, and the margin drops it anyway
+        lifted, _ = hitchin.base_to_chart(config, block)
+        out.extend(
+            tuple(x)
+            for x in (lifted.tolist() if lifted is not None else ())
+            if abs(complex(x[2], x[3])) >= spec.chart_margin
+        )
     return out

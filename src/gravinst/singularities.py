@@ -174,10 +174,10 @@ def make_polygon_config(
     if any(c == 0 for c in cs):
         raise ValueError("deformation roots c_i must be nonzero")
     powers = [c**signature.n for c in cs]
-    pscale = max(abs(p) for p in powers)
     for i in range(len(powers)):
         for j in range(i + 1, len(powers)):
-            if abs(powers[i] - powers[j]) <= 1e-12 * pscale:
+            # relative to the pair: radii may span decades
+            if abs(powers[i] - powers[j]) <= 1e-12 * max(abs(powers[i]), abs(powers[j])):
                 raise SingularFiberError(
                     "repeated deformation value c_i**n: the fiber is singular"
                 )

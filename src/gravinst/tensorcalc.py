@@ -13,9 +13,12 @@ returns its value over a leading lane axis, paired with one entry per
 lane: None, or the GeometryError that lane raises.  The value holds only
 the lanes whose entry is None, in order (it is None when no lane is), so
 a failing lane never ends its block.  Anything but an (N, 4) array is a
-ValueError.  curvature_at takes the metric's jet, one evaluation per
-block, and assembles every lane at once; exterior_derivative and
-nijenhuis_at take derivative arrays with any leading lane axes.
+ValueError.  curvature_at is a field of the same shape: it evaluates
+the metric's jet field once per block and assembles every lane at once.
+lane_results joins a field's values and errors into one result per
+lane, and every_lane takes the value of a block whose lanes are all
+good.  exterior_derivative and nijenhuis_at take derivative arrays with
+any leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -280,15 +283,13 @@ def lane_results(errors: Sequence, values: Sequence) -> list:
     return [e if e is not None else next(good) for e in errors]
 
 
-def each(fn: Callable, items: Sequence) -> list:
-    """fn of each item, or the GeometryError it raised."""
-    out = []
-    for item in items:
-        try:
-            out.append(fn(item))
-        except GeometryError as exc:
-            out.append(exc)
-    return out
+def every_lane(result: tuple):
+    """The value of a field's result (value, errors) when every lane is
+    good; else the first failing lane's GeometryError, raised."""
+    value, errors = result
+    if any(errors):
+        raise next(e for e in errors if e is not None)
+    return value
 
 
 def stack_lanes(values: list):
@@ -305,20 +306,26 @@ def stack_lanes(values: list):
 def each_lane(fn: Callable[[Coords], object]) -> Callable:
     """The block field of a chart that evaluates one point at a time, its
     values kept per point: on a block, fn at each point (a tuple of
-    floats), the good lanes' values as a list (None when no lane is good)."""
+    floats), the good lanes' values as a list (None when no lane is good),
+    and per lane None or the GeometryError fn raised there."""
 
     def field(x):
-        results = each(fn, [tuple(p) for p in as_block(x).tolist()])
-        errors = [r if isinstance(r, GeometryError) else None for r in results]
-        good = [r for r, e in zip(results, errors) if e is None]
-        return (good or None), errors
+        values, errors = [], []
+        for p in as_block(x).tolist():
+            try:
+                values.append(fn(tuple(p)))
+                errors.append(None)
+            except GeometryError as exc:
+                errors.append(exc)
+        return (values or None), errors
 
     return field
 
 
-def curvature_at(metric: Field, x) -> list:
+def curvature_at(metric: Field, x) -> tuple:
     """Full curvature of a metric at each point of a block x of shape
-    (N, 4).
+    (N, 4), as a field: the CurvatureBundle of each good lane in order
+    (None when no lane is), and per lane None or its GeometryError.
 
     metric(x) is the metric's jet field (see the module docstring),
     evaluated once, so the chart's own errors (the chart boundary, a pole,
@@ -329,17 +336,19 @@ def curvature_at(metric: Field, x) -> list:
     of g.  After the chart's errors a lane gets NumericOverflowError for a
     jet that is not finite, then DegenerateMetricError from
     invert_metric, then NumericOverflowError for a non-finite assembly.
-    Gives one entry per lane, the CurvatureBundle or the error.  A jet of
-    the wrong shape or an asymmetric metric is a ValueError for the whole
-    block.
+    A jet of the wrong shape or an asymmetric metric is a ValueError for
+    the whole block.
     """
     jet, errors = metric(as_block(x))
-    return lane_results(errors, _curvature_lanes(jet) if jet is not None else ())
+    if jet is None:
+        return None, errors
+    bundles, jet_errors = _curvature_lanes(jet)
+    return bundles, lane_results(errors, jet_errors)
 
 
-def _curvature_lanes(jet: Jet) -> list:
-    """curvature_at over the lanes of a metric jet of value shape (N, 4, 4):
-    per lane, its CurvatureBundle or GeometryError."""
+def _curvature_lanes(jet: Jet) -> tuple:
+    """curvature_at over the lanes of a metric jet of value shape (N, 4, 4),
+    as a field over the jet's lanes."""
     g0 = jet.val
     if (
         g0.ndim != 3
@@ -364,7 +373,7 @@ def _curvature_lanes(jet: Jet) -> list:
         errors[lane] = err
     good = np.array([e is None for e in errors], dtype=bool)
     if not good.any():
-        return errors
+        return None, errors
     g = g0[good]
     dg, d2g = jet[good].partials()
 
@@ -401,6 +410,8 @@ def _curvature_lanes(jet: Jet) -> list:
         & np.isfinite(ricci_norm)
         & np.isfinite(riem_norm_sq)
     )
+    for lane in np.flatnonzero(good)[~sane]:
+        errors[lane] = NumericOverflowError("curvature assembly produced non-finite values")
     bundles = [
         CurvatureBundle(
             christoffel=gamma[i],
@@ -411,11 +422,9 @@ def _curvature_lanes(jet: Jet) -> list:
             riem_norm_sq=float(riem_norm_sq[i]),
             g=g[i],
         )
-        if sane[i]
-        else NumericOverflowError("curvature assembly produced non-finite values")
-        for i in range(len(g))
+        for i in np.flatnonzero(sane)
     ]
-    return lane_results(errors, bundles)
+    return (bundles or None), errors
 
 
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T

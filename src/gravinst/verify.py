@@ -17,9 +17,15 @@ stream, drawn once, and the chart's state (the field jets of one
 evaluation) at each SAMPLE_BLOCK block of it, evaluated once.  The
 Ricci scan assembles its metric jet and the Kahler scan its (g, omega,
 J) from that state, and the invariance scan takes the same stream.
-Cross-validation takes its curvature from the report's Ricci samples
-wherever a matched point is one of them, and evaluates only the rest.
-Called alone, each scan makes its own evaluation.
+Cross-validation lifts its base points to the complex chart a block at
+a time (hitchin.base_to_chart), takes its curvature from the report's
+Ricci samples wherever a matched point is one of them, and evaluates
+only the rest.  Called alone, each scan makes its own evaluation.
+
+Every scan evaluates a block of samples as a field: the records of the
+usable samples in order, and per sample None or the GeometryError that
+makes it unusable.  tensorcalc.lane_results joins the two into the
+scan's per-sample records.
 """
 
 from __future__ import annotations
@@ -369,24 +375,28 @@ def _evaluation(
 
 
 def _sample(
-    points: Sequence[ChartPoint], evaluate: Callable[[Sequence[ChartPoint]], list]
+    points: Sequence[ChartPoint], evaluate: Callable[[Sequence[ChartPoint]], tuple]
 ) -> tuple[SampleRecord, ...]:
-    """evaluate on blocks of at most SAMPLE_BLOCK points: per point of its
-    block it gives a SampleRecord or the GeometryError that made the point
-    unusable, which marks the sample with its type instead of ending the
-    scan.  A GeometryError raised for the block marks each of its points."""
+    """evaluate on blocks of at most SAMPLE_BLOCK points, as a field: the
+    SampleRecords of the block's good points in order, and per point None
+    or the GeometryError that made it unusable, which marks the sample
+    with its type instead of ending the scan.  A GeometryError raised for
+    the block marks each of its points."""
     out = []
     for start in range(0, len(points), SAMPLE_BLOCK):
         block = points[start : start + SAMPLE_BLOCK]
         try:
-            results = evaluate(block)
+            records, errors = evaluate(block)
         except GeometryError as exc:
-            results = [exc] * len(block)
-        out.extend(
-            SampleRecord(cp, error=type(r).__name__) if isinstance(r, GeometryError) else r
-            for cp, r in zip(block, results)
-        )
+            records, errors = (), [exc] * len(block)
+        marks = [e and SampleRecord(cp, error=type(e).__name__) for cp, e in zip(block, errors)]
+        out.extend(tensorcalc.lane_results(marks, records))
     return tuple(out)
+
+
+def _good(block: Sequence[ChartPoint], errors: Sequence) -> list[ChartPoint]:
+    """The points of the block whose lane has no error, in order."""
+    return [cp for cp, e in zip(block, errors) if e is None]
 
 
 def _coords(block: Sequence[ChartPoint]) -> np.ndarray:
@@ -460,11 +470,9 @@ def ricci_samples(
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
         return SampleRecord(cp, (residual,), curvature=bundle)
 
-    def evaluate(block: Sequence[ChartPoint]) -> list:
-        bundles = tensorcalc.curvature_at(metric, _coords(block))
-        return [
-            b if isinstance(b, GeometryError) else record(cp, b) for cp, b in zip(block, bundles)
-        ]
+    def evaluate(block: Sequence[ChartPoint]) -> tuple:
+        bundles, errors = tensorcalc.curvature_at(metric, _coords(block))
+        return [record(cp, b) for cp, b in zip(_good(block, errors), bundles or ())], errors
 
     return _sample(points, evaluate)
 
@@ -520,13 +528,10 @@ def kahler_scan(
         compat = np.max(np.abs(w - np.swapaxes(J, -1, -2) @ g), axis=(1, 2))
         return np.column_stack([np.max(np.abs(dw), axis=1) / wscale, nij, compat / wscale])
 
-    def evaluate(block: Sequence[ChartPoint]) -> list:
+    def evaluate(block: Sequence[ChartPoint]) -> tuple:
         fields, errors = kahler_at(_coords(block))
-        rows = tensorcalc.lane_results(errors, residuals(*fields) if fields else ())
-        return [
-            r if isinstance(r, GeometryError) else SampleRecord(cp, tuple(r.tolist()))
-            for cp, r in zip(block, rows)
-        ]
+        rows = residuals(*fields).tolist() if fields else ()
+        return [SampleRecord(cp, tuple(r)) for cp, r in zip(_good(block, errors), rows)], errors
 
     records = _scan_records(
         "Kahler",
@@ -560,7 +565,7 @@ def invariance_scan(
     M, shift = c.action(gel)
     metric = c.metric(config)
 
-    def evaluate(block: Sequence[ChartPoint]) -> list:
+    def evaluate(block: Sequence[ChartPoint]) -> tuple:
         x = _coords(block)
         n = len(x)
         g, errors = metric(np.concatenate([x, x @ M.T + shift]))
@@ -570,11 +575,11 @@ def invariance_scan(
         here, there = lanes[:n], lanes[n:]
         res = np.max(np.abs(M.T @ there @ M - here), axis=(1, 2))
         res /= np.maximum(1.0, np.max(np.abs(here), axis=(1, 2)))
-        # an error, never falsy, stands in for its sample
+        # a sample's error is its point's, or else its image's
+        errors = [e or image for e, image in zip(errors[:n], errors[n:])]
         return [
-            errors[i] or errors[n + i] or SampleRecord(cp, (float(res[i]),))
-            for i, cp in enumerate(block)
-        ]
+            SampleRecord(cp, (float(r),)) for cp, r, e in zip(block, res, errors) if e is None
+        ], errors
 
     samples = _sample(ev.points(), evaluate)
     return _scan_records("invariance", c.name, ("invariance",), (INVARIANCE_TOL,), samples)[0]
@@ -614,41 +619,44 @@ def cross_validate(
         )
         return stats, record
     found = {
-        (name, s.point.coords): s.curvature
+        (name, s.point.coords): s.curvature.riem_norm_sq
         for name, samples in (known or {}).items()
         for s in samples
         if s.curvature is not None
     }
 
-    def lift(cp: ChartPoint) -> Coords:
-        theta, b, a1, a2 = cp.coords
-        return hitchin.base_to_chart(config, b, complex(a1, a2), phase=theta)
+    def riem_norm_sq(c: Construction, x: np.ndarray) -> tuple:
+        """|Rm|^2 of c at each row of the block x, NaN where the row has an
+        error, and the per-row errors: a row found in known takes its
+        value, and the other rows are evaluated in one call."""
+        rm = np.array([found.get((c.name, p), np.nan) for p in map(tuple, x.tolist())])
+        errors: list = [None] * len(x)
+        missing = np.flatnonzero(np.isnan(rm))
+        if missing.size:
+            bundles, fresh = tensorcalc.curvature_at(c.jet(config), x[missing])
+            for n, err in zip(missing, fresh):
+                errors[n] = err
+            rm[missing[[e is None for e in fresh]]] = [b.riem_norm_sq for b in bundles or ()]
+        return rm, errors
 
-    def curvatures(c: Construction, coords: list) -> list:
-        """Per entry of coords, its GeometryError as given, or the bundle
-        found in known, or else evaluated: every such lane in one call."""
-        out = [x if isinstance(x, GeometryError) else found.get((c.name, x)) for x in coords]
-        missing = [n for n, bundle in enumerate(out) if bundle is None]
-        if missing:
-            fresh = tensorcalc.curvature_at(c.jet(config), np.array([coords[n] for n in missing]))
-            for n, bundle in zip(missing, fresh):
-                out[n] = bundle
-        return out
-
-    def ratio(cp: ChartPoint, hit, gh) -> SampleRecord | GeometryError:
-        # the complex chart's error first, as in the order of evaluation
-        for bundle in (hit, gh):
-            if isinstance(bundle, GeometryError):
-                return bundle
-        rm_hit, rm_gh = hit.riem_norm_sq, gh.riem_norm_sq
+    def ratio(cp: ChartPoint, rm_hit: float, rm_gh: float) -> SampleRecord:
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
             return SampleRecord(cp, error="below curvature floor")
         return SampleRecord(cp, (rm_hit / rm_gh,))
 
-    def evaluate(block: Sequence[ChartPoint]) -> list:
-        hit = curvatures(HITCHIN, tensorcalc.each(lift, block))
-        gh = curvatures(GH, [cp.coords for cp in block])
-        return [ratio(cp, h, g) for cp, h, g in zip(block, hit, gh)]
+    def evaluate(block: Sequence[ChartPoint]) -> tuple:
+        x = _coords(block)
+        lifted, errors = hitchin.base_to_chart(config, x)
+        rm_hit = np.full(len(x), np.nan)
+        if lifted is not None:
+            rm_hit[[e is None for e in errors]], hit_errors = riem_norm_sq(HITCHIN, lifted)
+            errors = tensorcalc.lane_results(errors, hit_errors)
+        rm_gh, gh_errors = riem_norm_sq(GH, x)
+        # the complex chart's error first, as in the order of evaluation
+        errors = [e or g for e, g in zip(errors, gh_errors)]
+        good = [e is None for e in errors]
+        pairs = zip(_good(block, errors), rm_hit[good].tolist(), rm_gh[good].tolist())
+        return [ratio(cp, h, g) for cp, h, g in pairs], errors
 
     samples = _sample(GH.points(config, spec), evaluate)
     ratios = [s.residuals[0] for s in samples if not s.error]
@@ -835,7 +843,8 @@ def solver_scan(
         # log-uniform |y|^2 over several decades, with Python's pow (numpy's
         # may differ in the last bit)
         y_abs_sq = np.array([10.0**e for e in (-3.0 + 7.0 * u[2]).tolist()]) * scale
-        lhs = hitchin.implicit_lhs(config, z, hitchin.solve_b(config, z, y_abs_sq))
+        roots = tensorcalc.every_lane(hitchin.solve_b(config, z, y_abs_sq))
+        lhs = hitchin.implicit_lhs(config, z, roots)
         worst = max(worst, float(np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
     return CheckRecord(
         name="implicit-solver",

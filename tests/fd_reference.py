@@ -16,14 +16,17 @@ plain function of one point, and gives a field.  gh_kahler_forms is the
 circle-fibered Kahler form and complex structure as a field, from their
 closed forms, the reference for the chart's jets.
 
-The module also keeps two loops the program runs over numpy lanes, as
-their references: the recursive adaptive Simpson rule, for the
-breadth-first lane quadrature (gravinst.quadrature), and the float
-Newton loop of the implicit height, for hitchin.solve_b.
+The module also keeps, as their references, the float forms of what the
+program runs over numpy lanes: the recursive adaptive Simpson rule, for
+the breadth-first lane quadrature (gravinst.quadrature), and the
+implicit height's log-sum (log_lhs) with its float Newton loop, for
+hitchin.solve_b, and the float lift of a base point, for
+hitchin.base_to_chart.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import Callable, Sequence
@@ -34,7 +37,6 @@ from gravinst import ghawking, hitchin, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
-    GeometryError,
     NumericOverflowError,
     PoleError,
 )
@@ -61,15 +63,8 @@ _SECOND = tuple((m, i) for m in range(4) for i in range(m, 4))
 def at_point(field: Callable, x: Coords):
     """field on the block of the one point x: lane 0's value, or lane 0's
     error raised.  field is a field, giving (value over the good lanes,
-    per-lane errors), or gives one result per lane, as
-    tensorcalc.curvature_at does."""
-    out = field(np.asarray(x, dtype=float)[None])
-    if isinstance(out, list):
-        (lane,) = out
-        if isinstance(lane, GeometryError):
-            raise lane
-        return lane
-    value, (error,) = out
+    per-lane errors)."""
+    value, (error,) = field(np.asarray(x, dtype=float)[None])
     if error is not None:
         raise error
     return value[0]
@@ -314,10 +309,47 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
+def stable_factor(u: float, r: float) -> tuple[float, float]:
+    """Return (f, Delta) with f = u + sqrt(u^2 + r^2), avoiding the
+    cancellation that the direct formula suffers for u < 0."""
+    delta = math.hypot(u, r)
+    if u >= 0.0:
+        return u + delta, delta
+    return (r * r) / (delta - u), delta
+
+
+def log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
+    """Return (sum_i log f_i, gamma) at height b for the center data
+    (b_i, |zbar + a_i|); the sum is -inf once a factor vanishes."""
+    total = 0.0
+    gam = 0.0
+    for bi, r in data:
+        f, delta = stable_factor(b - bi, r)
+        if f <= 0.0:
+            return -math.inf, math.inf
+        total += math.log(f)
+        gam += 1.0 / delta
+    return total, gam
+
+
+def float_base_to_chart(config: CenterConfiguration, x: Coords) -> Coords:
+    """hitchin.base_to_chart at the one circle-fibered point x = (theta, b,
+    a1, a2), in Python floats with math's elementary functions:
+    z = -conj(a) and |y|^2 = exp(log_lhs), y with phase theta.
+    ChartBoundaryError on the y = 0 locus."""
+    theta, b, a1, a2 = x
+    zbar = complex(-a1, -a2)
+    log_y_sq, _ = log_lhs([(c.b, abs(zbar + c.a)) for c in config.centers], b)
+    if log_y_sq == -math.inf:
+        raise ChartBoundaryError("base point lies on the y = 0 locus")
+    y = math.exp(0.5 * log_y_sq) * cmath.exp(1j * theta)
+    return (-a1, a2, y.real, y.imag)
+
+
 def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> float:
     """hitchin.solve_b's safeguarded Newton loop in Python floats, at one
     input: the same start, bracket, steps, stopping rule and residual
-    check, with math's elementary functions (hitchin._log_lhs), and
+    check, with math's elementary functions (log_lhs), and
     hitchin's SOLVE_TOL and SOLVE_MAX_ITER read at call time."""
     if not (y_abs_sq > 0.0) or not math.isfinite(y_abs_sq):
         raise ValueError("y_abs_sq must be positive and finite")
@@ -335,7 +367,7 @@ def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> f
     lo, hi = -math.inf, math.inf
     width = 0.0
     for _ in range(hitchin.SOLVE_MAX_ITER):
-        total, gam = hitchin._log_lhs(data, b)
+        total, gam = log_lhs(data, b)
         gval = total - target
         nxt = b - gval / gam if math.isfinite(gval) else math.nan
         if abs(nxt - b) <= 1e-16 * (1.0 + abs(b)):
@@ -355,7 +387,7 @@ def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> f
         b = nxt
     else:
         # the steps ran out: evaluate the last iterate once more
-        gval = hitchin._log_lhs(data, b)[0] - target
+        gval = log_lhs(data, b)[0] - target
     residual = abs(math.expm1(gval)) if abs(gval) < 1.0 else math.inf
     if residual > hitchin.SOLVE_TOL:
         raise ConvergenceError(

@@ -9,7 +9,8 @@ Ricci scan.  Regenerate it after a change that is meant to move a residual:
 
     PYTHONPATH=src python tests/make_reference_reports.py
 
-and name every record that moved (the test prints them) in CHANGES.md.
+and name every record that moved in CHANGES.md: the script prints each
+one, with its old and new values, before it rewrites the file.
 """
 
 from __future__ import annotations
@@ -88,5 +89,11 @@ def render(cases: dict) -> str:
 
 
 if __name__ == "__main__":
-    REFERENCE.write_text(render(reports()), encoding="utf-8")
+    from test_reference_reports import moved_records
+
+    cases = reports()
+    old = json.loads(REFERENCE.read_text(encoding="utf-8")) if REFERENCE.exists() else {}
+    for line in moved_records(old, cases):
+        print(line)
+    REFERENCE.write_text(render(cases), encoding="utf-8")
     print(f"wrote {REFERENCE}")

@@ -75,11 +75,15 @@ def test_criterion_01_flat_anchors():
     results = {}
     t0 = time.perf_counter()
     # one block per chart; a lane's error fails the criterion
-    bundles = tensorcalc.curvature_at(verify.GH.jet(cfg), sampling.gh_points(cfg, spec))
+    bundles = tensorcalc.every_lane(
+        tensorcalc.curvature_at(verify.GH.jet(cfg), sampling.gh_points(cfg, spec))
+    )
     worst = max(bun.riem_norm_sq for bun in bundles)
     results["gh"] = (worst, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    bundles = tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), sampling.hitchin_points(cfg, spec))
+    bundles = tensorcalc.every_lane(
+        tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), sampling.hitchin_points(cfg, spec))
+    )
     worst = max(bun.riem_norm_sq for bun in bundles)
     results["hitchin"] = (worst, time.perf_counter() - t0)
     ok = all(w < 1e-8 and dt < 10.0 for w, dt in results.values())
@@ -219,11 +223,9 @@ def test_criterion_09_implicit_solver():
     )
     # closed forms; agreement at machine precision (the solver works in
     # doubles, so one ulp of slack is the honest target)
-    diffs = [
-        abs(hitchin.solve_b(origin, 0j, 1.0) - 0.5),
-        abs(hitchin.solve_b(origin, 1.0 + 0j, 1.0) - 0.0),
-        abs(hitchin.solve_b(coplanar, 0j, 1.0) - 0.0),
-    ]
+    b_origin = tensorcalc.every_lane(hitchin.solve_b(origin, [0j, 1.0 + 0j], 1.0))
+    b_coplanar = tensorcalc.every_lane(hitchin.solve_b(coplanar, [0j], 1.0))
+    diffs = [abs(b_origin[0] - 0.5), abs(b_origin[1] - 0.0), abs(b_coplanar[0] - 0.0)]
     ok = rec.passed and rec.max_residual < 1e-12 and max(diffs) <= 1e-15
     emit(
         "criterion 09 implicit solver",

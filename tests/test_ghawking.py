@@ -521,7 +521,7 @@ def test_finite_difference_curvature_matches_closed_form(build):
     cfg = build()
     fd_jet = fd_derivatives(verify.GH.metric(cfg), blocks=True)
     points = sampling.gh_points(cfg, SampleSpec(count=20, seed=7))
-    for x, fd in zip(points, tensorcalc.curvature_at(fd_jet, points)):
+    for x, fd in zip(points, tensorcalc.every_lane(tensorcalc.curvature_at(fd_jet, points))):
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(fd.riem_norm_sq / exact - 1.0) < 1e-4
 
@@ -533,7 +533,8 @@ def test_jet_curvature_matches_closed_form(build):
     # chart's own conditioning leaves 2.5e-9 relative error
     cfg = build()
     points = sampling.gh_points(cfg, SampleSpec(count=20, seed=7))
-    for x, jet in zip(points, tensorcalc.curvature_at(verify.GH.jet(cfg), points)):
+    bundles = tensorcalc.every_lane(tensorcalc.curvature_at(verify.GH.jet(cfg), points))
+    for x, jet in zip(points, bundles):
         exact = closed_form_riem_norm_sq(cfg, x[1], complex(x[2], x[3]))
         assert abs(jet.riem_norm_sq - exact) <= 1e-10 * max(exact, 1.0)
 
@@ -595,10 +596,9 @@ def test_jets_raise_typed_errors_on_the_axis():
         ):
             _, errors = field(x)
             assert [type(e) for e in errors] == expected
-        bundles = tensorcalc.curvature_at(verify.GH.jet(cfg), x)
-    assert [type(b) for b in bundles[:2]] == expected[:2]
+        (bundle,), errors = tensorcalc.curvature_at(verify.GH.jet(cfg), x)
+    assert [type(e) for e in errors] == expected
     # the down gauge is smooth through the axis above the center
-    bundle = bundles[2]
     exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
     assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
 
@@ -635,10 +635,9 @@ def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
     }
     assert len(points) > 400
     # one block, the way the scans evaluate the complex chart
-    lifted = [
-        hitchin.base_to_chart(cfg, b, complex(a1, a2), phase=theta) for theta, b, a1, a2 in points
-    ]
-    bundles = tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), np.array(lifted))
+    points = list(points)
+    lifted = tensorcalc.every_lane(hitchin.base_to_chart(cfg, points))
+    bundles = tensorcalc.every_lane(tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), lifted))
     for (theta, b, a1, a2), bundle in zip(points, bundles):
         rm = bundle.riem_norm_sq
         assert abs(rm / closed_form_riem_norm_sq(cfg, b, complex(a1, a2)) - 0.25) < 1e-4

@@ -26,7 +26,14 @@ from gravinst.singularities import (
     QuotientSignature,
     make_polygon_config,
 )
-from fd_reference import at_point, chart_step, fd_derivatives, float_solve_b
+from fd_reference import (
+    at_point,
+    chart_step,
+    fd_derivatives,
+    float_base_to_chart,
+    float_solve_b,
+    log_lhs,
+)
 
 
 def pair_config():
@@ -61,18 +68,26 @@ def hexagon_config():
 # --- implicit solver ---
 
 
+def solve_one(cfg, z, y_sq):
+    """solve_b on the one lane (z, |y|^2): its root as a float, or its
+    error raised."""
+    (root,) = tensorcalc.every_lane(hitchin.solve_b(cfg, [z], [y_sq]))
+    return float(root)
+
+
 def test_solve_b_closed_forms():
     # mathematical roots 1/2, 0, 0; the double evaluation of the product
     # cannot separate roots closer than one ulp of the factor scale, so
     # agreement is asserted at machine precision
-    b1 = hitchin.solve_b(origin_config(), 0j, 1.0)
-    assert abs(b1 - 0.5) < 1e-15
-    assert abs(hitchin.solve_b(origin_config(), 1.0 + 0j, 1.0)) < 1e-15
-    assert abs(hitchin.solve_b(coplanar_pair(), 0j, 1.0)) < 1e-15
-    # the root is a plain float whose back-substitution residual solve_b
-    # has already held to SOLVE_TOL
-    assert isinstance(b1, float)
-    assert abs(hitchin.implicit_lhs(origin_config(), 0j, b1) - 1.0) <= hitchin.SOLVE_TOL
+    roots, errors = hitchin.solve_b(origin_config(), [0j, 1.0 + 0j], 1.0)
+    assert errors == [None, None]
+    assert abs(roots[0] - 0.5) < 1e-15
+    assert abs(roots[1]) < 1e-15
+    assert abs(solve_one(coplanar_pair(), 0j, 1.0)) < 1e-15
+    # the roots are floats whose back-substitution residual solve_b has
+    # already held to SOLVE_TOL
+    assert roots.dtype == float
+    assert abs(hitchin.implicit_lhs(origin_config(), 0j, roots[0]) - 1.0) <= hitchin.SOLVE_TOL
 
 
 def test_solve_b_back_substitution_random():
@@ -80,7 +95,7 @@ def test_solve_b_back_substitution_random():
     rng = np.random.default_rng(12)
     inputs = [(complex(*(rng.uniform(-6, 6, 2))), 10.0 ** rng.uniform(-3, 4)) for _ in range(200)]
     z, y = (np.array(v) for v in zip(*inputs))
-    roots = hitchin.solve_b(cfg, z, y)
+    roots = tensorcalc.every_lane(hitchin.solve_b(cfg, z, y))
     for (z, y_sq), b in zip(inputs, roots.tolist()):
         lhs = math.exp(
             sum(
@@ -114,53 +129,49 @@ def test_solve_b_agrees_with_pure_bisection():
     for _ in range(25):
         z = complex(*(rng.uniform(-5, 5, 2)))
         y_sq = 10.0 ** rng.uniform(-2, 3)
-        b = hitchin.solve_b(cfg, z, y_sq)
+        b = solve_one(cfg, z, y_sq)
         b_oracle = bisection_root(cfg, z, y_sq)
         assert abs(b - b_oracle) < 1e-11 * (1.0 + abs(b_oracle))
 
 
 def test_solve_b_root_is_bracketed_by_lhs():
     cfg = pair_config()
-    b = hitchin.solve_b(cfg, 0.3 - 0.2j, 2.5)
+    b = solve_one(cfg, 0.3 - 0.2j, 2.5)
     assert hitchin.implicit_lhs(cfg, 0.3 - 0.2j, b - 1e-3) < 2.5
     assert hitchin.implicit_lhs(cfg, 0.3 - 0.2j, b + 1e-3) > 2.5
 
 
 def test_solve_b_rejects_bad_target():
     with pytest.raises(ValueError):
-        hitchin.solve_b(pair_config(), 0j, 0.0)
+        hitchin.solve_b(pair_config(), [0j], [0.0])
     with pytest.raises(ValueError):
-        hitchin.solve_b(pair_config(), 0j, -1.0)
+        hitchin.solve_b(pair_config(), [0j], [-1.0])
     with pytest.raises(ValueError):
-        hitchin.solve_b(pair_config(), 0j, float("inf"))
+        hitchin.solve_b(pair_config(), [0j], [float("inf")])
 
 
 def test_solve_b_regression_value():
-    b = hitchin.solve_b(pair_config(), 0.4 - 0.3j, abs(1.5 + 0.7j) ** 2)
+    b = solve_one(pair_config(), 0.4 - 0.3j, abs(1.5 + 0.7j) ** 2)
     assert abs(b - 0.5088549448162701) < 1e-13
 
 
 @contextlib.contextmanager
 def factor_calls():
     """Count center factors, one per center per evaluation of the implicit
-    product or its log-sum: each call of hitchin._stable_factor (floats)
-    and each element (lane x center) of hitchin._stable_factors (lanes)."""
+    product or its log-sum: each element (lane x center) of
+    hitchin._stable_factors."""
     calls = [0]
-    scalar, lanes = hitchin._stable_factor, hitchin._stable_factors
+    lanes = hitchin._stable_factors
 
     def counted(u, r):
-        calls[0] += 1
-        return scalar(u, r)
-
-    def counted_lanes(u, r):
         calls[0] += np.broadcast(u, r).size
         return lanes(u, r)
 
-    hitchin._stable_factor, hitchin._stable_factors = counted, counted_lanes
+    hitchin._stable_factors = counted
     try:
         yield calls
     finally:
-        hitchin._stable_factor, hitchin._stable_factors = scalar, lanes
+        hitchin._stable_factors = lanes
 
 
 def test_solve_b_work_on_solver_scan_stream():
@@ -183,10 +194,10 @@ def test_solve_b_makes_no_evaluation_after_convergence():
     y_sq = [1.7, 0.4, 1.0, 1e5]
     for zi, yi in zip(z, y_sq):
         with factor_calls() as calls:
-            hitchin.solve_b(cfg, zi, yi)
+            solve_one(cfg, zi, yi)
         assert calls[0] == 1
     with factor_calls() as calls:
-        hitchin.solve_b(cfg, np.array(z), np.array(y_sq))
+        tensorcalc.every_lane(hitchin.solve_b(cfg, np.array(z), np.array(y_sq)))
     assert calls[0] == len(z)
 
 
@@ -198,19 +209,20 @@ def test_solve_b_checks_the_root_it_returns_at_the_iteration_cap(cap, monkeypatc
     monkeypatch.setattr(hitchin, "SOLVE_MAX_ITER", cap)
     cfg = square4_config()
     z, y_sq = solver_scan_inputs(cfg, 40, seed=1)
-    try:
-        roots = hitchin.solve_b(cfg, z, y_sq)
-        returned = np.ones(len(z), dtype=bool)
-    except ConvergenceError as exc:
-        roots, returned = exc.roots, exc.residuals <= hitchin.SOLVE_TOL
-    assert returned.any()
-    for b, ok, zi, yi in zip(roots.tolist(), returned.tolist(), z.tolist(), y_sq.tolist()):
+    roots, errors = hitchin.solve_b(cfg, z, y_sq)
+    assert roots is not None
+    assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
+    # the roots of the converged lanes, in order
+    returned = iter(roots.tolist())
+    for err, zi, yi in zip(errors, z.tolist(), y_sq.tolist()):
         try:
             float_b = float_solve_b(cfg, zi, yi)
         except ConvergenceError:
-            assert not ok
+            assert err is not None
             continue
-        assert ok and abs(b - float_b) <= 1e-14 * (1.0 + abs(float_b))
+        assert err is None
+        b = next(returned)
+        assert abs(b - float_b) <= 1e-14 * (1.0 + abs(float_b))
         lhs = float(hitchin.implicit_lhs(cfg, zi, b))
         assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
 
@@ -228,7 +240,7 @@ def test_solve_b_lanes_agree_with_float_loop_on_solver_scan_stream():
     # criterion 9's 10^4 inputs in one batch against one float solve each
     cfg = square4_config()
     z, y_sq = solver_scan_inputs(cfg, 10000, seed=1)
-    b = hitchin.solve_b(cfg, z, y_sq)
+    b = tensorcalc.every_lane(hitchin.solve_b(cfg, z, y_sq))
     assert b.shape == (10000,)
     for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
         bs = float_solve_b(cfg, zi, yi)
@@ -246,41 +258,46 @@ def test_solve_b_lanes_agree_with_float_loop_with_eight_centers(radii, heights):
     cfg = make_polygon_config(QuotientSignature(2, 4, 1), radii, heights)
     assert cfg.k == 8
     z, y_sq = solver_scan_inputs(cfg, 3000, seed=1)
-    b = hitchin.solve_b(cfg, z, y_sq)
+    b = tensorcalc.every_lane(hitchin.solve_b(cfg, z, y_sq))
     for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
         bs = float_solve_b(cfg, zi, yi)
         assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
 
 
-def test_solve_b_lanes_keep_the_input_shape():
+def test_solve_b_takes_one_dimensional_lanes():
+    # z and |y|^2 broadcast to one 1-D shape, one lane per input; a scalar
+    # or a 2-D shape is a ValueError, never a silent lane or a grid
     cfg = pair_config()
-    z = np.array([[0.4 - 0.3j], [0.1 + 0.2j]])
     y_sq = np.array([abs(1.5 + 0.7j) ** 2, 2.0, 0.5])
-    b = hitchin.solve_b(cfg, z, y_sq)
-    assert b.shape == (2, 3)
-    assert abs(b[0, 0] - 0.5088549448162701) < 1e-13
-    for i in range(2):
-        for j in range(3):
-            lhs = hitchin.implicit_lhs(cfg, z[i, 0], float(b[i, j]))
-            assert abs(lhs - y_sq[j]) <= hitchin.SOLVE_TOL * y_sq[j]
-    lhs = hitchin.implicit_lhs(cfg, z, b)
-    assert lhs.shape == (2, 3)
+    b, errors = hitchin.solve_b(cfg, 0.4 - 0.3j, y_sq)
+    assert b.shape == (3,) and errors == [None] * 3
+    assert abs(b[0] - 0.5088549448162701) < 1e-13
+    lhs = hitchin.implicit_lhs(cfg, 0.4 - 0.3j, b)
     assert np.all(np.abs(lhs - y_sq) <= hitchin.SOLVE_TOL * y_sq)
+    for z, y in ((0.4 - 0.3j, 2.0), (np.array([[0.4 - 0.3j], [0.1 + 0.2j]]), y_sq)):
+        with pytest.raises(ValueError, match="1-D lanes"):
+            hitchin.solve_b(cfg, z, y)
 
 
 def test_solve_b_failing_lane_raises_like_the_lane_alone():
     # a height-0 puncture with a tiny target: no float root within
-    # SOLVE_TOL in reach (see the extreme-input property test)
+    # SOLVE_TOL in reach (see the extreme-input property test); among
+    # eight good lanes it gets the error it gets alone, and the others
+    # their roots alone, in order
     cfg = square4_config()
     z_bad, y_bad = -cfg.centers[0].a.conjugate(), 1e-50
-    with pytest.raises(ConvergenceError):
-        hitchin.solve_b(cfg, z_bad, y_bad)
-    with pytest.raises(ConvergenceError):
-        hitchin.solve_b(cfg, np.array([z_bad]), np.array([y_bad]))
+    alone, (err,) = hitchin.solve_b(cfg, [z_bad], [y_bad])
+    assert alone is None and isinstance(err, ConvergenceError)
     z, y_sq = solver_scan_inputs(cfg, 9, seed=1)
     z[4], y_sq[4] = z_bad, y_bad
-    with pytest.raises(ConvergenceError, match="lane 4 of 9"):
-        hitchin.solve_b(cfg, z, y_sq)
+    roots, errors = hitchin.solve_b(cfg, z, y_sq)
+    assert [type(e) for e in errors] == [type(None)] * 4 + [ConvergenceError] + [type(None)] * 4
+    assert str(errors[4]) == str(err)
+    good = [solve_one(cfg, zi, yi) for i, (zi, yi) in enumerate(zip(z, y_sq)) if i != 4]
+    assert roots.tolist() == good
+    with pytest.raises(ConvergenceError) as info:
+        tensorcalc.every_lane((roots, errors))
+    assert info.value is errors[4]
 
 
 @pytest.mark.parametrize("build", [hexagon_config, square4_config])
@@ -301,30 +318,29 @@ def test_solve_b_lanes_match_the_float_loop_at_punctures(build, monkeypatch):
         return total, gam
 
     monkeypatch.setattr(hitchin, "_lane_log_lhs", counted)
-    with pytest.raises(ConvergenceError) as info:
-        hitchin.solve_b(cfg, z, y_sq)
+    roots, errors = hitchin.solve_b(cfg, z, y_sq)
     assert sum(vanished) > len(z)
-    stalled = info.value.residuals > hitchin.SOLVE_TOL
-    for root, lane_stalled, zi, yi in zip(
-        info.value.roots.tolist(), stalled.tolist(), z.tolist(), y_sq.tolist()
-    ):
+    stalled = [e is not None for e in errors]
+    assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
+    converged = iter(roots.tolist())
+    for lane_stalled, zi, yi in zip(stalled, z.tolist(), y_sq.tolist()):
         try:
             b = float_solve_b(cfg, zi, yi)
         except ConvergenceError:
             assert lane_stalled
             continue
         assert not lane_stalled
-        assert abs(root - b) <= 1e-15 * (1.0 + abs(b))
-    assert 0 < stalled.sum() < len(z)
+        assert abs(next(converged) - b) <= 1e-15 * (1.0 + abs(b))
+    assert 0 < sum(stalled) < len(z)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
 def test_solve_b_lanes_reject_bad_target_anywhere(bad):
     z, y_sq = solver_scan_inputs(pair_config(), 5, seed=1)
     y_sq[3] = bad
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive and finite"):
         hitchin.solve_b(pair_config(), z, y_sq)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive and finite"):
         hitchin.solve_b(pair_config(), 0.5j, np.array([bad]))
 
 
@@ -368,7 +384,7 @@ def chart_inputs(draw):
 @given(chart_inputs())
 def test_solve_b_property_back_substitution_and_oracle(case):
     config, z, y_sq = case
-    b = hitchin.solve_b(config, z, y_sq)
+    b = solve_one(config, z, y_sq)
     assert abs(hitchin.implicit_lhs(config, z, b) - y_sq) <= hitchin.SOLVE_TOL * y_sq
     assert abs(b - bisection_root(config, z, y_sq)) <= 1e-11 * (1.0 + abs(b))
 
@@ -378,20 +394,17 @@ def test_solve_b_property_back_substitution_and_oracle(case):
 def test_solve_b_property_one_lane_matches_float_loop(case):
     config, z, y_sq = case
     b = float_solve_b(config, z, y_sq)
-    lane = hitchin.solve_b(config, np.array([z]), np.array([y_sq]))
-    assert lane.shape == (1,)
+    lane, errors = hitchin.solve_b(config, np.array([z]), np.array([y_sq]))
+    assert lane.shape == (1,) and errors == [None]
     assert abs(lane[0] - b) <= 1e-14 * (1.0 + abs(b))
-    one = hitchin.solve_b(config, z, y_sq)
-    assert isinstance(one, float) and one == lane[0]
 
 
 @PROPERTY
 @given(chart_inputs(), st.floats(min_value=1e-3, max_value=3.0))
 def test_solve_b_property_strictly_increasing(case, decades):
     config, z, y_sq = case
-    assert hitchin.solve_b(config, z, y_sq) < hitchin.solve_b(
-        config, z, y_sq * 10.0**decades
-    )
+    low, high = tensorcalc.every_lane(hitchin.solve_b(config, z, [y_sq, y_sq * 10.0**decades]))
+    assert low < high
 
 
 EXTREME_CONFIGS = [
@@ -421,18 +434,14 @@ def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
     # error, after at most SOLVE_MAX_ITER + 1 log-sum evaluations
     config, z, y_sq = case
     with factor_calls() as calls:
-        try:
-            b = hitchin.solve_b(config, z, y_sq)
-        except GeometryError:
-            b = None
+        roots, (err,) = hitchin.solve_b(config, [z], [y_sq])
     assert 1 <= calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
-    if b is not None:
+    assert (roots is None) == isinstance(err, GeometryError)
+    if roots is not None:
+        (b,) = roots.tolist()
         assert math.isfinite(b)
-        log_lhs = sum(
-            math.log(hitchin._stable_factor(b - c.b, abs(z.conjugate() + c.a))[0])
-            for c in config.centers
-        )
-        assert abs(math.expm1(log_lhs - math.log(y_sq))) <= hitchin.SOLVE_TOL
+        data = [(c.b, abs(z.conjugate() + c.a)) for c in config.centers]
+        assert abs(math.expm1(log_lhs(data, b)[0] - math.log(y_sq))) <= hitchin.SOLVE_TOL
 
 
 # --- metric algebra ---
@@ -537,10 +546,31 @@ def test_chart_step_scales():
 def test_base_to_chart_round_trip():
     cfg = square4_config()
     b, a = 0.8, 1.7 - 0.9j
-    zr, zi, yr, yi = hitchin.base_to_chart(cfg, b, a, phase=0.3)
+    (x,), errors = hitchin.base_to_chart(cfg, [(0.3, b, a.real, a.imag)])
+    assert errors == [None]
+    zr, zi, yr, yi = x
     z = complex(zr, zi)
     assert abs(z - (-complex(a).conjugate())) < 1e-15
-    assert abs(hitchin.solve_b(cfg, z, abs(complex(yr, yi)) ** 2) - b) < 1e-10
+    assert abs(solve_one(cfg, z, abs(complex(yr, yi)) ** 2) - b) < 1e-10
+
+
+def test_base_to_chart_lanes_match_the_float_lift():
+    # the lanes of a block against the float lift, with a base point below
+    # a center on its vertical line (the y = 0 locus) among them
+    cfg = hexagon_config()
+    c = cfg.centers[1]
+    x = np.array(
+        [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=4, seed=7))]
+        + [(0.7, c.b - 0.5, c.a.real, c.a.imag), (0.0, 0.4, -2.0, 3.0)]
+    )
+    lifted, errors = hitchin.base_to_chart(cfg, x)
+    assert [type(e).__name__ if e else "" for e in errors] == [""] * 4 + ["ChartBoundaryError", ""]
+    with pytest.raises(ChartBoundaryError):
+        float_base_to_chart(cfg, tuple(x[4]))
+    for got, point in zip(lifted, np.delete(x, 4, axis=0)):
+        want = np.array(float_base_to_chart(cfg, tuple(point)))
+        assert np.array_equal(got[:2], want[:2])
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 def test_smooth_fiber_guard():
@@ -564,14 +594,15 @@ def test_metric_rejects_branch_locus_and_punctures():
 
 
 def jet_curvatures(cfg, x):
-    return tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), x)
+    """The curvature bundles at the points of the block x, every lane good."""
+    return tensorcalc.every_lane(tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), x))
 
 
 def fd_curvatures(cfg, x):
     """Curvature from the finite-difference stencil of metric_at, with
-    chart_step at each point."""
+    chart_step at each point; every lane good."""
     fd = fd_derivatives(metric(cfg), lambda p: chart_step(cfg, p), blocks=True)
-    return tensorcalc.curvature_at(fd, x)
+    return tensorcalc.every_lane(tensorcalc.curvature_at(fd, x))
 
 
 def test_metric_jet_value_is_the_metric():
@@ -641,7 +672,7 @@ def test_metric_jet_rejects_branch_locus_and_punctures():
         with pytest.raises(error):
             at_point(lambda b: hitchin.metric_jet(cfg, b), x)
         with pytest.raises(error):
-            at_point(lambda b: jet_curvatures(cfg, b), x)
+            at_point(lambda b: tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), b), x)
 
 
 def test_decay_fit_domain_checks():

@@ -7,6 +7,7 @@ from gravinst import ghawking, sampling
 from gravinst.errors import ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
+from fd_reference import float_base_to_chart
 
 
 def hexagon_config():
@@ -48,18 +49,26 @@ def test_halton_rejects_non_positive_index():
 
 def test_hexagon_streams_are_pinned():
     # the first three points at SampleSpec(count=3, seed=42), taken from
-    # the per-candidate scalar Halton code the block draw replaced
+    # the per-candidate scalar Halton code the block draw replaced; the
+    # complex-chart points from the block lift, within 1e-15 of the float
+    # lift of the same base points (the third point's y is 1 ulp off it)
     cfg, spec = hexagon_config(), SampleSpec(count=3, seed=42)
-    assert sampling.gh_points(cfg, spec) == [
+    gh = sampling.gh_points(cfg, spec)
+    assert gh == [
         (1.6669675304762166, 1.8894664518725193, -1.2128634399717522, -8.718280845195284),
         (2.564565431501872, 5.155081592584775, 2.545976600444295, -1.2373582560701983),
         (3.4621633325275267, -7.069928684707151, 2.366692137048613, 4.179709296205072),
     ]
-    assert sampling.hitchin_points(cfg, spec) == [
+    hit = sampling.hitchin_points(cfg, spec)
+    assert hit == [
         (1.2128634399717522, -8.718280845195284, -110.56881126963592, 1146.161394530822),
         (-2.545976600444295, -1.2373582560701983, -964.3188520316079, 627.7020120055573),
-        (-2.366692137048613, 4.179709296205072, -2.605179281022562, -0.8649791157798523),
+        (-2.366692137048613, 4.179709296205072, -2.6051792810225622, -0.8649791157798524),
     ]
+    for got, base in zip(hit, gh):
+        want = float_base_to_chart(cfg, base)
+        assert got[:2] == want[:2]
+        assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15 * max(map(abs, want))
 
 
 @pytest.mark.parametrize("count", [1, 3])

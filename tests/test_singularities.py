@@ -69,6 +69,14 @@ def test_polygon_rejects_bad_radii():
         make_polygon_config(QuotientSignature(2, 2, 1), [1.0], [0.0, 1.0])
 
 
+def test_distinct_deformation_values_across_decades_are_accepted():
+    # each pair of c_i^n is compared at its own scale, not the largest one's
+    cfg = make_polygon_config(QuotientSignature(3, 6, 1), [1.0, 1.1, 100.0], [0.0] * 3)
+    assert cfg.k == 18
+    akl = config_from_json({"n": 3, "m": 1, "mode": {"akl": 200}})
+    assert akl.k == 600 and akl.akl_j_max == 200
+
+
 def test_coincident_centers_rejected():
     with pytest.raises(SingularFiberError):
         CenterConfiguration(

@@ -236,8 +236,8 @@ def test_curvature_rejects_wrong_shape():
 
 
 def test_non_finite_field_is_an_overflow_error():
-    (err,) = curvature_at(constant_jet(np.full((4, 4), np.inf)), [ORIGIN])
-    assert isinstance(err, NumericOverflowError)
+    bundles, (err,) = curvature_at(constant_jet(np.full((4, 4), np.inf)), [ORIGIN])
+    assert bundles is None and isinstance(err, NumericOverflowError)
 
 
 def test_curvature_rejects_asymmetric_metric():
@@ -353,8 +353,8 @@ def test_supplied_derivatives_are_validated():
     with pytest.raises(ValueError):
         curvature_at(lambda x: (bad_shape, [None]), [ORIGIN])
     for jet in (not_finite, infinite_gradient):
-        (err,) = curvature_at(lambda x, jet=jet: (jet, [None]), [ORIGIN])
-        assert isinstance(err, NumericOverflowError)
+        bundles, (err,) = curvature_at(lambda x, jet=jet: (jet, [None]), [ORIGIN])
+        assert bundles is None and isinstance(err, NumericOverflowError)
 
 
 def test_riemann_norm_is_the_full_contraction():

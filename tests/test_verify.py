@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
-from gravinst.errors import ChartBoundaryError, FitDomainError, GeometryError, ScanError
+from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
@@ -595,10 +595,10 @@ def test_scan_counts_skipped_samples_by_error_type(monkeypatch):
     def first_fails(metric, x):
         # one call for the block of 4; the first call's first lane fails
         calls.append(len(x))
-        out = original(metric, x)
+        bundles, errors = original(metric, x)
         if len(calls) == 1:
-            out[0] = ChartBoundaryError("forced")
-        return out
+            bundles, errors = bundles[1:], [ChartBoundaryError("forced")] + errors[1:]
+        return bundles, errors
 
     monkeypatch.setattr(tensorcalc, "curvature_at", first_fails)
     rec = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
@@ -685,10 +685,12 @@ def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
 
 def test_fields_take_blocks_only():
     # a single point, or a block that is not (N, 4), is a ValueError and
-    # never a silent block of one; the same point as a block of one is good
+    # never a silent block of one; the same point as a block of one is good.
+    # solve_b takes 1-D lanes of (z, |y|^2) the same way
     cfg = hexagon_config()
     gh_point = np.array(verify.GH.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
     hit_point = np.array(verify.HITCHIN.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
+    z, y_sq = complex(*hit_point[:2]), float(np.hypot(*hit_point[2:]) ** 2)
 
     def never(x):
         raise AssertionError("the metric must not be evaluated")
@@ -701,6 +703,10 @@ def test_fields_take_blocks_only():
         lambda: hitchin.metric_at(cfg, hit_point),
         lambda: hitchin.metric_jet(cfg, hit_point),
         lambda: hitchin.metric_jet(cfg, hit_point[None, None]),
+        lambda: hitchin.base_to_chart(cfg, gh_point),
+        lambda: hitchin.base_to_chart(cfg, gh_point[None, :3]),
+        lambda: hitchin.solve_b(cfg, z, y_sq),
+        lambda: hitchin.solve_b(cfg, [[z]], [[y_sq]]),
     ]
     for chart, point in ((verify.GH, gh_point), (verify.HITCHIN, hit_point)):
         calls += [
@@ -708,8 +714,12 @@ def test_fields_take_blocks_only():
             lambda chart=chart, point=point: chart.jet(cfg)(point),
             lambda chart=chart, point=point: tensorcalc.curvature_at(chart.jet(cfg), point),
         ]
-        (bundle,) = tensorcalc.curvature_at(chart.jet(cfg), point[None])
-        assert isinstance(bundle, tensorcalc.CurvatureBundle)
+        (bundle,), errors = tensorcalc.curvature_at(chart.jet(cfg), point[None])
+        assert isinstance(bundle, tensorcalc.CurvatureBundle) and errors == [None]
+    (lifted,), errors = hitchin.base_to_chart(cfg, gh_point[None])
+    assert lifted.shape == (4,) and errors == [None]
+    (root,), errors = hitchin.solve_b(cfg, [z], [y_sq])
+    assert np.isfinite(root) and errors == [None]
     for call in calls:
         with pytest.raises(ValueError):
             call()
@@ -727,11 +737,12 @@ def test_construction_jet_and_chart_evaluation_give_identical_bundles(chart):
     else:
         pole = (-c.a.real, c.a.imag, 1.0, 0.0)
     x = np.array([pole] + [cp.coords for cp in evaluation.points()])
-    direct = tensorcalc.curvature_at(chart.jet(cfg), x)
-    shared = tensorcalc.curvature_at(evaluation.field(chart.jet_of), x)
-    assert type(direct[0]).__name__ == type(shared[0]).__name__ == "PoleError"
-    for a, b in zip(direct[1:], shared[1:]):
-        assert not isinstance(a, GeometryError)
+    direct, direct_errors = tensorcalc.curvature_at(chart.jet(cfg), x)
+    shared, shared_errors = tensorcalc.curvature_at(evaluation.field(chart.jet_of), x)
+    for errors in (direct_errors, shared_errors):
+        assert [type(e).__name__ for e in errors] == ["PoleError"] + ["NoneType"] * (len(x) - 1)
+    assert len(direct) == len(shared) == len(x) - 1
+    for a, b in zip(direct, shared):
         for part in dataclasses.fields(tensorcalc.CurvatureBundle):
             got, want = getattr(a, part.name), getattr(b, part.name)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), part.name
@@ -819,6 +830,41 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
     assert records[0].skipped == records[1].skipped == {name: 1 for name in odd}
     assert records[0].count == records[1].count == 4
     assert_same_bundles(block, single)
+
+    # the lift of base points, with one on the y = 0 locus below a center
+    base = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=4, seed=7))]
+    c = cfg.centers[0]
+    base.insert(2, (0.5, c.b - 1.0, c.a.real, c.a.imag))
+    assert_lanes_are_blocks_of_one(
+        lambda x: hitchin.base_to_chart(cfg, x), np.array(base),
+        ["", "", "ChartBoundaryError", "", ""],
+    )
+    # the height solve on lanes (Re z, Im z, |y|^2), with two stalled ones:
+    # a huge target, and a height-0 puncture with a tiny one
+    lanes = [(x[0], x[1], x[2] ** 2 + x[3] ** 2) for x in stream[:3]]
+    lanes.insert(1, (-3.0, -3.0, 1e192))
+    lanes.insert(3, (-a.real, a.imag, 1e-50))
+    assert_lanes_are_blocks_of_one(
+        lambda x: hitchin.solve_b(cfg, x[:, 0] + 1j * x[:, 1], x[:, 2]), np.array(lanes),
+        ["", "ConvergenceError", "", "ConvergenceError", ""],
+    )
+
+
+def assert_lanes_are_blocks_of_one(field, x, expected):
+    """field on the lanes x against each lane alone: the error types per
+    lane are expected, in order, each the type of the lane's error alone,
+    and each good lane's value is bitwise its value alone."""
+    values, errors = field(x)
+    assert [type(e).__name__ if e else "" for e in errors] == expected
+    good = iter(values)
+    for lane, err in zip(x, errors):
+        one, (one_err,) = field(lane[None])
+        assert type(one_err) is type(err)
+        if err is None:
+            assert np.asarray(one[0]).tobytes() == np.asarray(next(good)).tobytes()
+        else:
+            assert one is None
+    assert next(good, None) is None
 
 
 @pytest.mark.parametrize("source", ["gh", "hitchin"])
