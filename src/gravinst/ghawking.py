@@ -45,7 +45,9 @@ DiracStringError.  The chart's state at a point is potential_jets, V and
 alpha as second-order jets (tensorcalc.Jet), which gives curvature,
 d(omega) and the Nijenhuis tensor exact derivatives from one
 evaluation; metric_of and kahler_of assemble the metric jet and
-(g, omega, J) from it, so one state serves both.
+(g, omega, J) from it, so one state serves both.  metric_of also takes
+the points' states stacked over a leading lane axis and assembles a
+whole block at once; kahler_of takes one point.
 """
 
 from __future__ import annotations
@@ -219,7 +221,10 @@ def metric_of(
 ) -> Jet:
     """The metric jet assembled from the (V, alpha_1, alpha_2) jets of
     potential_jets: g = u u^T / V + V diag(0, 1, 1, 1) with
-    u = (1, 0, alpha_1, alpha_2).
+    u = (1, 0, alpha_1, alpha_2).  The jets may carry leading lane axes
+    (potential_jets' values stacked by tensorcalc.stack_lanes), and the
+    metric jet has them in front of its 4x4 value; each lane is the same
+    arithmetic as a point on its own, so the same bits.
 
     potential_transform deliberately replaces V by f(V) while keeping the
     connection of the true V; it exists so verification negative controls
@@ -229,8 +234,10 @@ def metric_of(
     V, a1, a2 = jets
     if potential_transform is not None:
         V = potential_transform(V)
-    u = Jet.stack([1.0, 0.0, a1, a2])
-    return u[:, None] * u[None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
+    lanes = V.val.shape
+    u = Jet.stack([np.ones(lanes), np.zeros(lanes), a1, a2], axis=-1)
+    V = V[..., None, None]
+    return u[..., :, None] * u[..., None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
 
 def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:

@@ -51,7 +51,7 @@ from gravinst.errors import (
     SingularFiberError,
 )
 from gravinst.fitting import FitResult, fit_loglog
-from gravinst.singularities import CenterConfiguration, GroupElement
+from gravinst.singularities import CenterConfiguration, GroupElement, first_pair
 
 EPS_Y_DEFAULT = 1e-8
 
@@ -74,15 +74,16 @@ STANDARD_J = np.array(
 
 def require_smooth_fiber(config: CenterConfiguration) -> None:
     """The chart describes a smooth fiber only when all a_i are distinct."""
-    a = [c.a for c in config.centers]
-    scale = max(1.0, max(abs(v) for v in a))
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if abs(a[i] - a[j]) <= 1e-9 * scale:
-                raise SingularFiberError(
-                    "coincident plane positions a_i: the fiber is singular "
-                    "and outside the scope of this chart"
-                )
+    a = np.array([c.a for c in config.centers])
+    scale = max(1.0, float(np.max(np.abs(a))))
+    pair = first_pair(
+        len(a), lambda rows: np.abs(a[rows, None] - a[None, rows.start :]) <= 1e-9 * scale
+    )
+    if pair is not None:
+        raise SingularFiberError(
+            f"coincident plane positions a_i of centers {pair[0]} and {pair[1]}:"
+            " the fiber is singular and outside the scope of this chart"
+        )
 
 
 def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,12 +310,18 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     errors: the chart floor, then a pole, then a stalled solve for b.  The
     jets hold the good lanes (None when there is none).
 
-    b is solved over the lanes by one solve_b call, then refined by two
-    Newton steps b <- b - (sum_i log f_i - log|y|^2) / gamma in jet
-    arithmetic.  At the root a step leaves the value in place, and by the
-    implicit function theorem the first step makes the gradient of b
-    exact and the second its Hessian.  gamma, delta and eta follow in jet
-    arithmetic, with the cancellation-free branch of
+    b is solved over the lanes by one solve_b call, and its jet follows
+    by implicit differentiation of G(x, b) = sum_i log f_i - log|y|^2 = 0.
+    One pass of ghawking.center_factors at the constant height b = root
+    gives G as a jet, G_b = gamma as a jet (its gradient is G_bx) and
+    G_bb = -sum_i u_i / Delta_i^3 as floats, u_i = b - b_i.  Then
+
+        b    = root - G / gamma,          b_x = -G_x / gamma,
+        b_xx = -(G_xx + G_bx b_x^T + b_x G_bx^T + G_bb b_x b_x^T) / gamma,
+
+    the Newton step's value and the exact gradient and Hessian of the
+    root.  gamma, delta and eta follow in jet arithmetic from a second
+    pass at that b, with the cancellation-free branch of
     ghawking.center_factors chosen on the float value.  Everything is
     real: with zbar + a_i = w_i,
 
@@ -332,10 +339,18 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     r_sq = w_re * w_re + w_im * w_im
     y_sq = x2 * x2 + x3 * x3
     log_y_sq = y_sq.log()
-    b = tensorcalc.Jet.constant(root)
-    for _ in range(2):
-        dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
-        b = b - (f.log().sum(-1) - log_y_sq) / dlt.inv().sum(-1)
+    u = root[:, None] - b_i
+    dlt, f = ghawking.center_factors(tensorcalc.Jet.constant(u), r_sq)
+    G, G_b = f.log().sum(-1) - log_y_sq, dlt.inv().sum(-1)
+    G_bb = -(u / dlt.val**3).sum(-1)
+    slope = G_b.val[:, None]
+    b_x = -G.grad / slope
+    # cross + cross^T, like Jet's products, keeps the Hessian exactly symmetric
+    cross = G_b.grad[:, :, None] * b_x[:, None, :]
+    outer = b_x[:, :, None] * b_x[:, None, :]
+    b_xx = -(G.hess + (cross + np.swapaxes(cross, 1, 2)) + G_bb[:, None, None] * outer)
+    b_xx /= slope[..., None]
+    b = tensorcalc.Jet(root - G.val / G_b.val, b_x, b_xx)
     dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
     gam = dlt.inv().sum(-1)
     coef = -(dlt * f).inv()

@@ -16,13 +16,32 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from gravinst.errors import InvalidSignatureError, SingularFiberError
 
 _COLLISION_TOL = 1e-9
+# the pairwise distances are taken over blocks of rows, about this many
+# distances per block, so that memory stays bounded for any center count
+_PAIR_BLOCK = 1 << 16
+
+
+def first_pair(k: int, close: Callable[[slice], np.ndarray]) -> tuple[int, int] | None:
+    """The first pair (i, j) of k items, i < j in row-major order, that
+    close marks; None when it marks none.  close(rows) gives the boolean
+    table of the items in the slice rows against the items from rows.start
+    on, and is called over blocks of rows, so memory stays bounded for any
+    k."""
+    step = max(1, _PAIR_BLOCK // max(k, 1))
+    for start in range(0, k, step):
+        rows = slice(start, min(start + step, k))
+        later = np.arange(k - start)[None, :] > np.arange(rows.stop - start)[:, None]
+        hits = np.argwhere(later & close(rows))
+        if len(hits):
+            return start + int(hits[0][0]), start + int(hits[0][1])
+    return None
 
 
 @dataclass(frozen=True)
@@ -124,12 +143,17 @@ class CenterConfiguration:
         # configuration is frozen, so its value is fixed here
         object.__setattr__(self, "_extent", float(np.max(np.linalg.norm(pts, axis=1))))
         scale = max(1.0, float(np.max(np.abs(pts))))
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if np.linalg.norm(pts[i] - pts[j]) <= _COLLISION_TOL * scale:
-                    raise SingularFiberError(
-                        f"centers {i} and {j} coincide; the space is singular"
-                    )
+
+        def close(rows: slice) -> np.ndarray:
+            # |x_i - x_j|, its squares summed in the order of np.linalg.norm's
+            sq = sum((p[rows, None] - p[None, rows.start :]) ** 2 for p in pts.T)
+            return np.sqrt(sq) <= _COLLISION_TOL * scale
+
+        pair = first_pair(len(pts), close)
+        if pair is not None:
+            raise SingularFiberError(
+                f"centers {pair[0]} and {pair[1]} coincide; the space is singular"
+            )
 
     @property
     def k(self) -> int:
@@ -173,14 +197,16 @@ def make_polygon_config(
     cs = [complex(c) for c in radii]
     if any(c == 0 for c in cs):
         raise ValueError("deformation roots c_i must be nonzero")
-    powers = [c**signature.n for c in cs]
-    for i in range(len(powers)):
-        for j in range(i + 1, len(powers)):
-            # relative to the pair: radii may span decades
-            if abs(powers[i] - powers[j]) <= 1e-12 * max(abs(powers[i]), abs(powers[j])):
-                raise SingularFiberError(
-                    "repeated deformation value c_i**n: the fiber is singular"
-                )
+    powers = np.array([c**signature.n for c in cs])
+    size = np.abs(powers)
+    # relative to the pair: radii may span decades
+    pair = first_pair(
+        len(powers),
+        lambda rows: np.abs(powers[rows, None] - powers[None, rows.start :])
+        <= 1e-12 * np.maximum(size[rows, None], size[None, rows.start :]),
+    )
+    if pair is not None:
+        raise SingularFiberError("repeated deformation value c_i**n: the fiber is singular")
     cs = [_principal_branch(c, signature.n) for c in cs]
     rho = signature.rho
     centers = []

@@ -28,7 +28,11 @@ Christoffel symbols,
                 + Gamma^l_{jm} Gamma^m_{ik} - Gamma^l_{km} Gamma^m_{ij},
 
 Ricci by the trace R^k_{ikj}, and norms by contraction with the inverse
-metric.
+metric.  Every contraction is a matrix product over the lane axis (numpy
+@ on stacks of small matrices): the tensors are reshaped so that the
+summed index is the inner dimension, e.g. (N, 4, 16) or (N, 16, 4).
+|Ric|^2 is (g^-1 Ric g^-1) . Ric, and |Rm|^2 raises the four indices of
+the lowered tensor with four products.
 """
 
 from __future__ import annotations
@@ -332,8 +336,8 @@ def curvature_at(metric: Field, x) -> tuple:
     a string, a stalled solve) come from that call.  Its value is the
     metric g; its first and second derivatives feed the Christoffel
     symbols and their derivatives, and the Riemann tensor is assembled
-    from those over every lane at once.  All contractions use the inverse
-    of g.  After the chart's errors a lane gets NumericOverflowError for a
+    from those over every lane at once, by matrix products.  All
+    contractions use the inverse of g.  After the chart's errors a lane gets NumericOverflowError for a
     jet that is not finite, then DegenerateMetricError from
     invert_metric, then NumericOverflowError for a non-finite assembly.
     A jet of the wrong shape or an asymmetric metric is a ValueError for
@@ -377,52 +381,56 @@ def _curvature_lanes(jet: Jet) -> tuple:
     g = g0[good]
     dg, d2g = jet[good].partials()
 
-    # T[n, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}
+    n = len(g)
+    # T[n, i, j, l] = d_i g_{jl} + d_j g_{il} - d_l g_{ij}, and T_l its
+    # (n, l, ij) matrix, so that each contraction over l is one product
     T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, T)
+    T_l = T.reshape(n, 16, 4).transpose(0, 2, 1)
+    gamma = 0.5 * (ginv @ T_l).reshape(n, 4, 4, 4)
 
     # derivative of the inverse metric: d_m g^{-1} = -g^{-1} (d_m g) g^{-1}
-    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
     dT = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
-    dgamma = 0.5 * (
-        np.einsum("nmkl,nijl->nmkij", dginv, T) + np.einsum("nkl,nmijl->nmkij", ginv, dT)
-    )
+    # dgamma[n, m, k, i, j] = 1/2 (d_m g^{kl} T_{ijl} + g^{kl} d_m T_{ijl})
+    dT_l = dT.reshape(n, 4, 16, 4).transpose(0, 1, 3, 2)
+    dgamma = 0.5 * (dginv @ T_l[:, None] + ginv[:, None] @ dT_l).reshape(n, 4, 4, 4, 4)
 
+    # P[n, l, a, b, c] = Gamma^l_{am} Gamma^m_{bc}, one (16, 4) @ (4, 16) product
+    P = (gamma.reshape(n, 16, 4) @ gamma.reshape(n, 4, 16)).reshape(n, 4, 4, 4, 4)
     riem = (
         dgamma.transpose(0, 2, 3, 1, 4)
         - dgamma.transpose(0, 2, 3, 4, 1)
-        + np.einsum("nljm,nmik->nlijk", gamma, gamma)
-        - np.einsum("nlkm,nmij->nlijk", gamma, gamma)
+        + P.transpose(0, 1, 3, 2, 4)
+        - P.transpose(0, 1, 3, 4, 2)
     )
-    ricci = np.einsum("nkikj->nij", riem)
-    scalar = np.einsum("nij,nij->n", ginv, ricci)
-    ricci_norm = np.sqrt(
-        np.maximum(0.0, np.einsum("nik,njl,nij,nkl->n", ginv, ginv, ricci, ricci))
-    )
-    riem_low = np.einsum("nlm,nmijk->nlijk", g, riem)
-    # raise one index per contraction; after four the index order is back
+    ricci = np.trace(riem, axis1=1, axis2=3)
+    scalar = np.sum(ginv * ricci, axis=(1, 2))
+    ricci_up = ginv @ ricci @ ginv
+    ricci_norm = np.sqrt(np.maximum(0.0, np.sum(ricci_up * ricci, axis=(1, 2))))
+    riem_low = (g @ riem.reshape(n, 4, 64)).reshape(n, 4, 4, 4, 4)
+    # raise one index per product; after four the index order is back
     up = riem_low
     for _ in range(4):
-        up = np.einsum("naijk,nab->nijkb", up, ginv)
-    riem_norm_sq = np.sum((up * riem_low).reshape(len(g), -1), axis=1)
+        up = up.reshape(n, 4, 64).transpose(0, 2, 1) @ ginv
+    riem_norm_sq = np.sum(up.reshape(n, -1) * riem_low.reshape(n, -1), axis=1)
     sane = (
-        np.isfinite(riem.reshape(len(g), -1)).all(axis=1)
+        np.isfinite(riem.reshape(n, -1)).all(axis=1)
         & np.isfinite(ricci_norm)
         & np.isfinite(riem_norm_sq)
     )
     for lane in np.flatnonzero(good)[~sane]:
         errors[lane] = NumericOverflowError("curvature assembly produced non-finite values")
     bundles = [
-        CurvatureBundle(
-            christoffel=gamma[i],
-            riemann=riem[i],
-            ricci=ricci[i],
-            scalar=float(scalar[i]),
-            ricci_norm=float(ricci_norm[i]),
-            riem_norm_sq=float(riem_norm_sq[i]),
-            g=g[i],
+        CurvatureBundle(*lane)
+        for lane in zip(
+            gamma[sane],
+            riem[sane],
+            ricci[sane],
+            scalar[sane].tolist(),
+            ricci_norm[sane].tolist(),
+            riem_norm_sq[sane].tolist(),
+            g[sane],
         )
-        for i in np.flatnonzero(sane)
     ]
     return (bundles or None), errors
 

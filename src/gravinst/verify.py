@@ -230,9 +230,11 @@ class Construction:
     omega as a jet, J as a jet or, where the chart's complex structure
     has constant components (so its Nijenhuis tensor vanishes
     identically), a constant array.  The complex chart
-    evaluates and assembles a block at once; the circle-fibered chart
-    keeps its state per point and assembles each point before stacking
-    them (tensorcalc.each_lane, tensorcalc.stack_lanes).
+    evaluates and assembles a block at once.  The circle-fibered chart
+    keeps its state per point (tensorcalc.each_lane); jet_of stacks it
+    over the lanes (tensorcalc.stack_lanes) and assembles the block's
+    metric jet in one call, while kahler_of still assembles each point
+    before stacking them.
     jet(config, potential_transform) is jet_of of the state as one field.
 
     stream(config, spec) gives the coordinates of the sample stream;
@@ -286,8 +288,8 @@ GH = Construction(
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
     state=lambda config: tensorcalc.each_lane(lambda x: ghawking.potential_jets(config, x)),
-    jet_of=lambda jets, potential_transform=None: tensorcalc.stack_lanes(
-        [ghawking.metric_of(j, potential_transform) for j in jets]
+    jet_of=lambda jets, potential_transform=None: ghawking.metric_of(
+        tensorcalc.stack_lanes(jets), potential_transform
     ),
     kahler_of=lambda jets: tensorcalc.stack_lanes([ghawking.kahler_of(j) for j in jets]),
     action=lambda gel: ghawking.action(gel),

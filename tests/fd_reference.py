@@ -21,7 +21,10 @@ program runs over numpy lanes: the recursive adaptive Simpson rule, for
 the breadth-first lane quadrature (gravinst.quadrature), and the
 implicit height's log-sum (log_lhs) with its float Newton loop, for
 hitchin.solve_b, and the float lift of a base point, for
-hitchin.base_to_chart.
+hitchin.base_to_chart.  Two replaced kernels stay as references too: the
+einsum chain of the curvature assembly (einsum_curvature), for
+tensorcalc's matrix products, and the two jet Newton steps for the
+implicit height's jet (newton_eta_jets), for hitchin.eta_jets.
 """
 
 from __future__ import annotations
@@ -394,3 +397,101 @@ def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> f
             f"implicit height solve stalled at relative residual {residual:.3e}"
         )
     return b
+
+
+def einsum_curvature(jet: Jet) -> tuple:
+    """tensorcalc's curvature assembly over the lanes of a metric jet of
+    value shape (N, 4, 4), each contraction an np.einsum: the reference
+    for the matrix-product assembly.  The same checks in the same order
+    (a jet that is not finite, then invert_metric, then a non-finite
+    assembly), so both give the same errors per lane."""
+    g0 = jet.val
+    n = len(g0)
+    finite = np.isfinite(
+        np.concatenate([a.reshape(n, -1) for a in (g0, jet.grad, jet.hess)], axis=1)
+    ).all(axis=1)
+    errors: list = [None if f else NumericOverflowError("metric jet is not finite") for f in finite]
+    ginv, inv_errors = tensorcalc.invert_metric(g0[finite])
+    for lane, err in zip(np.flatnonzero(finite), inv_errors):
+        errors[lane] = err
+    good = np.array([e is None for e in errors], dtype=bool)
+    if not good.any():
+        return None, errors
+    g = g0[good]
+    dg, d2g = jet[good].partials()
+
+    T = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, T)
+    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
+    dT = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
+    dgamma = 0.5 * (
+        np.einsum("nmkl,nijl->nmkij", dginv, T) + np.einsum("nkl,nmijl->nmkij", ginv, dT)
+    )
+    riem = (
+        dgamma.transpose(0, 2, 3, 1, 4)
+        - dgamma.transpose(0, 2, 3, 4, 1)
+        + np.einsum("nljm,nmik->nlijk", gamma, gamma)
+        - np.einsum("nlkm,nmij->nlijk", gamma, gamma)
+    )
+    ricci = np.einsum("nkikj->nij", riem)
+    scalar = np.einsum("nij,nij->n", ginv, ricci)
+    ricci_norm = np.sqrt(
+        np.maximum(0.0, np.einsum("nik,njl,nij,nkl->n", ginv, ginv, ricci, ricci))
+    )
+    riem_low = np.einsum("nlm,nmijk->nlijk", g, riem)
+    up = riem_low
+    for _ in range(4):
+        up = np.einsum("naijk,nab->nijkb", up, ginv)
+    riem_norm_sq = np.sum((up * riem_low).reshape(len(g), -1), axis=1)
+    sane = (
+        np.isfinite(riem.reshape(len(g), -1)).all(axis=1)
+        & np.isfinite(ricci_norm)
+        & np.isfinite(riem_norm_sq)
+    )
+    for lane in np.flatnonzero(good)[~sane]:
+        errors[lane] = NumericOverflowError("curvature assembly produced non-finite values")
+    bundles = [
+        tensorcalc.CurvatureBundle(
+            christoffel=gamma[i],
+            riemann=riem[i],
+            ricci=ricci[i],
+            scalar=float(scalar[i]),
+            ricci_norm=float(ricci_norm[i]),
+            riem_norm_sq=float(riem_norm_sq[i]),
+            g=g[i],
+        )
+        for i in np.flatnonzero(sane)
+    ]
+    return (bundles or None), errors
+
+
+def newton_eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """hitchin.eta_jets with b's jet from two Newton steps
+    b <- b - (sum_i log f_i - log|y|^2) / gamma in jet arithmetic, from
+    the solved root: at the root a step leaves the value in place, and by
+    the implicit function theorem the first step makes the gradient of b
+    exact and the second its Hessian.  The reference for the implicit
+    differentiation of the chart."""
+    lanes, root, errors = hitchin._solved_lanes(config, tensorcalc.as_block(x))
+    if not lanes.size:
+        return None, errors
+    b_i = np.array([c.b for c in config.centers])
+    a_i = np.array([c.a for c in config.centers])
+    x0, x1, x2, x3 = Jet.seed(np.asarray(x, dtype=float)[lanes])
+    w_re = x0[..., None] + a_i.real
+    w_im = a_i.imag - x1[..., None]
+    r_sq = w_re * w_re + w_im * w_im
+    y_sq = x2 * x2 + x3 * x3
+    log_y_sq = y_sq.log()
+    b = Jet.constant(root)
+    for _ in range(2):
+        dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
+        b = b - (f.log().sum(-1) - log_y_sq) / dlt.inv().sum(-1)
+    dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
+    gam = dlt.inv().sum(-1)
+    coef = -(dlt * f).inv()
+    p, q = (coef * w_re).sum(-1), (coef * w_im).sum(-1)
+    s, t = 2.0 * x2 / y_sq, -2.0 * x3 / y_sq
+    re = Jet.stack([p, -q, s, -t], axis=-1)
+    im = Jet.stack([q, p, t, s], axis=-1)
+    return (gam, re, im), errors

@@ -583,6 +583,17 @@ def test_smooth_fiber_guard():
         hitchin.metric_at(stacked, chart_points([(1.0, 1.0)]))
 
 
+def test_smooth_fiber_guard_names_the_first_coincident_pair():
+    # plane positions 0 and 2, and 1 and 2, are within the tolerance; 0
+    # and 1 are not: the message names the first pair in row-major order
+    cfg = CenterConfiguration(
+        centers=(Center(0.0, 1.0 + 0j), Center(1.0, 1.0 + 1.6e-9j), Center(2.0, 1.0 + 0.8e-9j)),
+        signature=QuotientSignature(3, 1, 0),
+    )
+    with pytest.raises(SingularFiberError, match="centers 0 and 2"):
+        hitchin.require_smooth_fiber(cfg)
+
+
 def test_metric_rejects_branch_locus_and_punctures():
     with pytest.raises(ChartBoundaryError):
         at_point(metric(pair_config()), (0.0, 0.5, 0.0, 0.0))

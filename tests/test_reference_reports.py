@@ -4,8 +4,9 @@ tests/reference_reports.json pins the payloads that
 tests/make_reference_reports.py builds.  A change that moves a residual,
 a pass/fail, a count or a skip fails here, and the failure lists each
 moved record with its old and new values, the measure of how far a
-change moved the reports.  Regenerate the file with that script when a
-move is intended.
+change moved the reports; a check's residual is also given as a
+fraction of its tolerance, how far it sits inside its bound.
+Regenerate the file with that script when a move is intended.
 """
 
 import json
@@ -29,10 +30,24 @@ def _summary(record: dict | None) -> str:
         return "absent"
     if "max_residual" not in record:
         return json.dumps(record, sort_keys=True)
+    share = ""
+    if record.get("tolerance"):
+        share = f" ({record['max_residual'] / record['tolerance']:.2g} of tolerance)"
     return (
-        f"residual {record['max_residual']!r} pass {record['pass']}"
+        f"residual {record['max_residual']!r}{share} pass {record['pass']}"
         f" count {record['count']} skipped {record.get('skipped', {})}"
     )
+
+
+def _moved_columns(was: list[str], now: list[str]) -> list[str]:
+    """The CSV columns, by the header of now, in which some row differs."""
+    if not now:
+        return []
+    header = now[0].split(",")
+    moved = set()
+    for a, b in zip(was[1:], now[1:]):
+        moved.update(i for i, (x, y) in enumerate(zip(a.split(","), b.split(","))) if x != y)
+    return [header[i] for i in sorted(moved)]
 
 
 def moved_records(old: dict, new: dict) -> list[str]:
@@ -54,7 +69,11 @@ def moved_records(old: dict, new: dict) -> list[str]:
         rows = list(zip(was.get("csv", []), now.get("csv", [])))
         changed = sum(a != b for a, b in rows)
         if changed or len(was.get("csv", [])) != len(now.get("csv", [])):
-            lines.append(f"{case} / csv: {changed} of {len(rows)} rows moved")
+            columns = ", ".join(_moved_columns(was.get("csv", []), now.get("csv", [])))
+            lines.append(
+                f"{case} / csv: {changed} of {len(rows)} rows moved"
+                + (f" (columns {columns})" if columns else "")
+            )
     return lines
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ def test_coincident_centers_rejected():
             centers=(Center(0.0, 1.0 + 0j), Center(0.0, 1.0 + 0j)),
             signature=QuotientSignature(2, 1, 0),
         )
+
+
+def test_first_coincident_pair_in_row_major_order_is_named():
+    # centers 0 and 2, and 1 and 2, are within the collision tolerance;
+    # centers 0 and 1 are not: the message names the first pair, (0, 2)
+    heights = (0.0, 1.6e-9, 0.8e-9)
+    with pytest.raises(SingularFiberError, match="centers 0 and 2 coincide"):
+        CenterConfiguration(
+            centers=tuple(Center(b, 1.0 + 0j) for b in heights),
+            signature=QuotientSignature(3, 1, 0),
+        )
+
+
+def test_six_hundred_center_config_builds_quickly():
+    config_from_json({"n": 3, "m": 1, "mode": {"akl": 2}})
+    start = time.perf_counter()
+    akl = config_from_json({"n": 3, "m": 1, "mode": {"akl": 200}})
+    assert time.perf_counter() - start < 0.05
+    assert akl.k == 600
 
 
 def test_center_count_must_match_signature():
