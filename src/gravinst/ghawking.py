@@ -65,7 +65,7 @@ from gravinst.errors import (
 )
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.quadrature import adaptive_simpson
-from gravinst.singularities import CenterConfiguration, GroupElement
+from gravinst.singularities import CenterConfiguration, GroupElement, row_blocks
 from gravinst.tensorcalc import Coords, Jet
 
 
@@ -290,38 +290,53 @@ def center_clearance(config: CenterConfiguration, b: float, a: complex) -> float
     return min(math.hypot(b - c.b, abs(a - c.a)) for c in config.centers)
 
 
-def _check_segment_clear(config: CenterConfiguration, i: int, j: int) -> None:
-    """Raise PathBlockedError if a third center lies on the segment from
-    center i to center j, to within 1e-9 of the configuration scale."""
-    ci, cj = config.centers[i], config.centers[j]
-    db, da = cj.b - ci.b, cj.a - ci.a
-    tol = 1e-9 * max(1.0, config.extent())
-    for idx, c in enumerate(config.centers):
-        if idx in (i, j):
-            continue  # endpoint cone points, not obstructions
-        ub, ua = c.b - ci.b, c.a - ci.a
-        # the point of the segment nearest to the center, in R^3
-        t = (ub * db + (ua * da.conjugate()).real) / (db * db + abs(da) ** 2)
-        t = min(1.0, max(0.0, t))
-        if math.hypot(ub - t * db, abs(ua - t * da)) <= tol:
-            raise PathBlockedError("segment passes through a third center")
-
-
-def cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
+def cycle_period(config: CenterConfiguration, i, j) -> tuple:
     """Integral of the Kahler form over the circle-fibered 2-cycle above
-    the segment from center i to center j, in closed form.
+    the segment from center i to center j, in closed form, on lanes of
+    center pairs.
 
     The surface is parametrized by (t, theta); the fiber collapses at the
     endpoints.  omega's theta column is (0, -1, 0, 0) whatever V and alpha
     are, so the integrand tangent . omega . d_theta is -(b_j - b_i) at
     every point and the period is -2 pi (b_j - b_i): the heights are the
     Kahler class.  The 2-cycle exists only if no third center lies on the
-    segment; otherwise PathBlockedError.
+    segment, to within 1e-9 of the configuration scale.
+
+    i and j broadcast to one 1-D shape (N,) of distinct center indices,
+    one lane per pair; anything else is a ValueError.  Gives (periods,
+    errors) as a field does (see tensorcalc): the periods of the clear
+    pairs in order (None when none is), and per lane None or the
+    PathBlockedError of a blocked one.  The segments are tested against
+    every center in numpy, over row_blocks of the pairs.
     """
-    if i == j or not (0 <= i < config.k and 0 <= j < config.k):
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    if i.ndim != 1 or not all(np.issubdtype(v.dtype, np.integer) for v in (i, j)):
+        raise ValueError("cycle_period takes 1-D lanes of center indices")
+    if np.any((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= config.k)):
         raise ValueError("period needs two distinct center indices")
-    _check_segment_clear(config, i, j)
-    return -2.0 * math.pi * (config.centers[j].b - config.centers[i].b)
+    b = np.array([c.b for c in config.centers])
+    a = np.array([c.a for c in config.centers])
+    tol = 1e-9 * max(1.0, config.extent())
+    blocked = np.zeros(i.size, dtype=bool)
+    for rows in row_blocks(i.size, config.k):
+        bi, ai = b[i[rows], None], a[i[rows], None]
+        db, da = b[j[rows], None] - bi, a[j[rows], None] - ai
+        # every center against each segment: the segment's point nearest
+        # to it, in R^3
+        ub, ua = b - bi, a - ai
+        t = (ub * db + (ua * np.conj(da)).real) / (db * db + np.abs(da) ** 2)
+        t = np.minimum(1.0, np.maximum(0.0, t))
+        near = np.hypot(ub - t * db, np.abs(ua - t * da)) <= tol
+        # the endpoint cone points are not obstructions
+        lanes = np.arange(len(t))
+        near[lanes, i[rows]] = near[lanes, j[rows]] = False
+        blocked[rows] = near.any(axis=1)
+    errors = [
+        PathBlockedError("segment passes through a third center") if v else None
+        for v in blocked.tolist()
+    ]
+    periods = -2.0 * math.pi * (b[j] - b[i])[~blocked]
+    return (periods if periods.size else None), errors
 
 
 def coordinate_ball_volume(config: CenterConfiguration, R: float) -> float:

@@ -86,12 +86,24 @@ def require_smooth_fiber(config: CenterConfiguration) -> None:
         )
 
 
+def _distance(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sqrt(u^2 + r^2) elementwise: within one ulp of np.hypot at about a
+    quarter of its cost, and exactly |u| where r = 0.  Where u^2 + r^2 leaves
+    (1e-290, 1e290), so that a square may have overflowed or lost its bits
+    to underflow (or is not finite), np.hypot gives the value."""
+    s = u * u + r * r
+    # min and max propagate a NaN, which fails both tests
+    if s.min(initial=1.0) > 1e-290 and s.max(initial=1.0) < 1e290:
+        return np.sqrt(s)
+    return np.where((s > 1e-290) & (s < 1e290), np.sqrt(s), np.hypot(u, r))
+
+
 def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, Delta) with f = u + sqrt(u^2 + r^2) elementwise, avoiding the
-    cancellation that the direct formula suffers for u < 0; every lane
-    evaluation of the product or its log-sum goes through here, under the
-    caller's np.errstate (a vanishing factor divides by zero)."""
-    delta = np.hypot(u, r)
+    """(f, Delta) with f = u + Delta, Delta = _distance(u, r) elementwise,
+    avoiding the cancellation that the direct formula suffers for u < 0;
+    every lane evaluation of the product or its log-sum goes through here,
+    under the caller's np.errstate (a vanishing factor divides by zero)."""
+    delta = _distance(u, r)
     return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
 
 
@@ -185,34 +197,38 @@ def _newton_lanes(
     config: CenterConfiguration, z: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lane loop of solve_b, under its np.errstate: each lane's
-    root and the log-sum residual evaluated at it.  Finished lanes drop
-    out, and only the lanes whose Newton step leaves the bracket work out
-    a bisection or an outward step."""
+    root and the log-sum residual evaluated at it.  One log-sum evaluation
+    per live lane and step; a lane drops out once it stops, its state
+    compacted with the others' in one call, and only the live lanes whose
+    Newton step leaves the bracket work out a bisection or an outward
+    step."""
     b_i, r = _lane_data(config, z)
     k = len(b_i)
     log_r = np.where(r > 0.0, np.log(r), 0.0).sum(axis=0) / k
     lim = 700.0 - np.maximum(0.0, log_r)
     arg = np.clip(target / k - log_r, -lim, lim)
-    b = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
-    out, out_g = np.empty_like(b), np.empty_like(b)
-    # the live lanes' state; a lane leaves it once it stops
-    ids = np.arange(b.size)
-    lo, hi = np.full_like(b, -math.inf), np.full_like(b, math.inf)
-    width = np.zeros_like(b)
-    lr, lt = r, target
+    n = target.size
+    out, out_g = np.empty(n), np.empty(n)
+    # the live lanes' state, one row each: the iterate b, the bracket
+    # (lo, hi), the outward width, the target, the lane's index, the radii
+    state = np.empty((6 + k, n))
+    state[0] = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
+    state[1], state[2], state[3] = -math.inf, math.inf, 0.0
+    state[4], state[5], state[6:] = target, np.arange(n), r
     for _ in range(SOLVE_MAX_ITER):
-        if not ids.size:
+        if not state.shape[1]:
             break
-        total, gam = _lane_log_lhs(b_i, lr, b)
+        b, lo, hi, width, lt, ids = state[:6]
+        total, gam = _lane_log_lhs(b_i, state[6:], b)
         gval = total - lt
         # a non-finite gval gives a non-finite step, which leaves the
         # bracket
         step = b - gval / gam
         stop = np.abs(step - b) <= 1e-16 * (1.0 + np.abs(b))
         up = gval > 0.0
-        hi = np.where(up, b, hi)
-        lo = np.where(up, lo, b)
-        jump = np.flatnonzero(~((lo < step) & (step < hi)))
+        np.putmask(hi, up, b)
+        np.putmask(lo, ~up, b)
+        jump = np.flatnonzero(~(stop | ((lo < step) & (step < hi))))
         if jump.size:
             # bisect a closed bracket; step outward by a doubled width
             # while it is open
@@ -224,18 +240,18 @@ def _newton_lanes(
             width[jump] = jw = np.where(jw != 0.0, 2.0 * jw, 1.0 + np.abs(jb))
             step[jump] = np.where(closed, mid, jb - np.copysign(jw, gval[jump]))
             # the bracket is two adjacent floats
-            stop[jump] |= closed & ~((jlo < mid) & (mid < jhi))
-        if stop.any():
-            out[ids[stop]], out_g[ids[stop]] = b[stop], gval[stop]
-            keep = ~stop
-            ids, b, step, lo, hi, width, lt = (
-                v[keep] for v in (ids, b, step, lo, hi, width, lt)
-            )
-            lr = lr[:, keep]
-        b = step
-    if ids.size:
+            stop[jump] = closed & ~((jlo < mid) & (mid < jhi))
+        done = np.flatnonzero(stop)
+        if done.size:
+            lanes = ids[done].astype(np.intp)
+            out[lanes], out_g[lanes] = b[done], gval[done]
+        b[:] = step
+        if done.size:
+            state = state.compress(~stop, axis=1)
+    if state.shape[1]:
         # lanes still live after the last step are evaluated once more
-        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, lr, b)[0] - lt
+        b, lt, ids = state[0], state[4], state[5].astype(np.intp)
+        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, state[6:], b)[0] - lt
     return out, out_g
 
 

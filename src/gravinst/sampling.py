@@ -29,17 +29,22 @@ _HALTON_BLOCK = 1024
 def halton(index: np.ndarray, base: int) -> np.ndarray:
     """Halton radical inverse in the given base of each positive integer
     of the index array.  Digit by digit, f /= base; r += f * digit, so
-    every value has the bits of the scalar recurrence."""
+    every value has the bits of the scalar recurrence.  The digits come
+    from float division, exact below index 2^53: there every quotient and
+    digit is an exact float, and x / base rounds by under 1 / base, so its
+    floor is the integer quotient.  Any other index is a ValueError."""
     i = np.array(index, dtype=np.int64)
-    if i.min() <= 0:
-        raise ValueError("Halton index must be positive")
+    if i.min() <= 0 or i.max() >= 2**53:
+        raise ValueError("Halton index must be positive and below 2**53")
+    x = i.astype(float)
     out = np.zeros(i.shape)
     f = 1.0
     rest = int(i.max())
     while rest:
         f /= base
-        i, digit = np.divmod(i, base)
-        out += f * digit
+        q = np.floor(x / base)
+        out += f * (x - q * base)
+        x = q
         rest //= base
     return out
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,15 +28,22 @@ _COLLISION_TOL = 1e-9
 _PAIR_BLOCK = 1 << 16
 
 
+def row_blocks(n: int, width: int) -> Iterator[slice]:
+    """Consecutive slices over n rows, each of about _PAIR_BLOCK / width
+    rows (at least one), so that a table of a block's rows against width
+    items stays bounded in memory."""
+    step = max(1, _PAIR_BLOCK // max(width, 1))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
+
+
 def first_pair(k: int, close: Callable[[slice], np.ndarray]) -> tuple[int, int] | None:
     """The first pair (i, j) of k items, i < j in row-major order, that
     close marks; None when it marks none.  close(rows) gives the boolean
     table of the items in the slice rows against the items from rows.start
-    on, and is called over blocks of rows, so memory stays bounded for any
-    k."""
-    step = max(1, _PAIR_BLOCK // max(k, 1))
-    for start in range(0, k, step):
-        rows = slice(start, min(start + step, k))
+    on, and is called over row_blocks, so memory stays bounded for any k."""
+    for rows in row_blocks(k, k):
+        start = rows.start
         later = np.arange(k - start)[None, :] > np.arange(rows.stop - start)[:, None]
         hits = np.argwhere(later & close(rows))
         if len(hits):

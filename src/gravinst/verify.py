@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from gravinst import ghawking, hitchin, sampling, tensorcalc
-from gravinst.errors import FitDomainError, GeometryError, PathBlockedError, ScanError
+from gravinst.errors import FitDomainError, GeometryError, ScanError
 from gravinst.fitting import FitResult, fit_proportional
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
@@ -684,42 +684,27 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     """Fit cycle_period(i, j) = C (b_j - b_i) over the vertically separated
     pairs i < j; record the constant, assert only the proportionality.
     cycle_period is the closed form -2 pi (b_j - b_i), so C = -2 pi is an
-    identity, and the note says so."""
-    scale = max(1.0, config.extent())
-    tol_b = 1e-9 * scale
-    pairs = [(i, j) for i in range(config.k) for j in range(i + 1, config.k)]
-    vertical = [
-        (i, j)
-        for i, j in pairs
-        if abs(config.centers[j].b - config.centers[i].b) > tol_b
-    ]
-    if not vertical:
+    identity, and the note says so.  The pairs are the lanes of one
+    cycle_period call, in row-major order; a blocked pair is left out."""
+    b = np.array([c.b for c in config.centers])
+    i, j = np.triu_indices(config.k, 1)
+    periods, errors = ghawking.cycle_period(config, i, j)
+    periods = np.empty(0) if periods is None else periods
+    clear = np.array([e is None for e in errors], dtype=bool)
+    db = b[j] - b[i]
+    vertical = np.abs(db) > 1e-9 * max(1.0, config.extent())
+    if not vertical.any():
         # coplanar configuration: every period must vanish outright
-        worst = 0.0
-        used = 0
-        for i, j in pairs:
-            try:
-                worst = max(worst, abs(ghawking.cycle_period(config, i, j)))
-                used += 1
-            except PathBlockedError:
-                continue
+        worst = float(np.max(np.abs(periods), initial=0.0))
         return CheckRecord(
             name="periods",
             max_residual=worst,
             tolerance=1e-8,
             passed=worst < 1e-8,
-            count=used,
+            count=int(clear.sum()),
             note="coplanar centers, proportionality vacuous; C = 0",
         )
-    dbs = []
-    periods = []
-    for i, j in vertical:
-        try:
-            p = ghawking.cycle_period(config, i, j)
-        except PathBlockedError:
-            continue
-        dbs.append(config.centers[j].b - config.centers[i].b)
-        periods.append(p)
+    dbs, periods = db[clear & vertical].tolist(), periods[vertical[clear]].tolist()
     if not dbs:
         raise ScanError("every vertically separated segment was blocked")
     if len(dbs) == 1:

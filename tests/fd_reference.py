@@ -21,10 +21,12 @@ program runs over numpy lanes: the recursive adaptive Simpson rule, for
 the breadth-first lane quadrature (gravinst.quadrature), and the
 implicit height's log-sum (log_lhs) with its float Newton loop, for
 hitchin.solve_b, and the float lift of a base point, for
-hitchin.base_to_chart.  Two replaced kernels stay as references too: the
+hitchin.base_to_chart.  Replaced kernels stay as references too: the
 einsum chain of the curvature assembly (einsum_curvature), for
-tensorcalc's matrix products, and the two jet Newton steps for the
-implicit height's jet (newton_eta_jets), for hitchin.eta_jets.
+tensorcalc's matrix products; the two jet Newton steps for the implicit
+height's jet (newton_eta_jets), for hitchin.eta_jets; the int64 Halton
+digits (integer_halton), for sampling.halton; and the per-pair segment
+loop (float_cycle_period), for ghawking.cycle_period's lanes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
     NumericOverflowError,
+    PathBlockedError,
     PoleError,
 )
 from gravinst.quadrature import ABS_TOL, MAX_DEPTH, REL_TOL
@@ -312,10 +315,20 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
+def distance(u: float, r: float) -> float:
+    """hitchin._distance at one pair of floats: sqrt(u^2 + r^2) with math's
+    correctly rounded sqrt, and math.hypot where u^2 + r^2 leaves
+    (1e-290, 1e290)."""
+    s = u * u + r * r
+    return math.sqrt(s) if 1e-290 < s < 1e290 else math.hypot(u, r)
+
+
 def stable_factor(u: float, r: float) -> tuple[float, float]:
-    """Return (f, Delta) with f = u + sqrt(u^2 + r^2), avoiding the
-    cancellation that the direct formula suffers for u < 0."""
-    delta = math.hypot(u, r)
+    """Return (f, Delta) with f = u + Delta and Delta = distance(u, r),
+    avoiding the cancellation that the direct formula suffers for u < 0:
+    the lanes' hitchin._stable_factors, so the float loop takes their
+    steps."""
+    delta = distance(u, r)
     if u >= 0.0:
         return u + delta, delta
     return (r * r) / (delta - u), delta
@@ -397,6 +410,40 @@ def float_solve_b(config: CenterConfiguration, z: complex, y_abs_sq: float) -> f
             f"implicit height solve stalled at relative residual {residual:.3e}"
         )
     return b
+
+
+def integer_halton(index: np.ndarray, base: int) -> np.ndarray:
+    """sampling.halton's digits by the int64 recurrence it replaced: digit
+    by digit, np.divmod of the index, f /= base; r += f * digit."""
+    i = np.array(index, dtype=np.int64)
+    out = np.zeros(i.shape)
+    f = 1.0
+    rest = int(i.max())
+    while rest:
+        f /= base
+        i, digit = np.divmod(i, base)
+        out += f * digit
+        rest //= base
+    return out
+
+
+def float_cycle_period(config: CenterConfiguration, i: int, j: int) -> float:
+    """ghawking.cycle_period of the one pair (i, j) by the per-pair float
+    loop it replaced: every third center against the segment from center
+    i to center j, PathBlockedError within 1e-9 of the configuration
+    scale, else the closed form -2 pi (b_j - b_i)."""
+    ci, cj = config.centers[i], config.centers[j]
+    db, da = cj.b - ci.b, cj.a - ci.a
+    tol = 1e-9 * max(1.0, config.extent())
+    for idx, c in enumerate(config.centers):
+        if idx in (i, j):
+            continue
+        ub, ua = c.b - ci.b, c.a - ci.a
+        t = (ub * db + (ua * da.conjugate()).real) / (db * db + abs(da) ** 2)
+        t = min(1.0, max(0.0, t))
+        if math.hypot(ub - t * db, abs(ua - t * da)) <= tol:
+            raise PathBlockedError("segment passes through a third center")
+    return -2.0 * math.pi * (cj.b - ci.b)
 
 
 def einsum_curvature(jet: Jet) -> tuple:

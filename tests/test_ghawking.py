@@ -24,9 +24,11 @@ from gravinst.singularities import (
     make_akl_config,
     make_polygon_config,
 )
+import test_acceptance as acceptance
 from fd_reference import (
     at_point,
     fd_derivatives,
+    float_cycle_period,
     gh_connection,
     gh_kahler_forms,
     recursive_simpson,
@@ -225,16 +227,22 @@ def test_clearances():
 # --- cycle periods ---
 
 
+def period(config, i, j):
+    """cycle_period of the one pair (i, j), a lane of one: its period, or
+    its PathBlockedError raised."""
+    return tensorcalc.every_lane(ghawking.cycle_period(config, [i], [j]))[0]
+
+
 def test_cycle_period_tower():
     tower = tower_config()
-    per = ghawking.cycle_period(tower, 0, 1)
+    per = period(tower, 0, 1)
     # the closed form -2 pi (b_j - b_i), heights -1 and 1
     assert per == -4.0 * math.pi
-    assert ghawking.cycle_period(tower, 1, 0) + per == 0.0
+    assert period(tower, 1, 0) + per == 0.0
 
 
 def test_cycle_period_coplanar_vanishes():
-    assert ghawking.cycle_period(pair_config(), 0, 1) == 0.0
+    assert period(pair_config(), 0, 1) == 0.0
 
 
 def test_cycle_period_blocked_segment():
@@ -243,9 +251,9 @@ def test_cycle_period_blocked_segment():
         signature=QuotientSignature(3, 1, 0),
     )
     with pytest.raises(PathBlockedError):
-        ghawking.cycle_period(three, 0, 2)
+        period(three, 0, 2)
     # adjacent pairs stay unblocked
-    assert ghawking.cycle_period(three, 0, 1) == -2.0 * math.pi
+    assert period(three, 0, 1) == -2.0 * math.pi
     # a tilted line: the middle center blocks the outer pair, and a center
     # on the line's extension past an endpoint does not block
     tilted = CenterConfiguration(
@@ -253,8 +261,12 @@ def test_cycle_period_blocked_segment():
         signature=QuotientSignature(3, 1, 0),
     )
     with pytest.raises(PathBlockedError):
-        ghawking.cycle_period(tilted, 0, 2)
-    assert ghawking.cycle_period(tilted, 0, 1) == -3.0 * math.pi
+        period(tilted, 0, 2)
+    assert period(tilted, 0, 1) == -3.0 * math.pi
+    # on lanes, the blocked pair gets its error and the others their periods
+    periods, errors = ghawking.cycle_period(tilted, [0, 0, 1, 2], [1, 2, 2, 0])
+    assert [type(e) for e in errors] == [type(None), PathBlockedError, type(None), PathBlockedError]
+    assert periods.tolist() == [-3.0 * math.pi, -math.pi]
 
 
 def quadrature_period(config, i, j):
@@ -283,16 +295,68 @@ def test_cycle_period_matches_quadrature(build):
     config = build()
     for i in range(config.k):
         for j in range(i + 1, config.k):
-            closed = ghawking.cycle_period(config, i, j)
+            closed = period(config, i, j)
             reference = quadrature_period(config, i, j)
             assert abs(closed - reference) <= 5e-8 * abs(closed)
 
 
 def test_cycle_period_index_validation():
-    with pytest.raises(ValueError):
-        ghawking.cycle_period(pair_config(), 0, 0)
-    with pytest.raises(ValueError):
-        ghawking.cycle_period(pair_config(), 0, 5)
+    # two distinct indices in range on every lane, on 1-D lanes of
+    # integers; no lane at all is an empty result
+    for i, j in (([0], [0]), ([0], [5]), ([-1], [0]), (0, 1), ([[0]], [[1]]), ([0.0], [1.0])):
+        with pytest.raises(ValueError):
+            ghawking.cycle_period(pair_config(), i, j)
+    none = np.array([], dtype=int)
+    assert ghawking.cycle_period(pair_config(), none, none) == (None, [])
+
+
+AKL_PERIOD_COUNTS = {3: 5, 12: 23, 50: 99}
+
+
+@pytest.mark.parametrize("j_max", sorted(AKL_PERIOD_COUNTS))
+def test_cycle_period_lanes_match_the_per_pair_loop_on_akl(j_max):
+    # akl centers are coplanar and collinear in pairs, so most of their
+    # segments are blocked: each lane's period and error is the per-pair
+    # float loop's, and period_check's record is the one that loop gave
+    # (every period 0, the clear pairs counted)
+    config = make_akl_config(n=2, m=1, j_max=j_max)
+    assert_lanes_match_per_pair_loop(config)
+    rec = verify.period_check(config)
+    assert (rec.max_residual, rec.passed, rec.count) == (0.0, True, AKL_PERIOD_COUNTS[j_max])
+    assert rec.note == "coplanar centers, proportionality vacuous; C = 0"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        acceptance.pair_unit,
+        acceptance.pair_generic,
+        acceptance.hexagon,
+        acceptance.taubnut,
+        acceptance.flat,
+        acceptance.square4,
+        acceptance.two_level,
+    ],
+)
+def test_cycle_period_lanes_match_the_per_pair_loop_on_acceptance_configs(build):
+    # their period records are pinned in tests/reference_reports.json
+    assert_lanes_match_per_pair_loop(build())
+
+
+def assert_lanes_match_per_pair_loop(config):
+    """cycle_period on every ordered pair as lanes against
+    fd_reference.float_cycle_period pair by pair: the same blocked pairs,
+    and bit for bit the same periods."""
+    pairs = [(i, j) for i in range(config.k) for j in range(config.k) if i != j]
+    periods, errors = ghawking.cycle_period(config, *np.array(pairs, dtype=int).reshape(-1, 2).T)
+    periods = iter([] if periods is None else periods.tolist())
+    for (i, j), err in zip(pairs, errors):
+        try:
+            expected = float_cycle_period(config, i, j)
+        except PathBlockedError:
+            assert isinstance(err, PathBlockedError)
+            continue
+        assert err is None and next(periods) == expected
 
 
 # --- volume growth ---

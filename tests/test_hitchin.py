@@ -29,10 +29,12 @@ from gravinst.singularities import (
 from fd_reference import (
     at_point,
     chart_step,
+    distance,
     fd_derivatives,
     float_base_to_chart,
     float_solve_b,
     log_lhs,
+    stable_factor,
 )
 
 
@@ -442,6 +444,96 @@ def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
         assert math.isfinite(b)
         data = [(c.b, abs(z.conjugate() + c.a)) for c in config.centers]
         assert abs(math.expm1(log_lhs(data, b)[0] - math.log(y_sq))) <= hitchin.SOLVE_TOL
+
+
+def extreme_sweep(count=5000, seed=2025):
+    """A fixed sweep over EXTREME_CONFIGS: |y|^2 log-uniform in [1e-300,
+    1e300], one z in twenty on a puncture zbar = -a_i, the rest in the
+    solver scan's box; one (config, z, |y|^2) lane array triple per
+    config."""
+    rng = np.random.default_rng(seed)
+    which = rng.integers(0, len(EXTREME_CONFIGS), count)
+    on_puncture = rng.integers(0, 20, count) == 0
+    center = rng.integers(0, 6, count)
+    box = 8.0 * (rng.uniform(-1.0, 1.0, count) + 1j * rng.uniform(-1.0, 1.0, count))
+    y_sq = 10.0 ** rng.uniform(-300.0, 300.0, count)
+    for n, config in enumerate(EXTREME_CONFIGS):
+        lanes = which == n
+        a = np.array([c.a for c in config.centers])
+        punctures = -np.conj(a[center[lanes] % config.k])
+        yield config, np.where(on_puncture[lanes], punctures, box[lanes]), y_sq[lanes]
+
+
+# stalled lanes of extreme_sweep() with np.hypot as the distance, the
+# same with the guarded one: 107 on punctures, 53 off them, each a typed
+# ConvergenceError; the solver must not stall more often
+EXTREME_SWEEP_STALLS = 160
+
+
+def test_solve_b_extreme_sweep_stalls_no_more_and_every_root_substitutes_back():
+    # every root passes the float log-sum's back-substitution, to within
+    # one ulp of log|y|^2, where math.log and np.log may disagree; from
+    # |log|y|^2| = 512 on that ulp is over SOLVE_TOL, and it decides one
+    # lane of the sweep (with np.hypot as the distance too)
+    stalled = 0
+    for config, z, y_sq in extreme_sweep():
+        roots, errors = hitchin.solve_b(config, z, y_sq)
+        stalled += sum(e is not None for e in errors)
+        assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
+        good = [e is None for e in errors]
+        roots = [] if roots is None else roots.tolist()
+        for b, zi, yi in zip(roots, z[good].tolist(), y_sq[good].tolist()):
+            data = [(c.b, abs(zi.conjugate() + c.a)) for c in config.centers]
+            gval = log_lhs(data, b)[0] - math.log(yi)
+            assert abs(math.expm1(gval)) <= hitchin.SOLVE_TOL + np.spacing(abs(math.log(yi)))
+    assert stalled <= EXTREME_SWEEP_STALLS
+
+
+# --- guarded distance ---
+
+
+def test_distance_is_within_one_ulp_of_hypot_inside_its_range():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-140.0, 140.0, (2, 200000))
+    u = rng.uniform(-10.0, 10.0, 200000) * scale[0]
+    r = rng.uniform(0.0, 10.0, 200000) * scale[1]
+    s = u * u + r * r
+    inside = (s > 1e-290) & (s < 1e290)
+    assert inside.mean() > 0.9
+    dist, hyp = hitchin._distance(u, r), np.hypot(u, r)
+    assert np.all(np.abs(dist - hyp)[inside] <= np.spacing(hyp[inside]))
+    # the float reference takes the same value on every pair
+    assert [distance(a, b) for a, b in zip(u[:2000].tolist(), r[:2000].tolist())] == dist[:2000].tolist()
+
+
+def test_distance_is_hypot_where_the_squares_leave_the_range():
+    big, small = 1e200 * np.array([1.0, 1.7, 3.3]), 1e-200 * np.array([1.0, 2.9, 7.1])
+    mid = np.array([0.0, 1e-3, 1.0, 42.0])
+    values = np.concatenate([big, small, mid])
+    u = np.concatenate([values, -values])
+    u, r = (v.ravel() for v in np.meshgrid(u, np.abs(u)))
+    near = (np.abs(u) > 1e100) | (np.abs(u) < 1e-100) | (r > 1e100) | (r < 1e-100)
+    assert near.sum() > 100
+    # under the caller's np.errstate, as in every lane evaluation
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert hitchin._distance(u, r)[near].tobytes() == np.hypot(u, r)[near].tobytes()
+        assert np.isnan(hitchin._distance(np.array([np.nan, 1.0]), np.array([1.0, np.nan]))).all()
+
+
+def test_stable_factors_at_a_puncture_above_and_below_its_center():
+    # r = 0: Delta = |u| exactly, so the factor is 2u above the center and
+    # vanishes below it, where the log-sum is -inf
+    u = np.array([3.7, 1e-3, 1e120, -3.7, -1e-3, -1e120])
+    with np.errstate(invalid="ignore"):
+        f, delta = hitchin._stable_factors(u, np.zeros_like(u))
+    assert delta.tolist() == np.abs(u).tolist()
+    assert f.tolist() == (2.0 * u[:3]).tolist() + [0.0] * 3
+    for ui, fi in zip(u.tolist(), f.tolist()):
+        assert stable_factor(ui, 0.0) == (fi, abs(ui))
+    b_i, r = np.array([[0.5]]), np.zeros((1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total, _ = hitchin._lane_log_lhs(b_i, r, np.array([2.0, -1.0]))
+    assert total.tolist() == [math.log(3.0), -math.inf]
 
 
 # --- metric algebra ---

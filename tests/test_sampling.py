@@ -7,7 +7,7 @@ from gravinst import ghawking, sampling
 from gravinst.errors import ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
-from fd_reference import float_base_to_chart
+from fd_reference import float_base_to_chart, integer_halton
 
 
 def hexagon_config():
@@ -45,6 +45,22 @@ def test_halton_matches_scalar_radical_inverse_bit_for_bit(base):
 def test_halton_rejects_non_positive_index():
     with pytest.raises(ValueError):
         sampling.halton(np.array([3, 0, 5]), 2)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+def test_halton_float_digits_are_the_integer_recurrence_bit_for_bit(seed):
+    # the stream of a seed starts at index 1 + seed % 2^31
+    idx = np.arange(1 + seed % 2**31, 1 + seed % 2**31 + 4096)
+    for base in (2, 3, 5, 7):
+        assert sampling.halton(idx, base).tobytes() == integer_halton(idx, base).tobytes()
+
+
+def test_halton_float_digits_hold_to_the_end_of_their_exact_range():
+    idx = np.arange(2**53 - 4096, 2**53)
+    for base in (2, 3, 5, 7):
+        assert sampling.halton(idx, base).tobytes() == integer_halton(idx, base).tobytes()
+    with pytest.raises(ValueError, match="below 2\\*\\*53"):
+        sampling.halton(np.array([5, 2**53]), 3)
 
 
 def test_hexagon_streams_are_pinned():
