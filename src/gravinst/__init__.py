@@ -28,7 +28,6 @@ from gravinst.errors import (
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
-    GroupElement,
     QuotientSignature,
     make_akl_config,
     make_polygon_config,
@@ -54,7 +53,6 @@ __all__ = [
     "DiracStringError",
     "FitDomainError",
     "GeometryError",
-    "GroupElement",
     "InvalidSignatureError",
     "NumericOverflowError",
     "PathBlockedError",

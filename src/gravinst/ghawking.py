@@ -53,7 +53,7 @@ whole block at once; kahler_of takes one point.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,7 +65,7 @@ from gravinst.errors import (
 )
 from gravinst.fitting import FitResult, fit_loglog
 from gravinst.quadrature import adaptive_simpson
-from gravinst.singularities import CenterConfiguration, GroupElement, row_blocks
+from gravinst.singularities import CenterConfiguration, QuotientSignature, row_blocks
 from gravinst.tensorcalc import Coords, Jet
 
 
@@ -216,24 +216,14 @@ def _jet_matrix(rows: tuple) -> Jet:
     return Jet.stack([Jet.stack(row) for row in rows])
 
 
-def metric_of(
-    jets: tuple[Jet, Jet, Jet], potential_transform: Callable | None = None
-) -> Jet:
+def metric_of(jets: tuple[Jet, Jet, Jet]) -> Jet:
     """The metric jet assembled from the (V, alpha_1, alpha_2) jets of
     potential_jets: g = u u^T / V + V diag(0, 1, 1, 1) with
     u = (1, 0, alpha_1, alpha_2).  The jets may carry leading lane axes
     (potential_jets' values stacked by tensorcalc.stack_lanes), and the
     metric jet has them in front of its 4x4 value; each lane is the same
-    arithmetic as a point on its own, so the same bits.
-
-    potential_transform deliberately replaces V by f(V) while keeping the
-    connection of the true V; it exists so verification negative controls
-    can break Ricci-flatness in a controlled way.  f acts on the V jet, so
-    it must be arithmetic on V (+, -, *, /) that accepts a tensorcalc.Jet.
-    """
+    arithmetic as a point on its own, so the same bits."""
     V, a1, a2 = jets
-    if potential_transform is not None:
-        V = potential_transform(V)
     lanes = V.val.shape
     u = Jet.stack([np.ones(lanes), np.zeros(lanes), a1, a2], axis=-1)
     V = V[..., None, None]
@@ -249,19 +239,19 @@ def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
     return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
 
-def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic action (theta, b, a) -> (theta + 2 pi ell / n, b,
-    rho^(-m ell) a) as the affine map x -> M x + shift of (theta, b, a1,
-    a2): M rotates the plane by -2 pi m ell / n, the shift translates theta."""
-    n = gel.signature.n
-    ang = -2.0 * math.pi * gel.signature.m * gel.ell / n
+def action(signature: QuotientSignature) -> tuple[np.ndarray, np.ndarray]:
+    """The generator of the cyclic action, (theta, b, a) -> (theta + 2 pi / n,
+    b, rho^(-m) a), as the affine map x -> M x + shift of (theta, b, a1,
+    a2): M rotates the plane by -2 pi m / n, the shift translates theta."""
+    n = signature.n
+    ang = -2.0 * math.pi * signature.m / n
     c, s = math.cos(ang), math.sin(ang)
     out = np.eye(4)
     out[2, 2] = c
     out[2, 3] = -s
     out[3, 2] = s
     out[3, 3] = c
-    return out, np.array([2.0 * math.pi * gel.ell / n, 0.0, 0.0, 0.0])
+    return out, np.array([2.0 * math.pi / n, 0.0, 0.0, 0.0])
 
 
 def user_coords(vals: Sequence[float]) -> Sequence[float]:

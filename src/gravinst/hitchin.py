@@ -51,7 +51,7 @@ from gravinst.errors import (
     SingularFiberError,
 )
 from gravinst.fitting import FitResult, fit_loglog
-from gravinst.singularities import CenterConfiguration, GroupElement, first_pair
+from gravinst.singularities import CenterConfiguration, QuotientSignature, first_pair
 
 EPS_Y_DEFAULT = 1e-8
 
@@ -418,13 +418,13 @@ def metric_jet(config: CenterConfiguration, x):
     return (eta and metric_of(eta)), errors
 
 
-def action(gel: GroupElement) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic action (z, y) -> (rho^(m ell) z, rho^(-ell) y) as the
-    affine map x -> M x + shift of the chart coordinates: M rotates both
-    complex coordinates, and the shift is 0."""
-    n = gel.signature.n
-    ang_z = 2.0 * math.pi * gel.signature.m * gel.ell / n
-    ang_y = -2.0 * math.pi * gel.ell / n
+def action(signature: QuotientSignature) -> tuple[np.ndarray, np.ndarray]:
+    """The generator of the cyclic action, (z, y) -> (rho^m z, rho^(-1) y),
+    as the affine map x -> M x + shift of the chart coordinates: M rotates
+    both complex coordinates, and the shift is 0."""
+    n = signature.n
+    ang_z = 2.0 * math.pi * signature.m / n
+    ang_y = -2.0 * math.pi / n
     out = np.zeros((4, 4))
     for offset, ang in ((0, ang_z), (2, ang_y)):
         c, s = math.cos(ang), math.sin(ang)

@@ -109,17 +109,6 @@ class Center:
 
 
 @dataclass(frozen=True)
-class GroupElement:
-    """Element rho^ell of the cyclic group Z_n attached to a signature."""
-
-    ell: int
-    signature: QuotientSignature
-
-    def __post_init__(self):
-        object.__setattr__(self, "ell", int(self.ell) % self.signature.n)
-
-
-@dataclass(frozen=True)
 class CenterConfiguration:
     """Centers plus signature plus asymptotic mode.
 

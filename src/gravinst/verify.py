@@ -44,7 +44,7 @@ from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
-    GroupElement,
+    QuotientSignature,
     make_akl_config,
 )
 from gravinst.tensorcalc import Coords, Field
@@ -222,23 +222,22 @@ class Construction:
     cheap field the invariance scan compares.
 
     The scans' fields are split into the chart's state and what is
-    assembled from it.  state(config), evaluated once per block, gives
-    the chart's jets of one evaluation.  From that value
-    jet_of(value, potential_transform=None) gives the metric as an exact
-    jet over the good lanes, the evaluation tensorcalc.curvature_at
-    takes, and kahler_of(value) gives (g, omega, J): g as a float array,
-    omega as a jet, J as a jet or, where the chart's complex structure
-    has constant components (so its Nijenhuis tensor vanishes
-    identically), a constant array.  The complex chart
+    assembled from it.  state(config), evaluated once per block, gives the
+    chart's jets of one evaluation.  From that value jet_of(value) gives
+    the metric as an exact jet over the good lanes, the evaluation
+    tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
+    J): g as a float array, omega as a jet, J as a jet or, where the
+    chart's complex structure has constant components (so its Nijenhuis
+    tensor vanishes identically), a constant array.  The complex chart
     evaluates and assembles a block at once.  The circle-fibered chart
     keeps its state per point (tensorcalc.each_lane); jet_of stacks it
     over the lanes (tensorcalc.stack_lanes) and assembles the block's
     metric jet in one call, while kahler_of still assembles each point
-    before stacking them.
-    jet(config, potential_transform) is jet_of of the state as one field.
+    before stacking them.  jet(config) is jet_of of the state as one
+    field.
 
     stream(config, spec) gives the coordinates of the sample stream;
-    action(generator) gives the cyclic action as the affine map
+    action(signature) gives the cyclic generator as the affine map
     x -> M x + shift, as (M, shift); user_coords completes and checks
     user-given coordinates.  Entries call into their modules at call
     time, so module attributes stay the one binding of each function.
@@ -246,13 +245,12 @@ class Construction:
 
     name: str
     modes: tuple[str, ...]
-    has_potential: bool  # potential_transform (V -> f(V)) applies
     stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
     metric: Callable[[CenterConfiguration], Field]
     state: Callable[[CenterConfiguration], Field]
-    jet_of: Callable[..., tensorcalc.Jet]
+    jet_of: Callable[[object], tensorcalc.Jet]
     kahler_of: Callable[[object], tuple]
-    action: Callable[[GroupElement], tuple[np.ndarray, np.ndarray]]
+    action: Callable[[QuotientSignature], tuple[np.ndarray, np.ndarray]]
     user_coords: Callable[[Sequence[float]], Sequence[float]]
 
     def applies(self, config: CenterConfiguration) -> bool:
@@ -268,9 +266,9 @@ class Construction:
             )
         return self
 
-    def jet(self, config: CenterConfiguration, potential_transform=None) -> Field:
+    def jet(self, config: CenterConfiguration) -> Field:
         """The metric jet as a field: jet_of of the state on each block."""
-        return assembled(self.state(config), lambda s: self.jet_of(s, potential_transform))
+        return assembled(self.state(config), self.jet_of)
 
     def points(self, config: CenterConfiguration, spec: SampleSpec) -> list[ChartPoint]:
         """The sample stream, tagged with this chart."""
@@ -284,28 +282,24 @@ class Construction:
 GH = Construction(
     name="gh",
     modes=("ale", "alf", "akl"),
-    has_potential=True,
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
     state=lambda config: tensorcalc.each_lane(lambda x: ghawking.potential_jets(config, x)),
-    jet_of=lambda jets, potential_transform=None: ghawking.metric_of(
-        tensorcalc.stack_lanes(jets), potential_transform
-    ),
+    jet_of=lambda jets: ghawking.metric_of(tensorcalc.stack_lanes(jets)),
     kahler_of=lambda jets: tensorcalc.stack_lanes([ghawking.kahler_of(j) for j in jets]),
-    action=lambda gel: ghawking.action(gel),
+    action=lambda signature: ghawking.action(signature),
     user_coords=lambda vals: ghawking.user_coords(vals),
 )
 
 HITCHIN = Construction(
     name="hitchin",
     modes=("ale",),
-    has_potential=False,
     stream=lambda config, spec: sampling.hitchin_points(config, spec),
     metric=lambda config: lambda x: hitchin.metric_at(config, x),
     state=lambda config: lambda x: hitchin.eta_jets(config, x),
-    jet_of=lambda eta, potential_transform=None: hitchin.metric_of(eta),
+    jet_of=lambda eta: hitchin.metric_of(eta),
     kahler_of=lambda eta: hitchin.kahler_of(eta),
-    action=lambda gel: hitchin.action(gel),
+    action=lambda signature: hitchin.action(signature),
     user_coords=lambda vals: hitchin.user_coords(vals),
 )
 
@@ -447,7 +441,6 @@ def ricci_samples(
     c: Construction,
     config: CenterConfiguration,
     points: Sequence[ChartPoint],
-    potential_transform: Callable[[float], float] | None = None,
     evaluation: ChartEvaluation | None = None,
 ) -> tuple[SampleRecord, ...]:
     """Curvature at each chart point, with residual |Ric| / max(|Rm|, 1).
@@ -458,15 +451,13 @@ def ricci_samples(
     ChartEvaluation of c on config.
     """
     c.require(config)
-    if potential_transform is not None and not c.has_potential:
-        raise ValueError(f"potential_transform does not apply to {c.name} metrics")
     for cp in points:
         if cp.chart_id != c.name:
             raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
     if evaluation is None:
-        metric = c.jet(config, potential_transform)
+        metric = c.jet(config)
     else:
-        metric = evaluation.field(lambda state: c.jet_of(state, potential_transform))
+        metric = evaluation.field(c.jet_of)
 
     def record(cp: ChartPoint, bundle: tensorcalc.CurvatureBundle) -> SampleRecord:
         residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
@@ -483,14 +474,13 @@ def ricci_scan(
     metric_source: str,
     config: CenterConfiguration,
     spec: SampleSpec | None = None,
-    potential_transform: Callable[[float], float] | None = None,
     evaluation: ChartEvaluation | None = None,
 ) -> CheckRecord:
     """Worst |Ric| / max(|Rm|, 1) over the sample stream: the stream of
     spec, or of evaluation, the report's ChartEvaluation of this chart,
     whose state the metric jets are assembled from."""
     ev = _evaluation(metric_source, config, spec, evaluation)
-    samples = ricci_samples(ev.chart, config, ev.points(), potential_transform, ev)
+    samples = ricci_samples(ev.chart, config, ev.points(), ev)
     return _scan_records("Ricci", ev.chart.name, ("ricci",), (RICCI_TOL,), samples)[0]
 
 
@@ -563,8 +553,7 @@ def invariance_scan(
     c = ev.chart
     if config.signature.n < 2:
         raise ValueError("the cyclic action is trivial for n = 1")
-    gel = GroupElement(ell=1, signature=config.signature)
-    M, shift = c.action(gel)
+    M, shift = c.action(config.signature)
     metric = c.metric(config)
 
     def evaluate(block: Sequence[ChartPoint]) -> tuple:
@@ -599,10 +588,10 @@ def cross_validate(
     the constant c^-2 everywhere; the spread is asserted, the constant is
     recorded, never asserted.  Base points where the curvature sits below
     the noise floor are skipped (flat regions carry no information).
-    known maps a chart's name to Ricci samples of its true metric (a
-    report's samples); a matched point with the exact coordinates of one
-    of them takes its curvature bundle, and only the other points are
-    evaluated.  ValueError unless both constructions apply to config.
+    known maps a chart's name to Ricci samples of its metric (a report's
+    samples); a matched point with the exact coordinates of one of them
+    takes its curvature bundle, and only the other points are evaluated.
+    ValueError unless both constructions apply to config.
     """
     for c in (GH, HITCHIN):
         c.require(config)
@@ -885,15 +874,11 @@ def akl_convergence_check(
     )
 
 
-def perturb_config(
-    config: CenterConfiguration, eps: float = 0.01, index: int = 0
-) -> CenterConfiguration:
-    """Move one center by eps in the a-plane, breaking the symmetry."""
-    centers = list(config.centers)
-    c = centers[index]
-    centers[index] = Center(b=c.b, a=c.a + complex(eps, 0.0))
+def perturb_config(config: CenterConfiguration, eps: float = 0.01) -> CenterConfiguration:
+    """Move the first center by eps in the a-plane, breaking the symmetry."""
+    c, *rest = config.centers
     return CenterConfiguration(
-        centers=tuple(centers),
+        centers=(Center(b=c.b, a=c.a + complex(eps, 0.0)), *rest),
         signature=config.signature,
         mode=config.mode,
         akl_j_max=config.akl_j_max,
@@ -926,7 +911,6 @@ def full_report(
     mode: str | None = None,
     spec: SampleSpec | None = None,
     checks: Sequence[str] | None = None,
-    potential_transform: Callable[[float], float] | None = None,
 ) -> VerificationReport:
     """Run the applicable checks and aggregate a deterministic report.
 
@@ -934,9 +918,7 @@ def full_report(
     The payload is a pure function of (config, seed); wall-clock timing
     lives in a separate field the payload never includes.  mode, if
     given, must be config.mode (ValueError otherwise).  The scans share
-    one ChartEvaluation per chart (see the module docstring);
-    cross-validation does not reuse the circle-fibered Ricci samples of a
-    potential_transform run, whose metric is not the true one.
+    one ChartEvaluation per chart (see the module docstring).
     """
     import time
 
@@ -969,9 +951,8 @@ def full_report(
         report.timing[name] = time.perf_counter() - t0
 
     def ricci(c: Construction) -> None:
-        transform = potential_transform if c.has_potential else None
         try:
-            record = ricci_scan(c.name, config, spec, transform, evaluations[c.name])
+            record = ricci_scan(c.name, config, spec, evaluations[c.name])
         except ScanError as exc:
             report.samples[c.name] = exc.samples
             raise
@@ -1000,12 +981,7 @@ def full_report(
     if "cross" in selected and all(c.applies(config) for c in (GH, HITCHIN)):
 
         def _cross():
-            known = {
-                name: samples
-                for name, samples in report.samples.items()
-                if potential_transform is None or not construction(name).has_potential
-            }
-            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT), known)
+            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT), report.samples)
             report.ratio = stats
             report.checks.append(record)
 

@@ -1,8 +1,11 @@
-"""The package imports only the standard library, numpy and itself."""
+"""The package imports only the standard library, numpy and itself, and
+exports every name its __init__ imports."""
 
 import ast
 import pathlib
 import sys
+
+import gravinst
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "gravinst"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gravinst"}
@@ -27,3 +30,17 @@ def test_package_is_numpy_only():
         if name not in ALLOWED
     }
     assert not foreign, sorted(foreign)
+
+
+def test_all_resolves_and_lists_every_imported_name():
+    # a name dropped from a module must leave __all__ too, and a name
+    # imported into the package must be exported
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in gravinst.__all__ if not hasattr(gravinst, name)] == []
+    assert sorted(imported - set(gravinst.__all__)) == []

@@ -19,7 +19,6 @@ from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
-    GroupElement,
     QuotientSignature,
     make_akl_config,
     make_polygon_config,
@@ -34,6 +33,7 @@ from fd_reference import (
     recursive_simpson,
     shifted_points,
 )
+from make_reference_reports import bent_potential
 
 
 def pair_config():
@@ -199,14 +199,15 @@ def test_kahler_form_squares_to_twice_volume():
 def test_potential_transform_breaks_det_identity():
     cfg = pair_config()
     x = (0.9, 0.35, 0.8, -0.6)
-    g = ghawking.metric_of(ghawking.potential_jets(cfg, x), lambda v: v * v).val
+    with bent_potential(lambda v: v * v):
+        g = ghawking.metric_of(ghawking.potential_jets(cfg, x)).val
     V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
     assert abs(np.linalg.det(g) - V * V) > 1e-3
 
 
 def test_action_jacobian_rotation():
     sig = QuotientSignature(1, 4, 1)
-    M, _ = ghawking.action(GroupElement(1, sig))
+    M, _ = ghawking.action(sig)
     # theta and b axes untouched; a-plane rotated by -pi/2 (a=1 -> -i)
     assert np.allclose(M[:2, :2], np.eye(2))
     got = M @ np.array([0.0, 0.0, 1.0, 0.0])
@@ -603,7 +604,6 @@ def test_jet_curvature_matches_closed_form(build):
         assert abs(jet.riem_norm_sq - exact) <= 1e-10 * max(exact, 1.0)
 
 
-@pytest.mark.parametrize("build", [pair_config, hexagon_config, taubnut_config])
 def kahler_jets(config, x):
     """(g, omega, J) over the block x, as the Kahler scan assembles them
     from the chart's state; every lane must be good."""

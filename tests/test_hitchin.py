@@ -22,7 +22,6 @@ from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
-    GroupElement,
     QuotientSignature,
     make_polygon_config,
 )
@@ -603,7 +602,7 @@ def test_kahler_form_closed_and_compatible():
 
 def test_action_matrix_is_a_pullback_isometry():
     cfg = pair_config()
-    mat, shift = hitchin.action(GroupElement(1, cfg.signature))
+    mat, shift = hitchin.action(cfg.signature)
     assert not shift.any()
     x = np.array([0.4, -0.3, 1.5, 0.7])
     (g_here, g_image), errors = hitchin.metric_at(cfg, np.array([x, mat @ x]))
@@ -613,7 +612,7 @@ def test_action_matrix_is_a_pullback_isometry():
 
 def test_action_matrix_matches_complex_action():
     sig = QuotientSignature(1, 4, 1)
-    mat, _ = hitchin.action(GroupElement(1, sig))
+    mat, _ = hitchin.action(sig)
     z, y = 0.7 - 0.2j, 1.1 + 0.4j
     got = mat @ np.array([z.real, z.imag, y.real, y.imag])
     zf = z * cmath.exp(2j * math.pi / 4)

@@ -1,5 +1,6 @@
 """Verification layer: scans, negative controls, report assembly."""
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -20,6 +21,7 @@ from gravinst.singularities import (
     make_akl_config,
     make_polygon_config,
 )
+from make_reference_reports import bent, bent_potential
 
 
 def pair_config():
@@ -106,12 +108,8 @@ def test_ricci_scan_clean():
 
 def test_ricci_scan_negative_control():
     # squaring the potential keeps the metric SPD but kills Ricci flatness
-    rec = verify.ricci_scan(
-        "gh",
-        pair_config(),
-        spec=SampleSpec(count=4),
-        potential_transform=lambda v: v * v,
-    )
+    with bent_potential(lambda v: v * v):
+        rec = verify.ricci_scan("gh", pair_config(), spec=SampleSpec(count=4))
     assert not rec.passed
     assert rec.max_residual > 0.1
 
@@ -403,9 +401,10 @@ def test_akl_convergence_needs_levels():
 
 def test_perturb_config():
     cfg = pair_config()
-    pert = verify.perturb_config(cfg, eps=0.01, index=1)
-    assert pert.centers[0] == cfg.centers[0]
-    assert abs(pert.centers[1].a - cfg.centers[1].a - 0.01) < 1e-15
+    pert = verify.perturb_config(cfg, eps=0.01)
+    assert pert.centers[1:] == cfg.centers[1:]
+    assert pert.centers[0].b == cfg.centers[0].b
+    assert abs(pert.centers[0].a - cfg.centers[0].a - 0.01) < 1e-15
     assert pert.signature == cfg.signature
     assert pert.mode == cfg.mode
 
@@ -477,37 +476,43 @@ def assert_identical_samples(got, want):
                 assert np.array_equal(x, y), part.name
 
 
-def bent(V):
-    # breaks Ricci-flatness of the circle-fibered metric, not its samples
-    return V + 0.1 * V * V
-
-
 @pytest.mark.parametrize(
-    "count, transform", [(4, None), (30, None), (30, bent)], ids=["4", "30", "30-transformed"]
+    "count, f", [(4, None), (30, None), (30, bent)], ids=["4", "30", "30-transformed"]
 )
-def test_full_report_agrees_with_the_standalone_scans(count, transform):
+def test_full_report_agrees_with_the_standalone_scans(count, f):
     # the report shares one stream and one state evaluation per chart
     # between its scans, and cross-validation reuses the Ricci samples'
-    # curvature; every record must be the standalone scan's, and a
-    # transformed run's cross-validation the untransformed one's
+    # curvature; every record must be the standalone scan's, with the
+    # potential bent or not
     cfg = hexagon_config()
     spec = SampleSpec(count=count, seed=7)
-    report = verify.full_report(cfg, spec=spec, potential_transform=transform)
-    by_name = {c.name: c for c in report.checks}
-    for c in verify.CONSTRUCTIONS:
-        ricci = verify.ricci_scan(c.name, cfg, spec, transform if c.has_potential else None)
-        assert by_name[ricci.name] == ricci
-        assert_identical_samples(report.samples[c.name], ricci.samples)
-        for record in verify.kahler_scan(c.name, cfg, spec):
+    with bent_potential(f) if f else contextlib.nullcontext():
+        report = verify.full_report(cfg, spec=spec)
+        by_name = {c.name: c for c in report.checks}
+        for c in verify.CONSTRUCTIONS:
+            ricci = verify.ricci_scan(c.name, cfg, spec)
+            assert by_name[ricci.name] == ricci
+            assert_identical_samples(report.samples[c.name], ricci.samples)
+            for record in verify.kahler_scan(c.name, cfg, spec):
+                assert by_name[record.name] == record
+                assert_identical_samples(by_name[record.name].samples, record.samples)
+            record = verify.invariance_scan(c.name, cfg, spec)
             assert by_name[record.name] == record
-            assert_identical_samples(by_name[record.name].samples, record.samples)
-        record = verify.invariance_scan(c.name, cfg, spec)
-        assert by_name[record.name] == record
-    stats, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
-    assert report.ratio == stats and by_name["cross-validation"] == record
-    assert_identical_samples(by_name["cross-validation"].samples, record.samples)
-    if transform is not None:
+        stats, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
+        assert report.ratio == stats and by_name["cross-validation"] == record
+        assert_identical_samples(by_name["cross-validation"].samples, record.samples)
+    if f is not None:
+        # the bent metric jet fails the two checks that take it; every
+        # other record, the hitchin samples included, is the unbent run's
         assert not by_name["ricci-gh"].passed
+        assert not by_name["cross-validation"].passed
+        plain = verify.full_report(cfg, spec=spec)
+        bent_only = {"ricci-gh", "cross-validation"}
+        assert [c.name for c in plain.checks] == list(by_name)
+        for record in plain.checks:
+            if record.name not in bent_only:
+                assert by_name[record.name] == record
+        assert_identical_samples(report.samples["hitchin"], plain.samples["hitchin"])
 
 
 def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
@@ -797,7 +802,7 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
 
         return state
 
-    def poisoned_jet_of(eta, potential_transform=None):
+    def poisoned_jet_of(eta):
         value = verify.HITCHIN.jet_of(eta)
         val, hess = value.val.copy(), value.hess.copy()
         for lane, p in enumerate(good):
