@@ -38,16 +38,18 @@ d alpha = +*dV it is the choice that makes the associated 2-form
 
 closed, and the only one with vanishing Nijenhuis tensor.
 
-Fields take blocks of points (see tensorcalc).  metric_at gives the
-metric's values: V through potential_at and alpha over numpy lanes, the
-centers on a leading axis, each lane with its own PoleError or
-DiracStringError.  The chart's state at a point is potential_jets, V and
-alpha as second-order jets (tensorcalc.Jet), which gives curvature,
-d(omega) and the Nijenhuis tensor exact derivatives from one
-evaluation; metric_of and kahler_of assemble the metric jet and
-(g, omega, J) from it, so one state serves both.  metric_of also takes
-the points' states stacked over a leading lane axis and assembles a
-whole block at once; kahler_of takes one point.
+Fields take blocks of points (see tensorcalc).  Each per-center term
+has one formula, the centers on a leading axis (center_axis): Delta_i
+and f_i are center_factors (stable_factors in floats, which the complex
+chart takes too), and alpha (_connection) and g (_metric) take float
+lanes and jets alike.  metric_at gives the metric's values, V through potential_at, each
+lane with its own PoleError or DiracStringError.  The chart's state at a
+point is potential_jets, V and alpha as second-order jets
+(tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
+tensor exact derivatives from one evaluation; metric_of and kahler_of
+assemble the metric jet and (g, omega, J) from it, so one state serves
+both: metric_of for a block of states stacked on a lane axis, kahler_of
+for one point.
 """
 
 from __future__ import annotations
@@ -74,11 +76,36 @@ def _alf_constant(config: CenterConfiguration) -> float:
     return 1.0 if config.mode == "alf" else 0.0
 
 
-def _center_axis(config: CenterConfiguration, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centers' b_i and a_i on a leading axis, then ndim axes of one."""
+def center_axis(config: CenterConfiguration, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centers' b_i and a_i on a leading axis, then ndim axes of one.
+    numpy reduces over a leading axis several times faster than over a
+    short trailing one, and in the order of the centers."""
     axes = (-1,) + (1,) * ndim
     b_i = np.array([c.b for c in config.centers]).reshape(axes)
     return b_i, np.array([c.a for c in config.centers]).reshape(axes)
+
+
+def center_distance(u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Delta_i = sqrt(u^2 + r^2) elementwise, the one float distance to a
+    center: within one ulp of np.hypot at about a quarter of its cost, and
+    exactly |u| where r = 0.  Where u^2 + r^2 leaves (1e-290, 1e290), so
+    that a square may have overflowed or lost its bits to underflow (or is
+    not finite), np.hypot gives the value."""
+    s = u * u + r * r
+    # min and max propagate a NaN, which fails both tests
+    if s.min(initial=1.0) > 1e-290 and s.max(initial=1.0) < 1e290:
+        return np.sqrt(s)
+    return np.where((s > 1e-290) & (s < 1e290), np.sqrt(s), np.hypot(u, r))
+
+
+def stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta_i, f_i) in floats, the twin of center_factors: Delta_i =
+    center_distance(u, r) and f_i = u + Delta_i, taken as r^2 / (Delta_i - u)
+    where u < 0 so that it never cancels.  Every float factor of either
+    chart goes through here, under the caller's np.errstate (the branch
+    not taken may divide by zero)."""
+    delta = center_distance(u, r)
+    return delta, np.where(u >= 0.0, u + delta, (r * r) / (delta - u))
 
 
 def potential_at(
@@ -91,8 +118,8 @@ def potential_at(
     as a float for scalar b and a.  PoleError at a center.
     """
     b, a = np.asarray(b), np.asarray(a)
-    b_i, a_i = _center_axis(config, max(b.ndim, a.ndim))
-    dist = np.hypot(b - b_i, np.abs(a - a_i))
+    b_i, a_i = center_axis(config, max(b.ndim, a.ndim))
+    dist = center_distance(b - b_i, np.abs(a - a_i))
     if np.any(dist == 0.0):
         raise PoleError("potential evaluated at a center")
     V = _alf_constant(config) + (0.5 / dist).sum(axis=0)
@@ -101,21 +128,17 @@ def potential_at(
 
 def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """V, alpha_1 and alpha_2 over the good lanes of the block x (None
-    when there is none), with the per-lane errors: PoleError at a center,
-    then DiracStringError on a string, as the jets give them.  V is read
-    through potential_at, on the good lanes only.
-
-    With u_i = b - b_i, w_i = a - a_i and Delta_i = |x - x_i|, alpha_1 and
-    alpha_2 sum 1/2 (u_i / Delta_i - 1) / |w_i|^2 times -Im w_i and Re w_i
-    over the centers; on the axis above a center its term is 0, the
-    regular-side value."""
+    when there is none), with the per-lane errors: PoleError at a center
+    (Delta_i = 0), then DiracStringError on a string (f_i = 0), as the
+    jets give them.  V is read through potential_at, on the good lanes
+    only, and alpha is _connection of the float factors."""
     b, a = x[:, 1], x[:, 2] + 1j * x[:, 3]
-    b_i, a_i = _center_axis(config, 1)
-    u, w = b - b_i, a - a_i
-    r = np.abs(w)
-    delta = np.hypot(u, r)
-    pole = np.any(delta == 0.0, axis=0)
-    string = ~pole & np.any((r == 0.0) & (u <= 0.0), axis=0)
+    b_i, a_i = center_axis(config, 1)
+    w = a - a_i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dlt, f = stable_factors(b - b_i, np.abs(w))
+    pole = np.any(dlt == 0.0, axis=0)
+    string = ~pole & np.any(f == 0.0, axis=0)
     errors = [
         PoleError("metric evaluated at a center") if p
         else DiracStringError("evaluation on the Dirac string of a center") if s
@@ -125,31 +148,25 @@ def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     good = ~(pole | string)
     if not good.any():
         return None, errors
-    u, w, r, delta = (v[:, good] for v in (u, w, r, delta))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = 0.5 * (u / delta - 1.0)
-        a1 = np.where(r > 0.0, coeff * -w.imag / (r * r), 0.0).sum(axis=0)
-        a2 = np.where(r > 0.0, coeff * w.real / (r * r), 0.0).sum(axis=0)
+    a1, a2 = _connection(dlt[:, good], f[:, good], w.real[:, good], w.imag[:, good])
     return (potential_at(config, b[good], a[good]), a1, a2), errors
 
 
-def _metric_values(V, a1, a2) -> np.ndarray:
-    """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
-    as a float array over any leading lane axes of V, a1 and a2."""
-    V = np.asarray(V)
-    u = np.zeros(V.shape + (4,))
-    u[..., 0], u[..., 2], u[..., 3] = 1.0, a1, a2
-    g = u[..., :, None] * u[..., None, :] / V[..., None, None]
-    for i in (1, 2, 3):
-        g[..., i, i] += V
-    return g
+def _metric(V, a1, a2):
+    """g = u u^T / V + V diag(0, 1, 1, 1) with u = e_0 + alpha_1 e_2 +
+    alpha_2 e_3, from the values or the jets of V and the connection, over
+    any leading lane axes."""
+    e = np.eye(4)
+    u = e[0] + a1[..., None] * e[2] + a2[..., None] * e[3]
+    V = V[..., None, None]
+    return u[..., :, None] * u[..., None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
 
 def metric_at(config: CenterConfiguration, x):
     """Metric at each chart point (theta, b, a1, a2) of the block x, as a
     field (see tensorcalc); det g = V^2 identically."""
     values, errors = _potential_lanes(config, tensorcalc.as_block(x))
-    return (values and _metric_values(*values)), errors
+    return (values and _metric(*values)), errors
 
 
 def _j_rows(V, a1, a2) -> tuple:
@@ -185,19 +202,24 @@ def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
     return dlt, Jet.where(above, outer, r_sq / outer)
 
 
-def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
-    """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
-    over a per-center axis.  With w_i = a - a_i, the coefficient
-    1/2 (u_i / Delta_i - 1) / r_i^2 of alpha (see _potential_lanes) is
-    -1/2 / (Delta_i f_i), so
+def _connection(dlt, f, w_re, w_im):
+    """(alpha_1, alpha_2) from the centers' Delta_i, f_i and w_i = a - a_i
+    on a leading axis, as float lanes or jets alike:
 
         alpha_1 = 1/2 sum_i Im w_i / (Delta_i f_i),
-        alpha_2 = -1/2 sum_i Re w_i / (Delta_i f_i).
+        alpha_2 = -1/2 sum_i Re w_i / (Delta_i f_i),
 
-    PoleError at a center and DiracStringError on a string, as metric_at.
+    the gauge 1/2 ((b - b_i)/Delta_i - 1) dphi_i with no cancellation."""
+    coef = 0.5 / (dlt * f)
+    return (coef * w_im).sum(0), -(coef * w_re).sum(0)
+
+
+def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
+    """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
+    over a per-center axis, alpha by _connection.  PoleError at a center
+    and DiracStringError on a string, as metric_at.
     """
-    b_i = np.array([c.b for c in config.centers])
-    a_i = np.array([c.a for c in config.centers])
+    b_i, a_i = center_axis(config, 0)
     _, b, a1, a2 = Jet.seed(x)
     u = b - b_i
     w_re, w_im = a1 - a_i.real, a2 - a_i.imag
@@ -208,8 +230,7 @@ def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Je
     if np.any(f.val == 0.0):
         raise DiracStringError("evaluation on the down Dirac string of a center")
     V = 0.5 * dlt.inv().sum() + _alf_constant(config)
-    coef = 0.5 * (dlt * f).inv()
-    return V, (coef * w_im).sum(), -(coef * w_re).sum()
+    return (V, *_connection(dlt, f, w_re, w_im))
 
 
 def _jet_matrix(rows: tuple) -> Jet:
@@ -218,16 +239,11 @@ def _jet_matrix(rows: tuple) -> Jet:
 
 def metric_of(jets: tuple[Jet, Jet, Jet]) -> Jet:
     """The metric jet assembled from the (V, alpha_1, alpha_2) jets of
-    potential_jets: g = u u^T / V + V diag(0, 1, 1, 1) with
-    u = (1, 0, alpha_1, alpha_2).  The jets may carry leading lane axes
+    potential_jets, by _metric.  The jets may carry leading lane axes
     (potential_jets' values stacked by tensorcalc.stack_lanes), and the
     metric jet has them in front of its 4x4 value; each lane is the same
     arithmetic as a point on its own, so the same bits."""
-    V, a1, a2 = jets
-    lanes = V.val.shape
-    u = Jet.stack([np.ones(lanes), np.zeros(lanes), a1, a2], axis=-1)
-    V = V[..., None, None]
-    return u[..., :, None] * u[..., None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
+    return _metric(*jets)
 
 
 def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
@@ -235,7 +251,7 @@ def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
     potential_jets: g as a float array from their values, omega and J as
     jets."""
     V, a1, a2 = jets
-    g = _metric_values(float(V.val), float(a1.val), float(a2.val))
+    g = _metric(V.val, a1.val, a2.val)
     return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
 
 
@@ -304,8 +320,7 @@ def cycle_period(config: CenterConfiguration, i, j) -> tuple:
         raise ValueError("cycle_period takes 1-D lanes of center indices")
     if np.any((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= config.k)):
         raise ValueError("period needs two distinct center indices")
-    b = np.array([c.b for c in config.centers])
-    a = np.array([c.a for c in config.centers])
+    b, a = center_axis(config, 0)
     tol = 1e-9 * max(1.0, config.extent())
     blocked = np.zeros(i.size, dtype=bool)
     for rows in row_blocks(i.size, config.k):

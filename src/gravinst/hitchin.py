@@ -27,10 +27,11 @@ Fields take blocks of points (see tensorcalc), and each solves for b
 over its block in one lane call, each lane with its own typed error.
 solve_b returns what a field does, the roots of the converged lanes and
 each lane's error, and base_to_chart is the field that lifts a block of
-circle-fibered base points (theta, b, a1, a2) to this chart.
-metric_at gives g, and metric_jet g as a second-order jet
-(tensorcalc.Jet).  The jets' evaluation, the chart's state on a block,
-is eta_jets; metric_of assembles from it curvature's g with its exact
+circle-fibered base points (theta, b, a1, a2) to this chart.  metric_at
+gives g and metric_jet g as a second-order jet (tensorcalc.Jet), both
+_metric of _eta, which take float lanes and jets alike, from ghawking's
+Delta_i and f_i.  The jets' evaluation, the chart's state on a block, is
+eta_jets; metric_of assembles from it curvature's g with its exact
 first and second derivatives, and kahler_of the Kahler scan's g value
 and omega jet, built separately from the same eta, with J0 as J.
 """
@@ -74,7 +75,7 @@ STANDARD_J = np.array(
 
 def require_smooth_fiber(config: CenterConfiguration) -> None:
     """The chart describes a smooth fiber only when all a_i are distinct."""
-    a = np.array([c.a for c in config.centers])
+    a = ghawking.center_axis(config, 0)[1]
     scale = max(1.0, float(np.max(np.abs(a))))
     pair = first_pair(
         len(a), lambda rows: np.abs(a[rows, None] - a[None, rows.start :]) <= 1e-9 * scale
@@ -86,38 +87,13 @@ def require_smooth_fiber(config: CenterConfiguration) -> None:
         )
 
 
-def _distance(u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sqrt(u^2 + r^2) elementwise: within one ulp of np.hypot at about a
-    quarter of its cost, and exactly |u| where r = 0.  Where u^2 + r^2 leaves
-    (1e-290, 1e290), so that a square may have overflowed or lost its bits
-    to underflow (or is not finite), np.hypot gives the value."""
-    s = u * u + r * r
-    # min and max propagate a NaN, which fails both tests
-    if s.min(initial=1.0) > 1e-290 and s.max(initial=1.0) < 1e290:
-        return np.sqrt(s)
-    return np.where((s > 1e-290) & (s < 1e290), np.sqrt(s), np.hypot(u, r))
-
-
-def _stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(f, Delta) with f = u + Delta, Delta = _distance(u, r) elementwise,
-    avoiding the cancellation that the direct formula suffers for u < 0;
-    every lane evaluation of the product or its log-sum goes through here,
-    under the caller's np.errstate (a vanishing factor divides by zero)."""
-    delta = _distance(u, r)
-    return np.where(u >= 0.0, u + delta, (r * r) / (delta - u)), delta
-
-
 def _lane_data(
     config: CenterConfiguration, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Center heights b_i and the radii |zbar + a_i| of each lane, the
-    centers on a leading axis: b_i has shape (k, 1, ...) with z.ndim ones,
-    r shape (k,) + z.shape.  numpy reduces over a leading axis several
-    times faster than over a short trailing one, and in the order of the
-    centers."""
-    axes = (-1,) + (1,) * z.ndim
-    b_i = np.array([c.b for c in config.centers]).reshape(axes)
-    a_i = np.array([c.a for c in config.centers]).reshape(axes)
+    centers on a leading axis (ghawking.center_axis): b_i has shape
+    (k, 1, ...) with z.ndim ones, r shape (k,) + z.shape."""
+    b_i, a_i = ghawking.center_axis(config, z.ndim)
     return b_i, np.abs(np.conj(z) + a_i)
 
 
@@ -130,7 +106,7 @@ def implicit_lhs(
     nd = max(z.ndim, b.ndim)
     b_i, r = _lane_data(config, z.reshape((1,) * (nd - z.ndim) + z.shape))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _stable_factors(b - b_i, r)[0].prod(axis=0)
+        return ghawking.stable_factors(b - b_i, r)[1].prod(axis=0)
 
 
 def _lane_log_lhs(
@@ -139,7 +115,7 @@ def _lane_log_lhs(
     """(sum_i log f_i, gamma) of each lane at height b, under the caller's
     np.errstate: b has one height per column of the center data (b_i, r),
     r_i = |zbar + a_i|."""
-    f, delta = _stable_factors(b - b_i, r)
+    delta, f = ghawking.stable_factors(b - b_i, r)
     # a vanishing factor (a puncture, r_i = 0, below its center) makes the
     # sum -inf, so the Newton step is not finite and leaves the bracket
     return np.log(f).sum(axis=0), (1.0 / delta).sum(axis=0)
@@ -273,11 +249,10 @@ def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     b.  require_smooth_fiber runs once, and b is solved over the lanes by
     one solve_b call."""
     require_smooth_fiber(config)
-    a_i = np.array([c.a for c in config.centers])
     z = x[:, 0] + 1j * x[:, 1]
     y_abs = np.hypot(x[:, 2], x[:, 3])
     floor = y_abs < EPS_Y_DEFAULT
-    pole = ~floor & (np.min(np.abs(np.conj(z)[:, None] + a_i), axis=1) == 0.0)
+    pole = ~floor & (np.min(_lane_data(config, z)[1], axis=0) == 0.0)
     errors: list = [
         ChartBoundaryError(f"|y| = {v:.3e} is below the chart floor") if f
         else PoleError("metric evaluated on the plane-position locus zbar + a_i = 0") if p
@@ -294,29 +269,41 @@ def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     return lanes, root, errors
 
 
-_DZ = np.array([1.0, 1.0j, 0.0, 0.0])
-_DY = np.array([0.0, 0.0, 1.0, 1.0j])
-_DZ_DZBAR = np.outer(_DZ, _DZ.conj())
+def _stack(parts: list):
+    """parts, jets or float arrays alike, stacked on a new last axis."""
+    if isinstance(parts[0], tensorcalc.Jet):
+        return tensorcalc.Jet.stack(parts, axis=-1)
+    return np.stack(parts, axis=-1)
+
+
+def _eta(dlt, f, w_re, w_im, y_re, y_im) -> tuple:
+    """(gamma, Re eta, Im eta) on the real coordinates, as float lanes or
+    jets alike, from the centers' Delta_i, f_i and w_i = zbar + a_i on a
+    leading axis and from y:
+
+        gamma = sum_i 1 / Delta_i,  conj(delta) = -sum_i w_i / (Delta_i f_i),
+        eta = conj(delta) dz + (2/y) dy,  2/y = 2 ybar / |y|^2.
+    """
+    coef = -1.0 / (dlt * f)
+    p, q = (coef * w_re).sum(0), (coef * w_im).sum(0)  # conj(delta) = p + i q
+    y_sq = y_re * y_re + y_im * y_im
+    s, t = 2.0 * y_re / y_sq, -2.0 * y_im / y_sq  # 2/y = s + i t
+    return (1.0 / dlt).sum(0), _stack([p, -q, s, -t]), _stack([q, p, t, s])
 
 
 def metric_at(config: CenterConfiguration, x):
     """Real metric g = Re h at each chart point (Re z, Im z, Re y, Im y) of
     the block x, as a field (see tensorcalc), with the per-lane errors of
-    _solved_lanes.  With w_i = zbar + a_i, gamma = sum_i 1/Delta_i and
-    conj(delta) = -sum_i w_i / (Delta_i f_i), as in eta_jets."""
+    _solved_lanes: _metric of _eta in floats at the roots b."""
     x = tensorcalc.as_block(x)
     lanes, root, errors = _solved_lanes(config, x)
     if not lanes.size:
         return None, errors
-    z = x[lanes, 0] + 1j * x[lanes, 1]
-    y = x[lanes, 2] + 1j * x[lanes, 3]
-    w = np.conj(z) + np.array([c.a for c in config.centers])[:, None]
-    b_i, r = _lane_data(config, z)
-    f, dlt = _stable_factors(root - b_i, r)
-    gam = (1.0 / dlt).sum(axis=0)[:, None, None]
-    eta = (2.0 / y)[:, None] * _DY - (w / (dlt * f)).sum(axis=0)[:, None] * _DZ
-    h = gam * _DZ_DZBAR + (1.0 / gam) * (eta[:, :, None] * eta.conj()[:, None, :])
-    return h.real, errors
+    z_re, z_im, y_re, y_im = x[lanes].T
+    b_i, a_i = ghawking.center_axis(config, 1)
+    w_re, w_im = z_re + a_i.real, a_i.imag - z_im
+    dlt, f = ghawking.stable_factors(root - b_i, np.hypot(w_re, w_im))
+    return _metric(*_eta(dlt, f, w_re, w_im, y_re, y_im)), errors
 
 
 def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
@@ -336,29 +323,24 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
         b_xx = -(G_xx + G_bx b_x^T + b_x G_bx^T + G_bb b_x b_x^T) / gamma,
 
     the Newton step's value and the exact gradient and Hessian of the
-    root.  gamma, delta and eta follow in jet arithmetic from a second
-    pass at that b, with the cancellation-free branch of
-    ghawking.center_factors chosen on the float value.  Everything is
-    real: with zbar + a_i = w_i,
-
-        conj(delta) = -sum_i w_i / (Delta_i f_i),  2/y = 2 ybar / |y|^2.
+    root.  _eta follows in jet arithmetic from a second pass at that b,
+    with the cancellation-free branch of ghawking.center_factors chosen on
+    the float value.  The centers sit on a leading axis.
     """
     x = tensorcalc.as_block(x)
     lanes, root, errors = _solved_lanes(config, x)
     if not lanes.size:
         return None, errors
-    b_i = np.array([c.b for c in config.centers])
-    a_i = np.array([c.a for c in config.centers])
+    b_i, a_i = ghawking.center_axis(config, 1)
     x0, x1, x2, x3 = tensorcalc.Jet.seed(x[lanes])
-    w_re = x0[..., None] + a_i.real
-    w_im = a_i.imag - x1[..., None]
+    w_re = x0 + a_i.real
+    w_im = a_i.imag - x1
     r_sq = w_re * w_re + w_im * w_im
-    y_sq = x2 * x2 + x3 * x3
-    log_y_sq = y_sq.log()
-    u = root[:, None] - b_i
+    log_y_sq = (x2 * x2 + x3 * x3).log()
+    u = root - b_i
     dlt, f = ghawking.center_factors(tensorcalc.Jet.constant(u), r_sq)
-    G, G_b = f.log().sum(-1) - log_y_sq, dlt.inv().sum(-1)
-    G_bb = -(u / dlt.val**3).sum(-1)
+    G, G_b = f.log().sum(0) - log_y_sq, dlt.inv().sum(0)
+    G_bb = -(u / dlt.val**3).sum(0)
     slope = G_b.val[:, None]
     b_x = -G.grad / slope
     # cross + cross^T, like Jet's products, keeps the Hessian exactly symmetric
@@ -367,15 +349,8 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     b_xx = -(G.hess + (cross + np.swapaxes(cross, 1, 2)) + G_bb[:, None, None] * outer)
     b_xx /= slope[..., None]
     b = tensorcalc.Jet(root - G.val / G_b.val, b_x, b_xx)
-    dlt, f = ghawking.center_factors(b[..., None] - b_i, r_sq)
-    gam = dlt.inv().sum(-1)
-    coef = -(dlt * f).inv()
-    p, q = (coef * w_re).sum(-1), (coef * w_im).sum(-1)  # conj(delta) = p + i q
-    s, t = 2.0 * x2 / y_sq, -2.0 * x3 / y_sq  # 2/y = s + i t
-    # eta = conj(delta) dz + (2/y) dy on the real coordinates
-    re = tensorcalc.Jet.stack([p, -q, s, -t], axis=-1)
-    im = tensorcalc.Jet.stack([q, p, t, s], axis=-1)
-    return (gam, re, im), errors
+    dlt, f = ghawking.center_factors(b - b_i, r_sq)
+    return _eta(dlt, f, w_re, w_im, x2, x3), errors
 
 
 def _metric(gam, re, im):

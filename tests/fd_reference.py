@@ -316,9 +316,9 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def distance(u: float, r: float) -> float:
-    """hitchin._distance at one pair of floats: sqrt(u^2 + r^2) with math's
-    correctly rounded sqrt, and math.hypot where u^2 + r^2 leaves
-    (1e-290, 1e290)."""
+    """ghawking.center_distance at one pair of floats: sqrt(u^2 + r^2)
+    with math's correctly rounded sqrt, and math.hypot where u^2 + r^2
+    leaves (1e-290, 1e290)."""
     s = u * u + r * r
     return math.sqrt(s) if 1e-290 < s < 1e290 else math.hypot(u, r)
 
@@ -326,8 +326,8 @@ def distance(u: float, r: float) -> float:
 def stable_factor(u: float, r: float) -> tuple[float, float]:
     """Return (f, Delta) with f = u + Delta and Delta = distance(u, r),
     avoiding the cancellation that the direct formula suffers for u < 0:
-    the lanes' hitchin._stable_factors, so the float loop takes their
-    steps."""
+    the lanes' ghawking.stable_factors (which give (Delta, f)), so the
+    float loop takes their steps."""
     delta = distance(u, r)
     if u >= 0.0:
         return u + delta, delta

@@ -1,19 +1,25 @@
-"""The benchmark's timing wrappers still attach to the functions it names.
+"""The benchmark's timing wrappers still attach to the functions it names,
+and its workloads still run.
 
 perfbench/tracer.py replaces module attributes by timing wrappers.  A
 function that is renamed, or bound at import time where it should be
 looked up at call time, would leave its per-layer metrics at zero
-without any error; this test makes that a failure.
+without any error; test_tracer_spans_fill makes that a failure.
+perfbench/workloads.py drives the program through its public API, so a
+renamed function or a removed parameter would otherwise show only as a
+failed benchmark run; test_workloads_run_at_smoke_size runs each one.
 """
 
 import importlib.util
 import pathlib
+import sys
 
 from gravinst import ghawking, quadrature, verify
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import QuotientSignature, make_polygon_config
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def load_tracer():
@@ -115,3 +121,18 @@ def test_tracer_spans_fill():
     quadratures = fit_spans.count("quadrature.adaptive_simpson")
     integrands = fit_spans.count("quadrature.integrand")
     assert 0 < integrands <= (quadrature.MAX_DEPTH + 2) * quadratures
+
+
+def test_workloads_run_at_smoke_size(tmp_path, monkeypatch):
+    # the module's dataclasses look their module up in sys.modules
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        inputs = workload.build(0, str(workdir), smoke=True)
+        outcomes = [workload.check(inputs, workload.run(inputs)) for _ in range(2)]
+        gate = workloads.judge(outcomes, workload.scan_samples(inputs))
+        assert gate.checks_failed == 0, (name, gate.failures)

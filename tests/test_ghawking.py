@@ -26,12 +26,14 @@ from gravinst.singularities import (
 import test_acceptance as acceptance
 from fd_reference import (
     at_point,
+    distance,
     fd_derivatives,
     float_cycle_period,
     gh_connection,
     gh_kahler_forms,
     recursive_simpson,
     shifted_points,
+    stable_factor,
 )
 from make_reference_reports import bent_potential
 
@@ -665,6 +667,71 @@ def test_jets_raise_typed_errors_on_the_axis():
     # the down gauge is smooth through the axis above the center
     exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
     assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
+
+
+# --- the center distance and factors ---
+
+
+def test_distance_is_within_one_ulp_of_hypot_inside_its_range():
+    rng = np.random.default_rng(11)
+    scale = 10.0 ** rng.uniform(-140.0, 140.0, (2, 200000))
+    u = rng.uniform(-10.0, 10.0, 200000) * scale[0]
+    r = rng.uniform(0.0, 10.0, 200000) * scale[1]
+    s = u * u + r * r
+    inside = (s > 1e-290) & (s < 1e290)
+    assert inside.mean() > 0.9
+    dist, hyp = ghawking.center_distance(u, r), np.hypot(u, r)
+    assert np.all(np.abs(dist - hyp)[inside] <= np.spacing(hyp[inside]))
+    # the float reference takes the same value on every pair
+    assert [distance(a, b) for a, b in zip(u[:2000].tolist(), r[:2000].tolist())] == dist[:2000].tolist()
+
+
+def test_distance_is_hypot_where_the_squares_leave_the_range():
+    big, small = 1e200 * np.array([1.0, 1.7, 3.3]), 1e-200 * np.array([1.0, 2.9, 7.1])
+    mid = np.array([0.0, 1e-3, 1.0, 42.0])
+    values = np.concatenate([big, small, mid])
+    u = np.concatenate([values, -values])
+    u, r = (v.ravel() for v in np.meshgrid(u, np.abs(u)))
+    near = (np.abs(u) > 1e100) | (np.abs(u) < 1e-100) | (r > 1e100) | (r < 1e-100)
+    assert near.sum() > 100
+    # under the caller's np.errstate, as in every lane evaluation
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert ghawking.center_distance(u, r)[near].tobytes() == np.hypot(u, r)[near].tobytes()
+        assert np.isnan(ghawking.center_distance(np.array([np.nan, 1.0]), np.array([1.0, np.nan]))).all()
+
+
+def test_stable_factors_at_a_puncture_above_and_below_its_center():
+    # r = 0: Delta = |u| exactly, so the factor is 2u above the center and
+    # vanishes below it, where the log-sum is -inf
+    u = np.array([3.7, 1e-3, 1e120, -3.7, -1e-3, -1e120])
+    with np.errstate(invalid="ignore"):
+        delta, f = ghawking.stable_factors(u, np.zeros_like(u))
+    assert delta.tolist() == np.abs(u).tolist()
+    assert f.tolist() == (2.0 * u[:3]).tolist() + [0.0] * 3
+    for ui, fi in zip(u.tolist(), f.tolist()):
+        assert stable_factor(ui, 0.0) == (fi, abs(ui))
+    # inside center_distance's fast range the jets' factors take the same
+    # values byte for byte: Delta everywhere, f above a center and on the
+    # axis, where f = 0 is the string test both charts take.  Below a
+    # center off the axis the jet multiplies by the reciprocal where the
+    # floats divide, one rounding apart
+    rng = np.random.default_rng(5)
+    scale = 10.0 ** rng.uniform(-60.0, 60.0, 2000)
+    u = np.concatenate([u, rng.uniform(-10.0, 10.0, 2000) * scale])
+    r = np.concatenate([np.zeros(6), rng.uniform(0.0, 10.0, 2000) * scale])
+    # the branch not taken divides by zero, and the jets' second
+    # derivatives overflow at the largest u
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        floats = ghawking.stable_factors(u, r)
+        jets = ghawking.center_factors(tensorcalc.Jet.constant(u), tensorcalc.Jet.constant(r * r))
+    assert floats[0].tobytes() == jets[0].val.tobytes()
+    same = (u >= 0.0) | (r == 0.0)
+    assert floats[1][same].tobytes() == jets[1].val[same].tobytes()
+    assert np.all(np.abs(floats[1] - jets[1].val) <= np.spacing(floats[1]))
+    b_i, r = np.array([[0.5]]), np.zeros((1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total, _ = hitchin._lane_log_lhs(b_i, r, np.array([2.0, -1.0]))
+    assert total.tolist() == [math.log(3.0), -math.inf]
 
 
 def test_curvature_makes_one_metric_evaluation(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gravinst import hitchin, sampling, tensorcalc, verify
+from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
@@ -28,12 +28,10 @@ from gravinst.singularities import (
 from fd_reference import (
     at_point,
     chart_step,
-    distance,
     fd_derivatives,
     float_base_to_chart,
     float_solve_b,
     log_lhs,
-    stable_factor,
 )
 
 
@@ -160,19 +158,19 @@ def test_solve_b_regression_value():
 def factor_calls():
     """Count center factors, one per center per evaluation of the implicit
     product or its log-sum: each element (lane x center) of
-    hitchin._stable_factors."""
+    ghawking.stable_factors."""
     calls = [0]
-    lanes = hitchin._stable_factors
+    lanes = ghawking.stable_factors
 
     def counted(u, r):
         calls[0] += np.broadcast(u, r).size
         return lanes(u, r)
 
-    hitchin._stable_factors = counted
+    ghawking.stable_factors = counted
     try:
         yield calls
     finally:
-        hitchin._stable_factors = lanes
+        ghawking.stable_factors = lanes
 
 
 def test_solve_b_work_on_solver_scan_stream():
@@ -486,53 +484,6 @@ def test_solve_b_extreme_sweep_stalls_no_more_and_every_root_substitutes_back():
             gval = log_lhs(data, b)[0] - math.log(yi)
             assert abs(math.expm1(gval)) <= hitchin.SOLVE_TOL + np.spacing(abs(math.log(yi)))
     assert stalled <= EXTREME_SWEEP_STALLS
-
-
-# --- guarded distance ---
-
-
-def test_distance_is_within_one_ulp_of_hypot_inside_its_range():
-    rng = np.random.default_rng(11)
-    scale = 10.0 ** rng.uniform(-140.0, 140.0, (2, 200000))
-    u = rng.uniform(-10.0, 10.0, 200000) * scale[0]
-    r = rng.uniform(0.0, 10.0, 200000) * scale[1]
-    s = u * u + r * r
-    inside = (s > 1e-290) & (s < 1e290)
-    assert inside.mean() > 0.9
-    dist, hyp = hitchin._distance(u, r), np.hypot(u, r)
-    assert np.all(np.abs(dist - hyp)[inside] <= np.spacing(hyp[inside]))
-    # the float reference takes the same value on every pair
-    assert [distance(a, b) for a, b in zip(u[:2000].tolist(), r[:2000].tolist())] == dist[:2000].tolist()
-
-
-def test_distance_is_hypot_where_the_squares_leave_the_range():
-    big, small = 1e200 * np.array([1.0, 1.7, 3.3]), 1e-200 * np.array([1.0, 2.9, 7.1])
-    mid = np.array([0.0, 1e-3, 1.0, 42.0])
-    values = np.concatenate([big, small, mid])
-    u = np.concatenate([values, -values])
-    u, r = (v.ravel() for v in np.meshgrid(u, np.abs(u)))
-    near = (np.abs(u) > 1e100) | (np.abs(u) < 1e-100) | (r > 1e100) | (r < 1e-100)
-    assert near.sum() > 100
-    # under the caller's np.errstate, as in every lane evaluation
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        assert hitchin._distance(u, r)[near].tobytes() == np.hypot(u, r)[near].tobytes()
-        assert np.isnan(hitchin._distance(np.array([np.nan, 1.0]), np.array([1.0, np.nan]))).all()
-
-
-def test_stable_factors_at_a_puncture_above_and_below_its_center():
-    # r = 0: Delta = |u| exactly, so the factor is 2u above the center and
-    # vanishes below it, where the log-sum is -inf
-    u = np.array([3.7, 1e-3, 1e120, -3.7, -1e-3, -1e120])
-    with np.errstate(invalid="ignore"):
-        f, delta = hitchin._stable_factors(u, np.zeros_like(u))
-    assert delta.tolist() == np.abs(u).tolist()
-    assert f.tolist() == (2.0 * u[:3]).tolist() + [0.0] * 3
-    for ui, fi in zip(u.tolist(), f.tolist()):
-        assert stable_factor(ui, 0.0) == (fi, abs(ui))
-    b_i, r = np.array([[0.5]]), np.zeros((1, 2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total, _ = hitchin._lane_log_lhs(b_i, r, np.array([2.0, -1.0]))
-    assert total.tolist() == [math.log(3.0), -math.inf]
 
 
 # --- metric algebra ---

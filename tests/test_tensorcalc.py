@@ -376,8 +376,6 @@ def test_fd_curvature_calls_the_metric_once_per_distinct_point(monkeypatch):
     x = sampling.gh_points(pair, SampleSpec(count=1, seed=0))[0]
     g_field = verify.GH.metric(pair)
     g = at_point(g_field, x)
-    # the metric has signed zeros here, so the byte comparison below sees them
-    assert np.any((g == 0.0) & np.signbit(g))
     calls = []
     metric_at = ghawking.metric_at
 

@@ -658,10 +658,23 @@ def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
             (0.4, high.b + 0.5, high.a.real, high.a.imag),  # above both: regular
             stream[2],
         ]
+        # one unit above a center, near its axis, where alpha's coefficient
+        # must not cancel
+        + [(0.5, high.b + 1.0, high.a.real + eps, high.a.imag)
+           for eps in (1e-4, 1e-6, 1e-8, 1.4e-8, 1e-10, 1e-12)]
     )
-    expected = ["", "PoleError", "DiracStringError", "", "PoleError", "", ""]
+    expected = ["", "PoleError", "DiracStringError", "", "PoleError", "", ""] + [""] * 6
     metric = lambda x: ghawking.metric_at(cfg, x)  # noqa: E731
     assert_block_matches_jet(metric, verify.GH.jet(cfg), x, expected)
+    # a center at a = 0 and a lane 1e-170 beside its string, where r^2
+    # underflows and the factor vanishes: a string, not a NaN metric
+    cfg = CenterConfiguration(
+        centers=(Center(0.0, 0j), Center(1.0, 1.0 + 0.5j)), signature=QuotientSignature(2, 1, 0)
+    )
+    stream = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=2, seed=7))]
+    x = np.array([stream[0], (0.2, -0.5, 1e-170, 0.0), stream[1]])
+    metric = lambda x: ghawking.metric_at(cfg, x)  # noqa: E731
+    assert_block_matches_jet(metric, verify.GH.jet(cfg), x, ["", "DiracStringError", ""])
 
 
 def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
