@@ -41,9 +41,10 @@ closed, and the only one with vanishing Nijenhuis tensor.
 Fields take blocks of points (see tensorcalc).  Each per-center term
 has one formula, the centers on a leading axis (center_axis): Delta_i
 and f_i are center_factors (stable_factors in floats, which the complex
-chart takes too), and alpha (_connection) and g (_metric) take float
-lanes and jets alike.  metric_at gives the metric's values, V through potential_at, each
-lane with its own PoleError or DiracStringError.  The chart's state at a
+chart takes too), factor_faults finds the poles and strings from them,
+and alpha (_connection) and g (_metric) take float lanes and jets alike.
+metric_at gives the metric's values, V through potential_at, each lane
+with its own PoleError or DiracStringError.  The chart's state at a
 point is potential_jets, V and alpha as second-order jets
 (tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
 tensor exact derivatives from one evaluation; metric_of and kahler_of
@@ -108,6 +109,16 @@ def stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return delta, np.where(u >= 0.0, u + delta, (r * r) / (delta - u))
 
 
+def factor_faults(dlt: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pole, string) per lane, the centers on the leading axis: where some
+    1/2 / (Delta_i f_i), alpha's coefficient, overflows, a pole if some
+    1/2 / Delta_i^2 does too (within about 1e-154 of a center), else a
+    string.  Under the caller's np.errstate."""
+    bad = np.isinf(0.5 / (dlt * f))
+    pole = np.any(bad & np.isinf(0.5 / (dlt * dlt)), axis=0)
+    return pole, ~pole & np.any(bad, axis=0)
+
+
 def potential_at(
     config: CenterConfiguration, b: float | np.ndarray, a: complex | np.ndarray
 ) -> float | np.ndarray:
@@ -128,17 +139,16 @@ def potential_at(
 
 def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """V, alpha_1 and alpha_2 over the good lanes of the block x (None
-    when there is none), with the per-lane errors: PoleError at a center
-    (Delta_i = 0), then DiracStringError on a string (f_i = 0), as the
-    jets give them.  V is read through potential_at, on the good lanes
-    only, and alpha is _connection of the float factors."""
+    when there is none), with the per-lane errors of factor_faults:
+    PoleError at a center, then DiracStringError on a string, as the jets
+    give them.  V is read through potential_at, on the good lanes only,
+    and alpha is _connection of the float factors."""
     b, a = x[:, 1], x[:, 2] + 1j * x[:, 3]
     b_i, a_i = center_axis(config, 1)
     w = a - a_i
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dlt, f = stable_factors(b - b_i, np.abs(w))
-    pole = np.any(dlt == 0.0, axis=0)
-    string = ~pole & np.any(f == 0.0, axis=0)
+        pole, string = factor_faults(dlt, f)
     errors = [
         PoleError("metric evaluated at a center") if p
         else DiracStringError("evaluation on the Dirac string of a center") if s
@@ -153,11 +163,11 @@ def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
 
 
 def _metric(V, a1, a2):
-    """g = u u^T / V + V diag(0, 1, 1, 1) with u = e_0 + alpha_1 e_2 +
-    alpha_2 e_3, from the values or the jets of V and the connection, over
-    any leading lane axes."""
-    e = np.eye(4)
-    u = e[0] + a1[..., None] * e[2] + a2[..., None] * e[3]
+    """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
+    from the values or the jets of V and the connection, over any leading
+    lane axes."""
+    lanes = np.shape(V.val if isinstance(V, Jet) else V)
+    u = tensorcalc.stack_components([np.ones(lanes), np.zeros(lanes), a1, a2])
     V = V[..., None, None]
     return u[..., :, None] * u[..., None, :] / V + V * np.diag([0.0, 1.0, 1.0, 1.0])
 
@@ -217,17 +227,20 @@ def _connection(dlt, f, w_re, w_im):
 def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
     """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
     over a per-center axis, alpha by _connection.  PoleError at a center
-    and DiracStringError on a string, as metric_at.
+    and DiracStringError on a string, by factor_faults as metric_at.
     """
     b_i, a_i = center_axis(config, 0)
     _, b, a1, a2 = Jet.seed(x)
     u = b - b_i
     w_re, w_im = a1 - a_i.real, a2 - a_i.imag
     r_sq = w_re * w_re + w_im * w_im
-    if np.any((u.val == 0.0) & (r_sq.val == 0.0)):
+    # a faulty lane's derivatives may divide by zero or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dlt, f = center_factors(u, r_sq)
+        pole, string = factor_faults(dlt.val, f.val)
+    if pole:
         raise PoleError("potential evaluated at a center")
-    dlt, f = center_factors(u, r_sq)
-    if np.any(f.val == 0.0):
+    if string:
         raise DiracStringError("evaluation on the down Dirac string of a center")
     V = 0.5 * dlt.inv().sum() + _alf_constant(config)
     return (V, *_connection(dlt, f, w_re, w_im))

@@ -269,13 +269,6 @@ def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     return lanes, root, errors
 
 
-def _stack(parts: list):
-    """parts, jets or float arrays alike, stacked on a new last axis."""
-    if isinstance(parts[0], tensorcalc.Jet):
-        return tensorcalc.Jet.stack(parts, axis=-1)
-    return np.stack(parts, axis=-1)
-
-
 def _eta(dlt, f, w_re, w_im, y_re, y_im) -> tuple:
     """(gamma, Re eta, Im eta) on the real coordinates, as float lanes or
     jets alike, from the centers' Delta_i, f_i and w_i = zbar + a_i on a
@@ -288,7 +281,8 @@ def _eta(dlt, f, w_re, w_im, y_re, y_im) -> tuple:
     p, q = (coef * w_re).sum(0), (coef * w_im).sum(0)  # conj(delta) = p + i q
     y_sq = y_re * y_re + y_im * y_im
     s, t = 2.0 * y_re / y_sq, -2.0 * y_im / y_sq  # 2/y = s + i t
-    return (1.0 / dlt).sum(0), _stack([p, -q, s, -t]), _stack([q, p, t, s])
+    stack = tensorcalc.stack_components
+    return (1.0 / dlt).sum(0), stack([p, -q, s, -t]), stack([q, p, t, s])
 
 
 def metric_at(config: CenterConfiguration, x):

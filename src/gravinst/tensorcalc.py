@@ -307,6 +307,14 @@ def stack_lanes(values: list):
     return np.stack(values)
 
 
+def stack_components(parts: list):
+    """Components, float arrays or jets alike, stacked on a new last axis;
+    among jets, plain arrays are constants."""
+    if any(isinstance(p, Jet) for p in parts):
+        return Jet.stack(parts, axis=-1)
+    return np.stack(parts, axis=-1)
+
+
 def each_lane(fn: Callable[[Coords], object]) -> Callable:
     """The block field of a chart that evaluates one point at a time, its
     values kept per point: on a block, fn at each point (a tuple of

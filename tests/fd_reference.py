@@ -324,14 +324,14 @@ def distance(u: float, r: float) -> float:
 
 
 def stable_factor(u: float, r: float) -> tuple[float, float]:
-    """Return (f, Delta) with f = u + Delta and Delta = distance(u, r),
+    """Return (Delta, f) with Delta = distance(u, r) and f = u + Delta,
     avoiding the cancellation that the direct formula suffers for u < 0:
-    the lanes' ghawking.stable_factors (which give (Delta, f)), so the
-    float loop takes their steps."""
+    the lanes' ghawking.stable_factors, so the float loop takes their
+    steps."""
     delta = distance(u, r)
     if u >= 0.0:
-        return u + delta, delta
-    return (r * r) / (delta - u), delta
+        return delta, u + delta
+    return delta, (r * r) / (delta - u)
 
 
 def log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
@@ -340,7 +340,7 @@ def log_lhs(data: list[tuple[float, float]], b: float) -> tuple[float, float]:
     total = 0.0
     gam = 0.0
     for bi, r in data:
-        f, delta = stable_factor(b - bi, r)
+        delta, f = stable_factor(b - bi, r)
         if f <= 0.0:
             return -math.inf, math.inf
         total += math.log(f)

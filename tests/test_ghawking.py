@@ -709,7 +709,7 @@ def test_stable_factors_at_a_puncture_above_and_below_its_center():
     assert delta.tolist() == np.abs(u).tolist()
     assert f.tolist() == (2.0 * u[:3]).tolist() + [0.0] * 3
     for ui, fi in zip(u.tolist(), f.tolist()):
-        assert stable_factor(ui, 0.0) == (fi, abs(ui))
+        assert stable_factor(ui, 0.0) == (abs(ui), fi)
     # inside center_distance's fast range the jets' factors take the same
     # values byte for byte: Delta everywhere, f above a center and on the
     # axis, where f = 0 is the string test both charts take.  Below a

@@ -666,15 +666,21 @@ def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
     expected = ["", "PoleError", "DiracStringError", "", "PoleError", "", ""] + [""] * 6
     metric = lambda x: ghawking.metric_at(cfg, x)  # noqa: E731
     assert_block_matches_jet(metric, verify.GH.jet(cfg), x, expected)
-    # a center at a = 0 and a lane 1e-170 beside its string, where r^2
-    # underflows and the factor vanishes: a string, not a NaN metric
+    # a center at a = 0 and lanes where 1/2 / (Delta f) overflows, not a
+    # NaN metric: 1e-170 beside its string (r^2 underflows, f = 0) and
+    # 1e-160 beside it (f is subnormal), strings; 1e-170 and 1e-155 above
+    # it on its axis (2 u^2 underflows, then is subnormal), poles
     cfg = CenterConfiguration(
         centers=(Center(0.0, 0j), Center(1.0, 1.0 + 0.5j)), signature=QuotientSignature(2, 1, 0)
     )
     stream = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=2, seed=7))]
-    x = np.array([stream[0], (0.2, -0.5, 1e-170, 0.0), stream[1]])
+    x = np.array(
+        [stream[0], (0.2, -0.5, 1e-170, 0.0), (0.2, -0.5, 1e-160, 0.0),
+         (0.3, 1e-170, 0.0, 0.0), (0.3, 1e-155, 0.0, 0.0), stream[1]]
+    )
     metric = lambda x: ghawking.metric_at(cfg, x)  # noqa: E731
-    assert_block_matches_jet(metric, verify.GH.jet(cfg), x, ["", "DiracStringError", ""])
+    expected = ["", "DiracStringError", "DiracStringError", "PoleError", "PoleError", ""]
+    assert_block_matches_jet(metric, verify.GH.jet(cfg), x, expected)
 
 
 def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
