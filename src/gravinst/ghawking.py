@@ -47,10 +47,10 @@ metric_at gives the metric's values, V through potential_at, each lane
 with its own PoleError or DiracStringError.  The chart's state at a
 point is potential_jets, V and alpha as second-order jets
 (tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
-tensor exact derivatives from one evaluation; metric_of and kahler_of
-assemble the metric jet and (g, omega, J) from it, so one state serves
-both: metric_of for a block of states stacked on a lane axis, kahler_of
-for one point.
+tensor exact derivatives from one evaluation.  A block's state is those
+jets stacked on a leading lane axis (tensorcalc.each_lane), and metric_of
+and kahler_of assemble the metric jet and (g, omega, J) from it, each in
+one call over any leading lane axes.
 """
 
 from __future__ import annotations
@@ -126,14 +126,16 @@ def potential_at(
 
     b and a are scalars or numpy arrays; V is evaluated elementwise over
     their broadcast shape, the centers on a leading axis, and comes back
-    as a float for scalar b and a.  PoleError at a center.
+    as a float for scalar b and a.  PoleError where some 1/2 / Delta_i
+    overflows: at a center, or within about 3e-309 of one.
     """
     b, a = np.asarray(b), np.asarray(a)
     b_i, a_i = center_axis(config, max(b.ndim, a.ndim))
-    dist = center_distance(b - b_i, np.abs(a - a_i))
-    if np.any(dist == 0.0):
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = 0.5 / center_distance(b - b_i, np.abs(a - a_i))
+    if np.isinf(terms).any():
         raise PoleError("potential evaluated at a center")
-    V = _alf_constant(config) + (0.5 / dist).sum(axis=0)
+    V = _alf_constant(config) + terms.sum(axis=0)
     return V if V.ndim else float(V)
 
 
@@ -177,28 +179,6 @@ def metric_at(config: CenterConfiguration, x):
     field (see tensorcalc); det g = V^2 identically."""
     values, errors = _potential_lanes(config, tensorcalc.as_block(x))
     return (values and _metric(*values)), errors
-
-
-def _j_rows(V, a1, a2) -> tuple:
-    """The rows of J from the V and in-plane connection jets."""
-    r = 1.0 / V
-    return (
-        (0.0, -V, a2, -a1),
-        (r, 0.0, a1 * r, a2 * r),
-        (0.0, 0.0, 0.0, 1.0),
-        (0.0, 0.0, -1.0, 0.0),
-    )
-
-
-def _omega_rows(V, a1, a2) -> tuple:
-    """The rows of omega = (dtheta + alpha) ^ db - V da1 ^ da2 from the V
-    and connection jets."""
-    return (
-        (0.0, 1.0, 0.0, 0.0),
-        (-1.0, 0.0, -a1, -a2),
-        (0.0, a1, 0.0, -V),
-        (0.0, a2, V, 0.0),
-    )
 
 
 def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
@@ -246,26 +226,45 @@ def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Je
     return (V, *_connection(dlt, f, w_re, w_im))
 
 
-def _jet_matrix(rows: tuple) -> Jet:
-    return Jet.stack([Jet.stack(row) for row in rows])
+def _matrix(rows: tuple, lanes: tuple) -> Jet:
+    """The 4x4 matrix jet over the lane shape lanes whose rows hold jets
+    and constants, each component written once into its place."""
+    out = Jet.constant(np.zeros(lanes + (4, 4)))
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            c = c if isinstance(c, Jet) else Jet.constant(c)
+            out.val[..., i, j] = c.val
+            out.grad[..., i, j, :], out.hess[..., i, j, :, :] = c.grad, c.hess
+    return out
 
 
 def metric_of(jets: tuple[Jet, Jet, Jet]) -> Jet:
     """The metric jet assembled from the (V, alpha_1, alpha_2) jets of
-    potential_jets, by _metric.  The jets may carry leading lane axes
-    (potential_jets' values stacked by tensorcalc.stack_lanes), and the
-    metric jet has them in front of its 4x4 value; each lane is the same
-    arithmetic as a point on its own, so the same bits."""
+    potential_jets, by _metric, over any leading lane axes (a block's
+    state), in front of its 4x4 value: each lane the same bits as alone."""
     return _metric(*jets)
 
 
 def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
     """(g, omega, J) assembled from the (V, alpha_1, alpha_2) jets of
-    potential_jets: g as a float array from their values, omega and J as
-    jets."""
+    potential_jets, over any leading lane axes as metric_of: g as a float
+    array from their values, omega and J (module docstring) as jets."""
     V, a1, a2 = jets
-    g = _metric(V.val, a1.val, a2.val)
-    return g, _jet_matrix(_omega_rows(V, a1, a2)), _jet_matrix(_j_rows(V, a1, a2))
+    r = 1.0 / V
+    omega = (  # (dtheta + alpha) ^ db - V da1 ^ da2
+        (0.0, 1.0, 0.0, 0.0),
+        (-1.0, 0.0, -a1, -a2),
+        (0.0, a1, 0.0, -V),
+        (0.0, a2, V, 0.0),
+    )
+    J = (
+        (0.0, -V, a2, -a1),
+        (r, 0.0, a1 * r, a2 * r),
+        (0.0, 0.0, 0.0, 1.0),
+        (0.0, 0.0, -1.0, 0.0),
+    )
+    lanes = V.val.shape
+    return _metric(V.val, a1.val, a2.val), _matrix(omega, lanes), _matrix(J, lanes)
 
 
 def action(signature: QuotientSignature) -> tuple[np.ndarray, np.ndarray]:

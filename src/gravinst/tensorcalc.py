@@ -296,15 +296,11 @@ def every_lane(result: tuple):
     return value
 
 
-def stack_lanes(values: list):
-    """Per-point field values (arrays, jets or tuples of them) stacked on a
-    leading lane axis."""
-    first = values[0]
-    if isinstance(first, tuple):
-        return tuple(stack_lanes(list(parts)) for parts in zip(*values))
-    if isinstance(first, Jet):
-        return Jet.stack(values)
-    return np.stack(values)
+def _stack_lanes(values: list):
+    """Per-point jets, or tuples of them, stacked on a leading lane axis."""
+    if isinstance(values[0], tuple):
+        return tuple(_stack_lanes(list(parts)) for parts in zip(*values))
+    return Jet.stack(values)
 
 
 def stack_components(parts: list):
@@ -316,10 +312,10 @@ def stack_components(parts: list):
 
 
 def each_lane(fn: Callable[[Coords], object]) -> Callable:
-    """The block field of a chart that evaluates one point at a time, its
-    values kept per point: on a block, fn at each point (a tuple of
-    floats), the good lanes' values as a list (None when no lane is good),
-    and per lane None or the GeometryError fn raised there."""
+    """The block field of a function of one point: on a block, fn at each
+    point (a tuple of floats), the good lanes' values (jets or tuples of
+    them) stacked on a leading lane axis (None when no lane is good), and
+    per lane None or the GeometryError fn raised there."""
 
     def field(x):
         values, errors = [], []
@@ -329,7 +325,7 @@ def each_lane(fn: Callable[[Coords], object]) -> Callable:
                 errors.append(None)
             except GeometryError as exc:
                 errors.append(exc)
-        return (values or None), errors
+        return (_stack_lanes(values) if values else None), errors
 
     return field
 

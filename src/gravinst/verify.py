@@ -228,13 +228,10 @@ class Construction:
     tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
     J): g as a float array, omega as a jet, J as a jet or, where the
     chart's complex structure has constant components (so its Nijenhuis
-    tensor vanishes identically), a constant array.  The complex chart
-    evaluates and assembles a block at once.  The circle-fibered chart
-    keeps its state per point (tensorcalc.each_lane); jet_of stacks it
-    over the lanes (tensorcalc.stack_lanes) and assembles the block's
-    metric jet in one call, while kahler_of still assembles each point
-    before stacking them.  jet(config) is jet_of of the state as one
-    field.
+    tensor vanishes identically), a constant array.  Both charts hold the
+    state over a leading lane axis, the good lanes in order, and assemble
+    each block in one call of jet_of and of kahler_of.  jet(config) is
+    jet_of of the state as one field.
 
     stream(config, spec) gives the coordinates of the sample stream;
     action(signature) gives the cyclic generator as the affine map
@@ -285,8 +282,8 @@ GH = Construction(
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
     state=lambda config: tensorcalc.each_lane(lambda x: ghawking.potential_jets(config, x)),
-    jet_of=lambda jets: ghawking.metric_of(tensorcalc.stack_lanes(jets)),
-    kahler_of=lambda jets: tensorcalc.stack_lanes([ghawking.kahler_of(j) for j in jets]),
+    jet_of=lambda jets: ghawking.metric_of(jets),
+    kahler_of=lambda jets: ghawking.kahler_of(jets),
     action=lambda signature: ghawking.action(signature),
     user_coords=lambda vals: ghawking.user_coords(vals),
 )

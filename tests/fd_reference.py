@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gravinst import ghawking, hitchin, tensorcalc, verify
+from gravinst import ghawking, hitchin, tensorcalc
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
@@ -279,7 +279,7 @@ def fd_derivatives(field: Callable, step=None, blocks: bool = False) -> Callable
         second[m, i] = second[i, m] = rows[5:]  # d_m d_i and d_i d_m share one row
         return Jet(rows[0], np.moveaxis(rows[1:5], 0, n), np.moveaxis(second, (0, 1), (n, n + 1)))
 
-    return verify.assembled(tensorcalc.each_lane(jet), tensorcalc.stack_lanes)
+    return tensorcalc.each_lane(jet)
 
 
 def recursive_simpson(f: Callable[[float], float], a: float, b: float) -> float:

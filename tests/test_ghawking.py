@@ -555,6 +555,26 @@ def test_array_potential_raises_pole_error_at_a_center():
         ghawking.potential_at(cfg, np.array([c.b]), c.a)
 
 
+def test_potential_raises_pole_error_where_a_center_term_overflows():
+    # 1e-310 above a center 1/2 / Delta_i overflows: metric_at gives that
+    # lane a PoleError, and potential_at raises one, with no warning
+    cfg = square_config()
+    c = cfg.centers[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, errors = ghawking.metric_at(cfg, [(0.0, c.b + 1e-310, c.a.real, c.a.imag)])
+        assert type(errors[0]) is PoleError
+        for b in (c.b + 1e-310, np.array([0.3, c.b + 1e-310])):
+            with pytest.raises(PoleError):
+                ghawking.potential_at(cfg, b, c.a)
+        # just outside, V is the plain sum, as everywhere else
+        b = c.b + np.array([1e-308, 1e-300, 0.5])
+        V = ghawking.potential_at(cfg, b, c.a)
+    b_i, a_i = ghawking.center_axis(cfg, 1)
+    plain = (0.5 / ghawking.center_distance(b - b_i, np.abs(c.a - a_i))).sum(axis=0)
+    assert np.all(np.isfinite(V)) and np.array_equal(V, plain)
+
+
 # --- closed-form curvature ---
 
 

@@ -4,9 +4,10 @@ tensorcalc's curvature assembly (matrix products over the lane axis) is
 compared with the einsum chain it replaced (fd_reference.einsum_curvature),
 hitchin.eta_jets (the height jet by implicit differentiation) with the two
 jet Newton steps it replaced (fd_reference.newton_eta_jets), and the
-circle-fibered metric jet assembled once per block with the per-point
-assembly stacked.  Lane by lane, on blocks of both charts: the errors are
-the same, the values agree to round-off.
+circle-fibered metric jet and Kahler triple assembled once per block
+with each point's assembly stacked.  Lane by lane, on blocks of both
+charts: the errors are the same, the values agree to round-off.  Every
+chart's state holds its good lanes on one leading axis.
 """
 
 import contextlib
@@ -81,6 +82,34 @@ def test_curvature_assembly_matches_the_einsum_chain(case):
         assert np.array_equal(new.g, old.g)
 
 
+def failing_lane(chart, cfg) -> list:
+    """A point where the chart's state fails: a center of the
+    circle-fibered chart, a point below the complex chart's floor."""
+    if chart is verify.GH:
+        c = cfg.centers[0]
+        return [0.3, c.b, c.a.real, c.a.imag]
+    return [0.3, 0.2, 1e-9, 0.0]
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_every_chart_state_holds_its_good_lanes_on_a_leading_axis(case):
+    # the state contract of verify.Construction: a block's state is its
+    # good lanes' values over one leading axis, which jet_of and kahler_of
+    # take as they are
+    _, chart, cfg, x = case
+    bad = failing_lane(chart, cfg)
+    state, errors = chart.state(cfg)(np.concatenate([[bad], x[:5], [bad], x[5:]]))
+    good = len(x)
+    assert [e is None for e in errors] == [False] + [True] * 5 + [False] + [True] * (good - 5)
+    for part in state:
+        assert (part.val if isinstance(part, Jet) else part).shape[0] == good
+    assert chart.jet_of(state).val.shape == (good, 4, 4)
+    g, omega, J = chart.kahler_of(state)
+    assert g.shape == omega.val.shape == (good, 4, 4)
+    # J over the lanes, or a constant array where its components are
+    assert (J.val if isinstance(J, Jet) else J).shape in ((good, 4, 4), (4, 4))
+
+
 HITCHIN_CASES = [c for c in CASES if c[1] is verify.HITCHIN]
 
 
@@ -108,10 +137,19 @@ GH_CASES = [c for c in CASES if c[1] is verify.GH]
 @pytest.mark.parametrize("f", [None, bent], ids=["plain", "transformed"])
 @pytest.mark.parametrize("case", GH_CASES, ids=[f"{c[0]}-gh" for c in GH_CASES])
 def test_circle_fibered_block_jet_is_the_stacked_point_jets(case, f):
+    # the metric jet, g, omega and J of a block, each assembled in one call
+    # from the block's state, against each point's own potential_jets
+    # assembled on its own
     _, chart, cfg, x = case
-    state, _ = chart.state(cfg)(x)
+    state, errors = chart.state(cfg)(x)
+    assert not any(errors)
+    points = [ghawking.potential_jets(cfg, tuple(p)) for p in x.tolist()]
     with bent_potential(f) if f else contextlib.nullcontext():
-        block = chart.jet_of(state)
-        points = tensorcalc.stack_lanes([ghawking.metric_of(s) for s in state])
-    for part in ("val", "grad", "hess"):
-        assert np.array_equal(getattr(block, part), getattr(points, part))
+        block = (chart.jet_of(state), *chart.kahler_of(state))
+        each = [(ghawking.metric_of(s), *ghawking.kahler_of(s)) for s in points]
+    for got, *want in zip(block, *each, strict=True):
+        if isinstance(got, Jet):
+            for part in ("val", "grad", "hess"):
+                assert np.array_equal(getattr(got, part), np.stack([getattr(w, part) for w in want]))
+        else:
+            assert np.array_equal(got, np.stack(want))
