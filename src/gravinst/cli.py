@@ -137,38 +137,32 @@ def _apply_mode(run: RunConfig, mode_arg: str | None) -> None:
     raise ConfigError(f"unknown mode {mode_arg!r}")
 
 
-def _apply_tolerances(
-    report: verify.VerificationReport, tolerances: dict
-) -> verify.VerificationReport:
-    """Re-judge checks against overridden tolerances.
+def _apply_tolerances(report: verify.VerificationReport, tolerances: dict) -> None:
+    """Override the tolerances of the report's checks in place; each check
+    is then judged against its new tolerance (CheckRecord.passed).
 
     A key applies to the check with that exact name and to every check
-    whose name extends it with a dash; a key matching nothing is an
-    error, catching typos before they silently pass a run.
+    whose name extends it with a dash, the last matching key winning; a
+    key matching nothing is an error, catching typos before they silently
+    pass a run.
     """
-    if not tolerances:
-        return report
     matched = set()
-    new_checks = []
-    for check in report.checks:
-        tol = None
+    for i, check in enumerate(report.checks):
         for key, value in tolerances.items():
             if check.name == key or check.name.startswith(key + "-"):
-                tol = float(value)
+                report.checks[i] = dataclasses.replace(report.checks[i], tolerance=float(value))
                 matched.add(key)
-        if tol is None:
-            new_checks.append(check)
-        else:
-            new_checks.append(
-                dataclasses.replace(
-                    check, tolerance=tol, passed=check.max_residual < tol
-                )
-            )
     unmatched = set(tolerances) - matched
     if unmatched:
         raise ConfigError(f"tolerance overrides matched no check: {sorted(unmatched)}")
-    report.checks = new_checks
-    return report
+
+
+def _load(args) -> tuple[RunConfig, CenterConfiguration]:
+    """The run configuration of --config under --mode, and its metric's
+    configuration."""
+    run = load_run_config(args.config)
+    _apply_mode(run, args.mode)
+    return run, run.build()
 
 
 def _report_document(report: verify.VerificationReport) -> str:
@@ -212,16 +206,14 @@ def _write_csv(path: str | None, rows: list) -> None:
 
 
 def cmd_verify(args) -> int:
-    run = load_run_config(args.config)
-    _apply_mode(run, args.mode)
+    run, config = _load(args)
     if args.seed is not None:
         run.sample = dataclasses.replace(run.sample, seed=args.seed)
     checks = tuple(args.check) if args.check else run.checks
-    config = run.build()
     if args.perturb:
         config = verify.perturb_config(config, eps=args.perturb)
     report = verify.full_report(config, spec=run.sample, checks=checks)
-    report = _apply_tolerances(report, run.tolerances)
+    _apply_tolerances(report, run.tolerances)
     document = _report_document(report)
     out_path = args.out or run.out
     if out_path:
@@ -257,9 +249,7 @@ def _parse_point(text: str, construction: verify.Construction) -> verify.ChartPo
 
 
 def cmd_sample(args) -> int:
-    run = load_run_config(args.config)
-    _apply_mode(run, args.mode)
-    config = run.build()
+    _, config = _load(args)
     construction = verify.construction(args.construction).require(config)
     points = [_parse_point(text, construction) for text in args.point or ()]
     if args.grid:
@@ -273,9 +263,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    run = load_run_config(args.config)
-    _apply_mode(run, args.mode)
-    config = run.build()
+    _, config = _load(args)
     ok = True
     for name in args.fit or verify.fit_parts(config):
         _, records = verify.decay_and_volume(config, (name,))
@@ -296,13 +284,17 @@ def _reject_constant(token: str):
 def _validate_report_file(path: str) -> None:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh, parse_constant=_reject_constant)
-    if not isinstance(doc, dict) or "report" not in doc:
-        raise ConfigError('report file must hold a {"report": ...} object')
-    body = doc["report"]
+    body = doc.get("report") if isinstance(doc, dict) else None
+    if not isinstance(body, dict):
+        raise ConfigError('report file must hold a {"report": {...}} object')
     for key in ("config", "mode", "seed", "checks", "pass"):
         if key not in body:
             raise ConfigError(f"report body missing key {key!r}")
+    if not isinstance(body["checks"], list):
+        raise ConfigError('report "checks" must be a list of check records')
     for check in body["checks"]:
+        if not isinstance(check, dict):
+            raise ConfigError("a check record must be an object")
         for key in ("name", "max_residual", "tolerance", "pass"):
             if key not in check:
                 raise ConfigError(f"check record missing key {key!r}")

@@ -32,20 +32,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from gravinst import ghawking, hitchin, sampling, tensorcalc
 from gravinst.errors import FitDomainError, GeometryError, ScanError
-from gravinst.fitting import FitResult, fit_proportional
+from gravinst.fitting import fit_proportional
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
     Center,
     CenterConfiguration,
     QuotientSignature,
-    make_akl_config,
+    make_polygon_config,
 )
 from gravinst.tensorcalc import Coords, Field
 
@@ -71,11 +71,6 @@ DECAY_TARGET = -12.0
 DECAY_TOL = 0.5
 VOLUME_TARGETS = {"ale": 4.0, "alf": 3.0}
 VOLUME_TOL = 0.1
-
-
-def in_band(slope: float, target: float, tol: float) -> bool:
-    """Whether a fitted slope lies inside its pass band target +- tol."""
-    return abs(slope - target) < tol
 
 
 def _finite(value: float) -> float | None:
@@ -120,6 +115,9 @@ class SampleRecord:
 class CheckRecord:
     """One verification check: worst residual against its tolerance.
 
+    A check passes exactly when its worst residual is below its tolerance;
+    a check with a further condition folds it into the residual (inf when
+    the condition fails), so overriding the tolerance re-judges it.
     skipped counts the unusable samples of a scan by error type; samples
     holds the scan's per-sample records, which never enter the payload.
     """
@@ -127,11 +125,14 @@ class CheckRecord:
     name: str
     max_residual: float
     tolerance: float
-    passed: bool
     count: int = 0
     note: str = ""
     skipped: dict = field(default_factory=dict)
     samples: tuple[SampleRecord, ...] = field(default=(), repr=False, compare=False)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual < self.tolerance
 
     def payload(self) -> dict:
         out = {
@@ -415,23 +416,17 @@ def _scan_records(
     if not used:
         raise ScanError(f"every {label} sample evaluation failed", samples)
     skipped = _skip_counts(samples)
-    records = []
-    for i, (kind, tol) in enumerate(zip(kinds, tolerances)):
-        worst = 0.0
-        for s in used:
-            worst = max(worst, s.residuals[i])
-        records.append(
-            CheckRecord(
-                name=f"{kind}-{source}",
-                max_residual=worst,
-                tolerance=tol,
-                passed=worst < tol,
-                count=len(used),
-                skipped=skipped,
-                samples=samples,
-            )
+    return [
+        CheckRecord(
+            name=f"{kind}-{source}",
+            max_residual=max([0.0] + [s.residuals[i] for s in used]),
+            tolerance=tol,
+            count=len(used),
+            skipped=skipped,
+            samples=samples,
         )
-    return records
+        for i, (kind, tol) in enumerate(zip(kinds, tolerances))
+    ]
 
 
 def ricci_samples(
@@ -597,15 +592,7 @@ def cross_validate(
         stats = RatioStats(
             mean=float("nan"), spread=0.0, count=0, note="flat configuration, skipped"
         )
-        record = CheckRecord(
-            name="cross-validation",
-            max_residual=0.0,
-            tolerance=SPREAD_TOL,
-            passed=True,
-            count=0,
-            note=stats.note,
-        )
-        return stats, record
+        return stats, CheckRecord("cross-validation", 0.0, SPREAD_TOL, note=stats.note)
     found = {
         (name, s.point.coords): s.curvature.riem_norm_sq
         for name, samples in (known or {}).items()
@@ -658,7 +645,6 @@ def cross_validate(
         name="cross-validation",
         max_residual=spread,
         tolerance=SPREAD_TOL,
-        passed=spread < SPREAD_TOL,
         count=len(ratios),
         skipped=_skip_counts(samples),
         samples=samples,
@@ -672,7 +658,7 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     cycle_period is the closed form -2 pi (b_j - b_i), so C = -2 pi is an
     identity, and the note says so.  The pairs are the lanes of one
     cycle_period call, in row-major order; a blocked pair is left out."""
-    b = np.array([c.b for c in config.centers])
+    b = ghawking.center_axis(config, 0)[0]
     i, j = np.triu_indices(config.k, 1)
     periods, errors = ghawking.cycle_period(config, i, j)
     periods = np.empty(0) if periods is None else periods
@@ -686,7 +672,6 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
             name="periods",
             max_residual=worst,
             tolerance=1e-8,
-            passed=worst < 1e-8,
             count=int(clear.sum()),
             note="coplanar centers, proportionality vacuous; C = 0",
         )
@@ -695,20 +680,13 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
         raise ScanError("every vertically separated segment was blocked")
     if len(dbs) == 1:
         c = periods[0] / dbs[0]
-        return CheckRecord(
-            name="periods",
-            max_residual=0.0,
-            tolerance=PERIOD_TOL,
-            passed=True,
-            count=1,
-            note=f"single pair defines C = {c:.9g}",
-        )
+        note = f"single pair defines C = {c:.9g}"
+        return CheckRecord("periods", 0.0, PERIOD_TOL, count=1, note=note)
     c, residual = fit_proportional(dbs, periods)
     return CheckRecord(
         name="periods",
         max_residual=residual,
         tolerance=PERIOD_TOL,
-        passed=residual < PERIOD_TOL,
         count=len(dbs),
         note=f"C = {c:.9g}, the closed form -2 pi (b_j - b_i)",
     )
@@ -754,20 +732,18 @@ def decay_and_volume(
                 name="curvature-decay-flat",
                 max_residual=worst,
                 tolerance=CURVATURE_FLOOR,
-                passed=worst < CURVATURE_FLOOR,
                 count=sum(len(vals) for vals in values),
                 note="single center: |Rm|^2 on the ALE end below the curvature floor",
             )
         )
     elif decay:
         fit = hitchin.ale_curvature_decay(config)
-        fits["curvature_decay"] = _fit_payload(fit)
+        fits["curvature_decay"] = asdict(fit)
         records.append(
             CheckRecord(
                 name="curvature-decay-slope",
                 max_residual=abs(fit.slope - DECAY_TARGET),
                 tolerance=DECAY_TOL,
-                passed=in_band(fit.slope, DECAY_TARGET, DECAY_TOL),
                 count=fit.point_count,
                 note=f"slope = {fit.slope:.6g}",
             )
@@ -776,27 +752,17 @@ def decay_and_volume(
         return fits, records
     target = VOLUME_TARGETS[config.mode]
     vol = ghawking.volume_growth_fit(config)
-    fits["volume_growth"] = _fit_payload(vol)
+    fits["volume_growth"] = asdict(vol)
     records.append(
         CheckRecord(
             name="volume-growth-slope",
             max_residual=abs(vol.slope - target),
             tolerance=VOLUME_TOL,
-            passed=in_band(vol.slope, target, VOLUME_TOL),
             count=vol.point_count,
             note=f"slope = {vol.slope:.6g}, target {target:g}",
         )
     )
     return fits, records
-
-
-def _fit_payload(fit: FitResult) -> dict:
-    return {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "rms_residual": fit.rms_residual,
-        "point_count": fit.point_count,
-    }
 
 
 def solver_scan(
@@ -819,13 +785,7 @@ def solver_scan(
         roots = tensorcalc.every_lane(hitchin.solve_b(config, z, y_abs_sq))
         lhs = hitchin.implicit_lhs(config, z, roots)
         worst = max(worst, float(np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
-    return CheckRecord(
-        name="implicit-solver",
-        max_residual=worst,
-        tolerance=SOLVER_TOL,
-        passed=worst < SOLVER_TOL,
-        count=count,
-    )
+    return CheckRecord("implicit-solver", worst, SOLVER_TOL, count=count)
 
 
 def akl_convergence_check(
@@ -839,35 +799,35 @@ def akl_convergence_check(
     level J; each increment is a polygon of n new centers at distance
     >= (J+1)^2, so the tail is dominated by the comparison series
     sum n/(2 j^2).  The test point sits on the vertical axis, where the
-    dominance is strict.
+    dominance is strict.  The increment between two levels sums the
+    potentials of the polygons between them, each its own one-polygon
+    configuration, so it never cancels against the levels below.  The
+    residual is the largest increment over its comparison sum, or inf
+    unless the increments are positive and strictly decreasing.
     """
     j_values = sorted(set(int(j) for j in j_values))
     if len(j_values) < 3 or j_values[0] < 1:
         raise ValueError("need at least three positive truncation levels")
-    values = []
-    for j in j_values:
-        cfg = make_akl_config(n=n, m=m, j_max=j)
-        values.append(ghawking.potential_at(cfg, 0.5, 0j))
+    signature = QuotientSignature(1, n, m)
+
+    def polygon(j: int) -> float:
+        """V of the level-j polygon alone at the test point."""
+        return ghawking.potential_at(make_polygon_config(signature, [j * j], [0.0]), 0.5, 0j)
+
     worst = 0.0
     diffs = []
-    for (j0, v0), (j1, v1) in zip(
-        zip(j_values[:-1], values[:-1]), zip(j_values[1:], values[1:])
-    ):
-        diff = v1 - v0
-        bound = sum(n / (2.0 * j * j) for j in range(j0 + 1, j1 + 1))
-        if bound > 0.0:
-            worst = max(worst, diff / bound)
-        diffs.append(diff)
-    monotone = all(d1 < d0 for d0, d1 in zip(diffs[:-1], diffs[1:]))
-    passed = worst < 1.0 and monotone and all(d > 0.0 for d in diffs)
-    note = "tail under comparison series, increments monotone" if passed else ""
+    for j0, j1 in zip(j_values[:-1], j_values[1:]):
+        added = range(j0 + 1, j1 + 1)
+        diffs.append(sum(polygon(j) for j in added))
+        worst = max(worst, diffs[-1] / sum(n / (2.0 * j * j) for j in added))
+    if not (all(d0 > d1 for d0, d1 in zip(diffs, diffs[1:])) and diffs[-1] > 0.0):
+        worst = math.inf
     return CheckRecord(
         name="akl-convergence",
         max_residual=worst,
         tolerance=1.0,
-        passed=passed,
         count=len(j_values),
-        note=note,
+        note="tail under comparison series, increments monotone" if worst < 1.0 else "",
     )
 
 
@@ -930,86 +890,65 @@ def full_report(
     constructions = [c for c in CONSTRUCTIONS if c.applies(config)]
     evaluations = {c.name: ChartEvaluation(c, config, spec) for c in constructions}
 
-    def run(name: str, fn: Callable[[], None]) -> None:
+    def run(name: str, fn: Callable[[], CheckRecord | list[CheckRecord]]) -> None:
+        """Append the records fn returns, or one failed record when it
+        raises, and time it."""
         t0 = time.perf_counter()
         try:
-            fn()
+            records = fn()
         except (GeometryError, ValueError) as exc:
-            report.checks.append(
-                CheckRecord(
-                    name=name,
-                    max_residual=float("inf"),
-                    tolerance=0.0,
-                    passed=False,
-                    note=f"{type(exc).__name__}: {exc}",
-                    skipped=_skip_counts(getattr(exc, "samples", ())),
-                )
+            records = CheckRecord(
+                name=name,
+                max_residual=math.inf,
+                tolerance=0.0,
+                note=f"{type(exc).__name__}: {exc}",
+                skipped=_skip_counts(getattr(exc, "samples", ())),
             )
+        report.checks.extend(records if isinstance(records, list) else [records])
         report.timing[name] = time.perf_counter() - t0
 
-    def ricci(c: Construction) -> None:
+    def ricci(c: Construction) -> CheckRecord:
         try:
             record = ricci_scan(c.name, config, spec, evaluations[c.name])
         except ScanError as exc:
             report.samples[c.name] = exc.samples
             raise
         report.samples[c.name] = record.samples
-        report.checks.append(record)
+        return record
 
-    if "ricci" in selected:
-        for c in constructions:
-            run(f"ricci-{c.name}", lambda c=c: ricci(c))
-    if "kahler" in selected:
-        for c in constructions:
-            run(
-                f"kahler-{c.name}",
-                lambda c=c: report.checks.extend(
-                    kahler_scan(c.name, config, spec, evaluations[c.name])
-                ),
-            )
-    if "invariance" in selected and config.signature.n >= 2:
-        for c in constructions:
-            run(
-                f"invariance-{c.name}",
-                lambda c=c: report.checks.append(
-                    invariance_scan(c.name, config, spec, evaluations[c.name])
-                ),
-            )
+    def cross() -> CheckRecord:
+        report.ratio, record = cross_validate(
+            config, replace(spec, count=CROSS_COUNT), report.samples
+        )
+        return record
+
+    def fits() -> list[CheckRecord]:
+        found, records = decay_and_volume(config)
+        report.fits.update(found)
+        return records
+
+    # the scans are looked up at call time, so a module attribute stays
+    # the one binding of each
+    per_chart = {
+        "ricci": ricci,
+        "kahler": lambda c: kahler_scan(c.name, config, spec, evaluations[c.name]),
+        "invariance": lambda c: invariance_scan(c.name, config, spec, evaluations[c.name]),
+    }
+    for kind, scan in per_chart.items():
+        if kind in selected and (kind != "invariance" or config.signature.n >= 2):
+            for c in constructions:
+                run(f"{kind}-{c.name}", lambda scan=scan, c=c: scan(c))
     if "cross" in selected and all(c.applies(config) for c in (GH, HITCHIN)):
-
-        def _cross():
-            stats, record = cross_validate(config, replace(spec, count=CROSS_COUNT), report.samples)
-            report.ratio = stats
-            report.checks.append(record)
-
-        run("cross-validation", _cross)
+        run("cross-validation", cross)
     if "periods" in selected:
-        run("periods", lambda: report.checks.append(period_check(config)))
+        run("periods", lambda: period_check(config))
     if "fits" in selected and config.mode != "akl":
-
-        def _fits():
-            fits, records = decay_and_volume(config)
-            report.fits.update(fits)
-            report.checks.extend(records)
-
-        run("fits", _fits)
+        run("fits", fits)
     elif "fits" in selected:
         j_hi = config.akl_j_max or 1
-        run(
-            "akl-convergence",
-            lambda: report.checks.append(
-                akl_convergence_check(
-                    n=config.signature.n,
-                    m=config.signature.m,
-                    j_values=tuple(range(max(1, j_hi // 2), j_hi + 1)),
-                )
-            ),
-        )
+        levels = tuple(range(max(1, j_hi // 2), j_hi + 1))
+        n, m = config.signature.n, config.signature.m
+        run("akl-convergence", lambda: akl_convergence_check(n=n, m=m, j_values=levels))
     if "solver" in selected and HITCHIN.applies(config):
-        run(
-            "implicit-solver",
-            lambda: report.checks.append(
-                solver_scan(config, count=2000, seed=spec.seed)
-            ),
-        )
+        run("implicit-solver", lambda: solver_scan(config, count=2000, seed=spec.seed))
     return report

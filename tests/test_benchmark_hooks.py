@@ -123,6 +123,30 @@ def test_tracer_spans_fill():
     assert 0 < integrands <= (quadrature.MAX_DEPTH + 2) * quadratures
 
 
+def test_tracer_spans_fill_inside_a_report():
+    # full_report looks each scan up at call time, so the wrappers attach
+    # to the scans of a report, not only to scans called alone
+    pair = make_polygon_config(QuotientSignature(1, 2, 1), [1.0 + 0j], [0.0])
+    tracer = load_tracer().Tracer()
+    tracer.install_all()
+    try:
+        verify.full_report(pair, spec=SampleSpec(count=2))
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name]
+    children = {
+        names[i] for i, p in enumerate(tracer.parent) if p >= 0 and names[p] == "verify.full_report"
+    }
+    kinds = ("ricci", "kahler", "invariance")
+    scans = {f"verify.{kind}-{c}" for kind in kinds for c in ("gh", "hitchin")}
+    assert scans | {
+        "verify.cross-validation",
+        "verify.periods",
+        "verify.fits",
+        "verify.implicit-solver",
+    } <= children
+
+
 def test_workloads_run_at_smoke_size(tmp_path, monkeypatch):
     # the module's dataclasses look their module up in sys.modules
     spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")

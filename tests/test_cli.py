@@ -153,6 +153,20 @@ def test_verify_tolerance_override(tmp_path):
         "kahler-compat-gh",
         "kahler-compat-hitchin",
     }
+    # a looser tolerance passes a check that fails under its own: the
+    # perturbed pair fails invariance at INVARIANCE_TOL
+    doc = base_doc(checks=["invariance"])
+    cfg = write_cfg(tmp_path, doc, "strict.json")
+    assert cli.main(["verify", "--config", cfg, "--perturb", "0.01", "--out", str(out)]) == 1
+    doc["tolerances"] = {"invariance": 1.0}
+    cfg = write_cfg(tmp_path, doc, "loose.json")
+    assert cli.main(["verify", "--config", cfg, "--perturb", "0.01", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["pass"] is True
+    assert [(c["name"], c["tolerance"], c["pass"]) for c in rep["checks"]] == [
+        ("invariance-gh", 1.0, True),
+        ("invariance-hitchin", 1.0, True),
+    ]
     # a key that matches nothing is a config error, not a silent pass
     cfg = write_cfg(tmp_path, base_doc(tolerances={"nosuch": 1.0}), "t.json")
     assert cli.main(["verify", "--config", cfg]) == 2

@@ -127,17 +127,35 @@ def _strict(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def _body(checks) -> dict:
+    return {"report": {"config": {}, "mode": "ale", "seed": 0, "checks": checks, "pass": True}}
+
+
+# report files of the wrong JSON types: a body that is not an object,
+# checks that are not a list, a check record that is not an object, and
+# one that is a string naming every required key
+MALFORMED_REPORTS = {
+    "report-number": {"report": 5},
+    "checks-number": _body(5),
+    "check-number": _body([5]),
+    "check-string": _body(["name max_residual tolerance pass"]),
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """The files argv names, by name: run configurations (good, akl,
     unparsable, not an object), a report and its CSV from a verify run,
-    and a path that does not exist."""
+    reports of the wrong JSON types (MALFORMED_REPORTS) and a path that
+    does not exist."""
     work = tmp_path_factory.mktemp("argv")
     docs = {
         "good": {"schema": "1", "singularity": PAIR, "sample": {"count": 2}},
         "akl": {"schema": "1", "singularity": {"n": 2, "m": 1, "mode": {"akl": 3}}},
     }
     for name, doc in docs.items():
+        (work / name).write_text(json.dumps(doc))
+    for name, doc in MALFORMED_REPORTS.items():
         (work / name).write_text(json.dumps(doc))
     (work / "broken").write_text("{not json")
     (work / "list").write_text("[1, 2]")
@@ -174,7 +192,7 @@ OPTIONS = {
         "--mode": st.sampled_from(MODES),
     },
     "validate": {
-        "--report": st.sampled_from(["report", "rows", "broken", "missing"]),
+        "--report": st.sampled_from(["report", "rows", "broken", "missing", *MALFORMED_REPORTS]),
         "--csv": st.sampled_from(["rows", "report", "missing"]),
     },
     # argparse rejects an unknown subcommand
@@ -216,3 +234,9 @@ def test_any_argv_ends_in_a_strict_report_or_an_exit_code(files, argv):
     if argv[0] == "verify" and code in (0, 1):
         out = files / "out"
         _strict(out.read_text() if "--out" in argv else stdout.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_REPORTS))
+def test_a_report_of_the_wrong_json_types_is_a_usage_error(files, name):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["validate", "--report", str(files / name)]) == 2

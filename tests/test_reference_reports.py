@@ -5,7 +5,9 @@ tests/make_reference_reports.py builds.  A change that moves a residual,
 a pass/fail, a count or a skip fails here, and the failure lists each
 moved record with its old and new values, the measure of how far a
 change moved the reports; a check's residual is also given as a
-fraction of its tolerance, how far it sits inside its bound.
+fraction of its tolerance, how far it sits inside its bound, and its
+move as a fraction of the new tolerance, which a round-off move shows
+where the two shares print alike.
 Regenerate the file with that script when a move is intended.
 """
 
@@ -39,6 +41,17 @@ def _summary(record: dict | None) -> str:
     )
 
 
+def _move(was: dict | None, now: dict | None) -> str:
+    """(new - old) / tolerance of a moved residual, where both records
+    have a numeric residual and the new one a nonzero tolerance."""
+    if not (was and now and now.get("tolerance")):
+        return ""
+    old, new = was.get("max_residual"), now.get("max_residual")
+    if not (isinstance(old, (int, float)) and isinstance(new, (int, float))):
+        return ""
+    return f", moved {(new - old) / now['tolerance']:.3g} of tolerance"
+
+
 def _moved_columns(was: list[str], now: list[str]) -> list[str]:
     """The CSV columns, by the header of now, in which some row differs."""
     if not now:
@@ -60,7 +73,7 @@ def moved_records(old: dict, new: dict) -> list[str]:
             if before.get(name) != after.get(name):
                 lines.append(
                     f"{case} / {name}: {_summary(before.get(name))}"
-                    f" -> {_summary(after.get(name))}"
+                    f" -> {_summary(after.get(name))}{_move(before.get(name), after.get(name))}"
                 )
         rest = ("config", "mode", "seed", "pass")
         for key in rest:

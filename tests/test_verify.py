@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -387,6 +388,25 @@ def test_akl_convergence_quick():
     assert rec.passed
     assert rec.max_residual < 1.0
     assert rec.count == 4
+
+
+def test_akl_convergence_holds_at_high_truncation_levels():
+    # each increment sums its own level polygons, so it does not cancel
+    # against the levels below it, and no configuration of J levels is built
+    t0 = time.perf_counter()
+    rec = verify.akl_convergence_check(2, 1, range(200, 401))
+    assert time.perf_counter() - t0 < 1.0
+    assert rec.passed and rec.max_residual < 1.0
+
+
+def test_akl_convergence_fails_where_increments_do_not_decrease(monkeypatch):
+    # equal increments far below the comparison series: only the
+    # monotonicity condition fails, and it sets the residual to inf
+    monkeypatch.setattr(ghawking, "potential_at", lambda config, b, a: 1e-6)
+    rec = verify.akl_convergence_check(j_values=range(3, 7))
+    assert rec.max_residual == math.inf
+    assert not rec.passed
+    assert rec.payload()["max_residual"] is None and rec.note == ""
 
 
 def test_akl_convergence_needs_levels():
