@@ -4,8 +4,9 @@ tests/test_reference_reports.py.
 The reference holds the deterministic payload of full_report on the seven
 configurations of tests/test_acceptance.py at SampleSpec(seed=42), of
 ``gravinst verify --out --csv`` on the truncated family akl J=12 (report
-and CSV), and of the hexagon with a bent potential (bent_potential), the
-negative control of the Ricci scan.  Regenerate it after a change that is
+and CSV), of ``gravinst sample --grid 4`` with one ``--point`` on each
+chart of the hexagon (CSV), and of the hexagon with a bent potential
+(bent_potential), the negative control of the Ricci scan.  Regenerate it after a change that is
 meant to move a residual:
 
     PYTHONPATH=src python tests/make_reference_reports.py
@@ -47,6 +48,18 @@ AKL_RUN = {
     "singularity": {"n": 2, "m": 1, "mode": {"akl": 12}},
     "sample": {"count": 50, "seed": SEED},
 }
+HEXAGON_RUN = {
+    "schema": "1",
+    "singularity": {
+        "d": 2,
+        "n": 3,
+        "m": 2,
+        "radii": [[1.0, 0.0], [1.4, 0.3]],
+        "heights": [0.0, 0.7],
+    },
+}
+# one user point per chart, ahead of the grid
+SAMPLE_POINTS = {"gh": "0.3,2.0,1.5,0.5", "hitchin": "0.4,-0.3,1.5,0.7"}
 
 
 def bent(V):
@@ -93,6 +106,19 @@ def akl_cli() -> dict:
     return {"report": report, "csv": rows}
 
 
+def sample_cli(construction: str) -> dict:
+    """The CSV rows of the CLI's sample on one chart of the hexagon."""
+    with tempfile.TemporaryDirectory() as work:
+        paths = {k: os.path.join(work, k) for k in ("config.json", "samples.csv")}
+        with open(paths["config.json"], "w", encoding="utf-8") as fh:
+            json.dump(HEXAGON_RUN, fh)
+        argv = ["sample", "--config", paths["config.json"], "--construction", construction]
+        argv += ["--point", SAMPLE_POINTS[construction], "--grid", "4"]
+        cli.main(argv + ["--out", paths["samples.csv"]])
+        with open(paths["samples.csv"], encoding="utf-8") as fh:
+            return {"csv": fh.read().splitlines()}
+
+
 def reports() -> dict:
     """Every reference payload under its case name."""
     spec = SampleSpec(seed=SEED)
@@ -101,6 +127,8 @@ def reports() -> dict:
         for name, build in CONFIGS
     }
     out["akl-cli"] = akl_cli()
+    for construction in SAMPLE_POINTS:
+        out[f"hexagon-sample-{construction}"] = sample_cli(construction)
     with bent_potential(bent):
         transformed = verify.full_report(acceptance.hexagon(), spec=spec)
     out["hexagon-bent"] = {"report": transformed.payload()}
