@@ -38,7 +38,6 @@ from gravinst.tensorcalc import (
     exterior_derivative,
     nijenhuis_at,
 )
-from gravinst.verify import ChartPoint
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,6 @@ __all__ = [
     "Center",
     "CenterConfiguration",
     "ChartBoundaryError",
-    "ChartPoint",
     "ConvergenceError",
     "CurvatureBundle",
     "DegenerateMetricError",

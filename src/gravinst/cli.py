@@ -180,7 +180,7 @@ _CSV_HEADER = (
 def _csv_row(source: str, sample: verify.SampleRecord) -> list:
     """One CSV row from a Ricci-scan sample record: flagged with the
     error type, blank values, when the sample was unusable."""
-    coords = [repr(float(v)) for v in sample.point.coords]
+    coords = [repr(v) for v in sample.point]
     if sample.error:
         return [source, sample.error] + coords + [""] * 12
     bundle = sample.curvature
@@ -241,9 +241,9 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def _parse_point(text: str, construction: verify.Construction) -> verify.ChartPoint:
+def _parse_point(text: str, construction: verify.Construction) -> list[float]:
     try:
-        return construction.from_coords([float(p) for p in text.split(",")])
+        return construction.user_coords([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise ConfigError(f"bad point {text!r}: {exc}") from exc
 
@@ -254,7 +254,7 @@ def cmd_sample(args) -> int:
     points = [_parse_point(text, construction) for text in args.point or ()]
     if args.grid:
         spec = SampleSpec(count=args.grid, seed=args.seed or 0)
-        points += construction.points(config, spec)
+        points += construction.stream(config, spec).tolist()
     if not points:
         raise ConfigError("nothing to sample: give --point and/or --grid")
     samples = verify.ricci_samples(construction, config, points)

@@ -18,7 +18,6 @@ import numpy as np
 from gravinst import ghawking, hitchin
 from gravinst.errors import ScanError
 from gravinst.singularities import CenterConfiguration
-from gravinst.tensorcalc import Coords
 
 _BASES = (2, 3, 5, 7)
 # candidates drawn per Halton block: a stream's first block holds
@@ -103,10 +102,17 @@ def _candidates(
 
     At most 10000 * spec.count candidates are drawn, whether accepted
     here or rejected by the caller; past that the stream raises
-    ScanError, so an unsatisfiable spec ends instead of looping.
+    ScanError, so an unsatisfiable spec ends instead of looping.  An
+    annulus whose cubed radii overflow is a ScanError too.
     """
     scale = max(1.0, config.extent())
     lo, hi = spec.r_min * scale, spec.r_max * scale
+    try:
+        lo3, hi3 = lo**3, hi**3
+    except OverflowError:
+        lo3 = hi3 = math.inf
+    if not math.isfinite(hi3):
+        raise ScanError(f"the sampling annulus, radii up to {hi:.3g}, is too large")
     clear = spec.clearance * scale
     first = _start_index(spec.seed)
     end = first + 10000 * spec.count
@@ -116,7 +122,7 @@ def _candidates(
         first += idx.size
         block = min(2 * block, _HALTON_BLOCK)
         for u in np.stack([halton(idx, b) for b in _BASES], axis=1).tolist():
-            r = (lo**3 + u[0] * (hi**3 - lo**3)) ** (1.0 / 3.0)
+            r = (lo3 + u[0] * (hi3 - lo3)) ** (1.0 / 3.0)
             cos_t = 2.0 * u[1] - 1.0
             sin_t = math.sqrt(max(0.0, 1.0 - cos_t * cos_t))
             phi = 2.0 * math.pi * u[2]
@@ -140,19 +146,19 @@ def base_points(
     return list(itertools.islice(_candidates(config, spec), spec.count))
 
 
-def gh_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords]:
+def gh_points(config: CenterConfiguration, spec: SampleSpec) -> np.ndarray:
     """Circle-fibered chart coordinates (theta, b, a1, a2) of the base
-    stream."""
-    return [(t, b, a.real, a.imag) for b, a, t in base_points(config, spec)]
+    stream, one row per point."""
+    return np.array([(t, b, a.real, a.imag) for b, a, t in base_points(config, spec)])
 
 
-def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords]:
+def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> np.ndarray:
     """Same base stream, lifted to complex-chart coordinates
-    (Re z, Im z, Re y, Im y).
+    (Re z, Im z, Re y, Im y), one row per point.
 
     Candidates whose chart coordinates fall inside the chart margin (near
     the branch locus y = 0 or a puncture z = -conj(a_i)) are discarded
-    and replaced by later stream entries, keeping the accepted list a
+    and replaced by later stream entries, keeping the accepted rows a
     deterministic function of the SampleSpec.  The stream's budget bounds
     the discards too.  The candidates are lifted in blocks
     (hitchin.base_to_chart) of as many as are still missing, so the draw
@@ -164,14 +170,14 @@ def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> list[Coords
         for b, a, theta in _candidates(config, spec)
         if all(abs(c.a - a) >= spec.chart_margin * scale for c in config.centers)
     )
-    out: list[Coords] = []
+    out: list = []
     while len(out) < spec.count:
         block = list(itertools.islice(candidates, spec.count - len(out)))
         # a lane on the y = 0 locus has no lift, and the margin drops it anyway
         lifted, _ = hitchin.base_to_chart(config, block)
         out.extend(
-            tuple(x)
+            x
             for x in (lifted.tolist() if lifted is not None else ())
             if abs(complex(x[2], x[3])) >= spec.chart_margin
         )
-    return out
+    return np.array(out)

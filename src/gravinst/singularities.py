@@ -135,10 +135,13 @@ class CenterConfiguration:
                 f"expected {self.signature.k} centers, got {len(self.centers)}"
             )
         pts = self.points_r3()
+        scale = max(1.0, float(np.max(np.abs(pts))))
+        # a squared distance between two centers is at most 12 scale^2
+        if not math.isfinite(12.0 * scale * scale):
+            raise ValueError("center coordinates too large: their squared distances overflow")
         # extent() is read per segment and per sample stream; the
         # configuration is frozen, so its value is fixed here
         object.__setattr__(self, "_extent", float(np.max(np.linalg.norm(pts, axis=1))))
-        scale = max(1.0, float(np.max(np.abs(pts))))
 
         def close(rows: slice) -> np.ndarray:
             # |x_i - x_j|, its squares summed in the order of np.linalg.norm's
@@ -193,7 +196,10 @@ def make_polygon_config(
     cs = [complex(c) for c in radii]
     if any(c == 0 for c in cs):
         raise ValueError("deformation roots c_i must be nonzero")
-    powers = np.array([c**signature.n for c in cs])
+    try:
+        powers = np.array([c**signature.n for c in cs])
+    except OverflowError as exc:
+        raise ValueError("deformation values c_i**n overflow") from exc
     size = np.abs(powers)
     # relative to the pair: radii may span decades
     pair = first_pair(

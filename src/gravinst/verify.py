@@ -22,10 +22,10 @@ a time (hitchin.base_to_chart), takes its curvature from the report's
 Ricci samples wherever a matched point is one of them, and evaluates
 only the rest.  Called alone, each scan makes its own evaluation.
 
-Every scan evaluates a block of samples as a field: the records of the
-usable samples in order, and per sample None or the GeometryError that
-makes it unusable.  tensorcalc.lane_results joins the two into the
-scan's per-sample records.
+A chart point is a row of four coordinates.  Every scan evaluates a
+block of samples as a field: the SampleRecord fields of the usable
+samples in order, and per sample None or the GeometryError that makes it
+unusable.  _sample alone joins the two into the scan's SampleRecords.
 """
 
 from __future__ import annotations
@@ -79,33 +79,12 @@ def _finite(value: float) -> float | None:
 
 
 @dataclass(frozen=True)
-class ChartPoint:
-    """A point of a 4-dimensional coordinate chart where it crosses a
-    boundary: a scan sample or user input.
-
-    coords holds the four real coordinates; chart_id is the name of the
-    construction whose chart they belong to, so that points of the two
-    charts cannot be mixed up silently.
-    """
-
-    coords: Coords
-    chart_id: str
-
-    def __post_init__(self):
-        if len(self.coords) != 4:
-            raise ValueError("chart points are four-dimensional")
-        object.__setattr__(self, "coords", tuple(float(c) for c in self.coords))
-        if not all(math.isfinite(c) for c in self.coords):
-            raise ValueError("chart point coordinates must be finite")
-
-
-@dataclass(frozen=True)
 class SampleRecord:
-    """One scan sample: its chart point and residuals, or the type name of
-    the GeometryError that made it unusable.  Ricci samples keep their
-    curvature bundle for the per-sample CSV rows."""
+    """One scan sample: its chart point's coordinates and residuals, or
+    the type name of the GeometryError that made it unusable.  Ricci
+    samples keep their curvature bundle for the per-sample CSV rows."""
 
-    point: ChartPoint
+    point: Coords
     residuals: tuple[float, ...] = ()
     error: str = ""
     curvature: tensorcalc.CurvatureBundle | None = None
@@ -177,9 +156,13 @@ class VerificationReport:
     fits: dict = field(default_factory=dict)
     ratio: RatioStats | None = None
     timing: dict = field(default_factory=dict)
-    # Ricci-scan sample records per construction; like timing, never in
-    # the payload
-    samples: dict[str, tuple[SampleRecord, ...]] = field(default_factory=dict)
+
+    @property
+    def samples(self) -> dict[str, tuple[SampleRecord, ...]]:
+        """The Ricci scans' sample records by construction name; like
+        timing, never in the payload."""
+        ricci = [c for c in self.checks if c.name.startswith("ricci-")]
+        return {c.name.removeprefix("ricci-"): c.samples for c in ricci}
 
     @property
     def passed(self) -> bool:
@@ -234,7 +217,7 @@ class Construction:
     each block in one call of jet_of and of kahler_of.  jet(config) is
     jet_of of the state as one field.
 
-    stream(config, spec) gives the coordinates of the sample stream;
+    stream(config, spec) gives the sample stream as an (N, 4) block;
     action(signature) gives the cyclic generator as the affine map
     x -> M x + shift, as (M, shift); user_coords completes and checks
     user-given coordinates.  Entries call into their modules at call
@@ -243,7 +226,7 @@ class Construction:
 
     name: str
     modes: tuple[str, ...]
-    stream: Callable[[CenterConfiguration, SampleSpec], list[Coords]]
+    stream: Callable[[CenterConfiguration, SampleSpec], np.ndarray]
     metric: Callable[[CenterConfiguration], Field]
     state: Callable[[CenterConfiguration], Field]
     jet_of: Callable[[object], tensorcalc.Jet]
@@ -267,14 +250,6 @@ class Construction:
     def jet(self, config: CenterConfiguration) -> Field:
         """The metric jet as a field: jet_of of the state on each block."""
         return assembled(self.state(config), self.jet_of)
-
-    def points(self, config: CenterConfiguration, spec: SampleSpec) -> list[ChartPoint]:
-        """The sample stream, tagged with this chart."""
-        return [ChartPoint(x, self.name) for x in self.stream(config, spec)]
-
-    def from_coords(self, vals: Sequence[float]) -> ChartPoint:
-        """A chart point from user-given coordinates."""
-        return ChartPoint(self.user_coords(vals), self.name)
 
 
 GH = Construction(
@@ -341,9 +316,9 @@ class ChartEvaluation:
             raise self._done[key]
         return self._done[key]
 
-    def points(self) -> list[ChartPoint]:
-        """The chart's sample stream."""
-        return self._once(None, lambda: self.chart.points(self.config, self.spec))
+    def points(self) -> np.ndarray:
+        """The chart's sample stream, an (N, 4) block."""
+        return self._once(None, lambda: _block(self.chart.stream(self.config, self.spec)))
 
     def field(self, assemble: Callable) -> Field:
         """The field assemble(state) over the good lanes of each block, the
@@ -368,34 +343,31 @@ def _evaluation(
     return evaluation
 
 
-def _sample(
-    points: Sequence[ChartPoint], evaluate: Callable[[Sequence[ChartPoint]], tuple]
-) -> tuple[SampleRecord, ...]:
-    """evaluate on blocks of at most SAMPLE_BLOCK points, as a field: the
-    SampleRecords of the block's good points in order, and per point None
-    or the GeometryError that made it unusable, which marks the sample
-    with its type instead of ending the scan.  A GeometryError raised for
-    the block marks each of its points."""
+def _block(rows) -> np.ndarray:
+    """Chart points, rows of four coordinates, as an (N, 4) block;
+    ValueError unless every coordinate is finite."""
+    x = tensorcalc.as_block(rows)
+    if not np.isfinite(x).all():
+        raise ValueError("chart point coordinates must be finite")
+    return x
+
+
+def _sample(x: np.ndarray, evaluate: Callable[[np.ndarray], tuple]) -> tuple[SampleRecord, ...]:
+    """The SampleRecord of each row of x.  evaluate takes blocks of at most
+    SAMPLE_BLOCK rows as a field: keyword dicts of the good rows' record
+    fields, and per row None or the GeometryError that marks it unusable
+    (a GeometryError raised for the block marks each of its rows)."""
     out = []
-    for start in range(0, len(points), SAMPLE_BLOCK):
-        block = points[start : start + SAMPLE_BLOCK]
+    for start in range(0, len(x), SAMPLE_BLOCK):
+        block = x[start : start + SAMPLE_BLOCK]
         try:
-            records, errors = evaluate(block)
+            fields, errors = evaluate(block)
         except GeometryError as exc:
-            records, errors = (), [exc] * len(block)
-        marks = [e and SampleRecord(cp, error=type(e).__name__) for cp, e in zip(block, errors)]
-        out.extend(tensorcalc.lane_results(marks, records))
+            fields, errors = (), [exc] * len(block)
+        marks = [e and {"error": type(e).__name__} for e in errors]
+        lanes = tensorcalc.lane_results(marks, fields)
+        out.extend(SampleRecord(tuple(p), **f) for p, f in zip(block.tolist(), lanes))
     return tuple(out)
-
-
-def _good(block: Sequence[ChartPoint], errors: Sequence) -> list[ChartPoint]:
-    """The points of the block whose lane has no error, in order."""
-    return [cp for cp, e in zip(block, errors) if e is None]
-
-
-def _coords(block: Sequence[ChartPoint]) -> np.ndarray:
-    """The block's chart coordinates as an (N, 4) array."""
-    return np.array([cp.coords for cp in block])
 
 
 def _skip_counts(samples: Sequence[SampleRecord]) -> dict:
@@ -412,54 +384,48 @@ def _scan_records(
     """One CheckRecord per residual kind: worst residual over the usable
     samples, their count and the skips by error type.  ScanError (holding
     the samples) when no sample is usable."""
-    used = [s for s in samples if not s.error]
+    used = [s.residuals for s in samples if not s.error]
     if not used:
         raise ScanError(f"every {label} sample evaluation failed", samples)
     skipped = _skip_counts(samples)
+    # np.max, not max: a NaN residual must reach the record and fail it
     return [
         CheckRecord(
             name=f"{kind}-{source}",
-            max_residual=max([0.0] + [s.residuals[i] for s in used]),
+            max_residual=w,
             tolerance=tol,
             count=len(used),
             skipped=skipped,
             samples=samples,
         )
-        for i, (kind, tol) in enumerate(zip(kinds, tolerances))
+        for kind, tol, w in zip(kinds, tolerances, np.max(used, axis=0).tolist())
     ]
 
 
 def ricci_samples(
     c: Construction,
     config: CenterConfiguration,
-    points: Sequence[ChartPoint],
+    points,
     evaluation: ChartEvaluation | None = None,
 ) -> tuple[SampleRecord, ...]:
     """Curvature at each chart point, with residual |Ric| / max(|Rm|, 1).
 
     The denominator keeps the residual meaningful in nearly flat regions,
-    where absolute Ricci tends to zero no matter what.  The metric jets
-    come from c.jet, or are assembled from the state of evaluation, a
-    ChartEvaluation of c on config.
+    where absolute Ricci tends to zero no matter what.  points are rows
+    of c's chart coordinates.  The metric jets come from c.jet, or are
+    assembled from the state of evaluation, a ChartEvaluation of c.
     """
     c.require(config)
-    for cp in points:
-        if cp.chart_id != c.name:
-            raise ValueError(f"expected {c.name} chart points, got {cp.chart_id!r}")
-    if evaluation is None:
-        metric = c.jet(config)
-    else:
-        metric = evaluation.field(c.jet_of)
+    metric = c.jet(config) if evaluation is None else evaluation.field(c.jet_of)
 
-    def record(cp: ChartPoint, bundle: tensorcalc.CurvatureBundle) -> SampleRecord:
-        residual = bundle.ricci_norm / max(math.sqrt(bundle.riem_norm_sq), 1.0)
-        return SampleRecord(cp, (residual,), curvature=bundle)
+    def evaluate(block: np.ndarray) -> tuple:
+        bundles, errors = tensorcalc.curvature_at(metric, block)
+        return [
+            {"residuals": (b.ricci_norm / max(math.sqrt(b.riem_norm_sq), 1.0),), "curvature": b}
+            for b in bundles or ()
+        ], errors
 
-    def evaluate(block: Sequence[ChartPoint]) -> tuple:
-        bundles, errors = tensorcalc.curvature_at(metric, _coords(block))
-        return [record(cp, b) for cp, b in zip(_good(block, errors), bundles or ())], errors
-
-    return _sample(points, evaluate)
+    return _sample(_block(points), evaluate)
 
 
 def ricci_scan(
@@ -512,10 +478,10 @@ def kahler_scan(
         compat = np.max(np.abs(w - np.swapaxes(J, -1, -2) @ g), axis=(1, 2))
         return np.column_stack([np.max(np.abs(dw), axis=1) / wscale, nij, compat / wscale])
 
-    def evaluate(block: Sequence[ChartPoint]) -> tuple:
-        fields, errors = kahler_at(_coords(block))
+    def evaluate(block: np.ndarray) -> tuple:
+        fields, errors = kahler_at(block)
         rows = residuals(*fields).tolist() if fields else ()
-        return [SampleRecord(cp, tuple(r)) for cp, r in zip(_good(block, errors), rows)], errors
+        return [{"residuals": tuple(r)} for r in rows], errors
 
     records = _scan_records(
         "Kahler",
@@ -548,8 +514,7 @@ def invariance_scan(
     M, shift = c.action(config.signature)
     metric = c.metric(config)
 
-    def evaluate(block: Sequence[ChartPoint]) -> tuple:
-        x = _coords(block)
+    def evaluate(x: np.ndarray) -> tuple:
         n = len(x)
         g, errors = metric(np.concatenate([x, x @ M.T + shift]))
         lanes = np.zeros((2 * n, 4, 4))
@@ -560,9 +525,7 @@ def invariance_scan(
         res /= np.maximum(1.0, np.max(np.abs(here), axis=(1, 2)))
         # a sample's error is its point's, or else its image's
         errors = [e or image for e, image in zip(errors[:n], errors[n:])]
-        return [
-            SampleRecord(cp, (float(r),)) for cp, r, e in zip(block, res, errors) if e is None
-        ], errors
+        return [{"residuals": (r,)} for r, e in zip(res.tolist(), errors) if e is None], errors
 
     samples = _sample(ev.points(), evaluate)
     return _scan_records("invariance", c.name, ("invariance",), (INVARIANCE_TOL,), samples)[0]
@@ -594,7 +557,7 @@ def cross_validate(
         )
         return stats, CheckRecord("cross-validation", 0.0, SPREAD_TOL, note=stats.note)
     found = {
-        (name, s.point.coords): s.curvature.riem_norm_sq
+        (name, s.point): s.curvature.riem_norm_sq
         for name, samples in (known or {}).items()
         for s in samples
         if s.curvature is not None
@@ -614,13 +577,12 @@ def cross_validate(
             rm[missing[[e is None for e in fresh]]] = [b.riem_norm_sq for b in bundles or ()]
         return rm, errors
 
-    def ratio(cp: ChartPoint, rm_hit: float, rm_gh: float) -> SampleRecord:
+    def ratio(rm_hit: float, rm_gh: float) -> dict:
         if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
-            return SampleRecord(cp, error="below curvature floor")
-        return SampleRecord(cp, (rm_hit / rm_gh,))
+            return {"error": "below curvature floor"}
+        return {"residuals": (rm_hit / rm_gh,)}
 
-    def evaluate(block: Sequence[ChartPoint]) -> tuple:
-        x = _coords(block)
+    def evaluate(x: np.ndarray) -> tuple:
         lifted, errors = hitchin.base_to_chart(config, x)
         rm_hit = np.full(len(x), np.nan)
         if lifted is not None:
@@ -630,10 +592,9 @@ def cross_validate(
         # the complex chart's error first, as in the order of evaluation
         errors = [e or g for e, g in zip(errors, gh_errors)]
         good = [e is None for e in errors]
-        pairs = zip(_good(block, errors), rm_hit[good].tolist(), rm_gh[good].tolist())
-        return [ratio(cp, h, g) for cp, h, g in pairs], errors
+        return [ratio(h, g) for h, g in zip(rm_hit[good].tolist(), rm_gh[good].tolist())], errors
 
-    samples = _sample(GH.points(config, spec), evaluate)
+    samples = _sample(_block(GH.stream(config, spec)), evaluate)
     ratios = [s.residuals[0] for s in samples if not s.error]
     if len(ratios) < 8:
         raise ScanError("fewer than 8 usable cross-validation samples", samples)
@@ -784,7 +745,8 @@ def solver_scan(
         y_abs_sq = np.array([10.0**e for e in (-3.0 + 7.0 * u[2]).tolist()]) * scale
         roots = tensorcalc.every_lane(hitchin.solve_b(config, z, y_abs_sq))
         lhs = hitchin.implicit_lhs(config, z, roots)
-        worst = max(worst, float(np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
+        # np.maximum, not max: a NaN residual must reach the record
+        worst = float(np.maximum(worst, np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
     return CheckRecord("implicit-solver", worst, SOLVER_TOL, count=count)
 
 
@@ -897,24 +859,17 @@ def full_report(
         try:
             records = fn()
         except (GeometryError, ValueError) as exc:
+            samples = getattr(exc, "samples", ())
             records = CheckRecord(
                 name=name,
                 max_residual=math.inf,
                 tolerance=0.0,
                 note=f"{type(exc).__name__}: {exc}",
-                skipped=_skip_counts(getattr(exc, "samples", ())),
+                skipped=_skip_counts(samples),
+                samples=samples,
             )
         report.checks.extend(records if isinstance(records, list) else [records])
         report.timing[name] = time.perf_counter() - t0
-
-    def ricci(c: Construction) -> CheckRecord:
-        try:
-            record = ricci_scan(c.name, config, spec, evaluations[c.name])
-        except ScanError as exc:
-            report.samples[c.name] = exc.samples
-            raise
-        report.samples[c.name] = record.samples
-        return record
 
     def cross() -> CheckRecord:
         report.ratio, record = cross_validate(
@@ -930,7 +885,7 @@ def full_report(
     # the scans are looked up at call time, so a module attribute stays
     # the one binding of each
     per_chart = {
-        "ricci": ricci,
+        "ricci": lambda c: ricci_scan(c.name, config, spec, evaluations[c.name]),
         "kahler": lambda c: kahler_scan(c.name, config, spec, evaluations[c.name]),
         "invariance": lambda c: invariance_scan(c.name, config, spec, evaluations[c.name]),
     }

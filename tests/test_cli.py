@@ -124,6 +124,24 @@ def test_verify_perturb_fails_invariance(tmp_path, capsys):
     assert json.loads(out.read_text())["report"]["pass"] is False
 
 
+def test_verify_past_the_sampling_range_fails_each_scan(tmp_path, capsys):
+    # a center moved by 1e150 puts the sampling annulus past the float
+    # range: each sampled check fails with a ScanError, the report and the
+    # CSV are still written, and validate rejects the oversized config
+    doc = base_doc(checks=["ricci", "kahler", "invariance", "cross"])
+    cfg = write_cfg(tmp_path, doc)
+    out, rows = tmp_path / "r.json", tmp_path / "rows.csv"
+    argv = ["verify", "--config", cfg, "--perturb", "1e150", "--out", str(out)]
+    assert cli.main(argv + ["--csv", str(rows)]) == 1
+    checks = json.loads(out.read_text())["report"]["checks"]
+    assert len(checks) == 7
+    assert all(c["note"].startswith("ScanError: the sampling annulus") for c in checks)
+    assert read_rows(rows) == [cli._CSV_HEADER]
+    doc["singularity"] = {"d": 2, "n": 1, "m": 0, "radii": [[1e160, 0.0], [2e160, 0.0]]}
+    assert cli.main(["validate", "--config", write_cfg(tmp_path, doc)]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 def test_verify_check_flag_overrides_config(tmp_path):
     cfg = write_cfg(tmp_path, base_doc())
     out = tmp_path / "r.json"

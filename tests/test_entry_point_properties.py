@@ -173,7 +173,7 @@ OPTIONS = {
         "--check": st.sampled_from(list(verify.ALL_CHECKS) + ["nosuch"]),
         "--seed": st.sampled_from(["0", "7", "-3", "x"]),
         "--mode": st.sampled_from(MODES),
-        "--perturb": st.sampled_from(["0.01", "-0.5", "nan", "inf", "x"]),
+        "--perturb": st.sampled_from(["0.01", "-0.5", "nan", "inf", "1e150", "x"]),
         "--out": st.just("out"),
         "--csv": st.just("out.csv"),
     },

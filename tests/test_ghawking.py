@@ -756,7 +756,7 @@ def test_stable_factors_at_a_puncture_above_and_below_its_center():
 
 def test_curvature_makes_one_metric_evaluation(monkeypatch):
     cfg = pair_config()
-    point = verify.GH.points(cfg, SampleSpec(count=1, seed=0))[0]
+    point = tuple(verify.GH.stream(cfg, SampleSpec(count=1, seed=0)).tolist()[0])
     calls = {"metric_at": [], "potential_jets": []}
 
     def counting(name):
@@ -772,7 +772,7 @@ def test_curvature_makes_one_metric_evaluation(monkeypatch):
         counting(name)
     (sample,) = verify.ricci_samples(verify.GH, cfg, [point])
     assert sample.error == ""
-    assert calls == {"metric_at": [], "potential_jets": [point.coords]}
+    assert calls == {"metric_at": [], "potential_jets": [point]}
 
 
 def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
@@ -780,9 +780,9 @@ def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():
     # seeds 0-399; the complex-chart metric is 2x the circle-fibered one
     cfg = hexagon_config()
     points = {
-        cp.coords
+        tuple(x)
         for seed in range(400)
-        for cp in verify.GH.points(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed))
+        for x in verify.GH.stream(cfg, SampleSpec(count=verify.CROSS_COUNT, seed=seed)).tolist()
     }
     assert len(points) > 400
     # one block, the way the scans evaluate the complex chart

@@ -601,9 +601,11 @@ def test_base_to_chart_lanes_match_the_float_lift():
     # a center on its vertical line (the y = 0 locus) among them
     cfg = hexagon_config()
     c = cfg.centers[1]
-    x = np.array(
-        [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=4, seed=7))]
-        + [(0.7, c.b - 0.5, c.a.real, c.a.imag), (0.0, 0.4, -2.0, 3.0)]
+    x = np.concatenate(
+        [
+            verify.GH.stream(cfg, SampleSpec(count=4, seed=7)),
+            [(0.7, c.b - 0.5, c.a.real, c.a.imag), (0.0, 0.4, -2.0, 3.0)],
+        ]
     )
     lifted, errors = hitchin.base_to_chart(cfg, x)
     assert [type(e).__name__ if e else "" for e in errors] == [""] * 4 + ["ChartBoundaryError", ""]

@@ -6,7 +6,7 @@ import pytest
 from gravinst import ghawking, sampling
 from gravinst.errors import ScanError
 from gravinst.sampling import SampleSpec
-from gravinst.singularities import QuotientSignature, make_polygon_config
+from gravinst.singularities import QuotientSignature, config_from_json, make_polygon_config
 from fd_reference import float_base_to_chart, integer_halton
 
 
@@ -69,21 +69,21 @@ def test_hexagon_streams_are_pinned():
     # complex-chart points from the block lift, within 1e-15 of the float
     # lift of the same base points (the third point's y is 1 ulp off it)
     cfg, spec = hexagon_config(), SampleSpec(count=3, seed=42)
-    gh = sampling.gh_points(cfg, spec)
+    gh = sampling.gh_points(cfg, spec).tolist()
     assert gh == [
-        (1.6669675304762166, 1.8894664518725193, -1.2128634399717522, -8.718280845195284),
-        (2.564565431501872, 5.155081592584775, 2.545976600444295, -1.2373582560701983),
-        (3.4621633325275267, -7.069928684707151, 2.366692137048613, 4.179709296205072),
+        [1.6669675304762166, 1.8894664518725193, -1.2128634399717522, -8.718280845195284],
+        [2.564565431501872, 5.155081592584775, 2.545976600444295, -1.2373582560701983],
+        [3.4621633325275267, -7.069928684707151, 2.366692137048613, 4.179709296205072],
     ]
-    hit = sampling.hitchin_points(cfg, spec)
+    hit = sampling.hitchin_points(cfg, spec).tolist()
     assert hit == [
-        (1.2128634399717522, -8.718280845195284, -110.56881126963592, 1146.161394530822),
-        (-2.545976600444295, -1.2373582560701983, -964.3188520316079, 627.7020120055573),
-        (-2.366692137048613, 4.179709296205072, -2.6051792810225622, -0.8649791157798524),
+        [1.2128634399717522, -8.718280845195284, -110.56881126963592, 1146.161394530822],
+        [-2.545976600444295, -1.2373582560701983, -964.3188520316079, 627.7020120055573],
+        [-2.366692137048613, 4.179709296205072, -2.6051792810225622, -0.8649791157798524],
     ]
     for got, base in zip(hit, gh):
         want = float_base_to_chart(cfg, base)
-        assert got[:2] == want[:2]
+        assert tuple(got[:2]) == want[:2]
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15 * max(map(abs, want))
 
 
@@ -109,3 +109,14 @@ def test_stream_raises_after_exactly_its_draw_budget(monkeypatch, count):
         sampling.gh_points(hexagon_config(), SampleSpec(count=count, seed=5))
     assert tested[0] == 10000 * count
     assert drawn[0] == len(sampling._BASES) * 10000 * count
+
+
+def test_an_annulus_whose_cubed_radius_overflows_is_a_scan_error():
+    # the volume-uniform radius takes r_min^3 and r_max^3 of the scaled
+    # annulus; (6e150)^3 overflows, and so does (1e300)^3 on a unit scale
+    big = config_from_json({"d": 1, "n": 2, "m": 1, "radii": [[1e150, 0.0]]})
+    pair = config_from_json({"d": 1, "n": 2, "m": 1, "radii": [[1.0, 0.0]]})
+    for cfg, spec in ((big, SampleSpec()), (pair, SampleSpec(r_max=1e300))):
+        for points in (sampling.gh_points, sampling.hitchin_points):
+            with pytest.raises(ScanError, match="too large"):
+                points(cfg, spec)

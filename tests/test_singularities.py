@@ -3,6 +3,7 @@
 import cmath
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,23 @@ def test_config_from_json_round_trip():
     assert cfg.k == ref.k
     for a, b in zip(cfg.centers, ref.centers):
         assert a.b == b.b and abs(a.a - b.a) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"d": 1, "n": 2, "m": 1, "radii": [[1e160, 0.0]]},
+        {"d": 2, "n": 1, "m": 0, "radii": [[1e160, 0.0], [2e160, 0.0]]},
+    ],
+    ids=["power-overflows", "extent-overflows"],
+)
+def test_an_oversized_configuration_is_a_value_error(doc):
+    # c**n overflowed with an OverflowError; with n = 1 the configuration
+    # was built with extent() = inf, after an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            config_from_json(doc)
 
 
 def test_config_from_json_defaults_and_strictness():

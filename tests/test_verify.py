@@ -73,9 +73,8 @@ def test_scans_reject_a_construction_that_does_not_apply():
     ):
         with pytest.raises(ValueError, match="applies to ale"):
             scan("hitchin", config, spec=SampleSpec(count=2))
-    point = verify.HITCHIN.from_coords([0.4, -0.3, 1.5, 0.7])
     with pytest.raises(ValueError, match="applies to ale"):
-        verify.ricci_samples(verify.HITCHIN, taubnut_config(), [point])
+        verify.ricci_samples(verify.HITCHIN, taubnut_config(), [(0.4, -0.3, 1.5, 0.7)])
     with pytest.raises(ValueError, match="applies to ale"):
         verify.cross_validate(akl)
 
@@ -121,19 +120,16 @@ def test_ricci_scan_rejects_unknown_source():
 
 
 def test_chart_point_validation():
-    with pytest.raises(ValueError):
-        verify.ChartPoint((1.0, 2.0, 3.0), "gh")
-    with pytest.raises(ValueError):
-        verify.ChartPoint((1.0, 2.0, 3.0, float("nan")), "gh")
-
-
-def test_ricci_samples_reject_points_of_the_other_chart():
+    # a chart point is a row of four finite coordinates, and its record
+    # keeps them as a tuple
     cfg = pair_config()
-    point = verify.HITCHIN.from_coords([0.4, -0.3, 1.5, 0.7])
-    with pytest.raises(ValueError, match="chart"):
-        verify.ricci_samples(verify.GH, cfg, [point])
-    (sample,) = verify.ricci_samples(verify.HITCHIN, cfg, [point])
-    assert sample.error == "" and sample.point == point
+    with pytest.raises(ValueError, match=r"\(N, 4\) array"):
+        verify.ricci_samples(verify.GH, cfg, [(1.0, 2.0, 3.0)])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="chart point coordinates must be finite"):
+            verify.ricci_samples(verify.GH, cfg, [(0.3, 2.5, 1.0, 0.5), (1.0, 2.0, 3.0, bad)])
+    (sample,) = verify.ricci_samples(verify.HITCHIN, cfg, [[0.4, -0.3, 1.5, 0.7]])
+    assert sample.error == "" and sample.point == (0.4, -0.3, 1.5, 0.7)
 
 
 # --- kahler ---
@@ -196,6 +192,55 @@ def test_invariance_scan_negative_control():
         rec = verify.invariance_scan(src, pert, spec=SampleSpec(count=6))
         assert not rec.passed
         assert rec.max_residual > 1e-3
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # a NaN on a good lane after a finite one: Python's max kept the first
+    # of two values that do not compare, so the scan passed
+    metric_at = ghawking.metric_at
+
+    def nan_on_lane_two(config, x):
+        g, errors = metric_at(config, x)
+        g[2] = np.nan
+        return g, errors
+
+    monkeypatch.setattr(ghawking, "metric_at", nan_on_lane_two)
+    rec = verify.invariance_scan("gh", pair_config(), spec=SampleSpec(count=6))
+    assert rec.count == 6 and math.isnan(rec.max_residual)
+    assert rec.payload()["max_residual"] is None and rec.payload()["pass"] is False
+
+    implicit_lhs = hitchin.implicit_lhs
+
+    def nan_lhs(config, z, b):
+        lhs = implicit_lhs(config, z, b)
+        lhs[3] = np.nan
+        return lhs
+
+    monkeypatch.setattr(hitchin, "implicit_lhs", nan_lhs)
+    rec = verify.solver_scan(pair_config(), count=10)
+    assert math.isnan(rec.max_residual) and rec.payload()["pass"] is False
+
+
+def test_no_check_passes_on_a_chart_point_that_is_not_finite():
+    # k = 12 centers at about 1e52: the complex-chart stream lifts base
+    # points to rows with |y| = inf (hitchin.base_to_chart's exp overflows,
+    # with a RuntimeWarning), and every scan of that chart fails on them
+    cfg = make_polygon_config(
+        QuotientSignature(4, 3, 1), [1e52, 1.1e52, 1.2e52, 1.3e52], [0.0] * 4
+    )
+    with pytest.warns(RuntimeWarning):
+        report = verify.full_report(cfg)
+    failed = {c.name: c.note for c in report.checks if not c.passed}
+    not_finite = "ValueError: chart point coordinates must be finite"
+    no_lift = "ValueError: y_abs_sq must be positive and finite"
+    assert failed == {
+        "ricci-hitchin": not_finite,
+        "kahler-hitchin": not_finite,
+        "invariance-hitchin": not_finite,
+        "cross-validation": no_lift,
+        "fits": no_lift,
+    }
+    assert report.samples == {"gh": report.checks[0].samples, "hitchin": ()}
 
 
 def test_invariance_scan_rejects_trivial_action():
@@ -269,7 +314,7 @@ def test_full_report_cross_validation_uses_run_sampling_geometry():
     assert len(record.samples) == verify.CROSS_COUNT
     scale = max(1.0, cfg.extent())
     for s in record.samples:
-        _, b, a1, a2 = s.point.coords
+        _, b, a1, a2 = s.point
         assert 3.0 <= math.hypot(b, a1, a2) / scale <= 4.0
 
 
@@ -666,7 +711,7 @@ def assert_block_matches_jet(field, jet_field, x, expected):
 
 def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
     cfg = tower_config()
-    stream = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=3, seed=7))]
+    stream = verify.GH.stream(cfg, SampleSpec(count=3, seed=7)).tolist()
     low, high, side = cfg.centers
     x = np.array(
         [
@@ -693,7 +738,7 @@ def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
     cfg = CenterConfiguration(
         centers=(Center(0.0, 0j), Center(1.0, 1.0 + 0.5j)), signature=QuotientSignature(2, 1, 0)
     )
-    stream = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=2, seed=7))]
+    stream = verify.GH.stream(cfg, SampleSpec(count=2, seed=7)).tolist()
     x = np.array(
         [stream[0], (0.2, -0.5, 1e-170, 0.0), (0.2, -0.5, 1e-160, 0.0),
          (0.3, 1e-170, 0.0, 0.0), (0.3, 1e-155, 0.0, 0.0), stream[1]]
@@ -705,7 +750,7 @@ def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
 
 def test_hitchin_metric_block_agrees_with_the_jets_lane_by_lane():
     cfg = hexagon_config()
-    stream = [cp.coords for cp in verify.HITCHIN.points(cfg, SampleSpec(count=3, seed=7))]
+    stream = verify.HITCHIN.stream(cfg, SampleSpec(count=3, seed=7)).tolist()
     a = cfg.centers[0].a
     x = np.array(
         [
@@ -732,8 +777,8 @@ def test_fields_take_blocks_only():
     # never a silent block of one; the same point as a block of one is good.
     # solve_b takes 1-D lanes of (z, |y|^2) the same way
     cfg = hexagon_config()
-    gh_point = np.array(verify.GH.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
-    hit_point = np.array(verify.HITCHIN.points(cfg, SampleSpec(count=1, seed=7))[0].coords)
+    gh_point = verify.GH.stream(cfg, SampleSpec(count=1, seed=7))[0]
+    hit_point = verify.HITCHIN.stream(cfg, SampleSpec(count=1, seed=7))[0]
     z, y_sq = complex(*hit_point[:2]), float(np.hypot(*hit_point[2:]) ** 2)
 
     def never(x):
@@ -780,7 +825,7 @@ def test_construction_jet_and_chart_evaluation_give_identical_bundles(chart):
         pole = (0.3, c.b, c.a.real, c.a.imag)
     else:
         pole = (-c.a.real, c.a.imag, 1.0, 0.0)
-    x = np.array([pole] + [cp.coords for cp in evaluation.points()])
+    x = np.concatenate([[pole], evaluation.points()])
     direct, direct_errors = tensorcalc.curvature_at(chart.jet(cfg), x)
     shared, shared_errors = tensorcalc.curvature_at(evaluation.field(chart.jet_of), x)
     for errors in (direct_errors, shared_errors):
@@ -813,7 +858,7 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
     # solve for b, with a jet that is not finite and with a singular
     # metric: no lane ends its block, and each gets what it gets alone
     cfg = hexagon_config()
-    stream = [cp.coords for cp in verify.HITCHIN.points(cfg, SampleSpec(count=6, seed=7))]
+    stream = [tuple(x) for x in verify.HITCHIN.stream(cfg, SampleSpec(count=6, seed=7)).tolist()]
     nan_at, singular_at = stream[4], stream[5]
     a = cfg.centers[0].a
     odd = {
@@ -824,9 +869,8 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
         "NumericOverflowError": nan_at,
         "DegenerateMetricError": singular_at,
     }
-    coords = [stream[0], odd["ChartBoundaryError"], stream[1], odd["PoleError"],
+    points = [stream[0], odd["ChartBoundaryError"], stream[1], odd["PoleError"],
               odd["ConvergenceError"], stream[2], nan_at, singular_at, stream[3]]
-    points = [verify.ChartPoint(x, "hitchin") for x in coords]
 
     # the state keeps its block's good points for the assembly to poison
     good = []
@@ -876,7 +920,7 @@ def test_each_lane_of_a_block_gets_the_error_of_a_block_of_one(monkeypatch):
     assert_same_bundles(block, single)
 
     # the lift of base points, with one on the y = 0 locus below a center
-    base = [cp.coords for cp in verify.GH.points(cfg, SampleSpec(count=4, seed=7))]
+    base = verify.GH.stream(cfg, SampleSpec(count=4, seed=7)).tolist()
     c = cfg.centers[0]
     base.insert(2, (0.5, c.b - 1.0, c.a.real, c.a.imag))
     assert_lanes_are_blocks_of_one(
