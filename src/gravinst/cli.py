@@ -249,11 +249,13 @@ def _parse_point(text: str, construction: verify.Construction) -> list[float]:
 
 
 def cmd_sample(args) -> int:
-    _, config = _load(args)
+    run, config = _load(args)
     construction = verify.construction(args.construction).require(config)
     points = [_parse_point(text, construction) for text in args.point or ()]
+    if args.seed is not None:
+        run.sample = dataclasses.replace(run.sample, seed=args.seed)
     if args.grid:
-        spec = SampleSpec(count=args.grid, seed=args.seed or 0)
+        spec = dataclasses.replace(run.sample, count=args.grid)
         points += construction.stream(config, spec).tolist()
     if not points:
         raise ConfigError("nothing to sample: give --point and/or --grid")

@@ -28,12 +28,13 @@ over its block in one lane call, each lane with its own typed error.
 solve_b returns what a field does, the roots of the converged lanes and
 each lane's error, and base_to_chart is the field that lifts a block of
 circle-fibered base points (theta, b, a1, a2) to this chart.  metric_at
-gives g and metric_jet g as a second-order jet (tensorcalc.Jet), both
-_metric of _eta, which take float lanes and jets alike, from ghawking's
-Delta_i and f_i.  The jets' evaluation, the chart's state on a block, is
-eta_jets; metric_of assembles from it curvature's g with its exact
-first and second derivatives, and kahler_of the Kahler scan's g value
-and omega jet, built separately from the same eta, with J0 as J.
+gives g in floats and metric_of g as a second-order jet
+(tensorcalc.Jet), both _metric of _eta, which take float lanes and jets
+alike, from ghawking's Delta_i and f_i.  The jets' evaluation, the
+chart's state on a block, is eta_jets; metric_of assembles from it
+curvature's g with its exact first and second derivatives, and
+kahler_of the Kahler scan's g value and omega jet, built separately
+from the same eta, with J0 as J, a jet with zero derivatives.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
     FitDomainError,
+    NumericOverflowError,
     PoleError,
     SingularFiberError,
 )
@@ -371,20 +373,12 @@ def metric_of(eta: tuple) -> tensorcalc.Jet:
 def kahler_of(eta: tuple) -> tuple:
     """(g, omega, J) of the good lanes, assembled from the (gamma, Re eta,
     Im eta) jets of eta_jets: g as a float array, omega = -Im h as a jet,
-    and J the constant STANDARD_J.  g and omega are assembled separately
-    from the same eta, so omega = J0^T g is a check, not an identity of
-    the code."""
+    and J the constant STANDARD_J as a jet with zero derivatives.  g and
+    omega are assembled separately from the same eta, so omega = J0^T g is
+    a check, not an identity of the code."""
     gam, re, im = eta
-    return _metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), STANDARD_J
-
-
-def metric_jet(config: CenterConfiguration, x):
-    """The real metric as a second-order jet in (Re z, Im z, Re y, Im y),
-    as a field (see tensorcalc): its value with exact first and second
-    derivatives at each point of the block x, from one solve for b over
-    the block (metric_of of eta_jets)."""
-    eta, errors = eta_jets(config, x)
-    return (eta and metric_of(eta)), errors
+    J = tensorcalc.Jet.constant(np.broadcast_to(STANDARD_J, gam.val.shape + (4, 4)))
+    return _metric(gam.val, re.val, im.val), _kahler_form(gam, re, im), J
 
 
 def action(signature: QuotientSignature) -> tuple[np.ndarray, np.ndarray]:
@@ -416,22 +410,25 @@ def base_to_chart(config: CenterConfiguration, x) -> tuple:
     (theta, b, a1, a2) of a block x of circle-fibered chart points, as a
     field (see tensorcalc): z = -conj(a) and |y|^2 = prod_i ((b - b_i) +
     Delta_i), with theta the phase of y.  A lane whose product vanishes
-    (a base point on the y = 0 locus) gets ChartBoundaryError."""
+    (a base point on the y = 0 locus) gets ChartBoundaryError, and one
+    whose |y|^2 is not a finite float NumericOverflowError."""
     x = tensorcalc.as_block(x)
     z_re, z_im = -x[:, 2], x[:, 3]
     b_i, r = _lane_data(config, z_re + 1j * z_im)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         log_y_sq = _lane_log_lhs(b_i, r, x[:, 1])[0]
+        y_abs, theta = np.exp(0.5 * log_y_sq), x[:, 0]
+        overflow = ~np.isfinite(y_abs * y_abs)
+        lifted = np.column_stack([z_re, z_im, y_abs * np.cos(theta), y_abs * np.sin(theta)])
     on_locus = log_y_sq == -math.inf
     errors: list = [
-        ChartBoundaryError("base point lies on the y = 0 locus") if v else None
-        for v in on_locus.tolist()
+        ChartBoundaryError("base point lies on the y = 0 locus") if v
+        else NumericOverflowError("|y|^2 of the lift is not a finite float") if o
+        else None
+        for v, o in zip(on_locus.tolist(), overflow.tolist())
     ]
-    if on_locus.all():
-        return None, errors
-    y_abs, theta = np.exp(0.5 * log_y_sq), x[:, 0]
-    lifted = np.column_stack([z_re, z_im, y_abs * np.cos(theta), y_abs * np.sin(theta)])
-    return lifted[~on_locus], errors
+    good = ~(on_locus | overflow)
+    return (lifted[good] if good.any() else None), errors
 
 
 _DECAY_DIRECTIONS = np.array(
@@ -464,9 +461,8 @@ def ale_curvature_samples(
     points = tensorcalc.every_lane(
         base_to_chart(config, np.column_stack([np.zeros(len(base)), base]))
     )
-    bundles = tensorcalc.every_lane(
-        tensorcalc.curvature_at(lambda x: metric_jet(config, x), points)
-    )
+    metric = tensorcalc.assembled(lambda x: eta_jets(config, x), metric_of)
+    bundles = tensorcalc.every_lane(tensorcalc.curvature_at(metric, points))
     rm = np.array([bundle.riem_norm_sq for bundle in bundles])
     return radii, rm.reshape(len(base_radii), len(directions)).tolist()
 

@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from gravinst import ghawking, hitchin
-from gravinst.errors import ScanError
+from gravinst.errors import NumericOverflowError, ScanError
 from gravinst.singularities import CenterConfiguration
 
 _BASES = (2, 3, 5, 7)
@@ -162,7 +162,10 @@ def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> np.ndarray:
     deterministic function of the SampleSpec.  The stream's budget bounds
     the discards too.  The candidates are lifted in blocks
     (hitchin.base_to_chart) of as many as are still missing, so the draw
-    never runs past the last one accepted.
+    never runs past the last one accepted.  A candidate whose lift
+    overflows ends the stream with its NumericOverflowError: the chart
+    cannot carry the annulus, and dropping its far points would draw the
+    whole budget.
     """
     scale = max(1.0, config.extent())
     candidates = (
@@ -174,7 +177,10 @@ def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> np.ndarray:
     while len(out) < spec.count:
         block = list(itertools.islice(candidates, spec.count - len(out)))
         # a lane on the y = 0 locus has no lift, and the margin drops it anyway
-        lifted, _ = hitchin.base_to_chart(config, block)
+        lifted, errors = hitchin.base_to_chart(config, block)
+        for e in errors:
+            if isinstance(e, NumericOverflowError):
+                raise e
         out.extend(
             x
             for x in (lifted.tolist() if lifted is not None else ())

@@ -16,9 +16,10 @@ a failing lane never ends its block.  Anything but an (N, 4) array is a
 ValueError.  curvature_at is a field of the same shape: it evaluates
 the metric's jet field once per block and assembles every lane at once.
 lane_results joins a field's values and errors into one result per
-lane, and every_lane takes the value of a block whose lanes are all
-good.  exterior_derivative and nijenhuis_at take derivative arrays with
-any leading lane axes.
+lane, every_lane takes the value of a block whose lanes are all good,
+and assembled maps a field's value to a new field with the same errors.
+exterior_derivative and nijenhuis_at take derivative arrays with any
+leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -296,6 +297,17 @@ def every_lane(result: tuple):
     return value
 
 
+def assembled(field: Field, assemble: Callable) -> Field:
+    """The field assemble(value) of a field's value over the good lanes of
+    each block, with the field's per-lane errors."""
+
+    def at(x):
+        value, errors = field(x)
+        return (assemble(value) if value is not None else None), errors
+
+    return at
+
+
 def _stack_lanes(values: list):
     """Per-point jets, or tuples of them, stacked on a leading lane axis."""
     if isinstance(values[0], tuple):
@@ -354,6 +366,8 @@ def curvature_at(metric: Field, x) -> tuple:
     return bundles, lane_results(errors, jet_errors)
 
 
+# an assembly that leaves the floats is its lane's NumericOverflowError
+@np.errstate(over="ignore", invalid="ignore")
 def _curvature_lanes(jet: Jet) -> tuple:
     """curvature_at over the lanes of a metric jet of value shape (N, 4, 4),
     as a field over the jet's lanes."""

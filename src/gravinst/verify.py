@@ -9,7 +9,8 @@ agreement up to a global homothety forces a constant |Rm|^2 ratio.
 
 What differs between the two constructions is held in one table of
 :class:`Construction` records; the scans themselves never branch on the
-chart.
+chart.  Both charts give J as a jet, so the Kahler scan measures their
+Nijenhuis tensors alike.
 
 A report evaluates each chart once per sample point.  full_report gives
 each applicable chart one :class:`ChartEvaluation`: the chart's sample
@@ -20,7 +21,9 @@ J) from that state, and the invariance scan takes the same stream.
 Cross-validation lifts its base points to the complex chart a block at
 a time (hitchin.base_to_chart), takes its curvature from the report's
 Ricci samples wherever a matched point is one of them, and evaluates
-only the rest.  Called alone, each scan makes its own evaluation.
+only the rest.  Called alone, each scan makes its own evaluation.  The
+report keeps the ratio's mean beside the cross-validation record, which
+holds its spread, count and skips.
 
 A chart point is a row of four coordinates.  Every scan evaluates a
 block of samples as a field: the SampleRecord fields of the usable
@@ -42,12 +45,11 @@ from gravinst.errors import FitDomainError, GeometryError, ScanError
 from gravinst.fitting import fit_proportional
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
-    Center,
     CenterConfiguration,
     QuotientSignature,
     make_polygon_config,
 )
-from gravinst.tensorcalc import Coords, Field
+from gravinst.tensorcalc import Coords, Field, assembled
 
 RICCI_TOL = 5e-5
 DOMEGA_TOL = 1e-6
@@ -128,33 +130,14 @@ class CheckRecord:
         return out
 
 
-@dataclass(frozen=True)
-class RatioStats:
-    """Cross-construction |Rm|^2 ratio summary."""
-
-    mean: float
-    spread: float
-    count: int
-    note: str = ""
-
-    def payload(self) -> dict:
-        out = {
-            "mean": _finite(self.mean),
-            "spread": _finite(self.spread),
-            "count": self.count,
-        }
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
 @dataclass
 class VerificationReport:
     config_payload: dict
     seed: int
     checks: list[CheckRecord] = field(default_factory=list)
     fits: dict = field(default_factory=dict)
-    ratio: RatioStats | None = None
+    # the mean |Rm|^2 ratio of cross-validation, whose record holds the rest
+    ratio_mean: float | None = None
     timing: dict = field(default_factory=dict)
 
     @property
@@ -178,20 +161,16 @@ class VerificationReport:
             "fits": self.fits,
             "pass": self.passed,
         }
-        if self.ratio is not None:
-            out["cross_validation"] = self.ratio.payload()
+        if self.ratio_mean is not None:
+            cross = next(c for c in self.checks if c.name == "cross-validation")
+            out["cross_validation"] = {
+                "mean": _finite(self.ratio_mean),
+                "spread": _finite(cross.max_residual),
+                "count": cross.count,
+            }
+            if cross.note:
+                out["cross_validation"]["note"] = cross.note
         return out
-
-
-def assembled(field: Field, assemble: Callable) -> Field:
-    """The field assemble(value) of a field's value over the good lanes of
-    each block, with the field's per-lane errors."""
-
-    def at(x):
-        value, errors = field(x)
-        return (assemble(value) if value is not None else None), errors
-
-    return at
 
 
 @dataclass(frozen=True)
@@ -210,9 +189,7 @@ class Construction:
     chart's jets of one evaluation.  From that value jet_of(value) gives
     the metric as an exact jet over the good lanes, the evaluation
     tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
-    J): g as a float array, omega as a jet, J as a jet or, where the
-    chart's complex structure has constant components (so its Nijenhuis
-    tensor vanishes identically), a constant array.  Both charts hold the
+    J): g as a float array, omega and J as jets.  Both charts hold the
     state over a leading lane axis, the good lanes in order, and assemble
     each block in one call of jet_of and of kahler_of.  jet(config) is
     jet_of of the state as one field.
@@ -450,32 +427,23 @@ def kahler_scan(
 ) -> list[CheckRecord]:
     """Closedness, integrability and compatibility of the Kahler triple.
 
-    Returns three records: the exterior derivative of omega, the
-    Nijenhuis tensor of J (both relative to the largest local omega / J
-    entry scale), and the algebraic residual omega - J^T g.  Where J has
-    constant components (the chart gives a plain array, not a jet) the
-    Nijenhuis tensor is 0 by construction; it is recorded as such, with a
-    note, and not differentiated.  The samples are those of ricci_scan:
-    the stream of spec or of evaluation, and (g, omega, J) assembled from
-    the same state.
+    Returns three records: the exterior derivative of omega (relative to
+    the largest local omega entry scale), the Nijenhuis tensor of J, and
+    the algebraic residual omega - J^T g (relative to the same scale).
+    The samples are those of ricci_scan: the stream of spec or of
+    evaluation, and (g, omega, J) assembled from the same state.
     """
     ev = _evaluation(metric_source, config, spec, evaluation)
     c = ev.chart
-    points = ev.points()
     kahler_at = ev.field(c.kahler_of)
-    constant_j = []
 
-    def residuals(g: np.ndarray, omega: tensorcalc.Jet, J) -> np.ndarray:
+    def residuals(g: np.ndarray, omega: tensorcalc.Jet, J: tensorcalc.Jet) -> np.ndarray:
         """The three residuals of each lane, one row per lane."""
-        constant_j.append(not isinstance(J, tensorcalc.Jet))
-        nij = np.zeros(len(g))
-        if not constant_j[-1]:
-            nij = np.max(np.abs(tensorcalc.nijenhuis_at(J.val, J.partials()[0])), axis=(1, 2, 3))
-            J = J.val
+        nij = np.max(np.abs(tensorcalc.nijenhuis_at(J.val, J.partials()[0])), axis=(1, 2, 3))
         w = omega.val
         dw = tensorcalc.exterior_derivative(omega.partials()[0])
         wscale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
-        compat = np.max(np.abs(w - np.swapaxes(J, -1, -2) @ g), axis=(1, 2))
+        compat = np.max(np.abs(w - np.swapaxes(J.val, -1, -2) @ g), axis=(1, 2))
         return np.column_stack([np.max(np.abs(dw), axis=1) / wscale, nij, compat / wscale])
 
     def evaluate(block: np.ndarray) -> tuple:
@@ -483,16 +451,13 @@ def kahler_scan(
         rows = residuals(*fields).tolist() if fields else ()
         return [{"residuals": tuple(r)} for r in rows], errors
 
-    records = _scan_records(
+    return _scan_records(
         "Kahler",
         c.name,
         ("kahler-domega", "kahler-nijenhuis", "kahler-compat"),
         (DOMEGA_TOL, NIJENHUIS_TOL, COMPAT_TOL),
-        _sample(points, evaluate),
+        _sample(ev.points(), evaluate),
     )
-    if all(constant_j):
-        records[1] = replace(records[1], note="J0 is constant in this chart")
-    return records
 
 
 def invariance_scan(
@@ -535,9 +500,9 @@ def cross_validate(
     config: CenterConfiguration,
     spec: SampleSpec | None = None,
     known: Mapping[str, Sequence[SampleRecord]] | None = None,
-) -> tuple[RatioStats, CheckRecord]:
+) -> tuple[float, CheckRecord]:
     """Pointwise |Rm|^2 ratio between the two constructions at matched
-    base points.
+    base points: its mean and the record of its spread.
 
     If the metrics agree up to a global homothety g -> c g the ratio is
     the constant c^-2 everywhere; the spread is asserted, the constant is
@@ -552,10 +517,9 @@ def cross_validate(
         c.require(config)
     spec = spec or SampleSpec(count=CROSS_COUNT)
     if config.k < 2:
-        stats = RatioStats(
-            mean=float("nan"), spread=0.0, count=0, note="flat configuration, skipped"
+        return math.nan, CheckRecord(
+            "cross-validation", 0.0, SPREAD_TOL, note="flat configuration, skipped"
         )
-        return stats, CheckRecord("cross-validation", 0.0, SPREAD_TOL, note=stats.note)
     found = {
         (name, s.point): s.curvature.riem_norm_sq
         for name, samples in (known or {}).items()
@@ -600,17 +564,14 @@ def cross_validate(
         raise ScanError("fewer than 8 usable cross-validation samples", samples)
     arr = np.asarray(ratios)
     mean = float(np.mean(arr))
-    spread = float((np.max(arr) - np.min(arr)) / abs(mean))
-    stats = RatioStats(mean=mean, spread=spread, count=len(ratios))
-    record = CheckRecord(
+    return mean, CheckRecord(
         name="cross-validation",
-        max_residual=spread,
+        max_residual=float((np.max(arr) - np.min(arr)) / abs(mean)),
         tolerance=SPREAD_TOL,
         count=len(ratios),
         skipped=_skip_counts(samples),
         samples=samples,
     )
-    return stats, record
 
 
 def period_check(config: CenterConfiguration) -> CheckRecord:
@@ -639,10 +600,6 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     dbs, periods = db[clear & vertical].tolist(), periods[vertical[clear]].tolist()
     if not dbs:
         raise ScanError("every vertically separated segment was blocked")
-    if len(dbs) == 1:
-        c = periods[0] / dbs[0]
-        note = f"single pair defines C = {c:.9g}"
-        return CheckRecord("periods", 0.0, PERIOD_TOL, count=1, note=note)
     c, residual = fit_proportional(dbs, periods)
     return CheckRecord(
         name="periods",
@@ -731,7 +688,9 @@ def solver_scan(
 ) -> CheckRecord:
     """Back-substitution residual of the implicit height solver over a
     deterministic stream of chart inputs, drawn, solved and substituted
-    back SOLVER_BLOCK lanes at a time."""
+    back SOLVER_BLOCK lanes at a time.  ValueError unless the complex
+    chart carries config's metric."""
+    HITCHIN.require(config)
     sampling.require_count_and_seed(count, seed)
     worst = 0.0
     start = 1 + seed % (2**31)
@@ -796,12 +755,7 @@ def akl_convergence_check(
 def perturb_config(config: CenterConfiguration, eps: float = 0.01) -> CenterConfiguration:
     """Move the first center by eps in the a-plane, breaking the symmetry."""
     c, *rest = config.centers
-    return CenterConfiguration(
-        centers=(Center(b=c.b, a=c.a + complex(eps, 0.0)), *rest),
-        signature=config.signature,
-        mode=config.mode,
-        akl_j_max=config.akl_j_max,
-    )
+    return replace(config, centers=(replace(c, a=c.a + complex(eps, 0.0)), *rest))
 
 
 def _config_payload(config: CenterConfiguration) -> dict:
@@ -872,7 +826,7 @@ def full_report(
         report.timing[name] = time.perf_counter() - t0
 
     def cross() -> CheckRecord:
-        report.ratio, record = cross_validate(
+        report.ratio_mean, record = cross_validate(
             config, replace(spec, count=CROSS_COUNT), report.samples
         )
         return record

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from gravinst import cli, tensorcalc
+from gravinst import cli, sampling, tensorcalc
 from gravinst.errors import DegenerateMetricError
 from gravinst.sampling import SampleSpec
 
@@ -297,6 +297,20 @@ def test_sample_grid(tmp_path):
     )
     assert code == 0
     assert len(read_rows(out)) == 4
+
+
+def test_sample_grid_draws_the_run_files_sample_spec(tmp_path):
+    # the grid is the run's sample stream with the count of --grid, its
+    # seed overridden by --seed, as verify does
+    cfg = write_cfg(tmp_path, base_doc(sample={"seed": 3, "r_min": 3.0}))
+    config = cli.load_run_config(cfg).build()
+    out = tmp_path / "g.csv"
+    for extra, seed in (([], 3), (["--seed", "5"], 5)):
+        argv = ["sample", "--config", cfg, "--grid", "3", "--out", str(out)]
+        assert cli.main(argv + extra) == 0
+        expected = sampling.gh_points(config, SampleSpec(count=3, seed=seed, r_min=3.0))
+        rows = read_rows(out)[1:]
+        assert [[float(v) for v in row[2:6]] for row in rows] == expected.tolist()
 
 
 def test_sample_argument_errors(tmp_path):

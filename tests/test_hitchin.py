@@ -536,7 +536,8 @@ def test_kahler_form_closed_and_compatible():
     assert errors == [None]
     omega = omega[0]
     assert np.max(np.abs(g - at_point(metric(cfg), x))) <= 1e-14 * np.max(np.abs(g))
-    assert J is hitchin.STANDARD_J
+    # J0 is a jet with zero derivatives
+    assert np.array_equal(J.val, [hitchin.STANDARD_J]) and not J.grad.any() and not J.hess.any()
     d_omega = omega.partials()[0]
     assert np.max(np.abs(tensorcalc.exterior_derivative(d_omega))) < 1e-14
     fd_omega = fd_derivatives(omega_field(cfg), chart_step(cfg, x), blocks=True)
@@ -725,7 +726,7 @@ def test_metric_jet_rejects_branch_locus_and_punctures():
         (coplanar_pair(), (1.0, 0.0, 1.0, 0.0), PoleError),
     ):
         with pytest.raises(error):
-            at_point(lambda b: hitchin.metric_jet(cfg, b), x)
+            at_point(verify.HITCHIN.jet(cfg), x)
         with pytest.raises(error):
             at_point(lambda b: tensorcalc.curvature_at(verify.HITCHIN.jet(cfg), b), x)
 

@@ -7,7 +7,8 @@ moved record with its old and new values, the measure of how far a
 change moved the reports; a check's residual is also given as a
 fraction of its tolerance, how far it sits inside its bound, and its
 move as a fraction of the new tolerance, which a round-off move shows
-where the two shares print alike.
+where the two shares print alike.  Each line ends with the keys whose
+values differ, old -> new, so a moved note or tolerance shows too.
 Regenerate the file with that script when a move is intended.
 """
 
@@ -63,6 +64,18 @@ def _moved_columns(was: list[str], now: list[str]) -> list[str]:
     return [header[i] for i in sorted(moved)]
 
 
+def _changed_keys(was: dict | None, now: dict | None) -> str:
+    """The keys whose values differ between two records, old -> new."""
+    if not (was and now):
+        return ""
+
+    def value(record: dict, key: str) -> str:
+        return repr(record[key]) if key in record else "absent"
+
+    keys = sorted(k for k in set(was) | set(now) if value(was, k) != value(now, k))
+    return "; " + ", ".join(f"{k}: {value(was, k)} -> {value(now, k)}" for k in keys)
+
+
 def moved_records(old: dict, new: dict) -> list[str]:
     """One line per record that differs between two sets of cases."""
     lines = []
@@ -74,6 +87,7 @@ def moved_records(old: dict, new: dict) -> list[str]:
                 lines.append(
                     f"{case} / {name}: {_summary(before.get(name))}"
                     f" -> {_summary(after.get(name))}{_move(before.get(name), after.get(name))}"
+                    f"{_changed_keys(before.get(name), after.get(name))}"
                 )
         rest = ("config", "mode", "seed", "pass")
         for key in rest:

@@ -8,6 +8,7 @@ from the finite-difference reference, which is itself checked here.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,17 @@ def test_invert_metric_block_keeps_each_lane():
     assert invert_metric(block[1:3])[0] is None
 
 
+def test_invert_metric_rejects_an_ill_conditioned_lane():
+    # nearly parallel rows: not singular, but the condition number of the
+    # equilibrated matrix is about 2e14, past CONDITION_LIMIT
+    g = np.eye(4)
+    g[0, 1] = g[1, 0] = 1.0 - 1e-14
+    inv, errors = invert_metric(np.stack([np.eye(4), g]))
+    assert np.array_equal(inv, [np.eye(4)]) and errors[0] is None
+    assert isinstance(errors[1], DegenerateMetricError)
+    assert "condition number" in str(errors[1])
+
+
 def test_default_step_uses_pair_scales():
     steps = default_step((3.0, 4.0, 0.0, 0.0), rel_step=1e-3)
     assert np.allclose(steps, [5e-3, 5e-3, 1e-3, 1e-3])
@@ -238,6 +250,20 @@ def test_curvature_rejects_wrong_shape():
 def test_non_finite_field_is_an_overflow_error():
     bundles, (err,) = curvature_at(constant_jet(np.full((4, 4), np.inf)), [ORIGIN])
     assert bundles is None and isinstance(err, NumericOverflowError)
+
+
+def test_a_curvature_assembly_that_leaves_the_floats_is_its_lanes_error():
+    # a finite jet whose Christoffel products overflow: that lane gets
+    # NumericOverflowError, with no RuntimeWarning, and the flat lane stays
+    grad = np.zeros((2, 4, 4, 4))
+    grad[1] = 1e200
+    jet = Jet(np.stack([np.eye(4)] * 2), grad, np.zeros((2, 4, 4, 4, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bundles, errors = curvature_at(lambda x: (jet, [None, None]), [ORIGIN, ORIGIN])
+    (flat,) = bundles
+    assert flat.riem_norm_sq == 0.0 and errors[0] is None
+    assert isinstance(errors[1], NumericOverflowError) and "assembly" in str(errors[1])
 
 
 def test_curvature_rejects_asymmetric_metric():

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -77,6 +78,20 @@ def test_scans_reject_a_construction_that_does_not_apply():
         verify.ricci_samples(verify.HITCHIN, taubnut_config(), [(0.4, -0.3, 1.5, 0.7)])
     with pytest.raises(ValueError, match="applies to ale"):
         verify.cross_validate(akl)
+    # solving the ALE height equation on an ALF configuration checks nothing
+    with pytest.raises(ValueError, match="applies to ale"):
+        verify.solver_scan(taubnut_config(), count=50)
+
+
+def test_a_scan_rejects_the_evaluation_of_another_chart_or_configuration():
+    cfg = pair_config()
+    evaluation = verify.ChartEvaluation(verify.GH, cfg, SampleSpec(count=2))
+    with pytest.raises(ValueError, match="not the hitchin chart's"):
+        verify.ricci_scan("hitchin", cfg, evaluation=evaluation)
+    # an equal configuration that is another object has its own evaluation
+    with pytest.raises(ValueError, match="not the gh chart's"):
+        verify.kahler_scan("gh", pair_config(), evaluation=evaluation)
+    assert verify.ricci_scan("gh", cfg, evaluation=evaluation).count == 2
 
 
 def test_a_mode_other_than_the_configured_one_is_rejected():
@@ -148,15 +163,22 @@ def test_kahler_scan_three_records():
 
 
 def test_kahler_scan_records_constant_j_as_an_identity(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("the constant chart J0 needs no differentiation")
+    # J0 is a jet with zero derivatives, measured on the path of every
+    # chart: its Nijenhuis tensor is exactly 0, with no note
+    nijenhuis_at = tensorcalc.nijenhuis_at
+    lanes = []
 
-    monkeypatch.setattr(tensorcalc, "nijenhuis_at", never)
+    def counted(J, dJ):
+        lanes.append(len(J))
+        return nijenhuis_at(J, dJ)
+
+    monkeypatch.setattr(tensorcalc, "nijenhuis_at", counted)
     recs = verify.kahler_scan("hitchin", pair_config(), spec=SampleSpec(count=4))
     nij = recs[1]
+    assert lanes == [4]
     assert nij.name == "kahler-nijenhuis-hitchin"
     assert nij.passed and nij.max_residual == 0.0 and nij.count == 4
-    assert nij.payload()["note"] == "J0 is constant in this chart"
+    assert "note" not in nij.payload()
 
 
 def test_complex_chart_kahler_sample_solves_once(monkeypatch):
@@ -221,26 +243,44 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     assert math.isnan(rec.max_residual) and rec.payload()["pass"] is False
 
 
-def test_no_check_passes_on_a_chart_point_that_is_not_finite():
-    # k = 12 centers at about 1e52: the complex-chart stream lifts base
-    # points to rows with |y| = inf (hitchin.base_to_chart's exp overflows,
-    # with a RuntimeWarning), and every scan of that chart fails on them
+def test_no_check_passes_on_a_chart_point_that_is_not_finite(monkeypatch):
+    # k = 12 centers at about 1e52: |y|^2 of a lifted base point overflows,
+    # so hitchin.base_to_chart gives its lane a NumericOverflowError, with
+    # no RuntimeWarning; the complex-chart stream ends on the first such
+    # lane instead of drawing its whole candidate budget
     cfg = make_polygon_config(
         QuotientSignature(4, 3, 1), [1e52, 1.1e52, 1.2e52, 1.3e52], [0.0] * 4
     )
-    with pytest.warns(RuntimeWarning):
+    base_to_chart = hitchin.base_to_chart
+    lifted = []
+
+    def counted(config, x):
+        lifted.append(len(x))
+        return base_to_chart(config, x)
+
+    monkeypatch.setattr(hitchin, "base_to_chart", counted)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = verify.full_report(cfg)
-    failed = {c.name: c.note for c in report.checks if not c.passed}
-    not_finite = "ValueError: chart point coordinates must be finite"
-    no_lift = "ValueError: y_abs_sq must be positive and finite"
+    # about 0.015 s; a stream that dropped the overflowing lanes would draw
+    # its whole budget of 200 000 candidates
+    assert time.perf_counter() - t0 < 1.0
+    failed = {c.name: (c.note, c.skipped) for c in report.checks if not c.passed}
+    overflow = ("NumericOverflowError: |y|^2 of the lift is not a finite float", {})
     assert failed == {
-        "ricci-hitchin": not_finite,
-        "kahler-hitchin": not_finite,
-        "invariance-hitchin": not_finite,
-        "cross-validation": no_lift,
-        "fits": no_lift,
+        "ricci-hitchin": overflow,
+        "kahler-hitchin": overflow,
+        "invariance-hitchin": overflow,
+        "cross-validation": (
+            "ScanError: fewer than 8 usable cross-validation samples",
+            {"NumericOverflowError": verify.CROSS_COUNT},
+        ),
+        "fits": overflow,
     }
     assert report.samples == {"gh": report.checks[0].samples, "hitchin": ()}
+    # one block of the stream, one of cross-validation, one of the decay fit
+    assert lifted == [20, verify.CROSS_COUNT, 24]
 
 
 def test_invariance_scan_rejects_trivial_action():
@@ -252,12 +292,12 @@ def test_invariance_scan_rejects_trivial_action():
 
 
 def test_cross_validate_pair():
-    stats, rec = verify.cross_validate(pair_config())
+    mean, rec = verify.cross_validate(pair_config())
     assert rec.passed
-    assert stats.count == 12
+    assert rec.count == 12
     # both routes build the same metric up to the fixed homothety 1/4
-    assert abs(stats.mean - 0.25) < 1e-6
-    assert stats.spread < 1e-3
+    assert abs(mean - 0.25) < 1e-6
+    assert rec.max_residual < 1e-3
 
 
 @pytest.mark.parametrize("seed", [15, 42, 258, 393])
@@ -265,11 +305,11 @@ def test_cross_validate_hexagon_regression_seeds(seed):
     # the first seed of each block that failed with finite-difference
     # complex-chart curvature, whose noise near |y| = 0.03 was the size of
     # SPREAD_TOL
-    stats, rec = verify.cross_validate(
+    _, rec = verify.cross_validate(
         hexagon_config(), SampleSpec(count=verify.CROSS_COUNT, seed=seed)
     )
-    assert rec.passed and stats.count == verify.CROSS_COUNT
-    assert stats.spread < 0.5 * verify.SPREAD_TOL
+    assert rec.passed and rec.count == verify.CROSS_COUNT
+    assert rec.max_residual < 0.5 * verify.SPREAD_TOL
 
 
 @pytest.mark.parametrize("build", [pair_generic_config, hexagon_config])
@@ -283,9 +323,9 @@ def test_cross_validate_negative_control(build, monkeypatch):
 
     perturbed_gh = replace(gh, state=perturbed(gh.state))
     monkeypatch.setattr(verify, "GH", perturbed_gh)
-    stats, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
-    assert stats.count == verify.CROSS_COUNT
-    assert not rec.passed and stats.spread > 5.0 * verify.SPREAD_TOL
+    _, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
+    assert rec.count == verify.CROSS_COUNT
+    assert not rec.passed and rec.max_residual > 5.0 * verify.SPREAD_TOL
 
 
 def test_full_report_hexagon_seed_42_passes():
@@ -294,14 +334,24 @@ def test_full_report_hexagon_seed_42_passes():
 
 
 def test_cross_validate_flat_is_vacuous():
-    stats, rec = verify.cross_validate(flat_config())
-    assert rec.passed and rec.count == 0
+    mean, rec = verify.cross_validate(flat_config())
+    assert math.isnan(mean) and rec.passed and rec.count == 0
     assert "flat" in rec.note
 
 
 def test_cross_validate_needs_enough_samples():
     with pytest.raises(ScanError):
         verify.cross_validate(pair_config(), spec=SampleSpec(count=6))
+
+
+def test_cross_validate_skips_samples_below_the_curvature_floor():
+    # far out on the unit pair |Rm|^2 falls below CURVATURE_FLOOR, so every
+    # matched point is skipped and the scan has no ratio to judge
+    spec = SampleSpec(count=verify.CROSS_COUNT, r_min=100.0, r_max=200.0)
+    with pytest.raises(ScanError, match="fewer than 8") as info:
+        verify.cross_validate(pair_config(), spec)
+    skipped = Counter(s.error for s in info.value.samples)
+    assert skipped == {"below curvature floor": verify.CROSS_COUNT}
 
 
 def test_full_report_cross_validation_uses_run_sampling_geometry():
@@ -332,13 +382,19 @@ def test_period_check_two_level():
 
 @pytest.mark.parametrize(
     "build, count",
-    [(hexagon_config, 9), (square_config, 3), (lambda: make_akl_config(2, 1, 12), 23)],
-    ids=["hexagon", "square", "akl-12"],
+    [
+        (hexagon_config, 9),
+        (square_config, 3),
+        (lambda: make_akl_config(2, 1, 12), 23),
+        (lambda: make_polygon_config(QuotientSignature(2, 1, 0), [1.0, 2.0], [0.0, 1.0]), 1),
+    ],
+    ids=["hexagon", "square", "akl-12", "one-pair"],
 )
 def test_period_check_counts(build, count):
     # vertically separated pairs, or every unblocked pair when the centers
     # are coplanar: square and akl J=12 are collinear, so only adjacent
-    # centers pair up and every other segment is blocked by a third center
+    # centers pair up and every other segment is blocked by a third center;
+    # a single vertical pair takes the same fit as many
     rec = verify.period_check(build())
     assert rec.passed
     assert rec.count == count
@@ -563,8 +619,8 @@ def test_full_report_agrees_with_the_standalone_scans(count, f):
                 assert_identical_samples(by_name[record.name].samples, record.samples)
             record = verify.invariance_scan(c.name, cfg, spec)
             assert by_name[record.name] == record
-        stats, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
-        assert report.ratio == stats and by_name["cross-validation"] == record
+        mean, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
+        assert report.ratio_mean == mean and by_name["cross-validation"] == record
         assert_identical_samples(by_name["cross-validation"].samples, record.samples)
     if f is not None:
         # the bent metric jet fails the two checks that take it; every
@@ -790,8 +846,7 @@ def test_fields_take_blocks_only():
         lambda: tensorcalc.invert_metric(np.eye(4)),
         lambda: ghawking.metric_at(cfg, gh_point),
         lambda: hitchin.metric_at(cfg, hit_point),
-        lambda: hitchin.metric_jet(cfg, hit_point),
-        lambda: hitchin.metric_jet(cfg, hit_point[None, None]),
+        lambda: verify.HITCHIN.jet(cfg)(hit_point[None, None]),
         lambda: hitchin.base_to_chart(cfg, gh_point),
         lambda: hitchin.base_to_chart(cfg, gh_point[None, :3]),
         lambda: hitchin.solve_b(cfg, z, y_sq),
@@ -992,9 +1047,14 @@ def test_scan_past_one_block_matches_single_lane_blocks(source, monkeypatch):
 
 def test_flat_cross_validation_payload_is_strict_json():
     rep = verify.full_report(flat_config(), checks=("cross",))
-    assert rep.ratio is not None and rep.ratio.mean != rep.ratio.mean  # NaN kept
+    assert rep.ratio_mean is not None and math.isnan(rep.ratio_mean)  # NaN kept
     payload = json.loads(json.dumps(rep.payload(), allow_nan=False))
-    assert payload["cross_validation"]["mean"] is None
+    assert payload["cross_validation"] == {
+        "mean": None,
+        "spread": 0.0,
+        "count": 0,
+        "note": "flat configuration, skipped",
+    }
 
 
 def test_errored_check_payload_is_strict_json():
