@@ -44,13 +44,13 @@ and f_i are center_factors (stable_factors in floats, which the complex
 chart takes too), factor_faults finds the poles and strings from them,
 and alpha (_connection) and g (_metric) take float lanes and jets alike.
 metric_at gives the metric's values, V through potential_at, each lane
-with its own PoleError or DiracStringError.  The chart's state at a
-point is potential_jets, V and alpha as second-order jets
-(tensorcalc.Jet), which gives curvature, d(omega) and the Nijenhuis
-tensor exact derivatives from one evaluation.  A block's state is those
-jets stacked on a leading lane axis (tensorcalc.each_lane), and metric_of
-and kahler_of assemble the metric jet and (g, omega, J) from it, each in
-one call over any leading lane axes.
+with its own PoleError or DiracStringError.  The chart's state on a
+block is the field potential_jets, V and alpha as second-order jets
+(tensorcalc.Jet) over a leading lane axis, which gives curvature,
+d(omega) and the Nijenhuis tensor exact derivatives from one evaluation;
+each lane is evaluated alone (_point_jets).  metric_of and kahler_of
+assemble the metric jet and (g, omega, J) from it, each in one call over
+any leading lane axes.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ import numpy as np
 from gravinst import tensorcalc
 from gravinst.errors import (
     DiracStringError,
+    NumericOverflowError,
     PathBlockedError,
     PoleError,
 )
@@ -92,7 +93,9 @@ def center_distance(u: np.ndarray, r: np.ndarray) -> np.ndarray:
     exactly |u| where r = 0.  Where u^2 + r^2 leaves (1e-290, 1e290), so
     that a square may have overflowed or lost its bits to underflow (or is
     not finite), np.hypot gives the value."""
-    s = u * u + r * r
+    # a square that overflows takes the np.hypot branch
+    with np.errstate(over="ignore"):
+        s = u * u + r * r
     # min and max propagate a NaN, which fails both tests
     if s.min(initial=1.0) > 1e-290 and s.max(initial=1.0) < 1e290:
         return np.sqrt(s)
@@ -140,8 +143,8 @@ def potential_at(
 
 
 def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
-    """V, alpha_1 and alpha_2 over the good lanes of the block x (None
-    when there is none), with the per-lane errors of factor_faults:
+    """V, alpha_1 and alpha_2 over the good lanes of the block x, with
+    the per-lane errors of factor_faults:
     PoleError at a center, then DiracStringError on a string, as the jets
     give them.  V is read through potential_at, on the good lanes only,
     and alpha is _connection of the float factors."""
@@ -158,8 +161,6 @@ def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
         for p, s in zip(pole.tolist(), string.tolist())
     ]
     good = ~(pole | string)
-    if not good.any():
-        return None, errors
     a1, a2 = _connection(dlt[:, good], f[:, good], w.real[:, good], w.imag[:, good])
     return (potential_at(config, b[good], a[good]), a1, a2), errors
 
@@ -178,7 +179,7 @@ def metric_at(config: CenterConfiguration, x):
     """Metric at each chart point (theta, b, a1, a2) of the block x, as a
     field (see tensorcalc); det g = V^2 identically."""
     values, errors = _potential_lanes(config, tensorcalc.as_block(x))
-    return (values and _metric(*values)), errors
+    return _metric(*values), errors
 
 
 def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
@@ -204,7 +205,26 @@ def _connection(dlt, f, w_re, w_im):
     return (coef * w_im).sum(0), -(coef * w_re).sum(0)
 
 
-def potential_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
+def potential_jets(config: CenterConfiguration, x) -> tuple:
+    """V, alpha_1 and alpha_2 at each point of the block x as a field of
+    jets over a leading lane axis (see tensorcalc), with the per-lane
+    errors: PoleError at a center and DiracStringError on a string.  Each
+    lane is evaluated alone, by _point_jets, and the good lanes' jets are
+    stacked."""
+    values, errors = [], []
+    for p in tensorcalc.as_block(x).tolist():
+        try:
+            values.append(_point_jets(config, tuple(p)))
+            errors.append(None)
+        except (PoleError, DiracStringError) as exc:
+            errors.append(exc)
+    if not values:
+        # Jet.stack needs one jet to stack
+        return (Jet.constant(np.zeros(0)),) * 3, errors
+    return tuple(Jet.stack(parts) for parts in zip(*values)), errors
+
+
+def _point_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
     """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
     over a per-center axis, alpha by _connection.  PoleError at a center
     and DiracStringError on a string, by factor_faults as metric_at.
@@ -323,9 +343,9 @@ def cycle_period(config: CenterConfiguration, i, j) -> tuple:
     i and j broadcast to one 1-D shape (N,) of distinct center indices,
     one lane per pair; anything else is a ValueError.  Gives (periods,
     errors) as a field does (see tensorcalc): the periods of the clear
-    pairs in order (None when none is), and per lane None or the
-    PathBlockedError of a blocked one.  The segments are tested against
-    every center in numpy, over row_blocks of the pairs.
+    pairs in order, and per lane None or the PathBlockedError of a
+    blocked one.  The segments are tested against every center in numpy,
+    over row_blocks of the pairs.
     """
     i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
     if i.ndim != 1 or not all(np.issubdtype(v.dtype, np.integer) for v in (i, j)):
@@ -352,8 +372,7 @@ def cycle_period(config: CenterConfiguration, i, j) -> tuple:
         PathBlockedError("segment passes through a third center") if v else None
         for v in blocked.tolist()
     ]
-    periods = -2.0 * math.pi * (b[j] - b[i])[~blocked]
-    return (periods if periods.size else None), errors
+    return -2.0 * math.pi * (b[j] - b[i])[~blocked], errors
 
 
 def coordinate_ball_volume(config: CenterConfiguration, R: float) -> float:
@@ -365,14 +384,20 @@ def coordinate_ball_volume(config: CenterConfiguration, R: float) -> float:
     volume is 8 pi^2 int_0^R r^2 (c + 1/2 sum_i 1/max(r, s_i)) dr with
     s_i = |x_i| and c the ALF constant, and each term integrates exactly:
     int_0^R r^2 / max(r, s) dr is R^3 / (3 s) for s > R and
-    R^2 / 2 - s^2 / 6 for s <= R (the two agree at s = R).
+    R^2 / 2 - s^2 / 6 for s <= R (the two agree at s = R).  A volume that
+    is not a finite float is a NumericOverflowError.
     """
     if not R >= 0.0:
         raise ValueError("ball radius must be non-negative")
-    total = _alf_constant(config) * R**3 / 3.0
-    for c in config.centers:
-        s = float(np.linalg.norm(c.as_r3()))
-        total += 0.5 * (R**3 / (3.0 * s) if s > R else 0.5 * R * R - s * s / 6.0)
+    R = np.float64(R)
+    # an overflowing R^3 leaves the total infinite or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _alf_constant(config) * R**3 / 3.0
+        for c in config.centers:
+            s = float(np.linalg.norm(c.as_r3()))
+            total += 0.5 * (R**3 / (3.0 * s) if s > R else 0.5 * R * R - s * s / 6.0)
+    if not math.isfinite(total):
+        raise NumericOverflowError(f"the ball volume at radius {R:.3g} is not a finite float")
     return 8.0 * math.pi**2 * total
 
 

@@ -143,8 +143,8 @@ def solve_b(
     shape (N,), one lane per input.  Anything else, or a |y|^2 that is not
     positive and finite, is a ValueError.  Gives (roots, errors) as a
     field does (see tensorcalc): the roots of the converged lanes in
-    order (None when none is), and per lane None or the ConvergenceError
-    of a stalled solve.  The fields solve each block in one call.
+    order, and per lane None or the ConvergenceError of a stalled solve.
+    The fields solve each block in one call.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -167,8 +167,7 @@ def solve_b(
         errors[lane] = ConvergenceError(
             f"implicit height solve stalled at relative residual {residual[lane]:.3e}"
         )
-    roots = out[~stalled] if stalled.any() else out
-    return (roots if roots.size else None), errors
+    return out[~stalled], errors
 
 
 def _newton_lanes(
@@ -247,28 +246,27 @@ _DZ_AREA = np.array(
 
 def _solved_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """The lanes of the block x the chart takes and their roots b, with the
-    per-lane errors: the chart floor, then a pole, then a stalled solve for
-    b.  require_smooth_fiber runs once, and b is solved over the lanes by
-    one solve_b call."""
+    per-lane errors: the chart floor, then a pole, then a |y|^2 that is not
+    a finite float, then a stalled solve for b.  require_smooth_fiber runs
+    once, and b is solved over the lanes by one solve_b call."""
     require_smooth_fiber(config)
     z = x[:, 0] + 1j * x[:, 1]
-    y_abs = np.hypot(x[:, 2], x[:, 3])
+    with np.errstate(over="ignore"):
+        y_abs = np.hypot(x[:, 2], x[:, 3])
+        y_sq = y_abs * y_abs
     floor = y_abs < EPS_Y_DEFAULT
     pole = ~floor & (np.min(_lane_data(config, z)[1], axis=0) == 0.0)
+    overflow = ~np.isfinite(y_sq)
     errors: list = [
         ChartBoundaryError(f"|y| = {v:.3e} is below the chart floor") if f
         else PoleError("metric evaluated on the plane-position locus zbar + a_i = 0") if p
+        else NumericOverflowError("|y|^2 is not a finite float") if o
         else None
-        for v, f, p in zip(y_abs.tolist(), floor.tolist(), pole.tolist())
+        for v, f, p, o in zip(y_abs.tolist(), floor.tolist(), pole.tolist(), overflow.tolist())
     ]
-    lanes = np.flatnonzero(~(floor | pole))
-    if not lanes.size:
-        return lanes, None, errors
-    root, stalled = solve_b(config, z[lanes], y_abs[lanes] ** 2)
-    if any(stalled):
-        errors = tensorcalc.lane_results(errors, stalled)
-        lanes = lanes[[e is None for e in stalled]]
-    return lanes, root, errors
+    lanes = np.flatnonzero(~(floor | pole | overflow))
+    root, stalled = solve_b(config, z[lanes], y_sq[lanes])
+    return lanes[[e is None for e in stalled]], root, tensorcalc.lane_results(errors, stalled)
 
 
 def _eta(dlt, f, w_re, w_im, y_re, y_im) -> tuple:
@@ -293,8 +291,6 @@ def metric_at(config: CenterConfiguration, x):
     _solved_lanes: _metric of _eta in floats at the roots b."""
     x = tensorcalc.as_block(x)
     lanes, root, errors = _solved_lanes(config, x)
-    if not lanes.size:
-        return None, errors
     z_re, z_im, y_re, y_im = x[lanes].T
     b_i, a_i = ghawking.center_axis(config, 1)
     w_re, w_im = z_re + a_i.real, a_i.imag - z_im
@@ -306,8 +302,7 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """gamma and the real and imaginary parts of eta on the real
     coordinates at each point of the block x, as a field of jets in
     (Re z, Im z, Re y, Im y) over a leading lane axis, with the per-lane
-    errors: the chart floor, then a pole, then a stalled solve for b.  The
-    jets hold the good lanes (None when there is none).
+    errors of _solved_lanes.  The jets hold the good lanes.
 
     b is solved over the lanes by one solve_b call, and its jet follows
     by implicit differentiation of G(x, b) = sum_i log f_i - log|y|^2 = 0.
@@ -325,8 +320,6 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     """
     x = tensorcalc.as_block(x)
     lanes, root, errors = _solved_lanes(config, x)
-    if not lanes.size:
-        return None, errors
     b_i, a_i = ghawking.center_axis(config, 1)
     x0, x1, x2, x3 = tensorcalc.Jet.seed(x[lanes])
     w_re = x0 + a_i.real
@@ -427,8 +420,7 @@ def base_to_chart(config: CenterConfiguration, x) -> tuple:
         else None
         for v, o in zip(on_locus.tolist(), overflow.tolist())
     ]
-    good = ~(on_locus | overflow)
-    return (lifted[good] if good.any() else None), errors
+    return lifted[~(on_locus | overflow)], errors
 
 
 _DECAY_DIRECTIONS = np.array(

@@ -181,9 +181,5 @@ def hitchin_points(config: CenterConfiguration, spec: SampleSpec) -> np.ndarray:
         for e in errors:
             if isinstance(e, NumericOverflowError):
                 raise e
-        out.extend(
-            x
-            for x in (lifted.tolist() if lifted is not None else ())
-            if abs(complex(x[2], x[3])) >= spec.chart_margin
-        )
+        out.extend(x for x in lifted.tolist() if abs(complex(x[2], x[3])) >= spec.chart_margin)
     return np.array(out)

@@ -26,6 +26,13 @@ _COLLISION_TOL = 1e-9
 # the pairwise distances are taken over blocks of rows, about this many
 # distances per block, so that memory stays bounded for any center count
 _PAIR_BLOCK = 1 << 16
+# the most centers a configuration may have: the pairwise collision test
+# is O(k^2), and 8000 centers (akl n = 2 at AKL_MAX_LEVEL) take about 0.4 s
+MAX_CENTERS = 8000
+# the highest akl truncation level: the convergence check's margin below
+# its tolerance, about 1/(8 J^4), reaches one ulp of the level's
+# potential near J = 5000, and the check then fails on a convergent tail
+AKL_MAX_LEVEL = 4000
 
 
 def row_blocks(n: int, width: int) -> Iterator[slice]:
@@ -79,6 +86,11 @@ class QuotientSignature:
                 raise InvalidSignatureError(
                     f"m and n must be coprime, got gcd({self.m},{self.n}) != 1"
                 )
+        if self.k > MAX_CENTERS:
+            raise ValueError(
+                f"d*n = {self.k} centers, more than the {MAX_CENTERS} a configuration"
+                " may have: the pairwise center tests grow as their square"
+            )
 
     @property
     def k(self) -> int:
@@ -224,9 +236,15 @@ def make_polygon_config(
 def make_akl_config(n: int, m: int, j_max: int) -> CenterConfiguration:
     """Truncated infinite-topology configuration: polygons j = 1..j_max
     inscribed in circles of radius j**2 about the vertical axis, at
-    height 0."""
+    height 0.  j_max is at most AKL_MAX_LEVEL, the last level whose
+    convergence check can tell a convergent tail in floats."""
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
+    if j_max > AKL_MAX_LEVEL:
+        raise ValueError(
+            f"akl truncation level {j_max} is above {AKL_MAX_LEVEL}: past it the"
+            " convergence check's margin, about 1/(8 J^4), falls under one ulp"
+        )
     signature = QuotientSignature(d=j_max, n=n, m=m)
     radii = [float(j) ** 2 for j in range(1, j_max + 1)]
     return make_polygon_config(

@@ -11,15 +11,15 @@ Fields work on blocks of points, and only on blocks.  A block is an
 (N, 4) array of chart points, one lane per row; a field evaluated on it
 returns its value over a leading lane axis, paired with one entry per
 lane: None, or the GeometryError that lane raises.  The value holds only
-the lanes whose entry is None, in order (it is None when no lane is), so
-a failing lane never ends its block.  Anything but an (N, 4) array is a
-ValueError.  curvature_at is a field of the same shape: it evaluates
-the metric's jet field once per block and assembles every lane at once.
-lane_results joins a field's values and errors into one result per
-lane, every_lane takes the value of a block whose lanes are all good,
-and assembled maps a field's value to a new field with the same errors.
-exterior_derivative and nijenhuis_at take derivative arrays with any
-leading lane axes.
+the lanes whose entry is None, in order, so a failing lane never ends
+its block; when no lane is good its leading axis has length 0.
+Anything but an (N, 4) array is a ValueError.  curvature_at is a field
+of the same shape: it evaluates the metric's jet field once per block
+and assembles every lane at once.  lane_results joins a field's values
+and errors into one result per lane, every_lane takes the value of a
+block whose lanes are all good, and assembled maps a field's value to a
+new field with the same errors.  exterior_derivative and nijenhuis_at
+take derivative arrays with any leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from gravinst.errors import DegenerateMetricError, GeometryError, NumericOverflowError
+from gravinst.errors import DegenerateMetricError, NumericOverflowError
 
 CONDITION_LIMIT = 1e12
 
@@ -113,7 +113,7 @@ def invert_metric(g: np.ndarray):
             f"metric condition number {cond[n]:.3e} exceeds limit"
         )
     good = np.array([e is None for e in errors], dtype=bool)
-    return ((inv_a * scale)[good] if good.any() else None), errors
+    return (inv_a * scale)[good], errors
 
 
 def _value_axis(axis: int, ndim: int) -> int:
@@ -303,16 +303,9 @@ def assembled(field: Field, assemble: Callable) -> Field:
 
     def at(x):
         value, errors = field(x)
-        return (assemble(value) if value is not None else None), errors
+        return assemble(value), errors
 
     return at
-
-
-def _stack_lanes(values: list):
-    """Per-point jets, or tuples of them, stacked on a leading lane axis."""
-    if isinstance(values[0], tuple):
-        return tuple(_stack_lanes(list(parts)) for parts in zip(*values))
-    return Jet.stack(values)
 
 
 def stack_components(parts: list):
@@ -323,29 +316,13 @@ def stack_components(parts: list):
     return np.stack(parts, axis=-1)
 
 
-def each_lane(fn: Callable[[Coords], object]) -> Callable:
-    """The block field of a function of one point: on a block, fn at each
-    point (a tuple of floats), the good lanes' values (jets or tuples of
-    them) stacked on a leading lane axis (None when no lane is good), and
-    per lane None or the GeometryError fn raised there."""
-
-    def field(x):
-        values, errors = [], []
-        for p in as_block(x).tolist():
-            try:
-                values.append(fn(tuple(p)))
-                errors.append(None)
-            except GeometryError as exc:
-                errors.append(exc)
-        return (_stack_lanes(values) if values else None), errors
-
-    return field
-
-
+# a metric jet or an assembly that leaves the floats is its lane's
+# NumericOverflowError
+@np.errstate(over="ignore", invalid="ignore")
 def curvature_at(metric: Field, x) -> tuple:
     """Full curvature of a metric at each point of a block x of shape
-    (N, 4), as a field: the CurvatureBundle of each good lane in order
-    (None when no lane is), and per lane None or its GeometryError.
+    (N, 4), as a field: the list of the good lanes' CurvatureBundles in
+    order, and per lane None or its GeometryError.
 
     metric(x) is the metric's jet field (see the module docstring),
     evaluated once, so the chart's own errors (the chart boundary, a pole,
@@ -360,14 +337,10 @@ def curvature_at(metric: Field, x) -> tuple:
     the whole block.
     """
     jet, errors = metric(as_block(x))
-    if jet is None:
-        return None, errors
     bundles, jet_errors = _curvature_lanes(jet)
     return bundles, lane_results(errors, jet_errors)
 
 
-# an assembly that leaves the floats is its lane's NumericOverflowError
-@np.errstate(over="ignore", invalid="ignore")
 def _curvature_lanes(jet: Jet) -> tuple:
     """curvature_at over the lanes of a metric jet of value shape (N, 4, 4),
     as a field over the jet's lanes."""
@@ -380,8 +353,9 @@ def _curvature_lanes(jet: Jet) -> tuple:
     ):
         raise ValueError("metric jet must have a 4x4 value with its derivatives")
     n = len(g0)
+    # explicit sizes: a block of no lanes has no -1 to infer
     finite = np.isfinite(np.concatenate(
-        [a.reshape(n, -1) for a in (g0, jet.grad, jet.hess)], axis=1
+        [a.reshape(n, size) for a, size in ((g0, 16), (jet.grad, 64), (jet.hess, 256))], axis=1
     )).all(axis=1)
     errors: list = [None if f else NumericOverflowError("metric jet is not finite") for f in finite]
     g_fin = g0[finite]
@@ -394,8 +368,6 @@ def _curvature_lanes(jet: Jet) -> tuple:
     for lane, err in zip(np.flatnonzero(finite), inv_errors):
         errors[lane] = err
     good = np.array([e is None for e in errors], dtype=bool)
-    if not good.any():
-        return None, errors
     g = g0[good]
     dg, d2g = jet[good].partials()
 
@@ -430,9 +402,9 @@ def _curvature_lanes(jet: Jet) -> tuple:
     up = riem_low
     for _ in range(4):
         up = up.reshape(n, 4, 64).transpose(0, 2, 1) @ ginv
-    riem_norm_sq = np.sum(up.reshape(n, -1) * riem_low.reshape(n, -1), axis=1)
+    riem_norm_sq = np.sum(up.reshape(n, 256) * riem_low.reshape(n, 256), axis=1)
     sane = (
-        np.isfinite(riem.reshape(n, -1)).all(axis=1)
+        np.isfinite(riem.reshape(n, 256)).all(axis=1)
         & np.isfinite(ricci_norm)
         & np.isfinite(riem_norm_sq)
     )
@@ -450,7 +422,7 @@ def _curvature_lanes(jet: Jet) -> tuple:
             g[sane],
         )
     ]
-    return (bundles or None), errors
+    return bundles, errors
 
 
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T

@@ -185,14 +185,14 @@ class Construction:
     cheap field the invariance scan compares.
 
     The scans' fields are split into the chart's state and what is
-    assembled from it.  state(config), evaluated once per block, gives the
-    chart's jets of one evaluation.  From that value jet_of(value) gives
-    the metric as an exact jet over the good lanes, the evaluation
+    assembled from it.  state(config), evaluated once per block, is a
+    block field of the chart's own module (ghawking.potential_jets,
+    hitchin.eta_jets): the chart's jets of one evaluation over a leading
+    lane axis, the good lanes in order.  From that value jet_of(value)
+    gives the metric as an exact jet over the good lanes, the evaluation
     tensorcalc.curvature_at takes, and kahler_of(value) gives (g, omega,
-    J): g as a float array, omega and J as jets.  Both charts hold the
-    state over a leading lane axis, the good lanes in order, and assemble
-    each block in one call of jet_of and of kahler_of.  jet(config) is
-    jet_of of the state as one field.
+    J): g as a float array, omega and J as jets, each block in one call.
+    jet(config) is jet_of of the state as one field.
 
     stream(config, spec) gives the sample stream as an (N, 4) block;
     action(signature) gives the cyclic generator as the affine map
@@ -234,7 +234,7 @@ GH = Construction(
     modes=("ale", "alf", "akl"),
     stream=lambda config, spec: sampling.gh_points(config, spec),
     metric=lambda config: lambda x: ghawking.metric_at(config, x),
-    state=lambda config: tensorcalc.each_lane(lambda x: ghawking.potential_jets(config, x)),
+    state=lambda config: lambda x: ghawking.potential_jets(config, x),
     jet_of=lambda jets: ghawking.metric_of(jets),
     kahler_of=lambda jets: ghawking.kahler_of(jets),
     action=lambda signature: ghawking.action(signature),
@@ -399,7 +399,7 @@ def ricci_samples(
         bundles, errors = tensorcalc.curvature_at(metric, block)
         return [
             {"residuals": (b.ricci_norm / max(math.sqrt(b.riem_norm_sq), 1.0),), "curvature": b}
-            for b in bundles or ()
+            for b in bundles
         ], errors
 
     return _sample(_block(points), evaluate)
@@ -448,8 +448,7 @@ def kahler_scan(
 
     def evaluate(block: np.ndarray) -> tuple:
         fields, errors = kahler_at(block)
-        rows = residuals(*fields).tolist() if fields else ()
-        return [{"residuals": tuple(r)} for r in rows], errors
+        return [{"residuals": tuple(r)} for r in residuals(*fields).tolist()], errors
 
     return _scan_records(
         "Kahler",
@@ -483,8 +482,7 @@ def invariance_scan(
         n = len(x)
         g, errors = metric(np.concatenate([x, x @ M.T + shift]))
         lanes = np.zeros((2 * n, 4, 4))
-        if g is not None:
-            lanes[[e is None for e in errors]] = g
+        lanes[[e is None for e in errors]] = g
         here, there = lanes[:n], lanes[n:]
         res = np.max(np.abs(M.T @ there @ M - here), axis=(1, 2))
         res /= np.maximum(1.0, np.max(np.abs(here), axis=(1, 2)))
@@ -538,7 +536,7 @@ def cross_validate(
             bundles, fresh = tensorcalc.curvature_at(c.jet(config), x[missing])
             for n, err in zip(missing, fresh):
                 errors[n] = err
-            rm[missing[[e is None for e in fresh]]] = [b.riem_norm_sq for b in bundles or ()]
+            rm[missing[[e is None for e in fresh]]] = [b.riem_norm_sq for b in bundles]
         return rm, errors
 
     def ratio(rm_hit: float, rm_gh: float) -> dict:
@@ -549,9 +547,8 @@ def cross_validate(
     def evaluate(x: np.ndarray) -> tuple:
         lifted, errors = hitchin.base_to_chart(config, x)
         rm_hit = np.full(len(x), np.nan)
-        if lifted is not None:
-            rm_hit[[e is None for e in errors]], hit_errors = riem_norm_sq(HITCHIN, lifted)
-            errors = tensorcalc.lane_results(errors, hit_errors)
+        rm_hit[[e is None for e in errors]], hit_errors = riem_norm_sq(HITCHIN, lifted)
+        errors = tensorcalc.lane_results(errors, hit_errors)
         rm_gh, gh_errors = riem_norm_sq(GH, x)
         # the complex chart's error first, as in the order of evaluation
         errors = [e or g for e, g in zip(errors, gh_errors)]
@@ -583,7 +580,6 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     b = ghawking.center_axis(config, 0)[0]
     i, j = np.triu_indices(config.k, 1)
     periods, errors = ghawking.cycle_period(config, i, j)
-    periods = np.empty(0) if periods is None else periods
     clear = np.array([e is None for e in errors], dtype=bool)
     db = b[j] - b[i]
     vertical = np.abs(db) > 1e-9 * max(1.0, config.extent())

@@ -42,6 +42,7 @@ from gravinst import ghawking, hitchin, tensorcalc
 from gravinst.errors import (
     ChartBoundaryError,
     ConvergenceError,
+    GeometryError,
     NumericOverflowError,
     PathBlockedError,
     PoleError,
@@ -104,8 +105,6 @@ def gh_kahler_forms(config: CenterConfiguration, x: np.ndarray) -> tuple:
     with V and alpha read off ghawking.metric_at: g_00 = 1/V and
     g_0j = alpha_j / V."""
     g, errors = ghawking.metric_at(config, x)
-    if g is None:
-        return None, errors
     V = 1.0 / g[:, 0, 0]
     a1, a2 = g[:, 0, 2] * V, g[:, 0, 3] * V
     o, e = np.zeros_like(V), np.ones_like(V)
@@ -261,7 +260,8 @@ def fd_derivatives(field: Callable, step=None, blocks: bool = False) -> Callable
     at each lane the Jet of field there with its finite-difference
     gradient and Hessian, from one stencil of 129 distinct points, the
     lane among them; the jets of the good lanes stacked, and each lane's
-    GeometryError.
+    GeometryError.  A block with no good lane gives a jet of no 4x4
+    lanes, the value curvature_at takes.
 
     step is None for default_step at the lane, a scalar, four per-axis
     steps, or a function of the lane giving them (e.g. chart_step).
@@ -279,7 +279,17 @@ def fd_derivatives(field: Callable, step=None, blocks: bool = False) -> Callable
         second[m, i] = second[i, m] = rows[5:]  # d_m d_i and d_i d_m share one row
         return Jet(rows[0], np.moveaxis(rows[1:5], 0, n), np.moveaxis(second, (0, 1), (n, n + 1)))
 
-    return tensorcalc.each_lane(jet)
+    def field_of_jets(x):
+        values, errors = [], []
+        for p in tensorcalc.as_block(x).tolist():
+            try:
+                values.append(jet(tuple(p)))
+                errors.append(None)
+            except GeometryError as exc:
+                errors.append(exc)
+        return (Jet.stack(values) if values else Jet.constant(np.zeros((0, 4, 4)))), errors
+
+    return field_of_jets
 
 
 def recursive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
@@ -453,17 +463,14 @@ def einsum_curvature(jet: Jet) -> tuple:
     (a jet that is not finite, then invert_metric, then a non-finite
     assembly), so both give the same errors per lane."""
     g0 = jet.val
-    n = len(g0)
-    finite = np.isfinite(
-        np.concatenate([a.reshape(n, -1) for a in (g0, jet.grad, jet.hess)], axis=1)
-    ).all(axis=1)
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).all(axis=tuple(range(1, a.ndim))) for a in (g0, jet.grad, jet.hess)]
+    )
     errors: list = [None if f else NumericOverflowError("metric jet is not finite") for f in finite]
     ginv, inv_errors = tensorcalc.invert_metric(g0[finite])
     for lane, err in zip(np.flatnonzero(finite), inv_errors):
         errors[lane] = err
     good = np.array([e is None for e in errors], dtype=bool)
-    if not good.any():
-        return None, errors
     g = g0[good]
     dg, d2g = jet[good].partials()
 
@@ -489,9 +496,9 @@ def einsum_curvature(jet: Jet) -> tuple:
     up = riem_low
     for _ in range(4):
         up = np.einsum("naijk,nab->nijkb", up, ginv)
-    riem_norm_sq = np.sum((up * riem_low).reshape(len(g), -1), axis=1)
+    riem_norm_sq = np.sum((up * riem_low).reshape(len(g), 256), axis=1)
     sane = (
-        np.isfinite(riem.reshape(len(g), -1)).all(axis=1)
+        np.isfinite(riem.reshape(len(g), 256)).all(axis=1)
         & np.isfinite(ricci_norm)
         & np.isfinite(riem_norm_sq)
     )
@@ -509,7 +516,7 @@ def einsum_curvature(jet: Jet) -> tuple:
         )
         for i in np.flatnonzero(sane)
     ]
-    return (bundles or None), errors
+    return bundles, errors
 
 
 def newton_eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
@@ -520,8 +527,6 @@ def newton_eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     exact and the second its Hessian.  The reference for the implicit
     differentiation of the chart."""
     lanes, root, errors = hitchin._solved_lanes(config, tensorcalc.as_block(x))
-    if not lanes.size:
-        return None, errors
     b_i = np.array([c.b for c in config.centers])
     a_i = np.array([c.a for c in config.centers])
     x0, x1, x2, x3 = Jet.seed(np.asarray(x, dtype=float)[lanes])

@@ -3,10 +3,12 @@
 import csv
 import json
 import threading
+import time
+import warnings
 
 import pytest
 
-from gravinst import cli, sampling, tensorcalc
+from gravinst import cli, sampling, tensorcalc, verify
 from gravinst.errors import DegenerateMetricError
 from gravinst.sampling import SampleSpec
 
@@ -126,20 +128,49 @@ def test_verify_perturb_fails_invariance(tmp_path, capsys):
 
 def test_verify_past_the_sampling_range_fails_each_scan(tmp_path, capsys):
     # a center moved by 1e150 puts the sampling annulus past the float
-    # range: each sampled check fails with a ScanError, the report and the
-    # CSV are still written, and validate rejects the oversized config
-    doc = base_doc(checks=["ricci", "kahler", "invariance", "cross"])
+    # range: each sampled check fails with a ScanError, the fits end in
+    # their typed error, periods and the solver in a result, all with no
+    # RuntimeWarning; the report and the CSV are still written, and
+    # validate rejects the oversized config
+    doc = base_doc(checks=list(verify.ALL_CHECKS))
     cfg = write_cfg(tmp_path, doc)
     out, rows = tmp_path / "r.json", tmp_path / "rows.csv"
     argv = ["verify", "--config", cfg, "--perturb", "1e150", "--out", str(out)]
-    assert cli.main(argv + ["--csv", str(rows)]) == 1
-    checks = json.loads(out.read_text())["report"]["checks"]
-    assert len(checks) == 7
-    assert all(c["note"].startswith("ScanError: the sampling annulus") for c in checks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--csv", str(rows)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["report"]["checks"]}
+    sampled = [name for name in checks if name not in ("periods", "fits", "implicit-solver")]
+    assert len(sampled) == 7
+    assert all(checks[n]["note"].startswith("ScanError: the sampling annulus") for n in sampled)
+    assert checks["fits"]["note"].startswith("NumericOverflowError")
+    assert checks["periods"]["pass"] and checks["implicit-solver"]["pass"]
     assert read_rows(rows) == [cli._CSV_HEADER]
     doc["singularity"] = {"d": 2, "n": 1, "m": 0, "radii": [[1e160, 0.0], [2e160, 0.0]]}
     assert cli.main(["validate", "--config", write_cfg(tmp_path, doc)]) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "singularity, reason",
+    [
+        ({"d": 1, "n": 8001, "m": 1, "radii": [[1, 0]]}, "more than the 8000"),
+        ({"d": 1, "n": 20000, "m": 1, "radii": [[1, 0]]}, "more than the 8000"),
+        ({"n": 2, "m": 1, "mode": {"akl": 4001}}, "above 4000"),
+        ({"n": 2, "m": 1, "mode": {"akl": 5000}}, "above 4000"),
+    ],
+    ids=["n-8001", "n-20000", "akl-4001", "akl-5000"],
+)
+def test_validate_refuses_a_configuration_too_large_to_check(tmp_path, capsys, singularity, reason):
+    # refused before any per-center work (20000 centers took seconds to
+    # build): the pairwise center tests grow as the square of the count,
+    # and past akl level 4000 the convergence check can no longer tell a
+    # convergent tail in floats
+    cfg = write_cfg(tmp_path, base_doc(singularity=singularity))
+    start = time.perf_counter()
+    assert cli.main(["validate", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert reason in capsys.readouterr().err
 
 
 def test_verify_check_flag_overrides_config(tmp_path):
@@ -287,6 +318,21 @@ def test_sample_flags_chart_boundary(tmp_path):
     rows = read_rows(out)
     assert rows[1][1] == "ChartBoundaryError"
     assert rows[1][6] == ""
+
+
+def test_sample_flags_a_complex_chart_point_whose_y_squared_overflows(tmp_path):
+    # |y|^2 = 1e400 is not a float: that row is flagged and the good row
+    # before it stays, with no RuntimeWarning on the way
+    cfg = write_cfg(tmp_path, base_doc())
+    out = tmp_path / "pts.csv"
+    argv = ["sample", "--config", cfg, "--construction", "hitchin", "--out", str(out)]
+    argv += ["--point", "0.4,-0.3,1.5,0.7", "--point", "0.4,-0.3,1e200,0.0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 0
+    rows = read_rows(out)
+    assert [row[1] for row in rows[1:]] == ["ok", "NumericOverflowError"]
+    assert float(rows[1][16]) > 0.0 and rows[2][6:] == [""] * 12
 
 
 def test_sample_grid(tmp_path):

@@ -167,20 +167,22 @@ def files(tmp_path_factory):
 
 CONFIGS = ["good", "akl", "broken", "list", "missing"]
 MODES = ["ale", "alf", "akl:3", "akl:20", "akl:0", "akl:x", "bogus"]
+PERTURBATIONS = ["0.01", "-0.5", "nan", "inf", "1e150", "x"]
 # each subcommand's options with their values, valid ones first
 OPTIONS = {
     "verify": {
         "--check": st.sampled_from(list(verify.ALL_CHECKS) + ["nosuch"]),
         "--seed": st.sampled_from(["0", "7", "-3", "x"]),
         "--mode": st.sampled_from(MODES),
-        "--perturb": st.sampled_from(["0.01", "-0.5", "nan", "inf", "1e150", "x"]),
+        "--perturb": st.sampled_from(PERTURBATIONS),
         "--out": st.just("out"),
         "--csv": st.just("out.csv"),
     },
     "sample": {
         "--grid": st.sampled_from(["1", "3", "0", "-1", "x"]),
         "--point": st.sampled_from(
-            ["0.3,2.5,1.0,0.5", "0.4,-0.3,1.5,0.7", "1,2", "a,b,c,d", "nan,0,0,1"]
+            ["0.3,2.5,1.0,0.5", "0.4,-0.3,1.5,0.7", "1,2", "a,b,c,d", "nan,0,0,1",
+             "0.4,-0.3,1e200,0.0"]
         ),
         "--construction": st.sampled_from(["gh", "hitchin", "bogus"]),
         "--seed": st.sampled_from(["0", "7", "x"]),
@@ -216,9 +218,10 @@ def argvs(draw):
     return argv
 
 
-@settings(ENTRY, max_examples=40)
-@given(argv=argvs())
-def test_any_argv_ends_in_a_strict_report_or_an_exit_code(files, argv):
+def run_argv(files, argv: list) -> None:
+    """Run argv, its file options in the fixture's folder: it must exit
+    with 0, 1 or 2, and a verify run that ends in a report writes it as
+    strict JSON."""
     argv = [
         str(files / a) if flag in FILE_OPTIONS else a for flag, a in zip([""] + argv, argv)
     ]
@@ -234,6 +237,19 @@ def test_any_argv_ends_in_a_strict_report_or_an_exit_code(files, argv):
     if argv[0] == "verify" and code in (0, 1):
         out = files / "out"
         _strict(out.read_text() if "--out" in argv else stdout.getvalue())
+
+
+@settings(ENTRY, max_examples=40)
+@given(argv=argvs())
+def test_any_argv_ends_in_a_strict_report_or_an_exit_code(files, argv):
+    run_argv(files, argv)
+
+
+@pytest.mark.parametrize("eps", PERTURBATIONS)
+def test_verify_perturb_ends_in_a_strict_report_or_an_exit_code(files, eps):
+    # every check of the good configuration with its first center moved
+    # by eps, which the drawn argvs seldom reach
+    run_argv(files, ["verify", "--config", "good", "--perturb", eps, "--out", "out"])
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_REPORTS))

@@ -174,9 +174,9 @@ def test_metric_determinant_is_v_squared():
 
 def kahler_values(config, x):
     """(g, omega, J) at the point x, the values the Kahler scan takes from
-    the chart's jets."""
-    g, omega, J = ghawking.kahler_of(ghawking.potential_jets(config, x))
-    return g, omega.val, J.val
+    the chart's jets on the block of x."""
+    g, omega, J = ghawking.kahler_of(tensorcalc.every_lane(ghawking.potential_jets(config, [x])))
+    return g[0], omega.val[0], J.val[0]
 
 
 def test_complex_structure_identities():
@@ -202,7 +202,7 @@ def test_potential_transform_breaks_det_identity():
     cfg = pair_config()
     x = (0.9, 0.35, 0.8, -0.6)
     with bent_potential(lambda v: v * v):
-        g = ghawking.metric_of(ghawking.potential_jets(cfg, x)).val
+        g = at_point(verify.GH.jet(cfg), x).val
     V = ghawking.potential_at(cfg, 0.35, 0.8 - 0.6j)
     assert abs(np.linalg.det(g) - V * V) > 1e-3
 
@@ -305,12 +305,13 @@ def test_cycle_period_matches_quadrature(build):
 
 def test_cycle_period_index_validation():
     # two distinct indices in range on every lane, on 1-D lanes of
-    # integers; no lane at all is an empty result
+    # integers; no lane at all is a result of no lanes
     for i, j in (([0], [0]), ([0], [5]), ([-1], [0]), (0, 1), ([[0]], [[1]]), ([0.0], [1.0])):
         with pytest.raises(ValueError):
             ghawking.cycle_period(pair_config(), i, j)
     none = np.array([], dtype=int)
-    assert ghawking.cycle_period(pair_config(), none, none) == (None, [])
+    periods, errors = ghawking.cycle_period(pair_config(), none, none)
+    assert periods.shape == (0,) and errors == []
 
 
 AKL_PERIOD_COUNTS = {3: 5, 12: 23, 50: 99}
@@ -352,7 +353,7 @@ def assert_lanes_match_per_pair_loop(config):
     and bit for bit the same periods."""
     pairs = [(i, j) for i in range(config.k) for j in range(config.k) if i != j]
     periods, errors = ghawking.cycle_period(config, *np.array(pairs, dtype=int).reshape(-1, 2).T)
-    periods = iter([] if periods is None else periods.tolist())
+    periods = iter(periods.tolist())
     for (i, j), err in zip(pairs, errors):
         try:
             expected = float_cycle_period(config, i, j)
@@ -757,7 +758,7 @@ def test_stable_factors_at_a_puncture_above_and_below_its_center():
 def test_curvature_makes_one_metric_evaluation(monkeypatch):
     cfg = pair_config()
     point = tuple(verify.GH.stream(cfg, SampleSpec(count=1, seed=0)).tolist()[0])
-    calls = {"metric_at": [], "potential_jets": []}
+    calls = {"metric_at": [], "potential_jets": [], "_point_jets": []}
 
     def counting(name):
         original = getattr(ghawking, name)
@@ -772,7 +773,9 @@ def test_curvature_makes_one_metric_evaluation(monkeypatch):
         counting(name)
     (sample,) = verify.ricci_samples(verify.GH, cfg, [point])
     assert sample.error == ""
-    assert calls == {"metric_at": [], "potential_jets": [point]}
+    # one state call on the block of the one point, which evaluates it once
+    assert calls["metric_at"] == [] and calls["_point_jets"] == [point]
+    assert [x.tolist() for x in calls["potential_jets"]] == [[list(point)]]
 
 
 def test_jet_complex_chart_curvature_is_a_quarter_of_closed_form():

@@ -286,7 +286,7 @@ def test_solve_b_failing_lane_raises_like_the_lane_alone():
     cfg = square4_config()
     z_bad, y_bad = -cfg.centers[0].a.conjugate(), 1e-50
     alone, (err,) = hitchin.solve_b(cfg, [z_bad], [y_bad])
-    assert alone is None and isinstance(err, ConvergenceError)
+    assert alone.shape == (0,) and isinstance(err, ConvergenceError)
     z, y_sq = solver_scan_inputs(cfg, 9, seed=1)
     z[4], y_sq[4] = z_bad, y_bad
     roots, errors = hitchin.solve_b(cfg, z, y_sq)
@@ -435,8 +435,8 @@ def test_solve_b_extreme_targets_end_in_root_or_geometry_error(case):
     with factor_calls() as calls:
         roots, (err,) = hitchin.solve_b(config, [z], [y_sq])
     assert 1 <= calls[0] <= config.k * (hitchin.SOLVE_MAX_ITER + 1)
-    assert (roots is None) == isinstance(err, GeometryError)
-    if roots is not None:
+    assert len(roots) == (err is None) and (err is None or isinstance(err, GeometryError))
+    if err is None:
         (b,) = roots.tolist()
         assert math.isfinite(b)
         data = [(c.b, abs(z.conjugate() + c.a)) for c in config.centers]
@@ -478,8 +478,7 @@ def test_solve_b_extreme_sweep_stalls_no_more_and_every_root_substitutes_back():
         stalled += sum(e is not None for e in errors)
         assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
         good = [e is None for e in errors]
-        roots = [] if roots is None else roots.tolist()
-        for b, zi, yi in zip(roots, z[good].tolist(), y_sq[good].tolist()):
+        for b, zi, yi in zip(roots.tolist(), z[good].tolist(), y_sq[good].tolist(), strict=True):
             data = [(c.b, abs(zi.conjugate() + c.a)) for c in config.centers]
             gval = log_lhs(data, b)[0] - math.log(yi)
             assert abs(math.expm1(gval)) <= hitchin.SOLVE_TOL + np.spacing(abs(math.log(yi)))

@@ -7,7 +7,8 @@ jet Newton steps it replaced (fd_reference.newton_eta_jets), and the
 circle-fibered metric jet and Kahler triple assembled once per block
 with each point's assembly stacked.  Lane by lane, on blocks of both
 charts: the errors are the same, the values agree to round-off.  Every
-chart's state holds its good lanes on one leading axis.
+chart's state holds its good lanes on one leading axis, and every block
+field gives its good lanes, none at all included.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from make_reference_reports import bent, bent_potential
 
 from gravinst import ghawking, hitchin, tensorcalc, verify
 from gravinst.sampling import SampleSpec
+from gravinst.singularities import Center, CenterConfiguration, QuotientSignature
 from gravinst.tensorcalc import Jet
 
 CONFIGS = (
@@ -138,12 +140,12 @@ GH_CASES = [c for c in CASES if c[1] is verify.GH]
 @pytest.mark.parametrize("case", GH_CASES, ids=[f"{c[0]}-gh" for c in GH_CASES])
 def test_circle_fibered_block_jet_is_the_stacked_point_jets(case, f):
     # the metric jet, g, omega and J of a block, each assembled in one call
-    # from the block's state, against each point's own potential_jets
-    # assembled on its own
+    # from the block's state, against each point's own jets
+    # (ghawking._point_jets) assembled on its own
     _, chart, cfg, x = case
     state, errors = chart.state(cfg)(x)
     assert not any(errors)
-    points = [ghawking.potential_jets(cfg, tuple(p)) for p in x.tolist()]
+    points = [ghawking._point_jets(cfg, tuple(p)) for p in x.tolist()]
     with bent_potential(f) if f else contextlib.nullcontext():
         block = (chart.jet_of(state), *chart.kahler_of(state))
         each = [(ghawking.metric_of(s), *ghawking.kahler_of(s)) for s in points]
@@ -153,3 +155,70 @@ def test_circle_fibered_block_jet_is_the_stacked_point_jets(case, f):
                 assert np.array_equal(getattr(got, part), np.stack([getattr(w, part) for w in want]))
         else:
             assert np.array_equal(got, np.stack(want))
+
+
+def lane_count(value) -> int:
+    """The length of a field value's leading lane axis, the same for
+    every part of a tuple value."""
+    parts = value if isinstance(value, tuple) else (value,)
+    (count,) = {len(p.val if isinstance(p, Jet) else p) for p in parts}
+    return count
+
+
+def field_blocks():
+    """(name, field, a block of good lanes and two bad ones, a block of
+    bad lanes only) for every block field."""
+    cfg = acceptance.hexagon()
+    for chart in verify.CONSTRUCTIONS:
+        x = np.array(chart.stream(cfg, SampleSpec(count=3, seed=5)))
+        bad = np.array([failing_lane(chart, cfg)] * 2)
+        blocks = (np.concatenate([bad[:1], x, bad[1:]]), bad)
+        jet = chart.jet(cfg)
+        yield f"{chart.name}-metric", chart.metric(cfg), *blocks
+        yield f"{chart.name}-state", chart.state(cfg), *blocks
+        yield f"{chart.name}-kahler", tensorcalc.assembled(chart.state(cfg), chart.kahler_of), *blocks
+        yield f"{chart.name}-curvature", lambda b, jet=jet: tensorcalc.curvature_at(jet, b), *blocks
+    # base points on the y = 0 locus below a center have no lift
+    c = cfg.centers[0]
+    locus = np.array([[0.5, c.b - 1.0, c.a.real, c.a.imag], [0.1, c.b - 2.0, c.a.real, c.a.imag]])
+    base = verify.GH.stream(cfg, SampleSpec(count=3, seed=5))
+    lift = lambda b: hitchin.base_to_chart(cfg, b)  # noqa: E731
+    yield "base_to_chart", lift, np.concatenate([base, locus]), locus
+    # (Re z, Im z, |y|^2) lanes: a huge target and a height-0 puncture with
+    # a tiny one stall
+    a = c.a
+    stalled = np.array([[-3.0, -3.0, 1e192], [-a.real, a.imag, 1e-50]])
+    solve = lambda v: hitchin.solve_b(cfg, v[:, 0] + 1j * v[:, 1], v[:, 2])  # noqa: E731
+    yield "solve_b", solve, np.concatenate([[[0.4, -0.3, 2.0]], stalled]), stalled
+    # three centers on one vertical axis: the outer pair's segment is blocked
+    tower = CenterConfiguration(
+        centers=(Center(-1.0, 0j), Center(0.0, 0j), Center(1.0, 0j)),
+        signature=QuotientSignature(3, 1, 0),
+    )
+    period = lambda p: ghawking.cycle_period(tower, p[:, 0], p[:, 1])  # noqa: E731
+    yield "cycle_period", period, np.array([[0, 2], [0, 1], [1, 2], [2, 0]]), np.array([[0, 2], [2, 0]])
+    singular = np.stack([np.ones((4, 4)), np.diag([1.0, 1.0, 1.0, -1.0])])
+    mixed = np.concatenate([[np.eye(4)], singular, [2.0 * np.eye(4)]])
+    yield "invert_metric", tensorcalc.invert_metric, mixed, singular
+
+
+FIELDS = list(field_blocks())
+
+
+@pytest.mark.parametrize("name, field, mixed, bad", FIELDS, ids=[f[0] for f in FIELDS])
+def test_every_field_gives_its_good_lanes_zero_included(name, field, mixed, bad):
+    # the field contract of tensorcalc: the value's leading axis holds
+    # exactly the lanes whose error is None, and a block with no good lane
+    # gives a value of no lanes, not None
+    for block, good in ((mixed, len(mixed) - 2), (bad, 0)):
+        value, errors = field(block)
+        assert len(errors) == len(block) and errors.count(None) == good
+        assert lane_count(value) == good
+
+
+@pytest.mark.parametrize("chart", verify.CONSTRUCTIONS, ids=lambda c: c.name)
+def test_ricci_samples_of_a_block_with_no_good_lane_are_flagged(chart):
+    cfg = acceptance.hexagon()
+    samples = verify.ricci_samples(chart, cfg, [failing_lane(chart, cfg)] * 3)
+    expected = "PoleError" if chart is verify.GH else "ChartBoundaryError"
+    assert [s.error for s in samples] == [expected] * 3

@@ -17,6 +17,7 @@ from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
+    AKL_MAX_LEVEL,
     Center,
     CenterConfiguration,
     QuotientSignature,
@@ -484,6 +485,19 @@ def test_solver_scan_rejects_bad_count_or_seed(kwargs):
 # --- truncation convergence ---
 
 
+@pytest.mark.parametrize("radius", [1e98, 1e101, 1e150, 1e153])
+def test_fits_and_solver_on_a_huge_pair_end_with_no_warning(radius):
+    # the unit pair scaled up: the fits' ball volume, curvature jets or
+    # lift leave the floats and end in NumericOverflowError, the solver's
+    # squared distances take their np.hypot branch, and nothing warns
+    cfg = make_polygon_config(QuotientSignature(1, 2, 1), [radius + 0j], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits, solver = verify.full_report(cfg, checks=("fits", "solver")).checks
+    assert fits.name == "fits" and fits.note.startswith("NumericOverflowError")
+    assert solver.name == "implicit-solver" and solver.passed
+
+
 def test_akl_convergence_quick():
     rec = verify.akl_convergence_check(j_values=range(3, 7))
     assert rec.passed
@@ -508,6 +522,16 @@ def test_akl_convergence_fails_where_increments_do_not_decrease(monkeypatch):
     assert rec.max_residual == math.inf
     assert not rec.passed
     assert rec.payload()["max_residual"] is None and rec.note == ""
+
+
+def test_the_highest_akl_level_builds_and_its_convergence_check_passes():
+    # AKL_MAX_LEVEL, 8000 centers at n = 2: the report's level range
+    # J/2..J still tells the convergent tail; one level more is refused
+    cfg = make_akl_config(n=2, m=1, j_max=AKL_MAX_LEVEL)
+    (rec,) = verify.full_report(cfg, checks=("fits",)).checks
+    assert rec.name == "akl-convergence" and rec.passed
+    with pytest.raises(ValueError, match="above 4000"):
+        make_akl_config(n=2, m=1, j_max=AKL_MAX_LEVEL + 1)
 
 
 def test_akl_convergence_needs_levels():
@@ -638,7 +662,7 @@ def test_full_report_agrees_with_the_standalone_scans(count, f):
 
 def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
     # the hexagon at count 30, seed 7: each chart's state at each of its 30
-    # stream points once (the complex chart's second call is the decay
+    # stream points once, in one call on the block of them (the complex chart's second call is the decay
     # fit's block of 24), each chart's stream drawn once, and
     # cross-validation's 12 matched points all found among the Ricci
     # samples, so it draws its own stream and evaluates no curvature
@@ -655,7 +679,7 @@ def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(ghawking, "potential_jets")
+    count(ghawking, "potential_jets", lambda args: len(args[1]))
     count(hitchin, "eta_jets", lambda args: len(args[1]))
     count(sampling, "gh_points")
     count(sampling, "hitchin_points")
@@ -669,7 +693,7 @@ def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
     count(ghawking, "adaptive_simpson")
     report = verify.full_report(hexagon_config(), spec=SampleSpec(count=30, seed=7))
     assert report.passed
-    assert counts["ghawking.potential_jets"] == 30
+    assert (counts["ghawking.potential_jets"], counts["ghawking.potential_jets lanes"]) == (1, 30)
     assert (counts["hitchin.eta_jets"], counts["hitchin.eta_jets lanes"]) == (2, 30 + 24)
     assert counts["sampling.gh_points"] == 2 and counts["sampling.hitchin_points"] == 1
     assert counts["tensorcalc.curvature_at"] == 3
@@ -762,7 +786,7 @@ def assert_block_matches_jet(field, jet_field, x, expected):
         if err is None:
             assert one_errors == [None] and np.array_equal(one[0], next(good))
         else:
-            assert one is None and type(one_errors[0]) is type(err)
+            assert len(one) == 0 and type(one_errors[0]) is type(err)
 
 
 def test_gh_metric_block_agrees_with_the_jets_lane_by_lane():
@@ -1006,7 +1030,7 @@ def assert_lanes_are_blocks_of_one(field, x, expected):
         if err is None:
             assert np.asarray(one[0]).tobytes() == np.asarray(next(good)).tobytes()
         else:
-            assert one is None
+            assert len(one) == 0
     assert next(good, None) is None
 
 
