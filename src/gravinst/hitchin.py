@@ -454,8 +454,7 @@ def ale_curvature_samples(
         base_to_chart(config, np.column_stack([np.zeros(len(base)), base]))
     )
     metric = tensorcalc.assembled(lambda x: eta_jets(config, x), metric_of)
-    bundles = tensorcalc.every_lane(tensorcalc.curvature_at(metric, points))
-    rm = np.array([bundle.riem_norm_sq for bundle in bundles])
+    rm = tensorcalc.every_lane(tensorcalc.curvature_at(metric, points)).riem_norm_sq
     return radii, rm.reshape(len(base_radii), len(directions)).tolist()
 
 

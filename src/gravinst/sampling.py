@@ -100,10 +100,12 @@ def _candidates(
     strings.  Radii are volume-uniform over the annulus, scaled by the
     configuration extent.
 
-    At most 10000 * spec.count candidates are drawn, whether accepted
-    here or rejected by the caller; past that the stream raises
-    ScanError, so an unsatisfiable spec ends instead of looping.  An
-    annulus whose cubed radii overflow is a ScanError too.
+    A stream that accepts none of its first 10000 candidates raises
+    ScanError there, whatever spec.count is; one that accepts some draws
+    at most 10000 * spec.count, whether accepted here or rejected by the
+    caller, and then raises ScanError.  So an unsatisfiable spec ends
+    instead of looping.  An annulus whose cubed radii overflow is a
+    ScanError too.
     """
     scale = max(1.0, config.extent())
     lo, hi = spec.r_min * scale, spec.r_max * scale
@@ -114,8 +116,8 @@ def _candidates(
     if not math.isfinite(hi3):
         raise ScanError(f"the sampling annulus, radii up to {hi:.3g}, is too large")
     clear = spec.clearance * scale
-    first = _start_index(spec.seed)
-    end = first + 10000 * spec.count
+    start = first = _start_index(spec.seed)
+    end, budget = first + 10000, first + 10000 * spec.count
     block = min(spec.count, _HALTON_BLOCK)
     while first < end:
         idx = np.arange(first, min(first + block, end))
@@ -133,10 +135,9 @@ def _candidates(
                 continue
             if ghawking.string_clearance(config, b, a) < clear:
                 continue
+            end = budget
             yield b, a, theta
-    raise ScanError(
-        f"sampling rejected too many candidate points ({10000 * spec.count} drawn)"
-    )
+    raise ScanError(f"sampling rejected too many candidate points ({end - start} drawn)")
 
 
 def base_points(

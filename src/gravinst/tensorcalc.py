@@ -15,11 +15,12 @@ the lanes whose entry is None, in order, so a failing lane never ends
 its block; when no lane is good its leading axis has length 0.
 Anything but an (N, 4) array is a ValueError.  curvature_at is a field
 of the same shape: it evaluates the metric's jet field once per block
-and assembles every lane at once.  lane_results joins a field's values
-and errors into one result per lane, every_lane takes the value of a
-block whose lanes are all good, and assembled maps a field's value to a
-new field with the same errors.  exterior_derivative and nijenhuis_at
-take derivative arrays with any leading lane axes.
+and assembles every lane at once, into one CurvatureBundle over the
+good lanes.  lane_results joins a field's values and errors into one
+result per lane, every_lane takes the value of a block whose lanes are
+all good, and assembled maps a field's value to a new field with the
+same errors.  exterior_derivative and nijenhuis_at take derivative
+arrays with any leading lane axes.
 
 Curvature follows the textbook chain: Christoffel symbols from first
 derivatives of the metric, the Riemann tensor from derivatives of the
@@ -38,7 +39,7 @@ the lowered tensor with four products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,24 +56,32 @@ Field = Callable[[np.ndarray], tuple]
 
 @dataclass(frozen=True)
 class CurvatureBundle:
-    """Curvature data of a metric at one point.
+    """Curvature data of a metric with the lanes on every field's leading
+    axis n, indexed like a Jet's: bundle[i] is lane i's, bundle[mask] the
+    chosen lanes', and len(bundle) the number of lanes.
 
-    christoffel[k, i, j] = Gamma^k_{ij}
-    riemann[l, i, j, k]  = R^l_{ijk}  (antisymmetric in j, k)
-    ricci[i, j]          = R^k_{ikj}
-    scalar               = g^{ij} Ric_{ij}
-    ricci_norm           = |Ric|_g
-    riem_norm_sq         = |Rm|^2_g
-    g                    = the metric at the point
+    christoffel[n, k, i, j] = Gamma^k_{ij}
+    riemann[n, l, i, j, k]  = R^l_{ijk}  (antisymmetric in j, k)
+    ricci[n, i, j]          = R^k_{ikj}
+    scalar[n]               = g^{ij} Ric_{ij}
+    ricci_norm[n]           = |Ric|_g
+    riem_norm_sq[n]         = |Rm|^2_g
+    g[n]                    = the metric at the point
     """
 
     christoffel: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
-    scalar: float
-    ricci_norm: float
-    riem_norm_sq: float
+    scalar: np.ndarray
+    ricci_norm: np.ndarray
+    riem_norm_sq: np.ndarray
     g: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.g)
+
+    def __getitem__(self, index) -> CurvatureBundle:
+        return CurvatureBundle(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 def invert_metric(g: np.ndarray):
@@ -90,29 +99,26 @@ def invert_metric(g: np.ndarray):
     if lanes.ndim != 3 or lanes.shape[1:] != (4, 4):
         raise ValueError("metrics come in a block of 4x4 matrices")
     diag = np.diagonal(lanes, axis1=1, axis2=2)
-    errors: list = [None] * len(lanes)
-    ok = np.all((diag > 0.0) & np.isfinite(diag), axis=1)
-    for n in np.flatnonzero(~ok):
-        errors[n] = DegenerateMetricError("metric diagonal is not positive")
-    d = 1.0 / np.sqrt(np.where(ok[:, None], diag, 1.0))
+    positive = np.all((diag > 0.0) & np.isfinite(diag), axis=1)
+    d = 1.0 / np.sqrt(np.where(positive[:, None], diag, 1.0))
     scale = d[:, :, None] * d[:, None, :]
     a = lanes * scale
     # np.linalg.inv rejects a whole stack for one singular matrix; an
     # exactly singular lane has a zero pivot, so a zero determinant, and
     # the identity stands in for it in the stacked inversion
-    singular = ok & (np.linalg.det(a) == 0.0)
-    for n in np.flatnonzero(singular):
-        errors[n] = DegenerateMetricError("metric is singular")
-    ok &= ~singular
-    inv_a = np.linalg.inv(np.where(ok[:, None, None], a, np.eye(4)))
+    singular = positive & (np.linalg.det(a) == 0.0)
+    inv_a = np.linalg.inv(np.where((positive & ~singular)[:, None, None], a, np.eye(4)))
     cond = np.max(np.sum(np.abs(a), axis=2), axis=1) * np.max(
         np.sum(np.abs(inv_a), axis=2), axis=1
     )
-    for n in np.flatnonzero(ok & ~(cond <= CONDITION_LIMIT)):
-        errors[n] = DegenerateMetricError(
-            f"metric condition number {cond[n]:.3e} exceeds limit"
-        )
-    good = np.array([e is None for e in errors], dtype=bool)
+    good = positive & ~singular & (cond <= CONDITION_LIMIT)
+    errors = [
+        None if ok
+        else DegenerateMetricError("metric diagonal is not positive") if not p
+        else DegenerateMetricError("metric is singular") if s
+        else DegenerateMetricError(f"metric condition number {c:.3e} exceeds limit")
+        for ok, p, s, c in zip(good.tolist(), positive.tolist(), singular.tolist(), cond.tolist())
+    ]
     return (inv_a * scale)[good], errors
 
 
@@ -321,8 +327,8 @@ def stack_components(parts: list):
 @np.errstate(over="ignore", invalid="ignore")
 def curvature_at(metric: Field, x) -> tuple:
     """Full curvature of a metric at each point of a block x of shape
-    (N, 4), as a field: the list of the good lanes' CurvatureBundles in
-    order, and per lane None or its GeometryError.
+    (N, 4), as a field: one CurvatureBundle over the good lanes in order,
+    of no lanes when none is good, and per lane None or its GeometryError.
 
     metric(x) is the metric's jet field (see the module docstring),
     evaluated once, so the chart's own errors (the chart boundary, a pole,
@@ -337,8 +343,8 @@ def curvature_at(metric: Field, x) -> tuple:
     the whole block.
     """
     jet, errors = metric(as_block(x))
-    bundles, jet_errors = _curvature_lanes(jet)
-    return bundles, lane_results(errors, jet_errors)
+    bundle, jet_errors = _curvature_lanes(jet)
+    return bundle, lane_results(errors, jet_errors)
 
 
 def _curvature_lanes(jet: Jet) -> tuple:
@@ -357,7 +363,6 @@ def _curvature_lanes(jet: Jet) -> tuple:
     finite = np.isfinite(np.concatenate(
         [a.reshape(n, size) for a, size in ((g0, 16), (jet.grad, 64), (jet.hess, 256))], axis=1
     )).all(axis=1)
-    errors: list = [None if f else NumericOverflowError("metric jet is not finite") for f in finite]
     g_fin = g0[finite]
     if np.any(
         np.max(np.abs(g_fin - np.swapaxes(g_fin, 1, 2)), axis=(1, 2), initial=0.0)
@@ -365,9 +370,7 @@ def _curvature_lanes(jet: Jet) -> tuple:
     ):
         raise ValueError("metric is not symmetric")
     ginv, inv_errors = invert_metric(g_fin)
-    for lane, err in zip(np.flatnonzero(finite), inv_errors):
-        errors[lane] = err
-    good = np.array([e is None for e in errors], dtype=bool)
+    good = np.flatnonzero(finite)[[e is None for e in inv_errors]]
     g = g0[good]
     dg, d2g = jet[good].partials()
 
@@ -408,21 +411,12 @@ def _curvature_lanes(jet: Jet) -> tuple:
         & np.isfinite(ricci_norm)
         & np.isfinite(riem_norm_sq)
     )
-    for lane in np.flatnonzero(good)[~sane]:
-        errors[lane] = NumericOverflowError("curvature assembly produced non-finite values")
-    bundles = [
-        CurvatureBundle(*lane)
-        for lane in zip(
-            gamma[sane],
-            riem[sane],
-            ricci[sane],
-            scalar[sane].tolist(),
-            ricci_norm[sane].tolist(),
-            riem_norm_sq[sane].tolist(),
-            g[sane],
-        )
-    ]
-    return bundles, errors
+    assembly = "curvature assembly produced non-finite values"
+    errors = lane_results(
+        [None if f else NumericOverflowError("metric jet is not finite") for f in finite.tolist()],
+        lane_results(inv_errors, [None if f else NumericOverflowError(assembly) for f in sane.tolist()]),
+    )
+    return CurvatureBundle(gamma, riem, ricci, scalar, ricci_norm, riem_norm_sq, g)[sane], errors
 
 
 _TRIPLES = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T

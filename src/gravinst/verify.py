@@ -396,11 +396,9 @@ def ricci_samples(
     metric = c.jet(config) if evaluation is None else evaluation.field(c.jet_of)
 
     def evaluate(block: np.ndarray) -> tuple:
-        bundles, errors = tensorcalc.curvature_at(metric, block)
-        return [
-            {"residuals": (b.ricci_norm / max(math.sqrt(b.riem_norm_sq), 1.0),), "curvature": b}
-            for b in bundles
-        ], errors
+        bundle, errors = tensorcalc.curvature_at(metric, block)
+        res = bundle.ricci_norm / np.maximum(np.sqrt(bundle.riem_norm_sq), 1.0)
+        return [{"residuals": (r,), "curvature": bundle[i]} for i, r in enumerate(res.tolist())], errors
 
     return _sample(_block(points), evaluate)
 
@@ -505,7 +503,8 @@ def cross_validate(
     If the metrics agree up to a global homothety g -> c g the ratio is
     the constant c^-2 everywhere; the spread is asserted, the constant is
     recorded, never asserted.  Base points where the curvature sits below
-    the noise floor are skipped (flat regions carry no information).
+    the noise floor are skipped (flat regions carry no information); the
+    floor scales as |Rm|^2 does, with the inverse square of the extent.
     known maps a chart's name to Ricci samples of its metric (a report's
     samples); a matched point with the exact coordinates of one of them
     takes its curvature bundle, and only the other points are evaluated.
@@ -533,14 +532,16 @@ def cross_validate(
         errors: list = [None] * len(x)
         missing = np.flatnonzero(np.isnan(rm))
         if missing.size:
-            bundles, fresh = tensorcalc.curvature_at(c.jet(config), x[missing])
+            bundle, fresh = tensorcalc.curvature_at(c.jet(config), x[missing])
             for n, err in zip(missing, fresh):
                 errors[n] = err
-            rm[missing[[e is None for e in fresh]]] = [b.riem_norm_sq for b in bundles]
+            rm[missing[[e is None for e in fresh]]] = bundle.riem_norm_sq
         return rm, errors
 
+    floor = CURVATURE_FLOOR / max(1.0, config.extent()) ** 2
+
     def ratio(rm_hit: float, rm_gh: float) -> dict:
-        if rm_gh < CURVATURE_FLOOR or rm_hit < CURVATURE_FLOOR * CURVATURE_FLOOR:
+        if rm_gh < floor or rm_hit < floor * CURVATURE_FLOOR:
             return {"error": "below curvature floor"}
         return {"residuals": (rm_hit / rm_gh,)}
 

@@ -558,6 +558,23 @@ def test_verify_unsatisfiable_sample_spec_ends(tmp_path):
     assert all(c["note"].startswith("ScanError") for c in checks)
 
 
+def test_verify_an_unsatisfiable_spec_ends_in_seconds_at_any_count(tmp_path):
+    # a stream that accepts none of its first 10000 candidates ends there,
+    # so the count does not lengthen an unsatisfiable run
+    doc = base_doc(checks=list(verify.ALL_CHECKS), sample={"count": 1000, "clearance": 6.999})
+    out = tmp_path / "r.json"
+    argv = ["verify", "--config", write_cfg(tmp_path, doc), "--out", str(out)]
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(cli.main(argv)), daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive(), "sampling drew 10000 candidates per point asked for"
+    assert codes == [1]
+    notes = [c.get("note", "") for c in json.loads(out.read_text())["report"]["checks"]]
+    # one record for each of the six sample scans and for cross-validation
+    assert notes.count("ScanError: sampling rejected too many candidate points (10000 drawn)") == 7
+
+
 def test_validate_rejects_non_strict_report(tmp_path):
     for token in ("NaN", "Infinity", "-Infinity"):
         path = tmp_path / "r.json"

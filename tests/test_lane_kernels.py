@@ -12,6 +12,7 @@ field gives its good lanes, none at all included.
 """
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ def test_every_field_gives_its_good_lanes_zero_included(name, field, mixed, bad)
         value, errors = field(block)
         assert len(errors) == len(block) and errors.count(None) == good
         assert lane_count(value) == good
+        if name.endswith("-curvature"):
+            # one bundle with every part on the lane axis, and each lane
+            # what the field gives for that lane alone, bit for bit
+            assert isinstance(value, tensorcalc.CurvatureBundle)
+            parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+            assert [len(p) for p in parts] == [good] * len(parts)
+            rows = block[[e is None for e in errors]]
+            for i, row in enumerate(rows):
+                alone = tensorcalc.every_lane(field(row[None]))
+                for f in dataclasses.fields(value):
+                    got, want = getattr(value[i], f.name), getattr(alone[0], f.name)
+                    assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chart", verify.CONSTRUCTIONS, ids=lambda c: c.name)

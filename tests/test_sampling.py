@@ -1,5 +1,7 @@
 """Sample streams: Halton radical inverses, pinned points, the draw budget."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -87,28 +89,47 @@ def test_hexagon_streams_are_pinned():
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15 * max(map(abs, want))
 
 
-@pytest.mark.parametrize("count", [1, 3])
-def test_stream_raises_after_exactly_its_draw_budget(monkeypatch, count):
-    # every candidate rejected: the stream draws 10000 * count of them,
-    # each through one clearance test and one Halton row, then ends
+def counted_draws(monkeypatch, accepted: int) -> tuple[list, list]:
+    """Counters of the clearance tests and of the Halton rows drawn, with
+    the first accepted candidates clear of everything and every later one
+    rejected."""
     tested = [0]
     drawn = [0]
     halton = sampling.halton
 
-    def reject(config, b, a):
+    def clearance(config, b, a):
         tested[0] += 1
-        return -1.0
+        return math.inf if tested[0] <= accepted else -1.0
 
     def counted_halton(index, base):
         drawn[0] += np.size(index)
         return halton(index, base)
 
-    monkeypatch.setattr(ghawking, "center_clearance", reject)
+    monkeypatch.setattr(ghawking, "center_clearance", clearance)
+    monkeypatch.setattr(ghawking, "string_clearance", lambda config, b, a: math.inf)
     monkeypatch.setattr(sampling, "halton", counted_halton)
-    with pytest.raises(ScanError, match=f"{10000 * count} drawn"):
+    return tested, drawn
+
+
+@pytest.mark.parametrize("count", [1, 3, 1000])
+def test_stream_raises_after_exactly_its_draw_budget(monkeypatch, count):
+    # every candidate rejected: the stream draws 10000 of them whatever the
+    # count, each through one clearance test and one Halton row, then ends
+    tested, drawn = counted_draws(monkeypatch, accepted=0)
+    with pytest.raises(ScanError, match="[(]10000 drawn"):
         sampling.gh_points(hexagon_config(), SampleSpec(count=count, seed=5))
-    assert tested[0] == 10000 * count
-    assert drawn[0] == len(sampling._BASES) * 10000 * count
+    assert tested[0] == 10000
+    assert drawn[0] == len(sampling._BASES) * 10000
+
+
+def test_a_stream_that_accepts_a_candidate_may_draw_10000_per_point(monkeypatch):
+    # one candidate accepted, then every one rejected: the budget is
+    # 10000 * count, and the accepted candidate counts among them
+    tested, drawn = counted_draws(monkeypatch, accepted=1)
+    with pytest.raises(ScanError, match="[(]30000 drawn"):
+        sampling.gh_points(hexagon_config(), SampleSpec(count=3, seed=5))
+    assert tested[0] == 30000
+    assert drawn[0] == len(sampling._BASES) * 30000
 
 
 def test_an_annulus_whose_cubed_radius_overflows_is_a_scan_error():

@@ -355,6 +355,41 @@ def test_cross_validate_skips_samples_below_the_curvature_floor():
     assert skipped == {"below curvature floor": verify.CROSS_COUNT}
 
 
+def scaled_pair(factor):
+    return make_polygon_config(QuotientSignature(1, 2, 1), [factor * (1.0 + 0j)], [0.0])
+
+
+def scaled_hexagon(factor):
+    return make_polygon_config(
+        QuotientSignature(2, 3, 2), [factor * (1.0 + 0j), factor * (1.4 + 0.3j)], [0.0, factor * 0.7]
+    )
+
+
+@pytest.mark.parametrize(
+    "config", [scaled_hexagon(300.0), scaled_pair(1e10)], ids=["hexagon-x300", "pair-x1e10"]
+)
+def test_cross_validation_floor_scales_with_the_configuration(config):
+    # scaling every center by s scales |Rm|^2 by s^-2, and the floor with it:
+    # a homothetic copy keeps every matched point
+    mean, record = verify.cross_validate(config)
+    assert record.passed and record.count == verify.CROSS_COUNT and not record.skipped
+    assert abs(mean - 0.25) < verify.SPREAD_TOL
+
+
+@pytest.mark.parametrize("build", [scaled_pair, scaled_hexagon], ids=["pair", "hexagon"])
+def test_a_homothetic_configuration_gets_the_same_report(build):
+    # the same surface up to homothety: every record passes or fails as at
+    # scale 1, and the |Rm|^2 ratio stays 2^-2
+    def outcome(factor):
+        report = verify.full_report(build(factor))
+        assert abs(report.ratio_mean - 0.25) < verify.SPREAD_TOL
+        return [(c.name, c.passed) for c in report.checks]
+
+    unit = outcome(1.0)
+    for factor in (300.0, 1e5, 1e10):
+        assert outcome(factor) == unit, factor
+
+
 def test_full_report_cross_validation_uses_run_sampling_geometry():
     # the run's annulus reaches cross-validation; only the count is its own
     cfg = pair_config()
@@ -709,7 +744,8 @@ def test_full_report_evaluates_each_chart_once_per_sample_point(monkeypatch):
 def test_full_report_on_an_unsatisfiable_spec_draws_each_stream_once(monkeypatch):
     # no annulus point is clear of both centers: every sample scan ends in
     # one ScanError record, after one draw per chart and cross-validation's
-    # own draw, each to the end of its budget
+    # own draw, each of the 10000 candidates a stream that accepts none
+    # may draw
     draws = []
     candidates = sampling._candidates
 
@@ -726,11 +762,8 @@ def test_full_report_on_an_unsatisfiable_spec_draws_each_stream_once(monkeypatch
     ] + ["cross-validation"]
     notes = {c.name: c.note for c in report.checks if c.name in scans}
     assert sorted(notes) == sorted(scans)
-    for name, note in notes.items():
-        drawn = 10000 * (verify.CROSS_COUNT if name == "cross-validation" else spec.count)
-        assert note == (
-            f"ScanError: sampling rejected too many candidate points ({drawn} drawn)"
-        )
+    for note in notes.values():
+        assert note == "ScanError: sampling rejected too many candidate points (10000 drawn)"
     assert report.samples == {"gh": (), "hitchin": ()}
     assert [c.passed for c in report.checks if c.name not in scans] == [True] * 4
 
