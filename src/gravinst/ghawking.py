@@ -105,11 +105,13 @@ def center_distance(u: np.ndarray, r: np.ndarray) -> np.ndarray:
 def stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Delta_i, f_i) in floats, the twin of center_factors: Delta_i =
     center_distance(u, r) and f_i = u + Delta_i, taken as r^2 / (Delta_i - u)
-    where u < 0 so that it never cancels.  Every float factor of either
-    chart goes through here, under the caller's np.errstate (the branch
-    not taken may divide by zero)."""
+    where u < 0 so that it never cancels.  Both come from one sum t =
+    |u| + Delta_i, exactly u + Delta_i or Delta_i - u on its branch.  Every
+    float factor of either chart goes through here, under the caller's
+    np.errstate (the branch not taken may divide by zero)."""
     delta = center_distance(u, r)
-    return delta, np.where(u >= 0.0, u + delta, (r * r) / (delta - u))
+    t = np.abs(u) + delta
+    return delta, np.where(u >= 0.0, t, (r * r) / t)
 
 
 def factor_faults(dlt: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

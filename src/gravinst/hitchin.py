@@ -39,6 +39,7 @@ from the same eta, with J0 as J, a jet with zero derivatives.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -54,7 +55,7 @@ from gravinst.errors import (
     SingularFiberError,
 )
 from gravinst.fitting import FitResult, fit_loglog
-from gravinst.singularities import CenterConfiguration, QuotientSignature, first_pair
+from gravinst.singularities import CenterConfiguration, QuotientSignature, first_pair, row_blocks
 
 EPS_Y_DEFAULT = 1e-8
 
@@ -62,6 +63,8 @@ EPS_Y_DEFAULT = 1e-8
 # most safeguarded Newton steps (bisections and outward steps included)
 SOLVE_TOL = 1e-13
 SOLVE_MAX_ITER = 200
+# solve_b: the most lanes its Newton loop keeps live at once (lane_window)
+NEWTON_WINDOW = 2048
 
 # J0 as a component matrix: J0 @ X rotates (Re z, Im z) and (Re y, Im y)
 # the way multiplication by i does.
@@ -120,7 +123,18 @@ def _lane_log_lhs(
     delta, f = ghawking.stable_factors(b - b_i, r)
     # a vanishing factor (a puncture, r_i = 0, below its center) makes the
     # sum -inf, so the Newton step is not finite and leaves the bracket
-    return np.log(f).sum(axis=0), (1.0 / delta).sum(axis=0)
+    return _center_sum(np.log(f)), _center_sum(1.0 / delta)
+
+
+def _center_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of (k, lanes) terms over the leading center axis, in the
+    centers' order for any lane count, so that no lane's sum depends on
+    the lanes beside it: numpy adds a block of two lanes or more row by
+    row but a single column pairwise, which rounds differently from 8
+    centers on.  The single column takes the running sum."""
+    if terms.shape[1] == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return terms.sum(axis=0)
 
 
 def solve_b(
@@ -144,7 +158,11 @@ def solve_b(
     positive and finite, is a ValueError.  Gives (roots, errors) as a
     field does (see tensorcalc): the roots of the converged lanes in
     order, and per lane None or the ConvergenceError of a stalled solve.
-    The fields solve each block in one call.
+    The fields solve each block in one call, and the solver scan each
+    block of up to verify.SOLVER_BLOCK inputs.  At most lane_window(k)
+    lanes are live at once (_newton_lanes), so the work tables do not
+    grow with N, and a lane's root and error do not depend on the lanes
+    beside it.
 
     Closed forms kept as anchors:
       one center at the origin, z=0, |y|^2=1  ->  b = 1/2
@@ -170,31 +188,61 @@ def solve_b(
     return out[~stalled], errors
 
 
+def lane_window(k: int) -> int:
+    """The most lanes solve_b keeps live at once for k centers:
+    NEWTON_WINDOW, or fewer, so that a (k, lanes) table of the window stays
+    within row_blocks' budget."""
+    return next(row_blocks(NEWTON_WINDOW, k)).stop
+
+
 def _newton_lanes(
     config: CenterConfiguration, z: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lane loop of solve_b, under its np.errstate: each lane's
-    root and the log-sum residual evaluated at it.  One log-sum evaluation
-    per live lane and step; a lane drops out once it stops, its state
-    compacted with the others' in one call, and only the live lanes whose
-    Newton step leaves the bracket work out a bisection or an outward
-    step."""
-    b_i, r = _lane_data(config, z)
-    k = len(b_i)
-    log_r = np.where(r > 0.0, np.log(r), 0.0).sum(axis=0) / k
-    lim = 700.0 - np.maximum(0.0, log_r)
-    arg = np.clip(target / k - log_r, -lim, lim)
-    n = target.size
+    root and the log-sum residual evaluated at it.
+
+    The loop runs one window of at most lane_window(k) live lanes.  One
+    log-sum evaluation per live lane and step; a lane drops out once it
+    stops, its state compacted with the others' in one call, and once half
+    the window has ended the next pending lanes join in order, so that the
+    slow tails of successive windows share their steps.  Each lane counts
+    its steps from the one it joined at, and is evaluated once more after
+    SOLVE_MAX_ITER of them.  Only the live lanes whose Newton step leaves
+    the bracket work out a bisection or an outward step.  A lane's
+    arithmetic never reads another's, so its iterates do not depend on the
+    window."""
+    b_i = ghawking.center_axis(config, 1)[0]
+    k, n = len(b_i), target.size
+    window = lane_window(k)
+    b_mean = sum(c.b for c in config.centers) / k
     out, out_g = np.empty(n), np.empty(n)
     # the live lanes' state, one row each: the iterate b, the bracket
-    # (lo, hi), the outward width, the target, the lane's index, the radii
-    state = np.empty((6 + k, n))
-    state[0] = sum(c.b for c in config.centers) / k + np.exp(log_r) * np.sinh(arg)
-    state[1], state[2], state[3] = -math.inf, math.inf, 0.0
-    state[4], state[5], state[6:] = target, np.arange(n), r
-    for _ in range(SOLVE_MAX_ITER):
-        if not state.shape[1]:
-            break
+    # (lo, hi), the outward width, the target, the lane's index, the radii;
+    # the lanes stay in index order
+    state = np.empty((6 + k, 0))
+    # per joined batch of lanes, the step of its last evaluation and the
+    # end of its lane indices
+    caps = []
+    joined = 0
+    for it in itertools.count():
+        live = state.shape[1]
+        if joined < n and 2 * live <= window:
+            join = slice(joined, min(n, joined + window - live))
+            r = _lane_data(config, z[join])[1]
+            # the start: the root of the one-center model
+            log_r = _center_sum(np.where(r > 0.0, np.log(r), 0.0)) / k
+            lim = 700.0 - np.maximum(0.0, log_r)
+            arg = np.clip(target[join] / k - log_r, -lim, lim)
+            grown = np.empty((6 + k, live + r.shape[1]))
+            grown[:, :live] = state
+            state, start = grown, grown[:, live:]
+            start[0] = b_mean + np.exp(log_r) * np.sinh(arg)
+            start[1], start[2], start[3] = -math.inf, math.inf, 0.0
+            start[4], start[5], start[6:] = target[join], np.arange(joined, join.stop), r
+            caps.append((it + SOLVE_MAX_ITER, join.stop))
+            joined = join.stop
+        elif not live:
+            return out, out_g
         b, lo, hi, width, lt, ids = state[:6]
         total, gam = _lane_log_lhs(b_i, state[6:], b)
         gval = total - lt
@@ -202,6 +250,10 @@ def _newton_lanes(
         # bracket
         step = b - gval / gam
         stop = np.abs(step - b) <= 1e-16 * (1.0 + np.abs(b))
+        if caps[0][0] == it:
+            # the oldest batch's lanes, the live ones below its end, are at
+            # the cap: this evaluation is their last
+            stop |= ids < caps.pop(0)[1]
         up = gval > 0.0
         np.putmask(hi, up, b)
         np.putmask(lo, ~up, b)
@@ -225,11 +277,6 @@ def _newton_lanes(
         b[:] = step
         if done.size:
             state = state.compress(~stop, axis=1)
-    if state.shape[1]:
-        # lanes still live after the last step are evaluated once more
-        b, lt, ids = state[0], state[4], state[5].astype(np.intp)
-        out[ids], out_g[ids] = b, _lane_log_lhs(b_i, state[6:], b)[0] - lt
-    return out, out_g
 
 
 # Re(dz dzbar) and -Im(dz dzbar) on the real coordinates

@@ -33,6 +33,7 @@ unusable.  _sample alone joins the two into the scan's SampleRecords.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
@@ -59,10 +60,9 @@ INVARIANCE_TOL = 1e-9
 SPREAD_TOL = 1e-3
 PERIOD_TOL = 1e-3
 SOLVER_TOL = 1e-12
-# inputs per solve_b call of the solver scan, so its memory does not grow
-# with the input count (a traced peak of about 1 MB, against 4 MB for
-# one 10^4-lane call)
-SOLVER_BLOCK = 2048
+# inputs per solve_b call of the solver scan: criterion 9's 10^4 in one
+# call, while its memory stops growing with the input count beyond one block
+SOLVER_BLOCK = 16384
 # chart points per field evaluation of a sample scan, for the same reason
 SAMPLE_BLOCK = 64
 CURVATURE_FLOOR = 1e-10
@@ -680,13 +680,41 @@ def decay_and_volume(
     return fits, records
 
 
+def _solver_residual(config: CenterConfiguration, idx: np.ndarray, scale: float) -> float:
+    """The worst relative back-substitution residual of one solve_b call
+    at the solver scan's inputs idx, substituted back
+    hitchin.lane_window(k) lanes at a time."""
+    z, y_abs_sq = _solver_inputs(idx, scale)
+    roots = tensorcalc.every_lane(hitchin.solve_b(config, z, y_abs_sq))
+    window = hitchin.lane_window(config.k)
+    worst = 0.0
+    for lane in range(0, len(z), window):
+        part = slice(lane, lane + window)
+        lhs = hitchin.implicit_lhs(config, z[part], roots[part])
+        # np.maximum, not max: a NaN residual must reach the record
+        worst = float(np.maximum(worst, np.max(np.abs(lhs - y_abs_sq[part]) / y_abs_sq[part])))
+    return worst
+
+
+def _solver_inputs(idx: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The solver scan's inputs (z, |y|^2) at the stream indices idx: z in
+    the square of half-width 8 * scale, |y|^2 / scale log-uniform over
+    [1e-3, 1e4], with libm's pow as Python's ** takes it (np.power may
+    differ in the last bit)."""
+    u = [sampling.halton(idx, b) for b in (2, 3, 5)]
+    z = (2.0 * u[0] - 1.0) * 8.0 * scale + 1j * ((2.0 * u[1] - 1.0) * 8.0 * scale)
+    e = (-3.0 + 7.0 * u[2]).tolist()
+    return z, np.fromiter(map(math.pow, itertools.repeat(10.0), e), float, len(e)) * scale
+
+
 def solver_scan(
     config: CenterConfiguration, count: int = 10000, seed: int = 0
 ) -> CheckRecord:
     """Back-substitution residual of the implicit height solver over a
-    deterministic stream of chart inputs, drawn, solved and substituted
-    back SOLVER_BLOCK lanes at a time.  ValueError unless the complex
-    chart carries config's metric."""
+    deterministic stream of chart inputs, drawn and solved SOLVER_BLOCK
+    inputs at a time, one solve_b call each (_solver_residual), so that
+    memory does not grow with count beyond one block.  ValueError unless
+    the complex chart carries config's metric."""
     HITCHIN.require(config)
     sampling.require_count_and_seed(count, seed)
     worst = 0.0
@@ -694,15 +722,7 @@ def solver_scan(
     scale = max(1.0, config.extent())
     for first in range(start, start + count, SOLVER_BLOCK):
         idx = np.arange(first, min(first + SOLVER_BLOCK, start + count))
-        u = [sampling.halton(idx, b) for b in (2, 3, 5)]
-        z = (2.0 * u[0] - 1.0) * 8.0 * scale + 1j * ((2.0 * u[1] - 1.0) * 8.0 * scale)
-        # log-uniform |y|^2 over several decades, with Python's pow (numpy's
-        # may differ in the last bit)
-        y_abs_sq = np.array([10.0**e for e in (-3.0 + 7.0 * u[2]).tolist()]) * scale
-        roots = tensorcalc.every_lane(hitchin.solve_b(config, z, y_abs_sq))
-        lhs = hitchin.implicit_lhs(config, z, roots)
-        # np.maximum, not max: a NaN residual must reach the record
-        worst = float(np.maximum(worst, np.max(np.abs(lhs - y_abs_sq) / y_abs_sq)))
+        worst = float(np.maximum(worst, _solver_residual(config, idx, scale)))
     return CheckRecord("implicit-solver", worst, SOLVER_TOL, count=count)
 
 

@@ -755,6 +755,22 @@ def test_stable_factors_at_a_puncture_above_and_below_its_center():
     assert total.tolist() == [math.log(3.0), -math.inf]
 
 
+def test_stable_factors_take_both_branches_from_one_sum_bit_for_bit():
+    # f = u + Delta above a center and r^2 / (Delta - u) below it, the
+    # two sums of the direct formula, byte for byte: at u = +-0, at r = 0,
+    # where |u| is far above r, and on center_distance's np.hypot branch
+    values = np.array([0.0, 1e-300, 1e-200, 1e-3, 0.7, 1.0, 42.0, 1e30, 1e200, 1e300])
+    u = np.concatenate([values, -values, np.random.default_rng(3).uniform(-5.0, 5.0, 200)])
+    u, r = (v.ravel() for v in np.meshgrid(u, np.abs(u)))
+    assert np.signbit(u[u == 0.0]).any() and (r == 0.0).any()
+    with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        assert (u * u + r * r > 1e290).any() and (np.abs(u) > 1e100 * r).any()
+        delta, f = ghawking.stable_factors(u, r)
+        direct = np.where(u >= 0.0, u + delta, (r * r) / (delta - u))
+    assert delta.tobytes() == ghawking.center_distance(u, r).tobytes()
+    assert f.tobytes() == direct.tobytes()
+
+
 def test_curvature_makes_one_metric_evaluation(monkeypatch):
     cfg = pair_config()
     point = tuple(verify.GH.stream(cfg, SampleSpec(count=1, seed=0)).tolist()[0])

@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,28 +203,33 @@ def test_solve_b_makes_no_evaluation_after_convergence():
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 5])
 def test_solve_b_checks_the_root_it_returns_at_the_iteration_cap(cap, monkeypatch):
-    # a lane that stops on the cap is evaluated once more: whatever it
-    # returns passes an independent back-substitution, and each lane stops
-    # where the float reference loop does
+    # a lane that stops on the cap is evaluated once more, whenever it
+    # joined the window (the default one, and one of 3 lanes): whatever it
+    # returns passes an independent back-substitution, and each lane
+    # stops where the float reference loop does
     monkeypatch.setattr(hitchin, "SOLVE_MAX_ITER", cap)
     cfg = square4_config()
     z, y_sq = solver_scan_inputs(cfg, 40, seed=1)
-    roots, errors = hitchin.solve_b(cfg, z, y_sq)
-    assert roots is not None
-    assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
-    # the roots of the converged lanes, in order
-    returned = iter(roots.tolist())
-    for err, zi, yi in zip(errors, z.tolist(), y_sq.tolist()):
-        try:
-            float_b = float_solve_b(cfg, zi, yi)
-        except ConvergenceError:
-            assert err is not None
-            continue
-        assert err is None
-        b = next(returned)
-        assert abs(b - float_b) <= 1e-14 * (1.0 + abs(float_b))
-        lhs = float(hitchin.implicit_lhs(cfg, zi, b))
-        assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
+    for window in (hitchin.NEWTON_WINDOW, 3):
+        monkeypatch.setattr(hitchin, "NEWTON_WINDOW", window)
+        roots, errors = hitchin.solve_b(cfg, z, y_sq)
+        assert all(isinstance(e, ConvergenceError) for e in errors if e is not None)
+        if window < len(z) and cap <= 2:
+            # lanes that joined the window late stop on the cap too
+            assert any(e is not None for e in errors[window:])
+        # the roots of the converged lanes, in order
+        returned = iter(roots.tolist())
+        for err, zi, yi in zip(errors, z.tolist(), y_sq.tolist()):
+            try:
+                float_b = float_solve_b(cfg, zi, yi)
+            except ConvergenceError:
+                assert err is not None
+                continue
+            assert err is None
+            b = next(returned)
+            assert abs(b - float_b) <= 1e-14 * (1.0 + abs(float_b))
+            lhs = float(hitchin.implicit_lhs(cfg, zi, b))
+            assert abs(lhs / yi - 1.0) <= hitchin.SOLVE_TOL + 1e-14
 
 
 def solver_scan_inputs(cfg, count, seed):
@@ -261,6 +267,40 @@ def test_solve_b_lanes_agree_with_float_loop_with_eight_centers(radii, heights):
     for bl, zi, yi in zip(b.tolist(), z.tolist(), y_sq.tolist()):
         bs = float_solve_b(cfg, zi, yi)
         assert abs(bl - bs) <= 1e-14 * (1.0 + abs(bs))
+
+
+@pytest.mark.parametrize("n", [4, 200])
+def test_solve_b_lanes_of_a_block_are_each_lane_alone_bit_for_bit(n):
+    # numpy sums the center terms of a single lane pairwise but a block's
+    # row by row, which rounds differently from 8 centers on; the lanes
+    # sum in the centers' order for any lane count, so every lane gets the
+    # root and the error it gets alone, and the scan's first 64 inputs
+    # pass as its first 10^4 do
+    cfg = make_polygon_config(QuotientSignature(2, n, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0])
+    assert cfg.k == 2 * n >= 8
+    z, y_sq = solver_scan_inputs(cfg, 64, seed=0)
+    z, y_sq = np.append(z, -cfg.centers[0].a.conjugate()), np.append(y_sq, 1e-50)
+    roots, errors = hitchin.solve_b(cfg, z, y_sq)
+    alone = [hitchin.solve_b(cfg, [zi], [yi]) for zi, yi in zip(z, y_sq)]
+    assert roots.tobytes() == np.concatenate([r for r, _ in alone]).tobytes()
+    assert [repr(e) for e in errors] == [repr(e) for _, (e,) in alone]
+    assert verify.solver_scan(cfg, count=64, seed=0).passed
+
+
+def test_solve_b_memory_stays_in_the_window_with_many_centers():
+    # 400 centers: the window holds 163 of 2048 lanes, so an evaluation's
+    # (k, lanes) tables take about 0.5 MB each, not 6.5 MB
+    cfg = make_polygon_config(QuotientSignature(2, 200, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0])
+    assert hitchin.lane_window(cfg.k) == 163
+    z, y_sq = solver_scan_inputs(cfg, 2048, seed=0)
+    tracemalloc.start()
+    try:
+        roots, errors = hitchin.solve_b(cfg, z, y_sq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert roots.shape == (2048,) and errors == [None] * 2048
+    assert peak <= 8e6
 
 
 def test_solve_b_takes_one_dimensional_lanes():
@@ -483,6 +523,20 @@ def test_solve_b_extreme_sweep_stalls_no_more_and_every_root_substitutes_back():
             gval = log_lhs(data, b)[0] - math.log(yi)
             assert abs(math.expm1(gval)) <= hitchin.SOLVE_TOL + np.spacing(abs(math.log(yi)))
     assert stalled <= EXTREME_SWEEP_STALLS
+
+
+def test_solve_b_window_moves_no_lane_of_the_extreme_sweep(monkeypatch):
+    # a window of 7 lanes, refilled a few lanes at a time, gives every lane
+    # of extreme_sweep the root and the error of the default window
+    default = [hitchin.solve_b(config, z, y_sq) for config, z, y_sq in extreme_sweep()]
+    monkeypatch.setattr(hitchin, "NEWTON_WINDOW", 7)
+    stalled = 0
+    for (roots, errors), (config, z, y_sq) in zip(default, extreme_sweep(), strict=True):
+        narrow, narrow_errors = hitchin.solve_b(config, z, y_sq)
+        assert narrow.tobytes() == roots.tobytes()
+        assert [repr(e) for e in narrow_errors] == [repr(e) for e in errors]
+        stalled += sum(e is not None for e in errors)
+    assert stalled == EXTREME_SWEEP_STALLS
 
 
 # --- metric algebra ---

@@ -466,9 +466,16 @@ def test_solver_scan_quick():
     assert rec.max_residual < 1e-12
 
 
+def eight_center_config():
+    return make_polygon_config(
+        QuotientSignature(2, 4, 1), [1.0 + 0j, 1.6 + 0j], [0.0, 0.0]
+    )
+
+
 def test_solver_scan_blocks_do_not_change_the_record(monkeypatch):
-    # lanes are independent, so the block size moves no residual bit;
-    # the scan makes one solve_b call per block of SOLVER_BLOCK inputs
+    # no lane's arithmetic reads another's, its center sums included, so
+    # neither the scan's block nor solve_b's window moves a residual bit,
+    # with 8 centers too; criterion 9's 10^4 inputs make one solve_b call
     calls = [0]
     solve_b = hitchin.solve_b
 
@@ -477,18 +484,23 @@ def test_solver_scan_blocks_do_not_change_the_record(monkeypatch):
         return solve_b(*args)
 
     monkeypatch.setattr(hitchin, "solve_b", counted)
-    rec = verify.solver_scan(pair_config(), count=2500, seed=3)
-    blocks = math.ceil(2500 / verify.SOLVER_BLOCK)
-    assert calls[0] == blocks
-    monkeypatch.setattr(verify, "SOLVER_BLOCK", 7)
-    assert verify.solver_scan(pair_config(), count=2500, seed=3) == rec
-    assert calls[0] == blocks + math.ceil(2500 / 7)
-    assert rec.passed and rec.count == 2500
+    assert verify.solver_scan(pair_config(), count=10000, seed=3).passed
+    assert calls[0] == 1
+    for cfg in (pair_config(), eight_center_config()):
+        with monkeypatch.context() as patch:
+            rec = verify.solver_scan(cfg, count=2500, seed=3)
+            calls[0] = 0
+            patch.setattr(verify, "SOLVER_BLOCK", 7)
+            patch.setattr(hitchin, "NEWTON_WINDOW", 5)
+            assert verify.solver_scan(cfg, count=2500, seed=3) == rec
+            assert calls[0] == math.ceil(2500 / 7)
+        assert rec.passed and rec.count == 2500
 
 
 def test_solver_scan_memory_does_not_grow_with_the_count():
-    # the scan holds one block of SOLVER_BLOCK lanes at a time, so four
-    # blocks peak where one does
+    # the scan holds one block of SOLVER_BLOCK inputs at a time and
+    # substitutes its roots back one window at a time, so four blocks peak
+    # where one does, and criterion 9's 10^4 inputs within 2 MB
     def peak(count):
         tracemalloc.start()
         try:
@@ -499,6 +511,7 @@ def test_solver_scan_memory_does_not_grow_with_the_count():
 
     one = peak(verify.SOLVER_BLOCK)
     assert peak(4 * verify.SOLVER_BLOCK) <= 1.1 * one
+    assert peak(10000) <= 2e6
 
 
 @pytest.mark.parametrize(
