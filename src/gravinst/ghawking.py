@@ -124,14 +124,23 @@ def factor_faults(dlt: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pole, ~pole & np.any(bad, axis=0)
 
 
+def center_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading center axis in the centers' order for any lane
+    count: numpy adds two lanes or more row by row but one lane pairwise,
+    which rounds differently from 8 centers on, so one takes the running sum."""
+    if terms[0].size == 1:
+        return np.add.accumulate(terms, axis=0)[-1]
+    return terms.sum(axis=0)
+
+
 def potential_at(
     config: CenterConfiguration, b: float | np.ndarray, a: complex | np.ndarray
 ) -> float | np.ndarray:
     """Harmonic potential V at the base point (b, a).
 
     b and a are scalars or numpy arrays; V is evaluated elementwise over
-    their broadcast shape, the centers on a leading axis, and comes back
-    as a float for scalar b and a.  PoleError where some 1/2 / Delta_i
+    their broadcast shape, the centers summed by center_sum, and comes
+    back as a float for scalar b and a.  PoleError where some 1/2 / Delta_i
     overflows: at a center, or within about 3e-309 of one.
     """
     b, a = np.asarray(b), np.asarray(a)
@@ -140,7 +149,7 @@ def potential_at(
         terms = 0.5 / center_distance(b - b_i, np.abs(a - a_i))
     if np.isinf(terms).any():
         raise PoleError("potential evaluated at a center")
-    V = _alf_constant(config) + terms.sum(axis=0)
+    V = _alf_constant(config) + center_sum(terms)
     return V if V.ndim else float(V)
 
 
@@ -425,9 +434,10 @@ def geodesic_radii(config: CenterConfiguration, radii) -> np.ndarray:
     and every piece is integrated in u = sqrt(t): 2u sqrt(V(u^2)) absorbs
     the inverse-square-root behavior of sqrt(V) when a center sits at the
     ray origin, and tends to a constant (ale, V ~ k / (2t)) or to 2u (alf),
-    which Simpson's rule integrates exactly.  The pieces of all rays are
-    the lanes of one quadrature, so each depth level evaluates V once;
-    each ray's pieces are summed in order.
+    which the Kronrod rule integrates exactly.  That rule is open, so it
+    never evaluates u = 0, where a center at the ray origin has its pole.
+    The pieces of all rays are the lanes of one quadrature, so each depth
+    level evaluates V once; each ray's pieces are summed in order.
     """
     radii = np.asarray(radii, dtype=float)
     rays = len(_RAY_DIRECTIONS)
@@ -435,11 +445,8 @@ def geodesic_radii(config: CenterConfiguration, radii) -> np.ndarray:
     pieces = len(ends)
 
     def substituted(u: np.ndarray, lane: np.ndarray) -> np.ndarray:
-        # floored away from 0 so 2u*sqrt(V(u^2)) takes its finite
-        # limit when a center sits at the ray origin (V ~ q/(2t))
-        uu = np.maximum(u, 1e-75)
-        t, d = uu * uu, _RAY_DIRECTIONS[lane // pieces]
-        return 2.0 * uu * np.sqrt(potential_at(config, t * d[:, 0], t * (d[:, 1] + 1j * d[:, 2])))
+        t, d = u * u, _RAY_DIRECTIONS[lane // pieces]
+        return 2.0 * u * np.sqrt(potential_at(config, t * d[:, 0], t * (d[:, 1] + 1j * d[:, 2])))
 
     starts = np.concatenate([[0.0], ends[:-1]])
     lengths = adaptive_simpson(substituted, np.tile(starts, rays), np.tile(ends, rays))

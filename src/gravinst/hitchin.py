@@ -123,18 +123,7 @@ def _lane_log_lhs(
     delta, f = ghawking.stable_factors(b - b_i, r)
     # a vanishing factor (a puncture, r_i = 0, below its center) makes the
     # sum -inf, so the Newton step is not finite and leaves the bracket
-    return _center_sum(np.log(f)), _center_sum(1.0 / delta)
-
-
-def _center_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of (k, lanes) terms over the leading center axis, in the
-    centers' order for any lane count, so that no lane's sum depends on
-    the lanes beside it: numpy adds a block of two lanes or more row by
-    row but a single column pairwise, which rounds differently from 8
-    centers on.  The single column takes the running sum."""
-    if terms.shape[1] == 1:
-        return np.add.accumulate(terms, axis=0)[-1]
-    return terms.sum(axis=0)
+    return ghawking.center_sum(np.log(f)), ghawking.center_sum(1.0 / delta)
 
 
 def solve_b(
@@ -230,7 +219,7 @@ def _newton_lanes(
             join = slice(joined, min(n, joined + window - live))
             r = _lane_data(config, z[join])[1]
             # the start: the root of the one-center model
-            log_r = _center_sum(np.where(r > 0.0, np.log(r), 0.0)) / k
+            log_r = ghawking.center_sum(np.where(r > 0.0, np.log(r), 0.0)) / k
             lim = 700.0 - np.maximum(0.0, log_r)
             arg = np.clip(target[join] / k - log_r, -lim, lim)
             grown = np.empty((6 + k, live + r.shape[1]))

@@ -17,8 +17,8 @@ circle-fibered Kahler form and complex structure as a field, from their
 closed forms, the reference for the chart's jets.
 
 The module also keeps, as their references, the float forms of what the
-program runs over numpy lanes: the recursive adaptive Simpson rule, for
-the breadth-first lane quadrature (gravinst.quadrature), and the
+program runs over numpy lanes: the recursive adaptive Gauss-Kronrod
+rule, for the breadth-first lane quadrature (gravinst.quadrature), and the
 implicit height's log-sum (log_lhs) with its float Newton loop, for
 hitchin.solve_b, and the float lift of a base point, for
 hitchin.base_to_chart.  Replaced kernels stay as references too: the
@@ -26,7 +26,9 @@ einsum chain of the curvature assembly (einsum_curvature), for
 tensorcalc's matrix products; the two jet Newton steps for the implicit
 height's jet (newton_eta_jets), for hitchin.eta_jets; the int64 Halton
 digits (integer_halton), for sampling.halton; and the per-pair segment
-loop (float_cycle_period), for ghawking.cycle_period's lanes.
+loop (float_cycle_period), for ghawking.cycle_period's lanes.  The
+recursive adaptive Simpson rule (recursive_simpson) stays as an
+integrator independent of the program's rule.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,7 +50,14 @@ from gravinst.errors import (
     PathBlockedError,
     PoleError,
 )
-from gravinst.quadrature import ABS_TOL, MAX_DEPTH, REL_TOL
+from gravinst.quadrature import (
+    ABS_TOL,
+    GAUSS_WEIGHTS,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
+    MAX_DEPTH,
+    REL_TOL,
+)
 from gravinst.singularities import CenterConfiguration
 from gravinst.tensorcalc import Coords, Jet
 
@@ -292,10 +302,49 @@ def fd_derivatives(field: Callable, step=None, blocks: bool = False) -> Callable
     return field_of_jets
 
 
+def recursive_gauss_kronrod(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate the float function f over [a, b] to relative accuracy
+    REL_TOL by depth-first recursive bisection, with the rule, acceptance
+    test, tolerances, depth limit and summation order of
+    gravinst.quadrature.adaptive_simpson, one node at a time."""
+    if not (b > a):
+        if b == a:
+            return 0.0
+        raise ValueError("integration bounds must satisfy a <= b")
+    kronrod, gauss = _kronrod_pair(f, a, b)
+    return _kronrod_rec(f, a, b, kronrod, gauss, REL_TOL * max(abs(kronrod), ABS_TOL), MAX_DEPTH)
+
+
+def _kronrod_pair(f, a, b):
+    """(K15, G7) on [a, b], each weighted value added in node order."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    values = [f(c + h * x) for x in KRONROD_NODES.tolist()]
+    kronrod = functools.reduce(
+        operator.add, [w * v for w, v in zip(KRONROD_WEIGHTS.tolist(), values)]
+    )
+    gauss = functools.reduce(
+        operator.add, [w * v for w, v in zip(GAUSS_WEIGHTS.tolist(), values[1::2])]
+    )
+    return kronrod * h, gauss * h
+
+
+def _kronrod_rec(f, a, b, kronrod, gauss, tol, depth):
+    if abs(kronrod - gauss) <= tol or (b - a) < 1e-14 * (abs(a) + abs(b) + 1.0):
+        return kronrod
+    if depth <= 0:
+        raise ConvergenceError("adaptive quadrature exceeded maximum recursion depth")
+    if not (math.isfinite(kronrod) and math.isfinite(gauss)):
+        raise ConvergenceError("quadrature integrand produced a non-finite value")
+    m = 0.5 * (a + b)
+    return _kronrod_rec(f, a, m, *_kronrod_pair(f, a, m), 0.5 * tol, depth - 1) + _kronrod_rec(
+        f, m, b, *_kronrod_pair(f, m, b), 0.5 * tol, depth - 1
+    )
+
+
 def recursive_simpson(f: Callable[[float], float], a: float, b: float) -> float:
     """Integrate the float function f over [a, b] to relative accuracy
-    REL_TOL by depth-first recursive bisection, with the acceptance test,
-    tolerances and depth limit of gravinst.quadrature.adaptive_simpson."""
+    REL_TOL by depth-first recursive bisection with the classic adaptive
+    Simpson rule: an integrator independent of gravinst.quadrature's."""
     if not (b > a):
         if b == a:
             return 0.0

@@ -8,14 +8,15 @@ import pytest
 from gravinst import ghawking, quadrature
 from gravinst.errors import ConvergenceError, PoleError
 from gravinst.singularities import Center, CenterConfiguration, QuotientSignature
-from fd_reference import recursive_simpson
+from fd_reference import recursive_gauss_kronrod
 
 # one integrand per lane, each f(t, c): a square root near its cusp, a
-# narrow bump, a cubic
+# narrow bump, a cubic, a sine wave
 SHAPES = (
     lambda t, c: math.sqrt(abs(t - c)),
     lambda t, c: 1.0 / (1e-4 + (t - c) * (t - c)),
     lambda t, c: t * t * t - c * t,
+    lambda t, c: math.sin(c * t) + 0.3,
 )
 LANES = [  # (shape, c, a, b)
     (0, -1e-3, 0.0, 1.0),
@@ -25,6 +26,7 @@ LANES = [  # (shape, c, a, b)
     (1, -2.0, -40.0, 25.0),
     (0, 0.0, 0.0, 1e-3),
     (2, 0.0, 1e6, 1e6 + 1.0),
+    (3, -1.2, -1.0, 2.0),  # accepted at once; its K15 summed pairwise rounds otherwise
 ]
 
 
@@ -45,8 +47,9 @@ def counted(f, calls):
 
 
 def test_lanes_match_the_recursion_bit_for_bit():
-    # same acceptance, same rule arithmetic and the recursion's left + right
-    # summation: every lane's integral and node count equal the reference's
+    # same acceptance, same rule arithmetic in node order and the
+    # recursion's left + right summation: every lane's integral and node
+    # count equal the reference's
     calls = []
     a = np.array([lane[2] for lane in LANES])
     b = np.array([lane[3] for lane in LANES])
@@ -59,11 +62,31 @@ def test_lanes_match_the_recursion_bit_for_bit():
             nodes[0] += 1
             return SHAPES[shape](t, c)
 
-        assert got[j] == recursive_simpson(f, lo, hi)
+        assert got[j] == recursive_gauss_kronrod(f, lo, hi)
         assert lane_nodes[j] == nodes[0]
-    # one call for the first three nodes of every lane, then one per level
-    assert len(calls) <= quadrature.MAX_DEPTH + 2
+        # a lane alone, one subinterval pending where numpy would sum the
+        # 15 values pairwise, gives the same bits
+        alone = quadrature.adaptive_simpson(
+            lambda t, i, j=j: lane_integrand(t, np.full_like(i, j)), [lo], [hi]
+        )
+        assert alone[0] == got[j]
+    # one call per level
+    assert len(calls) <= quadrature.MAX_DEPTH + 1
     assert got[3] == 0.0 and lane_nodes[3] == 0
+
+
+def test_rule_tables_are_exact_on_monomials():
+    # on [-1, 1], K15 integrates t^j exactly for j <= 22 and G7 for
+    # j <= 13, to round-off, and neither an even power beyond (the nodes
+    # are symmetric, so every odd power integrates to 0)
+    x = quadrature.KRONROD_NODES
+    assert np.all(np.diff(x) > 0.0) and x[7] == 0.0 and np.all(x == -x[::-1])
+    for j in range(25):
+        exact = 2.0 / (j + 1) if j % 2 == 0 else 0.0
+        kronrod = quadrature.KRONROD_WEIGHTS @ x**j
+        gauss = quadrature.GAUSS_WEIGHTS @ x[1::2] ** j
+        assert (abs(kronrod - exact) <= 1e-15) == (j <= 22 or j % 2 == 1)
+        assert (abs(gauss - exact) <= 1e-15) == (j <= 13 or j % 2 == 1)
 
 
 def test_zero_width_lanes_give_zero():
@@ -94,12 +117,13 @@ def test_bad_bounds_raise_value_error(a, b):
 
 
 def test_non_finite_integrand_raises_convergence_error():
+    # the second lane's middle Kronrod node is the pole of 1/t
     def f(t, i):
         with np.errstate(divide="ignore"):
             return np.where(i == 1, 1.0 / t, 1.0)
 
     with pytest.raises(ConvergenceError, match="non-finite"):
-        quadrature.adaptive_simpson(f, [0.0, 0.0], [1.0, 1.0])
+        quadrature.adaptive_simpson(f, [0.0, -1.0], [1.0, 1.0])
     with pytest.raises(ConvergenceError, match="non-finite"):
         quadrature.adaptive_simpson(lambda t, i: np.full_like(t, math.nan), [0.0], [1.0])
 
@@ -111,9 +135,17 @@ def test_depth_exhaustion_raises_convergence_error():
         return np.where((i == 1) & (t > 1.0 / 3.0), 1.0, 0.0)
 
     with pytest.raises(ConvergenceError, match="depth"):
-        recursive_simpson(lambda t: float(t > 1.0 / 3.0), 0.0, 1.0)
+        recursive_gauss_kronrod(lambda t: float(t > 1.0 / 3.0), 0.0, 1.0)
     with pytest.raises(ConvergenceError, match="depth"):
         quadrature.adaptive_simpson(step, [0.0, 0.0], [1.0, 1.0])
+
+    # the open rule never evaluates the pole of 1/t at the end t = 0, so
+    # its divergent integral runs out of depth, every node finite
+    def f(t, i):
+        return np.where(i == 1, 1.0 / t, 1.0)
+
+    with pytest.raises(ConvergenceError, match="depth"):
+        quadrature.adaptive_simpson(f, [0.0, 0.0], [1.0, 1.0])
 
 
 def test_node_on_a_center_raises_pole_error():
