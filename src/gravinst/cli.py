@@ -3,10 +3,9 @@
 Subcommands:
   verify    run verification checks, write a JSON report
   sample    evaluate metric/curvature at points or a deterministic grid
-  fit       asymptotic decay / volume-growth fits with pass bands
   validate  parse-check a run config, report or CSV produced by the tool
 
-Exit codes: 0 all requested work passed, 1 a check or fit failed,
+Exit codes: 0 all requested work passed, 1 a check failed,
 2 usage or configuration error.
 """
 
@@ -74,7 +73,7 @@ def parse_run_config(data: dict) -> RunConfig:
     if checks is not None:
         if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
             raise ConfigError('"checks" must be a list of check names')
-        bad = set(checks) - set(verify.ALL_CHECKS)
+        bad = set(checks) - {c.name for c in verify.CHECKS}
         if bad:
             raise ConfigError(f"unknown checks: {sorted(bad)}")
         checks = tuple(checks)
@@ -210,6 +209,10 @@ def cmd_verify(args) -> int:
     if args.seed is not None:
         run.sample = dataclasses.replace(run.sample, seed=args.seed)
     checks = tuple(args.check) if args.check else run.checks
+    csv_path = args.csv or run.csv
+    if csv_path and checks and "ricci" not in checks:
+        # the CSV rows are the Ricci scans' samples
+        checks += ("ricci",)
     if args.perturb:
         config = verify.perturb_config(config, eps=args.perturb)
     report = verify.full_report(config, spec=run.sample, checks=checks)
@@ -221,13 +224,8 @@ def cmd_verify(args) -> int:
             fh.write(document)
     else:
         sys.stdout.write(document)
-    csv_path = args.csv or run.csv
     if csv_path:
-        samples = report.samples
-        if checks and "ricci" not in checks:
-            ricci = verify.full_report(config, spec=run.sample, checks=("ricci",))
-            samples = ricci.samples
-        rows = [_csv_row(src, s) for src, recs in samples.items() for s in recs]
+        rows = [_csv_row(src, s) for src, recs in report.samples.items() for s in recs]
         _write_csv(csv_path, rows)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -262,21 +260,6 @@ def cmd_sample(args) -> int:
     samples = verify.ricci_samples(construction, config, points)
     _write_csv(args.out, [_csv_row(construction.name, s) for s in samples])
     return 0
-
-
-def cmd_fit(args) -> int:
-    _, config = _load(args)
-    ok = True
-    for name in args.fit or verify.fit_parts(config):
-        _, records = verify.decay_and_volume(config, (name,))
-        for check in records:
-            ok = ok and check.passed
-            print(
-                f"{'PASS' if check.passed else 'FAIL'} {name}: {check.name}"
-                f" residual {check.max_residual:.3e} tolerance {check.tolerance:g}"
-                f" ({check.note})"
-            )
-    return 0 if ok else 1
 
 
 def _reject_constant(token: str):
@@ -342,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--check",
         action="append",
-        choices=verify.ALL_CHECKS,
+        choices=[c.name for c in verify.CHECKS],
         help="run only this check (repeatable)",
     )
     p_verify.add_argument("--seed", type=int, help="sampling seed override")
     p_verify.add_argument("--out", help="report JSON path (default stdout)")
-    p_verify.add_argument("--csv", help="per-sample CSV path")
+    p_verify.add_argument("--csv", help="per-sample CSV path: the Ricci samples (selects ricci)")
     p_verify.add_argument(
         "--perturb", type=float, help="move one center by this amount first"
     )
@@ -369,14 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", help="CSV path (default stdout)")
     p_sample.add_argument("--mode", help="mode override: ale, alf or akl:J")
     p_sample.set_defaults(func=cmd_sample)
-
-    p_fit = sub.add_parser("fit", help="asymptotic decay and growth fits")
-    p_fit.add_argument("--config", required=True)
-    p_fit.add_argument(
-        "--fit", action="append", choices=("decay", "volume"), help="which fits"
-    )
-    p_fit.add_argument("--mode", help="mode override: ale, alf or akl:J")
-    p_fit.set_defaults(func=cmd_fit)
 
     p_val = sub.add_parser("validate", help="parse-check configs and outputs")
     p_val.add_argument("--config", help="run configuration JSON")

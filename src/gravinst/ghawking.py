@@ -124,13 +124,18 @@ def factor_faults(dlt: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pole, ~pole & np.any(bad, axis=0)
 
 
-def center_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading center axis in the centers' order for any lane
-    count: numpy adds two lanes or more row by row but one lane pairwise,
-    which rounds differently from 8 centers on, so one takes the running sum."""
+def center_sum(terms: np.ndarray | Jet) -> np.ndarray | Jet:
+    """Sum over the leading center axis in the centers' order, for float
+    lanes and jets alike, whatever the lane count or memory layout.  numpy
+    adds a row-major block row by row, but one lane or a column-major
+    block (a boolean-indexed one) pairwise, which rounds differently from
+    8 centers on: so a block is made row-major and one lane takes the
+    running sum."""
+    if isinstance(terms, Jet):
+        return Jet(center_sum(terms.val), center_sum(terms.grad), center_sum(terms.hess))
     if terms[0].size == 1:
         return np.add.accumulate(terms, axis=0)[-1]
-    return terms.sum(axis=0)
+    return np.ascontiguousarray(terms).sum(axis=0)
 
 
 def potential_at(

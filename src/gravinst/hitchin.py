@@ -314,11 +314,12 @@ def _eta(dlt, f, w_re, w_im, y_re, y_im) -> tuple:
         eta = conj(delta) dz + (2/y) dy,  2/y = 2 ybar / |y|^2.
     """
     coef = -1.0 / (dlt * f)
-    p, q = (coef * w_re).sum(0), (coef * w_im).sum(0)  # conj(delta) = p + i q
+    # conj(delta) = p + i q
+    p, q = ghawking.center_sum(coef * w_re), ghawking.center_sum(coef * w_im)
     y_sq = y_re * y_re + y_im * y_im
     s, t = 2.0 * y_re / y_sq, -2.0 * y_im / y_sq  # 2/y = s + i t
     stack = tensorcalc.stack_components
-    return (1.0 / dlt).sum(0), stack([p, -q, s, -t]), stack([q, p, t, s])
+    return ghawking.center_sum(1.0 / dlt), stack([p, -q, s, -t]), stack([q, p, t, s])
 
 
 def metric_at(config: CenterConfiguration, x):
@@ -364,8 +365,8 @@ def eta_jets(config: CenterConfiguration, x: np.ndarray) -> tuple:
     log_y_sq = (x2 * x2 + x3 * x3).log()
     u = root - b_i
     dlt, f = ghawking.center_factors(tensorcalc.Jet.constant(u), r_sq)
-    G, G_b = f.log().sum(0) - log_y_sq, dlt.inv().sum(0)
-    G_bb = -(u / dlt.val**3).sum(0)
+    G, G_b = ghawking.center_sum(f.log()) - log_y_sq, ghawking.center_sum(dlt.inv())
+    G_bb = -ghawking.center_sum(u / dlt.val**3)
     slope = G_b.val[:, None]
     b_x = -G.grad / slope
     # cross + cross^T, like Jet's products, keeps the Hessian exactly symmetric

@@ -25,6 +25,14 @@ only the rest.  Called alone, each scan makes its own evaluation.  The
 report keeps the ratio's mean beside the cross-validation record, which
 holds its spread, count and skips.
 
+Which checks exist, when each applies and what it runs is one table,
+CHECKS, of :class:`Check` records: a --check name, the rule for whether
+it applies to a configuration, and its named runs in a report (the
+per-chart scans expand over the charts that apply, ricci-gh,
+ricci-hitchin, ...).  full_report is one loop over it, and ALL_CHECKS
+and the command line's --check choices are its names, so a new check is
+one entry.
+
 A chart point is a row of four coordinates.  Every scan evaluates a
 block of samples as a field: the SampleRecord fields of the usable
 samples in order, and per sample None or the GeometryError that makes it
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, Sequence
@@ -607,76 +616,34 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     )
 
 
-def fit_parts(config: CenterConfiguration) -> tuple[str, ...]:
-    """The asymptotic fits that apply to config: "decay" where the complex
-    chart carries its ALE end, "volume" where VOLUME_TARGETS has a band.
-    FitDomainError when none does."""
-    parts = ("decay",) if HITCHIN.applies(config) else ()
-    if config.mode in VOLUME_TARGETS:
-        parts += ("volume",)
-    if not parts:
-        raise FitDomainError(f"no asymptotic fit applies to {config.mode} configurations")
-    return parts
-
-
-def decay_and_volume(
-    config: CenterConfiguration, which: Sequence[str] | None = None
-) -> tuple[dict, list[CheckRecord]]:
+def decay_and_volume(config: CenterConfiguration) -> tuple[dict, list[CheckRecord]]:
     """Asymptotic fits with their pass bands: curvature slope DECAY_TARGET
-    +- DECAY_TOL for ale (a flat end, |Rm|^2 below CURVATURE_FLOOR, for a
-    single center), volume slope VOLUME_TARGETS[config.mode] +- VOLUME_TOL
-    for ale and alf.  which selects the "decay" and "volume" parts, by
-    default every part of fit_parts(config); a part that does not apply
-    raises FitDomainError."""
-    parts = fit_parts(config)
-    which = parts if which is None else which
-    for part in which:
-        if part not in parts:
-            raise FitDomainError(
-                f"the {part} fit does not apply to {config.mode} configurations"
-            )
+    +- DECAY_TOL where the complex chart carries the ALE end (a flat end,
+    |Rm|^2 below CURVATURE_FLOOR, for a single center), and volume slope
+    VOLUME_TARGETS[config.mode] +- VOLUME_TOL.  FitDomainError on a mode
+    with no volume band."""
+    if config.mode not in VOLUME_TARGETS:
+        raise FitDomainError(f"no asymptotic fit applies to {config.mode} configurations")
     fits: dict = {}
     records: list[CheckRecord] = []
-    decay = "decay" in which
-    if decay and config.k == 1:
+    if HITCHIN.applies(config) and config.k == 1:
         # one center: the metric is flat, and a slope would fit the noise
         _, values = hitchin.ale_curvature_samples(config)
-        worst = max(max(vals) for vals in values)
-        records.append(
-            CheckRecord(
-                name="curvature-decay-flat",
-                max_residual=worst,
-                tolerance=CURVATURE_FLOOR,
-                count=sum(len(vals) for vals in values),
-                note="single center: |Rm|^2 on the ALE end below the curvature floor",
-            )
-        )
-    elif decay:
+        worst, count = max(max(vals) for vals in values), sum(len(vals) for vals in values)
+        note = "single center: |Rm|^2 on the ALE end below the curvature floor"
+        records.append(CheckRecord("curvature-decay-flat", worst, CURVATURE_FLOOR, count, note))
+    elif HITCHIN.applies(config):
         fit = hitchin.ale_curvature_decay(config)
         fits["curvature_decay"] = asdict(fit)
+        residual, note = abs(fit.slope - DECAY_TARGET), f"slope = {fit.slope:.6g}"
         records.append(
-            CheckRecord(
-                name="curvature-decay-slope",
-                max_residual=abs(fit.slope - DECAY_TARGET),
-                tolerance=DECAY_TOL,
-                count=fit.point_count,
-                note=f"slope = {fit.slope:.6g}",
-            )
+            CheckRecord("curvature-decay-slope", residual, DECAY_TOL, fit.point_count, note)
         )
-    if "volume" not in which:
-        return fits, records
     target = VOLUME_TARGETS[config.mode]
     vol = ghawking.volume_growth_fit(config)
     fits["volume_growth"] = asdict(vol)
-    records.append(
-        CheckRecord(
-            name="volume-growth-slope",
-            max_residual=abs(vol.slope - target),
-            tolerance=VOLUME_TOL,
-            count=vol.point_count,
-            note=f"slope = {vol.slope:.6g}, target {target:g}",
-        )
-    )
+    residual, note = abs(vol.slope - target), f"slope = {vol.slope:.6g}, target {target:g}"
+    records.append(CheckRecord("volume-growth-slope", residual, VOLUME_TOL, vol.point_count, note))
     return fits, records
 
 
@@ -785,15 +752,112 @@ def _config_payload(config: CenterConfiguration) -> dict:
     }
 
 
-ALL_CHECKS = (
-    "ricci",
-    "kahler",
-    "invariance",
-    "cross",
-    "periods",
-    "fits",
-    "solver",
+@dataclass(frozen=True)
+class ReportRun:
+    """What the runs of one full_report share: its configuration, sample
+    spec and report, and a ChartEvaluation of each chart that applies."""
+
+    config: CenterConfiguration
+    spec: SampleSpec
+    report: VerificationReport
+    evaluations: dict[str, ChartEvaluation]
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of CHECKS: a --check name, the rule for whether it
+    applies to a configuration, and its runs in a report.  runs(report_run)
+    maps each run's name (its timing key, and its record's name when it
+    fails) to a function of no arguments that gives its record or records.
+    A run looks its scan up as a module attribute when it is called, so
+    that the attribute stays the one binding of each scan."""
+
+    name: str
+    runs: Callable[[ReportRun], dict[str, Callable]]
+    applies: Callable[[CenterConfiguration], bool] = lambda config: True
+
+
+def _per_chart(kind: str, scan: Callable[[], Callable]) -> Callable:
+    """The runs kind-<chart> over the charts that apply, each calling the
+    scan that scan() gives with the chart's name first."""
+    return lambda r: {
+        f"{kind}-{c}": lambda c=c: scan()(c, r.config, r.spec, r.evaluations[c])
+        for c in r.evaluations
+    }
+
+
+def _cross(r: ReportRun) -> CheckRecord:
+    """Cross-validation on CROSS_COUNT matched points, with the curvature
+    of the report's Ricci samples; the mean goes to the report."""
+    spec = replace(r.spec, count=CROSS_COUNT)
+    r.report.ratio_mean, record = cross_validate(r.config, spec, r.report.samples)
+    return record
+
+
+def _fits(r: ReportRun) -> list[CheckRecord]:
+    """The asymptotic fits, their fitted values into the report."""
+    found, records = decay_and_volume(r.config)
+    r.report.fits.update(found)
+    return records
+
+
+def _akl_convergence(config: CenterConfiguration) -> CheckRecord:
+    """akl_convergence_check over the truncation levels J/2 .. J."""
+    j_hi = config.akl_j_max or 1
+    levels = tuple(range(max(1, j_hi // 2), j_hi + 1))
+    n, m = config.signature.n, config.signature.m
+    return akl_convergence_check(n=n, m=m, j_values=levels)
+
+
+CHECKS = (
+    Check("ricci", _per_chart("ricci", lambda: ricci_scan)),
+    Check("kahler", _per_chart("kahler", lambda: kahler_scan)),
+    Check(
+        "invariance",
+        _per_chart("invariance", lambda: invariance_scan),
+        applies=lambda config: config.signature.n >= 2,
+    ),
+    Check(
+        "cross",
+        lambda r: {"cross-validation": lambda: _cross(r)},
+        applies=lambda config: all(c.applies(config) for c in CONSTRUCTIONS),
+    ),
+    Check("periods", lambda r: {"periods": lambda: period_check(r.config)}),
+    # akl configurations have no asymptotic fit; their truncations converge
+    Check(
+        "fits",
+        lambda r: {"akl-convergence": lambda: _akl_convergence(r.config)}
+        if r.config.mode == "akl"
+        else {"fits": lambda: _fits(r)},
+    ),
+    Check(
+        "solver",
+        lambda r: {"implicit-solver": lambda: solver_scan(r.config, count=2000, seed=r.spec.seed)},
+        applies=lambda config: HITCHIN.applies(config),
+    ),
 )
+# the names of CHECKS, in the order a report runs them
+ALL_CHECKS = tuple(c.name for c in CHECKS)
+
+
+def _timed_run(report: VerificationReport, name: str, run: Callable) -> None:
+    """Append the records run() gives, or one failed record called name
+    when it raises, and time it under name."""
+    t0 = time.perf_counter()
+    try:
+        records = run()
+    except (GeometryError, ValueError) as exc:
+        samples = getattr(exc, "samples", ())
+        records = CheckRecord(
+            name=name,
+            max_residual=math.inf,
+            tolerance=0.0,
+            note=f"{type(exc).__name__}: {exc}",
+            skipped=_skip_counts(samples),
+            samples=samples,
+        )
+    report.checks.extend(records if isinstance(records, list) else [records])
+    report.timing[name] = time.perf_counter() - t0
 
 
 def full_report(
@@ -802,79 +866,30 @@ def full_report(
     spec: SampleSpec | None = None,
     checks: Sequence[str] | None = None,
 ) -> VerificationReport:
-    """Run the applicable checks and aggregate a deterministic report.
+    """Run the selected checks of CHECKS (all by default) that apply to
+    config, in the table's order, and aggregate a deterministic report.
 
-    Scan errors are recorded per check instead of aborting the report.
+    Scan errors are recorded per run instead of aborting the report.
     The payload is a pure function of (config, seed); wall-clock timing
     lives in a separate field the payload never includes.  mode, if
     given, must be config.mode (ValueError otherwise).  The scans share
     one ChartEvaluation per chart (see the module docstring).
     """
-    import time
-
     if mode not in (None, config.mode):
         raise ValueError(f"mode {mode!r} is not the configured mode {config.mode!r}")
     spec = spec or SampleSpec()
-    selected = tuple(checks) if checks else ALL_CHECKS
-    unknown = set(selected) - set(ALL_CHECKS)
+    known = [c.name for c in CHECKS]
+    selected = set(checks or known)
+    unknown = selected - set(known)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     report = VerificationReport(config_payload=_config_payload(config), seed=spec.seed)
-    constructions = [c for c in CONSTRUCTIONS if c.applies(config)]
-    evaluations = {c.name: ChartEvaluation(c, config, spec) for c in constructions}
-
-    def run(name: str, fn: Callable[[], CheckRecord | list[CheckRecord]]) -> None:
-        """Append the records fn returns, or one failed record when it
-        raises, and time it."""
-        t0 = time.perf_counter()
-        try:
-            records = fn()
-        except (GeometryError, ValueError) as exc:
-            samples = getattr(exc, "samples", ())
-            records = CheckRecord(
-                name=name,
-                max_residual=math.inf,
-                tolerance=0.0,
-                note=f"{type(exc).__name__}: {exc}",
-                skipped=_skip_counts(samples),
-                samples=samples,
-            )
-        report.checks.extend(records if isinstance(records, list) else [records])
-        report.timing[name] = time.perf_counter() - t0
-
-    def cross() -> CheckRecord:
-        report.ratio_mean, record = cross_validate(
-            config, replace(spec, count=CROSS_COUNT), report.samples
-        )
-        return record
-
-    def fits() -> list[CheckRecord]:
-        found, records = decay_and_volume(config)
-        report.fits.update(found)
-        return records
-
-    # the scans are looked up at call time, so a module attribute stays
-    # the one binding of each
-    per_chart = {
-        "ricci": lambda c: ricci_scan(c.name, config, spec, evaluations[c.name]),
-        "kahler": lambda c: kahler_scan(c.name, config, spec, evaluations[c.name]),
-        "invariance": lambda c: invariance_scan(c.name, config, spec, evaluations[c.name]),
+    evaluations = {
+        c.name: ChartEvaluation(c, config, spec) for c in CONSTRUCTIONS if c.applies(config)
     }
-    for kind, scan in per_chart.items():
-        if kind in selected and (kind != "invariance" or config.signature.n >= 2):
-            for c in constructions:
-                run(f"{kind}-{c.name}", lambda scan=scan, c=c: scan(c))
-    if "cross" in selected and all(c.applies(config) for c in (GH, HITCHIN)):
-        run("cross-validation", cross)
-    if "periods" in selected:
-        run("periods", lambda: period_check(config))
-    if "fits" in selected and config.mode != "akl":
-        run("fits", fits)
-    elif "fits" in selected:
-        j_hi = config.akl_j_max or 1
-        levels = tuple(range(max(1, j_hi // 2), j_hi + 1))
-        n, m = config.signature.n, config.signature.m
-        run("akl-convergence", lambda: akl_convergence_check(n=n, m=m, j_values=levels))
-    if "solver" in selected and HITCHIN.applies(config):
-        run("implicit-solver", lambda: solver_scan(config, count=2000, seed=spec.seed))
+    run = ReportRun(config, spec, report, evaluations)
+    for check in CHECKS:
+        if check.name in selected and check.applies(config):
+            for name, fn in check.runs(run).items():
+                _timed_run(report, name, fn)
     return report

@@ -359,6 +359,22 @@ def test_sample_grid_draws_the_run_files_sample_spec(tmp_path):
         assert [[float(v) for v in row[2:6]] for row in rows] == expected.tolist()
 
 
+def test_a_sampled_point_is_its_grid_row_at_eight_centers(tmp_path):
+    # from 8 centers on, numpy's sums round by their order and layout: a
+    # complex-chart point sampled alone gives the row of the grid block it
+    # sits in, bit for bit
+    octagon = {"d": 2, "n": 4, "m": 1, "radii": [[1.0, 0.0], [1.6, 0.2]], "heights": [0.0, 0.5]}
+    cfg = write_cfg(tmp_path, base_doc(singularity=octagon))
+    grid, out = tmp_path / "grid.csv", tmp_path / "point.csv"
+    argv = ["sample", "--config", cfg, "--construction", "hitchin"]
+    assert cli.main(argv + ["--grid", "12", "--out", str(grid)]) == 0
+    rows = read_rows(grid)[1:]
+    assert [row[1] for row in rows] == ["ok"] * 12
+    for row in rows:
+        assert cli.main(argv + ["--point=" + ",".join(row[2:6]), "--out", str(out)]) == 0
+        assert read_rows(out)[1] == row
+
+
 def test_sample_argument_errors(tmp_path):
     cfg = write_cfg(tmp_path, base_doc())
     assert cli.main(["sample", "--config", cfg]) == 2
@@ -382,29 +398,52 @@ def test_sample_argument_errors(tmp_path):
     assert code == 2
 
 
-# --- fit subcommand ---
+# --- the asymptotic fits through verify --check fits ---
 
 
-def test_fit_pair_default_bands(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, base_doc())
-    code = cli.main(["fit", "--config", cfg])
+def fit_records(tmp_path, singularity, *extra):
+    """The records of verify --check fits on singularity, and its exit code."""
+    cfg = write_cfg(tmp_path, base_doc(singularity=singularity))
+    out = tmp_path / "fits.json"
+    code = cli.main(["verify", "--config", cfg, "--check", "fits", "--out", str(out), *extra])
+    return code, {c["name"]: c for c in json.loads(out.read_text())["report"]["checks"]}
+
+
+def test_verify_fits_pair_passes_decay_and_volume(tmp_path):
+    code, records = fit_records(tmp_path, dict(PAIR))
     assert code == 0
-    out = capsys.readouterr().out
-    assert "PASS decay" in out and "PASS volume" in out
+    assert list(records) == ["curvature-decay-slope", "volume-growth-slope"]
+    assert all(r["pass"] for r in records.values())
 
 
-def test_fit_single_center_reports_a_flat_end(tmp_path, capsys):
-    # the fit command runs the report's fits, so one center gets the
-    # flatness check instead of a slope fitted to noise
-    cfg = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)))
-    assert cli.main(["fit", "--config", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "PASS decay: curvature-decay-flat" in out and "PASS volume" in out
+def test_verify_fits_single_center_reports_a_flat_end(tmp_path):
+    # one center gets the flatness check instead of a slope fitted to noise
+    code, records = fit_records(tmp_path, dict(FLAT))
+    assert code == 0
+    assert list(records) == ["curvature-decay-flat", "volume-growth-slope"]
+    assert all(r["pass"] for r in records.values())
 
 
-def test_fit_rejects_decay_outside_ale(tmp_path):
-    cfg = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)))
-    assert cli.main(["fit", "--config", cfg, "--mode", "alf", "--fit", "decay"]) == 2
+def test_verify_fits_on_an_alf_end_has_no_decay_record(tmp_path):
+    # the complex chart, which the decay fit takes, carries ALE ends only
+    code, records = fit_records(tmp_path, dict(FLAT), "--mode", "alf")
+    assert code == 0
+    assert list(records) == ["volume-growth-slope"]
+    assert "target 3" in records["volume-growth-slope"]["note"]
+
+
+def test_a_check_added_to_the_table_is_a_verify_check(tmp_path, monkeypatch):
+    # one verify.CHECKS entry is all a new check needs: --check and the run
+    # file's "checks" accept it, and the report runs it
+    record = verify.CheckRecord("extra", 0.0, 1.0)
+    extra = verify.Check("extra", lambda r: {"extra": lambda: record})
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (extra,))
+    out = tmp_path / "r.json"
+    for argv in (["--check", "extra"], []):
+        cfg = write_cfg(tmp_path, base_doc(checks=["extra", "periods"]))
+        assert cli.main(["verify", "--config", cfg, *argv, "--out", str(out)]) == 0
+        names = [c["name"] for c in json.loads(out.read_text())["report"]["checks"]]
+        assert names == (["extra"] if argv else ["periods", "extra"])
 
 
 # --- validate subcommand ---
@@ -466,19 +505,26 @@ def test_verify_csv_reuses_ricci_curvature(tmp_path, monkeypatch):
     assert [len(x) for x in calls] == [4, 4]
 
 
-def test_verify_csv_without_ricci_check_writes_the_ricci_rows(tmp_path):
-    # a run that skips the Ricci scans runs them for the CSV alone, with
-    # the same samples as a run that selects them
+def test_verify_csv_without_ricci_check_writes_the_ricci_rows(tmp_path, monkeypatch):
+    # --csv selects the Ricci scans, whose samples are the rows: one report
+    # gives the rows a run that selects ricci writes, and its records
+    calls = count_curvature_calls(monkeypatch)
     cfg = write_cfg(tmp_path, base_doc())
-    rows = {}
+    rows, names = {}, {}
     for check in ("kahler", "ricci"):
-        csv_path = tmp_path / f"{check}.csv"
+        csv_path, out = tmp_path / f"{check}.csv", tmp_path / f"{check}.json"
         argv = ["verify", "--config", cfg, "--check", check, "--seed", "5",
-                "--out", str(tmp_path / f"{check}.json"), "--csv", str(csv_path)]
+                "--out", str(out), "--csv", str(csv_path)]
         assert cli.main(argv) == 0
         rows[check] = read_rows(csv_path)
+        names[check] = [c["name"] for c in json.loads(out.read_text())["report"]["checks"]]
     assert len(rows["ricci"]) == 1 + 8
     assert rows["kahler"] == rows["ricci"]
+    ricci = ["ricci-gh", "ricci-hitchin"]
+    assert names["ricci"] == ricci and names["kahler"][:2] == ricci
+    assert [n.split("-")[0] for n in names["kahler"][2:]] == ["kahler"] * 6
+    # one curvature call per chart and run: the kahler run makes no second report
+    assert len(calls) == 4
 
 
 def test_verify_csv_row_matches_sample_point(tmp_path):

@@ -189,10 +189,6 @@ OPTIONS = {
         "--mode": st.sampled_from(MODES),
         "--out": st.just("out.csv"),
     },
-    "fit": {
-        "--fit": st.sampled_from(["decay", "volume", "bogus"]),
-        "--mode": st.sampled_from(MODES),
-    },
     "validate": {
         "--report": st.sampled_from(["report", "rows", "broken", "missing", *MALFORMED_REPORTS]),
         "--csv": st.sampled_from(["rows", "report", "missing"]),

@@ -8,7 +8,9 @@ circle-fibered metric jet and Kahler triple assembled once per block
 with each point's assembly stacked.  Lane by lane, on blocks of both
 charts: the errors are the same, the values agree to round-off.  Every
 chart's state holds its good lanes on one leading axis, and every block
-field gives its good lanes, none at all included.
+field gives its good lanes, none at all included.  A complex-chart lane
+evaluated alone has the bits it has in its block at 8 centers and more,
+where ghawking.center_sum fixes the order of the center sums.
 """
 
 import contextlib
@@ -23,7 +25,12 @@ from make_reference_reports import bent, bent_potential
 
 from gravinst import ghawking, hitchin, tensorcalc, verify
 from gravinst.sampling import SampleSpec
-from gravinst.singularities import Center, CenterConfiguration, QuotientSignature
+from gravinst.singularities import (
+    Center,
+    CenterConfiguration,
+    QuotientSignature,
+    make_polygon_config,
+)
 from gravinst.tensorcalc import Jet
 
 CONFIGS = (
@@ -227,6 +234,61 @@ def test_every_field_gives_its_good_lanes_zero_included(name, field, mixed, bad)
                 for f in dataclasses.fields(value):
                     got, want = getattr(value[i], f.name), getattr(alone[0], f.name)
                     assert np.shape(got) == np.shape(want) and got.tobytes() == want.tobytes()
+
+
+def polygon(k: int) -> CenterConfiguration:
+    """k centers on two rings of k / 2, the hexagon's layout at any k."""
+    return make_polygon_config(
+        QuotientSignature(2, k // 2, 1), [1.0 + 0j, 1.4 + 0.3j], [0.0, 0.7]
+    )
+
+
+def same_bits(got, want):
+    assert np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 16, 24])
+def test_complex_chart_lanes_alone_are_their_block_bit_for_bit(k):
+    # from 8 centers on, numpy's sums round by their order and layout: each
+    # lane of the state, the float metric and the curvature, evaluated
+    # alone, gives the bits it has in its block, whose first lane fails
+    cfg = polygon(k)
+    x = np.concatenate([[failing_lane(verify.HITCHIN, cfg)], verify.HITCHIN.stream(cfg, SPEC)])
+    jet = verify.HITCHIN.jet(cfg)
+    eta, errors = hitchin.eta_jets(cfg, x)
+    assert errors[0] is not None and not any(errors[1:])
+    g, _ = hitchin.metric_at(cfg, x)
+    bundle, _ = tensorcalc.curvature_at(jet, x)
+    for i, row in enumerate(x[1:]):
+        alone, _ = hitchin.eta_jets(cfg, row[None])
+        for got, want in zip(alone, eta, strict=True):
+            for part in ("val", "grad", "hess"):
+                same_bits(getattr(got, part)[0], getattr(want, part)[i])
+        same_bits(hitchin.metric_at(cfg, row[None])[0][0], g[i])
+        lone = tensorcalc.curvature_at(jet, row[None])[0][0]
+        for f in dataclasses.fields(bundle):
+            same_bits(getattr(lone, f.name), getattr(bundle[i], f.name))
+
+
+def test_center_sum_adds_in_the_centers_order_whatever_the_layout():
+    rng = np.random.default_rng(0)
+    shape = (24, 60, 4, 4)
+    terms = rng.standard_normal(shape) * np.exp(5.0 * rng.standard_normal(shape))
+    running = terms[0].copy()
+    for t in terms[1:]:
+        running += t
+    keep = rng.random(60) < 0.7
+    jet = Jet(terms[:, :, 0, 0], terms[:, :, 0], terms)
+    block = jet[:, keep]
+    # boolean indexing leaves the center axis innermost in memory
+    assert not block.val.flags.c_contiguous
+    total = ghawking.center_sum(block)
+    same_bits(total.val, running[keep, 0, 0])
+    same_bits(total.grad, running[keep, 0])
+    same_bits(total.hess, running[keep])
+    # one lane, with or without its lane axis
+    same_bits(ghawking.center_sum(terms[:, 7, 0, 0]), running[7, 0, 0])
+    same_bits(ghawking.center_sum(terms[:, 7:8, 0, 0]), running[7:8, 0, 0])
 
 
 @pytest.mark.parametrize("chart", verify.CONSTRUCTIONS, ids=lambda c: c.name)

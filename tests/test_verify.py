@@ -103,12 +103,16 @@ def test_a_mode_other_than_the_configured_one_is_rejected():
 
 
 def test_fits_that_do_not_apply_raise():
+    # akl has no volume band; the decay fit takes the complex chart, which
+    # carries ALE ends only, so an ALF end gets the volume fit alone
     with pytest.raises(FitDomainError):
         verify.decay_and_volume(make_akl_config(n=2, m=1, j_max=3))
-    with pytest.raises(FitDomainError):
-        verify.decay_and_volume(taubnut_config(), ("decay",))
-    assert verify.fit_parts(taubnut_config()) == ("volume",)
-    assert verify.fit_parts(pair_config()) == ("decay", "volume")
+    fits, records = verify.decay_and_volume(taubnut_config())
+    assert list(fits) == ["volume_growth"]
+    assert [r.name for r in records] == ["volume-growth-slope"]
+    fits, records = verify.decay_and_volume(pair_config())
+    assert list(fits) == ["curvature_decay", "volume_growth"]
+    assert [r.name for r in records] == ["curvature-decay-slope", "volume-growth-slope"]
 
 
 # --- ricci ---
@@ -632,6 +636,52 @@ def test_full_report_subset_and_determinism():
 def test_full_report_rejects_unknown_check():
     with pytest.raises(ValueError):
         verify.full_report(pair_config(), checks=("ricci", "torsion"))
+
+
+def test_the_check_table_names_every_run():
+    # the rules of verify.CHECKS: the scans expand over the charts that
+    # apply, invariance needs n >= 2, cross-validation both charts, the
+    # solver the complex chart, and fits runs akl-convergence on akl
+    assert verify.ALL_CHECKS == tuple(c.name for c in verify.CHECKS)
+    spec = SampleSpec(count=2, seed=1)
+    scans = ("ricci", "kahler", "invariance")
+    expected = {
+        pair_config(): [f"{k}-{c}" for k in scans for c in ("gh", "hitchin")]
+        + ["cross-validation", "periods", "fits", "implicit-solver"],
+        flat_config(): ["ricci-gh", "ricci-hitchin", "kahler-gh", "kahler-hitchin",
+                        "cross-validation", "periods", "fits", "implicit-solver"],
+        taubnut_config(): ["ricci-gh", "kahler-gh", "periods", "fits"],
+        make_akl_config(n=2, m=1, j_max=4): [f"{k}-gh" for k in scans]
+        + ["periods", "akl-convergence"],
+    }
+    for config, runs in expected.items():
+        assert list(verify.full_report(config, spec=spec).timing) == runs
+
+
+def test_a_check_added_to_the_table_runs_in_full_report(monkeypatch):
+    # a new check is one verify.CHECKS entry: its rule, its runs' names,
+    # timing keys and failed records all come from the entry
+    def blocked():
+        raise ScanError("every sample was blocked")
+
+    extra = verify.Check(
+        "extra",
+        lambda r: {
+            "extra-k": lambda: verify.CheckRecord("extra-k", 0.0, 1.0, count=r.config.k),
+            "extra-blocked": blocked,
+        },
+        applies=lambda config: config.mode == "ale",
+    )
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (extra,))
+    report = verify.full_report(pair_config(), checks=("extra", "periods"))
+    assert [c.name for c in report.checks] == ["periods", "extra-k", "extra-blocked"]
+    assert list(report.timing) == ["periods", "extra-k", "extra-blocked"]
+    assert report.checks[1].passed and report.checks[1].count == 2
+    failed = report.checks[2]
+    assert not failed.passed and failed.note == "ScanError: every sample was blocked"
+    assert verify.full_report(taubnut_config(), checks=("extra",)).checks == []
+    # every check runs by default, the new one included
+    assert "extra-k" in verify.full_report(pair_config(), spec=SampleSpec(count=2)).timing
 
 
 def test_full_report_captures_check_errors():
