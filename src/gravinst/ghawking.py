@@ -41,16 +41,17 @@ closed, and the only one with vanishing Nijenhuis tensor.
 Fields take blocks of points (see tensorcalc).  Each per-center term
 has one formula, the centers on a leading axis (center_axis): Delta_i
 and f_i are center_factors (stable_factors in floats, which the complex
-chart takes too), factor_faults finds the poles and strings from them,
-and alpha (_connection) and g (_metric) take float lanes and jets alike.
-metric_at gives the metric's values, V through potential_at, each lane
-with its own PoleError or DiracStringError.  The chart's state on a
-block is the field potential_jets, V and alpha as second-order jets
-(tensorcalc.Jet) over a leading lane axis, which gives curvature,
-d(omega) and the Nijenhuis tensor exact derivatives from one evaluation;
-each lane is evaluated alone (_point_jets).  metric_of and kahler_of
-assemble the metric jet and (g, omega, J) from it, each in one call over
-any leading lane axes.
+chart takes too), and alpha (_connection) and g (_metric) take float
+lanes and jets alike.  One pass per block, _lane_faults, finds the poles
+and strings from the float factors and gives each lane its PoleError or
+DiracStringError, for both fields of the chart: metric_at, the metric's
+values with V through potential_at, and the chart's state
+potential_jets, V and alpha as second-order jets (tensorcalc.Jet) over a
+leading lane axis, which gives curvature, d(omega) and the Nijenhuis
+tensor exact derivatives from one evaluation; each good lane is
+evaluated alone (_point_jets).  metric_of and kahler_of assemble the
+metric jet and (g, omega, J) from it, each in one call over any leading
+lane axes.
 """
 
 from __future__ import annotations
@@ -114,16 +115,6 @@ def stable_factors(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return delta, np.where(u >= 0.0, t, (r * r) / t)
 
 
-def factor_faults(dlt: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(pole, string) per lane, the centers on the leading axis: where some
-    1/2 / (Delta_i f_i), alpha's coefficient, overflows, a pole if some
-    1/2 / Delta_i^2 does too (within about 1e-154 of a center), else a
-    string.  Under the caller's np.errstate."""
-    bad = np.isinf(0.5 / (dlt * f))
-    pole = np.any(bad & np.isinf(0.5 / (dlt * dlt)), axis=0)
-    return pole, ~pole & np.any(bad, axis=0)
-
-
 def center_sum(terms: np.ndarray | Jet) -> np.ndarray | Jet:
     """Sum over the leading center axis in the centers' order, for float
     lanes and jets alike, whatever the lane count or memory layout.  numpy
@@ -158,29 +149,32 @@ def potential_at(
     return V if V.ndim else float(V)
 
 
-def _potential_lanes(config: CenterConfiguration, x: np.ndarray) -> tuple:
-    """V, alpha_1 and alpha_2 over the good lanes of the block x, with
-    the per-lane errors of factor_faults:
-    PoleError at a center, then DiracStringError on a string, as the jets
-    give them.  V is read through potential_at, on the good lanes only,
-    and alpha is _connection of the float factors."""
-    b, a = x[:, 1], x[:, 2] + 1j * x[:, 3]
+def _lane_faults(config: CenterConfiguration, x: np.ndarray) -> tuple:
+    """The one fault pass of the block x, for metric_at and potential_jets
+    alike: the float factors (Delta_i, f_i) of stable_factors and w_i =
+    a - a_i, the centers on the leading axis, the good lanes' mask, and
+    per lane None or its error.  Where some 1/2 / (Delta_i f_i), alpha's
+    coefficient, overflows, a lane is a PoleError if some 1/2 / Delta_i^2
+    does too (within about 1e-154 of a center), else a DiracStringError."""
     b_i, a_i = center_axis(config, 1)
-    w = a - a_i
+    w = x[:, 2] + 1j * x[:, 3] - a_i
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dlt, f = stable_factors(b - b_i, np.abs(w))
-        pole, string = factor_faults(dlt, f)
+        dlt, f = stable_factors(x[:, 1] - b_i, np.abs(w))
+        bad = np.isinf(0.5 / (dlt * f))
+        pole = np.any(bad & np.isinf(0.5 / (dlt * dlt)), axis=0)
+    string = ~pole & np.any(bad, axis=0)
     errors = [
         PoleError("metric evaluated at a center") if p
         else DiracStringError("evaluation on the Dirac string of a center") if s
         else None
         for p, s in zip(pole.tolist(), string.tolist())
     ]
-    good = ~(pole | string)
-    a1, a2 = _connection(dlt[:, good], f[:, good], w.real[:, good], w.imag[:, good])
-    return (potential_at(config, b[good], a[good]), a1, a2), errors
+    return dlt, f, w, ~(pole | string), errors
 
 
+# a good lane near a center or a string may leave the floats, which
+# curvature_at types as a NumericOverflowError
+@np.errstate(over="ignore", invalid="ignore")
 def _metric(V, a1, a2):
     """g = u u^T / V + V diag(0, 1, 1, 1) with u = (1, 0, alpha_1, alpha_2),
     from the values or the jets of V and the connection, over any leading
@@ -194,8 +188,11 @@ def _metric(V, a1, a2):
 def metric_at(config: CenterConfiguration, x):
     """Metric at each chart point (theta, b, a1, a2) of the block x, as a
     field (see tensorcalc); det g = V^2 identically."""
-    values, errors = _potential_lanes(config, tensorcalc.as_block(x))
-    return _metric(*values), errors
+    x = tensorcalc.as_block(x)
+    dlt, f, w, good, errors = _lane_faults(config, x)
+    a1, a2 = _connection(dlt[:, good], f[:, good], w.real[:, good], w.imag[:, good])
+    V = potential_at(config, x[good, 1], x[good, 2] + 1j * x[good, 3])
+    return _metric(V, a1, a2), errors
 
 
 def center_factors(u: Jet, r_sq: Jet) -> tuple[Jet, Jet]:
@@ -224,16 +221,11 @@ def _connection(dlt, f, w_re, w_im):
 def potential_jets(config: CenterConfiguration, x) -> tuple:
     """V, alpha_1 and alpha_2 at each point of the block x as a field of
     jets over a leading lane axis (see tensorcalc), with the per-lane
-    errors: PoleError at a center and DiracStringError on a string.  Each
-    lane is evaluated alone, by _point_jets, and the good lanes' jets are
-    stacked."""
-    values, errors = [], []
-    for p in tensorcalc.as_block(x).tolist():
-        try:
-            values.append(_point_jets(config, tuple(p)))
-            errors.append(None)
-        except (PoleError, DiracStringError) as exc:
-            errors.append(exc)
+    errors of _lane_faults, as metric_at.  Each good lane is evaluated
+    alone, by _point_jets, and their jets are stacked."""
+    x = tensorcalc.as_block(x)
+    *_, good, errors = _lane_faults(config, x)
+    values = [_point_jets(config, tuple(p)) for p in x[good].tolist()]
     if not values:
         # Jet.stack needs one jet to stack
         return (Jet.constant(np.zeros(0)),) * 3, errors
@@ -241,25 +233,19 @@ def potential_jets(config: CenterConfiguration, x) -> tuple:
 
 
 def _point_jets(config: CenterConfiguration, x: Coords) -> tuple[Jet, Jet, Jet]:
-    """V, alpha_1 and alpha_2 at the chart point x as jets, each a sum
-    over a per-center axis, alpha by _connection.  PoleError at a center
-    and DiracStringError on a string, by factor_faults as metric_at.
-    """
+    """V, alpha_1 and alpha_2 at the chart point x, a good lane of
+    _lane_faults, as jets, each a sum over a per-center axis, alpha by
+    _connection."""
     b_i, a_i = center_axis(config, 0)
     _, b, a1, a2 = Jet.seed(x)
     u = b - b_i
     w_re, w_im = a1 - a_i.real, a2 - a_i.imag
     r_sq = w_re * w_re + w_im * w_im
-    # a faulty lane's derivatives may divide by zero or overflow
+    # near a center a good lane's derivatives may leave the floats
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         dlt, f = center_factors(u, r_sq)
-        pole, string = factor_faults(dlt.val, f.val)
-    if pole:
-        raise PoleError("potential evaluated at a center")
-    if string:
-        raise DiracStringError("evaluation on the down Dirac string of a center")
-    V = 0.5 * dlt.inv().sum() + _alf_constant(config)
-    return (V, *_connection(dlt, f, w_re, w_im))
+        V = 0.5 * dlt.inv().sum() + _alf_constant(config)
+        return (V, *_connection(dlt, f, w_re, w_im))
 
 
 def _matrix(rows: tuple, lanes: tuple) -> Jet:
@@ -281,6 +267,7 @@ def metric_of(jets: tuple[Jet, Jet, Jet]) -> Jet:
     return _metric(*jets)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kahler_of(jets: tuple[Jet, Jet, Jet]) -> tuple[np.ndarray, Jet, Jet]:
     """(g, omega, J) assembled from the (V, alpha_1, alpha_2) jets of
     potential_jets, over any leading lane axes as metric_of: g as a float

@@ -33,6 +33,13 @@ def base_doc(**overrides):
     return doc
 
 
+def exits_2_with_error(capsys, argv):
+    """Whether cli.main(argv) exits 2 with its "error:" line on stderr."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    return code == 2 and capsys.readouterr().err.startswith("error:")
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -232,17 +239,30 @@ def test_verify_csv_output(tmp_path):
     assert {r[0] for r in rows[1:]} == {"gh", "hitchin"}
 
 
-def test_verify_config_errors(tmp_path):
-    gcd = base_doc()
-    gcd["singularity"] = {"d": 1, "n": 4, "m": 2, "radii": [[1.0, 0.0]]}
+def test_verify_config_errors(tmp_path, capsys):
+    no_singularity = base_doc()
+    del no_singularity["singularity"]
     cases = [
         base_doc(extra=1),
         {"singularity": PAIR},
-        gcd,
+        base_doc(singularity={"d": 1, "n": 4, "m": 2, "radii": [[1.0, 0.0]]}),  # gcd
+        no_singularity,
+        base_doc(singularity=5),
+        base_doc(sample=[]),
+        base_doc(singularity=dict(PAIR, n=0)),
+        base_doc(singularity={"n": 2, "m": 1, "mode": {"akl": 3, "x": 1}}),
+        base_doc(singularity={"d": 1, "n": 2, "m": 1}),  # no radii
+        base_doc(singularity=dict(PAIR, radii=[[1.0, 0.0], [2.0, 0.0]])),
+        base_doc(singularity=dict(PAIR, heights=[0.0, 1.0])),
     ]
     for i, doc in enumerate(cases):
-        assert cli.main(["verify", "--config", write_cfg(tmp_path, doc, f"c{i}.json")]) == 2
+        argv = ["verify", "--config", write_cfg(tmp_path, doc, f"c{i}.json")]
+        assert exits_2_with_error(capsys, argv), doc
     assert cli.main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
+    # a report into a directory that does not exist: the OSError branch
+    cfg = write_cfg(tmp_path, base_doc(checks=["periods"]))
+    argv = ["verify", "--config", cfg, "--out", str(tmp_path / "no" / "r.json")]
+    assert exits_2_with_error(capsys, argv)
 
 
 def test_verify_mode_override(tmp_path):
@@ -253,7 +273,7 @@ def test_verify_mode_override(tmp_path):
     assert json.loads(out.read_text())["report"]["mode"] == "alf"
 
 
-def test_verify_akl_mode(tmp_path):
+def test_verify_akl_mode(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path, base_doc(singularity={"n": 2, "m": 1}, checks=["fits"])
     )
@@ -267,6 +287,8 @@ def test_verify_akl_mode(tmp_path):
     assert cli.main(["verify", "--config", cfg, "--mode", "akl:4"]) == 2
     assert cli.main(["verify", "--config", cfg, "--mode", "akl:x"]) == 2
     assert cli.main(["verify", "--config", cfg, "--mode", "euclidean"]) == 2
+    akl = write_cfg(tmp_path, base_doc(singularity={"n": 2, "m": 1, "mode": {"akl": 3}}), "c.json")
+    assert exits_2_with_error(capsys, ["verify", "--config", akl, "--mode", "ale"])
 
 
 # --- sample subcommand ---
@@ -296,6 +318,18 @@ def test_sample_points(tmp_path):
     assert rows[1][0] == "gh"
     assert [float(v) for v in rows[1][2:6]] == [0.0, 0.5, 1.5, 0.5]
     assert float(rows[1][16]) > 0.0  # curvature column filled
+
+
+def test_sample_without_out_writes_the_rows_to_stdout(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, base_doc())
+    out = tmp_path / "pts.csv"
+    points = ["--point", "0.5,1.5,0.5", "--point", "0.1,0.4,1.2,0.3"]
+    assert cli.main(["sample", "--config", cfg, "--construction", "gh", *points]) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(["sample", "--config", cfg, "--construction", "gh", *points,
+                     "--out", str(out)]) == 0
+    assert printed == out.read_text()
+    assert len(printed.splitlines()) == 1 + 2
 
 
 def test_sample_flags_chart_boundary(tmp_path):
@@ -375,12 +409,14 @@ def test_a_sampled_point_is_its_grid_row_at_eight_centers(tmp_path):
         assert read_rows(out)[1] == row
 
 
-def test_sample_argument_errors(tmp_path):
+def test_sample_argument_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_doc())
     assert cli.main(["sample", "--config", cfg]) == 2
     assert cli.main(["sample", "--config", cfg, "--point", "1,2"]) == 2
     assert cli.main(["sample", "--config", cfg, "--point", "a,b,c"]) == 2
     assert cli.main(["sample", "--config", cfg, "--point", "nan,0,1,0"]) == 2
+    hitchin_three = ["--construction", "hitchin", "--point", "1,2,3"]
+    assert exits_2_with_error(capsys, ["sample", "--config", cfg, *hitchin_three])
     flat = write_cfg(tmp_path, base_doc(singularity=dict(FLAT)), "f.json")
     code = cli.main(
         [
@@ -449,7 +485,7 @@ def test_a_check_added_to_the_table_is_a_verify_check(tmp_path, monkeypatch):
 # --- validate subcommand ---
 
 
-def test_validate_round_trip(tmp_path):
+def test_validate_round_trip(tmp_path, capsys):
     report_path = tmp_path / "r.json"
     csv_path = tmp_path / "s.csv"
     cfg = write_cfg(tmp_path, base_doc(csv=str(csv_path)))
@@ -476,6 +512,15 @@ def test_validate_round_trip(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"report": {}}))
     assert cli.main(["validate", "--report", str(bad)]) == 2
+    # a check record without its tolerance, and a CSV with a wrong header
+    doc = json.loads(report_path.read_text())
+    del doc["report"]["checks"][0]["tolerance"]
+    bad.write_text(json.dumps(doc))
+    assert exits_2_with_error(capsys, ["validate", "--report", str(bad)])
+    rows[0] = rows[0][::-1]
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert exits_2_with_error(capsys, ["validate", "--csv", str(csv_path)])
 
 
 # --- per-sample CSV rows are the Ricci scan's own samples ---

@@ -372,6 +372,9 @@ def test_flat_volume_closed_forms():
     R = 7.0
     vol = ghawking.coordinate_ball_volume(cfg, R)
     assert abs(vol - 2.0 * math.pi**2 * R**2) / vol < 1e-9
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="non-negative"):
+            ghawking.coordinate_ball_volume(cfg, bad)
     rho = ghawking.geodesic_radii(cfg, [R])[0]
     assert abs(rho - math.sqrt(2.0 * R)) < 1e-8
 
@@ -714,6 +717,117 @@ def test_jets_raise_typed_errors_on_the_axis():
     # the down gauge is smooth through the axis above the center
     exact = closed_form_riem_norm_sq(cfg, c.b + 0.5, c.a)
     assert abs(bundle.riem_norm_sq / exact - 1.0) < 1e-10
+
+
+# --- the one fault pass ---
+
+
+def lane_errors(errors):
+    return [(type(e).__name__, str(e)) if e else None for e in errors]
+
+
+def fault_block(config, c):
+    """Sampled lanes mixed with the center c, a lane on its string, and
+    lanes on its axis just either side of the pole cut near 1e-154; where
+    the center sits at a = 0, also lanes beside its string either side of
+    the string's cut."""
+    stream = verify.GH.stream(config, SampleSpec(count=3, seed=7)).tolist()
+    lanes = [
+        stream[0],
+        (0.3, c.b, c.a.real, c.a.imag),  # the center
+        (0.1, c.b - 0.5, c.a.real, c.a.imag),  # its string
+        stream[1],
+        (0.2, c.b + 1e-154, c.a.real, c.a.imag),  # above it, outside the cut
+        (0.2, c.b + 1e-155, c.a.real, c.a.imag),  # inside the cut: a pole
+        stream[2],
+    ]
+    if c.a == 0:
+        lanes += [(0.4, c.b - 0.5, 1e-154, 0.0), (0.4, c.b - 0.5, 1e-155, 0.0)]
+    return np.array(lanes)
+
+
+def fault_cases():
+    akl = make_akl_config(n=2, m=1, j_max=12)
+    at_origin = CenterConfiguration(
+        centers=(Center(0.0, 0j), Center(1.0, 1.0 + 0.5j)), signature=QuotientSignature(2, 1, 0)
+    )
+    return [
+        (pair_config(), 0, ["", "PoleError", "DiracStringError", "", "", "PoleError", ""]),
+        (akl, 0, ["", "PoleError", "DiracStringError", "", "", "PoleError", ""]),
+        (akl, 17, ["", "PoleError", "DiracStringError", "", "", "PoleError", ""]),
+        (at_origin, 0,
+         ["", "PoleError", "DiracStringError", "", "", "PoleError", "", "", "DiracStringError"]),
+    ]
+
+
+@pytest.mark.parametrize("config, center, expected", fault_cases())
+def test_both_fields_give_every_lane_the_same_error(config, center, expected, monkeypatch):
+    x = fault_block(config, config.centers[center])
+    calls = []
+    point_jets = ghawking._point_jets
+
+    def counted(config, p):
+        calls.append(p)
+        return point_jets(config, p)
+
+    monkeypatch.setattr(ghawking, "_point_jets", counted)
+    jets, errors = ghawking.potential_jets(config, x)
+    g, metric_errors = ghawking.metric_at(config, x)
+    assert [e[0] if e else "" for e in lane_errors(errors)] == expected
+    assert lane_errors(errors) == lane_errors(metric_errors)
+    assert {str(e) for e in errors if e} <= {
+        "metric evaluated at a center", "evaluation on the Dirac string of a center"
+    }
+    # _point_jets once per good lane, in order, and never on a faulty one
+    good = [tuple(p) for p, e in zip(x.tolist(), expected) if not e]
+    assert calls == good
+    assert all(j.val.shape == (len(good),) for j in jets) and g.shape == (len(good), 4, 4)
+
+
+def test_a_block_with_no_good_lane_gives_empty_jets(monkeypatch):
+    cfg = pair_config()
+    c = cfg.centers[0]
+    x = np.array([(0.3, c.b, c.a.real, c.a.imag), (0.1, c.b - 0.5, c.a.real, c.a.imag)])
+    monkeypatch.setattr(ghawking, "_point_jets", None)  # never called
+    jets, errors = ghawking.potential_jets(cfg, x)
+    assert [type(e) for e in errors] == [PoleError, DiracStringError]
+    assert len(jets) == 3
+    assert all(
+        (j.val.shape, j.grad.shape, j.hess.shape) == ((0,), (0, 4), (0, 4, 4)) for j in jets
+    )
+
+
+@pytest.mark.parametrize("build", [pair_config, origin_config])
+def test_walk_to_a_center_and_a_string_raises_no_warning(build):
+    # above and beside a center, and beside its string one unit below it,
+    # from 1e-20 down past the pole cut to 1e-200: every field ends in a
+    # value or a typed error, never a RuntimeWarning (offsets a center's
+    # coordinates cannot represent land on the center or its string)
+    cfg = build()
+    c = cfg.centers[0]
+    x = np.array(
+        [
+            lane
+            for eps in 10.0 ** -np.arange(20, 201, 2.0)
+            for lane in (
+                (0.3, c.b + eps, c.a.real, c.a.imag),
+                (0.3, c.b, c.a.real + eps, c.a.imag),
+                (0.3, c.b - 1.0, c.a.real + eps, c.a.imag),
+            )
+        ]
+    )
+    kahler = verify.assembled(verify.GH.state(cfg), verify.GH.kahler_of)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, errors = ghawking.potential_jets(cfg, x)
+        _, metric_errors = ghawking.metric_at(cfg, x)
+        _, kahler_errors = kahler(x)
+        verify.GH.jet(cfg)(x)
+        _, curvature_errors = tensorcalc.curvature_at(verify.GH.jet(cfg), x)
+    assert lane_errors(errors) == lane_errors(metric_errors) == lane_errors(kahler_errors)
+    assert any(e is None for e in errors) and any(errors)
+    # the chart's errors come first, then the curvature types the rest
+    assert all(e is None or type(c) is type(e) for e, c in zip(errors, curvature_errors))
 
 
 # --- the center distance and factors ---

@@ -4,6 +4,7 @@ import cmath
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,20 @@ def test_center_count_must_match_signature():
             centers=(Center(0.0, 1.0 + 0j),),
             signature=QuotientSignature(1, 2, 1),
         )
+
+
+@pytest.mark.parametrize(
+    "build, reason",
+    [
+        (lambda: config_from_json(5), "JSON object"),
+        (lambda: replace(pair_config(), mode="xyz"), "unknown mode"),
+        (lambda: replace(pair_config(), akl_j_max=3), "akl_j_max"),
+    ],
+    ids=["not-an-object", "unknown-mode", "akl-level-on-ale"],
+)
+def test_a_malformed_configuration_is_a_value_error(build, reason):
+    with pytest.raises(ValueError, match=reason):
+        build()
 
 
 def test_gh_action_quarter_turn():

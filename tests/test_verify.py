@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gravinst import ghawking, hitchin, sampling, tensorcalc, verify
+from gravinst import fitting, ghawking, hitchin, sampling, tensorcalc, verify
 from gravinst.errors import ChartBoundaryError, FitDomainError, ScanError
 from gravinst.sampling import SampleSpec
 from gravinst.singularities import (
@@ -100,6 +100,28 @@ def test_a_mode_other_than_the_configured_one_is_rejected():
         verify.full_report(hexagon_config(), mode="alf")
     with pytest.raises(ValueError, match="configured mode"):
         ghawking.volume_growth_fit(taubnut_config(), mode="ale")
+
+
+@pytest.mark.parametrize(
+    "fit, x, y",
+    [
+        (fitting.fit_loglog, [1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]),
+        (fitting.fit_loglog, [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+        (fitting.fit_loglog, [1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 3.0, 4.0]),
+        (fitting.fit_loglog, [2.0] * 4, [1.0, 2.0, 3.0, 4.0]),
+        (fitting.fit_proportional, [], []),
+        (fitting.fit_proportional, [0.0, 0.0], [1.0, 2.0]),
+    ],
+    ids=["unequal-shapes", "three-points", "non-positive", "coincident-x",
+         "empty", "zero-x"],
+)
+def test_fits_outside_their_domain_raise(fit, x, y):
+    with pytest.raises(FitDomainError):
+        fit(x, y)
+
+
+def test_a_proportional_fit_to_zeros_has_no_residual():
+    assert fitting.fit_proportional([1.0, 2.0], [0.0, 0.0]) == (0.0, 0.0)
 
 
 def test_fits_that_do_not_apply_raise():
