@@ -71,8 +71,8 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError('"singularity" must be an object or a file path')
     checks = data.get("checks")
     if checks is not None:
-        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
-            raise ConfigError('"checks" must be a list of check names')
+        if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
+            raise ConfigError('"checks" must be a non-empty list of check names')
         bad = set(checks) - {c.name for c in verify.CHECKS}
         if bad:
             raise ConfigError(f"unknown checks: {sorted(bad)}")

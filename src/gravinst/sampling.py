@@ -89,7 +89,8 @@ class SampleSpec:
             raise ValueError("clearance must be below r_max + 1 to be met at all")
 
 
-def _start_index(seed: int) -> int:
+def start_index(seed: int) -> int:
+    """The stream index a seed starts at: 1 + seed mod 2^31."""
     return 1 + (int(seed) % (2**31))
 
 
@@ -116,7 +117,7 @@ def _candidates(
     if not math.isfinite(hi3):
         raise ScanError(f"the sampling annulus, radii up to {hi:.3g}, is too large")
     clear = spec.clearance * scale
-    start = first = _start_index(spec.seed)
+    start = first = start_index(spec.seed)
     end, budget = first + 10000, first + 10000 * spec.count
     block = min(spec.count, _HALTON_BLOCK)
     while first < end:

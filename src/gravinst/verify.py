@@ -21,9 +21,7 @@ J) from that state, and the invariance scan takes the same stream.
 Cross-validation lifts its base points to the complex chart a block at
 a time (hitchin.base_to_chart), takes its curvature from the report's
 Ricci samples wherever a matched point is one of them, and evaluates
-only the rest.  Called alone, each scan makes its own evaluation.  The
-report keeps the ratio's mean beside the cross-validation record, which
-holds its spread, count and skips.
+only the rest.  Called alone, each scan makes its own evaluation.
 
 Which checks exist, when each applies and what it runs is one table,
 CHECKS, of :class:`Check` records: a --check name, the rule for whether
@@ -31,7 +29,8 @@ it applies to a configuration, and its named runs in a report (the
 per-chart scans expand over the charts that apply, ricci-gh,
 ricci-hitchin, ...).  full_report is one loop over it, and ALL_CHECKS
 and the command line's --check choices are its names, so a new check is
-one entry.
+one entry, also when it reports a value beside its pass/fail (a fitted
+slope, the ratio's mean): that goes in its record's body.
 
 A chart point is a row of four coordinates.  Every scan evaluates a
 block of samples as a field: the SampleRecord fields of the usable
@@ -110,6 +109,8 @@ class CheckRecord:
     the condition fails), so overriding the tolerance re-judges it.
     skipped counts the unusable samples of a scan by error type; samples
     holds the scan's per-sample records, which never enter the payload.
+    body holds the payload sections the record adds beside its "checks"
+    entry, merged by key (its fit under "fits", say), as strict JSON.
     """
 
     name: str
@@ -118,6 +119,7 @@ class CheckRecord:
     count: int = 0
     note: str = ""
     skipped: dict = field(default_factory=dict)
+    body: dict = field(default_factory=dict)
     samples: tuple[SampleRecord, ...] = field(default=(), repr=False, compare=False)
 
     @property
@@ -144,9 +146,6 @@ class VerificationReport:
     config_payload: dict
     seed: int
     checks: list[CheckRecord] = field(default_factory=list)
-    fits: dict = field(default_factory=dict)
-    # the mean |Rm|^2 ratio of cross-validation, whose record holds the rest
-    ratio_mean: float | None = None
     timing: dict = field(default_factory=dict)
 
     @property
@@ -161,24 +160,19 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def payload(self) -> dict:
-        """Deterministic report body; timing deliberately excluded."""
+        """Deterministic report body, built from the records alone; timing
+        deliberately excluded."""
         out = {
             "config": self.config_payload,
             "mode": self.config_payload["mode"],
             "seed": self.seed,
             "checks": [c.payload() for c in self.checks],
-            "fits": self.fits,
+            "fits": {},
             "pass": self.passed,
         }
-        if self.ratio_mean is not None:
-            cross = next(c for c in self.checks if c.name == "cross-validation")
-            out["cross_validation"] = {
-                "mean": _finite(self.ratio_mean),
-                "spread": _finite(cross.max_residual),
-                "count": cross.count,
-            }
-            if cross.note:
-                out["cross_validation"]["note"] = cross.note
+        for c in self.checks:
+            for key, section in c.body.items():
+                out.setdefault(key, {}).update(section)
         return out
 
 
@@ -505,9 +499,10 @@ def cross_validate(
     config: CenterConfiguration,
     spec: SampleSpec | None = None,
     known: Mapping[str, Sequence[SampleRecord]] | None = None,
-) -> tuple[float, CheckRecord]:
+) -> CheckRecord:
     """Pointwise |Rm|^2 ratio between the two constructions at matched
-    base points: its mean and the record of its spread.
+    base points: the record of its spread, whose body's
+    "cross_validation" section holds its mean, spread and count.
 
     If the metrics agree up to a global homothety g -> c g the ratio is
     the constant c^-2 everywhere; the spread is asserted, the constant is
@@ -523,9 +518,9 @@ def cross_validate(
         c.require(config)
     spec = spec or SampleSpec(count=CROSS_COUNT)
     if config.k < 2:
-        return math.nan, CheckRecord(
-            "cross-validation", 0.0, SPREAD_TOL, note="flat configuration, skipped"
-        )
+        note = "flat configuration, skipped"
+        body = {"cross_validation": {"mean": None, "spread": 0.0, "count": 0, "note": note}}
+        return CheckRecord("cross-validation", 0.0, SPREAD_TOL, note=note, body=body)
     found = {
         (name, s.point): s.curvature.riem_norm_sq
         for name, samples in (known or {}).items()
@@ -571,12 +566,15 @@ def cross_validate(
         raise ScanError("fewer than 8 usable cross-validation samples", samples)
     arr = np.asarray(ratios)
     mean = float(np.mean(arr))
-    return mean, CheckRecord(
+    spread = float((np.max(arr) - np.min(arr)) / abs(mean))
+    section = {"mean": _finite(mean), "spread": _finite(spread), "count": len(ratios)}
+    return CheckRecord(
         name="cross-validation",
-        max_residual=float((np.max(arr) - np.min(arr)) / abs(mean)),
+        max_residual=spread,
         tolerance=SPREAD_TOL,
         count=len(ratios),
         skipped=_skip_counts(samples),
+        body={"cross_validation": section},
         samples=samples,
     )
 
@@ -616,15 +614,15 @@ def period_check(config: CenterConfiguration) -> CheckRecord:
     )
 
 
-def decay_and_volume(config: CenterConfiguration) -> tuple[dict, list[CheckRecord]]:
+def decay_and_volume(config: CenterConfiguration) -> list[CheckRecord]:
     """Asymptotic fits with their pass bands: curvature slope DECAY_TARGET
     +- DECAY_TOL where the complex chart carries the ALE end (a flat end,
     |Rm|^2 below CURVATURE_FLOOR, for a single center), and volume slope
-    VOLUME_TARGETS[config.mode] +- VOLUME_TOL.  FitDomainError on a mode
-    with no volume band."""
+    VOLUME_TARGETS[config.mode] +- VOLUME_TOL.  Each slope record's body
+    puts its fit under "fits".  FitDomainError on a mode with no volume
+    band."""
     if config.mode not in VOLUME_TARGETS:
         raise FitDomainError(f"no asymptotic fit applies to {config.mode} configurations")
-    fits: dict = {}
     records: list[CheckRecord] = []
     if HITCHIN.applies(config) and config.k == 1:
         # one center: the metric is flat, and a slope would fit the noise
@@ -634,17 +632,21 @@ def decay_and_volume(config: CenterConfiguration) -> tuple[dict, list[CheckRecor
         records.append(CheckRecord("curvature-decay-flat", worst, CURVATURE_FLOOR, count, note))
     elif HITCHIN.applies(config):
         fit = hitchin.ale_curvature_decay(config)
-        fits["curvature_decay"] = asdict(fit)
         residual, note = abs(fit.slope - DECAY_TARGET), f"slope = {fit.slope:.6g}"
+        body = {"fits": {"curvature_decay": asdict(fit)}}
         records.append(
-            CheckRecord("curvature-decay-slope", residual, DECAY_TOL, fit.point_count, note)
+            CheckRecord(
+                "curvature-decay-slope", residual, DECAY_TOL, fit.point_count, note, body=body
+            )
         )
     target = VOLUME_TARGETS[config.mode]
     vol = ghawking.volume_growth_fit(config)
-    fits["volume_growth"] = asdict(vol)
     residual, note = abs(vol.slope - target), f"slope = {vol.slope:.6g}, target {target:g}"
-    records.append(CheckRecord("volume-growth-slope", residual, VOLUME_TOL, vol.point_count, note))
-    return fits, records
+    body = {"fits": {"volume_growth": asdict(vol)}}
+    records.append(
+        CheckRecord("volume-growth-slope", residual, VOLUME_TOL, vol.point_count, note, body=body)
+    )
+    return records
 
 
 def _solver_residual(config: CenterConfiguration, idx: np.ndarray, scale: float) -> float:
@@ -685,7 +687,7 @@ def solver_scan(
     HITCHIN.require(config)
     sampling.require_count_and_seed(count, seed)
     worst = 0.0
-    start = 1 + seed % (2**31)
+    start = sampling.start_index(seed)
     scale = max(1.0, config.extent())
     for first in range(start, start + count, SOLVER_BLOCK):
         idx = np.arange(first, min(first + SOLVER_BLOCK, start + count))
@@ -786,21 +788,6 @@ def _per_chart(kind: str, scan: Callable[[], Callable]) -> Callable:
     }
 
 
-def _cross(r: ReportRun) -> CheckRecord:
-    """Cross-validation on CROSS_COUNT matched points, with the curvature
-    of the report's Ricci samples; the mean goes to the report."""
-    spec = replace(r.spec, count=CROSS_COUNT)
-    r.report.ratio_mean, record = cross_validate(r.config, spec, r.report.samples)
-    return record
-
-
-def _fits(r: ReportRun) -> list[CheckRecord]:
-    """The asymptotic fits, their fitted values into the report."""
-    found, records = decay_and_volume(r.config)
-    r.report.fits.update(found)
-    return records
-
-
 def _akl_convergence(config: CenterConfiguration) -> CheckRecord:
     """akl_convergence_check over the truncation levels J/2 .. J."""
     j_hi = config.akl_j_max or 1
@@ -819,7 +806,11 @@ CHECKS = (
     ),
     Check(
         "cross",
-        lambda r: {"cross-validation": lambda: _cross(r)},
+        lambda r: {
+            "cross-validation": lambda: cross_validate(
+                r.config, replace(r.spec, count=CROSS_COUNT), r.report.samples
+            )
+        },
         applies=lambda config: all(c.applies(config) for c in CONSTRUCTIONS),
     ),
     Check("periods", lambda r: {"periods": lambda: period_check(r.config)}),
@@ -828,7 +819,7 @@ CHECKS = (
         "fits",
         lambda r: {"akl-convergence": lambda: _akl_convergence(r.config)}
         if r.config.mode == "akl"
-        else {"fits": lambda: _fits(r)},
+        else {"fits": lambda: decay_and_volume(r.config)},
     ),
     Check(
         "solver",
@@ -866,8 +857,9 @@ def full_report(
     spec: SampleSpec | None = None,
     checks: Sequence[str] | None = None,
 ) -> VerificationReport:
-    """Run the selected checks of CHECKS (all by default) that apply to
-    config, in the table's order, and aggregate a deterministic report.
+    """Run the selected checks of CHECKS (all when checks is None) that
+    apply to config, in the table's order, and aggregate a deterministic
+    report; ValueError when none applies, so that no report checks nothing.
 
     Scan errors are recorded per run instead of aborting the report.
     The payload is a pure function of (config, seed); wall-clock timing
@@ -879,17 +871,19 @@ def full_report(
         raise ValueError(f"mode {mode!r} is not the configured mode {config.mode!r}")
     spec = spec or SampleSpec()
     known = [c.name for c in CHECKS]
-    selected = set(checks or known)
+    selected = set(known if checks is None else checks)
     unknown = selected - set(known)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    chosen = [c for c in CHECKS if c.name in selected and c.applies(config)]
+    if not chosen:
+        raise ValueError(f"no check of {sorted(selected)} applies to this configuration")
     report = VerificationReport(config_payload=_config_payload(config), seed=spec.seed)
     evaluations = {
         c.name: ChartEvaluation(c, config, spec) for c in CONSTRUCTIONS if c.applies(config)
     }
     run = ReportRun(config, spec, report, evaluations)
-    for check in CHECKS:
-        if check.name in selected and check.applies(config):
-            for name, fn in check.runs(run).items():
-                _timed_run(report, name, fn)
+    for check in chosen:
+        for name, fn in check.runs(run).items():
+            _timed_run(report, name, fn)
     return report

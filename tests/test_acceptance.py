@@ -192,7 +192,8 @@ def test_criterion_07_cross_construction():
     results = []
     ok = True
     for name, build in (("k=2", pair_unit), ("k=4", square4)):
-        mean, rec = verify.cross_validate(build(), SampleSpec(count=12, seed=5))
+        rec = verify.cross_validate(build(), SampleSpec(count=12, seed=5))
+        mean = rec.body["cross_validation"]["mean"]
         ok = ok and rec.passed and rec.count >= 10 and rec.max_residual < 1e-3
         results.append(f"{name} ratio {mean:.6f} spread {rec.max_residual:.1e} n={rec.count}")
     emit(

@@ -64,6 +64,7 @@ def test_parse_run_config_rejections():
         base_doc(extra=1),
         base_doc(checks=["nosuch"]),
         base_doc(checks="kahler"),
+        base_doc(checks=[]),
         base_doc(sample={"count": 4, "speed": 9}),
         base_doc(tolerances={"ricci": -1.0}),
         base_doc(out=7),
@@ -191,6 +192,17 @@ def test_verify_check_flag_overrides_config(tmp_path):
     assert [c["name"] for c in rep["checks"]] == ["periods"]
 
 
+def test_verify_that_would_check_nothing_exits_2(tmp_path, capsys):
+    # neither check applies to an ALF pair, and an empty list selects none:
+    # a report of no checks would pass
+    alf = base_doc(singularity=dict(PAIR, mode="alf"))
+    argv = ["verify", "--config", write_cfg(tmp_path, alf), "--check", "cross", "--check", "solver"]
+    assert exits_2_with_error(capsys, argv)
+    empty = write_cfg(tmp_path, base_doc(checks=[]), "empty.json")
+    assert exits_2_with_error(capsys, ["verify", "--config", empty])
+    assert exits_2_with_error(capsys, ["validate", "--config", empty])
+
+
 def test_verify_unknown_check_flag_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, base_doc())
     with pytest.raises(SystemExit) as exc:
@@ -226,6 +238,24 @@ def test_verify_tolerance_override(tmp_path):
     # a key that matches nothing is a config error, not a silent pass
     cfg = write_cfg(tmp_path, base_doc(tolerances={"nosuch": 1.0}), "t.json")
     assert cli.main(["verify", "--config", cfg]) == 2
+
+
+def test_a_tolerance_override_keeps_the_reported_values(tmp_path):
+    # a tolerance re-judges a record; the values it reports stay
+    def report(name, **overrides):
+        out = tmp_path / f"{name}.out.json"
+        cfg = write_cfg(tmp_path, base_doc(checks=["cross", "fits"], **overrides), name)
+        cli.main(["verify", "--config", cfg, "--out", str(out)])
+        return json.loads(out.read_text())["report"]
+
+    plain = report("plain.json")
+    names = ("cross-validation", "curvature-decay-slope", "volume-growth-slope")
+    strict = report("strict.json", tolerances={name: 1e-300 for name in names})
+    assert [c["tolerance"] for c in strict["checks"]] == [1e-300] * 3
+    assert not strict["pass"] and plain["pass"]
+    assert list(plain["fits"]) == ["curvature_decay", "volume_growth"]
+    for key in ("fits", "cross_validation"):
+        assert strict[key] == plain[key]
 
 
 def test_verify_csv_output(tmp_path):

@@ -129,12 +129,12 @@ def test_fits_that_do_not_apply_raise():
     # carries ALE ends only, so an ALF end gets the volume fit alone
     with pytest.raises(FitDomainError):
         verify.decay_and_volume(make_akl_config(n=2, m=1, j_max=3))
-    fits, records = verify.decay_and_volume(taubnut_config())
-    assert list(fits) == ["volume_growth"]
+    records = verify.decay_and_volume(taubnut_config())
     assert [r.name for r in records] == ["volume-growth-slope"]
-    fits, records = verify.decay_and_volume(pair_config())
-    assert list(fits) == ["curvature_decay", "volume_growth"]
+    assert [list(r.body["fits"]) for r in records] == [["volume_growth"]]
+    records = verify.decay_and_volume(pair_config())
     assert [r.name for r in records] == ["curvature-decay-slope", "volume-growth-slope"]
+    assert [list(r.body["fits"]) for r in records] == [["curvature_decay"], ["volume_growth"]]
 
 
 # --- ricci ---
@@ -319,11 +319,11 @@ def test_invariance_scan_rejects_trivial_action():
 
 
 def test_cross_validate_pair():
-    mean, rec = verify.cross_validate(pair_config())
+    rec = verify.cross_validate(pair_config())
     assert rec.passed
     assert rec.count == 12
     # both routes build the same metric up to the fixed homothety 1/4
-    assert abs(mean - 0.25) < 1e-6
+    assert abs(rec.body["cross_validation"]["mean"] - 0.25) < 1e-6
     assert rec.max_residual < 1e-3
 
 
@@ -332,9 +332,7 @@ def test_cross_validate_hexagon_regression_seeds(seed):
     # the first seed of each block that failed with finite-difference
     # complex-chart curvature, whose noise near |y| = 0.03 was the size of
     # SPREAD_TOL
-    _, rec = verify.cross_validate(
-        hexagon_config(), SampleSpec(count=verify.CROSS_COUNT, seed=seed)
-    )
+    rec = verify.cross_validate(hexagon_config(), SampleSpec(count=verify.CROSS_COUNT, seed=seed))
     assert rec.passed and rec.count == verify.CROSS_COUNT
     assert rec.max_residual < 0.5 * verify.SPREAD_TOL
 
@@ -350,7 +348,7 @@ def test_cross_validate_negative_control(build, monkeypatch):
 
     perturbed_gh = replace(gh, state=perturbed(gh.state))
     monkeypatch.setattr(verify, "GH", perturbed_gh)
-    _, rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
+    rec = verify.cross_validate(build(), SampleSpec(count=verify.CROSS_COUNT, seed=5))
     assert rec.count == verify.CROSS_COUNT
     assert not rec.passed and rec.max_residual > 5.0 * verify.SPREAD_TOL
 
@@ -361,8 +359,8 @@ def test_full_report_hexagon_seed_42_passes():
 
 
 def test_cross_validate_flat_is_vacuous():
-    mean, rec = verify.cross_validate(flat_config())
-    assert math.isnan(mean) and rec.passed and rec.count == 0
+    rec = verify.cross_validate(flat_config())
+    assert rec.body["cross_validation"]["mean"] is None and rec.passed and rec.count == 0
     assert "flat" in rec.note
 
 
@@ -397,9 +395,9 @@ def scaled_hexagon(factor):
 def test_cross_validation_floor_scales_with_the_configuration(config):
     # scaling every center by s scales |Rm|^2 by s^-2, and the floor with it:
     # a homothetic copy keeps every matched point
-    mean, record = verify.cross_validate(config)
+    record = verify.cross_validate(config)
     assert record.passed and record.count == verify.CROSS_COUNT and not record.skipped
-    assert abs(mean - 0.25) < verify.SPREAD_TOL
+    assert abs(record.body["cross_validation"]["mean"] - 0.25) < verify.SPREAD_TOL
 
 
 @pytest.mark.parametrize("build", [scaled_pair, scaled_hexagon], ids=["pair", "hexagon"])
@@ -408,7 +406,7 @@ def test_a_homothetic_configuration_gets_the_same_report(build):
     # scale 1, and the |Rm|^2 ratio stays 2^-2
     def outcome(factor):
         report = verify.full_report(build(factor))
-        assert abs(report.ratio_mean - 0.25) < verify.SPREAD_TOL
+        assert abs(report.payload()["cross_validation"]["mean"] - 0.25) < verify.SPREAD_TOL
         return [(c.name, c.passed) for c in report.checks]
 
     unit = outcome(1.0)
@@ -468,6 +466,23 @@ def test_period_check_coplanar():
     assert "coplanar" in rec.note
 
 
+def test_period_check_fails_when_every_vertical_segment_is_blocked():
+    # the two upper centers, 1.5e-9 apart, pass the collision test (1e-9
+    # of the largest coordinate) but each blocks the other's segment to
+    # the origin, which cycle_period blocks within 1e-9 of the extent
+    # (1.73e-9 here); the third pair is not vertically separated
+    config = CenterConfiguration(
+        centers=(Center(0.0, 0j), Center(1.0, 1 + 1j), Center(1.0, 1 + 1.5e-9 + 1j)),
+        signature=QuotientSignature(3, 1, 0),
+    )
+    blocked = "every vertically separated segment was blocked"
+    with pytest.raises(ScanError, match=blocked):
+        verify.period_check(config)
+    (record,) = verify.full_report(config, checks=("periods",)).checks
+    assert record.name == "periods" and not record.passed
+    assert record.note == f"ScanError: {blocked}"
+
+
 # --- asymptotic fits ---
 
 
@@ -480,7 +495,7 @@ def test_full_report_flat_single_center_passes():
     decay = next(c for c in rep.checks if c.name.startswith("curvature-decay"))
     assert decay.name == "curvature-decay-flat" and decay.count == 24
     assert decay.max_residual < verify.CURVATURE_FLOOR
-    assert "curvature_decay" not in rep.fits
+    assert "curvature_decay" not in rep.payload()["fits"]
 
 
 # --- solver ---
@@ -660,6 +675,17 @@ def test_full_report_rejects_unknown_check():
         verify.full_report(pair_config(), checks=("ricci", "torsion"))
 
 
+@pytest.mark.parametrize(
+    "build, checks",
+    [(pair_config, ()), (taubnut_config, ("cross", "solver")), (flat_config, ("invariance",))],
+    ids=["empty", "alf-cross-solver", "flat-invariance"],
+)
+def test_a_report_that_would_check_nothing_is_refused(build, checks):
+    # an empty report would pass; only checks=None selects every check
+    with pytest.raises(ValueError, match="no check of"):
+        verify.full_report(build(), checks=checks)
+
+
 def test_the_check_table_names_every_run():
     # the rules of verify.CHECKS: the scans expand over the charts that
     # apply, invariance needs n >= 2, cross-validation both charts, the
@@ -682,16 +708,18 @@ def test_the_check_table_names_every_run():
 
 def test_a_check_added_to_the_table_runs_in_full_report(monkeypatch):
     # a new check is one verify.CHECKS entry: its rule, its runs' names,
-    # timing keys and failed records all come from the entry
+    # timing keys, failed records and report sections all come from the
+    # entry
     def blocked():
         raise ScanError("every sample was blocked")
 
+    def counted(r):
+        body = {"extra": {"k": r.config.k}, "fits": {"extra_k": r.config.k}}
+        return verify.CheckRecord("extra-k", 0.0, 1.0, count=r.config.k, body=body)
+
     extra = verify.Check(
         "extra",
-        lambda r: {
-            "extra-k": lambda: verify.CheckRecord("extra-k", 0.0, 1.0, count=r.config.k),
-            "extra-blocked": blocked,
-        },
+        lambda r: {"extra-k": lambda: counted(r), "extra-blocked": blocked},
         applies=lambda config: config.mode == "ale",
     )
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (extra,))
@@ -701,7 +729,15 @@ def test_a_check_added_to_the_table_runs_in_full_report(monkeypatch):
     assert report.checks[1].passed and report.checks[1].count == 2
     failed = report.checks[2]
     assert not failed.passed and failed.note == "ScanError: every sample was blocked"
-    assert verify.full_report(taubnut_config(), checks=("extra",)).checks == []
+    # the record's body reaches the payload, merged by key; the run that
+    # raised adds no section
+    payload = report.payload()
+    assert payload["extra"] == {"k": 2} and payload["fits"] == {"extra_k": 2}
+    assert list(payload) == ["config", "mode", "seed", "checks", "fits", "pass", "extra"]
+    assert failed.body == {}
+    # a selection of which no check applies is refused, not an empty pass
+    with pytest.raises(ValueError, match="no check of"):
+        verify.full_report(taubnut_config(), checks=("extra",))
     # every check runs by default, the new one included
     assert "extra-k" in verify.full_report(pair_config(), spec=SampleSpec(count=2)).timing
 
@@ -763,8 +799,9 @@ def test_full_report_agrees_with_the_standalone_scans(count, f):
                 assert_identical_samples(by_name[record.name].samples, record.samples)
             record = verify.invariance_scan(c.name, cfg, spec)
             assert by_name[record.name] == record
-        mean, record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
-        assert report.ratio_mean == mean and by_name["cross-validation"] == record
+        record = verify.cross_validate(cfg, replace(spec, count=verify.CROSS_COUNT))
+        assert by_name["cross-validation"] == record
+        assert report.payload()["cross_validation"] == record.body["cross_validation"]
         assert_identical_samples(by_name["cross-validation"].samples, record.samples)
     if f is not None:
         # the bent metric jet fails the two checks that take it; every
@@ -1189,7 +1226,6 @@ def test_scan_past_one_block_matches_single_lane_blocks(source, monkeypatch):
 
 def test_flat_cross_validation_payload_is_strict_json():
     rep = verify.full_report(flat_config(), checks=("cross",))
-    assert rep.ratio_mean is not None and math.isnan(rep.ratio_mean)  # NaN kept
     payload = json.loads(json.dumps(rep.payload(), allow_nan=False))
     assert payload["cross_validation"] == {
         "mean": None,
